@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .errors import ConstructionError, DomainError, StepError
 from .graphs import Graph
@@ -49,8 +49,12 @@ class EdgeAdd:
     v: int
 
 
-HennebergStep = Union[Ext0, Ext1]
-JJStep = Union[EdgeAdd, Ext1]
+# Annotation-only aliases. Evaluated at import time, typing's cache would keep a
+# strong reference to these classes, and through them to the whole package, for
+# every fresh import of linerig in the same process.
+if TYPE_CHECKING:
+    HennebergStep = Union[Ext0, Ext1]
+    JJStep = Union[EdgeAdd, Ext1]
 
 
 def steps_to_json(steps: Iterable[Union[HennebergStep, JJStep]]) -> str:

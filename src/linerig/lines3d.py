@@ -10,11 +10,18 @@ vanishes. All predicates use the relative tolerance tol * (1 + max |coordinate|)
 scaled further by solution magnitudes where products with solved unknowns appear;
 coordinates may be ints, Fractions, or floats, and the algebra stays exact for the
 exact types.
+
+An incidence residual g is always measured against the scale of its own pair of
+lines, 1 + the largest |coordinate| of the two (pair_scale, and edge_scales over
+arrays of edges): lines_meet, line_system_dimension and the sampler's Gauss-Newton
+projection share this one normalization, so a pair of lines near the origin is held
+to the same relative standard as a pair far from it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -83,11 +90,21 @@ class LineConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "LineConfig":
+        """Parse {"lines": [[a, b, c, d], ...]}; any other shape, a non-numeric
+        coordinate or a non-finite one raises DomainError."""
         data = json.loads(text)
-        rows = data["lines"]
-        if not isinstance(rows, list) or any(len(r) != 4 for r in rows):
-            raise DomainError("line-config JSON must hold 4-tuples under 'lines'")
-        return cls.from_rows([[float(x) for x in r] for r in rows])
+        rows = data.get("lines") if isinstance(data, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == 4 for r in rows):
+            raise DomainError("line-config JSON must be an object holding 4-tuples under 'lines'")
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for r in rows for x in r):
+            raise DomainError("line-config coordinates must be numbers")
+        try:
+            floats = [[float(x) for x in r] for r in rows]
+        except OverflowError as exc:
+            raise DomainError(f"line-config coordinate out of float range: {exc}") from exc
+        if not all(math.isfinite(x) for r in floats for x in r):
+            raise DomainError("line-config coordinates must be finite")
+        return cls.from_rows(floats)
 
 
 @dataclass(frozen=True)
@@ -128,7 +145,15 @@ def _max_coord(*lines: Line) -> float:
 
 
 def pair_scale(l1: Line, l2: Line) -> float:
+    """Scale of the incidence residual of two lines: 1 + max |coordinate| of both."""
     return 1.0 + _max_coord(l1, l2)
+
+
+def edge_scales(X: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """pair_scale of the lines X[i[k]] and X[j[k]] for every k, on an (n, 4) float
+    array of chart coordinates."""
+    big = np.abs(X).max(axis=1)
+    return 1.0 + np.maximum(big[i], big[j])
 
 
 def lines_meet(l1: Line, l2: Line, tol: float = 1e-8) -> bool:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .graphs import Graph
-from .lines3d import Line, LineConfig, pair_scale
+from .lines3d import Line, LineConfig, edge_scales
 
 Scalar = Union[int, float, Fraction]
 
@@ -258,6 +258,27 @@ def line_residuals(G: Graph, x: LineConfig) -> list[Scalar]:
     return out
 
 
+def edge_index(G: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays (i, j) of G's edges, in canonical edge order."""
+    e = np.array(G.edges, dtype=np.intp).reshape(-1, 2)
+    return e[:, 0], e[:, 1]
+
+
+def line_system_float(X: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Incidence residuals g and their m x 4n Jacobian at the (n, 4) float array X,
+    for the edges (i[k], j[k]); the array form of line_residuals and
+    line_system_jacobian."""
+    D = X[i] - X[j]
+    g = D[:, 0] * D[:, 3] - D[:, 1] * D[:, 2]
+    grad = np.stack([D[:, 3], -D[:, 2], -D[:, 1], D[:, 0]], axis=1)
+    rows = np.arange(len(i))[:, None]
+    slots = np.arange(4)
+    J = np.zeros((len(i), 4 * X.shape[0]))
+    J[rows, 4 * i[:, None] + slots] = grad
+    J[rows, 4 * j[:, None] + slots] = -grad
+    return g, J
+
+
 def line_system_jacobian(G: Graph, x: LineConfig) -> np.ndarray:
     """m x 4n Jacobian of the incidence residuals in the chart coordinates."""
     if x.n != G.n:
@@ -265,7 +286,9 @@ def line_system_jacobian(G: Graph, x: LineConfig) -> np.ndarray:
     coords = x.coords()
     exact = all(isinstance(v, (int, Fraction)) and not isinstance(v, bool)
                 for row in coords for v in row)
-    J = np.zeros((G.m, 4 * G.n), dtype=object if exact else float)
+    if not exact:
+        return line_system_float(x.as_array(), *edge_index(G))[1]
+    J = np.zeros((G.m, 4 * G.n), dtype=object)
     for k, (i, j) in enumerate(G.edges):
         ai, bi, ci, di = coords[i]
         aj, bj, cj, dj = coords[j]
@@ -285,15 +308,14 @@ def line_system_dimension(G: Graph, x: LineConfig, tol: float = DEFAULT_TOL,
     the concurrent family through any point gives the matching lower bound).
     """
     residuals = line_residuals(G, x)
-    worst_edge, worst = None, -1.0
-    for (i, j), r in zip(G.edges, residuals):
-        rel = abs(float(r)) / pair_scale(x[i], x[j])
-        if rel > worst:
-            worst_edge, worst = (i, j), rel
-    if worst > tol:
-        raise DomainError(
-            f"configuration violates the incidence system: edge {worst_edge} has "
-            f"relative residual {worst:.3e} > tol {tol:.1e}")
+    if G.m:
+        g = np.array([float(r) for r in residuals])
+        rel = np.abs(g) / edge_scales(x.as_array(), *edge_index(G))
+        k = int(np.argmax(rel))
+        if not rel[k] <= tol:
+            raise DomainError(
+                f"configuration violates the incidence system: edge {G.edges[k]} has "
+                f"relative residual {rel[k]:.3e} > tol {tol:.1e}")
     J = line_system_jacobian(G, x)
     if exact:
         if J.dtype != object:

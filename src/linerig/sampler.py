@@ -10,6 +10,13 @@ the three lines involved. Constructed configurations sit on special strata
 a Gauss-Newton projection back onto the incidence system is applied before rank
 certification.
 
+The projection measures each edge's residual against its own pair scale, 1 + the
+largest |coordinate| of its two lines (lines3d.edge_scales, the normalization of
+lines_meet and line_system_dimension). It returns as soon as every edge is within
+the requested tolerance, and gives up as soon as two steps in a row fail to improve
+on the best residual: at that point it sits at the float floor, and more steps only
+cost time.
+
 All random draws are integers, so constructions can be replayed in exact rational
 arithmetic.
 """
@@ -26,10 +33,11 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, SampleError
 from .graphs import Graph
 from .henneberg import Ext0, Ext1, extract_henneberg
-from .lines3d import (Line, LineConfig, _triple_coplanar, line_through, lines_coincident,
-                      lines_meet, meet_residual, pair_intersection, pair_scale,
-                      transversal_detail)
-from .numeric import DimensionReport, line_residuals, line_system_dimension, line_system_jacobian
+from .lines3d import (Line, LineConfig, _triple_coplanar, edge_scales, line_through,
+                      lines_coincident, lines_meet, meet_residual, pair_intersection,
+                      pair_scale, transversal_detail)
+from .numeric import (DimensionReport, edge_index, line_residuals, line_system_dimension,
+                      line_system_float, line_system_jacobian)
 from .sparsity import is_laman
 
 _BOX = 40  # coordinate box for integer draws during construction
@@ -37,9 +45,12 @@ _BOX = 40  # coordinate box for integer draws during construction
 
 @dataclass(frozen=True)
 class LineSample:
+    """A certified sample; log holds one line per attempt, the last one certified."""
+
     config: LineConfig
     report: DimensionReport
     attempts: int
+    log: list[str]
 
 
 def _rand_nonzero(rng: random.Random, box: int = _BOX) -> int:
@@ -174,34 +185,48 @@ def _construct(G: Graph, steps, relabel, rng: random.Random, exact: bool,
     return LineConfig(tuple(by_original))
 
 
+def _least_norm_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """delta = J^T (J J^T)^-1 r, the shortest step that zeroes the linearized residual."""
+    try:
+        return J.T @ np.linalg.solve(J @ J.T, r)
+    except np.linalg.LinAlgError:
+        delta, *_ = np.linalg.lstsq(J, r, rcond=None)
+        return delta
+
+
 def gauss_newton_project(G: Graph, x0: LineConfig, tol: float = 1e-12,
                          max_iter: int = 50) -> LineConfig:
     """Project a nearby configuration onto the incidence system of G.
 
-    Least-norm Gauss-Newton updates through the analytic Jacobian; stops when
-    every residual is below tol relative to the coordinate scale. Raises
-    ConvergenceError (carrying the final residual) otherwise.
+    Least-norm Gauss-Newton steps through the analytic Jacobian. Each edge's
+    residual is taken relative to its own pair scale (lines3d.edge_scales). Returns
+    as soon as every edge is within tol. Raises ConvergenceError, carrying the best
+    residual reached, when two steps in a row fail to improve on it (a stall at the
+    float floor, which lies above tol) or when max_iter steps did not reach tol.
     """
-    x = x0.as_array().reshape(-1)
-    n = x0.n
-
-    def max_rel_residual(vec: np.ndarray) -> float:
-        cfg = LineConfig.from_rows(vec.reshape(n, 4).tolist())
-        res = line_residuals(G, cfg)
-        scale = 1.0 + float(np.max(np.abs(vec)))
-        return max((abs(float(r)) for r in res), default=0.0) / scale
-
-    for _ in range(max_iter):
-        if max_rel_residual(x) <= tol:
-            return LineConfig.from_rows(x.reshape(n, 4).tolist())
-        cfg = LineConfig.from_rows(x.reshape(n, 4).tolist())
-        r = np.array([float(v) for v in line_residuals(G, cfg)])
-        J = line_system_jacobian(G, cfg).astype(float)
-        delta, *_ = np.linalg.lstsq(J, r, rcond=None)
-        x = x - delta
+    if x0.n != G.n:
+        raise DomainError(f"configuration has {x0.n} lines for a graph on {G.n} vertices")
+    i, j = edge_index(G)
+    X = x0.as_array()
+    best, stalls = np.inf, 0
+    for step in range(max_iter + 1):
+        g, J = line_system_float(X, i, j)
+        worst = float(np.max(np.abs(g) / edge_scales(X, i, j), initial=0.0))
+        if worst <= tol:
+            return LineConfig.from_rows(X.tolist())
+        if worst < best:
+            best, stalls = worst, 0
+        else:
+            stalls += 1
+            if stalls == 2 or not np.isfinite(worst):
+                raise ConvergenceError(
+                    f"Gauss-Newton stalled at residual {best:.2e} after {step} steps, "
+                    f"above tol {tol:.1e}", best)
+        if step < max_iter:
+            X = X - _least_norm_step(J, g).reshape(X.shape)
     raise ConvergenceError(
-        f"Gauss-Newton did not reach {tol:.1e} in {max_iter} iterations",
-        max_rel_residual(x))
+        f"Gauss-Newton did not reach tol {tol:.1e} in {max_iter} steps "
+        f"(residual {best:.2e})", best)
 
 
 def sample_laman_lines_info(G: Graph, seed: int = 0, max_retries: int = 32,
@@ -209,8 +234,9 @@ def sample_laman_lines_info(G: Graph, seed: int = 0, max_retries: int = 32,
     """Constructive sample of a certified configuration realizing a Laman graph.
 
     Construct along the extension sequence, perturb, project back with
-    Gauss-Newton, then certify full Jacobian rank; rank-deficient or degenerate
-    draws are retried with fresh randomness.
+    Gauss-Newton to tol, then certify full Jacobian rank; rank-deficient or
+    degenerate draws are retried with fresh randomness. The returned sample's log
+    records every attempt, as SampleError.log does when all of them fail.
     """
     if not is_laman(G):
         raise DomainError("sample_laman_lines requires a Laman graph")
@@ -229,9 +255,9 @@ def sample_laman_lines_info(G: Graph, seed: int = 0, max_retries: int = 32,
         perturbed = arr + noise.normal(size=arr.shape) * 1e-3 * scale
         try:
             projected = gauss_newton_project(G, LineConfig.from_rows(perturbed.tolist()),
-                                             tol=1e-13, max_iter=80)
+                                             tol=tol, max_iter=80)
         except ConvergenceError as exc:
-            log.append(f"attempt {attempt}: no convergence (residual {exc.residual:.2e})")
+            log.append(f"attempt {attempt}: no convergence: {exc}")
             continue
         report = line_system_dimension(G, projected, tol=1e-8)
         if not report.certified:
@@ -242,7 +268,8 @@ def sample_laman_lines_info(G: Graph, seed: int = 0, max_retries: int = 32,
         if worst > tol * scale:
             log.append(f"attempt {attempt}: residual {worst:.2e} above {tol:.1e}")
             continue
-        return LineSample(projected, report, attempt)
+        log.append(f"attempt {attempt}: certified, rank {report.jacobian_rank}")
+        return LineSample(projected, report, attempt, log)
     raise SampleError(f"no certified sample for seed {seed} in {max_retries} attempts", log)
 
 

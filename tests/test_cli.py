@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from linerig.cli import main
 from linerig.graphs import generate, parse_graph, serialize_graph
 
@@ -204,3 +206,18 @@ def test_suite_reports_serialize(capsys):
     rep = four_lines(trials=10)
     text = _json.dumps(rep.to_dict(), sort_keys=True)
     assert _json.loads(text)["suite"] == "four-lines"
+
+
+@pytest.mark.parametrize("text", [
+    '{"lines": [[0, 1, "x", 2]]}',
+    '[[0, 1, 2, 3]]',
+    '{"lines": [[0, 1, 2, 3], [NaN, 1, 2, 3]]}',
+])
+def test_malformed_line_config_exit_2(tmp_path, capsys, text):
+    cpath = tmp_path / "lines.json"
+    cpath.write_text(text)
+    gpath = tmp_path / "g.json"
+    gpath.write_text(serialize_graph(generate("complete", [2])))
+    for argv in (("lines", "common", str(cpath)), ("sample", "project", str(gpath), str(cpath))):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:")

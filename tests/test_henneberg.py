@@ -102,3 +102,27 @@ def test_step_json_round_trip():
     assert '"kind":"ext0"' in text and '"kind":"edge"' in text
     with pytest.raises(StepError, match="step 0"):
         steps_from_json('[{"kind":"warp","u":0,"v":1}]')
+
+
+def test_fresh_import_releases_the_previous_copy():
+    import gc
+    import importlib
+    import sys
+    import weakref
+
+    def ours():
+        return [k for k in sys.modules if k == "linerig" or k.startswith("linerig.")]
+
+    saved = {k: sys.modules.pop(k) for k in ours()}
+    try:
+        importlib.import_module("linerig.cli")
+        old = weakref.ref(sys.modules["linerig.henneberg"].Ext0)
+        for k in ours():
+            del sys.modules[k]
+        importlib.import_module("linerig.cli")
+        gc.collect()
+        assert old() is None
+    finally:
+        for k in ours():
+            del sys.modules[k]
+        sys.modules.update(saved)

@@ -139,3 +139,24 @@ def test_config_json_round_trip():
     cfg = LineConfig((Line(0.5, -1.25, 3.0, 4.0), Line(1, 2, 3, 4)))
     again = LineConfig.from_json(cfg.to_json())
     assert again.as_array().tolist() == cfg.as_array().tolist()
+
+
+def test_edge_scales_match_pair_scale():
+    import numpy as np
+    from linerig.lines3d import edge_scales, pair_scale
+    rng = random.Random(17)
+    cfg = LineConfig.from_rows([[rng.uniform(-10, 10) * 10 ** rng.randint(0, 6) for _ in range(4)]
+                                for _ in range(6)])
+    pairs = list(combinations(range(6), 2))
+    i, j = (np.array(v) for v in zip(*pairs))
+    assert edge_scales(cfg.as_array(), i, j).tolist() == [pair_scale(cfg[a], cfg[b]) for a, b in pairs]
+
+
+@pytest.mark.parametrize("text", [
+    '{"lines": [[0, 1, "x", 2]]}', '{"lines": [[0, 1, true, 2]]}', '[[0, 1, 2, 3]]',
+    '{"lines": [[0, 1, 2]]}', '{"lines": [[NaN, 1, 2, 3]]}', '{"lines": [[Infinity, 1, 2, 3]]}',
+    '{"lines": [[1' + '0' * 400 + ', 1, 2, 3]]}', '{"lines": []}', '{"other": []}',
+], ids=["string", "bool", "list", "triple", "nan", "inf", "huge-int", "empty", "no-lines"])
+def test_config_json_rejects_malformed(text):
+    with pytest.raises(DomainError):
+        LineConfig.from_json(text)

@@ -195,3 +195,14 @@ def test_pair_jacobian_structure():
     assert J.shape == (1, 8)
     assert J.tolist()[0][:4] == [-2, 0, 2, 0]
     assert J.tolist()[0][4:] == [2, 0, -2, 0]
+
+
+def test_line_system_float_matches_exact_loop():
+    # the loop over edges in exact arithmetic is the reference for the array kernel
+    from linerig.numeric import edge_index, line_residuals, line_system_float
+    rng = random.Random(16)
+    G = generate("laman_random", [9], seed=16)
+    cfg = LineConfig.from_rows([[rng.randint(-50, 50) for _ in range(4)] for _ in range(9)])
+    g, J = line_system_float(cfg.as_array(), *edge_index(G))
+    assert g.tolist() == [float(r) for r in line_residuals(G, cfg)]
+    assert J.tolist() == line_system_jacobian(G, cfg).astype(float).tolist()

@@ -7,8 +7,8 @@ import pytest
 from linerig.errors import ConvergenceError, DomainError
 from linerig.graphs import generate
 from linerig.lines3d import LineConfig, common_plane, common_point, intersection_graph
-from linerig.numeric import (edge_function, line_residuals, line_system_jacobian,
-                             rank_exact)
+from linerig.numeric import (edge_function, line_residuals, line_system_dimension,
+                             line_system_jacobian, rank_exact)
 from linerig.sampler import (gauss_newton_project, knn_jacobian, sample_congruent_pair,
                              sample_knn, sample_knn_params, sample_laman_lines,
                              sample_laman_lines_exact, sample_laman_lines_info)
@@ -142,3 +142,76 @@ def test_certification_rate_reported():
     rep = theorem_main(seeds=10, n_max=8, seed=123)
     assert rep.ok
     assert "certification_rate" in rep.info and rep.info["certification_rate"] >= 0.95
+
+
+def _perturbed_sample(n: int, seed: int) -> tuple:
+    G = generate("laman_random", [n], seed=seed)
+    cfg = sample_laman_lines(G, seed=seed)
+    noisy = cfg.as_array() + np.random.default_rng(seed).normal(size=(n, 4)) * 1e-3
+    return G, LineConfig.from_rows(noisy.tolist())
+
+
+def _per_edge_residual(G, cfg) -> float:
+    X = cfg.as_array()
+    return max(abs(float(r)) / (1.0 + max(np.abs(X[i]).max(), np.abs(X[j]).max()))
+               for r, (i, j) in zip(line_residuals(G, cfg), G.edges))
+
+
+def test_gauss_newton_stalls_at_float_floor_quickly(monkeypatch):
+    G, noisy = _perturbed_sample(10, 13)
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+    with pytest.raises(ConvergenceError) as err:
+        gauss_newton_project(G, noisy, tol=1e-20, max_iter=500)
+    assert "stalled" in str(err.value) and f"{err.value.residual:.2e}" in str(err.value)
+    assert 0 < err.value.residual < 1e-12
+    assert len(solves) <= 20
+
+
+def test_gauss_newton_max_iter_reason_names_residual():
+    G, noisy = _perturbed_sample(10, 14)
+    with pytest.raises(ConvergenceError) as err:
+        gauss_newton_project(G, noisy, tol=1e-10, max_iter=1)
+    assert "in 1 steps" in str(err.value) and f"{err.value.residual:.2e}" in str(err.value)
+
+
+def test_gauss_newton_per_edge_residual_with_mixed_scales():
+    # lines through one point: steep ones have base coordinates near 1e6, nearly
+    # vertical ones stay within a few units of the origin
+    G = generate("laman_random", [10], seed=15)
+    rng = np.random.default_rng(15)
+    z = 5e3
+    cd = np.concatenate([rng.uniform(-200, 200, (5, 2)), rng.uniform(-1e-3, 1e-3, (5, 2))])
+    X = np.column_stack([1.0 - cd[:, 0] * z, 2.0 - cd[:, 1] * z, cd])
+    assert np.abs(X).max() > 1e5 and np.abs(X[5:]).max() < 10
+    noisy = X + rng.normal(size=X.shape) * 1e-2
+    out = gauss_newton_project(G, LineConfig.from_rows(noisy.tolist()), tol=1e-10)
+    assert _per_edge_residual(G, out) <= 1e-10
+
+
+def test_sampler_first_attempt_at_n40_to_60():
+    first = 0
+    for n in (40, 45, 50, 55, 60):
+        for seed in (0, 1):
+            G = generate("laman_random", [n], seed=seed)
+            info = sample_laman_lines_info(G, seed=seed)
+            first += info.attempts == 1
+            assert line_system_dimension(G, info.config, tol=1e-8).certified
+    assert first >= 8
+
+
+def test_line_sample_keeps_attempt_log():
+    G = generate("laman_random", [40], seed=5)
+    info = sample_laman_lines_info(G, seed=5)
+    assert info.attempts > 1
+    assert len(info.log) == info.attempts
+    assert "certified" in info.log[-1]
+    assert all("certified" not in entry for entry in info.log[:-1])
+
+
+def test_certification_rate_is_certified_per_attempt():
+    from linerig.verify import theorem_main
+    rep = theorem_main(seeds=4, n_max=30, seed=10)
+    assert rep.ok and rep.info["sampler_retries"] > 0
+    assert rep.info["certification_rate"] == round(4 / (4 + rep.info["sampler_retries"]), 4)
