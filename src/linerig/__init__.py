@@ -6,7 +6,8 @@ Library layout:
 * sparsity: (2,3)-sparsity rank, Laman / redundant / Hendrickson tests
 * connectivity: vertex connectivity
 * henneberg: construction sequences (extension moves), forward and reverse
-* lines3d: the (a, b, c, d) line chart and its incidence geometry
+* lines3d: the (a, b, c, d) line chart and its incidence geometry; common points
+  and planes by one array kernel over (..., n, 4) batches
 * elekes_sharir: transform between planar point pairs and lines
 * numeric: rigidity matrices, Jacobian ranks, dimension certificates
 * sampler: randomized generation of configurations and embedding pairs

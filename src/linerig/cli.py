@@ -8,6 +8,7 @@ standard output as JSON (default) or text tables. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .numeric import (global_rigidity_oracle, line_system_dimension, line_system
                       pair_system_dimension, pair_system_jacobian, rigidity_rank)
 from .sampler import gauss_newton_project, sample_congruent_pair, sample_knn, \
     sample_laman_lines_info
-from .sparsity import is_hendrickson, is_laman, is_redundant, sparsity_rank
+from .sparsity import is_laman, is_redundant, sparsity_rank
 from .verify import SUITES
 
 
@@ -61,8 +62,10 @@ def analyze_graph(G: Graph, seed: int = 0, trials: int = 5, tol: float = 1e-8,
     rank = sparsity_rank(G).rank
     rrank = rigidity_rank(G, trials=trials, seed=seed)
     rigid = rrank == 2 * G.n - 3
-    three = is_k_connected(G, 3) if G.n > 3 else None
-    hend = is_hendrickson(G) if G.n >= 4 else None
+    redundant = is_redundant(G)
+    three = is_k_connected(G, 3) if G.n >= 4 else None
+    # is_hendrickson's own definition, from the two checks already made
+    hend = redundant and three if G.n >= 4 else None
     glob = None
     if G.n >= 4 and rigid:
         glob = global_rigidity_oracle(G, trials=trials, seed=seed, tol=tol)
@@ -74,7 +77,7 @@ def analyze_graph(G: Graph, seed: int = 0, trials: int = 5, tol: float = 1e-8,
             for rng in _trial_rngs(seed, trials)) if G.m else 0
     return AnalysisReport(
         n=G.n, m=G.m, sparsity_rank=rank, rigidity_rank=rrank,
-        laman=is_laman(G), rigid=rigid, redundant=is_redundant(G),
+        laman=is_laman(G), rigid=rigid, redundant=redundant,
         three_connected=three, hendrickson=hend, globally_rigid=glob,
         seed=seed, trials=trials, tol=tol, rigidity_rank_exact=exact_rank)
 
@@ -118,19 +121,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     suite = SUITES[args.suite]
-    kwargs: dict = {"seed": args.seed}
-    if args.suite == "theorem-main":
-        kwargs.update(seeds=args.seeds, n_max=args.n_max)
-    elif args.suite == "theorem-mainnec":
-        kwargs.update(count=args.count)
-    elif args.suite == "lemma-complete":
-        kwargs.update(n_max=args.n_max, seeds=args.seeds)
-    elif args.suite == "lemma-3lines":
-        kwargs.update(per_class=args.per_class)
-    elif args.suite in ("lemma-cong", "four-lines"):
-        kwargs.update(trials=args.trials)
-    elif args.suite == "hendrickson-oracle":
-        kwargs.update(n_max=args.n_max, trials=args.trials)
+    kwargs = {name: getattr(args, name) for name in inspect.signature(suite).parameters}
     rep = suite(**kwargs)
     if args.format == "json":
         _emit(rep.to_dict(), "json")

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import CongruenceError, DomainError
-from .lines3d import Line, LineConfig, Plane, Point3
+from .lines3d import Line, LineConfig, Plane, Point3, is_exact
 
 Scalar = Union[int, float, Fraction]
 Point2 = tuple[Scalar, Scalar]
@@ -37,8 +37,16 @@ def to_line(a: Sequence[Scalar], b: Sequence[Scalar]) -> Line:
     """Line of all rotations mapping a to b (a vertical line when a == b)."""
     ax, ay = a
     bx, by = b
-    half = Fraction(1, 2) if isinstance(ax + ay + bx + by, (int, Fraction)) else 0.5
+    half = Fraction(1, 2) if is_exact(ax + ay + bx + by) else 0.5
     return Line((ax + bx) * half, (ay + by) * half, (ay - by) * half, (bx - ax) * half)
+
+
+def to_lines(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """to_line over arrays: the (..., 4) chart rows of the pairs (A[k], B[k]) of
+    two (..., 2) float point arrays."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    return 0.5 * np.concatenate([A + B, A[..., 1:] - B[..., 1:], B[..., :1] - A[..., :1]], axis=-1)
 
 
 def from_line(line: Line) -> PointPair:
@@ -168,19 +176,6 @@ def recover_motion(A: Sequence[Sequence[Scalar]], B: Sequence[Sequence[Scalar]],
 
 # ---------------------------------------------------------------------------
 # file formats
-
-
-def parse_embedding(text: str) -> list[Point2]:
-    data = json.loads(text)
-    pts = data["points"]
-    if not isinstance(pts, list) or any(len(p) != 2 for p in pts):
-        raise DomainError("embedding JSON must hold planar points under 'points'")
-    return [(float(x), float(y)) for x, y in pts]
-
-
-def serialize_embedding(points: Sequence[Sequence[Scalar]]) -> str:
-    return json.dumps({"points": [[float(p[0]), float(p[1])] for p in points]},
-                      separators=(",", ":"))
 
 
 def parse_pair_file(text: str) -> tuple[list[Point2], list[Point2]]:

@@ -16,6 +16,10 @@ lines, 1 + the largest |coordinate| of the two (pair_scale, and edge_scales over
 arrays of edges): lines_meet, line_system_dimension and the sampler's Gauss-Newton
 projection share this one normalization, so a pair of lines near the origin is held
 to the same relative standard as a pair far from it.
+
+Common points and planes come from one array kernel over (..., n, 4) batches of
+configurations, common_points and common_planes, with boolean masks of where one
+was found; common_point and common_plane call it on a single LineConfig.
 """
 
 from __future__ import annotations
@@ -135,6 +139,11 @@ class TripleClass:
     plane: Optional[Plane] = None
 
 
+def is_exact(v: object) -> bool:
+    """True for the exact coordinate types, int and Fraction; bool does not count."""
+    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+
+
 def meet_residual(l1: Line, l2: Line) -> Scalar:
     """Zero iff the two lines intersect, are parallel, or coincide."""
     return (l1.a - l2.a) * (l1.d - l2.d) - (l1.b - l2.b) * (l1.c - l2.c)
@@ -173,66 +182,116 @@ def intersection_graph(L: LineConfig, tol: float = 1e-8) -> Graph:
     return Graph(L.n, tuple(edges))
 
 
-def common_point(L: LineConfig, tol: float = 1e-8) -> Optional[Concurrency]:
-    """Least-squares common point of all lines, or the all-parallel flag, or None.
+def _by_coordinate(X: np.ndarray) -> np.ndarray:
+    """The (4, ..., n) copy of a (..., n, 4) chart array: each coordinate contiguous,
+    so that the kernels' reductions over the lines of a batch run on contiguous rows."""
+    return X.transpose(-1, *range(X.ndim - 1)).copy()
 
-    A line passes through (x, y, z) iff a = x - c*z and b = y - d*z, which is
-    linear in (x, y, z).
+
+def common_points(X: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares common point of every configuration in a (..., n, 4) chart
+    array: a line passes through (x, y, z) iff a = x - c*z and b = y - d*z. For a
+    fixed z the best (x, y) are the means of a + c*z and b + d*z, which leaves z in
+    closed form over the centered coordinates.
+
+    Returns (points, found, parallel): the (..., 3) points and two (...) masks.
+    `parallel` marks directions (c, d) that all agree within tol * (1 + max |coord|),
+    a common point at infinity; `found` marks the other configurations whose worst
+    residual is within tol * (1 + max |coord|) * (1 + |z|).
     """
+    X = np.asarray(X, dtype=float)
+    cmax = np.abs(X).max(axis=(-2, -1))
+    T = _by_coordinate(X)
+    a, b, c, d = T
+    mean = T.sum(axis=-1, keepdims=True) / X.shape[-2]
+    ac, bc, cc, dc = T - mean
+    scale = tol * (1.0 + cmax)
+    parallel = (T[2:].max(axis=-1) - T[2:].min(axis=-1)).max(axis=0) <= scale
+    num = (ac * cc + bc * dc).sum(axis=-1, keepdims=True)
+    den = (cc * cc + dc * dc).sum(axis=-1, keepdims=True)
+    # den is 0 only where every direction agrees, and num with it; 0.0 - q rather
+    # than -q, so that a zero z is +0.0 (nu below likewise)
+    z = 0.0 - num / np.where(den > 0, den, 1.0)
+    x, y = mean[0] + mean[2] * z, mean[1] + mean[3] * z
+    resid = np.maximum(np.abs(x - c * z - a), np.abs(y - d * z - b)).max(axis=-1)
+    found = ~parallel & (resid <= scale * (1.0 + np.abs(z[..., 0])))
+    return np.concatenate([x, y, z], axis=-1), found, parallel
+
+
+def _plane_system(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 2n x 3 system lam*c + mu*d = 1, lam*a + mu*b + nu = 0 of one (n, 4) array."""
+    A = np.zeros((len(X), 2, 3))
+    A[:, 0, :2], A[:, 1, :2], A[:, 1, 2] = X[:, 2:], X[:, :2], 1.0
+    return A.reshape(-1, 3), np.tile([1.0, 0.0], len(X))
+
+
+def common_planes(X: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares common plane z = lam*x + mu*y + nu of every configuration in a
+    (..., n, 4) chart array: a line lies in it iff lam*c + mu*d = 1 and
+    lam*a + mu*b + nu = 0.
+
+    The best nu is -(lam mean a + mu mean b), and (lam, mu) come from modified
+    Gram-Schmidt on the two centered columns. Where those are dependent to within
+    1e-10 of the coordinate scale (all lines in one vertical plane, or one line
+    repeated), np.linalg.lstsq picks the minimum-norm (lam, mu, nu) instead.
+
+    Returns (planes, found): the (..., 3) rows (lam, mu, nu) and a (...) mask of the
+    worst residual within tol * (1 + max |coord|) * (1 + max |lam, mu, nu|).
+    """
+    X = np.asarray(X, dtype=float)
+    n = X.shape[-2]
+    cmax = np.abs(X).max(axis=(-2, -1))
+    T = _by_coordinate(X)
+    a, b, c, d = T
+    am, bm = T[:2].sum(axis=-1, keepdims=True) / n
+    u, w = np.concatenate([c, a - am], axis=-1), np.concatenate([d, b - bm], axis=-1)
+    r11 = np.sqrt((u * u).sum(axis=-1))[..., None]
+    q1 = u / np.where(r11 > 0, r11, 1.0)
+    r12 = (q1 * w).sum(axis=-1)[..., None]
+    w = w - r12 * q1
+    r22 = np.sqrt((w * w).sum(axis=-1))[..., None]
+    ok = np.minimum(r11, r22) > 1e-10 * (1.0 + cmax)[..., None]
+    # the right-hand side (1, ..., 1, 0, ..., 0) with its q1 component removed
+    y1 = q1[..., :n].sum(axis=-1)[..., None]
+    rhs = -y1 * q1
+    rhs[..., :n] += 1.0
+    r22 = np.where(ok, r22, 1.0)
+    mu = (w / r22 * rhs).sum(axis=-1)[..., None] / r22
+    lam = (y1 - r12 * mu) / np.where(ok, r11, 1.0)
+    sol = np.concatenate([lam, mu, 0.0 - (lam * am + mu * bm)], axis=-1)
+    if not ok.all():
+        for k in map(tuple, np.argwhere(~ok[..., 0])):
+            sol[k] = np.linalg.lstsq(*_plane_system(X[k]), rcond=None)[0]
+    lam, mu, nu = sol[..., 0:1], sol[..., 1:2], sol[..., 2:3]
+    resid = np.maximum(np.abs(lam * c + mu * d - 1.0), np.abs(lam * a + mu * b + nu)).max(axis=-1)
+    return sol, resid <= tol * (1.0 + cmax) * (1.0 + np.abs(sol).max(axis=-1))
+
+
+def _checked_array(L: LineConfig, tol: float, name: str) -> np.ndarray:
     if L.n < 2:
-        raise DomainError("common_point needs at least 2 lines")
+        raise DomainError(f"{name} needs at least 2 lines")
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    arr = L.as_array()
-    cmax = float(np.max(np.abs(arr))) if arr.size else 0.0
-    dirs = arr[:, 2:4]
-    spread = float(np.max(dirs.max(axis=0) - dirs.min(axis=0)))
-    if spread <= tol * (1.0 + cmax):
+    return L.as_array()
+
+
+def common_point(L: LineConfig, tol: float = 1e-8) -> Optional[Concurrency]:
+    """Least-squares common point of all lines, or the all-parallel flag, or None
+    (common_points on one configuration)."""
+    points, found, parallel = common_points(_checked_array(L, tol, "common_point"), tol)
+    if parallel:
         return Concurrency(point=None, parallel=True)
-    n = L.n
-    A = np.zeros((2 * n, 3))
-    rhs = np.empty(2 * n)
-    A[0::2, 0] = 1.0
-    A[0::2, 2] = -arr[:, 2]
-    A[1::2, 1] = 1.0
-    A[1::2, 2] = -arr[:, 3]
-    rhs[0::2] = arr[:, 0]
-    rhs[1::2] = arr[:, 1]
-    sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    resid = A @ sol - rhs
-    scale = (1.0 + cmax) * (1.0 + abs(float(sol[2])))
-    if float(np.max(np.abs(resid))) <= tol * scale:
-        return Concurrency(point=(float(sol[0]), float(sol[1]), float(sol[2])))
+    if found:
+        return Concurrency(point=tuple(points.tolist()))
     return None
 
 
 def common_plane(L: LineConfig, tol: float = 1e-8) -> Optional[Plane]:
-    """Least-squares common non-vertical plane z = lam*x + mu*y + nu, or None.
-
-    A chart line lies in that plane iff 1 = lam*c + mu*d and -nu = lam*a + mu*b.
-    Vertical planes are outside the chart and report as None.
-    """
-    if L.n < 2:
-        raise DomainError("common_plane needs at least 2 lines")
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
-    arr = L.as_array()
-    cmax = float(np.max(np.abs(arr)))
-    n = L.n
-    A = np.zeros((2 * n, 3))
-    rhs = np.zeros(2 * n)
-    A[0::2, 0] = arr[:, 2]
-    A[0::2, 1] = arr[:, 3]
-    rhs[0::2] = 1.0
-    A[1::2, 0] = arr[:, 0]
-    A[1::2, 1] = arr[:, 1]
-    A[1::2, 2] = 1.0
-    sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    resid = A @ sol - rhs
-    scale = (1.0 + cmax) * (1.0 + float(np.max(np.abs(sol))))
-    if float(np.max(np.abs(resid))) <= tol * scale:
-        return Plane(float(sol[0]), float(sol[1]), float(sol[2]))
-    return None
+    """Least-squares common non-vertical plane z = lam*x + mu*y + nu, or None
+    (common_planes on one configuration). Vertical planes are outside the chart
+    and report as None."""
+    plane, found = common_planes(_checked_array(L, tol, "common_plane"), tol)
+    return Plane(*plane.tolist()) if found else None
 
 
 def pair_intersection(l1: Line, l2: Line, tol: float = 1e-8) -> Optional[Point3]:
@@ -338,8 +397,7 @@ def transversal_detail(l1: Line, l2: Line, l3: Line, s: Scalar,
     c = w[0] / w[2]
     d = w[1] / w[2]
     line = Line(q[0] - q[2] * c, q[1] - q[2] * d, c, d)
-    exact = all(isinstance(v, (int, Fraction)) and not isinstance(v, bool)
-                for v in line.as_tuple())
+    exact = all(map(is_exact, line.as_tuple()))
     for other in (l1, l2, l3):
         if exact:
             if meet_residual(line, other) != 0:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .graphs import Graph
-from .lines3d import Line, LineConfig, edge_scales
+from .lines3d import Line, LineConfig, edge_scales, is_exact
 
 Scalar = Union[int, float, Fraction]
 
@@ -134,16 +134,10 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> Optional[int]:
 
 
 def _as_exact_rows(M) -> list[list[Union[int, Fraction]]]:
-    if isinstance(M, np.ndarray):
-        M = M.tolist()
-    rows = []
-    for row in M:
-        out = []
-        for x in row:
-            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-                raise DomainError(f"exact rank needs integer or rational entries, got {type(x).__name__}")
-            out.append(x)
-        rows.append(out)
+    rows = [list(row) for row in (M.tolist() if isinstance(M, np.ndarray) else M)]
+    bad = [x for row in rows for x in row if not is_exact(x)]
+    if bad:
+        raise DomainError(f"exact rank needs integer or rational entries, got {type(bad[0]).__name__}")
     return rows
 
 
@@ -193,7 +187,7 @@ def edge_function(G: Graph, p) -> np.ndarray:
         dx = rows[i][0] - rows[j][0]
         dy = rows[i][1] - rows[j][1]
         vals.append(dx * dx + dy * dy)
-    exact = all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in vals)
+    exact = all(map(is_exact, vals))
     return np.array(vals, dtype=object if exact else float)
 
 
@@ -203,8 +197,7 @@ def rigidity_matrix(G: Graph, p) -> np.ndarray:
     rows = _embedding_rows(p)
     if len(rows) != G.n:
         raise DomainError(f"embedding has {len(rows)} points for a graph on {G.n} vertices")
-    exact = all(isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-                for row in rows for x in row)
+    exact = all(is_exact(x) for row in rows for x in row)
     J = np.zeros((G.m, 2 * G.n), dtype=object if exact else float)
     for k, (i, j) in enumerate(G.edges):
         dx = rows[i][0] - rows[j][0]
@@ -284,8 +277,7 @@ def line_system_jacobian(G: Graph, x: LineConfig) -> np.ndarray:
     if x.n != G.n:
         raise DomainError(f"configuration has {x.n} lines for a graph on {G.n} vertices")
     coords = x.coords()
-    exact = all(isinstance(v, (int, Fraction)) and not isinstance(v, bool)
-                for row in coords for v in row)
+    exact = all(is_exact(v) for row in coords for v in row)
     if not exact:
         return line_system_float(x.as_array(), *edge_index(G))[1]
     J = np.zeros((G.m, 4 * G.n), dtype=object)

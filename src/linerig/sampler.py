@@ -33,9 +33,9 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, SampleError
 from .graphs import Graph
 from .henneberg import Ext0, Ext1, extract_henneberg
-from .lines3d import (Line, LineConfig, _triple_coplanar, edge_scales, line_through,
-                      lines_coincident, lines_meet, meet_residual, pair_intersection,
-                      pair_scale, transversal_detail)
+from .lines3d import (Line, LineConfig, _triple_coplanar, edge_scales, is_exact,
+                      line_through, lines_coincident, lines_meet, meet_residual,
+                      pair_intersection, pair_scale, transversal_detail)
 from .numeric import (DimensionReport, edge_index, line_residuals, line_system_dimension,
                       line_system_float, line_system_jacobian)
 from .sparsity import is_laman
@@ -359,7 +359,7 @@ def knn_config(n: int, kind: str, params) -> LineConfig:
 def knn_jacobian(n: int, kind: str, params) -> np.ndarray:
     """Analytic 4n x p Jacobian of the family parametrization at `params`."""
     params = list(params)
-    exact = all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in params)
+    exact = all(map(is_exact, params))
     dtype = object if exact else float
     if kind == "concurrent":
         x, y, z = params[:3]

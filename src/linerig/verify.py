@@ -13,11 +13,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .elekes_sharir import phi, reflection_at, to_line
-from .errors import SampleError
+from .elekes_sharir import phi, reflection_at, to_line, to_lines
+from .errors import DomainError, SampleError
 from .graphs import Graph, generate
-from .lines3d import (Line, LineConfig, classify_triple, common_plane, common_point,
-                      line_through, meet_residual, transversal)
+from .lines3d import (Line, LineConfig, classify_triple, common_plane, common_planes,
+                      common_point, common_points, line_through, meet_residual, transversal)
 from .numeric import (global_rigidity_oracle, is_rigid_numeric, line_system_jacobian,
                       pair_system_dimension, rank_exact, transversal_family_dimension)
 from .sampler import (knn_jacobian, sample_congruent_pair, sample_knn_params,
@@ -264,7 +264,11 @@ def lemma_3lines(per_class: int = 100, seed: int = 0) -> SuiteReport:
 
 
 def four_lines(trials: int = 10000, seed: int = 0, tol: float = 1e-8) -> SuiteReport:
+    if tol <= 0:
+        raise DomainError("tolerance must be positive")
     rep = SuiteReport("four-lines")
+    cases: list[tuple[str, bool]] = []
+    charts: list[np.ndarray] = []
     for k in range(trials):
         rng = random.Random(f"four-lines:{seed}:{k}")
         mode = "pencil" if k % 10 == 9 else ("concurrent" if k % 2 == 0 else "coplanar")
@@ -292,24 +296,21 @@ def four_lines(trials: int = 10000, seed: int = 0, tol: float = 1e-8) -> SuiteRe
         cfg = LineConfig.from_rows(rows)
         exact_zero = all(
             meet_residual(cfg[i], cfg[j]) == 0 for i in range(4) for j in range(i + 1, 4))
-        cp = common_point(cfg, tol)
-        pl = common_plane(cfg, tol)
-        point_ok = cp is not None and (cp.parallel or cp.point is not None)
-        ok = exact_zero and (point_ok or pl is not None)
-        rep.record(ok, instance=k, mode=mode, exact_zero=exact_zero,
-                   common_point=point_ok, common_plane=pl is not None)
+        cases.append((mode, exact_zero))
+        charts.append(cfg.as_array())
+    X = np.array(charts).reshape(trials, 4, 4)
+    _, point_found, parallel = common_points(X, tol)
+    _, plane_found = common_planes(X, tol)
+    for k, (mode, exact_zero) in enumerate(cases):
+        point_ok = bool(point_found[k] or parallel[k])
+        plane_ok = bool(plane_found[k])
+        rep.record(exact_zero and (point_ok or plane_ok), instance=k, mode=mode,
+                   exact_zero=exact_zero, common_point=point_ok, common_plane=plane_ok)
     return rep
 
 
 # ---------------------------------------------------------------------------
 # lemma-cong: distance <-> incidence, and motion recovery from images
-
-
-def _batched_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least-squares solve per batch item via QR (normal equations would square
-    the condition number, which costs real accuracy at the tails of 1e5 draws)."""
-    Q, R = np.linalg.qr(A)
-    return np.linalg.solve(R, Q.transpose(0, 2, 1) @ b[..., None])[..., 0]
 
 
 def lemma_cong(trials: int = 100000, seed: int = 0) -> SuiteReport:
@@ -344,18 +345,7 @@ def lemma_cong(trials: int = 100000, seed: int = 0) -> SuiteReport:
     rel = A - center
     B = np.stack([co[:, None] * rel[..., 0] - si[:, None] * rel[..., 1],
                   si[:, None] * rel[..., 0] + co[:, None] * rel[..., 1]], axis=-1) + center
-    u = 0.5 * (A + B)
-    v = 0.5 * np.stack([A[..., 1] - B[..., 1], B[..., 0] - A[..., 0]], axis=-1)
-    # common point of the lines (x - c z = a, y - d z = b)
-    M = np.zeros((nb, 2 * r, 3))
-    rhs = np.zeros((nb, 2 * r))
-    M[:, 0::2, 0] = 1.0
-    M[:, 0::2, 2] = -v[..., 0]
-    M[:, 1::2, 1] = 1.0
-    M[:, 1::2, 2] = -v[..., 1]
-    rhs[:, 0::2] = u[..., 0]
-    rhs[:, 1::2] = u[..., 1]
-    sol = _batched_solve(M, rhs)
+    sol = common_points(to_lines(A, B))[0]
     tsol = sol[:, 2]
     denom = tsol ** 2 + 1.0
     co2, si2 = (tsol ** 2 - 1.0) / denom, 2.0 * tsol / denom
@@ -372,17 +362,7 @@ def lemma_cong(trials: int = 100000, seed: int = 0) -> SuiteReport:
     t = rng.uniform(-5, 5, size=(nb, 1, 2))
     B = np.stack([co[:, None] * A[..., 0] + si[:, None] * A[..., 1],
                   si[:, None] * A[..., 0] - co[:, None] * A[..., 1]], axis=-1) + t
-    u = 0.5 * (A + B)
-    v = 0.5 * np.stack([A[..., 1] - B[..., 1], B[..., 0] - A[..., 0]], axis=-1)
-    M = np.zeros((nb, 2 * r, 3))
-    rhs = np.zeros((nb, 2 * r))
-    M[:, 0::2, 0] = v[..., 0]
-    M[:, 0::2, 1] = v[..., 1]
-    rhs[:, 0::2] = 1.0
-    M[:, 1::2, 0] = u[..., 0]
-    M[:, 1::2, 1] = u[..., 1]
-    M[:, 1::2, 2] = 1.0
-    sol = _batched_solve(M, rhs)
+    sol = common_planes(to_lines(A, B))[0]
     wnorm = np.hypot(sol[:, 0], sol[:, 1])
     e1 = sol[:, 0:2] / wnorm[:, None]
     e2 = np.stack([-e1[:, 1], e1[:, 0]], axis=-1)
@@ -402,31 +382,9 @@ def lemma_cong(trials: int = 100000, seed: int = 0) -> SuiteReport:
     rel = A4 - center
     B4 = np.stack([co[:, None] * rel[..., 0] - si[:, None] * rel[..., 1],
                    si[:, None] * rel[..., 0] + co[:, None] * rel[..., 1]], axis=-1) + center
-    u = 0.5 * (A4 + B4)
-    v = 0.5 * np.stack([A4[..., 1] - B4[..., 1], B4[..., 0] - A4[..., 0]], axis=-1)
-    scale4 = 1.0 + np.maximum(np.abs(u).max(axis=(1, 2)), np.abs(v).max(axis=(1, 2)))
-    M = np.zeros((nb, 2 * r, 3))
-    rhs = np.zeros((nb, 2 * r))
-    M[:, 0::2, 0] = 1.0
-    M[:, 0::2, 2] = -v[..., 0]
-    M[:, 1::2, 1] = 1.0
-    M[:, 1::2, 2] = -v[..., 1]
-    rhs[:, 0::2] = u[..., 0]
-    rhs[:, 1::2] = u[..., 1]
-    sol = _batched_solve(M, rhs)
-    res_pt = np.abs((M @ sol[..., None])[..., 0] - rhs).max(axis=1)
-    conc_ok = res_pt <= 1e-8 * scale4 * (1.0 + np.abs(sol[:, 2]))
-    M = np.zeros((nb, 2 * r, 3))
-    rhs = np.zeros((nb, 2 * r))
-    M[:, 0::2, 0] = v[..., 0]
-    M[:, 0::2, 1] = v[..., 1]
-    rhs[:, 0::2] = 1.0
-    M[:, 1::2, 0] = u[..., 0]
-    M[:, 1::2, 1] = u[..., 1]
-    M[:, 1::2, 2] = 1.0
-    sol = _batched_solve(M, rhs)
-    res_pl = np.abs((M @ sol[..., None])[..., 0] - rhs).max(axis=1)
-    plane_ok = res_pl <= 1e-8 * scale4 * (1.0 + np.abs(sol).max(axis=1))
+    X4 = to_lines(A4, B4)
+    conc_ok = common_points(X4)[1]
+    plane_ok = common_planes(X4)[1]
     db = B4 - B4[:, :1]
     cross = np.abs(db[..., 0] * db[:, 1:2, 1] - db[..., 1] * db[:, 1:2, 0]).max(axis=1)
     coll_ok = cross <= 1e-8 * (1.0 + np.abs(B4).max(axis=(1, 2))) ** 2

@@ -221,3 +221,75 @@ def test_malformed_line_config_exit_2(tmp_path, capsys, text):
     for argv in (("lines", "common", str(cpath)), ("sample", "project", str(gpath), str(cpath))):
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("text, point, parallel, plane", [
+    # one line twice: every plane through it fits; lstsq picks the minimum-norm one
+    ('{"lines":[[1,2,3,4],[1,2,3,4]]}', None, True,
+     [0.24137931034482746, 0.06896551724137927, -0.379310344827586]),
+    # two lines through the origin in the vertical plane y = 0
+    ('{"lines":[[0,0,1,0],[0,0,2,0]]}', [0.0, 0.0, 0.0], False, None),
+    # two parallel lines in the vertical plane y = 0
+    ('{"lines":[[0,0,1,0],[1,0,1,0]]}', None, True, None),
+], ids=["duplicate", "vertical-pencil", "vertical-parallel"])
+def test_lines_common_degenerate(tmp_path, capsys, text, point, parallel, plane):
+    cpath = tmp_path / "lines.json"
+    cpath.write_text(text)
+    code, out, _ = run(capsys, "lines", "common", str(cpath))
+    rep = json.loads(out)
+    assert code == 0
+    assert rep["common_point"] == point and rep["parallel_family"] is parallel
+    if plane is None:
+        assert rep["common_plane"] is None
+    else:
+        assert rep["common_plane"] == pytest.approx(plane, rel=1e-12, abs=1e-12)
+
+
+def test_analyze_runs_each_check_once(monkeypatch):
+    import linerig.cli as cli
+    import linerig.sparsity as sparsity
+    calls = {"is_redundant": 0, "is_k_connected": 0}
+    for module in (cli, sparsity):
+        for name in calls:
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    rep = cli.analyze_graph(generate("wheel", [6]))
+    assert calls == {"is_redundant": 1, "is_k_connected": 1}
+    assert rep.hendrickson is True and rep.redundant and rep.three_connected
+
+
+def test_verify_passes_each_suite_its_own_flags(monkeypatch, capsys):
+    import functools
+    from linerig.verify import SUITES, SuiteReport
+    flags = ["--seed", "3", "--tol", "1e-7", "--trials", "4", "--n-max", "6", "--seeds", "2",
+             "--count", "5", "--per-class", "7"]
+    want = {
+        "theorem-main": {"seed": 3, "seeds": 2, "n_max": 6},
+        "theorem-mainnec": {"seed": 3, "count": 5},
+        "lemma-complete": {"seed": 3, "n_max": 6, "seeds": 2},
+        "lemma-3lines": {"seed": 3, "per_class": 7},
+        "lemma-cong": {"seed": 3, "trials": 4},
+        "four-lines": {"seed": 3, "trials": 4, "tol": 1e-7},
+        "hendrickson-oracle": {"seed": 3, "n_max": 6, "trials": 4},
+    }
+    assert set(want) == set(SUITES)
+    for name, suite in list(SUITES.items()):
+        got = {}
+
+        @functools.wraps(suite)
+        def spy(**kwargs):
+            got.update(kwargs)
+            return SuiteReport(name)
+
+        monkeypatch.setitem(SUITES, name, spy)
+        code, _, _ = run(capsys, "verify", name, *flags)
+        assert code == 0 and got == want[name], name
+
+
+def test_verify_four_lines_reads_tol(capsys):
+    code, _, err = run(capsys, "verify", "four-lines", "--trials", "5", "--tol", "0")
+    assert code == 2 and "tolerance" in err
+    code, out, _ = run(capsys, "verify", "four-lines", "--trials", "5", "--tol", "1e-6")
+    assert code == 0 and json.loads(out)["passed"] == 5

@@ -6,7 +6,7 @@ import pytest
 
 from linerig.elekes_sharir import (from_line, parse_pair_file, phi,
                                    recover_motion, reflection_at, rotation_at,
-                                   serialize_pair_file, to_line)
+                                   serialize_pair_file, to_line, to_lines)
 from linerig.errors import CongruenceError, DomainError
 from linerig.lines3d import Line, common_plane, common_point, meet_residual
 
@@ -26,6 +26,16 @@ def test_to_line_rotation_point_convention():
     assert abs(rot.theta - math.pi / 2) < 1e-12
     (image,) = rot.apply([(0, 0)])
     assert abs(image[0] - 2) < 1e-12 and abs(image[1]) < 1e-12
+
+
+def test_to_lines_matches_to_line():
+    rng = np.random.default_rng(4)
+    A = rng.uniform(-10, 10, size=(3, 5, 2))
+    B = rng.uniform(-10, 10, size=(3, 5, 2))
+    X = to_lines(A, B)
+    assert X.shape == (3, 5, 4)
+    for k in np.ndindex(3, 5):
+        assert tuple(X[k]) == to_line(A[k].tolist(), B[k].tolist()).as_tuple()
 
 
 def test_from_line_examples():
@@ -187,12 +197,6 @@ def test_both_predicates_succeed_only_for_collinear_preimages():
         img = phi(A.tolist(), Brev.tolist())
         assert common_plane(img) is not None
         assert common_point(img) is None
-
-
-def test_embedding_json_round_trip():
-    from linerig.elekes_sharir import parse_embedding, serialize_embedding
-    pts = [(0.5, -1.0), (3.0, 4.0)]
-    assert parse_embedding(serialize_embedding(pts)) == pts
 
 
 def test_pair_file_round_trip():

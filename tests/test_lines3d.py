@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from linerig.errors import DomainError
-from linerig.lines3d import (Line, LineConfig, classify_triple, common_plane,
-                             common_point, intersection_graph, line_through,
-                             lines_meet, meet_residual, pair_intersection,
-                             transversal, transversal_detail)
+from linerig.lines3d import (Line, LineConfig, Plane, classify_triple, common_plane,
+                             common_planes, common_point, common_points,
+                             intersection_graph, is_exact, line_through, lines_meet,
+                             meet_residual, pair_intersection, transversal,
+                             transversal_detail)
 
 
 def test_meet_residual_examples():
@@ -142,7 +144,6 @@ def test_config_json_round_trip():
 
 
 def test_edge_scales_match_pair_scale():
-    import numpy as np
     from linerig.lines3d import edge_scales, pair_scale
     rng = random.Random(17)
     cfg = LineConfig.from_rows([[rng.uniform(-10, 10) * 10 ** rng.randint(0, 6) for _ in range(4)]
@@ -160,3 +161,152 @@ def test_edge_scales_match_pair_scale():
 def test_config_json_rejects_malformed(text):
     with pytest.raises(DomainError):
         LineConfig.from_json(text)
+
+
+# ---------------------------------------------------------------------------
+# the common point / plane array kernel against per-configuration lstsq
+
+
+def _lstsq_point(X, tol=1e-8):
+    """Per-configuration reference: (point or None, found, parallel) by lstsq on
+    the 2n x 3 system x - c*z = a, y - d*z = b."""
+    cmax = float(np.max(np.abs(X)))
+    dirs = X[:, 2:4]
+    if float(np.max(dirs.max(axis=0) - dirs.min(axis=0))) <= tol * (1.0 + cmax):
+        return None, False, True
+    n = X.shape[0]
+    A = np.zeros((2 * n, 3))
+    rhs = np.empty(2 * n)
+    A[0::2, 0] = 1.0
+    A[0::2, 2] = -X[:, 2]
+    A[1::2, 1] = 1.0
+    A[1::2, 2] = -X[:, 3]
+    rhs[0::2] = X[:, 0]
+    rhs[1::2] = X[:, 1]
+    sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
+    resid = float(np.max(np.abs(A @ sol - rhs)))
+    return sol, resid <= tol * (1.0 + cmax) * (1.0 + abs(float(sol[2]))), False
+
+
+def _lstsq_plane(X, tol=1e-8):
+    """Per-configuration reference: (lam, mu, nu) and found, by minimum-norm lstsq
+    on the 2n x 3 system lam*c + mu*d = 1, lam*a + mu*b + nu = 0."""
+    cmax = float(np.max(np.abs(X)))
+    n = X.shape[0]
+    A = np.zeros((2 * n, 3))
+    rhs = np.zeros(2 * n)
+    A[0::2, 0] = X[:, 2]
+    A[0::2, 1] = X[:, 3]
+    rhs[0::2] = 1.0
+    A[1::2, 0] = X[:, 0]
+    A[1::2, 1] = X[:, 1]
+    A[1::2, 2] = 1.0
+    sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
+    resid = float(np.max(np.abs(A @ sol - rhs)))
+    return sol, resid <= tol * (1.0 + cmax) * (1.0 + float(np.max(np.abs(sol))))
+
+
+def _batch(kind, size, n, rng):
+    """`size` configurations of n lines of one kind, as a (size, n, 4) array."""
+    X = rng.uniform(-10, 10, size=(size, n, 4))
+    if kind in ("concurrent", "near-parallel-concurrent"):
+        if kind == "near-parallel-concurrent":
+            X[..., 2:] = X[:, :1, 2:] + rng.uniform(-1e-3, 1e-3, size=(size, n, 2))
+        P = rng.uniform(-5, 5, size=(size, 1, 3))
+        X[..., 0] = P[..., 0] - X[..., 2] * P[..., 2]
+        X[..., 1] = P[..., 1] - X[..., 3] * P[..., 2]
+    elif kind == "coplanar":
+        lam, mu, nu = rng.uniform(0.5, 3, size=(3, size, 1)) * rng.choice([-1, 1], size=(3, size, 1))
+        X[..., 2] = (1 - mu * X[..., 3]) / lam
+        X[..., 0] = -(nu + mu * X[..., 1]) / lam
+    elif kind == "near-concurrent":  # residual between tol*(1+cmax) and that times 1+|z|
+        P = rng.uniform(50, 100, size=(size, 1, 3)) * rng.choice([-1, 1], size=(size, 1, 3))
+        X[..., 0] = P[..., 0] - X[..., 2] * P[..., 2]
+        X[..., 1] = P[..., 1] - X[..., 3] * P[..., 2]
+        scale = 1.0 + np.abs(X).max(axis=(1, 2), keepdims=True)
+        X[..., :2] += rng.uniform(-20e-8, 20e-8, size=(size, n, 2)) * scale
+    elif kind == "near-coplanar":  # the same, with 1 + max |lam, mu, nu|
+        lam, mu = rng.uniform(0.5, 3, size=(2, size, 1))
+        nu = rng.uniform(20, 40, size=(size, 1))
+        X[..., 2] = (1 - mu * X[..., 3]) / lam
+        X[..., 0] = -(nu + mu * X[..., 1]) / lam
+        scale = 1.0 + np.abs(X).max(axis=(1, 2), keepdims=True)
+        X[..., 0] += rng.uniform(-20e-8, 20e-8, size=(size, n)) * scale[..., 0]
+    elif kind == "duplicate":
+        X[:] = X[:, :1]
+    elif kind == "vertical-plane":  # every line in the plane y = k*x + m
+        k, m = rng.uniform(-3, 3, size=(2, size, 1))
+        X[..., 3] = k * X[..., 2]
+        X[..., 1] = k * X[..., 0] + m
+    elif kind == "vertical-plane-x":  # every line in the plane x = a
+        X[..., 2] = 0.0
+        X[..., 0] = X[:, :1, 0]
+    elif kind == "near-parallel":  # inside the parallel threshold
+        X[..., 2:] = X[:, :1, 2:] + rng.uniform(-1e-10, 1e-10, size=(size, n, 2))
+    elif kind == "near-parallel-open":  # outside it
+        X[..., 2:] = X[:, :1, 2:] + rng.uniform(-1e-3, 1e-3, size=(size, n, 2))
+    return X
+
+
+KINDS = ("generic", "concurrent", "coplanar", "near-concurrent", "near-coplanar", "duplicate",
+         "vertical-plane", "vertical-plane-x", "near-parallel", "near-parallel-open",
+         "near-parallel-concurrent")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9])
+def test_common_kernel_matches_lstsq_reference(n):
+    rng = np.random.default_rng(n)
+    X = np.concatenate([_batch(kind, 40, n, rng) for kind in KINDS])
+    X = X[rng.permutation(len(X))]
+    points, point_found, parallel = common_points(X)
+    planes, plane_found = common_planes(X)
+    for k in range(len(X)):
+        sol, found, par = _lstsq_point(X[k])
+        assert (bool(point_found[k]), bool(parallel[k])) == (found, par), k
+        if not par:
+            assert np.abs(points[k] - sol).max() <= 1e-9 * (1.0 + np.abs(sol).max()), k
+        sol, found = _lstsq_plane(X[k])
+        assert bool(plane_found[k]) == found, k
+        assert np.abs(planes[k] - sol).max() <= 1e-9 * (1.0 + np.abs(sol).max()), k
+    # any leading batch shape gives the same rows
+    grid = X.reshape(2, -1, n, 4)
+    assert np.array_equal(common_points(grid)[0].reshape(-1, 3), points)
+    assert np.array_equal(common_planes(grid)[1].reshape(-1), plane_found)
+
+
+def test_common_point_kernel_near_parallel_matches_exact_least_squares():
+    """Directions 1e-6 apart: the kernel's closed-form z stays at the float floor
+    of the exact rational least-squares point."""
+    rng = np.random.default_rng(5)
+    X = _batch("generic", 50, 4, rng)
+    X[..., 2:] = X[:, :1, 2:] + rng.uniform(-1e-6, 1e-6, size=(50, 4, 2))
+    points, _, parallel = common_points(X)
+    assert not parallel.any()
+    for k in range(len(X)):
+        a, b, c, d = ([Fraction(v) for v in X[k, :, col]] for col in range(4))
+        mean = [sum(v) / 4 for v in (a, b, c, d)]
+        num = sum((ai - mean[0]) * (ci - mean[2]) + (bi - mean[1]) * (di - mean[3])
+                  for ai, bi, ci, di in zip(a, b, c, d))
+        den = sum((ci - mean[2]) ** 2 + (di - mean[3]) ** 2 for ci, di in zip(c, d))
+        z = -num / den
+        exact = np.array([float(mean[0] + mean[2] * z), float(mean[1] + mean[3] * z), float(z)])
+        assert np.abs(points[k] - exact).max() <= 1e-12 * (1.0 + np.abs(exact).max()), k
+
+
+def test_common_wrappers_read_the_kernel():
+    X = np.array([[0.0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 2, 5]])
+    cfg = LineConfig.from_rows(X.tolist())
+    points, found, _ = common_points(X)
+    assert found and common_point(cfg).point == tuple(points.tolist())
+    Y = np.array([[1.0, 2, 1, 1], [1, 2, 2, -1]])
+    planes, found = common_planes(Y)
+    assert found and common_plane(LineConfig.from_rows(Y.tolist())) == Plane(*planes.tolist())
+    with pytest.raises(DomainError):
+        common_point(LineConfig.from_rows([[0, 0, 0, 0]]))
+    with pytest.raises(DomainError):
+        common_plane(cfg, tol=0)
+
+
+def test_is_exact():
+    assert is_exact(3) and is_exact(Fraction(1, 3))
+    assert not is_exact(True) and not is_exact(0.5) and not is_exact(np.int64(2))
