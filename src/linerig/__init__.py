@@ -9,7 +9,8 @@ Library layout:
 * lines3d: the (a, b, c, d) line chart and its incidence geometry; common points
   and planes by one array kernel over (..., n, 4) batches
 * elekes_sharir: transform between planar point pairs and lines
-* numeric: rigidity matrices, Jacobian ranks, dimension certificates
+* numeric: one edge-system kernel for the rigidity, pair and line systems (float
+  and exact), Jacobian ranks, dimension certificates
 * sampler: randomized generation of configurations and embedding pairs
 * verify: the named verification suites
 * cli: command-line interface

@@ -69,12 +69,7 @@ def analyze_graph(G: Graph, seed: int = 0, trials: int = 5, tol: float = 1e-8,
     glob = None
     if G.n >= 4 and rigid:
         glob = global_rigidity_oracle(G, trials=trials, seed=seed, tol=tol)
-    exact_rank = None
-    if exact and G.n >= 2:
-        from .numeric import _trial_rngs, random_embedding, rank_exact, rigidity_matrix
-        exact_rank = max(
-            rank_exact(rigidity_matrix(G, random_embedding(G.n, rng)))
-            for rng in _trial_rngs(seed, trials)) if G.m else 0
+    exact_rank = rigidity_rank(G, trials=trials, seed=seed, exact=True) if exact else None
     return AnalysisReport(
         n=G.n, m=G.m, sparsity_rank=rank, rigidity_rank=rrank,
         laman=is_laman(G), rigid=rigid, redundant=redundant,

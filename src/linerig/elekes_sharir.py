@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import CongruenceError, DomainError
-from .lines3d import Line, LineConfig, Plane, Point3, is_exact
+from .lines3d import Line, LineConfig, Plane, Point3, is_exact, number_rows
 
 Scalar = Union[int, float, Fraction]
 Point2 = tuple[Scalar, Scalar]
@@ -179,13 +179,13 @@ def recover_motion(A: Sequence[Sequence[Scalar]], B: Sequence[Sequence[Scalar]],
 
 
 def parse_pair_file(text: str) -> tuple[list[Point2], list[Point2]]:
+    """Parse {"p": [[x, y], ...], "p_prime": [[x, y], ...]}; the point lists go
+    through lines3d.number_rows, so malformed ones raise DomainError."""
     data = json.loads(text)
-    try:
-        p = [(float(x), float(y)) for x, y in data["p"]]
-        pp = [(float(x), float(y)) for x, y in data["p_prime"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"pair file must hold 'p' and 'p_prime' point lists: {exc}") from exc
-    return p, pp
+    if not isinstance(data, dict):
+        raise DomainError("pair file must be an object holding 'p' and 'p_prime'")
+    p, pp = (number_rows(data.get(key), 2, f"pair-file '{key}'") for key in ("p", "p_prime"))
+    return [(x, y) for x, y in p], [(x, y) for x, y in pp]
 
 
 def serialize_pair_file(p: Sequence[Sequence[Scalar]], p_prime: Sequence[Sequence[Scalar]]) -> str:

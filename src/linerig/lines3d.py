@@ -95,20 +95,27 @@ class LineConfig:
     @classmethod
     def from_json(cls, text: str) -> "LineConfig":
         """Parse {"lines": [[a, b, c, d], ...]}; any other shape, a non-numeric
-        coordinate or a non-finite one raises DomainError."""
+        coordinate or a non-finite one raises DomainError (number_rows)."""
         data = json.loads(text)
-        rows = data.get("lines") if isinstance(data, dict) else None
-        if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == 4 for r in rows):
-            raise DomainError("line-config JSON must be an object holding 4-tuples under 'lines'")
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for r in rows for x in r):
-            raise DomainError("line-config coordinates must be numbers")
-        try:
-            floats = [[float(x) for x in r] for r in rows]
-        except OverflowError as exc:
-            raise DomainError(f"line-config coordinate out of float range: {exc}") from exc
-        if not all(math.isfinite(x) for r in floats for x in r):
-            raise DomainError("line-config coordinates must be finite")
-        return cls.from_rows(floats)
+        return cls.from_rows(number_rows(data.get("lines") if isinstance(data, dict) else None,
+                                         4, "line-config 'lines'"))
+
+
+def number_rows(rows: object, width: int, what: str) -> list[list[float]]:
+    """The one validator of coordinate rows read from JSON: rows must be a list of
+    `width`-lists of numbers (bools do not count) that are finite as floats.
+    Returns them as floats; anything else raises DomainError naming `what`."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == width for r in rows):
+        raise DomainError(f"{what} must be a list of rows of {width} numbers")
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for r in rows for x in r):
+        raise DomainError(f"{what} coordinates must be numbers")
+    try:
+        floats = [[float(x) for x in r] for r in rows]
+    except OverflowError as exc:
+        raise DomainError(f"{what} coordinate out of float range: {exc}") from exc
+    if not all(math.isfinite(x) for r in floats for x in r):
+        raise DomainError(f"{what} coordinates must be finite")
+    return floats
 
 
 @dataclass(frozen=True)

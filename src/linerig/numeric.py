@@ -1,17 +1,28 @@
 """Rigidity matrices, constraint Jacobians, rank computation, and dimension reports.
 
+Every constraint system here is an edge system, built by one kernel, edge_system:
+edge k = (i, j) contributes g_k = form(D) for D = X[i] - X[j], the difference of its
+endpoints' coordinate rows, and Jacobian row k holds the form's gradient in the
+columns of vertex i and its negation in those of vertex j. Two quadratic forms
+cover the library: length_form (|D|^2, gradient 2D) on (n, 2) points gives the
+edge function, the rigidity matrix R and the pair system [R(p), -R(p')];
+incidence_form (D0*D3 - D1*D2, gradient (D3, -D2, -D1, D0)) on (n, 4) line charts
+gives the incidence system. The kernel runs unchanged on float arrays and on object
+arrays of ints and Fractions; coordinates are exact, and so are g and J, when every
+one of them passes lines3d.is_exact.
+
 Floating ranks use singular-value thresholding: values below
-tol * sigma_max * max(rows, cols) count as zero. Certified reports can be
-reproduced exactly: on integer or rational inputs every Jacobian here has exact
-entries, and rank_exact recomputes the rank over two random ~61-bit prime fields.
+tol * sigma_max * max(rows, cols) count as zero, and float dimension reports carry
+the margin of that cut. rank_exact recomputes a rank over two random ~61-bit prime
+fields, so certified reports on exact inputs can be reproduced exactly.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -20,19 +31,25 @@ from .graphs import Graph
 from .lines3d import Line, LineConfig, edge_scales, is_exact
 
 Scalar = Union[int, float, Fraction]
+Form = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+Cut = tuple[int, Optional[float], Optional[float]]
 
 DEFAULT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class DimensionReport:
-    """Local dimension certificate at one sampled configuration."""
+    """Local dimension certificate at one sampled configuration. A float rank's
+    margin is the last singular value kept and the first one dropped (None where
+    there is none, and in exact mode)."""
 
     ambient_dim: int
     constraint_count: int
     jacobian_rank: int
     tol: float
     certified: bool
+    sigma_kept: Optional[float] = None
+    sigma_dropped: Optional[float] = None
     local_dim_estimate: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -41,25 +58,25 @@ class DimensionReport:
         object.__setattr__(self, "local_dim_estimate", self.ambient_dim - self.jacobian_rank)
 
     def to_dict(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "constraint_count": self.constraint_count,
-            "jacobian_rank": self.jacobian_rank,
-            "local_dim_estimate": self.local_dim_estimate,
-            "tol": self.tol,
-            "certified": self.certified,
-        }
+        return asdict(self)
+
+
+def _rank_cut(s: np.ndarray, shape: tuple[int, ...], tol: float) -> Cut:
+    """The threshold rule on the descending singular values s of a matrix of the
+    given shape: (rank, last value kept, first value dropped)."""
+    rank = int(np.count_nonzero(s > tol * s[0] * max(shape))) if s.size and s[0] > 0 else 0
+    return (rank, float(s[rank - 1]) if rank else None,
+            float(s[rank]) if rank < s.size else None)
+
+
+def _float_rank(M, tol: float) -> Cut:
+    M = np.asarray(M, dtype=float)
+    return _rank_cut(np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0), M.shape, tol)
 
 
 def float_rank(M: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     """Numeric rank by SVD thresholding."""
-    M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0] * max(M.shape)))
+    return _float_rank(M, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -168,45 +185,79 @@ def rank_exact(M, seed: int = 0) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the edge-system kernel
+
+
+def length_form(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared length |D|^2 of each row of D and its gradient 2D."""
+    return (D * D).sum(axis=1), 2 * D
+
+
+_FLIP = np.array([1, -1, -1, 1])  # int signs: exact on floats, Python ints on object arrays
+
+
+def incidence_form(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Incidence residual D0*D3 - D1*D2 of each chart-difference row of D, and its
+    gradient (D3, -D2, -D1, D0)."""
+    return D[:, 0] * D[:, 3] - D[:, 1] * D[:, 2], D[:, ::-1] * _FLIP
+
+
+def edge_system(X: np.ndarray, i: np.ndarray, j: np.ndarray, form: Form
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Values g and the m x (w n) Jacobian J of the edge constraints
+    g[k] = form(X[i[k]] - X[j[k]]) on the (n, w) coordinate array X.
+
+    Row k holds the form's gradient in the w columns of vertex i[k] and its
+    negation in those of vertex j[k]. X may be float, or an object array of ints
+    and Fractions, in which case g and J are exact.
+    """
+    D = X[i] - X[j]
+    g, grad = form(D)
+    m, w = D.shape
+    J = np.zeros((m, w * X.shape[0]), dtype=X.dtype)
+    rows = np.arange(m)[:, None]
+    slots = np.arange(w)
+    J[rows, w * i[:, None] + slots] = grad
+    J[rows, w * j[:, None] + slots] = -grad
+    return g, J
+
+
+def edge_index(G: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays (i, j) of G's edges, in canonical edge order."""
+    e = np.array(G.edges, dtype=np.intp).reshape(-1, 2)
+    return e[:, 0], e[:, 1]
+
+
+def _coordinates(rows, width: int) -> np.ndarray:
+    """rows as an (n, width) array: of objects (Python ints and Fractions) when every
+    entry is exact (lines3d.is_exact), of floats otherwise."""
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else [list(r) for r in rows]
+    try:
+        exact = all(is_exact(x) for r in rows for x in r)
+        return np.array(rows, dtype=object if exact else float).reshape(len(rows), width)
+    except (TypeError, ValueError):
+        raise DomainError(f"coordinates must be rows of {width} numbers") from None
+
+
+# ---------------------------------------------------------------------------
 # edge function and rigidity matrix
 
 
-def _embedding_rows(p) -> list[list[Scalar]]:
-    if isinstance(p, np.ndarray):
-        p = p.tolist()
-    return [list(row) for row in p]
+def _embedding_system(G: Graph, p) -> tuple[np.ndarray, np.ndarray]:
+    if len(p) != G.n:
+        raise DomainError(f"embedding has {len(p)} points for a graph on {G.n} vertices")
+    return edge_system(_coordinates(p, 2), *edge_index(G), length_form)
 
 
 def edge_function(G: Graph, p) -> np.ndarray:
     """Squared edge lengths in canonical edge order."""
-    rows = _embedding_rows(p)
-    if len(rows) != G.n:
-        raise DomainError(f"embedding has {len(rows)} points for a graph on {G.n} vertices")
-    vals = []
-    for i, j in G.edges:
-        dx = rows[i][0] - rows[j][0]
-        dy = rows[i][1] - rows[j][1]
-        vals.append(dx * dx + dy * dy)
-    exact = all(map(is_exact, vals))
-    return np.array(vals, dtype=object if exact else float)
+    return _embedding_system(G, p)[0]
 
 
 def rigidity_matrix(G: Graph, p) -> np.ndarray:
     """m x 2n Jacobian of the edge function: row (i,j) holds 2(p_i - p_j) at slot i
     and the negation at slot j."""
-    rows = _embedding_rows(p)
-    if len(rows) != G.n:
-        raise DomainError(f"embedding has {len(rows)} points for a graph on {G.n} vertices")
-    exact = all(is_exact(x) for row in rows for x in row)
-    J = np.zeros((G.m, 2 * G.n), dtype=object if exact else float)
-    for k, (i, j) in enumerate(G.edges):
-        dx = rows[i][0] - rows[j][0]
-        dy = rows[i][1] - rows[j][1]
-        J[k, 2 * i] = 2 * dx
-        J[k, 2 * i + 1] = 2 * dy
-        J[k, 2 * j] = -2 * dx
-        J[k, 2 * j + 1] = -2 * dy
-    return J
+    return _embedding_system(G, p)[1]
 
 
 def random_embedding(n: int, rng: np.random.Generator, box: int = 10 ** 4) -> np.ndarray:
@@ -218,19 +269,19 @@ def _trial_rngs(seed: int, trials: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(trials)]
 
 
-def rigidity_rank(G: Graph, trials: int = 5, seed: int = 0) -> int:
-    """Max rigidity-matrix rank over random integer embeddings."""
+def rigidity_rank(G: Graph, trials: int = 5, seed: int = 0, exact: bool = False) -> int:
+    """Max rigidity-matrix rank over random integer embeddings; with exact=True
+    every rank is rank_exact's, over the same embeddings."""
     if G.n < 2:
         raise DomainError("rigidity rank needs at least 2 vertices")
     if trials < 1:
         raise DomainError("trials must be positive")
     if G.m == 0:
         return 0
-    best = 0
-    for rng in _trial_rngs(seed, trials):
-        J = rigidity_matrix(G, random_embedding(G.n, rng))
-        best = max(best, float_rank(J.astype(float)))
-    return best
+    embeddings = (random_embedding(G.n, rng) for rng in _trial_rngs(seed, trials))
+    if exact:
+        return max(rank_exact(rigidity_matrix(G, P)) for P in embeddings)
+    return max(float_rank(rigidity_matrix(G, P.astype(float))) for P in embeddings)
 
 
 def is_rigid_numeric(G: Graph, trials: int = 5, seed: int = 0) -> bool:
@@ -241,54 +292,19 @@ def is_rigid_numeric(G: Graph, trials: int = 5, seed: int = 0) -> bool:
 # line system (incidence constraints of a graph on a line configuration)
 
 
-def line_residuals(G: Graph, x: LineConfig) -> list[Scalar]:
+def _line_arrays(G: Graph, x: LineConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if x.n != G.n:
         raise DomainError(f"configuration has {x.n} lines for a graph on {G.n} vertices")
-    out = []
-    for i, j in G.edges:
-        li, lj = x[i], x[j]
-        out.append((li.a - lj.a) * (li.d - lj.d) - (li.b - lj.b) * (li.c - lj.c))
-    return out
+    return (_coordinates(x.coords(), 4), *edge_index(G))
 
 
-def edge_index(G: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays (i, j) of G's edges, in canonical edge order."""
-    e = np.array(G.edges, dtype=np.intp).reshape(-1, 2)
-    return e[:, 0], e[:, 1]
-
-
-def line_system_float(X: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Incidence residuals g and their m x 4n Jacobian at the (n, 4) float array X,
-    for the edges (i[k], j[k]); the array form of line_residuals and
-    line_system_jacobian."""
-    D = X[i] - X[j]
-    g = D[:, 0] * D[:, 3] - D[:, 1] * D[:, 2]
-    grad = np.stack([D[:, 3], -D[:, 2], -D[:, 1], D[:, 0]], axis=1)
-    rows = np.arange(len(i))[:, None]
-    slots = np.arange(4)
-    J = np.zeros((len(i), 4 * X.shape[0]))
-    J[rows, 4 * i[:, None] + slots] = grad
-    J[rows, 4 * j[:, None] + slots] = -grad
-    return g, J
+def line_residuals(G: Graph, x: LineConfig) -> list[Scalar]:
+    return edge_system(*_line_arrays(G, x), incidence_form)[0].tolist()
 
 
 def line_system_jacobian(G: Graph, x: LineConfig) -> np.ndarray:
     """m x 4n Jacobian of the incidence residuals in the chart coordinates."""
-    if x.n != G.n:
-        raise DomainError(f"configuration has {x.n} lines for a graph on {G.n} vertices")
-    coords = x.coords()
-    exact = all(is_exact(v) for row in coords for v in row)
-    if not exact:
-        return line_system_float(x.as_array(), *edge_index(G))[1]
-    J = np.zeros((G.m, 4 * G.n), dtype=object)
-    for k, (i, j) in enumerate(G.edges):
-        ai, bi, ci, di = coords[i]
-        aj, bj, cj, dj = coords[j]
-        grad = (di - dj, -(ci - cj), -(bi - bj), ai - aj)
-        for t in range(4):
-            J[k, 4 * i + t] = grad[t]
-            J[k, 4 * j + t] = -grad[t]
-    return J
+    return edge_system(*_line_arrays(G, x), incidence_form)[1]
 
 
 def line_system_dimension(G: Graph, x: LineConfig, tol: float = DEFAULT_TOL,
@@ -299,56 +315,55 @@ def line_system_dimension(G: Graph, x: LineConfig, tol: float = DEFAULT_TOL,
     of the realization space at exactly 2n + 3 (the rank gives the upper bound, and
     the concurrent family through any point gives the matching lower bound).
     """
-    residuals = line_residuals(G, x)
-    if G.m:
-        g = np.array([float(r) for r in residuals])
-        rel = np.abs(g) / edge_scales(x.as_array(), *edge_index(G))
-        k = int(np.argmax(rel))
-        if not rel[k] <= tol:
-            raise DomainError(
-                f"configuration violates the incidence system: edge {G.edges[k]} has "
-                f"relative residual {rel[k]:.3e} > tol {tol:.1e}")
-    J = line_system_jacobian(G, x)
-    if exact:
-        if J.dtype != object:
-            raise DomainError("exact mode needs integer or rational line coordinates")
-        rank = rank_exact(J)
-    else:
-        rank = float_rank(J.astype(float), tol)
-    return DimensionReport(4 * G.n, G.m, rank, tol, rank == G.m)
+    X, i, j = _line_arrays(G, x)
+    g, J = edge_system(X, i, j, incidence_form)
+    rel = np.abs(g.astype(float)) / edge_scales(X.astype(float), i, j)
+    return _certify(G, rel, "configuration violates the incidence system", J, tol, exact)
 
 
 # ---------------------------------------------------------------------------
 # pair system (two embeddings with equal edge lengths)
 
 
+def _pair_system(G: Graph, p, p_prime) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge lengths f(p), f(p') and the m x 4n Jacobian [R(p), -R(p')]; float when
+    either embedding is."""
+    (fp, Jp), (fq, Jq) = _embedding_system(G, p), _embedding_system(G, p_prime)
+    if Jp.dtype != Jq.dtype:
+        fp, Jp, fq, Jq = (a.astype(float) for a in (fp, Jp, fq, Jq))
+    return fp, fq, np.hstack([Jp, -Jq])
+
+
 def pair_system_jacobian(G: Graph, p, p_prime) -> np.ndarray:
     """m x 4n Jacobian of (p, p') -> f(p) - f(p')."""
-    Jp = rigidity_matrix(G, p)
-    Jq = rigidity_matrix(G, p_prime)
-    exact = Jp.dtype == object and Jq.dtype == object
-    J = np.zeros((G.m, 4 * G.n), dtype=object if exact else float)
-    J[:, : 2 * G.n] = Jp
-    J[:, 2 * G.n:] = -Jq
-    return J
+    return _pair_system(G, p, p_prime)[2]
 
 
 def pair_system_dimension(G: Graph, p, p_prime, tol: float = DEFAULT_TOL,
                           exact: bool = False) -> DimensionReport:
     """Rank certificate for the equal-edge-lengths system at a pair of embeddings."""
-    fp = edge_function(G, p)
-    fq = edge_function(G, p_prime)
+    fp, fq, J = _pair_system(G, p, p_prime)
+    fp, fq = fp.astype(float), fq.astype(float)
+    scale = 1.0 + max(np.abs(fp).max(initial=0.0), np.abs(fq).max(initial=0.0))
+    return _certify(G, np.abs(fp - fq) / scale, "edge lengths differ", J, tol, exact)
+
+
+def _certify(G: Graph, rel: np.ndarray, violation: str, J: np.ndarray, tol: float,
+             exact: bool) -> DimensionReport:
+    """The dimension reports' shared tail: every edge's relative residual must be
+    within tol, then the exact or float rank of J is compared with m."""
     if G.m:
-        scale = 1.0 + max(abs(float(v)) for v in list(fp) + list(fq))
-        gap = max(abs(float(a) - float(b)) for a, b in zip(fp, fq))
-        if gap > tol * scale:
-            raise DomainError(f"edge lengths differ by relative {gap / scale:.3e} > tol {tol:.1e}")
-    J = pair_system_jacobian(G, p, p_prime)
+        k = int(np.argmax(rel))
+        if not rel[k] <= tol:
+            raise DomainError(f"{violation}: edge {G.edges[k]} has relative residual "
+                              f"{rel[k]:.3e} > tol {tol:.1e}")
     if exact:
-        rank = rank_exact(J)
+        if J.dtype != object:
+            raise DomainError("exact mode needs integer or rational coordinates")
+        rank, kept, dropped = rank_exact(J), None, None
     else:
-        rank = float_rank(J.astype(float), tol)
-    return DimensionReport(4 * G.n, G.m, rank, tol, rank == G.m)
+        rank, kept, dropped = _float_rank(J, tol)
+    return DimensionReport(J.shape[1], G.m, rank, tol, rank == G.m, kept, dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -361,17 +376,12 @@ def transversal_family_dimension(l1: Line, l2: Line, l3: Line, member: Line,
 
     The family is cut out of the 4-dimensional chart by the three incidence
     residuals; its local dimension at a smooth member is 4 minus the rank of the
-    3 x 4 Jacobian with respect to the member's coordinates.
+    3 x 4 Jacobian with respect to the member's coordinates: the member's columns
+    of the edge system on the edges member-l1, member-l2, member-l3, which are
+    incidence_form's gradients at the three differences.
     """
-    rows = []
-    for other in (l1, l2, l3):
-        rows.append([
-            float(member.d) - float(other.d),
-            -(float(member.c) - float(other.c)),
-            -(float(member.b) - float(other.b)),
-            float(member.a) - float(other.a),
-        ])
-    return 4 - float_rank(np.array(rows), tol)
+    X = np.array([ln.as_tuple() for ln in (member, l1, l2, l3)], dtype=float)
+    return 4 - float_rank(incidence_form(X[:1] - X[1:])[1], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -384,50 +394,31 @@ def global_rigidity_oracle(G: Graph, trials: int = 5, seed: int = 0,
     rank n - 3 in a majority of trials.
 
     Per trial: random integer embedding, random element of the left null space of
-    the rigidity matrix as the stress, assembled into the n x n stress matrix.
-    Minimally rigid graphs carry no nonzero stress and report rank 0.
+    the rigidity matrix as the stress, assembled into the n x n stress matrix
+    sum_k stress_k (e_i - e_j)(e_i - e_j)^T. Minimally rigid graphs carry no
+    nonzero stress and report rank 0. Raises DomainError when no trial's rigidity
+    matrix reaches rank 2n - 3, the graph being then not rigid.
     """
     if G.n < 4:
         raise DomainError("global rigidity oracle needs at least 4 vertices")
     if trials < 1:
         raise DomainError("trials must be positive")
-    if not is_rigid_numeric(G, trials=max(trials, 3), seed=seed):
-        raise DomainError("global rigidity oracle requires a rigid graph")
-    votes = 0
+    i, j = edge_index(G)
+    rows, cols = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
+    rigid, votes = False, 0
     for rng in _trial_rngs(seed + 1, trials):
-        p = random_embedding(G.n, rng)
-        R = rigidity_matrix(G, p).astype(float)
+        R = rigidity_matrix(G, random_embedding(G.n, rng).astype(float))
         U, s, _ = np.linalg.svd(R, full_matrices=True)
-        rank = int(np.sum(s > tol * s[0] * max(R.shape))) if s.size and s[0] > 0 else 0
+        rank = _rank_cut(s, R.shape, tol)[0]
+        rigid = rigid or rank == 2 * G.n - 3
         null_dim = G.m - rank
         if null_dim == 0:
             continue
         stress = U[:, rank:] @ rng.normal(size=null_dim)
         omega = np.zeros((G.n, G.n))
-        for k, (i, j) in enumerate(G.edges):
-            omega[i, j] -= stress[k]
-            omega[j, i] -= stress[k]
-            omega[i, i] += stress[k]
-            omega[j, j] += stress[k]
+        np.add.at(omega, (rows, cols), np.concatenate([-stress, -stress, stress, stress]))
         if float_rank(omega, tol) == G.n - 3:
             votes += 1
+    if not rigid:
+        raise DomainError("global rigidity oracle requires a rigid graph")
     return votes * 2 > trials
-
-
-# ---------------------------------------------------------------------------
-# finite differences (test oracle, kept with the Jacobians it checks)
-
-
-def finite_difference_jacobian(func, x0: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central differences of a vector-valued function; used to cross-check the
-    analytic Jacobians."""
-    x0 = np.asarray(x0, dtype=float)
-    f0 = np.asarray(func(x0), dtype=float)
-    J = np.zeros((f0.size, x0.size))
-    for k in range(x0.size):
-        hi = x0.copy()
-        lo = x0.copy()
-        hi[k] += step
-        lo[k] -= step
-        J[:, k] = (np.asarray(func(hi), dtype=float) - np.asarray(func(lo), dtype=float)) / (2 * step)
-    return J

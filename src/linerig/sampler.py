@@ -36,8 +36,8 @@ from .henneberg import Ext0, Ext1, extract_henneberg
 from .lines3d import (Line, LineConfig, _triple_coplanar, edge_scales, is_exact,
                       line_through, lines_coincident, lines_meet, meet_residual,
                       pair_intersection, pair_scale, transversal_detail)
-from .numeric import (DimensionReport, edge_index, line_residuals, line_system_dimension,
-                      line_system_float, line_system_jacobian)
+from .numeric import (DimensionReport, edge_index, edge_system, incidence_form,
+                      line_residuals, line_system_dimension, line_system_jacobian)
 from .sparsity import is_laman
 
 _BOX = 40  # coordinate box for integer draws during construction
@@ -210,7 +210,7 @@ def gauss_newton_project(G: Graph, x0: LineConfig, tol: float = 1e-12,
     X = x0.as_array()
     best, stalls = np.inf, 0
     for step in range(max_iter + 1):
-        g, J = line_system_float(X, i, j)
+        g, J = edge_system(X, i, j, incidence_form)
         worst = float(np.max(np.abs(g) / edge_scales(X, i, j), initial=0.0))
         if worst <= tol:
             return LineConfig.from_rows(X.tolist())

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import numpy as np
+
 from linerig.graphs import Graph
 
 
@@ -56,3 +58,18 @@ def random_flexible_graph(rng: random.Random, n_min: int = 4, n_max: int = 10) -
     rest = [e for e in combinations(range(n), 2) if e not in {tuple(sorted(x)) for x in edges}]
     edges.append(rng.choice(rest))
     return Graph.from_edges(n, edges)
+
+
+def finite_difference_jacobian(func, x0: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    """Central differences of a vector-valued function, to cross-check the
+    library's analytic Jacobians."""
+    x0 = np.asarray(x0, dtype=float)
+    f0 = np.asarray(func(x0), dtype=float)
+    J = np.zeros((f0.size, x0.size))
+    for k in range(x0.size):
+        hi = x0.copy()
+        lo = x0.copy()
+        hi[k] += step
+        lo[k] -= step
+        J[:, k] = (np.asarray(func(hi), dtype=float) - np.asarray(func(lo), dtype=float)) / (2 * step)
+    return J

@@ -293,3 +293,69 @@ def test_verify_four_lines_reads_tol(capsys):
     assert code == 2 and "tolerance" in err
     code, out, _ = run(capsys, "verify", "four-lines", "--trials", "5", "--tol", "1e-6")
     assert code == 0 and json.loads(out)["passed"] == 5
+
+
+def test_analyze_takes_one_rigidity_rank_pass(monkeypatch):
+    import linerig.cli as cli
+    import linerig.numeric as numeric
+    calls = {"rigidity_rank": 0, "is_rigid_numeric": 0}
+    for module in (cli, numeric):
+        for name in calls:
+            if hasattr(module, name):
+                def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+    rep = cli.analyze_graph(generate("wheel", [6]))
+    assert calls == {"rigidity_rank": 1, "is_rigid_numeric": 0}
+    assert rep.rigid and rep.globally_rigid is True
+
+
+@pytest.mark.parametrize("bad", ["NaN", "1e400", "true", '"1"'])
+def test_malformed_pair_file_exit_2(tmp_path, capsys, bad):
+    ppath = tmp_path / "pairs.json"
+    ppath.write_text('{"p":[[%s,1],[2,3]],"p_prime":[[0,1],[2,3]]}' % bad)
+    gpath = tmp_path / "g.json"
+    gpath.write_text(serialize_graph(generate("complete", [2])))
+    for argv in (("es", "map", str(ppath)), ("es", "recover", str(ppath)),
+                 ("es", "dim", str(gpath), str(ppath))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
+# `lines dim` / `es dim --dump-jacobian` on K4 minus an edge, as printed before the
+# one edge-system kernel, less the float reports' two margin keys added since.
+_DUMP_GRAPH = '{"n":4,"edges":[[0,1],[0,2],[0,3],[1,2],[2,3]]}'
+_DUMP_LINES = ('{"lines":[[-0.09999999999999998,2.15,0.3,-1.7],[-1.7000000000000002,-2.05,1.1,0.4],'
+               '[1.7,-5.65,-0.6,2.2],[-4.5,0.55,2.5,-0.9]]}')
+_DUMP_PAIRS = '{"p":[[0,0],[1.5,0],[0,1],[1,1.25]],"p_prime":[[2,0],[2,1.5],[1,0],[0.75,1]]}'
+_LINES_DIM = (
+    '{"ambient_dim":16,"certified":true,"constraint_count":5,"jacobian":[[-2.1,0.8,-4.199999999999999,'
+    '1.6,2.1,-0.8,4.199999999999999,-1.6,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0],[-3.9000000000000004,'
+    '-0.8999999999999999,-7.800000000000001,-1.7999999999999998,0.0,0.0,0.0,0.0,3.9000000000000004,'
+    '0.8999999999999999,7.800000000000001,1.7999999999999998,0.0,0.0,0.0,0.0],[-0.7999999999999999,2.2,'
+    '-1.5999999999999999,4.4,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.7999999999999999,-2.2,1.5999999999999999,'
+    '-4.4],[0.0,0.0,0.0,0.0,-1.8000000000000003,-1.7000000000000002,-3.6000000000000005,'
+    '-3.4000000000000004,1.8000000000000003,1.7000000000000002,3.6000000000000005,3.4000000000000004,'
+    '0.0,0.0,0.0,0.0],[0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,3.1,3.1,6.2,6.2,-3.1,-3.1,-6.2,-6.2]],'
+    '"jacobian_rank":5,"local_dim_estimate":11,"tol":1e-08}\n')
+_ES_DIM = (
+    '{"ambient_dim":16,"certified":true,"constraint_count":5,"jacobian":[[-3.0,0.0,3.0,-0.0,0.0,0.0,'
+    '0.0,0.0,-0.0,3.0,0.0,-3.0,-0.0,-0.0,-0.0,-0.0],[0.0,-2.0,0.0,0.0,-0.0,2.0,0.0,0.0,-2.0,-0.0,-0.0,'
+    '-0.0,2.0,0.0,-0.0,-0.0],[-2.0,-2.5,0.0,0.0,0.0,0.0,2.0,2.5,-2.5,2.0,-0.0,-0.0,-0.0,-0.0,2.5,-2.0],'
+    '[0.0,0.0,3.0,-2.0,-3.0,2.0,0.0,0.0,-0.0,-0.0,-2.0,-3.0,2.0,3.0,-0.0,-0.0],[0.0,0.0,0.0,0.0,-2.0,'
+    '-0.5,2.0,0.5,-0.0,-0.0,-0.0,-0.0,-0.5,2.0,0.5,-2.0]],"jacobian_rank":5,"local_dim_estimate":11,'
+    '"tol":1e-08}\n')
+
+
+def test_dump_jacobian_bytes_are_unchanged(tmp_path, capsys):
+    import re
+    for name, text in (("g", _DUMP_GRAPH), ("l", _DUMP_LINES), ("p", _DUMP_PAIRS)):
+        (tmp_path / f"{name}.json").write_text(text)
+    margin = re.compile(r'"sigma_dropped":null,"sigma_kept":[0-9.e+-]+,')
+    for argv, want in ((("lines", "dim", "g.json", "l.json"), _LINES_DIM),
+                       (("es", "dim", "g.json", "p.json"), _ES_DIM)):
+        code, out, _ = run(capsys, *argv[:2], *(str(tmp_path / f) for f in argv[2:]),
+                           "--dump-jacobian")
+        assert code == 0 and margin.search(out)
+        assert margin.sub("", out) == want

@@ -1,16 +1,17 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import random_graph
+from helpers import finite_difference_jacobian, random_graph
 
 from linerig.errors import DomainError
-from linerig.graphs import catalog, generate
-from linerig.lines3d import Line, LineConfig
-from linerig.numeric import (DimensionReport, edge_function, finite_difference_jacobian,
-                             global_rigidity_oracle, is_rigid_numeric,
-                             line_system_dimension, line_system_jacobian,
+from linerig.graphs import Graph, catalog, generate
+from linerig.lines3d import Line, LineConfig, meet_residual
+from linerig.numeric import (DimensionReport, edge_function, edge_system,
+                             global_rigidity_oracle, incidence_form, is_rigid_numeric,
+                             line_residuals, line_system_dimension, line_system_jacobian,
                              pair_system_dimension, pair_system_jacobian, rank_exact,
                              rigidity_matrix, rigidity_rank)
 from linerig.sampler import sample_congruent_pair, sample_laman_lines
@@ -197,12 +198,127 @@ def test_pair_jacobian_structure():
     assert J.tolist()[0][4:] == [2, 0, -2, 0]
 
 
-def test_line_system_float_matches_exact_loop():
-    # the loop over edges in exact arithmetic is the reference for the array kernel
-    from linerig.numeric import edge_index, line_residuals, line_system_float
-    rng = random.Random(16)
+# ---------------------------------------------------------------------------
+# the edge-system kernel against references written apart from it
+
+
+def _central_difference(g, x):
+    """m x len(x) matrix of (g(x + e_k) - g(x - e_k)) / 2 in Fraction arithmetic:
+    the exact Jacobian of a quadratic g."""
+    x = [Fraction(v) for v in x]
+    cols = []
+    for k in range(len(x)):
+        hi, lo = list(x), list(x)
+        hi[k] += 1
+        lo[k] -= 1
+        cols.append([(a - b) / 2 for a, b in zip(g(hi), g(lo))])
+    return [list(row) for row in zip(*cols)]
+
+
+def _squared_lengths(G, x):
+    """|p_i - p_j|^2 per edge, for points flattened as x = (x_0, y_0, x_1, ...)."""
+    return [(x[2 * i] - x[2 * j]) ** 2 + (x[2 * i + 1] - x[2 * j + 1]) ** 2 for i, j in G.edges]
+
+
+def _meets(G, x):
+    return [meet_residual(Line(*x[4 * i:4 * i + 4]), Line(*x[4 * j:4 * j + 4])) for i, j in G.edges]
+
+
+def _draw(rng, rows, width, exact):
+    if exact:
+        return [[rng.choice([rng.randint(-30, 30), Fraction(rng.randint(-99, 99), rng.randint(1, 9))])
+                 for _ in range(width)] for _ in range(rows)]
+    return [[rng.uniform(-30, 30) for _ in range(width)] for _ in range(rows)]
+
+
+def _assert_matches(J, want, exact):
+    assert (J.dtype == object) == exact
+    if exact:
+        assert J.tolist() == want
+    else:
+        assert J.tolist() == [[float(v) for v in row] for row in want]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_edge_systems_match_references(exact):
+    rng = random.Random(16 + exact)
     G = generate("laman_random", [9], seed=16)
-    cfg = LineConfig.from_rows([[rng.randint(-50, 50) for _ in range(4)] for _ in range(9)])
-    g, J = line_system_float(cfg.as_array(), *edge_index(G))
-    assert g.tolist() == [float(r) for r in line_residuals(G, cfg)]
-    assert J.tolist() == line_system_jacobian(G, cfg).astype(float).tolist()
+    n = G.n
+    # line system: residuals are meet_residual, columns the exact central differences
+    rows = _draw(rng, n, 4, exact)
+    cfg = LineConfig.from_rows(rows)
+    assert line_residuals(G, cfg) == [meet_residual(cfg[i], cfg[j]) for i, j in G.edges]
+    want = _central_difference(lambda x: _meets(G, x), [v for row in rows for v in row])
+    _assert_matches(line_system_jacobian(G, cfg), want, exact)
+    # rigidity system: squared lengths and their exact derivatives
+    p = _draw(rng, n, 2, exact)
+    xp = [v for pt in p for v in pt]
+    fp = edge_function(G, p)
+    assert (fp.dtype == object) == exact and fp.tolist() == _squared_lengths(G, xp)
+    _assert_matches(rigidity_matrix(G, p), _central_difference(lambda x: _squared_lengths(G, x), xp),
+                    exact)
+    # pair system: f(p) - f(p') in the variables (p, p')
+    q = _draw(rng, n, 2, exact)
+    pq = xp + [v for pt in q for v in pt]
+
+    def pair(x):
+        return [a - b for a, b in zip(_squared_lengths(G, x[:2 * n]), _squared_lengths(G, x[2 * n:]))]
+
+    _assert_matches(pair_system_jacobian(G, p, q), _central_difference(pair, pq), exact)
+
+
+def test_edge_system_on_mixed_and_empty_inputs():
+    # one float coordinate makes the whole system float
+    assert edge_function(K2, [(0, Fraction(1, 3)), (1.5, 2)]).dtype == float
+    # numpy integer arrays are exact
+    J = rigidity_matrix(K2, np.array([[0, 0], [3, 4]]))
+    assert J.dtype == object and J.tolist() == [[-6, -8, 6, 8]]
+    # a pair of one exact and one float embedding is float, as its parts are
+    assert pair_system_jacobian(K2, [(0, 0), (3, 4)], [(0.0, 0.0), (5.0, 0.0)]).dtype == float
+    g, J = edge_system(np.zeros((3, 4)), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp),
+                       incidence_form)
+    assert g.shape == (0,) and J.shape == (0, 12)
+    with pytest.raises(DomainError, match="rows of 2 numbers"):
+        rigidity_matrix(K2, [(0, 0, 1), (3, 4, 1)])
+
+
+def test_float_reports_carry_their_margin():
+    G = generate("laman_random", [5], seed=3)
+    mu, nu, y0, z0 = 2, 1, 2, 3
+    x0 = z0 - mu * y0 - nu
+    pencil = LineConfig.from_rows([(x0 - (1 - mu * d) * z0, y0 - d * z0, 1 - mu * d, d)
+                                   for d in range(5)])
+    rep = line_system_dimension(G, pencil)
+    s = np.linalg.svd(line_system_jacobian(G, pencil).astype(float), compute_uv=False)
+    cut = rep.tol * s[0] * 4 * G.n
+    r = rep.jacobian_rank
+    assert rep.sigma_kept == s[r - 1] > cut >= rep.sigma_dropped == s[r]
+    # full row rank: nothing is dropped
+    G4 = K4.without_edge(0, 1)
+    full = line_system_dimension(G4, sample_laman_lines(G4, seed=5))
+    assert full.certified and full.sigma_kept > 0 and full.sigma_dropped is None
+    assert set(full.to_dict()) >= {"sigma_kept", "sigma_dropped"}
+    # exact mode has no singular values
+    p, q = sample_congruent_pair(K4, orientation=1, seed=3, exact=True)
+    exact = pair_system_dimension(K4, p, q, exact=True)
+    assert exact.sigma_kept is None and exact.sigma_dropped is None
+    assert line_system_dimension(G, LineConfig.from_rows([(1, 2, 3, 4)] * 5)).sigma_kept is None
+
+
+def test_rigidity_rank_exact_matches_float_rank():
+    for n, seed in ((6, 0), (9, 4)):
+        G = generate("laman_random", [n], seed=seed)
+        assert rigidity_rank(G, seed=seed, exact=True) == rigidity_rank(G, seed=seed) == 2 * n - 3
+    assert rigidity_rank(C4, exact=True) == 4
+
+
+def test_global_rigidity_oracle_checks_rigidity_with_its_own_trials(monkeypatch):
+    import linerig.numeric as numeric
+    calls = []
+    monkeypatch.setattr(numeric, "rigidity_rank", lambda *a, **k: calls.append(a))
+    assert global_rigidity_oracle(K4, trials=1)
+    assert calls == []
+    with pytest.raises(DomainError, match="rigid graph"):
+        global_rigidity_oracle(generate("cycle", [6]), trials=1)
+    with pytest.raises(DomainError, match="rigid graph"):
+        global_rigidity_oracle(Graph(5, ()))
