@@ -71,6 +71,20 @@ def steps_to_json(steps: Iterable[Union[HennebergStep, JJStep]]) -> str:
     return json.dumps(items, separators=(",", ":"))
 
 
+_STEP_FIELDS = {"ext0": (Ext0, ("u", "v")), "ext1": (Ext1, ("u", "v", "w")),
+                "edge": (EdgeAdd, ("u", "v"))}
+
+
+def _vertex_field(item: dict, key: str, k: int) -> int:
+    """The one validator of a step's vertex fields: a JSON integer (bools do not count)."""
+    if key not in item:
+        raise StepError(f"step {k}: missing field '{key}'")
+    value = item[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise StepError(f"step {k}: field '{key}' must be an integer, got {value!r}")
+    return value
+
+
 def steps_from_json(text: str) -> list[Union[HennebergStep, JJStep]]:
     try:
         items = json.loads(text)
@@ -83,17 +97,10 @@ def steps_from_json(text: str) -> list[Union[HennebergStep, JJStep]]:
         if not isinstance(item, dict) or "kind" not in item:
             raise StepError(f"step {k}: not an object with a 'kind'")
         kind = item["kind"]
-        try:
-            if kind == "ext0":
-                steps.append(Ext0(int(item["u"]), int(item["v"])))
-            elif kind == "ext1":
-                steps.append(Ext1(int(item["u"]), int(item["v"]), int(item["w"])))
-            elif kind == "edge":
-                steps.append(EdgeAdd(int(item["u"]), int(item["v"])))
-            else:
-                raise StepError(f"step {k}: unknown kind '{kind}'")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StepError(f"step {k}: {exc}") from exc
+        if not isinstance(kind, str) or kind not in _STEP_FIELDS:
+            raise StepError(f"step {k}: unknown kind {kind!r}")
+        cls, fields = _STEP_FIELDS[kind]
+        steps.append(cls(*(_vertex_field(item, key, k) for key in fields)))
     return steps
 
 

@@ -189,10 +189,17 @@ def intersection_graph(L: LineConfig, tol: float = 1e-8) -> Graph:
     return Graph(L.n, tuple(edges))
 
 
-def _by_coordinate(X: np.ndarray) -> np.ndarray:
-    """The (4, ..., n) copy of a (..., n, 4) chart array: each coordinate contiguous,
-    so that the kernels' reductions over the lines of a batch run on contiguous rows."""
-    return X.transpose(-1, *range(X.ndim - 1)).copy()
+def _scaled_by_coordinate(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T, cmax, unit) of a (..., n, 4) chart array: cmax is each configuration's
+    max |coordinate|, unit the power of two 2**-e with cmax = f * 2**e and
+    0.5 <= f < 1, and T the (4, ..., n) copy of X times unit, each coordinate
+    contiguous so that the kernels' reductions over the lines of a batch run on
+    contiguous rows. Scaled, every coordinate lies within 1, so the kernels'
+    squares neither overflow nor underflow; the product is exact, and the kernels
+    divide it back out of what they return."""
+    cmax = np.abs(X).max(axis=(-2, -1))
+    unit = np.ldexp(1.0, -np.frexp(cmax)[1])
+    return np.multiply(X.transpose(-1, *range(X.ndim - 1)), unit[..., None], order="C"), cmax, unit
 
 
 def common_points(X: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -206,13 +213,11 @@ def common_points(X: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndar
     a common point at infinity; `found` marks the other configurations whose worst
     residual is within tol * (1 + max |coord|) * (1 + |z|).
     """
-    X = np.asarray(X, dtype=float)
-    cmax = np.abs(X).max(axis=(-2, -1))
-    T = _by_coordinate(X)
+    T, cmax, unit = _scaled_by_coordinate(np.asarray(X, dtype=float))
     a, b, c, d = T
-    mean = T.sum(axis=-1, keepdims=True) / X.shape[-2]
+    mean = T.sum(axis=-1, keepdims=True) / T.shape[-1]
     ac, bc, cc, dc = T - mean
-    scale = tol * (1.0 + cmax)
+    scale = tol * (1.0 + cmax) * unit
     parallel = (T[2:].max(axis=-1) - T[2:].min(axis=-1)).max(axis=0) <= scale
     num = (ac * cc + bc * dc).sum(axis=-1, keepdims=True)
     den = (cc * cc + dc * dc).sum(axis=-1, keepdims=True)
@@ -222,7 +227,9 @@ def common_points(X: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndar
     x, y = mean[0] + mean[2] * z, mean[1] + mean[3] * z
     resid = np.maximum(np.abs(x - c * z - a), np.abs(y - d * z - b)).max(axis=-1)
     found = ~parallel & (resid <= scale * (1.0 + np.abs(z[..., 0])))
-    return np.concatenate([x, y, z], axis=-1), found, parallel
+    points = np.concatenate([x, y, z], axis=-1)
+    points[..., :2] /= unit[..., None]
+    return points, found, parallel
 
 
 def _plane_system(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,8 +254,8 @@ def common_planes(X: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndar
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[-2]
-    cmax = np.abs(X).max(axis=(-2, -1))
-    T = _by_coordinate(X)
+    T, cmax, unit = _scaled_by_coordinate(X)
+    unit = unit[..., None]
     a, b, c, d = T
     am, bm = T[:2].sum(axis=-1, keepdims=True) / n
     u, w = np.concatenate([c, a - am], axis=-1), np.concatenate([d, b - bm], axis=-1)
@@ -257,7 +264,7 @@ def common_planes(X: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndar
     r12 = (q1 * w).sum(axis=-1)[..., None]
     w = w - r12 * q1
     r22 = np.sqrt((w * w).sum(axis=-1))[..., None]
-    ok = np.minimum(r11, r22) > 1e-10 * (1.0 + cmax)[..., None]
+    ok = np.minimum(r11, r22) > 1e-10 * (1.0 + cmax)[..., None] * unit
     # the right-hand side (1, ..., 1, 0, ..., 0) with its q1 component removed
     y1 = q1[..., :n].sum(axis=-1)[..., None]
     rhs = -y1 * q1
@@ -265,12 +272,16 @@ def common_planes(X: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndar
     r22 = np.where(ok, r22, 1.0)
     mu = (w / r22 * rhs).sum(axis=-1)[..., None] / r22
     lam = (y1 - r12 * mu) / np.where(ok, r11, 1.0)
+    # (lam, mu, nu) of the scaled lines; lam and mu are those of the original lines
+    # divided by unit, nu is the same
     sol = np.concatenate([lam, mu, 0.0 - (lam * am + mu * bm)], axis=-1)
     if not ok.all():
         for k in map(tuple, np.argwhere(~ok[..., 0])):
             sol[k] = np.linalg.lstsq(*_plane_system(X[k]), rcond=None)[0]
+            sol[k][:2] /= unit[k]
     lam, mu, nu = sol[..., 0:1], sol[..., 1:2], sol[..., 2:3]
     resid = np.maximum(np.abs(lam * c + mu * d - 1.0), np.abs(lam * a + mu * b + nu)).max(axis=-1)
+    sol[..., :2] *= unit
     return sol, resid <= tol * (1.0 + cmax) * (1.0 + np.abs(sol).max(axis=-1))
 
 

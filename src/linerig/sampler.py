@@ -1,14 +1,11 @@
 """Randomized generation of line configurations and embedding pairs for the
 verification suites.
 
-The constructive sampler realizes a Laman graph line by line, replaying its
-extension sequence geometrically: the base edge becomes two lines through a
-common point, a 0-extension joins random points of (or passes through the
-intersection of) the two attach lines, and a 1-extension takes a transversal to
-the three lines involved. Constructed configurations sit on special strata
-(every subdivided edge is still satisfied), so a random perturbation followed by
-a Gauss-Newton projection back onto the incidence system is applied before rank
-certification.
+The float sampler draws a random integer start and projects it onto a Laman
+graph's incidence system with Gauss-Newton, then certifies full Jacobian rank. A
+projected random start lands at a smooth point of a full-dimensional component,
+which is what the paper's *generic* realization asks for; no Henneberg sequence is
+replayed.
 
 The projection measures each edge's residual against its own pair scale, 1 + the
 largest |coordinate| of its two lines (lines3d.edge_scales, the normalization of
@@ -17,8 +14,12 @@ the requested tolerance, and gives up as soon as two steps in a row fail to impr
 on the best residual: at that point it sits at the float floor, and more steps only
 cost time.
 
-All random draws are integers, so constructions can be replayed in exact rational
-arithmetic.
+The exact sampler constructs its configuration line by line in Fraction
+arithmetic, replaying the graph's extension sequence: the base edge becomes two
+lines through a common point, a 0-extension joins random points of (or passes
+through the intersection of) the two attach lines, and a 1-extension takes a
+transversal to the three lines involved. All random draws are integers, so every
+incidence holds exactly.
 """
 
 from __future__ import annotations
@@ -34,13 +35,12 @@ from .errors import ConvergenceError, DomainError, SampleError
 from .graphs import Graph
 from .henneberg import Ext0, Ext1, extract_henneberg
 from .lines3d import (Line, LineConfig, _triple_coplanar, edge_scales, is_exact,
-                      line_through, lines_coincident, lines_meet, meet_residual,
-                      pair_intersection, pair_scale, transversal_detail)
+                      line_through, meet_residual, pair_intersection, transversal_detail)
 from .numeric import (DimensionReport, edge_index, edge_system, incidence_form,
                       line_residuals, line_system_dimension, line_system_jacobian)
 from .sparsity import is_laman
 
-_BOX = 40  # coordinate box for integer draws during construction
+_BOX = 40  # coordinate box for integer draws
 
 
 @dataclass(frozen=True)
@@ -60,26 +60,44 @@ def _rand_nonzero(rng: random.Random, box: int = _BOX) -> int:
     return x
 
 
-def _fresh(line: Line, existing: list[Line], tol: float) -> bool:
-    return all(not lines_coincident(line, other, tol) for other in existing)
+def _rand_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-_BOX, _BOX))
 
 
-def _base_pair(rng: random.Random, exact: bool) -> list[Line]:
-    one = Fraction(1) if exact else 1
-    O = (one * rng.randint(-_BOX, _BOX), one * rng.randint(-_BOX, _BOX), one * rng.randint(-_BOX, _BOX))
+def _fresh(line: Line, placed: np.ndarray, tol: float) -> bool:
+    """lines_coincident(line, other, tol) is false for every row of `placed`, the
+    float coordinates of the lines placed so far, in one array operation."""
+    x = np.array([float(v) for v in line.as_tuple()])
+    s = tol * (1.0 + np.maximum(np.abs(x).max(), np.abs(placed).max(axis=1)))
+    return not np.any(np.all(np.abs(placed - x) <= s[:, None], axis=1))
+
+
+def _join(p, q) -> Optional[Line]:
+    """line_through(p, q), or None when p and q agree as floats."""
+    if all(float(a) == float(b) for a, b in zip(p, q)):
+        return None
+    return line_through(p, q)
+
+
+def _through(P, rng: random.Random) -> Optional[Line]:
+    """The join of P with P + a random nonzero integer offset."""
+    return line_through(P, tuple(x + _rand_nonzero(rng) for x in P))
+
+
+def _base_pair(rng: random.Random) -> list[Line]:
+    O = tuple(_rand_fraction(rng) for _ in range(3))
     lines: list[Line] = []
     while len(lines) < 2:
-        c = one * rng.randint(-_BOX, _BOX)
-        d = one * rng.randint(-_BOX, _BOX)
+        c, d = _rand_fraction(rng), _rand_fraction(rng)
         cand = Line(O[0] - c * O[2], O[1] - d * O[2], c, d)
-        if _fresh(cand, lines, 1e-12):
+        if cand not in lines:
             lines.append(cand)
     return lines
 
 
-def _extend0(lines: list[Line], u: int, v: int, rng: random.Random, exact: bool,
+def _extend0(lines: list[Line], u: int, v: int, rng: random.Random,
              tol: float) -> Optional[Line]:
-    """New line meeting lines u and v.
+    """Candidate line meeting lines u and v.
 
     When the attach lines intersect, every such line either lies in their common
     plane or passes through their common point; both channels are 2-parameter
@@ -87,96 +105,53 @@ def _extend0(lines: list[Line], u: int, v: int, rng: random.Random, exact: bool,
     two-point join.
     """
     lu, lv = lines[u], lines[v]
-    one = Fraction(1) if exact else 1
-    meet = (meet_residual(lu, lv) == 0) if exact else lines_meet(lu, lv, 1e-9)
-    if meet and rng.random() < 0.5:
+    if meet_residual(lu, lv) == 0 and rng.random() < 0.5:
         P = pair_intersection(lu, lv, tol)
         if P is not None:
-            q = (P[0] + one * _rand_nonzero(rng), P[1] + one * _rand_nonzero(rng),
-                 P[2] + one * _rand_nonzero(rng))
-            cand = line_through(P, q)
-            if cand is not None and _fresh(cand, lines, tol) and _meets_all(cand, (lu, lv), exact):
-                return cand
-            return None
+            return _through(P, rng)
         # parallel attach pair: fall through to the two-point join
-    tu = one * rng.randint(-_BOX, _BOX)
-    tv = one * rng.randint(-_BOX, _BOX)
-    p, q = lu.point_at(tu), lv.point_at(tv)
-    if all(float(a) == float(b) for a, b in zip(p, q)):
-        return None
-    cand = line_through(p, q)
-    if cand is not None and _fresh(cand, lines, tol) and _meets_all(cand, (lu, lv), exact):
-        return cand
-    return None
+    return _join(lu.point_at(_rand_fraction(rng)), lv.point_at(_rand_fraction(rng)))
 
 
-def _point_on_line(line: Line, p, tol: float) -> bool:
-    x, y, z = (float(v) for v in p)
-    scale = 1.0 + max(abs(float(line.a)), abs(float(line.b)), abs(float(line.c)),
-                      abs(float(line.d)), abs(x), abs(y), abs(z))
-    return (abs(x - (float(line.a) + z * float(line.c))) <= tol * scale
-            and abs(y - (float(line.b) + z * float(line.d))) <= tol * scale)
-
-
-def _extend1(lines: list[Line], u: int, v: int, w: int, rng: random.Random, exact: bool,
+def _extend1(lines: list[Line], u: int, v: int, w: int, rng: random.Random,
              tol: float) -> Optional[Line]:
-    """New line meeting lines u, v, w (u and v meet: their edge was subdivided).
+    """Candidate line meeting lines u, v, w (u and v meet: their edge was subdivided).
 
     The family of such lines depends on the triple's geometry, so the draw is
     routed: through the common point when the triple is concurrent, an in-plane
     join when it is coplanar, and the plane-intersection transversal otherwise.
     """
     lu, lv, lw = lines[u], lines[v], lines[w]
-    one = Fraction(1) if exact else 1
     P = pair_intersection(lu, lv, 1e-9)
-    if P is not None and _point_on_line(lw, P, 1e-9):
-        # concurrent triple: any fresh non-horizontal line through P
-        q = (P[0] + one * _rand_nonzero(rng), P[1] + one * _rand_nonzero(rng),
-             P[2] + one * _rand_nonzero(rng))
-        cand = line_through(P, q)
-    elif _triple_coplanar(lu.as_floats(), lv.as_floats(), lw.as_floats(), 1e-9):
-        # coplanar triple: join a point of l_w with a point of l_u
-        p = lw.point_at(one * rng.randint(-_BOX, _BOX))
-        q = lu.point_at(one * rng.randint(-_BOX, _BOX))
-        if all(float(a) == float(b) for a, b in zip(p, q)):
-            return None
-        cand = line_through(p, q)
-    else:
-        s = one * rng.randint(-_BOX, _BOX)
-        cand, _ = transversal_detail(lu, lv, lw, s, tol)
-    if cand is None or not _fresh(cand, lines, tol):
-        return None
-    if not _meets_all(cand, (lu, lv, lw), exact):
-        return None
-    return cand
+    if P is not None and lw.point_at(P[2])[:2] == P[:2]:
+        return _through(P, rng)
+    if _triple_coplanar(lu.as_floats(), lv.as_floats(), lw.as_floats(), 1e-9):
+        return _join(lw.point_at(_rand_fraction(rng)), lu.point_at(_rand_fraction(rng)))
+    return transversal_detail(lu, lv, lw, _rand_fraction(rng), tol)[0]
 
 
-def _meets_all(cand: Line, required, exact: bool) -> bool:
-    for other in required:
-        if exact:
-            if meet_residual(cand, other) != 0:
-                return False
-        elif abs(float(meet_residual(cand, other))) > 1e-7 * pair_scale(cand.as_floats(), other.as_floats()):
-            return False
-    return True
-
-
-def _construct(G: Graph, steps, relabel, rng: random.Random, exact: bool,
-               tol: float, step_retries: int = 16) -> Optional[LineConfig]:
-    lines = _base_pair(rng, exact)
+def _construct(G: Graph, steps, relabel, rng: random.Random, tol: float,
+               step_retries: int = 16) -> Optional[LineConfig]:
+    """Replay the extension steps, keeping each step's first candidate that meets
+    its attach lines exactly and coincides with no line placed so far."""
+    lines = _base_pair(rng)
+    placed = np.zeros((G.n, 4))
+    placed[:2] = [[float(x) for x in ln.as_tuple()] for ln in lines]
     for step in steps:
-        cand = None
+        if isinstance(step, Ext0):
+            extend, attach = _extend0, (step.u, step.v)
+        elif isinstance(step, Ext1):
+            extend, attach = _extend1, (step.u, step.v, step.w)
+        else:
+            raise DomainError(f"unexpected step {step!r}")
         for _ in range(step_retries):
-            if isinstance(step, Ext0):
-                cand = _extend0(lines, step.u, step.v, rng, exact, tol)
-            elif isinstance(step, Ext1):
-                cand = _extend1(lines, step.u, step.v, step.w, rng, exact, tol)
-            else:
-                raise DomainError(f"unexpected step {step!r}")
-            if cand is not None:
+            cand = extend(lines, *attach, rng, tol)
+            if cand is not None and all(meet_residual(cand, lines[k]) == 0 for k in attach) \
+                    and _fresh(cand, placed[:len(lines)], tol):
                 break
-        if cand is None:
+        else:
             return None
+        placed[len(lines)] = [float(x) for x in cand.as_tuple()]
         lines.append(cand)
     # undo the extraction relabeling: replay vertex i realizes original vertex relabel[i]
     by_original = [None] * G.n
@@ -229,42 +204,48 @@ def gauss_newton_project(G: Graph, x0: LineConfig, tol: float = 1e-12,
         f"(residual {best:.2e})", best)
 
 
+def _distinct(X: np.ndarray, tol: float) -> bool:
+    """No two rows of X agree to within tol in every coordinate."""
+    diff = np.abs(X[:, None, :] - X[None, :, :]).max(axis=2)
+    np.fill_diagonal(diff, np.inf)
+    return bool(diff.min() > tol)
+
+
 def sample_laman_lines_info(G: Graph, seed: int = 0, max_retries: int = 32,
                             tol: float = 1e-10) -> LineSample:
-    """Constructive sample of a certified configuration realizing a Laman graph.
+    """Certified generic configuration realizing a Laman graph.
 
-    Construct along the extension sequence, perturb, project back with
-    Gauss-Newton to tol, then certify full Jacobian rank; rank-deficient or
-    degenerate draws are retried with fresh randomness. The returned sample's log
-    records every attempt, as SampleError.log does when all of them fail.
+    Each attempt draws integer coordinates in [-40, 40] from a generator seeded by
+    (seed, attempt) and projects them onto the incidence system with Gauss-Newton
+    to tol. The projection is kept when no two lines coincide within 1e-8 of the
+    configuration's scale (1 + max |coordinate|), the Jacobian has full rank, and
+    every residual is within tol of that scale; any other attempt is retried with a
+    fresh draw. The returned sample's log records every attempt, as SampleError.log
+    does when all of them fail.
     """
     if not is_laman(G):
         raise DomainError("sample_laman_lines requires a Laman graph")
-    steps, relabel = extract_henneberg(G)
     log: list[str] = []
     for attempt in range(1, max_retries + 1):
-        rng = random.Random(f"laman-lines:{seed}:{attempt}")
-        built = _construct(G, steps, relabel, rng, exact=False, tol=1e-8)
-        if built is None:
-            log.append(f"attempt {attempt}: degenerate construction")
-            continue
-        arr = built.as_array()
-        scale = 1.0 + float(np.max(np.abs(arr)))
-        noise = np.random.Generator(np.random.PCG64(
+        rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([seed & 0xFFFFFFFF, attempt])))
-        perturbed = arr + noise.normal(size=arr.shape) * 1e-3 * scale
+        start = rng.integers(-_BOX, _BOX, size=(G.n, 4), endpoint=True)
         try:
-            projected = gauss_newton_project(G, LineConfig.from_rows(perturbed.tolist()),
+            projected = gauss_newton_project(G, LineConfig.from_rows(start.tolist()),
                                              tol=tol, max_iter=80)
         except ConvergenceError as exc:
             log.append(f"attempt {attempt}: no convergence: {exc}")
+            continue
+        X = projected.as_array()
+        scale = 1.0 + float(np.max(np.abs(X)))
+        if not _distinct(X, 1e-8 * scale):
+            log.append(f"attempt {attempt}: two lines coincide")
             continue
         report = line_system_dimension(G, projected, tol=1e-8)
         if not report.certified:
             log.append(f"attempt {attempt}: rank {report.jacobian_rank} < {G.m}")
             continue
-        res = line_residuals(G, projected)
-        worst = max((abs(float(r)) for r in res), default=0.0)
+        worst = float(np.max(np.abs(line_residuals(G, projected)), initial=0.0))
         if worst > tol * scale:
             log.append(f"attempt {attempt}: residual {worst:.2e} above {tol:.1e}")
             continue
@@ -281,7 +262,7 @@ def sample_laman_lines(G: Graph, seed: int = 0, max_retries: int = 32,
 def sample_laman_lines_exact(G: Graph, seed: int = 0, max_retries: int = 32) -> LineConfig:
     """Exact rational configuration realizing a Laman graph with certified rank.
 
-    Runs the same constructive replay as the floating sampler but in Fraction
+    Constructs the configuration along the graph's extension sequence in Fraction
     arithmetic, so all residuals are exactly zero; a draw is kept only when the
     exact Jacobian rank is full (constructed points sit on strata with extra
     incidences, which in principle can underreport rank). If construction keeps
@@ -298,9 +279,9 @@ def sample_laman_lines_exact(G: Graph, seed: int = 0, max_retries: int = 32) -> 
     for attempt in range(1, max_retries + 1):
         rng = random.Random(f"laman-lines-exact:{seed}:{attempt}")
         if attempt <= max_retries // 2:
-            cfg = _construct(G, steps, relabel, rng, exact=True, tol=1e-8)
+            cfg = _construct(G, steps, relabel, rng, tol=1e-8)
         else:
-            O = tuple(Fraction(rng.randint(-_BOX, _BOX)) for _ in range(3))
+            O = tuple(_rand_fraction(rng) for _ in range(3))
             dirs: set[tuple[int, int]] = set()
             while len(dirs) < G.n:
                 dirs.add((rng.randint(-_BOX, _BOX), rng.randint(-_BOX, _BOX)))

@@ -18,8 +18,8 @@ from .errors import DomainError, SampleError
 from .graphs import Graph, generate
 from .lines3d import (Line, LineConfig, classify_triple, common_plane, common_planes,
                       common_point, common_points, line_through, meet_residual, transversal)
-from .numeric import (global_rigidity_oracle, is_rigid_numeric, line_system_jacobian,
-                      pair_system_dimension, rank_exact, transversal_family_dimension)
+from .numeric import (global_rigidity_oracle, line_system_jacobian, pair_system_dimension,
+                      rank_exact, transversal_family_dimension)
 from .sampler import (knn_jacobian, sample_congruent_pair, sample_knn_params,
                       sample_laman_lines_exact, sample_laman_lines_info)
 from .sparsity import is_hendrickson
@@ -434,15 +434,19 @@ def hendrickson_catalog(n_max: int = 8) -> list[tuple[str, Graph]]:
 
 
 def hendrickson_oracle(n_max: int = 8, trials: int = 5, seed: int = 0) -> SuiteReport:
+    if trials < 1:
+        raise DomainError("trials must be positive")
     rep = SuiteReport("hendrickson-oracle")
     for name, G in hendrickson_catalog(n_max):
         combinatorial = is_hendrickson(G)
-        if not is_rigid_numeric(G, trials=trials, seed=seed):
-            # flexible graphs are outside the oracle's domain; they are also
-            # never redundant, so the combinatorial test must say no
+        try:
+            oracle = global_rigidity_oracle(G, trials=trials, seed=seed)
+        except DomainError:
+            # every catalog graph has n >= 4, so the oracle found it flexible:
+            # outside its domain, and never redundant, so the combinatorial test
+            # must say no
             rep.record(combinatorial is False, graph=name, note="flexible")
             continue
-        oracle = global_rigidity_oracle(G, trials=trials, seed=seed)
         rep.record(oracle == combinatorial, graph=name,
                    combinatorial=combinatorial, oracle=oracle)
     return rep

@@ -1,6 +1,9 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linerig.cli import main
 from linerig.graphs import generate, parse_graph, serialize_graph
@@ -359,3 +362,103 @@ def test_dump_jacobian_bytes_are_unchanged(tmp_path, capsys):
                            "--dump-jacobian")
         assert code == 0 and margin.search(out)
         assert margin.sub("", out) == want
+
+
+@pytest.mark.parametrize("steps", [
+    '[{"kind":"ext0","u":0,"v":1e400}]',
+    '[{"kind":"ext0","u":true,"v":1}]',
+    '[{"kind":"ext0","u":0,"v":1.7}]',
+])
+def test_malformed_steps_exit_2(tmp_path, capsys, steps):
+    spath = tmp_path / "steps.json"
+    spath.write_text(steps)
+    for cmd in ("apply", "jj-apply"):
+        code, out, err = run(capsys, "henneberg", cmd, str(spath))
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_lines_common_at_huge_coordinates(tmp_path, capsys):
+    # the squares of these coordinates overflow the float range
+    cpath = tmp_path / "lines.json"
+    cpath.write_text('{"lines":[[1e200,2,3,4],[1,2e200,3,5],[1,2,3e150,4]]}')
+    code, out, err = run(capsys, "lines", "common", str(cpath))
+    rep = json.loads(out)
+    assert code == 0 and err == ""
+    assert rep["common_point"] is None and rep["parallel_family"] is True
+    assert all(map(math.isfinite, rep["common_plane"]))
+
+
+# `sample laman` on K4 minus an edge with --seed 1: the projection of the random
+# integer start drawn for (seed 1, attempt 1)
+_SAMPLE_GRAPH = '{"n":4,"edges":[[0,2],[0,3],[1,2],[1,3],[2,3]]}'
+_SAMPLE_LINES = (
+    '{"lines":[[19.870868650026647,-14.938015115197688,4.925605556138426,-1.2066443848776531],'
+    '[14.15787526950139,-4.964426872371278,4.910790913868759,-25.275317958020356],'
+    '[23.79777884298533,11.251413715175534,0.10437978881899473,-33.36046071986353],'
+    '[9.173477237486626,-13.348971727606566,18.059223741173824,-3.157576937238459]]}\n')
+
+
+def test_sample_laman_bytes_are_pinned(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(_SAMPLE_GRAPH)
+    code, out, _ = run(capsys, "sample", "laman", str(gpath), "--seed", "1")
+    assert code == 0 and out == _SAMPLE_LINES
+
+
+# Reader robustness: every subcommand that reads input, fed random JSON documents,
+# some shaped like the file it expects, ends with exit 0 or an `error:` line and
+# exit 2; RuntimeWarnings count as failures (pyproject's filterwarnings).
+_LEAF = (st.none() | st.booleans() | st.integers(-3, 8) | st.text(max_size=3)
+         | st.floats(allow_nan=True, allow_infinity=True))
+_NUM = st.integers(-3, 8) | st.floats(-50, 50) | _LEAF
+_ANY = st.recursive(_LEAF, lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=12)
+
+
+def _rows(width: int):
+    return st.lists(st.lists(_NUM, min_size=width - 1, max_size=width + 1) | _ANY, max_size=6)
+
+
+_DOCS = {
+    "graph": st.fixed_dictionaries({"n": st.integers(-1, 7) | _LEAF}, optional={
+        "edges": st.lists(st.lists(st.integers(-1, 7) | _LEAF, max_size=3) | _ANY, max_size=9)}),
+    "lines": st.fixed_dictionaries({}, optional={"lines": _rows(4) | _ANY}),
+    "pairs": st.fixed_dictionaries({}, optional={"p": _rows(2) | _ANY, "p_prime": _rows(2) | _ANY}),
+    "steps": st.lists(st.fixed_dictionaries({}, optional={
+        "kind": st.sampled_from(["ext0", "ext1", "edge"]) | _LEAF,
+        "u": st.integers(-1, 6) | _LEAF, "v": st.integers(-1, 6) | _LEAF,
+        "w": st.integers(-1, 6) | _LEAF}) | _ANY, max_size=5),
+}
+_READERS = [
+    (("analyze",), ("graph",)),
+    (("lines", "common"), ("lines",)),
+    (("lines", "dim"), ("graph", "lines")),
+    (("sample", "project"), ("graph", "lines")),
+    (("henneberg", "apply"), ("steps",)),
+    (("henneberg", "jj-apply"), ("steps",)),
+    (("es", "map"), ("pairs",)),
+    (("es", "recover"), ("pairs",)),
+    (("es", "dim"), ("graph", "pairs")),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(reader=st.sampled_from(_READERS), data=st.data())
+def test_readers_exit_0_or_2_on_random_json(reader, data):
+    import contextlib
+    import io
+    import tempfile
+    command, kinds = reader
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, kind in enumerate(kinds):
+            doc = data.draw(_DOCS[kind] | _ANY, label=kind)
+            path = f"{tmp}/{k}.json"
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(doc))
+            paths.append(path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*command, *paths])
+    assert code in (0, 2)
+    assert (code == 2) == err.getvalue().startswith("error:")

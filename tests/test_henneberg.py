@@ -126,3 +126,17 @@ def test_fresh_import_releases_the_previous_copy():
         for k in ours():
             del sys.modules[k]
         sys.modules.update(saved)
+
+
+@pytest.mark.parametrize("field, match", [
+    ('"u":0,"v":1e400', "field 'v' must be an integer"),
+    ('"u":true,"v":1', "field 'u' must be an integer"),
+    ('"u":0,"v":1.7', "field 'v' must be an integer"),
+    ('"u":0,"v":"1"', "field 'v' must be an integer"),
+    ('"u":0', "missing field 'v'"),
+])
+def test_step_json_fields_must_be_integers(field, match):
+    with pytest.raises(StepError, match=match):
+        steps_from_json('[{"kind":"ext1","w":2,%s}]' % field)
+    with pytest.raises(StepError, match="unknown kind"):
+        steps_from_json('[{"kind":["ext0"],"u":0,"v":1}]')

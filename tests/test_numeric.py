@@ -322,3 +322,43 @@ def test_global_rigidity_oracle_checks_rigidity_with_its_own_trials(monkeypatch)
         global_rigidity_oracle(generate("cycle", [6]), trials=1)
     with pytest.raises(DomainError, match="rigid graph"):
         global_rigidity_oracle(Graph(5, ()))
+
+
+def test_hendrickson_oracle_takes_one_rigidity_pass_per_graph(monkeypatch):
+    import linerig.verify as verify
+    from linerig.numeric import global_rigidity_oracle, is_rigid_numeric
+    from linerig.sparsity import is_hendrickson
+    passes, records = [], []
+
+    def counted(G, *args, **kwargs):
+        passes.append(G)
+        return global_rigidity_oracle(G, *args, **kwargs)
+
+    # the catalog's graphs are all rigid; two flexible ones exercise the other verdict
+    catalog = verify.hendrickson_catalog(7) + [
+        ("cycle(6)", generate("cycle", [6])),
+        ("K4-minus-edge-plus-pendant",
+         Graph.from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]))]
+    monkeypatch.setattr(verify, "hendrickson_catalog", lambda n_max: catalog)
+    monkeypatch.setattr(verify, "global_rigidity_oracle", counted)
+    monkeypatch.setattr(verify.SuiteReport, "record",
+                        lambda self, ok, **detail: records.append((ok, detail)))
+    verify.hendrickson_oracle(n_max=7, trials=3, seed=2)
+    assert passes == [G for _, G in catalog]
+    # the verdicts of the two-pass suite: is_rigid_numeric first, then the oracle
+    flexible = []
+    for (name, G), (ok, detail) in zip(catalog, records, strict=True):
+        assert ok and detail["graph"] == name
+        if not is_rigid_numeric(G, trials=3, seed=2):
+            flexible.append(name)
+            assert detail == {"graph": name, "note": "flexible"}
+        else:
+            assert detail["combinatorial"] == is_hendrickson(G)
+            assert detail["oracle"] == global_rigidity_oracle(G, trials=3, seed=2)
+    assert flexible == ["cycle(6)", "K4-minus-edge-plus-pendant"]
+
+
+def test_hendrickson_oracle_rejects_zero_trials():
+    from linerig.verify import hendrickson_oracle
+    with pytest.raises(DomainError, match="trials"):
+        hendrickson_oracle(n_max=5, trials=0)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linerig.errors import ConvergenceError, DomainError
 from linerig.graphs import generate
@@ -201,7 +203,24 @@ def test_sampler_first_attempt_at_n40_to_60():
     assert first >= 8
 
 
-def test_line_sample_keeps_attempt_log():
+def _replace_first_projection(monkeypatch, first) -> None:
+    """Route the sampler's first projection to `first`, which makes it retry."""
+    import linerig.sampler as sampler
+    project, calls = sampler.gauss_newton_project, []
+
+    def patched(G, x0, **kwargs):
+        calls.append(1)
+        return (first if len(calls) == 1 else project)(G, x0, **kwargs)
+
+    monkeypatch.setattr(sampler, "gauss_newton_project", patched)
+
+
+def _stall(G, x0, **kwargs):
+    raise ConvergenceError("forced stall", 1.0)
+
+
+def test_line_sample_keeps_attempt_log(monkeypatch):
+    _replace_first_projection(monkeypatch, _stall)
     G = generate("laman_random", [40], seed=5)
     info = sample_laman_lines_info(G, seed=5)
     assert info.attempts > 1
@@ -210,8 +229,72 @@ def test_line_sample_keeps_attempt_log():
     assert all("certified" not in entry for entry in info.log[:-1])
 
 
-def test_certification_rate_is_certified_per_attempt():
+def test_certification_rate_is_certified_per_attempt(monkeypatch):
     from linerig.verify import theorem_main
+    _replace_first_projection(monkeypatch, _stall)
     rep = theorem_main(seeds=4, n_max=30, seed=10)
     assert rep.ok and rep.info["sampler_retries"] > 0
     assert rep.info["certification_rate"] == round(4 / (4 + rep.info["sampler_retries"]), 4)
+
+
+def test_sampler_first_attempt_at_n100():
+    for seed in range(5):
+        G = generate("laman_random", [100], seed=seed)
+        info = sample_laman_lines_info(G, seed=seed)
+        assert info.attempts == 1, info.log
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 30), graph_seed=st.integers(0, 10**6), seed=st.integers(0, 10**6))
+def test_sample_is_certified_within_tolerance_and_distinct(n, graph_seed, seed):
+    G = generate("laman_random", [n], seed=graph_seed)
+    info = sample_laman_lines_info(G, seed=seed)
+    assert info.report.certified and info.report.jacobian_rank == 2 * n - 3
+    assert _per_edge_residual(G, info.config) <= 1e-10
+    X = info.config.as_array()
+    gap = min(np.abs(X[i] - X[j]).max() for i in range(n) for j in range(i + 1, n))
+    assert gap > 1e-8 * (1.0 + np.abs(X).max())
+
+
+def test_coincident_projection_is_retried(monkeypatch):
+    # every line on the first one: K2's one incidence holds
+    _replace_first_projection(
+        monkeypatch, lambda G, x0, **kwargs: LineConfig.from_rows([x0.coords()[0]] * G.n))
+    info = sample_laman_lines_info(generate("complete", [2]), seed=0)
+    assert info.log[0] == "attempt 1: two lines coincide" and info.attempts == 2
+
+
+# sample_laman_lines_exact(laman_random(6, seed 2), seed=2), as constructed before
+# the duplicate-line test was batched; the n = 30 draw below is held by its digest
+_EXACT_PIN = [
+    ["-3261/11", "3803/11", "9/11", "1/11"], ["-8715/29", "9473/29", "27/29", "18/29"],
+    ["-251", "295", "-4/9", "3/2"], ["-16107/16", "211/16", "1315/64", "597/64"],
+    ["633", "-911", "-25", "35"], ["-742", "-136", "30", "4"]]
+
+
+def _exact_rows(n: int, seed: int) -> list:
+    cfg = sample_laman_lines_exact(generate("laman_random", [n], seed=seed), seed=seed)
+    return [[str(x) for x in row] for row in cfg.coords()]
+
+
+def test_sample_exact_output_is_pinned():
+    import hashlib
+    assert _exact_rows(6, 2) == _EXACT_PIN
+    digest = hashlib.sha256(repr(_exact_rows(30, 1)).encode()).hexdigest()
+    assert digest == "8ce4f1b99102d8473a64f5ae715946c23bdfc21fb3be627138eb60517a3901e5"
+
+
+def test_fresh_matches_lines_coincident():
+    from linerig.lines3d import Line, lines_coincident
+    from linerig.sampler import _fresh
+    rng = np.random.default_rng(3)
+    for _ in range(400):
+        k = int(rng.integers(1, 6))
+        # rows of different magnitudes, so that each pair's own scale matters
+        placed = rng.integers(-300, 301, size=(k, 4)) * 10.0 ** rng.integers(-2, 3, size=(k, 1))
+        row = placed[rng.integers(k)]
+        # a copy of one placed line, moved by amounts around the tolerance
+        step = rng.choice([0.0, 0.5, 0.9, 1.1, 2.0], size=4) * rng.choice([-1, 1], size=4)
+        line = Line(*(row + step * 1e-8 * (1.0 + np.abs(row).max())).tolist())
+        want = all(not lines_coincident(line, Line(*other), 1e-8) for other in placed.tolist())
+        assert _fresh(line, placed, 1e-8) == want
