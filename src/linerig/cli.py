@@ -30,7 +30,7 @@ from .numeric import (global_rigidity_oracle, line_system_dimension, line_system
                       pair_system_dimension, pair_system_jacobian, rigidity_rank)
 from .sampler import gauss_newton_project, sample_congruent_pair, sample_knn, \
     sample_laman_lines_info
-from .sparsity import is_laman, is_redundant, sparsity_rank
+from .sparsity import is_redundant, sparsity_rank
 from .verify import SUITES
 
 
@@ -72,7 +72,7 @@ def analyze_graph(G: Graph, seed: int = 0, trials: int = 5, tol: float = 1e-8,
     exact_rank = rigidity_rank(G, trials=trials, seed=seed, exact=True) if exact else None
     return AnalysisReport(
         n=G.n, m=G.m, sparsity_rank=rank, rigidity_rank=rrank,
-        laman=is_laman(G), rigid=rigid, redundant=redundant,
+        laman=G.m == 2 * G.n - 3 and rank == G.m, rigid=rigid, redundant=redundant,
         three_connected=three, hendrickson=hend, globally_rigid=glob,
         seed=seed, trials=trials, tol=tol, rigidity_rank_exact=exact_rank)
 

@@ -28,59 +28,51 @@ def sparsity_rank(G: Graph) -> SparsityRankResult:
     Every vertex starts with 2 pebbles. An edge is independent iff 4 pebbles can
     be gathered onto its endpoints by pulling free pebbles along directed accepted
     edges (reversing the path); accepting the edge spends one pebble of its tail.
-    Acceptance is order-insensitive per edge, so the witness is exactly the greedy
-    maximum independent subset in canonical edge order.
+    Independence does not depend on the order of the searches, so the witness is
+    exactly the greedy maximum independent subset in canonical edge order.
     """
     if G.n < 2:
         raise DomainError("sparsity rank needs at least 2 vertices")
     pebbles = [2] * G.n
-    out: list[set[int]] = [set() for _ in range(G.n)]
+    out: list[list[int]] = [[] for _ in range(G.n)]
     accepted: list[Edge] = []
     for u, v in G.edges:
-        if _gather(pebbles, out, u, v):
+        while pebbles[u] + pebbles[v] < 4:
+            if not (_pull_pebble(pebbles, out, u, v) or _pull_pebble(pebbles, out, v, u)):
+                break
+        else:
             pebbles[u] -= 1
-            out[u].add(v)
+            out[u].append(v)
             accepted.append((u, v))
     return SparsityRankResult(len(accepted), tuple(accepted))
 
 
-def _gather(pebbles: list[int], out: list[set[int]], u: int, v: int) -> bool:
-    # 4 pebbles on {u, v} certify that the edge is independent (2k - l + 1 for k=2, l=3).
-    while pebbles[u] + pebbles[v] < 4:
-        if not (_pull_pebble(pebbles, out, u, (u, v)) or _pull_pebble(pebbles, out, v, (u, v))):
-            return False
-    return True
+def _pull_pebble(pebbles: list[int], out: list[list[int]], root: int, other: int) -> bool:
+    """DFS from root along directed edges for a free pebble on a vertex other than `other`.
 
-
-def _pull_pebble(pebbles: list[int], out: list[set[int]], root: int, blocked: tuple[int, int]) -> bool:
-    """DFS from root along directed edges for a free pebble outside `blocked`.
-
-    On success the path is reversed and the pebble moves to root.
+    Every vertex keeps ``pebbles[v] + len(out[v]) == 2``, so each ``out[v]`` holds at
+    most two heads. The search stops at the first free pebble it reaches; the path
+    to it is reversed and the pebble moves to root, which keeps the invariant.
     """
-    parent: dict[int, Optional[int]] = {root: None}
+    parent = {root: root}
     stack = [root]
-    found = -1
-    while stack and found < 0:
+    while stack:
         x = stack.pop()
-        for y in sorted(out[x]):
+        for y in out[x]:
             if y in parent:
                 continue
             parent[y] = x
-            if y not in blocked and pebbles[y] > 0:
-                found = y
-                break
+            if pebbles[y] and y != other:
+                pebbles[y] -= 1
+                while y != root:
+                    x = parent[y]
+                    out[x].remove(y)
+                    out[y].append(x)
+                    y = x
+                pebbles[root] += 1
+                return True
             stack.append(y)
-    if found < 0:
-        return False
-    pebbles[found] -= 1
-    node = found
-    while parent[node] is not None:
-        prev = parent[node]
-        out[prev].remove(node)
-        out[node].add(prev)
-        node = prev
-    pebbles[root] += 1
-    return True
+    return False
 
 
 def is_laman(G: Graph) -> bool:
@@ -101,11 +93,15 @@ def spanning_laman_subgraph(G: Graph) -> Optional[Graph]:
 
 
 def is_redundant(G: Graph) -> bool:
-    """Every single-edge deletion still leaves a spanning Laman subgraph."""
+    """Every single-edge deletion still leaves a spanning Laman subgraph.
+
+    A deletion keeps 2n - 3 edges only if there are at least 2n - 2 of them, so
+    sparser graphs (the edgeless ones included) are not redundant.
+    """
     if G.n < 2:
         raise DomainError("is_redundant needs at least 2 vertices")
     target = 2 * G.n - 3
-    return all(sparsity_rank(G.without_edge(*e)).rank == target for e in G.edges)
+    return G.m > target and all(sparsity_rank(G.without_edge(*e)).rank == target for e in G.edges)
 
 
 def is_hendrickson(G: Graph) -> bool:

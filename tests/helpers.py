@@ -51,6 +51,12 @@ def random_graph(rng: random.Random, n_max: int = 7, m_cap_slack: int = 3) -> Gr
     return Graph(n, tuple(sorted(rng.sample(all_edges, m))))
 
 
+def random_graph_of_degree(n: int, degree: int, seed: int) -> Graph:
+    """Random simple graph on n vertices with n * degree / 2 edges (all of K_n if fewer)."""
+    pairs = list(combinations(range(n), 2))
+    return Graph(n, tuple(sorted(random.Random(seed).sample(pairs, min(len(pairs), n * degree // 2)))))
+
+
 def random_flexible_graph(rng: random.Random, n_min: int = 4, n_max: int = 10) -> Graph:
     """Random spanning tree plus one extra edge: m = n <= 2n - 4, never rigid."""
     n = rng.randint(n_min, n_max)

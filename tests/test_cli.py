@@ -35,6 +35,15 @@ def test_analyze_cycle_not_rigid(tmp_path, capsys):
     assert code == 0 and rep["rigid"] is False and rep["globally_rigid"] is None
 
 
+def test_analyze_edgeless_graph_is_not_redundant(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text('{"n":5,"edges":[]}')
+    code, out, _ = run(capsys, "analyze", str(path))
+    rep = json.loads(out)
+    assert code == 0 and rep["rigid"] is False
+    assert rep["redundant"] is False and rep["hendrickson"] is False and rep["laman"] is False
+
+
 def test_analyze_laman_random(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(serialize_graph(generate("laman_random", [8], seed=1)))
@@ -251,16 +260,23 @@ def test_lines_common_degenerate(tmp_path, capsys, text, point, parallel, plane)
 def test_analyze_runs_each_check_once(monkeypatch):
     import linerig.cli as cli
     import linerig.sparsity as sparsity
-    calls = {"is_redundant": 0, "is_k_connected": 0}
+    calls = {"is_redundant": 0, "is_k_connected": 0, "sparsity_rank": 0}
     for module in (cli, sparsity):
         for name in calls:
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
-    rep = cli.analyze_graph(generate("wheel", [6]))
-    assert calls == {"is_redundant": 1, "is_k_connected": 1}
+    G = generate("wheel", [6])
+    rep = cli.analyze_graph(G)
+    # one game for the rank (laman derives from it), one per deletion for redundancy
+    assert calls == {"is_redundant": 1, "is_k_connected": 1, "sparsity_rank": G.m + 1}
     assert rep.hendrickson is True and rep.redundant and rep.three_connected
+    # a Laman graph has too few edges to be redundant: the rank's game is the only one
+    calls.update(dict.fromkeys(calls, 0))
+    rep = cli.analyze_graph(generate("laman_random", [8], seed=1))
+    assert calls == {"is_redundant": 1, "is_k_connected": 1, "sparsity_rank": 1}
+    assert rep.laman is True and rep.redundant is False
 
 
 def test_verify_passes_each_suite_its_own_flags(monkeypatch, capsys):

@@ -1,11 +1,14 @@
 import random
 
 import pytest
-from helpers import brute_sparsity_rank, random_graph
+from helpers import brute_sparsity_rank, random_graph, random_graph_of_degree
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linerig.errors import DomainError
 from linerig.graphs import Graph, catalog, generate
 from linerig.henneberg import Ext0, Ext1, apply_henneberg, extract_henneberg
+from linerig.numeric import rigidity_rank
 from linerig.sparsity import (is_hendrickson, is_laman, is_redundant,
                               spanning_laman_subgraph, sparsity_rank)
 
@@ -59,6 +62,11 @@ def test_redundant_examples():
         assert brute_sparsity_rank(W5.without_edge(*e)) == 2 * W5.n - 3
 
 
+def test_edgeless_graphs_are_not_redundant():
+    for n in range(2, 7):
+        assert not is_redundant(Graph(n))
+
+
 def test_hendrickson_examples():
     assert is_hendrickson(K4)
     assert is_hendrickson(W5)
@@ -107,3 +115,35 @@ def test_extensions_preserve_laman():
             e = rng.choice(H.edges)
             w = rng.choice([x for x in range(H.n) if x not in e])
             assert is_laman(apply_henneberg(steps + [Ext1(e[0], e[1], w)]))
+
+
+@settings(max_examples=30)
+@given(n=st.integers(20, 60), degree=st.integers(2, 8), seed=st.integers(0, 10**6))
+def test_rank_and_witness_match_generic_rigidity_up_to_60(n, degree, seed):
+    G = random_graph_of_degree(n, degree, seed)
+    res = sparsity_rank(G)
+    assert res.rank == rigidity_rank(G)
+    assert rigidity_rank(Graph(n, res.witness)) == len(res.witness)
+
+
+@settings(max_examples=40)
+@given(n=st.integers(4, 7), degree=st.integers(2, 6), seed=st.integers(0, 10**6))
+def test_witness_is_the_greedy_basis(n, degree, seed):
+    G = random_graph_of_degree(n, degree, seed)
+    greedy: list = []
+    for e in G.edges:
+        if brute_sparsity_rank(Graph(n, tuple(greedy) + (e,))) == len(greedy) + 1:
+            greedy.append(e)
+    assert sparsity_rank(G).witness == tuple(greedy)
+
+
+@settings(max_examples=15)
+@given(n=st.integers(8, 30), extra=st.integers(0, 12), drop=st.integers(0, 3), seed=st.integers(0, 10**6))
+def test_redundant_matches_numeric_deletions(n, extra, drop, seed):
+    G = generate("hendrickson_random", [n, extra], seed=seed)
+    for e in random.Random(seed).sample(G.edges, drop):
+        G = G.without_edge(*e)
+    target = 2 * G.n - 3
+    numeric = rigidity_rank(G) == target and all(
+        rigidity_rank(G.without_edge(*e)) == target for e in G.edges)
+    assert is_redundant(G) == numeric
