@@ -42,11 +42,18 @@ def to_line(a: Sequence[Scalar], b: Sequence[Scalar]) -> Line:
 
 
 def to_lines(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """to_line over arrays: the (..., 4) chart rows of the pairs (A[k], B[k]) of
-    two (..., 2) float point arrays."""
+    """to_line over arrays, coordinates first: the (4, ...) chart coordinates of the
+    pairs (A[:, k], B[:, k]) of two (2, ...) float point arrays. On (2, n, batch)
+    point arrays this is the (4, n, batch) layout of lines3d.point_kernel and
+    plane_kernel."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    return 0.5 * np.concatenate([A + B, A[..., 1:] - B[..., 1:], B[..., :1] - A[..., :1]], axis=-1)
+    X = np.empty((4, *A.shape[1:]))
+    np.add(A, B, out=X[:2])
+    np.subtract(A[1], B[1], out=X[2])
+    np.subtract(B[0], A[0], out=X[3])
+    X *= 0.5
+    return X
 
 
 def from_line(line: Line) -> PointPair:

@@ -17,9 +17,13 @@ arrays of edges): lines_meet, line_system_dimension and the sampler's Gauss-Newt
 projection share this one normalization, so a pair of lines near the origin is held
 to the same relative standard as a pair far from it.
 
-Common points and planes come from one array kernel over (..., n, 4) batches of
-configurations, common_points and common_planes, with boolean masks of where one
-was found; common_point and common_plane call it on a single LineConfig.
+Common points and planes come from one array kernel, point_kernel and
+plane_kernel, with boolean masks of where one was found. It works batch-last, on
+one contiguous (4, n, batch) array (batch_last), so that each sum or max over the
+lines of a configuration adds whole rows of the batch instead of reducing a short
+trailing axis, which numpy does many times slower. common_points and
+common_planes give it (..., n, 4) batches, common_point and common_plane a single
+LineConfig.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ class LineConfig:
         return len(self.lines)
 
     def as_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in ln.as_tuple()] for ln in self.lines], dtype=float)
+        return np.array([ln.as_tuple() for ln in self.lines], dtype=float)
 
     def coords(self) -> list[list[Scalar]]:
         return [list(ln.as_tuple()) for ln in self.lines]
@@ -189,17 +193,63 @@ def intersection_graph(L: LineConfig, tol: float = 1e-8) -> Graph:
     return Graph(L.n, tuple(edges))
 
 
-def _scaled_by_coordinate(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(T, cmax, unit) of a (..., n, 4) chart array: cmax is each configuration's
+def batch_last(X: np.ndarray) -> np.ndarray:
+    """The (4, n, batch) view of a (..., n, 4) chart array, its leading axes
+    flattened into the batch: coordinate k of line i of configuration j is
+    V[k, i, j]."""
+    X = np.asarray(X, dtype=float)
+    return X.reshape(-1, *X.shape[-2:]).transpose(2, 1, 0)
+
+
+def _scaled(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T, cmax, unit) of a (4, n, batch) chart array: cmax is each configuration's
     max |coordinate|, unit the power of two 2**-e with cmax = f * 2**e and
-    0.5 <= f < 1, and T the (4, ..., n) copy of X times unit, each coordinate
-    contiguous so that the kernels' reductions over the lines of a batch run on
-    contiguous rows. Scaled, every coordinate lies within 1, so the kernels'
-    squares neither overflow nor underflow; the product is exact, and the kernels
-    divide it back out of what they return."""
-    cmax = np.abs(X).max(axis=(-2, -1))
+    0.5 <= f < 1, and T the contiguous (4, n, batch) copy of V times unit. Scaled,
+    every coordinate lies within 1, so the kernels' squares neither overflow nor
+    underflow; the product is exact, and the kernels divide it back out of what
+    they return."""
+    cmax = np.abs(V).max(axis=(0, 1))
     unit = np.ldexp(1.0, -np.frexp(cmax)[1])
-    return np.multiply(X.transpose(-1, *range(X.ndim - 1)), unit[..., None], order="C"), cmax, unit
+    return np.multiply(V, unit, order="C"), cmax, unit
+
+
+def _line_sum(A: np.ndarray) -> np.ndarray:
+    """A summed over axis -2, its lines, one line after another. In a batch numpy
+    adds whole rows of the batch in line order; a batch of one has its lines
+    contiguous, where numpy's sum goes pairwise from 8 terms on, so that case
+    takes the last partial sum of the running sum instead: a configuration gets
+    the same bits alone as in any batch."""
+    if A.shape[-1] != 1:
+        return A.sum(axis=-2)
+    return np.add.accumulate(A, axis=-2)[..., -1, :]
+
+
+# the least positive float: np.maximum(s, _TINY) is s wherever s > 0, and turns
+# an exact 0 into a divisor that leaves the 0 it divides as 0
+_TINY = np.finfo(float).smallest_subnormal
+
+
+def point_kernel(V: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """common_points on a (4, n, batch) chart array (see batch_last): the (3, batch)
+    points and the (batch,) masks found and parallel."""
+    T, cmax, unit = _scaled(V)
+    _, n, batch = T.shape
+    mean = _line_sum(T) / n
+    C = T - mean[:, None]
+    D = C[2:]
+    scale = tol * (1.0 + cmax) * unit
+    parallel = (T[2:].max(axis=1) - T[2:].min(axis=1)).max(axis=0) <= scale
+    # the centered directions D are all 0 only where every direction agrees, and
+    # the numerator with them; 0.0 - q rather than -q, so that a zero z is +0.0
+    # (nu below likewise)
+    z = 0.0 - (_line_sum((C[:2] * D).reshape(2 * n, batch))
+               / np.maximum(_line_sum((D * D).reshape(2 * n, batch)), _TINY))
+    # line i misses (x, y, z) = mean[:2] + mean[2:] * z by C[:2, i] + D[:, i] * z
+    miss = D * z
+    miss += C[:2]
+    resid = np.abs(miss, out=miss).max(axis=(0, 1))
+    found = ~parallel & (resid <= scale * (1.0 + np.abs(z)))
+    return np.concatenate([(mean[:2] + mean[2:] * z) / unit, z[None]]), found, parallel
 
 
 def common_points(X: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -213,23 +263,10 @@ def common_points(X: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndar
     a common point at infinity; `found` marks the other configurations whose worst
     residual is within tol * (1 + max |coord|) * (1 + |z|).
     """
-    T, cmax, unit = _scaled_by_coordinate(np.asarray(X, dtype=float))
-    a, b, c, d = T
-    mean = T.sum(axis=-1, keepdims=True) / T.shape[-1]
-    ac, bc, cc, dc = T - mean
-    scale = tol * (1.0 + cmax) * unit
-    parallel = (T[2:].max(axis=-1) - T[2:].min(axis=-1)).max(axis=0) <= scale
-    num = (ac * cc + bc * dc).sum(axis=-1, keepdims=True)
-    den = (cc * cc + dc * dc).sum(axis=-1, keepdims=True)
-    # den is 0 only where every direction agrees, and num with it; 0.0 - q rather
-    # than -q, so that a zero z is +0.0 (nu below likewise)
-    z = 0.0 - num / np.where(den > 0, den, 1.0)
-    x, y = mean[0] + mean[2] * z, mean[1] + mean[3] * z
-    resid = np.maximum(np.abs(x - c * z - a), np.abs(y - d * z - b)).max(axis=-1)
-    found = ~parallel & (resid <= scale * (1.0 + np.abs(z[..., 0])))
-    points = np.concatenate([x, y, z], axis=-1)
-    points[..., :2] /= unit[..., None]
-    return points, found, parallel
+    X = np.asarray(X, dtype=float)
+    lead = X.shape[:-2]
+    points, found, parallel = point_kernel(batch_last(X), tol)
+    return points.T.reshape(*lead, 3), found.reshape(lead), parallel.reshape(lead)
 
 
 def _plane_system(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,6 +274,48 @@ def _plane_system(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A = np.zeros((len(X), 2, 3))
     A[:, 0, :2], A[:, 1, :2], A[:, 1, 2] = X[:, 2:], X[:, :2], 1.0
     return A.reshape(-1, 3), np.tile([1.0, 0.0], len(X))
+
+
+def _plane_solution(T: np.ndarray, V: np.ndarray, cmax: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """The (3, batch) least-squares (lam, mu, nu) of the scaled lines T = V * unit
+    (see _scaled): lam and mu are those of V divided by unit, nu is the same."""
+    _, n, batch = T.shape
+    mean = _line_sum(T[:2]) / n
+    # the columns u = (c, a - mean a) and w = (d, b - mean b) of the system in
+    # (lam, mu)
+    u, w = np.concatenate([T[2:], T[:2] - mean[:, None]], axis=1)
+    r11 = np.sqrt(_line_sum(u * u))
+    q1 = u / np.maximum(r11, _TINY)
+    r12 = _line_sum(q1 * w)
+    w -= r12 * q1
+    r22 = np.sqrt(_line_sum(w * w))
+    ok = np.minimum(r11, r22) > 1e-10 * (1.0 + cmax) * unit
+    # the right-hand side (1, ..., 1, 0, ..., 0) with its q1 component removed
+    y1 = _line_sum(q1[:n])
+    rhs = -y1 * q1
+    rhs[:n] += 1.0
+    r22 = np.where(ok, r22, 1.0)
+    mu = _line_sum(w / r22 * rhs) / r22
+    lam = (y1 - r12 * mu) / np.where(ok, r11, 1.0)
+    sol = np.array([lam, mu, 0.0 - (lam * mean[0] + mu * mean[1])])
+    if not ok.all():
+        for k in np.flatnonzero(~ok):
+            sol[:, k] = np.linalg.lstsq(*_plane_system(V[:, :, k].T), rcond=None)[0]
+            sol[:2, k] /= unit[k]
+    return sol
+
+
+def plane_kernel(V: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """common_planes on a (4, n, batch) chart array (see batch_last): the (3, batch)
+    rows lam, mu, nu and the (batch,) mask found."""
+    T, cmax, unit = _scaled(V)
+    sol = _plane_solution(T, V, cmax, unit)
+    # rows (lam*a + mu*b, lam*c + mu*d) of every line, less (-nu, 1)
+    resid = (T.reshape(2, 2, *T.shape[1:]) * sol[:2, None]).sum(axis=1)
+    resid[0] += sol[2]
+    resid[1] -= 1.0
+    sol[:2] *= unit
+    return sol, np.abs(resid).max(axis=(0, 1)) <= tol * (1.0 + cmax) * (1.0 + np.abs(sol).max(axis=0))
 
 
 def common_planes(X: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
@@ -253,63 +332,37 @@ def common_planes(X: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndar
     worst residual within tol * (1 + max |coord|) * (1 + max |lam, mu, nu|).
     """
     X = np.asarray(X, dtype=float)
-    n = X.shape[-2]
-    T, cmax, unit = _scaled_by_coordinate(X)
-    unit = unit[..., None]
-    a, b, c, d = T
-    am, bm = T[:2].sum(axis=-1, keepdims=True) / n
-    u, w = np.concatenate([c, a - am], axis=-1), np.concatenate([d, b - bm], axis=-1)
-    r11 = np.sqrt((u * u).sum(axis=-1))[..., None]
-    q1 = u / np.where(r11 > 0, r11, 1.0)
-    r12 = (q1 * w).sum(axis=-1)[..., None]
-    w = w - r12 * q1
-    r22 = np.sqrt((w * w).sum(axis=-1))[..., None]
-    ok = np.minimum(r11, r22) > 1e-10 * (1.0 + cmax)[..., None] * unit
-    # the right-hand side (1, ..., 1, 0, ..., 0) with its q1 component removed
-    y1 = q1[..., :n].sum(axis=-1)[..., None]
-    rhs = -y1 * q1
-    rhs[..., :n] += 1.0
-    r22 = np.where(ok, r22, 1.0)
-    mu = (w / r22 * rhs).sum(axis=-1)[..., None] / r22
-    lam = (y1 - r12 * mu) / np.where(ok, r11, 1.0)
-    # (lam, mu, nu) of the scaled lines; lam and mu are those of the original lines
-    # divided by unit, nu is the same
-    sol = np.concatenate([lam, mu, 0.0 - (lam * am + mu * bm)], axis=-1)
-    if not ok.all():
-        for k in map(tuple, np.argwhere(~ok[..., 0])):
-            sol[k] = np.linalg.lstsq(*_plane_system(X[k]), rcond=None)[0]
-            sol[k][:2] /= unit[k]
-    lam, mu, nu = sol[..., 0:1], sol[..., 1:2], sol[..., 2:3]
-    resid = np.maximum(np.abs(lam * c + mu * d - 1.0), np.abs(lam * a + mu * b + nu)).max(axis=-1)
-    sol[..., :2] *= unit
-    return sol, resid <= tol * (1.0 + cmax) * (1.0 + np.abs(sol).max(axis=-1))
+    lead = X.shape[:-2]
+    planes, found = plane_kernel(batch_last(X), tol)
+    return planes.T.reshape(*lead, 3), found.reshape(lead)
 
 
 def _checked_array(L: LineConfig, tol: float, name: str) -> np.ndarray:
+    """L as a (4, n, 1) batch_last array."""
     if L.n < 2:
         raise DomainError(f"{name} needs at least 2 lines")
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    return L.as_array()
+    return batch_last(L.as_array())
 
 
 def common_point(L: LineConfig, tol: float = 1e-8) -> Optional[Concurrency]:
     """Least-squares common point of all lines, or the all-parallel flag, or None
-    (common_points on one configuration)."""
-    points, found, parallel = common_points(_checked_array(L, tol, "common_point"), tol)
-    if parallel:
+    (point_kernel on one configuration)."""
+    points, found, parallel = point_kernel(_checked_array(L, tol, "common_point"), tol)
+    if parallel[0]:
         return Concurrency(point=None, parallel=True)
-    if found:
-        return Concurrency(point=tuple(points.tolist()))
+    if found[0]:
+        return Concurrency(point=tuple(points[:, 0].tolist()))
     return None
 
 
 def common_plane(L: LineConfig, tol: float = 1e-8) -> Optional[Plane]:
     """Least-squares common non-vertical plane z = lam*x + mu*y + nu, or None
-    (common_planes on one configuration). Vertical planes are outside the chart
+    (plane_kernel on one configuration). Vertical planes are outside the chart
     and report as None."""
-    plane, found = common_planes(_checked_array(L, tol, "common_plane"), tol)
-    return Plane(*plane.tolist()) if found else None
+    plane, found = plane_kernel(_checked_array(L, tol, "common_plane"), tol)
+    return Plane(*plane[:, 0].tolist()) if found[0] else None
 
 
 def pair_intersection(l1: Line, l2: Line, tol: float = 1e-8) -> Optional[Point3]:

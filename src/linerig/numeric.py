@@ -271,17 +271,21 @@ def _trial_rngs(seed: int, trials: int) -> list[np.random.Generator]:
 
 def rigidity_rank(G: Graph, trials: int = 5, seed: int = 0, exact: bool = False) -> int:
     """Max rigidity-matrix rank over random integer embeddings; with exact=True
-    every rank is rank_exact's, over the same embeddings."""
+    every rank is rank_exact's, over the same embeddings. Returns at the first
+    trial that reaches min(m, 2n - 3), a rank no embedding exceeds; each trial
+    draws from its own generator, so the trials run are those of the full loop."""
     if G.n < 2:
         raise DomainError("rigidity rank needs at least 2 vertices")
     if trials < 1:
         raise DomainError("trials must be positive")
-    if G.m == 0:
-        return 0
-    embeddings = (random_embedding(G.n, rng) for rng in _trial_rngs(seed, trials))
-    if exact:
-        return max(rank_exact(rigidity_matrix(G, P)) for P in embeddings)
-    return max(float_rank(rigidity_matrix(G, P.astype(float))) for P in embeddings)
+    cap, best = min(G.m, 2 * G.n - 3), 0
+    for rng in _trial_rngs(seed, trials):
+        if best == cap:
+            break
+        P = random_embedding(G.n, rng)
+        best = max(best, rank_exact(rigidity_matrix(G, P)) if exact
+                   else float_rank(rigidity_matrix(G, P.astype(float))))
+    return best
 
 
 def is_rigid_numeric(G: Graph, trials: int = 5, seed: int = 0) -> bool:
@@ -397,7 +401,10 @@ def global_rigidity_oracle(G: Graph, trials: int = 5, seed: int = 0,
     the rigidity matrix as the stress, assembled into the n x n stress matrix
     sum_k stress_k (e_i - e_j)(e_i - e_j)^T. Minimally rigid graphs carry no
     nonzero stress and report rank 0. Raises DomainError when no trial's rigidity
-    matrix reaches rank 2n - 3, the graph being then not rigid.
+    matrix reaches rank 2n - 3, the graph being then not rigid. Returns once a
+    trial has shown rigidity and the remaining trials cannot change the
+    majority; each trial draws from its own generator, so stopping early changes
+    no other trial's draw.
     """
     if G.n < 4:
         raise DomainError("global rigidity oracle needs at least 4 vertices")
@@ -406,19 +413,19 @@ def global_rigidity_oracle(G: Graph, trials: int = 5, seed: int = 0,
     i, j = edge_index(G)
     rows, cols = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
     rigid, votes = False, 0
-    for rng in _trial_rngs(seed + 1, trials):
+    for left, rng in zip(range(trials - 1, -1, -1), _trial_rngs(seed + 1, trials)):
         R = rigidity_matrix(G, random_embedding(G.n, rng).astype(float))
         U, s, _ = np.linalg.svd(R, full_matrices=True)
         rank = _rank_cut(s, R.shape, tol)[0]
         rigid = rigid or rank == 2 * G.n - 3
         null_dim = G.m - rank
-        if null_dim == 0:
-            continue
-        stress = U[:, rank:] @ rng.normal(size=null_dim)
-        omega = np.zeros((G.n, G.n))
-        np.add.at(omega, (rows, cols), np.concatenate([-stress, -stress, stress, stress]))
-        if float_rank(omega, tol) == G.n - 3:
-            votes += 1
+        if null_dim > 0:
+            stress = U[:, rank:] @ rng.normal(size=null_dim)
+            omega = np.zeros((G.n, G.n))
+            np.add.at(omega, (rows, cols), np.concatenate([-stress, -stress, stress, stress]))
+            votes += float_rank(omega, tol) == G.n - 3
+        if rigid and (votes * 2 > trials or (votes + left) * 2 <= trials):
+            break
     if not rigid:
         raise DomainError("global rigidity oracle requires a rigid graph")
     return votes * 2 > trials

@@ -16,8 +16,8 @@ import numpy as np
 from .elekes_sharir import phi, reflection_at, to_line, to_lines
 from .errors import DomainError, SampleError
 from .graphs import Graph, generate
-from .lines3d import (Line, LineConfig, classify_triple, common_plane, common_planes,
-                      common_point, common_points, line_through, meet_residual, transversal)
+from .lines3d import (Line, Plane, classify_triple, common_planes, common_points, line_through,
+                      meet_residual, plane_kernel, point_kernel, transversal)
 from .numeric import (global_rigidity_oracle, line_system_jacobian, pair_system_dimension,
                       rank_exact, transversal_family_dimension)
 from .sampler import (knn_jacobian, sample_congruent_pair, sample_knn_params,
@@ -55,11 +55,19 @@ class SuiteReport:
         }
 
 
+def _at_least(value: int, least: int, name: str) -> None:
+    """A suite's size argument must leave it something to check."""
+    if value < least:
+        raise DomainError(f"{name} must be at least {least}")
+
+
 # ---------------------------------------------------------------------------
 # theorem-main: Laman graphs realize with certified local dimension 2n + 3
 
 
 def theorem_main(seeds: int = 50, n_max: int = 10, seed: int = 0) -> SuiteReport:
+    _at_least(seeds, 1, "seeds")
+    _at_least(n_max, 2, "n_max")
     rep = SuiteReport("theorem-main")
     attempts = certified = 0
     for k in range(seeds):
@@ -99,6 +107,7 @@ def _random_tree_plus_edge(n: int, rng: random.Random) -> Graph:
 
 
 def theorem_mainnec(count: int = 20, seed: int = 0) -> SuiteReport:
+    _at_least(count, 1, "count")
     rep = SuiteReport("theorem-mainnec")
     for k in range(count):
         rng = random.Random(f"mainnec:{seed}:{k}")
@@ -121,6 +130,8 @@ def theorem_mainnec(count: int = 20, seed: int = 0) -> SuiteReport:
 
 
 def lemma_complete(n_max: int = 10, seeds: int = 20, seed: int = 0) -> SuiteReport:
+    _at_least(n_max, 2, "n_max")
+    _at_least(seeds, 1, "seeds")
     rep = SuiteReport("lemma-complete")
     expected = {"concurrent": lambda n: 2 * n + 3,
                 "parallel": lambda n: 2 * n + 2,
@@ -237,6 +248,7 @@ def _family_members(lines: tuple[Line, Line, Line], tag: str, rng: random.Random
 
 
 def lemma_3lines(per_class: int = 100, seed: int = 0) -> SuiteReport:
+    _at_least(per_class, 1, "per_class")
     rep = SuiteReport("lemma-3lines")
     makers = {
         "concurrent_only": (lambda rng: _concurrent_triple(rng, False), 2),
@@ -263,15 +275,18 @@ def lemma_3lines(per_class: int = 100, seed: int = 0) -> SuiteReport:
 # four-lines: pairwise-intersecting quadruples are concurrent or coplanar
 
 
-def four_lines(trials: int = 10000, seed: int = 0, tol: float = 1e-8) -> SuiteReport:
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
-    rep = SuiteReport("four-lines")
-    cases: list[tuple[str, bool]] = []
-    charts: list[np.ndarray] = []
+def four_line_quadruples(trials: int, seed: int) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The four-lines suite's trials: each trial's mode, its four lines as a
+    (4, 4, trials) int64 batch_last array of chart coordinates times the trial's
+    denominator q, and the (trials,) q (1 unless the mode is coplanar). Trial k
+    draws from its own random.Random."""
+    modes: list[str] = []
+    quads: list[list[tuple[int, int, int, int]]] = []
+    dens: list[int] = []
     for k in range(trials):
         rng = random.Random(f"four-lines:{seed}:{k}")
         mode = "pencil" if k % 10 == 9 else ("concurrent" if k % 2 == 0 else "coplanar")
+        q = 1
         if mode == "concurrent":
             P = tuple(rng.randint(-20, 20) for _ in range(3))
             dirs = set()
@@ -285,27 +300,49 @@ def four_lines(trials: int = 10000, seed: int = 0, tol: float = 1e-8) -> SuiteRe
             mu, nu = rng.randint(-6, 6), rng.randint(-6, 6)
             ds = rng.sample(range(-12, 13), 4)
             bs = rng.sample(range(-12, 13), 4)
-            rows = [(Fraction(-nu - mu * b, lam), b, Fraction(1 - mu * d, lam), d)
-                    for b, d in zip(bs, ds)]
+            # the lines (-(nu + mu*b)/lam, b, (1 - mu*d)/lam, d) of the plane
+            # z = lam*x + mu*y + nu, times q = |lam|, so that a zero numerator
+            # divides back to +0.0, as float(Fraction(0)) is
+            q, s = abs(lam), (1 if lam > 0 else -1)
+            rows = [(s * (-nu - mu * b), q * b, s * (1 - mu * d), q * d) for b, d in zip(bs, ds)]
         else:  # pencil: concurrent and coplanar at once
             mu, nu = rng.randint(-5, 5), rng.randint(-5, 5)
             y0, z0 = rng.randint(-8, 8), rng.randint(-8, 8)
             x0 = z0 - mu * y0 - nu
             ds = rng.sample(range(-8, 9), 4)
             rows = [(x0 - (1 - mu * d) * z0, y0 - d * z0, 1 - mu * d, d) for d in ds]
-        cfg = LineConfig.from_rows(rows)
-        exact_zero = all(
-            meet_residual(cfg[i], cfg[j]) == 0 for i in range(4) for j in range(i + 1, 4))
-        cases.append((mode, exact_zero))
-        charts.append(cfg.as_array())
-    X = np.array(charts).reshape(trials, 4, 4)
-    _, point_found, parallel = common_points(X, tol)
-    _, plane_found = common_planes(X, tol)
-    for k, (mode, exact_zero) in enumerate(cases):
-        point_ok = bool(point_found[k] or parallel[k])
-        plane_ok = bool(plane_found[k])
-        rep.record(exact_zero and (point_ok or plane_ok), instance=k, mode=mode,
-                   exact_zero=exact_zero, common_point=point_ok, common_plane=plane_ok)
+        modes.append(mode)
+        quads.append(rows)
+        dens.append(q)
+    return modes, np.array(quads, dtype=np.int64).transpose(2, 1, 0), np.array(dens, dtype=np.int64)
+
+
+def pairwise_incident(V: np.ndarray) -> np.ndarray:
+    """Whether all lines of each configuration of an integer batch_last array
+    meet pairwise: the incidence residual of all C(n, 2) pairs is 0, in exact
+    int64 arithmetic. Scaling a configuration by q scales each residual by q**2,
+    so the answer is that of the configuration divided by q."""
+    i, j = np.triu_indices(V.shape[1], 1)
+    D = V[:, i] - V[:, j]
+    return (D[0] * D[3] == D[1] * D[2]).all(axis=0)
+
+
+def four_lines(trials: int = 10000, seed: int = 0, tol: float = 1e-8) -> SuiteReport:
+    _at_least(trials, 1, "trials")
+    if tol <= 0:
+        raise DomainError("tolerance must be positive")
+    rep = SuiteReport("four-lines")
+    modes, V, q = four_line_quadruples(trials, seed)
+    exact_zero = pairwise_incident(V).tolist()
+    # one correctly rounded division, as float(Fraction(p, q)) is
+    X = V / q
+    _, point_found, parallel = point_kernel(X, tol)
+    _, plane_found = plane_kernel(X, tol)
+    point_ok = (point_found | parallel).tolist()
+    plane_ok = plane_found.tolist()
+    for k, mode in enumerate(modes):
+        rep.record(exact_zero[k] and (point_ok[k] or plane_ok[k]), instance=k, mode=mode,
+                   exact_zero=exact_zero[k], common_point=point_ok[k], common_plane=plane_ok[k])
     return rep
 
 
@@ -313,99 +350,112 @@ def four_lines(trials: int = 10000, seed: int = 0, tol: float = 1e-8) -> SuiteRe
 # lemma-cong: distance <-> incidence, and motion recovery from images
 
 
-def lemma_cong(trials: int = 100000, seed: int = 0) -> SuiteReport:
-    rep = SuiteReport("lemma-cong")
-    rng = np.random.default_rng(seed)
+def _rotate(P: np.ndarray, co: np.ndarray, si: np.ndarray) -> np.ndarray:
+    """The (2, ...) points P turned about the origin by the angle of (co, si)."""
+    return np.array([co * P[0] - si * P[1], si * P[0] + co * P[1]])
 
-    # (1) distance <-> incidence, exact on integer inputs:
-    #     4 * g(to_line(a,b), to_line(c,d)) == |b-d|^2 - |a-c|^2 identically,
-    #     so the incidence residual vanishes exactly iff the distances agree.
-    pts = rng.integers(-1000, 1001, size=(trials, 4, 2)).astype(np.int64)
-    a, b, c, d = pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
-    ua, va = a + b, np.stack([a[:, 1] - b[:, 1], b[:, 0] - a[:, 0]], axis=1)
-    uc, vc = c + d, np.stack([c[:, 1] - d[:, 1], d[:, 0] - c[:, 0]], axis=1)
-    g4 = (ua[:, 0] - uc[:, 0]) * (va[:, 1] - vc[:, 1]) - (ua[:, 1] - uc[:, 1]) * (va[:, 0] - vc[:, 0])
-    dist_gap = ((b - d) ** 2).sum(axis=1) - ((a - c) ** 2).sum(axis=1)
-    exact_equiv = bool(np.all(g4 == dist_gap))
-    rep.record(exact_equiv, part="distance-incidence", trials=trials)
-    # spot-check the batched formula against the module transform
+
+def _distance_incidence(rng: np.random.Generator, trials: int, rep: SuiteReport) -> None:
+    """4 * g(to_line(a,b), to_line(c,d)) == |b-d|^2 - |a-c|^2 identically, so the
+    incidence residual vanishes exactly iff the distances agree: checked exactly
+    on integer inputs, batched, and spot-checked through the module transform."""
+    pts = rng.integers(-1000, 1001, size=(4, 2, trials))
+    a, b, c, d = pts
+    ua, va = a + b, np.array([a[1] - b[1], b[0] - a[0]])
+    uc, vc = c + d, np.array([c[1] - d[1], d[0] - c[0]])
+    g4 = (ua[0] - uc[0]) * (va[1] - vc[1]) - (ua[1] - uc[1]) * (va[0] - vc[0])
+    dist_gap = ((b - d) ** 2).sum(axis=0) - ((a - c) ** 2).sum(axis=0)
+    rep.record(bool(np.all(g4 == dist_gap)), part="distance-incidence", trials=trials)
     agree = all(
-        4 * meet_residual(to_line(pts[k, 0].tolist(), pts[k, 1].tolist()),
-                          to_line(pts[k, 2].tolist(), pts[k, 3].tolist())) == g4[k]
+        4 * meet_residual(to_line(*pts[:2, :, k].tolist()), to_line(*pts[2:, :, k].tolist())) == g4[k]
         for k in rng.integers(0, trials, size=50))
     rep.record(agree, part="distance-incidence-module-agreement", trials=50)
 
-    # (2) rotations: concurrent images recover the rotation to 1e-9
-    nb = trials
-    r = 4
-    A = rng.uniform(-10, 10, size=(nb, r, 2))
-    theta = rng.uniform(0.25, 2 * math.pi - 0.25, size=nb)
-    co, si = np.cos(theta), np.sin(theta)
-    center = rng.uniform(-5, 5, size=(nb, 1, 2))
-    rel = A - center
-    B = np.stack([co[:, None] * rel[..., 0] - si[:, None] * rel[..., 1],
-                  si[:, None] * rel[..., 0] + co[:, None] * rel[..., 1]], axis=-1) + center
-    sol = common_points(to_lines(A, B))[0]
-    tsol = sol[:, 2]
+
+def _rotation_recovery(rng: np.random.Generator, A: np.ndarray, rep: SuiteReport) -> None:
+    """Rotated images: the lines are concurrent, and their common point gives the
+    rotation back to 1e-9."""
+    theta = rng.uniform(0.25, 2 * math.pi - 0.25, size=A.shape[2])
+    center = rng.uniform(-5, 5, size=(2, 1, A.shape[2]))
+    B = _rotate(A - center, np.cos(theta), np.sin(theta)) + center
+    sol = point_kernel(to_lines(A, B))[0]
+    tsol = sol[2]
     denom = tsol ** 2 + 1.0
-    co2, si2 = (tsol ** 2 - 1.0) / denom, 2.0 * tsol / denom
-    relA = A - sol[:, None, 0:2]
-    Brec = np.stack([co2[:, None] * relA[..., 0] - si2[:, None] * relA[..., 1],
-                     si2[:, None] * relA[..., 0] + co2[:, None] * relA[..., 1]],
-                    axis=-1) + sol[:, None, 0:2]
-    worst_rot = float(np.max(np.abs(Brec - B)))
-    rep.record(worst_rot <= 1e-9, part="rotation-recovery", trials=trials, worst=worst_rot)
+    Brec = _rotate(A - sol[:2, None], (tsol ** 2 - 1.0) / denom, 2.0 * tsol / denom) + sol[:2, None]
+    worst = float(np.max(np.abs(Brec - B)))
+    rep.record(worst <= 1e-9, part="rotation-recovery", trials=A.shape[2], worst=worst)
 
-    # (3) reflections: coplanar images recover the reversing motion to 1e-9
-    phi_ang = rng.uniform(0, 2 * math.pi, size=nb)
+
+def _reflection_recovery(rng: np.random.Generator, A: np.ndarray, rep: SuiteReport) -> np.ndarray:
+    """Reflected images: the lines are coplanar, and their common plane gives the
+    reversing motion back to 1e-9. Returns the images."""
+    phi_ang = rng.uniform(0, 2 * math.pi, size=A.shape[2])
     co, si = np.cos(phi_ang), np.sin(phi_ang)
-    t = rng.uniform(-5, 5, size=(nb, 1, 2))
-    B = np.stack([co[:, None] * A[..., 0] + si[:, None] * A[..., 1],
-                  si[:, None] * A[..., 0] - co[:, None] * A[..., 1]], axis=-1) + t
-    sol = common_planes(to_lines(A, B))[0]
-    wnorm = np.hypot(sol[:, 0], sol[:, 1])
-    e1 = sol[:, 0:2] / wnorm[:, None]
-    e2 = np.stack([-e1[:, 1], e1[:, 0]], axis=-1)
-    proj = (A * e1[:, None, :]).sum(axis=-1) + (sol[:, 2] / wnorm)[:, None]
-    Brec = A - 2.0 * proj[..., None] * e1[:, None, :] - (2.0 / wnorm)[:, None, None] * e2[:, None, :]
-    worst_ref = float(np.max(np.abs(Brec - B)))
-    rep.record(worst_ref <= 1e-9, part="reflection-recovery", trials=trials, worst=worst_ref)
+    t = rng.uniform(-5, 5, size=(2, 1, A.shape[2]))
+    B = np.array([co * A[0] + si * A[1], si * A[0] - co * A[1]]) + t
+    sol = plane_kernel(to_lines(A, B))[0]
+    wnorm = np.hypot(sol[0], sol[1])
+    e1 = sol[:2] / wnorm
+    e2 = np.array([-e1[1], e1[0]])
+    proj = (A * e1[:, None]).sum(axis=0) + sol[2] / wnorm
+    Brec = A - 2.0 * proj * e1[:, None] - (2.0 / wnorm) * e2[:, None]
+    worst = float(np.max(np.abs(Brec - B)))
+    rep.record(worst <= 1e-9, part="reflection-recovery", trials=A.shape[2], worst=worst)
+    return B
 
-    # (4) collinear preimages: transform image concurrent AND coplanar, image collinear
-    ts = rng.uniform(-5, 5, size=(nb, r))
-    base = rng.uniform(-4, 4, size=(nb, 1, 2))
-    direction = rng.uniform(-2, 2, size=(nb, 1, 2)) + 0.25
-    A4 = base + ts[..., None] * direction
+
+def _collinear_preimages(rng: np.random.Generator, r: int, nb: int,
+                         rep: SuiteReport) -> tuple[np.ndarray, np.ndarray]:
+    """Collinear points and their rotated images: the lines are concurrent and
+    coplanar at once, and the images collinear. Returns the points and images."""
+    ts = rng.uniform(-5, 5, size=(r, nb))
+    base = rng.uniform(-4, 4, size=(2, 1, nb))
+    direction = rng.uniform(-2, 2, size=(2, 1, nb)) + 0.25
+    A4 = base + ts * direction
     theta = rng.uniform(0.3, 2 * math.pi - 0.3, size=nb)
-    co, si = np.cos(theta), np.sin(theta)
-    center = rng.uniform(-5, 5, size=(nb, 1, 2))
-    rel = A4 - center
-    B4 = np.stack([co[:, None] * rel[..., 0] - si[:, None] * rel[..., 1],
-                   si[:, None] * rel[..., 0] + co[:, None] * rel[..., 1]], axis=-1) + center
+    center = rng.uniform(-5, 5, size=(2, 1, nb))
+    B4 = _rotate(A4 - center, np.cos(theta), np.sin(theta)) + center
     X4 = to_lines(A4, B4)
-    conc_ok = common_points(X4)[1]
-    plane_ok = common_planes(X4)[1]
+    conc_ok = point_kernel(X4)[1]
+    plane_ok = plane_kernel(X4)[1]
     db = B4 - B4[:, :1]
-    cross = np.abs(db[..., 0] * db[:, 1:2, 1] - db[..., 1] * db[:, 1:2, 0]).max(axis=1)
-    coll_ok = cross <= 1e-8 * (1.0 + np.abs(B4).max(axis=(1, 2))) ** 2
+    cross = np.abs(db[0] * db[1, 1:2] - db[1] * db[0, 1:2]).max(axis=0)
+    coll_ok = cross <= 1e-8 * (1.0 + np.abs(B4).max(axis=(0, 1))) ** 2
     bad = int(np.sum(~(conc_ok & plane_ok & coll_ok)))
-    rep.record(bad == 0, part="collinear-preimages", trials=trials, failures=bad)
-    # subsample through the module predicates
-    module_ok = True
-    for k in rng.integers(0, nb, size=50):
-        L = phi(A4[k].tolist(), B4[k].tolist())
-        cp = common_point(L)
-        pl = common_plane(L)
-        module_ok &= cp is not None and cp.point is not None and pl is not None
-    for k in rng.integers(0, nb, size=20):
-        L = phi(A[k].tolist(), B[k].tolist())
-        pl = common_plane(L)
-        if pl is None:
+    rep.record(bad == 0, part="collinear-preimages", trials=nb, failures=bad)
+    return A4, B4
+
+
+def _phi_stack(P: np.ndarray, Q: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """The (len(ks), n, 4) charts of phi(P[:, :, k], Q[:, :, k]) for k in ks."""
+    return np.array([phi(P[:, :, k].T.tolist(), Q[:, :, k].T.tolist()).as_array() for k in ks])
+
+
+def lemma_cong(trials: int = 100000, seed: int = 0) -> SuiteReport:
+    """Distance <-> incidence, and motion recovery from images. Every array is
+    batch_last: (coordinate, point or line, trial)."""
+    _at_least(trials, 1, "trials")
+    rep = SuiteReport("lemma-cong")
+    rng = np.random.default_rng(seed)
+    _distance_incidence(rng, trials, rep)
+    r = 4
+    A = rng.uniform(-10, 10, size=(2, r, trials))
+    _rotation_recovery(rng, A, rep)
+    B = _reflection_recovery(rng, A, rep)
+    A4, B4 = _collinear_preimages(rng, r, trials, rep)
+    # subsample through the module predicates: one stack of collinear preimages,
+    # one of reflections, each configuration built by phi
+    X = _phi_stack(A4, B4, rng.integers(0, trials, size=50))
+    module_ok = bool(np.all(common_points(X)[1] & common_planes(X)[1]))
+    ks = rng.integers(0, trials, size=20)
+    planes, found = common_planes(_phi_stack(A, B, ks))
+    for k, plane, ok in zip(ks, planes.tolist(), found.tolist()):
+        if not ok:
             module_ok = False
             continue
-        h = reflection_at(pl)
-        module_ok &= bool(np.max(np.abs(np.array(h.apply(A[k].tolist())) - B[k])) <= 1e-8)
-    rep.record(bool(module_ok), part="module-predicate-agreement", trials=70)
+        h = reflection_at(Plane(*plane))
+        module_ok &= bool(np.max(np.abs(np.array(h.apply(A[:, :, k].T.tolist())) - B[:, :, k].T)) <= 1e-8)
+    rep.record(module_ok, part="module-predicate-agreement", trials=70)
     return rep
 
 
@@ -434,8 +484,8 @@ def hendrickson_catalog(n_max: int = 8) -> list[tuple[str, Graph]]:
 
 
 def hendrickson_oracle(n_max: int = 8, trials: int = 5, seed: int = 0) -> SuiteReport:
-    if trials < 1:
-        raise DomainError("trials must be positive")
+    _at_least(n_max, 4, "n_max")
+    _at_least(trials, 1, "trials")
     rep = SuiteReport("hendrickson-oracle")
     for name, G in hendrickson_catalog(n_max):
         combinatorial = is_hendrickson(G)

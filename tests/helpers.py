@@ -66,6 +66,118 @@ def random_flexible_graph(rng: random.Random, n_min: int = 4, n_max: int = 10) -
     return Graph.from_edges(n, edges)
 
 
+def glued_on_edge(G1: Graph, G2: Graph, seed: int) -> Graph:
+    """G1 and G2 sharing one edge: a random edge of G2 is laid onto one of G1."""
+    rng = random.Random(seed)
+    (a, b), (c, d) = rng.choice(G1.edges), rng.choice(G2.edges)
+    fresh = iter(range(G1.n, G1.n + G2.n - 2))
+    label = [a if x == c else b if x == d else next(fresh) for x in range(G2.n)]
+    return Graph.from_edges(G1.n + G2.n - 2, G1.edges + tuple((label[i], label[j]) for i, j in G2.edges))
+
+
+# ---------------------------------------------------------------------------
+# The common-point / common-plane kernels as they were when they worked on a
+# (4, ..., n) copy of the chart array, each configuration's lines contiguous, so
+# that every reduction over lines ran along a short trailing axis. Frozen here as
+# the oracle that lines3d.common_points / common_planes are held to.
+
+
+def _rowmajor_scaled(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T, cmax, unit) of a (..., n, 4) chart array: cmax is each configuration's
+    max |coordinate|, unit the power of two 2**-e with cmax = f * 2**e and
+    0.5 <= f < 1, and T the (4, ..., n) copy of X times unit, each coordinate
+    contiguous so that the kernels' reductions over the lines of a batch run on
+    contiguous rows. Scaled, every coordinate lies within 1, so the kernels'
+    squares neither overflow nor underflow; the product is exact, and the kernels
+    divide it back out of what they return."""
+    cmax = np.abs(X).max(axis=(-2, -1))
+    unit = np.ldexp(1.0, -np.frexp(cmax)[1])
+    return np.multiply(X.transpose(-1, *range(X.ndim - 1)), unit[..., None], order="C"), cmax, unit
+
+
+def rowmajor_common_points(X: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares common point of every configuration in a (..., n, 4) chart
+    array: a line passes through (x, y, z) iff a = x - c*z and b = y - d*z. For a
+    fixed z the best (x, y) are the means of a + c*z and b + d*z, which leaves z in
+    closed form over the centered coordinates.
+
+    Returns (points, found, parallel): the (..., 3) points and two (...) masks.
+    `parallel` marks directions (c, d) that all agree within tol * (1 + max |coord|),
+    a common point at infinity; `found` marks the other configurations whose worst
+    residual is within tol * (1 + max |coord|) * (1 + |z|).
+    """
+    T, cmax, unit = _rowmajor_scaled(np.asarray(X, dtype=float))
+    a, b, c, d = T
+    mean = T.sum(axis=-1, keepdims=True) / T.shape[-1]
+    ac, bc, cc, dc = T - mean
+    scale = tol * (1.0 + cmax) * unit
+    parallel = (T[2:].max(axis=-1) - T[2:].min(axis=-1)).max(axis=0) <= scale
+    num = (ac * cc + bc * dc).sum(axis=-1, keepdims=True)
+    den = (cc * cc + dc * dc).sum(axis=-1, keepdims=True)
+    # den is 0 only where every direction agrees, and num with it; 0.0 - q rather
+    # than -q, so that a zero z is +0.0 (nu below likewise)
+    z = 0.0 - num / np.where(den > 0, den, 1.0)
+    x, y = mean[0] + mean[2] * z, mean[1] + mean[3] * z
+    resid = np.maximum(np.abs(x - c * z - a), np.abs(y - d * z - b)).max(axis=-1)
+    found = ~parallel & (resid <= scale * (1.0 + np.abs(z[..., 0])))
+    points = np.concatenate([x, y, z], axis=-1)
+    points[..., :2] /= unit[..., None]
+    return points, found, parallel
+
+
+def _rowmajor_plane_system(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 2n x 3 system lam*c + mu*d = 1, lam*a + mu*b + nu = 0 of one (n, 4) array."""
+    A = np.zeros((len(X), 2, 3))
+    A[:, 0, :2], A[:, 1, :2], A[:, 1, 2] = X[:, 2:], X[:, :2], 1.0
+    return A.reshape(-1, 3), np.tile([1.0, 0.0], len(X))
+
+
+def rowmajor_common_planes(X: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares common plane z = lam*x + mu*y + nu of every configuration in a
+    (..., n, 4) chart array: a line lies in it iff lam*c + mu*d = 1 and
+    lam*a + mu*b + nu = 0.
+
+    The best nu is -(lam mean a + mu mean b), and (lam, mu) come from modified
+    Gram-Schmidt on the two centered columns. Where those are dependent to within
+    1e-10 of the coordinate scale (all lines in one vertical plane, or one line
+    repeated), np.linalg.lstsq picks the minimum-norm (lam, mu, nu) instead.
+
+    Returns (planes, found): the (..., 3) rows (lam, mu, nu) and a (...) mask of the
+    worst residual within tol * (1 + max |coord|) * (1 + max |lam, mu, nu|).
+    """
+    X = np.asarray(X, dtype=float)
+    n = X.shape[-2]
+    T, cmax, unit = _rowmajor_scaled(X)
+    unit = unit[..., None]
+    a, b, c, d = T
+    am, bm = T[:2].sum(axis=-1, keepdims=True) / n
+    u, w = np.concatenate([c, a - am], axis=-1), np.concatenate([d, b - bm], axis=-1)
+    r11 = np.sqrt((u * u).sum(axis=-1))[..., None]
+    q1 = u / np.where(r11 > 0, r11, 1.0)
+    r12 = (q1 * w).sum(axis=-1)[..., None]
+    w = w - r12 * q1
+    r22 = np.sqrt((w * w).sum(axis=-1))[..., None]
+    ok = np.minimum(r11, r22) > 1e-10 * (1.0 + cmax)[..., None] * unit
+    # the right-hand side (1, ..., 1, 0, ..., 0) with its q1 component removed
+    y1 = q1[..., :n].sum(axis=-1)[..., None]
+    rhs = -y1 * q1
+    rhs[..., :n] += 1.0
+    r22 = np.where(ok, r22, 1.0)
+    mu = (w / r22 * rhs).sum(axis=-1)[..., None] / r22
+    lam = (y1 - r12 * mu) / np.where(ok, r11, 1.0)
+    # (lam, mu, nu) of the scaled lines; lam and mu are those of the original lines
+    # divided by unit, nu is the same
+    sol = np.concatenate([lam, mu, 0.0 - (lam * am + mu * bm)], axis=-1)
+    if not ok.all():
+        for k in map(tuple, np.argwhere(~ok[..., 0])):
+            sol[k] = np.linalg.lstsq(*_rowmajor_plane_system(X[k]), rcond=None)[0]
+            sol[k][:2] /= unit[k]
+    lam, mu, nu = sol[..., 0:1], sol[..., 1:2], sol[..., 2:3]
+    resid = np.maximum(np.abs(lam * c + mu * d - 1.0), np.abs(lam * a + mu * b + nu)).max(axis=-1)
+    sol[..., :2] *= unit
+    return sol, resid <= tol * (1.0 + cmax) * (1.0 + np.abs(sol).max(axis=-1))
+
+
 def finite_difference_jacobian(func, x0: np.ndarray, step: float = 1e-6) -> np.ndarray:
     """Central differences of a vector-valued function, to cross-check the
     library's analytic Jacobians."""

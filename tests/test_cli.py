@@ -98,6 +98,19 @@ def test_verify_dispatch_covers_every_suite(capsys):
         assert code == 0 and rep["ok"] is True, (suite, rep)
 
 
+@pytest.mark.parametrize("argv", [
+    ["lemma-cong", "--trials", "0"], ["lemma-cong", "--trials", "-3"],
+    ["four-lines", "--trials", "-2"], ["four-lines", "--trials", "0"],
+    ["lemma-3lines", "--per-class", "-1"], ["lemma-complete", "--n-max", "-1"],
+    ["lemma-complete", "--seeds", "0"], ["theorem-main", "--seeds", "0"],
+    ["theorem-main", "--n-max", "1"], ["theorem-mainnec", "--count", "0"],
+    ["hendrickson-oracle", "--n-max", "3"], ["hendrickson-oracle", "--trials", "0"],
+], ids=" ".join)
+def test_verify_size_leaving_nothing_to_check_exit_2(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == "" and err.startswith("error:") and "must be at least" in err
+
+
 def test_lines_graph_and_common(tmp_path, capsys):
     code, out, _ = run(capsys, "sample", "knn", "concurrent", "4", "--seed", "3")
     assert code == 0

@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import random_graph, random_graph_of_degree
+from helpers import glued_on_edge, random_graph, random_graph_of_degree
 
 from linerig.connectivity import is_k_connected
 from linerig.errors import DomainError
@@ -50,15 +50,6 @@ def test_agreement_with_networkx():
             assert is_k_connected(G, k) == (conn >= k), (G, k, conn)
 
 
-def _glued_on_edge(G1: Graph, G2: Graph, seed: int) -> Graph:
-    """G1 and G2 sharing one edge: a random edge of G2 is laid onto one of G1."""
-    rng = random.Random(seed)
-    (a, b), (c, d) = rng.choice(G1.edges), rng.choice(G2.edges)
-    fresh = iter(range(G1.n, G1.n + G2.n - 2))
-    label = [a if x == c else b if x == d else next(fresh) for x in range(G2.n)]
-    return Graph.from_edges(G1.n + G2.n - 2, G1.edges + tuple((label[i], label[j]) for i, j in G2.edges))
-
-
 def _with_pendants(G: Graph, count: int, seed: int) -> Graph:
     """G plus `count` new vertices, each joined to two vertices already there."""
     rng = random.Random(seed)
@@ -80,7 +71,7 @@ def _graphs_up_to_60(draw) -> Graph:
     if kind == "pendants":
         return _with_pendants(first, draw(st.integers(1, 60 - first.n)), seed)
     second = generate("hendrickson_random", [draw(st.integers(4, 32 - first.n // 2)), 2], seed=seed + 1)
-    return _glued_on_edge(first, second, seed)
+    return glued_on_edge(first, second, seed)
 
 
 @settings(max_examples=60)

@@ -30,12 +30,13 @@ def test_to_line_rotation_point_convention():
 
 def test_to_lines_matches_to_line():
     rng = np.random.default_rng(4)
-    A = rng.uniform(-10, 10, size=(3, 5, 2))
-    B = rng.uniform(-10, 10, size=(3, 5, 2))
+    A = rng.uniform(-10, 10, size=(2, 3, 5))
+    B = rng.uniform(-10, 10, size=(2, 3, 5))
     X = to_lines(A, B)
-    assert X.shape == (3, 5, 4)
+    assert X.shape == (4, 3, 5)
     for k in np.ndindex(3, 5):
-        assert tuple(X[k]) == to_line(A[k].tolist(), B[k].tolist()).as_tuple()
+        assert tuple(X[(slice(None), *k)]) == \
+            to_line(A[(slice(None), *k)].tolist(), B[(slice(None), *k)].tolist()).as_tuple()
 
 
 def test_from_line_examples():

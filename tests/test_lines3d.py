@@ -4,13 +4,17 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from helpers import rowmajor_common_planes, rowmajor_common_points
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from linerig.errors import DomainError
-from linerig.lines3d import (Line, LineConfig, Plane, classify_triple, common_plane,
-                             common_planes, common_point, common_points,
+from linerig.lines3d import (Line, LineConfig, Plane, batch_last, classify_triple,
+                             common_plane, common_planes, common_point, common_points,
                              intersection_graph, is_exact, line_through, lines_meet,
-                             meet_residual, pair_intersection, transversal,
-                             transversal_detail)
+                             meet_residual, pair_intersection, plane_kernel, point_kernel,
+                             transversal, transversal_detail)
 
 
 def test_meet_residual_examples():
@@ -272,6 +276,68 @@ def test_common_kernel_matches_lstsq_reference(n):
     grid = X.reshape(2, -1, n, 4)
     assert np.array_equal(common_points(grid)[0].reshape(-1, 3), points)
     assert np.array_equal(common_planes(grid)[1].reshape(-1), plane_found)
+
+
+@pytest.mark.parametrize("batch", [1, 7, 50])
+@pytest.mark.parametrize("n", [2, 3, 4, 9])
+def test_batch_last_kernels_match_the_row_major_oracle(n, batch):
+    """The (4, n, batch) kernels give the masks of the row-major kernels they
+    replaced, and values within 1e-12 of them (relative to 1 + the largest
+    |value|); points are compared where the lines are not all parallel."""
+    rng = np.random.default_rng(10 * n + batch)
+    for kind in KINDS:
+        X = _batch(kind, batch, n, rng)
+        points, point_found, parallel = common_points(X)
+        planes, plane_found = common_planes(X)
+        want_points, want_point_found, want_parallel = rowmajor_common_points(X)
+        want_planes, want_plane_found = rowmajor_common_planes(X)
+        assert np.array_equal(point_found, want_point_found), kind
+        assert np.array_equal(parallel, want_parallel), kind
+        assert np.array_equal(plane_found, want_plane_found), kind
+        for got, want in ((points[~parallel], want_points[~parallel]), (planes, want_planes)):
+            gap = np.abs(got - want).max(axis=-1, initial=0.0)
+            assert np.all(gap <= 1e-12 * (1.0 + np.abs(want).max(axis=-1, initial=0.0))), kind
+
+
+def _bits(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+@settings(max_examples=60)
+@given(st.data(), st.integers(2, 12), st.integers(2, 9))
+def test_kernel_on_a_batch_equals_the_kernel_on_each_item(data, n, size):
+    """Bit for bit, whatever the batch around a configuration: numpy sums the
+    lines of a lone configuration in the order it sums those of a batch."""
+    kind = data.draw(st.sampled_from(KINDS + ("drawn",)))
+    if kind == "drawn":
+        X = data.draw(hnp.arrays(float, (size, n, 4), elements=st.floats(-1e3, 1e3, width=32)))
+    else:
+        X = _batch(kind, size, n, np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))))
+    points, planes = common_points(X), common_planes(X)
+    for k in range(size):
+        assert _bits(*common_points(X[k])) == _bits(*(a[k] for a in points)), k
+        assert _bits(*common_planes(X[k])) == _bits(*(a[k] for a in planes)), k
+
+
+def test_kernels_read_batch_last_arrays():
+    """point_kernel and plane_kernel take the (4, n, batch) layout that
+    common_points and common_planes transpose to; a contiguous copy or a
+    strided view of it gives the same bits."""
+    X = _batch("concurrent", 6, 5, np.random.default_rng(8))
+    X0 = X.copy()
+    V = batch_last(X)
+    assert V.shape == (4, 5, 6) and np.shares_memory(V, X)
+    for view in (V, np.ascontiguousarray(V)):
+        points, found, parallel = point_kernel(view)
+        assert _bits(points.T, found, parallel) == _bits(*common_points(X0))
+        planes, found = plane_kernel(view)
+        assert _bits(planes.T, found) == _bits(*common_planes(X0))
+        assert np.array_equal(view, batch_last(X0))  # the kernels do not write to their input
+    # an empty batch has empty answers
+    points, found, parallel = common_points(np.zeros((0, 3, 4)))
+    assert points.shape == (0, 3) and found.shape == parallel.shape == (0,)
+    planes, found = common_planes(np.zeros((2, 0, 3, 4)))
+    assert planes.shape == (2, 0, 3) and found.shape == (2, 0)
 
 
 def test_common_point_kernel_near_parallel_matches_exact_least_squares():

@@ -362,3 +362,86 @@ def test_hendrickson_oracle_rejects_zero_trials():
     from linerig.verify import hendrickson_oracle
     with pytest.raises(DomainError, match="trials"):
         hendrickson_oracle(n_max=5, trials=0)
+
+
+def _full_rigidity_rank(G, trials=5, seed=0, exact=False):
+    """rigidity_rank as the maximum over every trial, with no early return."""
+    from linerig.numeric import _trial_rngs, float_rank, random_embedding, rigidity_matrix
+    if G.m == 0:
+        return 0
+    embeddings = (random_embedding(G.n, rng) for rng in _trial_rngs(seed, trials))
+    if exact:
+        return max(rank_exact(rigidity_matrix(G, P)) for P in embeddings)
+    return max(float_rank(rigidity_matrix(G, P.astype(float))) for P in embeddings)
+
+
+def _full_oracle(G, trials=5, seed=0, tol=1e-8):
+    """global_rigidity_oracle voting over every trial, with no early return."""
+    from linerig.numeric import (_rank_cut, _trial_rngs, edge_index, float_rank,
+                                 random_embedding, rigidity_matrix)
+    if G.n < 4:
+        raise DomainError("global rigidity oracle needs at least 4 vertices")
+    i, j = edge_index(G)
+    rows, cols = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
+    rigid, votes = False, 0
+    for rng in _trial_rngs(seed + 1, trials):
+        R = rigidity_matrix(G, random_embedding(G.n, rng).astype(float))
+        U, s, _ = np.linalg.svd(R, full_matrices=True)
+        rank = _rank_cut(s, R.shape, tol)[0]
+        rigid = rigid or rank == 2 * G.n - 3
+        if G.m - rank == 0:
+            continue
+        stress = U[:, rank:] @ rng.normal(size=G.m - rank)
+        omega = np.zeros((G.n, G.n))
+        np.add.at(omega, (rows, cols), np.concatenate([-stress, -stress, stress, stress]))
+        votes += float_rank(omega, tol) == G.n - 3
+    if not rigid:
+        raise DomainError("global rigidity oracle requires a rigid graph")
+    return votes * 2 > trials
+
+
+def test_early_exits_give_the_full_loops_outputs(monkeypatch):
+    """analyze and verify hendrickson-oracle stop their numeric passes once the
+    answer is decided; their outputs equal those of the loops over every trial."""
+    from helpers import glued_on_edge
+    import linerig.cli as cli
+    import linerig.verify as verify
+    graphs = [G for _, G in verify.hendrickson_catalog(8)]
+    graphs += [generate("hendrickson_random", [n, 6], seed=n) for n in (9, 14, 20)]
+    graphs += [glued_on_edge(generate("hendrickson_random", [n, 4], seed=n), generate("complete", [4]), n)
+               for n in (6, 10)]
+    graphs += [generate("cycle", [6]), Graph(5, ()), generate("path", [3])]
+
+    def outputs():
+        analyzed = [cli.analyze_graph(G, seed=seed, trials=trials).to_dict()
+                    for G in graphs for seed, trials in ((0, 5), (3, 4), (7, 1))]
+        analyzed += [cli.analyze_graph(G, seed=1, exact=True).to_dict() for G in graphs[:6]]
+        suites = [verify.hendrickson_oracle(n_max=8, trials=trials, seed=seed).to_dict()
+                  for seed, trials in ((0, 5), (2, 3))]
+        return analyzed, suites
+
+    early = outputs()
+    monkeypatch.setattr(cli, "rigidity_rank", _full_rigidity_rank)
+    monkeypatch.setattr(cli, "global_rigidity_oracle", _full_oracle)
+    monkeypatch.setattr(verify, "global_rigidity_oracle", _full_oracle)
+    assert early == outputs()
+
+
+def test_early_exits_skip_the_decided_trials(monkeypatch):
+    import linerig.numeric as numeric
+    drawn = []
+
+    def counted(n, rng, *args):
+        drawn.append(n)
+        return random_embedding(n, rng, *args)
+
+    random_embedding = numeric.random_embedding
+    monkeypatch.setattr(numeric, "random_embedding", counted)
+    W = generate("wheel", [6])
+    assert rigidity_rank(W) == 2 * W.n - 3 and len(drawn) == 1
+    drawn.clear()
+    # three yes votes of five decide a globally rigid graph
+    assert global_rigidity_oracle(W) and len(drawn) == 3
+    drawn.clear()
+    # a rigid graph that is not globally rigid: three no votes decide it too
+    assert not global_rigidity_oracle(generate("laman_random", [8], seed=1)) and len(drawn) == 3
