@@ -98,14 +98,6 @@ def _load_graph(path: str) -> Graph:
     return parse_graph(text, fmt)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--exact", action="store_true", help="confirm ranks in exact arithmetic")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     G = _load_graph(args.graph)
     report = analyze_graph(G, seed=args.seed, trials=args.trials, tol=args.tol,
@@ -211,25 +203,14 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_henneberg(args: argparse.Namespace) -> int:
-    if args.h_cmd == "extract":
-        G = _load_graph(args.graph)
-        steps, relabel = extract_henneberg(G)
+    if args.h_cmd in ("extract", "jj-extract"):
+        extract = extract_henneberg if args.h_cmd == "extract" else extract_jj
+        steps, relabel = extract(_load_graph(args.graph))
         _emit({"steps": json.loads(steps_to_json(steps)), "relabel": relabel}, args.format)
-        return 0
-    if args.h_cmd == "apply":
-        steps = steps_from_json(_read(args.steps))
-        print(serialize_graph(apply_henneberg(steps)))
-        return 0
-    if args.h_cmd == "jj-extract":
-        G = _load_graph(args.graph)
-        steps, relabel = extract_jj(G)
-        _emit({"steps": json.loads(steps_to_json(steps)), "relabel": relabel}, args.format)
-        return 0
-    if args.h_cmd == "jj-apply":
-        steps = steps_from_json(_read(args.steps))
-        print(serialize_graph(apply_jj(steps)))
-        return 0
-    raise LinerigError(f"unknown henneberg subcommand {args.h_cmd}")
+    else:
+        apply = apply_henneberg if args.h_cmd == "apply" else apply_jj
+        print(serialize_graph(apply(steps_from_json(_read(args.steps)))))
+    return 0
 
 
 def _cmd_es(args: argparse.Namespace) -> int:
@@ -268,119 +249,94 @@ def _cmd_es(args: argparse.Namespace) -> int:
     raise LinerigError(f"unknown es subcommand {args.es_cmd}")
 
 
+def _arg(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return names, kwargs
+
+
+# The options that several subcommands share; each leaf names the ones it reads.
+_COMMON = {
+    "seed": dict(type=int, default=0),
+    "tol": dict(type=float, default=1e-8),
+    "trials": dict(type=int, default=5),
+    "exact": dict(action="store_true", help="confirm ranks in exact arithmetic"),
+    "format": dict(choices=("json", "text"), default="json"),
+}
+
+# group: (dest naming its chosen leaf, help)
+_GROUPS = {
+    "lines": ("lines_cmd", "line-configuration geometry"),
+    "sample": ("sample_cmd", "randomized samplers"),
+    "henneberg": ("h_cmd", "construction sequences"),
+    "es": ("es_cmd", "point-pair / line transform"),
+}
+
+_ORIENTATION = _arg("--orientation", type=int, choices=(1, -1), default=1)
+_DUMP = _arg("--dump-jacobian", action="store_true")
+
+# One row per leaf subcommand: group (None at the top level), name, help, handler,
+# its own arguments (a bare name is a plain positional), the common options it reads.
+_COMMANDS = (
+    (None, "analyze", "full combinatorial + numeric report for a graph file", _cmd_analyze,
+     [_arg("graph", help="graph file (JSON or edge list), '-' for stdin")],
+     "seed tol trials exact format"),
+    (None, "verify", "run a named verification suite", _cmd_verify,
+     [_arg("suite", choices=sorted(SUITES)), _arg("--n-max", type=int, default=10),
+      _arg("--seeds", type=int, default=50), _arg("--count", type=int, default=20),
+      _arg("--per-class", type=int, default=100)], "seed tol trials format"),
+    (None, "gen", "emit a named catalog graph as JSON", _cmd_gen,
+     ["name", _arg("params", type=int, nargs="*")], "seed"),
+    ("lines", "graph", "intersection graph of a configuration", _cmd_lines, ["config"], "tol"),
+    ("lines", "meet", "incidence residual of two lines (8 numbers)", _cmd_lines,
+     [_arg("coords", type=float, nargs=8)], "format"),
+    ("lines", "common", "common point / plane of a configuration", _cmd_lines, ["config"],
+     "tol format"),
+    ("lines", "classify", "classify a triple of lines", _cmd_lines, ["config"], "tol format"),
+    ("lines", "transversal", "line through l3(s) meeting l1 and l2", _cmd_lines,
+     ["config", _arg("s", type=float)], "tol format"),
+    ("lines", "dim", "local dimension certificate of a graph's incidence system", _cmd_lines,
+     ["graph", "config", _DUMP], "tol format"),
+    ("sample", "laman", "certified line realization of a Laman graph", _cmd_sample, ["graph"],
+     "seed"),
+    ("sample", "knn", "complete-graph family configuration", _cmd_sample,
+     [_arg("kind", choices=("concurrent", "parallel", "coplanar")), _arg("n", type=int)], "seed"),
+    ("sample", "pair", "congruent embedding pair for a graph", _cmd_sample,
+     ["graph", _ORIENTATION], "seed"),
+    ("sample", "project", "Gauss-Newton projection onto a graph's incidence system", _cmd_sample,
+     ["graph", "config"], "tol"),
+    ("henneberg", "extract", None, _cmd_henneberg, ["graph"], "format"),
+    ("henneberg", "apply", None, _cmd_henneberg, ["steps"], ""),
+    ("henneberg", "jj-extract", None, _cmd_henneberg, ["graph"], "format"),
+    ("henneberg", "jj-apply", None, _cmd_henneberg, ["steps"], ""),
+    ("es", "map", "pair file -> line configuration", _cmd_es, ["pairs"], ""),
+    ("es", "invert", "line configuration -> pair file", _cmd_es, ["config"], ""),
+    ("es", "rotation", "rotation represented by a 3-space point", _cmd_es,
+     [_arg("point", type=float, nargs=3)], "format"),
+    ("es", "recover", "rigid motion taking p to p_prime", _cmd_es, ["pairs", _ORIENTATION],
+     "tol format"),
+    ("es", "dim", "local dimension certificate of the equal-lengths system", _cmd_es,
+     ["graph", "pairs", _DUMP], "tol format"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="linerig",
                                      description="Rigidity of graphs and line configurations in 3-space")
     parser.add_argument("--version", action="version", version=f"linerig {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="full combinatorial + numeric report for a graph file")
-    p.add_argument("graph", help="graph file (JSON or edge list), '-' for stdin")
-    _add_common(p)
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--seeds", type=int, default=50)
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--per-class", type=int, default=100)
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("gen", help="emit a named catalog graph as JSON")
-    p.add_argument("name")
-    p.add_argument("params", type=int, nargs="*")
-    _add_common(p)
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("lines", help="line-configuration geometry")
-    lsub = p.add_subparsers(dest="lines_cmd", required=True)
-    q = lsub.add_parser("graph", help="intersection graph of a configuration")
-    q.add_argument("config")
-    _add_common(q)
-    q.set_defaults(func=_cmd_lines)
-    q = lsub.add_parser("meet", help="incidence residual of two lines (8 numbers)")
-    q.add_argument("coords", type=float, nargs=8)
-    _add_common(q)
-    q.set_defaults(func=_cmd_lines)
-    q = lsub.add_parser("common", help="common point / plane of a configuration")
-    q.add_argument("config")
-    _add_common(q)
-    q.set_defaults(func=_cmd_lines)
-    q = lsub.add_parser("classify", help="classify a triple of lines")
-    q.add_argument("config")
-    _add_common(q)
-    q.set_defaults(func=_cmd_lines)
-    q = lsub.add_parser("transversal", help="line through l3(s) meeting l1 and l2")
-    q.add_argument("config")
-    q.add_argument("s", type=float)
-    _add_common(q)
-    q.set_defaults(func=_cmd_lines)
-    q = lsub.add_parser("dim", help="local dimension certificate of a graph's incidence system")
-    q.add_argument("graph")
-    q.add_argument("config")
-    q.add_argument("--dump-jacobian", action="store_true")
-    _add_common(q)
-    q.set_defaults(func=_cmd_lines)
-
-    p = sub.add_parser("sample", help="randomized samplers")
-    ssub = p.add_subparsers(dest="sample_cmd", required=True)
-    q = ssub.add_parser("laman", help="certified line realization of a Laman graph")
-    q.add_argument("graph")
-    _add_common(q)
-    q.set_defaults(func=_cmd_sample)
-    q = ssub.add_parser("knn", help="complete-graph family configuration")
-    q.add_argument("kind", choices=("concurrent", "parallel", "coplanar"))
-    q.add_argument("n", type=int)
-    _add_common(q)
-    q.set_defaults(func=_cmd_sample)
-    q = ssub.add_parser("pair", help="congruent embedding pair for a graph")
-    q.add_argument("graph")
-    q.add_argument("--orientation", type=int, choices=(1, -1), default=1)
-    _add_common(q)
-    q.set_defaults(func=_cmd_sample)
-    q = ssub.add_parser("project", help="Gauss-Newton projection onto a graph's incidence system")
-    q.add_argument("graph")
-    q.add_argument("config")
-    _add_common(q)
-    q.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("henneberg", help="construction sequences")
-    hsub = p.add_subparsers(dest="h_cmd", required=True)
-    for name, needs in (("extract", "graph"), ("apply", "steps"),
-                        ("jj-extract", "graph"), ("jj-apply", "steps")):
-        q = hsub.add_parser(name)
-        q.add_argument(needs)
-        _add_common(q)
-        q.set_defaults(func=_cmd_henneberg)
-
-    p = sub.add_parser("es", help="point-pair / line transform")
-    esub = p.add_subparsers(dest="es_cmd", required=True)
-    q = esub.add_parser("map", help="pair file -> line configuration")
-    q.add_argument("pairs")
-    _add_common(q)
-    q.set_defaults(func=_cmd_es)
-    q = esub.add_parser("invert", help="line configuration -> pair file")
-    q.add_argument("config")
-    _add_common(q)
-    q.set_defaults(func=_cmd_es)
-    q = esub.add_parser("rotation", help="rotation represented by a 3-space point")
-    q.add_argument("point", type=float, nargs=3)
-    _add_common(q)
-    q.set_defaults(func=_cmd_es)
-    q = esub.add_parser("recover", help="rigid motion taking p to p_prime")
-    q.add_argument("pairs")
-    q.add_argument("--orientation", type=int, choices=(1, -1), default=1)
-    _add_common(q)
-    q.set_defaults(func=_cmd_es)
-    q = esub.add_parser("dim", help="local dimension certificate of the equal-lengths system")
-    q.add_argument("graph")
-    q.add_argument("pairs")
-    q.add_argument("--dump-jacobian", action="store_true")
-    _add_common(q)
-    q.set_defaults(func=_cmd_es)
-
+    groups = {}
+    for group, name, help_, handler, arguments, common in _COMMANDS:
+        if group is not None and group not in groups:
+            dest, group_help = _GROUPS[group]
+            groups[group] = sub.add_parser(group, help=group_help).add_subparsers(
+                dest=dest, required=True)
+        # a leaf given no help stays out of its group's listing
+        p = groups.get(group, sub).add_parser(name, **({"help": help_} if help_ else {}))
+        for spec in arguments:
+            names, kwargs = ((spec,), {}) if isinstance(spec, str) else spec
+            p.add_argument(*names, **kwargs)
+        for option in common.split():
+            p.add_argument(f"--{option}", **_COMMON[option])
+        p.set_defaults(func=handler)
     return parser
 
 

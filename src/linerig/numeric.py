@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -151,10 +152,12 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> Optional[int]:
 
 
 def _as_exact_rows(M) -> list[list[Union[int, Fraction]]]:
-    rows = [list(row) for row in (M.tolist() if isinstance(M, np.ndarray) else M)]
-    bad = [x for row in rows for x in row if not is_exact(x)]
+    rows = M.tolist() if isinstance(M, np.ndarray) else M
+    # type, not isinstance, so that a bool is not taken for an int
+    bad = set(map(type, chain.from_iterable(rows))) - {int, Fraction}
     if bad:
-        raise DomainError(f"exact rank needs integer or rational entries, got {type(bad[0]).__name__}")
+        names = ", ".join(sorted(t.__name__ for t in bad))
+        raise DomainError(f"exact rank needs integer or rational entries, got {names}")
     return rows
 
 

@@ -16,8 +16,8 @@ import numpy as np
 from .elekes_sharir import phi, reflection_at, to_line, to_lines
 from .errors import DomainError, SampleError
 from .graphs import Graph, generate
-from .lines3d import (Line, Plane, classify_triple, common_planes, common_points, line_through,
-                      meet_residual, plane_kernel, point_kernel, transversal)
+from .lines3d import (Line, Plane, TripleClass, classify_triple, common_planes, common_points,
+                      line_through, meet_residual, plane_kernel, point_kernel, transversal)
 from .numeric import (global_rigidity_oracle, line_system_jacobian, pair_system_dimension,
                       rank_exact, transversal_family_dimension)
 from .sampler import (knn_jacobian, sample_congruent_pair, sample_knn_params,
@@ -151,7 +151,8 @@ def lemma_complete(n_max: int = 10, seeds: int = 20, seed: int = 0) -> SuiteRepo
 # lemma-3lines: transversal family dimension matches the triple classification
 
 
-def _concurrent_triple(rng: random.Random, coplanar: bool) -> tuple[Line, Line, Line]:
+def _concurrent_triple(rng: random.Random, coplanar: bool
+                       ) -> tuple[tuple[Line, ...], TripleClass]:
     while True:
         P = tuple(rng.randint(-10, 10) for _ in range(3))
         if coplanar:
@@ -162,37 +163,39 @@ def _concurrent_triple(rng: random.Random, coplanar: bool) -> tuple[Line, Line, 
             ds = rng.sample(range(-8, 9), 3)
             lines = tuple(Line(P[0] - (1 - mu * d) * P[2], P[1] - d * P[2], 1 - mu * d, d)
                           for d in ds)
-            return lines
+            return lines, classify_triple(*lines)
         dirs = set()
         while len(dirs) < 3:
             dirs.add((rng.randint(-10, 10), rng.randint(-10, 10)))
         lines = tuple(Line(P[0] - c * P[2], P[1] - d * P[2], c, d) for c, d in sorted(dirs))
         tc = classify_triple(*lines)
         if tc.tag == "concurrent_only":
-            return lines
+            return lines, tc
 
 
-def _coplanar_triple(rng: random.Random) -> tuple[Line, Line, Line]:
+def _coplanar_triple(rng: random.Random) -> tuple[tuple[Line, ...], TripleClass]:
     while True:
         mu, nu = rng.randint(-5, 5), rng.randint(-5, 5)
         ds = rng.sample(range(-8, 9), 3)
         bs = [rng.randint(-10, 10) for _ in range(3)]
         lines = tuple(Line(-nu - mu * b, b, 1 - mu * d, d) for b, d in zip(bs, ds))
-        if classify_triple(*lines).tag == "coplanar_only":
-            return lines
+        tc = classify_triple(*lines)
+        if tc.tag == "coplanar_only":
+            return lines, tc
 
 
-def _skew_triple(rng: random.Random) -> tuple[Line, Line, Line]:
+def _skew_triple(rng: random.Random) -> tuple[tuple[Line, ...], TripleClass]:
     while True:
         lines = tuple(Line(*(rng.randint(-15, 15) for _ in range(4))) for _ in range(3))
         try:
-            if classify_triple(*lines).tag == "pairwise_skew":
-                return lines
+            tc = classify_triple(*lines)
         except Exception:  # noqa: BLE001 - coincident draws simply retry
             continue
+        if tc.tag == "pairwise_skew":
+            return lines, tc
 
 
-def _mixed_triple(rng: random.Random) -> tuple[Line, Line, Line]:
+def _mixed_triple(rng: random.Random) -> tuple[tuple[Line, ...], TripleClass]:
     while True:
         P = tuple(rng.randint(-10, 10) for _ in range(3))
         (c1, d1), (c2, d2) = rng.sample([(c, d) for c in range(-6, 7) for d in range(-6, 7)], 2)
@@ -200,13 +203,14 @@ def _mixed_triple(rng: random.Random) -> tuple[Line, Line, Line]:
         l2 = Line(P[0] - c2 * P[2], P[1] - d2 * P[2], c2, d2)
         l3 = Line(*(rng.randint(-15, 15) for _ in range(4)))
         try:
-            if classify_triple(l1, l2, l3).tag == "two_concurrent_mixed":
-                return (l1, l2, l3)
+            tc = classify_triple(l1, l2, l3)
         except Exception:  # noqa: BLE001
             continue
+        if tc.tag == "two_concurrent_mixed":
+            return (l1, l2, l3), tc
 
 
-def _family_members(lines: tuple[Line, Line, Line], tag: str, rng: random.Random,
+def _family_members(lines: tuple[Line, ...], tc: TripleClass, tag: str, rng: random.Random,
                     count: int = 5) -> list[Line]:
     """Sample smooth members of the family of lines meeting all three.
 
@@ -218,7 +222,6 @@ def _family_members(lines: tuple[Line, Line, Line], tag: str, rng: random.Random
     from .lines3d import _triple_coplanar, lines_coincident
 
     members: list[Line] = []
-    tc = classify_triple(*lines)
     guard = 0
     while len(members) < count and guard < 400:
         guard += 1
@@ -260,9 +263,8 @@ def lemma_3lines(per_class: int = 100, seed: int = 0) -> SuiteReport:
     for tag, (maker, want_dim) in makers.items():
         for k in range(per_class):
             rng = random.Random(f"3lines:{tag}:{seed}:{k}")
-            lines = maker(rng)
-            tc = classify_triple(*lines)
-            members = _family_members(lines, tag, rng)
+            lines, tc = maker(rng)
+            members = _family_members(lines, tc, tag, rng)
             dims = {transversal_family_dimension(lines[0].as_floats(), lines[1].as_floats(),
                                                  lines[2].as_floats(), m) for m in members}
             ok = tc.tag == tag and tc.family_dim == want_dim and members and dims == {want_dim}

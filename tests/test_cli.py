@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linerig.cli import main
+from linerig.cli import build_parser, main
 from linerig.graphs import generate, parse_graph, serialize_graph
 
 
@@ -491,3 +492,71 @@ def test_readers_exit_0_or_2_on_random_json(reader, data):
             code = main([*command, *paths])
     assert code in (0, 2)
     assert (code == 2) == err.getvalue().startswith("error:")
+
+
+# Each leaf's options: its own, then the common ones it reads (31 of those in all).
+_LEAF_OPTIONS = {
+    "analyze": "--seed --tol --trials --exact --format",
+    "verify": "--n-max --seeds --count --per-class --seed --tol --trials --format",
+    "gen": "--seed",
+    "lines graph": "--tol",
+    "lines meet": "--format",
+    "lines common": "--tol --format",
+    "lines classify": "--tol --format",
+    "lines transversal": "--tol --format",
+    "lines dim": "--dump-jacobian --tol --format",
+    "sample laman": "--seed",
+    "sample knn": "--seed",
+    "sample pair": "--orientation --seed",
+    "sample project": "--tol",
+    "henneberg extract": "--format",
+    "henneberg apply": "",
+    "henneberg jj-extract": "--format",
+    "henneberg jj-apply": "",
+    "es map": "",
+    "es invert": "",
+    "es rotation": "--format",
+    "es recover": "--orientation --tol --format",
+    "es dim": "--dump-jacobian --tol --format",
+}
+# A command line per leaf that parses: every positional filled in, no option given.
+_LEAF_ARGV = {
+    "analyze": "g.json", "verify": "four-lines", "gen": "complete 4",
+    "lines graph": "l.json", "lines meet": "0 0 0 0 1 0 0 1", "lines common": "l.json",
+    "lines classify": "l.json", "lines transversal": "l.json 0.5", "lines dim": "g.json l.json",
+    "sample laman": "g.json", "sample knn": "concurrent 4", "sample pair": "g.json",
+    "sample project": "g.json l.json", "henneberg extract": "g.json", "henneberg apply": "s.json",
+    "henneberg jj-extract": "g.json", "henneberg jj-apply": "s.json", "es map": "p.json",
+    "es invert": "l.json", "es rotation": "0 0 1", "es recover": "p.json",
+    "es dim": "g.json p.json",
+}
+
+
+def _leaves(parser, path=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _leaves(child, (*path, name))
+            return
+    yield " ".join(path), parser
+
+
+def test_each_leaf_takes_only_the_options_it_reads():
+    got = {name: " ".join(s for a in p._actions for s in a.option_strings
+                          if s not in ("-h", "--help"))
+           for name, p in _leaves(build_parser())}
+    assert got == _LEAF_OPTIONS and set(_LEAF_ARGV) == set(got)
+    common = {"--seed", "--tol", "--trials", "--exact", "--format"}
+    assert sum(len(common & set(opts.split())) for opts in got.values()) == 31
+
+
+@pytest.mark.parametrize("leaf", sorted(_LEAF_ARGV))
+def test_exact_is_a_usage_error_except_on_analyze(capsys, leaf):
+    argv = [*leaf.split(), *_LEAF_ARGV[leaf].split()]
+    build_parser().parse_args(argv)
+    if leaf == "analyze":
+        assert build_parser().parse_args([*argv, "--exact"]).exact is True
+    else:
+        # a usage error, raised before any file is read
+        code, out, err = run(capsys, *argv, "--exact")
+        assert code == 2 and out == "" and "unrecognized arguments: --exact" in err

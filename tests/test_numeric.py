@@ -97,6 +97,14 @@ def test_rank_exact_basics():
     assert rank_exact(outer) == 1
     with pytest.raises(DomainError):
         rank_exact([[0.5, 1.0]])
+    with pytest.raises(DomainError, match="bool"):
+        rank_exact([[1, True]])
+    with pytest.raises(DomainError, match="int64"):
+        rank_exact([[np.int64(1), np.int64(2)], [np.int64(3), np.int64(4)]])
+    with pytest.raises(DomainError, match="float"):
+        rank_exact(np.eye(2))
+    assert rank_exact(np.eye(3, dtype=np.int64)) == 3
+    assert rank_exact(np.array([[Fraction(1, 2), 1], [1, 2]], dtype=object)) == 1
 
 
 def test_rank_exact_matches_float_rank_on_random_integer_matrices():

@@ -99,3 +99,17 @@ def test_pairwise_incident_equals_meet_residual(seed):
 def test_suites_reject_sizes_that_leave_nothing_to_check(suite, kwargs):
     with pytest.raises(DomainError, match="must be at least"):
         suite(**kwargs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lemma_3lines_classifies_each_triple_once(monkeypatch, seed):
+    import linerig.verify as verify
+    calls = []
+    classify = verify.classify_triple
+    monkeypatch.setattr(verify, "classify_triple",
+                        lambda *lines: calls.append(lines) or classify(*lines))
+    rep = lemma_3lines(per_class=10, seed=seed)
+    # five classes of ten triples, none of them redrawn at these seeds
+    assert rep.to_dict() == {"failures": [], "info": {}, "ok": True, "passed": 50,
+                             "suite": "lemma-3lines", "total": 50}
+    assert len(calls) == 50
