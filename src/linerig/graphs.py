@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DomainError, GraphParseError
 
@@ -32,23 +35,15 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise DomainError("vertex count must be non-negative")
-        seen: set[Edge] = set()
-        for e in self.edges:
-            i, j = e
-            if not (0 <= i < j < self.n):
-                raise DomainError(f"edge {e} is not an ordered pair of distinct vertices below n={self.n}")
-            if e in seen:
-                raise DomainError(f"duplicate edge {e}")
-            seen.add(e)
-        if any(self.edges[k] > self.edges[k + 1] for k in range(len(self.edges) - 1)):
-            object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        if not _is_canonical(self.n, self.edges):
+            object.__setattr__(self, "edges", _canonical_edges(self.n, self.edges))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
         """Build a graph from unordered, possibly repeated edge pairs (repeats collapse)."""
         canon: set[Edge] = set()
         for e in edges:
-            u, v = int(e[0]), int(e[1])
+            u, v = _endpoints(e)
             if u == v:
                 raise DomainError(f"self-loop at vertex {u}")
             canon.add((u, v) if u < v else (v, u))
@@ -90,9 +85,10 @@ class Graph:
 
     def without_edge(self, u: int, v: int) -> "Graph":
         e = (u, v) if u < v else (v, u)
-        if e not in self._edge_set:
+        k = bisect_left(self.edges, e)
+        if self.edges[k:k + 1] != (e,):
             raise DomainError(f"edge {e} not present")
-        return Graph(self.n, tuple(x for x in self.edges if x != e))
+        return Graph(self.n, self.edges[:k] + self.edges[k + 1:])
 
     def without_vertex(self, v: int) -> tuple["Graph", list[int]]:
         """Delete vertex v. Returns the compacted graph and the list of surviving old labels."""
@@ -108,6 +104,51 @@ class Graph:
         if sorted(mapping) != list(range(self.n)):
             raise DomainError("mapping is not a permutation of the vertex set")
         return Graph.from_edges(self.n, ((mapping[i], mapping[j]) for i, j in self.edges))
+
+
+def _endpoints(e: object) -> Edge:
+    """The two vertices of an edge: a pair of ints that are not bools, numpy
+    integers converted to int. Anything else raises DomainError."""
+    try:
+        u, v = e
+    except (TypeError, ValueError):
+        raise DomainError(f"edge {e!r} is not a pair of vertices") from None
+    for x in (u, v):
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            raise DomainError(f"edge {e!r}: vertex {x!r} is not an integer")
+    return int(u), int(v)
+
+
+def _is_canonical(n: int, edges: object) -> bool:
+    """One pass: edges is a strictly increasing tuple of int pairs (i, j) with
+    0 <= i < j < n, the form every graph stores."""
+    if type(edges) is not tuple:
+        return False
+    prev = (-1, -1)
+    for e in edges:
+        if not (type(e) is tuple and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
+                and prev < e and 0 <= e[0] < e[1] < n):
+            return False
+        prev = e
+    return True
+
+
+def _canonical_edges(n: int, edges: object) -> tuple[Edge, ...]:
+    """The sorted tuple of int pairs of any iterable of ordered pairs (i, j),
+    0 <= i < j < n, or DomainError naming the first bad or repeated edge."""
+    try:
+        items = iter(edges)
+    except TypeError:
+        raise DomainError(f"edges {edges!r} are not an iterable of pairs") from None
+    seen: set[Edge] = set()
+    for e in items:
+        i, j = _endpoints(e)
+        if not (0 <= i < j < n):
+            raise DomainError(f"edge {e} is not an ordered pair of distinct vertices below n={n}")
+        if (i, j) in seen:
+            raise DomainError(f"duplicate edge {e}")
+        seen.add((i, j))
+    return tuple(sorted(seen))
 
 
 def parse_graph(text: str, fmt: str = "json") -> Graph:

@@ -4,6 +4,14 @@ A set of edges is (2,3)-sparse when every sub-vertex-set V' with |V'| >= 2 spans
 most 2|V'| - 3 of them. Sparse sets are the independent sets of a matroid, so a
 greedy pass over the canonical edge order with an exact independence test computes
 the rank and a lexicographically least maximum independent witness.
+
+The test is the (2,3)-pebble game (Jacobs-Hendrickson 1997; Lee-Streinu 2008),
+played in one function. Each search for a free pebble marks the vertices it
+reaches with an integer stamp in a list and records its tree in another, both
+allocated once per game. An accepted edge (u, v), u < v, spends v's pebble and
+is directed v -> u, so u keeps its pebbles for its later edges. The game stops
+once it has accepted 2n - 3 edges, since no later edge can be independent.
+`is_redundant` rejects a graph with a vertex of degree below 3 before any game.
 """
 
 from __future__ import annotations
@@ -25,54 +33,66 @@ class SparsityRankResult:
 def sparsity_rank(G: Graph) -> SparsityRankResult:
     """Matroid rank of the edge set, via the (2,3)-pebble game.
 
-    Every vertex starts with 2 pebbles. An edge is independent iff 4 pebbles can
-    be gathered onto its endpoints by pulling free pebbles along directed accepted
-    edges (reversing the path); accepting the edge spends one pebble of its tail.
-    Independence does not depend on the order of the searches, so the witness is
-    exactly the greedy maximum independent subset in canonical edge order.
+    Every vertex starts with 2 pebbles and keeps ``pebbles[v] + len(out[v]) == 2``,
+    so each ``out[v]`` holds at most two heads. An edge (u, v) is independent iff
+    u and then v can be brought to 2 pebbles by searches along directed accepted
+    edges, each stopping at the first free pebble on a vertex other than the other
+    endpoint, reversing the path and moving that pebble to its root. A search that
+    fails reached k vertices, both endpoints among them, holding 3 free pebbles in
+    all (a sparse set leaves no fewer), so they span 2k - 3 accepted edges and the
+    edge is dependent.
+    Independence does not depend on the searches, so the witness is exactly the
+    greedy maximum independent subset in canonical edge order.
     """
-    if G.n < 2:
+    n = G.n
+    if n < 2:
         raise DomainError("sparsity rank needs at least 2 vertices")
-    pebbles = [2] * G.n
-    out: list[list[int]] = [[] for _ in range(G.n)]
+    full = 2 * n - 3
+    pebbles = [2] * n
+    out: list[list[int]] = [[] for _ in range(n)]
+    # seen[x] == stamp marks the vertices the current search has reached, and
+    # parent[x] the vertex it reached x from
+    seen = [0] * n
+    parent = [0] * n
+    stamp = 0
     accepted: list[Edge] = []
     for u, v in G.edges:
-        while pebbles[u] + pebbles[v] < 4:
-            if not (_pull_pebble(pebbles, out, u, v) or _pull_pebble(pebbles, out, v, u)):
+        for root, other in ((u, v), (v, u)):
+            while pebbles[root] < 2:
+                stamp += 1
+                seen[root] = stamp
+                stack = [root]
+                while stack:
+                    x = stack.pop()
+                    for y in out[x]:
+                        if seen[y] != stamp:
+                            seen[y] = stamp
+                            parent[y] = x
+                            if pebbles[y] and y != other:
+                                break
+                            stack.append(y)
+                    else:
+                        continue
+                    # y has a free pebble: reverse the path to it and move the pebble to root
+                    pebbles[y] -= 1
+                    while y != root:
+                        x = parent[y]
+                        out[x].remove(y)
+                        out[y].append(x)
+                        y = x
+                    pebbles[root] += 1
+                    break
+                else:
+                    break
+            if pebbles[root] < 2:
                 break
         else:
-            pebbles[u] -= 1
-            out[u].append(v)
+            pebbles[v] -= 1
+            out[v].append(u)
             accepted.append((u, v))
+            if len(accepted) == full:
+                break
     return SparsityRankResult(len(accepted), tuple(accepted))
-
-
-def _pull_pebble(pebbles: list[int], out: list[list[int]], root: int, other: int) -> bool:
-    """DFS from root along directed edges for a free pebble on a vertex other than `other`.
-
-    Every vertex keeps ``pebbles[v] + len(out[v]) == 2``, so each ``out[v]`` holds at
-    most two heads. The search stops at the first free pebble it reaches; the path
-    to it is reversed and the pebble moves to root, which keeps the invariant.
-    """
-    parent = {root: root}
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for y in out[x]:
-            if y in parent:
-                continue
-            parent[y] = x
-            if pebbles[y] and y != other:
-                pebbles[y] -= 1
-                while y != root:
-                    x = parent[y]
-                    out[x].remove(y)
-                    out[y].append(x)
-                    y = x
-                pebbles[root] += 1
-                return True
-            stack.append(y)
-    return False
 
 
 def is_laman(G: Graph) -> bool:
@@ -96,12 +116,17 @@ def is_redundant(G: Graph) -> bool:
     """Every single-edge deletion still leaves a spanning Laman subgraph.
 
     A deletion keeps 2n - 3 edges only if there are at least 2n - 2 of them, so
-    sparser graphs (the edgeless ones included) are not redundant.
+    sparser graphs (the edgeless ones included) are not redundant. Nor is a graph
+    with a vertex of degree below 3: deleting an edge there leaves that vertex
+    with at most one neighbour, which no rigid graph on 3 or more vertices has.
+    Otherwise it plays one game per single-edge deletion.
     """
     if G.n < 2:
         raise DomainError("is_redundant needs at least 2 vertices")
     target = 2 * G.n - 3
-    return G.m > target and all(sparsity_rank(G.without_edge(*e)).rank == target for e in G.edges)
+    if G.m <= target or min(map(G.degree, range(G.n))) < 3:
+        return False
+    return all(sparsity_rank(G.without_edge(*e)).rank == target for e in G.edges)
 
 
 def is_hendrickson(G: Graph) -> bool:

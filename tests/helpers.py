@@ -7,7 +7,9 @@ from itertools import combinations
 
 import numpy as np
 
-from linerig.graphs import Graph
+from linerig.errors import DomainError
+from linerig.graphs import Edge, Graph
+from linerig.sparsity import SparsityRankResult
 
 
 def brute_sparsity_rank(G: Graph) -> int:
@@ -40,6 +42,54 @@ def brute_sparsity_rank(G: Graph) -> int:
             if sparse(sub):
                 return k
     return 0
+
+
+def reference_sparsity_rank(G: Graph) -> SparsityRankResult:
+    """The (2,3)-pebble game with a DFS helper and a parent dict per pulled pebble,
+    pulling to either endpoint in turn, every accepted edge directed u -> v and no
+    stop at rank 2n - 3: the oracle that sparsity.sparsity_rank must equal."""
+    if G.n < 2:
+        raise DomainError("sparsity rank needs at least 2 vertices")
+    pebbles = [2] * G.n
+    out: list[list[int]] = [[] for _ in range(G.n)]
+    accepted: list[Edge] = []
+    for u, v in G.edges:
+        while pebbles[u] + pebbles[v] < 4:
+            if not (_pull_pebble(pebbles, out, u, v) or _pull_pebble(pebbles, out, v, u)):
+                break
+        else:
+            pebbles[u] -= 1
+            out[u].append(v)
+            accepted.append((u, v))
+    return SparsityRankResult(len(accepted), tuple(accepted))
+
+
+def _pull_pebble(pebbles: list[int], out: list[list[int]], root: int, other: int) -> bool:
+    """DFS from root along directed edges for a free pebble on a vertex other than `other`.
+
+    Every vertex keeps ``pebbles[v] + len(out[v]) == 2``, so each ``out[v]`` holds at
+    most two heads. The search stops at the first free pebble it reaches; the path
+    to it is reversed and the pebble moves to root, which keeps the invariant.
+    """
+    parent = {root: root}
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        for y in out[x]:
+            if y in parent:
+                continue
+            parent[y] = x
+            if pebbles[y] and y != other:
+                pebbles[y] -= 1
+                while y != root:
+                    x = parent[y]
+                    out[x].remove(y)
+                    out[y].append(x)
+                    y = x
+                pebbles[root] += 1
+                return True
+            stack.append(y)
+    return False
 
 
 def random_graph(rng: random.Random, n_max: int = 7, m_cap_slack: int = 3) -> Graph:

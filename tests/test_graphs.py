@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from linerig.errors import DomainError, GraphParseError
@@ -49,6 +50,39 @@ def test_graph_invariants():
         Graph(2, ((0, 1), (0, 1)))
     with pytest.raises(DomainError):
         Graph(2, ((0, 2),))
+
+
+def test_edges_are_stored_as_a_tuple_of_int_pairs():
+    K2 = Graph(3, ((0, 1),))
+    for edges in ([(0, 1)], [[0, 1]], ((np.int64(0), np.int32(1)),), np.array([[0, 1]])):
+        G = Graph(3, edges)
+        assert G == K2 and hash(G) == hash(K2)
+        assert type(G.edges) is tuple and all(type(x) is int for x in G.edges[0])
+    assert Graph(3, [(1, 2), (0, 1)]).edges == ((0, 1), (1, 2))
+
+
+@pytest.mark.parametrize("edges", [((0, 1.0),), ((True, 2),), ((0, np.True_),), ((0, "1"),),
+                                   ((0, 1, 2),), ((0,),), (0, 1), None])
+def test_malformed_edges_raise_domain_error(edges):
+    with pytest.raises(DomainError):
+        Graph(3, edges)
+
+
+def test_from_edges_rejects_non_integer_vertices():
+    for edges in ([(0, 1.7)], [(0, 1.0)], [(True, 2)], [(0, 1, 2)]):
+        with pytest.raises(DomainError):
+            Graph.from_edges(3, edges)
+    assert Graph.from_edges(3, [(np.int64(2), 0), [0, 2]]).edges == ((0, 2),)
+
+
+def test_without_edge_drops_exactly_that_edge():
+    G = generate("wheel", [6])
+    for k, (u, v) in enumerate(G.edges):
+        assert G.without_edge(v, u).edges == G.edges[:k] + G.edges[k + 1:]
+    with pytest.raises(DomainError, match="not present"):
+        G.without_edge(1, 3)
+    with pytest.raises(DomainError, match="not present"):
+        G.without_edge(4, 9)
 
 
 def test_generate_counts():

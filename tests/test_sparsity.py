@@ -1,10 +1,13 @@
 import random
+from itertools import combinations
 
 import pytest
-from helpers import brute_sparsity_rank, random_graph, random_graph_of_degree
+from helpers import (brute_sparsity_rank, random_graph, random_graph_of_degree,
+                     reference_sparsity_rank)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linerig import sparsity
 from linerig.errors import DomainError
 from linerig.graphs import Graph, catalog, generate
 from linerig.henneberg import Ext0, Ext1, apply_henneberg, extract_henneberg
@@ -31,6 +34,22 @@ def test_witness_is_sparse_and_lexicographic():
     assert brute_sparsity_rank(Graph(4, res.witness)) == len(res.witness)
     # greedy over canonical order keeps the first five edges of K4
     assert res.witness == K4.edges[:5]
+
+
+@settings(max_examples=60)
+@given(n=st.integers(2, 80), density=st.floats(0.0, 1.0), seed=st.integers(0, 10**6))
+def test_game_matches_the_reference_game(n, density, seed):
+    pairs = list(combinations(range(n), 2))
+    G = Graph(n, tuple(sorted(random.Random(seed).sample(pairs, round(density * len(pairs))))))
+    assert sparsity_rank(G) == reference_sparsity_rank(G)
+
+
+def test_complete_graph_witness_is_the_edges_at_0_and_1():
+    for n in range(2, 41):
+        G = generate("complete", [n])
+        res = sparsity_rank(G)
+        assert res.witness == tuple(e for e in G.edges if e[0] in (0, 1))
+        assert res == reference_sparsity_rank(G)
 
 
 def test_rank_domain():
@@ -60,6 +79,24 @@ def test_redundant_examples():
     # spanning sparse subset of full size
     for e in W5.edges:
         assert brute_sparsity_rank(W5.without_edge(*e)) == 2 * W5.n - 3
+
+
+def test_redundancy_plays_one_game_per_edge_unless_a_degree_is_below_3(monkeypatch):
+    calls = []
+
+    def counted(G):
+        calls.append(G)
+        return sparsity_rank(G)
+
+    monkeypatch.setattr(sparsity, "sparsity_rank", counted)
+    G = generate("hendrickson_random", [12, 4], seed=3)
+    assert is_redundant(G) and len(calls) == G.m
+    assert is_hendrickson(W5) and len(calls) == G.m + W5.m
+    calls.clear()
+    # a 0-extension: one new vertex joined to two old ones
+    H = Graph.from_edges(G.n + 1, G.edges + ((0, G.n), (1, G.n)))
+    assert H.m > 2 * H.n - 3
+    assert not is_redundant(H) and calls == []
 
 
 def test_edgeless_graphs_are_not_redundant():
@@ -138,11 +175,16 @@ def test_witness_is_the_greedy_basis(n, degree, seed):
 
 
 @settings(max_examples=15)
-@given(n=st.integers(8, 30), extra=st.integers(0, 12), drop=st.integers(0, 3), seed=st.integers(0, 10**6))
-def test_redundant_matches_numeric_deletions(n, extra, drop, seed):
+@given(n=st.integers(8, 30), extra=st.integers(0, 12), drop=st.integers(0, 3), pendant=st.integers(0, 2),
+       seed=st.integers(0, 10**6))
+def test_redundant_matches_numeric_deletions(n, extra, drop, pendant, seed):
     G = generate("hendrickson_random", [n, extra], seed=seed)
-    for e in random.Random(seed).sample(G.edges, drop):
+    rng = random.Random(seed)
+    for e in rng.sample(G.edges, drop):
         G = G.without_edge(*e)
+    for _ in range(pendant):
+        # a 0-extension: a degree-2 vertex on two old ones
+        G = Graph.from_edges(G.n + 1, G.edges + tuple((x, G.n) for x in rng.sample(range(G.n), 2)))
     target = 2 * G.n - 3
     numeric = rigidity_rank(G) == target and all(
         rigidity_rank(G.without_edge(*e)) == target for e in G.edges)
