@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -253,6 +254,17 @@ def _arg(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
     return names, kwargs
 
 
+def _finite_float(text: str) -> float:
+    """A float positional; nan and inf are usage errors, as they have no JSON form."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 # The options that several subcommands share; each leaf names the ones it reads.
 _COMMON = {
     "seed": dict(type=int, default=0),
@@ -287,12 +299,12 @@ _COMMANDS = (
      ["name", _arg("params", type=int, nargs="*")], "seed"),
     ("lines", "graph", "intersection graph of a configuration", _cmd_lines, ["config"], "tol"),
     ("lines", "meet", "incidence residual of two lines (8 numbers)", _cmd_lines,
-     [_arg("coords", type=float, nargs=8)], "format"),
+     [_arg("coords", type=_finite_float, nargs=8)], "format"),
     ("lines", "common", "common point / plane of a configuration", _cmd_lines, ["config"],
      "tol format"),
     ("lines", "classify", "classify a triple of lines", _cmd_lines, ["config"], "tol format"),
     ("lines", "transversal", "line through l3(s) meeting l1 and l2", _cmd_lines,
-     ["config", _arg("s", type=float)], "tol format"),
+     ["config", _arg("s", type=_finite_float)], "tol format"),
     ("lines", "dim", "local dimension certificate of a graph's incidence system", _cmd_lines,
      ["graph", "config", _DUMP], "tol format"),
     ("sample", "laman", "certified line realization of a Laman graph", _cmd_sample, ["graph"],
@@ -310,7 +322,7 @@ _COMMANDS = (
     ("es", "map", "pair file -> line configuration", _cmd_es, ["pairs"], ""),
     ("es", "invert", "line configuration -> pair file", _cmd_es, ["config"], ""),
     ("es", "rotation", "rotation represented by a 3-space point", _cmd_es,
-     [_arg("point", type=float, nargs=3)], "format"),
+     [_arg("point", type=_finite_float, nargs=3)], "format"),
     ("es", "recover", "rigid motion taking p to p_prime", _cmd_es, ["pairs", _ORIENTATION],
      "tol format"),
     ("es", "dim", "local dimension certificate of the equal-lengths system", _cmd_es,

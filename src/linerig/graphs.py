@@ -33,6 +33,10 @@ class Graph:
     edges: tuple[Edge, ...] = ()
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            if not _is_integer(self.n):
+                raise DomainError(f"vertex count {self.n!r} is not an integer")
+            object.__setattr__(self, "n", int(self.n))
         if self.n < 0:
             raise DomainError("vertex count must be non-negative")
         if not _is_canonical(self.n, self.edges):
@@ -95,8 +99,7 @@ class Graph:
         if not 0 <= v < self.n:
             raise DomainError(f"no vertex {v}")
         keep = [x for x in range(self.n) if x != v]
-        index = {old: new for new, old in enumerate(keep)}
-        edges = tuple((index[i], index[j]) for i, j in self.edges if v not in (i, j))
+        edges = tuple((i - (i > v), j - (j > v)) for i, j in self.edges if i != v != j)
         return Graph(self.n - 1, edges), keep
 
     def relabeled(self, mapping: Sequence[int]) -> "Graph":
@@ -114,9 +117,14 @@ def _endpoints(e: object) -> Edge:
     except (TypeError, ValueError):
         raise DomainError(f"edge {e!r} is not a pair of vertices") from None
     for x in (u, v):
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        if not _is_integer(x):
             raise DomainError(f"edge {e!r}: vertex {x!r} is not an integer")
     return int(u), int(v)
+
+
+def _is_integer(x: object) -> bool:
+    """An int that is not a bool, or a numpy integer: a vertex or a vertex count."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _is_canonical(n: int, edges: object) -> bool:
@@ -299,10 +307,7 @@ def _laman_random(params: tuple[int, ...], rng: random.Random) -> Graph:
 
 
 def _hendrickson_random(params: tuple[int, ...], rng: random.Random) -> Graph:
-    if len(params) == 1:
-        k, extra = params[0], 1
-    else:
-        k, extra = params[0], params[1]
+    k, extra = params if len(params) == 2 else (params[0], 1)
     if k < 4:
         raise DomainError("hendrickson_random(k) needs k >= 4")
     if extra < 0:
@@ -329,13 +334,14 @@ def _hendrickson_random(params: tuple[int, ...], rng: random.Random) -> Graph:
     return Graph(k, tuple(sorted(edges)))
 
 
+# name: (generator, the parameter counts it takes)
 _GENERATORS = {
-    "complete": _complete,
-    "cycle": _cycle,
-    "path": _path,
-    "wheel": _wheel,
-    "laman_random": _laman_random,
-    "hendrickson_random": _hendrickson_random,
+    "complete": (_complete, (1,)),
+    "cycle": (_cycle, (1,)),
+    "path": (_path, (1,)),
+    "wheel": (_wheel, (1,)),
+    "laman_random": (_laman_random, (1,)),
+    "hendrickson_random": (_hendrickson_random, (1, 2)),
 }
 
 
@@ -343,9 +349,13 @@ def generate(name: str, params: Sequence[int], seed: int = 0) -> Graph:
     """Build a named catalog graph. Deterministic for fixed (name, params, seed)."""
     if name not in _GENERATORS:
         raise DomainError(f"unknown generator '{name}' (choose from {sorted(_GENERATORS)})")
+    build, counts = _GENERATORS[name]
+    if len(params) not in counts:
+        raise DomainError(f"generator '{name}' takes {' or '.join(map(str, counts))} "
+                          f"parameter(s), got {len(params)}")
     ptuple = tuple(int(x) for x in params)
     rng = random.Random(f"{name}:{ptuple}:{seed}")
-    return _GENERATORS[name](ptuple, rng)
+    return build(ptuple, rng)
 
 
 def catalog(n_max: int = 8) -> list[tuple[str, Graph]]:

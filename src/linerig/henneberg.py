@@ -7,9 +7,14 @@ Two move languages are supported:
   vertex w).
 * Hendrickson graphs are grown from K4 by edge additions and 1-extensions.
 
-Extraction peels one move at a time, checking candidate reverse moves against the
-target class; the relevant structure theorems guarantee at least one candidate at
-every step, so an empty search is raised loudly as a broken invariant.
+One replay loop serves both languages, each move a check and a ``Graph`` edit.
+One extraction loop peels both on ``Graph`` itself: each reverse move is a
+``Graph`` edit (``without_vertex`` then ``with_edge`` for a 1-reduction,
+``without_vertex`` for a 0-reduction, ``without_edge`` for an edge deletion),
+and a list of labels maps the shrinking graph's vertices back to the input's.
+Each language yields its admissible reverse moves in a fixed order and the loop
+takes the first; the structure theorems guarantee one at every step, so an
+empty search is raised loudly as a broken invariant.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import ConstructionError, DomainError, StepError
 from .graphs import Graph
@@ -57,22 +62,19 @@ if TYPE_CHECKING:
     JJStep = Union[EdgeAdd, Ext1]
 
 
+_STEP_FIELDS = {"ext0": (Ext0, ("u", "v")), "ext1": (Ext1, ("u", "v", "w")),
+                "edge": (EdgeAdd, ("u", "v"))}
+_STEP_KINDS = {cls: (kind, fields) for kind, (cls, fields) in _STEP_FIELDS.items()}
+
+
 def steps_to_json(steps: Iterable[Union[HennebergStep, JJStep]]) -> str:
     items = []
     for s in steps:
-        if isinstance(s, Ext0):
-            items.append({"kind": "ext0", "u": s.u, "v": s.v})
-        elif isinstance(s, Ext1):
-            items.append({"kind": "ext1", "u": s.u, "v": s.v, "w": s.w})
-        elif isinstance(s, EdgeAdd):
-            items.append({"kind": "edge", "u": s.u, "v": s.v})
-        else:
+        if type(s) not in _STEP_KINDS:
             raise StepError(f"unknown step object {s!r}")
+        kind, fields = _STEP_KINDS[type(s)]
+        items.append({"kind": kind, **{key: getattr(s, key) for key in fields}})
     return json.dumps(items, separators=(",", ":"))
-
-
-_STEP_FIELDS = {"ext0": (Ext0, ("u", "v")), "ext1": (Ext1, ("u", "v", "w")),
-                "edge": (EdgeAdd, ("u", "v"))}
 
 
 def _vertex_field(item: dict, key: str, k: int) -> int:
@@ -104,11 +106,15 @@ def steps_from_json(text: str) -> list[Union[HennebergStep, JJStep]]:
     return steps
 
 
+_K2 = Graph(2, ((0, 1),))
+_K4 = Graph(4, tuple(combinations(range(4), 2)))
+
+
 def _apply_ext0(G: Graph, step: Ext0, pos: int) -> Graph:
     z = G.n
     if not (0 <= step.u < z and 0 <= step.v < z) or step.u == step.v:
         raise StepError(f"step {pos}: 0-extension attach pair ({step.u}, {step.v}) invalid for n={z}")
-    return Graph.from_edges(z + 1, list(G.edges) + [(step.u, z), (step.v, z)])
+    return Graph(z + 1, tuple(sorted(G.edges + ((step.u, z), (step.v, z)))))
 
 
 def _apply_ext1(G: Graph, step: Ext1, pos: int) -> Graph:
@@ -119,107 +125,104 @@ def _apply_ext1(G: Graph, step: Ext1, pos: int) -> Graph:
         raise StepError(f"step {pos}: 1-extension vertices ({step.u}, {step.v}, {step.w}) not distinct")
     if not G.has_edge(step.u, step.v):
         raise StepError(f"step {pos}: 1-extension subdivides missing edge ({step.u}, {step.v})")
-    edges = [e for e in G.edges if e != (min(step.u, step.v), max(step.u, step.v))]
-    edges += [(step.u, z), (step.v, z), (step.w, z)]
-    return Graph.from_edges(z + 1, edges)
+    edges = G.without_edge(step.u, step.v).edges + ((step.u, z), (step.v, z), (step.w, z))
+    return Graph(z + 1, tuple(sorted(edges)))
+
+
+def _apply_edge(G: Graph, step: EdgeAdd, pos: int) -> Graph:
+    if not (0 <= step.u < G.n and 0 <= step.v < G.n) or step.u == step.v:
+        raise StepError(f"step {pos}: edge addition ({step.u}, {step.v}) invalid for n={G.n}")
+    if G.has_edge(step.u, step.v):
+        raise StepError(f"step {pos}: edge ({step.u}, {step.v}) already present")
+    return G.with_edge(step.u, step.v)
+
+
+def _replay(base: Graph, steps: Sequence, moves: dict, what: str) -> Graph:
+    """Apply each step with the move ``moves`` gives its type, starting from base."""
+    G = base
+    for pos, step in enumerate(steps):
+        if type(step) not in moves:
+            raise StepError(f"step {pos}: {step!r} is not {what}")
+        G = moves[type(step)](G, step, pos)
+    return G
 
 
 def apply_henneberg(steps: Sequence[HennebergStep]) -> Graph:
     """Replay 0-/1-extensions starting from K2."""
-    G = Graph(2, ((0, 1),))
-    for pos, step in enumerate(steps):
-        if isinstance(step, Ext0):
-            G = _apply_ext0(G, step, pos)
-        elif isinstance(step, Ext1):
-            G = _apply_ext1(G, step, pos)
-        else:
-            raise StepError(f"step {pos}: {step!r} is not a Henneberg move")
-    return G
+    return _replay(_K2, steps, {Ext0: _apply_ext0, Ext1: _apply_ext1}, "a Henneberg move")
 
 
 def apply_jj(steps: Sequence[JJStep]) -> Graph:
     """Replay edge additions and 1-extensions starting from K4."""
-    G = Graph(4, tuple(combinations(range(4), 2)))
-    for pos, step in enumerate(steps):
-        if isinstance(step, EdgeAdd):
-            if not (0 <= step.u < G.n and 0 <= step.v < G.n) or step.u == step.v:
-                raise StepError(f"step {pos}: edge addition ({step.u}, {step.v}) invalid for n={G.n}")
-            if G.has_edge(step.u, step.v):
-                raise StepError(f"step {pos}: edge ({step.u}, {step.v}) already present")
-            G = G.with_edge(step.u, step.v)
-        elif isinstance(step, Ext1):
-            G = _apply_ext1(G, step, pos)
-        else:
-            raise StepError(f"step {pos}: {step!r} is not an edge addition or 1-extension")
-    return G
+    return _replay(_K4, steps, {EdgeAdd: _apply_edge, Ext1: _apply_ext1},
+                   "an edge addition or 1-extension")
 
 
 # ---------------------------------------------------------------------------
 # extraction
+#
+# A reverse move is (smaller graph, the vertex it removed or None, the forward
+# step's class, the forward step's vertices), all on the current graph's labels.
 
 
-class _Peeler:
-    """Mutable adjacency view of a subgraph of G on original labels."""
-
-    def __init__(self, G: Graph):
-        self.adj: dict[int, set[int]] = {v: set(G.neighbors(v)) for v in range(G.n)}
-
-    @property
-    def active(self) -> list[int]:
-        return sorted(self.adj)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(s) for s in self.adj.values()) // 2
-
-    def edges(self) -> list[tuple[int, int]]:
-        return sorted((u, v) for u, nbrs in self.adj.items() for v in nbrs if u < v)
-
-    def compact(self, drop: int | None = None, add: tuple[int, int] | None = None,
-                remove: tuple[int, int] | None = None) -> Graph:
-        """The current graph with optional modifications, compacted to 0..n'-1."""
-        verts = [v for v in self.adj if v != drop]
-        verts.sort()
-        index = {v: i for i, v in enumerate(verts)}
-        edges = set()
-        for u, nbrs in self.adj.items():
-            if u == drop:
-                continue
-            for v in nbrs:
-                if v == drop or not u < v:
-                    continue
-                edges.add((index[u], index[v]))
-        if remove is not None:
-            a, b = sorted((index[remove[0]], index[remove[1]]))
-            edges.discard((a, b))
-        if add is not None:
-            a, b = sorted((index[add[0]], index[add[1]]))
-            edges.add((a, b))
-        return Graph(len(verts), tuple(sorted(edges)))
-
-    def drop_vertex(self, v: int) -> None:
-        for u in self.adj.pop(v):
-            self.adj[u].discard(v)
-
-    def add_edge(self, u: int, v: int) -> None:
-        self.adj[u].add(v)
-        self.adj[v].add(u)
-
-    def remove_edge(self, u: int, v: int) -> None:
-        self.adj[u].discard(v)
-        self.adj[v].discard(u)
-
-
-def _reduction_candidates(peeler: _Peeler, v: int) -> list[tuple[int, int, int]]:
-    """(x, y, w) triples: candidate replacement edge (x, y) plus the remaining neighbor w."""
-    nbrs = sorted(peeler.adj[v])
-    out = []
-    for x, y in combinations(nbrs, 2):
-        if y in peeler.adj[x]:
+def _one_reductions(G: Graph, accept: Callable[[Graph], bool]) -> Iterator[tuple]:
+    """The reverse 1-extensions that ``accept`` keeps: degree-3 vertices v in
+    order, then their non-adjacent neighbour pairs (x, y) in lexicographic order,
+    each replacing v by the edge xy, with w the neighbour left over."""
+    for v in range(G.n):
+        if G.degree(v) != 3:
             continue
-        (w,) = [z for z in nbrs if z not in (x, y)]
-        out.append((x, y, w))
-    return out
+        nbrs = sorted(G.neighbors(v))
+        rest, _ = G.without_vertex(v)
+        for x, y in combinations(nbrs, 2):
+            if G.has_edge(x, y):
+                continue
+            candidate = rest.with_edge(x - (x > v), y - (y > v))
+            if accept(candidate):
+                (w,) = [z for z in nbrs if z not in (x, y)]
+                yield candidate, v, Ext1, (x, y, w)
+
+
+def _henneberg_moves(G: Graph) -> Iterator[tuple]:
+    """The lowest degree-2 vertex if there is one, else the 1-reductions to Laman graphs."""
+    for v in range(G.n):
+        if G.degree(v) == 2:
+            yield G.without_vertex(v)[0], v, Ext0, tuple(sorted(G.neighbors(v)))
+            return
+    yield from _one_reductions(G, is_laman)
+
+
+def _jj_moves(G: Graph) -> Iterator[tuple]:
+    """The edge deletions, then the 1-reductions, that leave a Hendrickson graph."""
+    for u, v in G.edges:
+        candidate = G.without_edge(u, v)
+        if is_hendrickson(candidate):
+            yield candidate, None, EdgeAdd, (u, v)
+    yield from _one_reductions(G, is_hendrickson)
+
+
+def _extract(G: Graph, base: Graph, moves: Callable[[Graph], Iterator[tuple]],
+             apply: Callable[[Sequence], Graph], what: str) -> tuple[list, list[int]]:
+    """Peel G down to base one reverse move at a time, taking the first that
+    ``moves`` yields; return the forward steps and the replay relabeling."""
+    current, labels = G, list(range(G.n))
+    peeled: list[tuple[type, list[int]]] = []  # forward step class, its input labels
+    removed: list[int] = []  # input label of each removed vertex, in peel order
+    while current.n > base.n:
+        move = next(moves(current), None)
+        if move is None:
+            raise ConstructionError(f"no admissible reverse move in a {what} graph; "
+                                    "this contradicts the construction theorem")
+        current, v, cls, args = move
+        peeled.append((cls, [labels[a] for a in args]))
+        if v is not None:
+            removed.append(labels.pop(v))
+    relabel = labels + removed[::-1]
+    pos = {orig: i for i, orig in enumerate(relabel)}
+    steps = [cls(*(pos[a] for a in args)) for cls, args in reversed(peeled)]
+    if apply(steps).relabeled(relabel) != G:
+        raise ConstructionError("replayed construction sequence does not reproduce the input graph")
+    return steps, relabel
 
 
 def extract_henneberg(G: Graph) -> tuple[list[HennebergStep], list[int]]:
@@ -229,51 +232,12 @@ def extract_henneberg(G: Graph) -> tuple[list[HennebergStep], list[int]]:
     ``apply_henneberg(steps).relabeled(relabel) == G``.
 
     Strategy per peel: remove the lowest-indexed degree-2 vertex if one exists,
-    otherwise try the lowest-indexed degree-3 vertex's candidate replacement
-    edges in lexicographic order, keeping the first that leaves a Laman graph.
+    otherwise try the degree-3 vertices' candidate replacement edges in vertex,
+    then lexicographic order, keeping the first that leaves a Laman graph.
     """
     if not is_laman(G):
         raise DomainError("extract_henneberg requires a Laman graph")
-    peeler = _Peeler(G)
-    peeled: list[tuple[str, int, tuple[int, ...]]] = []
-    while len(peeler.adj) > 2:
-        deg2 = sorted(v for v, nbrs in peeler.adj.items() if len(nbrs) == 2)
-        if deg2:
-            v = deg2[0]
-            x, y = sorted(peeler.adj[v])
-            peeler.drop_vertex(v)
-            peeled.append(("ext0", v, (x, y)))
-            continue
-        done = False
-        for v in sorted(x for x, nbrs in peeler.adj.items() if len(nbrs) == 3):
-            for x, y, w in _reduction_candidates(peeler, v):
-                if is_laman(peeler.compact(drop=v, add=(x, y))):
-                    peeler.drop_vertex(v)
-                    peeler.add_edge(x, y)
-                    peeled.append(("ext1", v, (x, y, w)))
-                    done = True
-                    break
-            if done:
-                break
-        if not done:
-            raise ConstructionError("no admissible reverse extension in a Laman graph; "
-                                    "this contradicts the construction theorem")
-    base = sorted(peeler.adj)
-    if peeler.edge_count != 1:
-        raise ConstructionError("peeling a Laman graph did not end at K2")
-    relabel = base + [rec[1] for rec in reversed(peeled)]
-    pos = {orig: i for i, orig in enumerate(relabel)}
-    steps: list[HennebergStep] = []
-    for kind, _, data in reversed(peeled):
-        if kind == "ext0":
-            x, y = data
-            steps.append(Ext0(pos[x], pos[y]))
-        else:
-            x, y, w = data
-            steps.append(Ext1(pos[x], pos[y], pos[w]))
-    if apply_henneberg(steps).relabeled(relabel) != G:
-        raise ConstructionError("replayed extension sequence does not reproduce the input graph")
-    return steps, relabel
+    return _extract(G, _K2, _henneberg_moves, apply_henneberg, "Laman")
 
 
 def extract_jj(G: Graph) -> tuple[list[JJStep], list[int]]:
@@ -285,44 +249,4 @@ def extract_jj(G: Graph) -> tuple[list[JJStep], list[int]]:
     """
     if not is_hendrickson(G):
         raise DomainError("extract_jj requires a Hendrickson graph")
-    peeler = _Peeler(G)
-    peeled: list[tuple[str, int, tuple[int, ...]]] = []
-    while not (len(peeler.adj) == 4 and peeler.edge_count == 6):
-        moved = False
-        for u, v in peeler.edges():
-            candidate = peeler.compact(remove=(u, v))
-            if candidate.n >= 4 and is_hendrickson(candidate):
-                peeler.remove_edge(u, v)
-                peeled.append(("edge", -1, (u, v)))
-                moved = True
-                break
-        if moved:
-            continue
-        for v in sorted(x for x, nbrs in peeler.adj.items() if len(nbrs) == 3):
-            for x, y, w in _reduction_candidates(peeler, v):
-                candidate = peeler.compact(drop=v, add=(x, y))
-                if candidate.n >= 4 and is_hendrickson(candidate):
-                    peeler.drop_vertex(v)
-                    peeler.add_edge(x, y)
-                    peeled.append(("ext1", v, (x, y, w)))
-                    moved = True
-                    break
-            if moved:
-                break
-        if not moved:
-            raise ConstructionError("no admissible reverse move in a Hendrickson graph; "
-                                    "this contradicts the construction theorem")
-    base = sorted(peeler.adj)
-    relabel = base + [rec[1] for rec in reversed(peeled) if rec[0] == "ext1"]
-    pos = {orig: i for i, orig in enumerate(relabel)}
-    steps: list[JJStep] = []
-    for kind, _, data in reversed(peeled):
-        if kind == "edge":
-            u, v = data
-            steps.append(EdgeAdd(pos[u], pos[v]))
-        else:
-            x, y, w = data
-            steps.append(Ext1(pos[x], pos[y], pos[w]))
-    if apply_jj(steps).relabeled(relabel) != G:
-        raise ConstructionError("replayed construction sequence does not reproduce the input graph")
-    return steps, relabel
+    return _extract(G, _K4, _jj_moves, apply_jj, "Hendrickson")

@@ -37,7 +37,7 @@ from .henneberg import Ext0, Ext1, extract_henneberg
 from .lines3d import (Line, LineConfig, _triple_coplanar, edge_scales, is_exact,
                       line_through, meet_residual, pair_intersection, transversal_detail)
 from .numeric import (DimensionReport, edge_index, edge_system, incidence_form,
-                      line_residuals, line_system_dimension, line_system_jacobian)
+                      line_residuals, line_system_dimension, line_system_jacobian, rank_exact)
 from .sparsity import is_laman
 
 _BOX = 40  # coordinate box for integer draws
@@ -270,20 +270,13 @@ def sample_laman_lines_exact(G: Graph, seed: int = 0, max_retries: int = 32) -> 
     """
     if not is_laman(G):
         raise DomainError("sample_laman_lines_exact requires a Laman graph")
-    from .numeric import rank_exact  # local import avoids a cycle at module load
     steps, relabel = extract_henneberg(G)
     for attempt in range(1, max_retries + 1):
         rng = random.Random(f"laman-lines-exact:{seed}:{attempt}")
         if attempt <= max_retries // 2:
             cfg = _construct(G, steps, relabel, rng, tol=1e-8)
         else:
-            O = tuple(_rand_fraction(rng) for _ in range(3))
-            dirs: set[tuple[int, int]] = set()
-            while len(dirs) < G.n:
-                dirs.add((rng.randint(-_BOX, _BOX), rng.randint(-_BOX, _BOX)))
-            rows = [(O[0] - c * O[2], O[1] - d * O[2], Fraction(c), Fraction(d))
-                    for c, d in sorted(dirs)]
-            cfg = LineConfig.from_rows(rows)
+            cfg = knn_config(G.n, "concurrent", sample_knn_params(G.n, "concurrent", rng))
         if cfg is None:
             continue
         if all(r == 0 for r in line_residuals(G, cfg)) and \

@@ -133,6 +133,35 @@ def test_lines_meet(capsys):
     assert code == 0 and json.loads(out)["residual"] == 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "complete"], ["gen", "complete", "3", "4"], ["gen", "hendrickson_random", "5", "1", "2"],
+])
+def test_gen_wrong_parameter_count_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["lines", "meet", "1", "2", "3", "4", "5", "6", "7", "nan"],
+    ["lines", "meet", "1", "2", "3", "4", "5", "6", "7", "1e400"],
+    ["es", "rotation", "nan", "0", "inf"],
+    ["es", "rotation", "0", "0", "x"],
+])
+def test_non_finite_float_positionals_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "not a finite number" in err
+
+
+def test_transversal_parameter_must_be_finite(tmp_path, capsys):
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps({"lines": [[0, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 1]]}))
+    code, out, _ = run(capsys, "lines", "transversal", str(path), "0.5")
+    assert code == 0 and "line" in json.loads(out)
+    for s in ("nan", "inf"):
+        code, out, err = run(capsys, "lines", "transversal", str(path), s)
+        assert code == 2 and out == "" and "not a finite number" in err
+
+
 def test_lines_dim_certificate(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     gpath.write_text(serialize_graph(generate("laman_random", [5], seed=6)))

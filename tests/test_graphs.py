@@ -116,6 +116,28 @@ def test_random_generators_hit_their_class():
         assert is_hendrickson(generate("hendrickson_random", [k], seed=k))
 
 
+@pytest.mark.parametrize("n", [3.0, True, "3", None])
+def test_vertex_count_must_be_an_integer(n):
+    with pytest.raises(DomainError, match="vertex count"):
+        Graph(n, ((0, 1),))
+    with pytest.raises(DomainError, match="vertex count"):
+        Graph(n, ())
+
+
+def test_vertex_count_takes_numpy_integers():
+    G = Graph(np.int64(3), ((0, 1),))
+    assert type(G.n) is int and G == Graph(3, ((0, 1),))
+
+
+@pytest.mark.parametrize("name, params", [
+    ("complete", []), ("complete", [3, 4]), ("laman_random", [5, 1]),
+    ("hendrickson_random", []), ("hendrickson_random", [5, 1, 2]),
+])
+def test_generate_checks_parameter_count(name, params):
+    with pytest.raises(DomainError, match="parameter"):
+        generate(name, params)
+
+
 def test_without_vertex_relabels():
     G = generate("wheel", [5])
     H, keep = G.without_vertex(0)

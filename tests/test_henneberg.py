@@ -140,3 +140,45 @@ def test_step_json_fields_must_be_integers(field, match):
         steps_from_json('[{"kind":"ext1","w":2,%s}]' % field)
     with pytest.raises(StepError, match="unknown kind"):
         steps_from_json('[{"kind":["ext0"],"u":0,"v":1}]')
+
+
+# Steps and relabel recorded from the extractors before they were rebuilt on
+# Graph: a change in the order candidates are tried changes these bytes.
+PINNED = [
+    (extract_henneberg, ("laman_random", [20], 3),
+     '[{"kind":"ext0","u":0,"v":1},{"kind":"ext0","u":2,"v":1},{"kind":"ext0","u":3,"v":0},'
+     '{"kind":"ext0","u":2,"v":4},{"kind":"ext0","u":3,"v":0},{"kind":"ext0","u":6,"v":5},'
+     '{"kind":"ext0","u":5,"v":7},{"kind":"ext0","u":3,"v":8},{"kind":"ext0","u":8,"v":9},'
+     '{"kind":"ext0","u":6,"v":10},{"kind":"ext0","u":11,"v":9},{"kind":"ext0","u":6,"v":11},'
+     '{"kind":"ext0","u":13,"v":12},{"kind":"ext1","u":8,"v":9,"w":14},'
+     '{"kind":"ext0","u":2,"v":5},{"kind":"ext1","u":0,"v":4,"w":16},'
+     '{"kind":"ext1","u":2,"v":1,"w":0},{"kind":"ext0","u":15,"v":13}]',
+     [4, 18, 1, 0, 14, 8, 3, 11, 2, 7, 16, 6, 15, 12, 13, 10, 17, 9, 5, 19]),
+    (extract_jj, ("hendrickson_random", [14], 1),
+     '[{"kind":"ext1","u":2,"v":3,"w":0},{"kind":"ext1","u":0,"v":1,"w":4},'
+     '{"kind":"ext1","u":0,"v":3,"w":4},{"kind":"ext1","u":0,"v":5,"w":6},'
+     '{"kind":"ext1","u":1,"v":5,"w":7},{"kind":"ext1","u":8,"v":5,"w":3},'
+     '{"kind":"ext1","u":1,"v":2,"w":9},{"kind":"ext1","u":1,"v":8,"w":10},'
+     '{"kind":"ext1","u":10,"v":2,"w":11},{"kind":"ext1","u":11,"v":8,"w":7},'
+     '{"kind":"edge","u":13,"v":12},{"kind":"edge","u":13,"v":10}]',
+     [1, 8, 12, 13, 2, 11, 9, 7, 10, 5, 3, 6, 4, 0]),
+    (extract_jj, ("wheel", [7], 0),
+     '[{"kind":"ext1","u":1,"v":3,"w":0},{"kind":"ext1","u":4,"v":3,"w":0},'
+     '{"kind":"ext1","u":5,"v":3,"w":0}]',
+     [0, 4, 5, 6, 3, 2, 1]),
+]
+
+
+@pytest.mark.parametrize("extract, graph, text, relabel", PINNED,
+                         ids=["laman_random(20,3)", "hendrickson_random(14,1)", "wheel(7)"])
+def test_extraction_bytes_are_pinned(extract, graph, text, relabel):
+    name, params, seed = graph
+    steps, got = extract(generate(name, params, seed=seed))
+    assert steps_to_json(steps) == text
+    assert got == relabel
+
+
+@pytest.mark.parametrize("step", [(0, 1), {"kind": "ext0", "u": 0, "v": 1}, None])
+def test_steps_to_json_rejects_non_steps(step):
+    with pytest.raises(StepError, match="unknown step object"):
+        steps_to_json([Ext0(0, 1), step])

@@ -298,3 +298,18 @@ def test_fresh_matches_lines_coincident():
         line = Line(*(row + step * 1e-8 * (1.0 + np.abs(row).max())).tolist())
         want = all(not lines_coincident(line, Line(*other), 1e-8) for other in placed.tolist())
         assert _fresh(line, placed, 1e-8) == want
+
+
+def test_exact_sampler_fallback_is_the_concurrent_family(monkeypatch):
+    # with every construction failing, attempt 17 draws the concurrent family;
+    # the lines are pinned, so a change in its draws fails here
+    from linerig import sampler
+    monkeypatch.setattr(sampler, "_construct", lambda *args, **kwargs: None)
+    G = generate("laman_random", [6], seed=1)
+    cfg = sampler.sample_laman_lines_exact(G, seed=0)
+    assert cfg.to_json() == (
+        '{"lines":[[638.0,271.0,-26.0,-11.0],[546.0,133.0,-22.0,-5.0],'
+        '[385.0,892.0,-15.0,-38.0],[-305.0,-327.0,15.0,15.0],[-374.0,363.0,18.0,-15.0],'
+        '[-696.0,110.0,32.0,-4.0]]}')
+    assert all(type(x) is Fraction for line in cfg.lines for x in line.as_tuple())
+    assert common_point(cfg) is not None
