@@ -136,7 +136,10 @@ def _cmd_lines(args: argparse.Namespace) -> int:
     if args.lines_cmd == "meet":
         l1 = Line(*args.coords[:4])
         l2 = Line(*args.coords[4:])
-        _emit({"residual": float(meet_residual(l1, l2))}, args.format)
+        residual = float(meet_residual(l1, l2))
+        if not math.isfinite(residual):
+            raise LinerigError(f"incidence residual overflows to {residual}")
+        _emit({"residual": residual}, args.format)
         return 0
     if args.lines_cmd == "common":
         cfg = LineConfig.from_json(_read(args.config))
@@ -265,10 +268,18 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite float above zero."""
+    value = _finite_float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be positive: {text!r}")
+    return value
+
+
 # The options that several subcommands share; each leaf names the ones it reads.
 _COMMON = {
     "seed": dict(type=int, default=0),
-    "tol": dict(type=float, default=1e-8),
+    "tol": dict(type=_tolerance, default=1e-8),
     "trials": dict(type=int, default=5),
     "exact": dict(action="store_true", help="confirm ranks in exact arithmetic"),
     "format": dict(choices=("json", "text"), default="json"),

@@ -353,6 +353,9 @@ def generate(name: str, params: Sequence[int], seed: int = 0) -> Graph:
     if len(params) not in counts:
         raise DomainError(f"generator '{name}' takes {' or '.join(map(str, counts))} "
                           f"parameter(s), got {len(params)}")
+    for x in params:
+        if not _is_integer(x):
+            raise DomainError(f"generator '{name}' takes integer parameters, got {x!r}")
     ptuple = tuple(int(x) for x in params)
     rng = random.Random(f"{name}:{ptuple}:{seed}")
     return build(ptuple, rng)

@@ -13,8 +13,10 @@ one of them passes lines3d.is_exact.
 
 Floating ranks use singular-value thresholding: values below
 tol * sigma_max * max(rows, cols) count as zero, and float dimension reports carry
-the margin of that cut. rank_exact recomputes a rank over two random ~61-bit prime
-fields, so certified reports on exact inputs can be reproduced exactly.
+the margin of that cut. rank_exact computes a rank over random ~61-bit prime fields,
+so certified reports on exact inputs can be reproduced exactly: a rank mod p never
+exceeds the rational rank, so one prime that gives full rank min(rows, cols) proves
+it, and a rank-deficient matrix needs two primes that agree on the largest rank seen.
 """
 
 from __future__ import annotations
@@ -118,18 +120,21 @@ def _random_prime(rng: random.Random, lo: int = 2 ** 60, hi: int = 2 ** 61) -> i
 
 
 def _rank_mod_p(rows: list[list[int]], p: int) -> Optional[int]:
-    """Gaussian elimination rank over F_p; None when a denominator hits 0 mod p."""
+    """Gaussian elimination rank over F_p of int and Fraction entries (as
+    _as_exact_rows admits them); None when a denominator hits 0 mod p."""
     work = []
     for row in rows:
         reduced = []
         for x in row:
-            if isinstance(x, Fraction):
+            # type(x) is int, not isinstance(x, Fraction), which goes through
+            # ABCMeta.__instancecheck__ on every entry of a mostly-zero matrix
+            if type(x) is int:
+                reduced.append(x % p)
+            else:
                 den = x.denominator % p
                 if den == 0:
                     return None
                 reduced.append(x.numerator * pow(den, -1, p) % p)
-            else:
-                reduced.append(x % p)
         work.append(reduced)
     rank = 0
     ncols = len(work[0]) if work else 0
@@ -164,15 +169,20 @@ def _as_exact_rows(M) -> list[list[Union[int, Fraction]]]:
 def rank_exact(M, seed: int = 0) -> int:
     """Exact rank of an integer (or rational) matrix.
 
-    Computes the rank modulo independently drawn random primes near 2^61 until two
-    agree. The rank mod p can only drop below the rational rank, and it drops only
-    when p divides a fixed nonzero minor, so for desk-scale integer matrices the
-    chance that two random 61-bit primes both lie among that minor's at most
-    ~bit-length many prime factors is far below 1e-30.
+    Computes the rank modulo independently drawn random primes near 2^61, skipping
+    any prime that divides a denominator. When every denominator is a unit mod p,
+    a minor that vanishes over Q vanishes mod p too, so the rank mod p never
+    exceeds the rational rank. Hence the first prime whose rank is the full
+    min(rows, cols) proves full rank. Below that, primes are drawn until two agree
+    on the largest rank seen: the rank mod p drops only when p divides a fixed
+    nonzero minor, so for desk-scale integer matrices the chance that two random
+    61-bit primes both lie among that minor's at most ~bit-length many prime
+    factors is far below 1e-30.
     """
     rows = _as_exact_rows(M)
     if not rows or not rows[0]:
         return 0
+    full = min(len(rows), len(rows[0]))
     rng = random.Random(f"rank_exact:{seed}")
     results: list[int] = []
     for _ in range(64):
@@ -180,6 +190,8 @@ def rank_exact(M, seed: int = 0) -> int:
         r = _rank_mod_p(rows, p)
         if r is None:
             continue
+        if r == full:
+            return r
         results.append(r)
         best = max(results)
         if results.count(best) >= 2:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -241,3 +242,20 @@ def finite_difference_jacobian(func, x0: np.ndarray, step: float = 1e-6) -> np.n
         lo[k] -= step
         J[:, k] = (np.asarray(func(hi), dtype=float) - np.asarray(func(lo), dtype=float)) / (2 * step)
     return J
+
+
+def fraction_rank(rows) -> int:
+    """Rank over Q by Gauss-Jordan elimination in Fractions: the oracle that
+    numeric.rank_exact's prime-field ranks must equal."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        for i in range(rank + 1, len(work)):
+            f = work[i][c] / work[rank][c]
+            work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
+        rank += 1
+    return rank

@@ -133,6 +133,12 @@ def test_lines_meet(capsys):
     assert code == 0 and json.loads(out)["residual"] == 1.0
 
 
+def test_lines_meet_overflow_is_an_error(capsys):
+    # finite coordinates whose residual, quadratic in them, overflows to -inf
+    code, out, err = run(capsys, "lines", "meet", "1e200", "0", "0", "0", "0", "0", "1e200", "1e200")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "complete"], ["gen", "complete", "3", "4"], ["gen", "hendrickson_random", "5", "1", "2"],
 ])
@@ -589,3 +595,18 @@ def test_exact_is_a_usage_error_except_on_analyze(capsys, leaf):
         # a usage error, raised before any file is read
         code, out, err = run(capsys, *argv, "--exact")
         assert code == 2 and out == "" and "unrecognized arguments: --exact" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1"])
+def test_tol_must_be_positive_and_finite_on_every_leaf(tmp_path, capsys, bad):
+    path = tmp_path / "k4.json"
+    path.write_text(serialize_graph(generate("complete", [4])))
+    code, out, _ = run(capsys, "analyze", str(path), "--tol", "1e-8")
+    assert code == 0 and json.loads(out)["globally_rigid"] is True
+    leaves = [leaf for leaf, opts in _LEAF_OPTIONS.items() if "--tol" in opts.split()]
+    for leaf in leaves:
+        # a usage error, raised before any file is read
+        code, out, err = run(capsys, *leaf.split(), *_LEAF_ARGV[leaf].split(), "--tol", bad)
+        assert code == 2 and out == "" and "argument --tol" in err, leaf
+    code, out, err = run(capsys, "analyze", str(path), "--tol", bad)
+    assert code == 2 and out == "" and "argument --tol" in err

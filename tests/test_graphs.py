@@ -138,6 +138,19 @@ def test_generate_checks_parameter_count(name, params):
         generate(name, params)
 
 
+@pytest.mark.parametrize("name, params", [
+    ("complete", [3.7]), ("complete", [4.0]), ("cycle", ["5"]), ("path", [True]),
+    ("hendrickson_random", [8, None]), ("wheel", [np.float64(5)]),
+])
+def test_generate_rejects_non_integer_parameters(name, params):
+    with pytest.raises(DomainError, match="integer parameters"):
+        generate(name, params)
+
+
+def test_generate_takes_numpy_integers():
+    assert generate("cycle", [np.int64(5)]) == generate("cycle", [5])
+
+
 def test_without_vertex_relabels():
     G = generate("wheel", [5])
     H, keep = G.without_vertex(0)

@@ -4,7 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import finite_difference_jacobian, random_graph
+from helpers import finite_difference_jacobian, fraction_rank, random_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import linerig.numeric as numeric
 
 from linerig.errors import DomainError
 from linerig.graphs import Graph, catalog, generate
@@ -14,7 +18,7 @@ from linerig.numeric import (DimensionReport, edge_function, edge_system,
                              line_residuals, line_system_dimension, line_system_jacobian,
                              pair_system_dimension, pair_system_jacobian, rank_exact,
                              rigidity_matrix, rigidity_rank)
-from linerig.sampler import sample_congruent_pair, sample_laman_lines
+from linerig.sampler import sample_congruent_pair, sample_laman_lines, sample_laman_lines_exact
 from linerig.sparsity import sparsity_rank
 
 K2 = generate("complete", [2])
@@ -113,6 +117,65 @@ def test_rank_exact_matches_float_rank_on_random_integer_matrices():
         M = rng.integers(-9, 10, size=(rng.integers(1, 8), rng.integers(1, 8)))
         r = np.linalg.matrix_rank(M.astype(float))
         assert rank_exact(M.tolist()) == r
+
+
+_ENTRIES = (st.integers(-4, 4) | st.integers(-2 ** 80, 2 ** 80)
+            | st.fractions(-4, 4, max_denominator=9))
+
+
+def _matrices(rows, cols):
+    return st.lists(st.lists(_ENTRIES, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def _exact_matrices(draw):
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        return draw(_matrices(rows, cols))
+    # a product A B of inner size k has rank at most k
+    k = draw(st.integers(1, 3))
+    A, B = draw(_matrices(rows, k)), draw(_matrices(k, cols))
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+@settings(max_examples=150)
+@given(M=_exact_matrices(), seed=st.integers(0, 3))
+def test_rank_exact_matches_fraction_elimination(M, seed):
+    assert rank_exact(M, seed=seed) == fraction_rank(M)
+
+
+def _count_eliminations(monkeypatch) -> list:
+    """Patch numeric._rank_mod_p to record each call's result."""
+    results, inner = [], numeric._rank_mod_p
+
+    def counted(rows, p):
+        results.append(inner(rows, p))
+        return results[-1]
+
+    monkeypatch.setattr(numeric, "_rank_mod_p", counted)
+    return results
+
+
+def test_full_rank_takes_one_prime_and_deficient_rank_two(monkeypatch):
+    results = _count_eliminations(monkeypatch)
+    assert rank_exact(np.eye(6, dtype=int).tolist()) == 6 and results == [6]
+    G = generate("laman_random", [8], seed=1)
+    J = line_system_jacobian(G, sample_laman_lines_exact(G, seed=1))
+    results.clear()
+    assert rank_exact(J) == G.m == 2 * G.n - 3 and results == [G.m]
+    results.clear()
+    outer = [[i * j for j in range(1, 6)] for i in range(1, 5)]
+    assert rank_exact(outer) == 1 and len(results) >= 2 and set(results) == {1}
+
+
+def test_rank_exact_skips_a_prime_that_divides_a_denominator(monkeypatch):
+    p = numeric._random_prime(random.Random("rank_exact:0"))
+    results = _count_eliminations(monkeypatch)
+    assert rank_exact([[Fraction(1, p), 1], [1, 2]]) == 2
+    assert results[0] is None and results[1:] == [2]
+    results.clear()
+    assert rank_exact([[Fraction(1, p), Fraction(2, p)], [3, 6]]) == 1
+    assert results[0] is None and len(results) >= 3
 
 
 def test_line_system_dimension_k2():
