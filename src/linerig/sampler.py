@@ -24,20 +24,21 @@ incidence holds exactly.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SampleError
 from .graphs import Graph
 from .henneberg import Ext0, Ext1, extract_henneberg
-from .lines3d import (Line, LineConfig, _triple_coplanar, edge_scales, is_exact,
-                      line_through, meet_residual, pair_intersection, transversal_detail)
-from .numeric import (DimensionReport, edge_index, edge_system, incidence_form,
-                      line_residuals, line_system_dimension, line_system_jacobian, rank_exact)
+from .lines3d import (Line, LineConfig, _triple_coplanar, edge_scales, line_through,
+                      meet_residual, pair_intersection, transversal_detail)
+from .numeric import (DimensionReport, _line_arrays, edge_index, edge_system, incidence_form,
+                      line_system_dimension, rank_exact)
 from .sparsity import is_laman
 
 _BOX = 40  # coordinate box for integer draws
@@ -279,8 +280,8 @@ def sample_laman_lines_exact(G: Graph, seed: int = 0, max_retries: int = 32) -> 
             cfg = knn_config(G.n, "concurrent", sample_knn_params(G.n, "concurrent", rng))
         if cfg is None:
             continue
-        if all(r == 0 for r in line_residuals(G, cfg)) and \
-                rank_exact(line_system_jacobian(G, cfg)) == G.m:
+        g, J = edge_system(*_line_arrays(G, cfg), incidence_form)
+        if all(r == 0 for r in g) and rank_exact(J) == G.m:
             return cfg
     raise SampleError(f"no exact certified sample for seed {seed}", [])
 
@@ -289,128 +290,93 @@ def sample_laman_lines_exact(G: Graph, seed: int = 0, max_retries: int = 32) -> 
 # complete-graph families
 
 
+# A family: `head` shared parameters, then two per line; `row` maps (*head, s, t) to
+# the line's chart row (a, b, c, d), `grad` to that row's 4 x (head + 2) gradient.
+_Family = NamedTuple("_Family", [("head", int), ("row", Callable), ("grad", Callable)])
+_FAMILIES = {
+    "concurrent": _Family(
+        3, lambda x, y, z, c, d: (x - c * z, y - d * z, c, d),
+        lambda x, y, z, c, d: ((1, 0, -c, -z, 0), (0, 1, -d, 0, -z),
+                               (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))),
+    "parallel": _Family(
+        2, lambda c0, d0, a, b: (a, b, c0, d0),
+        lambda c0, d0, a, b: ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))),
+    "coplanar": _Family(
+        3, lambda k, mu, nu, b, d: (k * (-nu - mu * b), b, k * (1 - mu * d), d),
+        lambda k, mu, nu, b, d: ((-nu - mu * b, -k * b, -k, -k * mu, 0), (0, 0, 0, 1, 0),
+                                 (1 - mu * d, -k * d, 0, 0, -k * mu), (0, 0, 0, 0, 1))),
+}
+
+
+def _family(kind: str) -> _Family:
+    if kind not in _FAMILIES:
+        raise DomainError(f"unknown family kind '{kind}'")
+    return _FAMILIES[kind]
+
+
+def _chart(n: int, kind: str, params) -> tuple[_Family, list, list]:
+    """The family of `kind`, its head and its n per-line (s, t) blocks."""
+    fam, params = _family(kind), list(params)
+    h = fam.head
+    if len(params) != 2 * n + h:
+        raise DomainError(f"{kind} family needs 2n+{h} parameters, got {len(params)}")
+    return fam, params[:h], list(zip(params[h::2], params[h + 1::2]))
+
+
 def knn_config(n: int, kind: str, params) -> LineConfig:
     """Map family parameters to a configuration realizing the complete graph.
 
+    One table, _FAMILIES, holds the three charts and their hand-written gradients
+    (knn_jacobian), which are tested against unit differences of the charts:
     concurrent: (x, y, z, c_1, d_1, ..., c_n, d_n)      -> lines through (x, y, z)
     parallel:   (c0, d0, a_1, b_1, ..., a_n, b_n)        -> common direction (c0, d0, 1)
-    coplanar:   (lam, mu, nu, b_1, d_1, ..., b_n, d_n)   -> lines in z = lam x + mu y + nu
+    coplanar:   (kappa, mu, nu, b_1, d_1, ..., b_n, d_n) -> lines in z = lam x + mu y + nu
+                with lam = 1/kappa: (kappa(-nu - mu b), b, kappa(1 - mu d), d)
     """
-    params = list(params)
-    if kind == "concurrent":
-        if len(params) != 2 * n + 3:
-            raise DomainError(f"concurrent family needs 2n+3 parameters, got {len(params)}")
-        x, y, z = params[:3]
-        rows = []
-        for k in range(n):
-            c, d = params[3 + 2 * k], params[4 + 2 * k]
-            rows.append((x - c * z, y - d * z, c, d))
-        return LineConfig.from_rows(rows)
-    if kind == "parallel":
-        if len(params) != 2 * n + 2:
-            raise DomainError(f"parallel family needs 2n+2 parameters, got {len(params)}")
-        c0, d0 = params[:2]
-        rows = [(params[2 + 2 * k], params[3 + 2 * k], c0, d0) for k in range(n)]
-        return LineConfig.from_rows(rows)
-    if kind == "coplanar":
-        if len(params) != 2 * n + 3:
-            raise DomainError(f"coplanar family needs 2n+3 parameters, got {len(params)}")
-        lam, mu, nu = params[:3]
-        if float(lam) == 0.0:
-            raise DomainError("coplanar chart needs lam != 0")
-        rows = []
-        for k in range(n):
-            b, d = params[3 + 2 * k], params[4 + 2 * k]
-            rows.append(((-nu - mu * b) / lam, b, (1 - mu * d) / lam, d))
-        return LineConfig.from_rows(rows)
-    raise DomainError(f"unknown family kind '{kind}'")
+    fam, head, blocks = _chart(n, kind, params)
+    return LineConfig.from_rows([fam.row(*head, s, t) for s, t in blocks])
 
 
 def knn_jacobian(n: int, kind: str, params) -> np.ndarray:
-    """Analytic 4n x p Jacobian of the family parametrization at `params`."""
-    params = list(params)
-    exact = all(map(is_exact, params))
-    dtype = object if exact else float
-    if kind == "concurrent":
-        x, y, z = params[:3]
-        J = np.zeros((4 * n, 2 * n + 3), dtype=dtype)
-        for k in range(n):
-            c, d = params[3 + 2 * k], params[4 + 2 * k]
-            J[4 * k + 0, 0] = 1
-            J[4 * k + 0, 2] = -c
-            J[4 * k + 0, 3 + 2 * k] = -z
-            J[4 * k + 1, 1] = 1
-            J[4 * k + 1, 2] = -d
-            J[4 * k + 1, 4 + 2 * k] = -z
-            J[4 * k + 2, 3 + 2 * k] = 1
-            J[4 * k + 3, 4 + 2 * k] = 1
-        return J
-    if kind == "parallel":
-        J = np.zeros((4 * n, 2 * n + 2), dtype=dtype)
-        for k in range(n):
-            J[4 * k + 0, 2 + 2 * k] = 1
-            J[4 * k + 1, 3 + 2 * k] = 1
-            J[4 * k + 2, 0] = 1
-            J[4 * k + 3, 1] = 1
-        return J
-    if kind == "coplanar":
-        lam, mu, nu = params[:3]
-        if float(lam) == 0.0:
-            raise DomainError("coplanar chart needs lam != 0")
-        J = np.zeros((4 * n, 2 * n + 3), dtype=dtype)
-        lam2 = lam * lam
-        for k in range(n):
-            b, d = params[3 + 2 * k], params[4 + 2 * k]
-            J[4 * k + 0, 0] = (nu + mu * b) / lam2
-            J[4 * k + 0, 1] = -b / lam
-            J[4 * k + 0, 2] = -1 / lam if exact else -1.0 / lam
-            J[4 * k + 0, 3 + 2 * k] = -mu / lam
-            J[4 * k + 1, 3 + 2 * k] = 1
-            J[4 * k + 2, 0] = (mu * d - 1) / lam2
-            J[4 * k + 2, 1] = -d / lam
-            J[4 * k + 2, 4 + 2 * k] = -mu / lam
-            J[4 * k + 3, 4 + 2 * k] = 1
-        return J
-    raise DomainError(f"unknown family kind '{kind}'")
+    """4n x p Jacobian of the family parametrization at `params`, an object array
+    that is exact on int and Fraction parameters."""
+    fam, head, blocks = _chart(n, kind, params)
+    h = fam.head
+    rows = [[*g[:h], *[0] * (2 * k), *g[h:], *[0] * (2 * (n - k - 1))]
+            for k, (s, t) in enumerate(blocks) for g in fam.grad(*head, s, t)]
+    return np.array(rows, dtype=object).reshape(4 * n, h + 2 * n)
 
 
-def sample_knn_params(n: int, kind: str, rng: random.Random, exact: bool = True) -> list:
-    """Generic integer parameters for a family (distinct per-line blocks)."""
-    one = Fraction(1) if exact else 1
-    if kind == "concurrent":
-        head = [one * rng.randint(-_BOX, _BOX) for _ in range(3)]
-        blocks: set[tuple[int, int]] = set()
-        while len(blocks) < n:
-            blocks.add((rng.randint(-_BOX, _BOX), rng.randint(-_BOX, _BOX)))
-        tail = [one * v for pair in sorted(blocks) for v in pair]
-        return head + tail
-    if kind == "parallel":
-        head = [one * rng.randint(-_BOX, _BOX) for _ in range(2)]
-        blocks = set()
-        while len(blocks) < n:
-            blocks.add((rng.randint(-_BOX, _BOX), rng.randint(-_BOX, _BOX)))
-        tail = [one * v for pair in sorted(blocks) for v in pair]
-        return head + tail
+def sample_knn_params(n: int, kind: str, rng: random.Random) -> list[Fraction]:
+    """Generic integer parameters for a family (the coplanar kappa is 1/lam), drawn
+    from the smallest box [-B, B], B >= 40, that holds n distinct per-line blocks:
+    distinct d for coplanar, distinct pairs otherwise."""
+    if n < 1:
+        raise DomainError("need at least one line")
     if kind == "coplanar":
-        head = [one * _rand_nonzero(rng), one * rng.randint(-_BOX, _BOX), one * rng.randint(-_BOX, _BOX)]
-        seen: set[int] = set()
-        tail = []
-        while len(seen) < n:
-            d = rng.randint(-_BOX, _BOX)
-            if d in seen:
-                continue
-            seen.add(d)
-            tail += [one * rng.randint(-_BOX, _BOX), one * d]
-        return head + tail
-    raise DomainError(f"unknown family kind '{kind}'")
+        box = max(_BOX, n // 2)
+        head = [Fraction(1, _rand_nonzero(rng, box)), rng.randint(-box, box),
+                rng.randint(-box, box)]
+        b_of: dict[int, int] = {}  # d -> b, in draw order
+        while len(b_of) < n:
+            d = rng.randint(-box, box)
+            if d not in b_of:
+                b_of[d] = rng.randint(-box, box)
+        blocks = [(b, d) for d, b in b_of.items()]
+    else:
+        box = max(_BOX, (math.isqrt(n - 1) + 1) // 2)
+        head = [rng.randint(-box, box) for _ in range(_family(kind).head)]
+        pairs: set[tuple[int, int]] = set()
+        while len(pairs) < n:
+            pairs.add((rng.randint(-box, box), rng.randint(-box, box)))
+        blocks = sorted(pairs)
+    return [Fraction(v) for v in head + [v for block in blocks for v in block]]
 
 
 def sample_knn(n: int, kind: str, seed: int = 0) -> LineConfig:
     """Random configuration realizing the complete graph, of the requested family."""
-    if n < 1:
-        raise DomainError("need at least one line")
     rng = random.Random(f"knn:{kind}:{n}:{seed}")
-    return knn_config(n, kind, sample_knn_params(n, kind, rng, exact=True))
+    return knn_config(n, kind, sample_knn_params(n, kind, rng))
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ def lemma_complete(n_max: int = 10, seeds: int = 20, seed: int = 0) -> SuiteRepo
         for n in range(2, n_max + 1):
             for k in range(seeds):
                 rng = random.Random(f"lemma-complete:{kind}:{n}:{seed}:{k}")
-                params = sample_knn_params(n, kind, rng, exact=True)
+                params = sample_knn_params(n, kind, rng)
                 rank = rank_exact(knn_jacobian(n, kind, params))
                 rep.record(rank == cols(n), kind=kind, n=n, instance=k,
                            rank=rank, expected=cols(n))

@@ -11,9 +11,10 @@ from linerig.graphs import generate
 from linerig.lines3d import LineConfig, common_plane, common_point, intersection_graph
 from linerig.numeric import (edge_function, line_residuals, line_system_dimension,
                              line_system_jacobian, rank_exact)
-from linerig.sampler import (gauss_newton_project, knn_jacobian, sample_congruent_pair,
-                             sample_knn, sample_knn_params, sample_laman_lines,
-                             sample_laman_lines_exact, sample_laman_lines_info)
+from linerig.sampler import (gauss_newton_project, knn_config, knn_jacobian,
+                             sample_congruent_pair, sample_knn, sample_knn_params,
+                             sample_laman_lines, sample_laman_lines_exact,
+                             sample_laman_lines_info)
 
 
 def test_sample_k2():
@@ -68,13 +69,83 @@ def test_sample_knn_kinds():
     assert common_point(cop) is None  # generic coplanar draw has no common point
 
 
+def test_coplanar_sample_lies_in_its_chart_plane():
+    # the coplanar head is (kappa, mu, nu): the plane z = lam x + mu y + nu, lam = 1/kappa
+    for n, seed in ((2, 0), (5, 5), (9, 1)):
+        rng = random.Random(f"knn:coplanar:{n}:{seed}")  # sample_knn's generator
+        kappa, mu, nu = sample_knn_params(n, "coplanar", rng)[:3]
+        plane = common_plane(sample_knn(n, "coplanar", seed=seed))
+        assert (plane.lam, plane.mu, plane.nu) == pytest.approx(
+            (float(1 / kappa), float(mu), float(nu)), rel=1e-9, abs=1e-9)
+
+
+# sample_knn's exact rows for two (n, seed) pairs of each family
+_KNN_PIN = {
+    ("concurrent", 3, 1): [["-367", "281", "-33", "28"], ["-247", "381", "-21", "38"],
+                           ["-77", "391", "-4", "39"]],
+    ("concurrent", 5, 2): [["-37", "12", "-38", "7"], ["-18", "9", "-19", "4"],
+                           ["12", "31", "11", "26"], ["33", "34", "32", "29"],
+                           ["34", "-7", "33", "-12"]],
+    ("parallel", 3, 0): [["-35", "-4", "7", "6"], ["4", "-10", "7", "6"], ["34", "5", "7", "6"]],
+    ("parallel", 4, 5): [["-40", "-19", "30", "-14"], ["-8", "-36", "30", "-14"],
+                         ["34", "-32", "30", "-14"], ["40", "37", "30", "-14"]],
+    ("coplanar", 3, 3): [["557/28", "32", "-67/4", "-26"], ["-559/28", "-30", "-85/4", "-33"],
+                         ["53/28", "4", "-31/4", "-12"]],
+    ("coplanar", 4, 1): [["-119/9", "-14", "685/18", "38"], ["-272/9", "-31", "667/18", "37"],
+                         ["52/9", "5", "-71/18", "-4"], ["151/9", "16", "-557/18", "-31"]],
+}
+
+
+def test_sample_knn_output_is_pinned():
+    for (kind, n, seed), rows in _KNN_PIN.items():
+        cfg = sample_knn(n, kind, seed=seed)
+        assert [[str(x) for x in row] for row in cfg.coords()] == rows, (kind, n, seed)
+        assert all(type(x) is Fraction for row in cfg.coords() for x in row)
+
+
+def test_sample_knn_params_beyond_the_default_box():
+    # more lines than [-40, 40] has distinct blocks: 81 values of d, 81^2 pairs
+    for kind, n, h in (("coplanar", 82, 3), ("parallel", 6562, 2), ("concurrent", 6562, 3)):
+        params = sample_knn_params(n, kind, random.Random(0))
+        blocks = list(zip(params[h::2], params[h + 1::2]))
+        assert len(params) == h + 2 * n and len(set(blocks)) == n
+        if kind == "coplanar":
+            assert len({d for _, d in blocks}) == n
+    assert len(set(sample_knn(82, "coplanar").lines)) == 82
+
+
+def test_knn_jacobian_columns_are_unit_differences():
+    # every chart coordinate is affine in each parameter separately, so a step h in
+    # parameter i changes the rows by exactly h times the gradient column i
+    rng = random.Random(16)
+    for kind in ("concurrent", "parallel", "coplanar"):
+        for n in (1, 3):
+            params = sample_knn_params(n, kind, rng)
+            J = knn_jacobian(n, kind, params)
+            base = [x for row in knn_config(n, kind, params).coords() for x in row]
+            for i in range(len(params)):
+                for h in (1, 2, Fraction(-1, 3)):
+                    moved = params[:i] + [params[i] + h] + params[i + 1:]
+                    rows = knn_config(n, kind, moved).coords()
+                    step = [(x - y) / h for x, y in zip((x for r in rows for x in r), base)]
+                    assert step == J[:, i].tolist(), (kind, n, i, h)
+
+
+def test_knn_family_rejects_unknown_kind_and_wrong_length():
+    with pytest.raises(DomainError, match="unknown family kind"):
+        sample_knn(3, "skew")
+    for fn in (knn_config, knn_jacobian):
+        with pytest.raises(DomainError, match="parallel family needs 2n\\+2 parameters, got 7"):
+            fn(3, "parallel", [0] * 7)
+
+
 def test_knn_jacobian_full_column_rank():
     expected = {"concurrent": lambda n: 2 * n + 3, "parallel": lambda n: 2 * n + 2,
                 "coplanar": lambda n: 2 * n + 3}
     rng = random.Random(6)
     for kind, cols in expected.items():
         for n in (2, 4, 8):
-            params = sample_knn_params(n, kind, rng, exact=True)
+            params = sample_knn_params(n, kind, rng)
             assert rank_exact(knn_jacobian(n, kind, params)) == cols(n)
 
 
