@@ -13,13 +13,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
-
-import numpy as np
 
 from . import __version__
 from .connectivity import is_k_connected
-from .elekes_sharir import (parse_pair_file, phi, recover_motion, rotation_at,
+from .elekes_sharir import (from_line, parse_pair_file, phi, recover_motion, rotation_at,
                             serialize_pair_file)
 from .errors import LinerigError
 from .graphs import Graph, generate, parse_graph, serialize_graph
@@ -99,12 +98,11 @@ def _load_graph(path: str) -> Graph:
     return parse_graph(text, fmt)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> None:
     G = _load_graph(args.graph)
     report = analyze_graph(G, seed=args.seed, trials=args.trials, tol=args.tol,
                            exact=args.exact)
     _emit(report.to_dict(), args.format)
-    return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -122,135 +120,122 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if rep.ok else 1
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
-    G = generate(args.name, args.params, seed=args.seed)
-    print(serialize_graph(G))
-    return 0
+def _cmd_gen(args: argparse.Namespace) -> None:
+    print(serialize_graph(generate(args.name, args.params, seed=args.seed)))
 
 
-def _cmd_lines(args: argparse.Namespace) -> int:
-    if args.lines_cmd == "graph":
-        cfg = LineConfig.from_json(_read(args.config))
-        print(serialize_graph(intersection_graph(cfg, args.tol)))
-        return 0
-    if args.lines_cmd == "meet":
-        l1 = Line(*args.coords[:4])
-        l2 = Line(*args.coords[4:])
-        residual = float(meet_residual(l1, l2))
-        if not math.isfinite(residual):
-            raise LinerigError(f"incidence residual overflows to {residual}")
-        _emit({"residual": residual}, args.format)
-        return 0
-    if args.lines_cmd == "common":
-        cfg = LineConfig.from_json(_read(args.config))
-        point = common_point(cfg, args.tol)
-        plane = common_plane(cfg, args.tol)
-        _emit({
-            "common_point": list(point.point) if point and point.point else None,
-            "parallel_family": bool(point.parallel) if point else False,
-            "common_plane": [plane.lam, plane.mu, plane.nu] if plane else None,
-        }, args.format)
-        return 0
-    if args.lines_cmd == "classify":
-        cfg = LineConfig.from_json(_read(args.config))
-        if cfg.n != 3:
-            raise LinerigError("classify needs exactly 3 lines")
-        tc = classify_triple(cfg[0], cfg[1], cfg[2], args.tol)
-        _emit({
-            "class": tc.tag,
-            "family_dim": tc.family_dim,
-            "point": list(tc.point) if tc.point else None,
-            "plane": [tc.plane.lam, tc.plane.mu, tc.plane.nu] if tc.plane else None,
-        }, args.format)
-        return 0
-    if args.lines_cmd == "transversal":
-        cfg = LineConfig.from_json(_read(args.config))
-        if cfg.n != 3:
-            raise LinerigError("transversal needs exactly 3 lines")
-        line = transversal(cfg[0], cfg[1], cfg[2], args.s, args.tol)
-        _emit({"line": [float(v) for v in line.as_tuple()] if line else None}, args.format)
-        return 0
-    if args.lines_cmd == "dim":
-        G = _load_graph(args.graph)
-        cfg = LineConfig.from_json(_read(args.config))
-        report = line_system_dimension(G, cfg, tol=args.tol)
-        payload = report.to_dict()
-        if args.dump_jacobian:
-            payload["jacobian"] = line_system_jacobian(G, cfg).astype(float).tolist()
-        _emit(payload, args.format)
-        return 0
-    raise LinerigError(f"unknown lines subcommand {args.lines_cmd}")
+def _cmd_lines_graph(args: argparse.Namespace) -> None:
+    cfg = LineConfig.from_json(_read(args.config))
+    print(serialize_graph(intersection_graph(cfg, args.tol)))
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
-    if args.sample_cmd == "laman":
-        G = _load_graph(args.graph)
-        result = sample_laman_lines_info(G, seed=args.seed)
-        print(result.config.to_json())
-        return 0
-    if args.sample_cmd == "knn":
-        cfg = sample_knn(args.n, args.kind, seed=args.seed)
-        print(cfg.to_json())
-        return 0
-    if args.sample_cmd == "pair":
-        G = _load_graph(args.graph)
-        p, pp = sample_congruent_pair(G, orientation=args.orientation, seed=args.seed)
-        print(serialize_pair_file(np.asarray(p), np.asarray(pp)))
-        return 0
-    if args.sample_cmd == "project":
-        G = _load_graph(args.graph)
-        cfg = LineConfig.from_json(_read(args.config))
-        out = gauss_newton_project(G, cfg, tol=args.tol)
-        print(out.to_json())
-        return 0
-    raise LinerigError(f"unknown sample subcommand {args.sample_cmd}")
+def _cmd_lines_meet(args: argparse.Namespace) -> None:
+    residual = float(meet_residual(Line(*args.coords[:4]), Line(*args.coords[4:])))
+    if not math.isfinite(residual):
+        raise LinerigError(f"incidence residual overflows to {residual}")
+    _emit({"residual": residual}, args.format)
 
 
-def _cmd_henneberg(args: argparse.Namespace) -> int:
-    if args.h_cmd in ("extract", "jj-extract"):
-        extract = extract_henneberg if args.h_cmd == "extract" else extract_jj
-        steps, relabel = extract(_load_graph(args.graph))
-        _emit({"steps": json.loads(steps_to_json(steps)), "relabel": relabel}, args.format)
-    else:
-        apply = apply_henneberg if args.h_cmd == "apply" else apply_jj
-        print(serialize_graph(apply(steps_from_json(_read(args.steps)))))
-    return 0
+def _cmd_lines_common(args: argparse.Namespace) -> None:
+    cfg = LineConfig.from_json(_read(args.config))
+    point = common_point(cfg, args.tol)
+    plane = common_plane(cfg, args.tol)
+    _emit({
+        "common_point": list(point.point) if point and point.point else None,
+        "parallel_family": bool(point.parallel) if point else False,
+        "common_plane": [plane.lam, plane.mu, plane.nu] if plane else None,
+    }, args.format)
 
 
-def _cmd_es(args: argparse.Namespace) -> int:
-    if args.es_cmd == "map":
-        p, pp = parse_pair_file(_read(args.pairs))
-        print(phi(p, pp).to_json())
-        return 0
-    if args.es_cmd == "invert":
-        cfg = LineConfig.from_json(_read(args.config))
-        from .elekes_sharir import from_line
-        pairs = [from_line(ln) for ln in cfg.lines]
-        print(serialize_pair_file([pr.a for pr in pairs], [pr.b for pr in pairs]))
-        return 0
-    if args.es_cmd == "rotation":
-        x, y, z = args.point
-        rot = rotation_at((x, y, z))
-        _emit({"center": [rot.center[0], rot.center[1]], "cot_half_angle": float(rot.t),
-               "theta": rot.theta}, args.format)
-        return 0
-    if args.es_cmd == "recover":
-        p, pp = parse_pair_file(_read(args.pairs))
-        motion = recover_motion(p, pp, orientation=args.orientation, tol=args.tol)
-        _emit({"matrix": [list(motion.matrix[0]), list(motion.matrix[1])],
-               "translation": list(motion.translation),
-               "orientation": motion.orientation}, args.format)
-        return 0
-    if args.es_cmd == "dim":
-        G = _load_graph(args.graph)
-        p, pp = parse_pair_file(_read(args.pairs))
-        report = pair_system_dimension(G, p, pp, tol=args.tol)
-        payload = report.to_dict()
-        if args.dump_jacobian:
-            payload["jacobian"] = pair_system_jacobian(G, p, pp).astype(float).tolist()
-        _emit(payload, args.format)
-        return 0
-    raise LinerigError(f"unknown es subcommand {args.es_cmd}")
+def _cmd_lines_classify(args: argparse.Namespace) -> None:
+    cfg = LineConfig.from_json(_read(args.config))
+    if cfg.n != 3:
+        raise LinerigError("classify needs exactly 3 lines")
+    tc = classify_triple(cfg[0], cfg[1], cfg[2], args.tol)
+    _emit({
+        "class": tc.tag,
+        "family_dim": tc.family_dim,
+        "point": list(tc.point) if tc.point else None,
+        "plane": [tc.plane.lam, tc.plane.mu, tc.plane.nu] if tc.plane else None,
+    }, args.format)
+
+
+def _cmd_lines_transversal(args: argparse.Namespace) -> None:
+    cfg = LineConfig.from_json(_read(args.config))
+    if cfg.n != 3:
+        raise LinerigError("transversal needs exactly 3 lines")
+    line = transversal(cfg[0], cfg[1], cfg[2], args.s, args.tol)
+    _emit({"line": [float(v) for v in line.as_tuple()] if line else None}, args.format)
+
+
+def _cmd_lines_dim(args: argparse.Namespace) -> None:
+    G = _load_graph(args.graph)
+    cfg = LineConfig.from_json(_read(args.config))
+    payload = line_system_dimension(G, cfg, tol=args.tol).to_dict()
+    if args.dump_jacobian:
+        payload["jacobian"] = line_system_jacobian(G, cfg).astype(float).tolist()
+    _emit(payload, args.format)
+
+
+def _cmd_sample_laman(args: argparse.Namespace) -> None:
+    print(sample_laman_lines_info(_load_graph(args.graph), seed=args.seed).config.to_json())
+
+
+def _cmd_sample_knn(args: argparse.Namespace) -> None:
+    print(sample_knn(args.n, args.kind, seed=args.seed).to_json())
+
+
+def _cmd_sample_pair(args: argparse.Namespace) -> None:
+    G = _load_graph(args.graph)
+    print(serialize_pair_file(*sample_congruent_pair(G, orientation=args.orientation,
+                                                     seed=args.seed)))
+
+
+def _cmd_sample_project(args: argparse.Namespace) -> None:
+    G = _load_graph(args.graph)
+    cfg = LineConfig.from_json(_read(args.config))
+    print(gauss_newton_project(G, cfg, tol=args.tol).to_json())
+
+
+def _cmd_extract(extract, args: argparse.Namespace) -> None:
+    steps, relabel = extract(_load_graph(args.graph))
+    _emit({"steps": json.loads(steps_to_json(steps)), "relabel": relabel}, args.format)
+
+
+def _cmd_apply(apply, args: argparse.Namespace) -> None:
+    print(serialize_graph(apply(steps_from_json(_read(args.steps)))))
+
+
+def _cmd_es_map(args: argparse.Namespace) -> None:
+    print(phi(*parse_pair_file(_read(args.pairs))).to_json())
+
+
+def _cmd_es_invert(args: argparse.Namespace) -> None:
+    pairs = [from_line(ln) for ln in LineConfig.from_json(_read(args.config)).lines]
+    print(serialize_pair_file([pr.a for pr in pairs], [pr.b for pr in pairs]))
+
+
+def _cmd_es_rotation(args: argparse.Namespace) -> None:
+    rot = rotation_at(tuple(args.point))
+    _emit({"center": [rot.center[0], rot.center[1]], "cot_half_angle": float(rot.t),
+           "theta": rot.theta}, args.format)
+
+
+def _cmd_es_recover(args: argparse.Namespace) -> None:
+    p, pp = parse_pair_file(_read(args.pairs))
+    motion = recover_motion(p, pp, orientation=args.orientation, tol=args.tol)
+    _emit({"matrix": [list(motion.matrix[0]), list(motion.matrix[1])],
+           "translation": list(motion.translation),
+           "orientation": motion.orientation}, args.format)
+
+
+def _cmd_es_dim(args: argparse.Namespace) -> None:
+    G = _load_graph(args.graph)
+    p, pp = parse_pair_file(_read(args.pairs))
+    payload = pair_system_dimension(G, p, pp, tol=args.tol).to_dict()
+    if args.dump_jacobian:
+        payload["jacobian"] = pair_system_jacobian(G, p, pp).astype(float).tolist()
+    _emit(payload, args.format)
 
 
 def _arg(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
@@ -308,35 +293,37 @@ _COMMANDS = (
       _arg("--per-class", type=int, default=100)], "seed tol trials format"),
     (None, "gen", "emit a named catalog graph as JSON", _cmd_gen,
      ["name", _arg("params", type=int, nargs="*")], "seed"),
-    ("lines", "graph", "intersection graph of a configuration", _cmd_lines, ["config"], "tol"),
-    ("lines", "meet", "incidence residual of two lines (8 numbers)", _cmd_lines,
+    ("lines", "graph", "intersection graph of a configuration", _cmd_lines_graph, ["config"],
+     "tol"),
+    ("lines", "meet", "incidence residual of two lines (8 numbers)", _cmd_lines_meet,
      [_arg("coords", type=_finite_float, nargs=8)], "format"),
-    ("lines", "common", "common point / plane of a configuration", _cmd_lines, ["config"],
+    ("lines", "common", "common point / plane of a configuration", _cmd_lines_common,
+     ["config"], "tol format"),
+    ("lines", "classify", "classify a triple of lines", _cmd_lines_classify, ["config"],
      "tol format"),
-    ("lines", "classify", "classify a triple of lines", _cmd_lines, ["config"], "tol format"),
-    ("lines", "transversal", "line through l3(s) meeting l1 and l2", _cmd_lines,
+    ("lines", "transversal", "line through l3(s) meeting l1 and l2", _cmd_lines_transversal,
      ["config", _arg("s", type=_finite_float)], "tol format"),
-    ("lines", "dim", "local dimension certificate of a graph's incidence system", _cmd_lines,
-     ["graph", "config", _DUMP], "tol format"),
-    ("sample", "laman", "certified line realization of a Laman graph", _cmd_sample, ["graph"],
-     "seed"),
-    ("sample", "knn", "complete-graph family configuration", _cmd_sample,
+    ("lines", "dim", "local dimension certificate of a graph's incidence system",
+     _cmd_lines_dim, ["graph", "config", _DUMP], "tol format"),
+    ("sample", "laman", "certified line realization of a Laman graph", _cmd_sample_laman,
+     ["graph"], "seed"),
+    ("sample", "knn", "complete-graph family configuration", _cmd_sample_knn,
      [_arg("kind", choices=("concurrent", "parallel", "coplanar")), _arg("n", type=int)], "seed"),
-    ("sample", "pair", "congruent embedding pair for a graph", _cmd_sample,
+    ("sample", "pair", "congruent embedding pair for a graph", _cmd_sample_pair,
      ["graph", _ORIENTATION], "seed"),
-    ("sample", "project", "Gauss-Newton projection onto a graph's incidence system", _cmd_sample,
-     ["graph", "config"], "tol"),
-    ("henneberg", "extract", None, _cmd_henneberg, ["graph"], "format"),
-    ("henneberg", "apply", None, _cmd_henneberg, ["steps"], ""),
-    ("henneberg", "jj-extract", None, _cmd_henneberg, ["graph"], "format"),
-    ("henneberg", "jj-apply", None, _cmd_henneberg, ["steps"], ""),
-    ("es", "map", "pair file -> line configuration", _cmd_es, ["pairs"], ""),
-    ("es", "invert", "line configuration -> pair file", _cmd_es, ["config"], ""),
-    ("es", "rotation", "rotation represented by a 3-space point", _cmd_es,
+    ("sample", "project", "Gauss-Newton projection onto a graph's incidence system",
+     _cmd_sample_project, ["graph", "config"], "tol"),
+    ("henneberg", "extract", None, partial(_cmd_extract, extract_henneberg), ["graph"], "format"),
+    ("henneberg", "apply", None, partial(_cmd_apply, apply_henneberg), ["steps"], ""),
+    ("henneberg", "jj-extract", None, partial(_cmd_extract, extract_jj), ["graph"], "format"),
+    ("henneberg", "jj-apply", None, partial(_cmd_apply, apply_jj), ["steps"], ""),
+    ("es", "map", "pair file -> line configuration", _cmd_es_map, ["pairs"], ""),
+    ("es", "invert", "line configuration -> pair file", _cmd_es_invert, ["config"], ""),
+    ("es", "rotation", "rotation represented by a 3-space point", _cmd_es_rotation,
      [_arg("point", type=_finite_float, nargs=3)], "format"),
-    ("es", "recover", "rigid motion taking p to p_prime", _cmd_es, ["pairs", _ORIENTATION],
-     "tol format"),
-    ("es", "dim", "local dimension certificate of the equal-lengths system", _cmd_es,
+    ("es", "recover", "rigid motion taking p to p_prime", _cmd_es_recover,
+     ["pairs", _ORIENTATION], "tol format"),
+    ("es", "dim", "local dimension certificate of the equal-lengths system", _cmd_es_dim,
      ["graph", "pairs", _DUMP], "tol format"),
 )
 
@@ -370,7 +357,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return args.func(args) or 0  # handlers return None on success, verify's 1 on failure
     except (LinerigError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

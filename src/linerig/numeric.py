@@ -25,7 +25,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -280,8 +280,10 @@ def random_embedding(n: int, rng: np.random.Generator, box: int = 10 ** 4) -> np
     return rng.integers(-box, box + 1, size=(n, 2)).astype(np.int64)
 
 
-def _trial_rngs(seed: int, trials: int) -> list[np.random.Generator]:
-    return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(trials)]
+def _trial_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
+    """SeedSequence(seed).spawn(trials)'s generators, each spawned when it is taken."""
+    root = np.random.SeedSequence(seed)
+    return (np.random.Generator(np.random.PCG64(root.spawn(1)[0])) for _ in range(trials))
 
 
 def rigidity_rank(G: Graph, trials: int = 5, seed: int = 0, exact: bool = False) -> int:
@@ -336,8 +338,8 @@ def line_system_dimension(G: Graph, x: LineConfig, tol: float = DEFAULT_TOL,
     """
     X, i, j = _line_arrays(G, x)
     g, J = edge_system(X, i, j, incidence_form)
-    rel = np.abs(g.astype(float)) / edge_scales(X.astype(float), i, j)
-    return _certify(G, rel, "configuration violates the incidence system", J, tol, exact)
+    return _certify(G, g, "configuration violates the incidence system", J, tol, exact,
+                    lambda: edge_scales(X.astype(float), i, j))
 
 
 # ---------------------------------------------------------------------------
@@ -362,25 +364,28 @@ def pair_system_dimension(G: Graph, p, p_prime, tol: float = DEFAULT_TOL,
                           exact: bool = False) -> DimensionReport:
     """Rank certificate for the equal-edge-lengths system at a pair of embeddings."""
     fp, fq, J = _pair_system(G, p, p_prime)
-    fp, fq = fp.astype(float), fq.astype(float)
-    scale = 1.0 + max(np.abs(fp).max(initial=0.0), np.abs(fq).max(initial=0.0))
-    return _certify(G, np.abs(fp - fq) / scale, "edge lengths differ", J, tol, exact)
+    return _certify(G, fp - fq, "edge lengths differ", J, tol, exact,
+                    lambda: 1.0 + np.abs(np.hstack([fp, fq]).astype(float)).max(initial=0.0))
 
 
-def _certify(G: Graph, rel: np.ndarray, violation: str, J: np.ndarray, tol: float,
-             exact: bool) -> DimensionReport:
-    """The dimension reports' shared tail: every edge's relative residual must be
-    within tol, then the exact or float rank of J is compared with m."""
-    if G.m:
-        k = int(np.argmax(rel))
-        if not rel[k] <= tol:
-            raise DomainError(f"{violation}: edge {G.edges[k]} has relative residual "
-                              f"{rel[k]:.3e} > tol {tol:.1e}")
+def _certify(G: Graph, g: np.ndarray, violation: str, J: np.ndarray, tol: float,
+             exact: bool, scale: Callable[[], np.ndarray]) -> DimensionReport:
+    """The dimension reports' shared tail: the residuals g must vanish, exactly in exact
+    mode and within tol of scale() otherwise; then J's rank is compared with m."""
     if exact:
         if J.dtype != object:
             raise DomainError("exact mode needs integer or rational coordinates")
+        for edge, r in zip(G.edges, g):
+            if r != 0:
+                raise DomainError(f"{violation}: edge {edge} has nonzero residual {r}")
         rank, kept, dropped = rank_exact(J), None, None
     else:
+        rel = np.abs(g.astype(float)) / scale()
+        if G.m:
+            k = int(np.argmax(rel))
+            if not rel[k] <= tol:
+                raise DomainError(f"{violation}: edge {G.edges[k]} has relative residual "
+                                  f"{rel[k]:.3e} > tol {tol:.1e}")
         rank, kept, dropped = _float_rank(J, tol)
     return DimensionReport(J.shape[1], G.m, rank, tol, rank == G.m, kept, dropped)
 

@@ -20,6 +20,11 @@ lines through a common point, a 0-extension joins random points of (or passes
 through the intersection of) the two attach lines, and a 1-extension takes a
 transversal to the three lines involved. All random draws are integers, so every
 incidence holds exactly.
+
+Both samplers run one attempt loop, which certifies each draw with
+line_system_dimension (at tolerance 1e-8, or exactly, which requires every residual
+to be exactly 0) and returns a LineSample whose log holds one line per attempt, or
+raises SampleError carrying that log.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -37,8 +42,8 @@ from .graphs import Graph
 from .henneberg import Ext0, Ext1, extract_henneberg
 from .lines3d import (Line, LineConfig, _triple_coplanar, edge_scales, line_through,
                       meet_residual, pair_intersection, transversal_detail)
-from .numeric import (DimensionReport, _line_arrays, edge_index, edge_system, incidence_form,
-                      line_system_dimension, rank_exact)
+from .numeric import (DimensionReport, edge_index, edge_system, incidence_form,
+                      line_system_dimension)
 from .sparsity import is_laman
 
 _BOX = 40  # coordinate box for integer draws
@@ -205,11 +210,22 @@ def gauss_newton_project(G: Graph, x0: LineConfig, tol: float = 1e-12,
         f"(residual {best:.2e})", best)
 
 
-def _distinct(X: np.ndarray, tol: float) -> bool:
-    """No two rows of X agree to within tol in every coordinate."""
-    diff = np.abs(X[:, None, :] - X[None, :, :]).max(axis=2)
-    np.fill_diagonal(diff, np.inf)
-    return bool(diff.min() > tol)
+def _certified_sample(G: Graph, draw: Callable[[int], Union[LineConfig, str]], exact: bool,
+                      seed: int, max_retries: int) -> LineSample:
+    """The Laman samplers' attempt loop. Attempt k's draw(k) is a configuration or the
+    reason none was drawn; line_system_dimension certifies a configuration, exactly
+    or at tolerance 1e-8. Logs one line per attempt."""
+    log: list[str] = []
+    for attempt in range(1, max_retries + 1):
+        drawn = draw(attempt)
+        if isinstance(drawn, LineConfig):
+            report = line_system_dimension(G, drawn, tol=1e-8, exact=exact)
+            if report.certified:
+                log.append(f"attempt {attempt}: certified, rank {report.jacobian_rank}")
+                return LineSample(drawn, report, attempt, log)
+            drawn = f"rank {report.jacobian_rank} < {G.m}"
+        log.append(f"attempt {attempt}: {drawn}")
+    raise SampleError(f"no certified sample for seed {seed} in {max_retries} attempts", log)
 
 
 def sample_laman_lines_info(G: Graph, seed: int = 0, max_retries: int = 32,
@@ -220,14 +236,13 @@ def sample_laman_lines_info(G: Graph, seed: int = 0, max_retries: int = 32,
     (seed, attempt) and projects them onto the incidence system with Gauss-Newton
     to tol, which leaves every edge's residual within tol of its pair scale. The
     projection is kept when no two lines coincide within 1e-8 of the configuration's
-    scale (1 + max |coordinate|) and the Jacobian has full rank; any other attempt
-    is retried with a fresh draw. The returned sample's log records every attempt,
-    as SampleError.log does when all of them fail.
+    scale (1 + max |coordinate|) and the float Jacobian has full rank; any other
+    attempt is retried with a fresh draw.
     """
     if not is_laman(G):
         raise DomainError("sample_laman_lines requires a Laman graph")
-    log: list[str] = []
-    for attempt in range(1, max_retries + 1):
+
+    def draw(attempt: int) -> Union[LineConfig, str]:
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([seed & 0xFFFFFFFF, attempt])))
         start = rng.integers(-_BOX, _BOX, size=(G.n, 4), endpoint=True)
@@ -235,20 +250,15 @@ def sample_laman_lines_info(G: Graph, seed: int = 0, max_retries: int = 32,
             projected = gauss_newton_project(G, LineConfig.from_rows(start.tolist()),
                                              tol=tol, max_iter=80)
         except ConvergenceError as exc:
-            log.append(f"attempt {attempt}: no convergence: {exc}")
-            continue
+            return f"no convergence: {exc}"
         X = projected.as_array()
-        scale = 1.0 + float(np.max(np.abs(X)))
-        if not _distinct(X, 1e-8 * scale):
-            log.append(f"attempt {attempt}: two lines coincide")
-            continue
-        report = line_system_dimension(G, projected, tol=1e-8)
-        if not report.certified:
-            log.append(f"attempt {attempt}: rank {report.jacobian_rank} < {G.m}")
-            continue
-        log.append(f"attempt {attempt}: certified, rank {report.jacobian_rank}")
-        return LineSample(projected, report, attempt, log)
-    raise SampleError(f"no certified sample for seed {seed} in {max_retries} attempts", log)
+        gap = np.abs(X[:, None, :] - X[None, :, :]).max(axis=2)  # per pair of lines
+        np.fill_diagonal(gap, np.inf)
+        if not gap.min() > 1e-8 * (1.0 + np.abs(X).max()):
+            return "two lines coincide"
+        return projected
+
+    return _certified_sample(G, draw, False, seed, max_retries)
 
 
 def sample_laman_lines(G: Graph, seed: int = 0, max_retries: int = 32,
@@ -256,34 +266,30 @@ def sample_laman_lines(G: Graph, seed: int = 0, max_retries: int = 32,
     return sample_laman_lines_info(G, seed, max_retries, tol).config
 
 
-def sample_laman_lines_exact(G: Graph, seed: int = 0, max_retries: int = 32) -> LineConfig:
-    """Exact rational configuration realizing a Laman graph with certified rank.
+def sample_laman_lines_exact_info(G: Graph, seed: int = 0, max_retries: int = 32) -> LineSample:
+    """Certified exact rational configuration realizing a Laman graph.
 
-    Constructs the configuration along the graph's extension sequence in Fraction
-    arithmetic, so all residuals are exactly zero; a draw is kept only when the
-    exact Jacobian rank is full (constructed points sit on strata with extra
-    incidences, which in principle can underreport rank). If construction keeps
-    failing, falls back to the concurrent family (all lines through one random
-    integer point), which realizes every edge exactly and generically has full
-    rank for any rigid graph: it is the transform image of a rotation-congruent
-    embedding pair, and the incidence system there is linearly conjugate to the
-    equal-lengths pair system.
+    Each attempt constructs a configuration along the graph's extension sequence in
+    Fraction arithmetic, from a generator seeded by (seed, attempt), and keeps it
+    when its exact certificate holds: every residual exactly 0 and full Jacobian
+    rank (constructed points sit on strata with extra incidences, which in principle
+    can underreport rank).
     """
     if not is_laman(G):
         raise DomainError("sample_laman_lines_exact requires a Laman graph")
     steps, relabel = extract_henneberg(G)
-    for attempt in range(1, max_retries + 1):
+
+    def draw(attempt: int) -> Union[LineConfig, str]:
         rng = random.Random(f"laman-lines-exact:{seed}:{attempt}")
-        if attempt <= max_retries // 2:
-            cfg = _construct(G, steps, relabel, rng, tol=1e-8)
-        else:
-            cfg = knn_config(G.n, "concurrent", sample_knn_params(G.n, "concurrent", rng))
-        if cfg is None:
-            continue
-        g, J = edge_system(*_line_arrays(G, cfg), incidence_form)
-        if all(r == 0 for r in g) and rank_exact(J) == G.m:
-            return cfg
-    raise SampleError(f"no exact certified sample for seed {seed}", [])
+        cfg = _construct(G, steps, relabel, rng, tol=1e-8)
+        return "construction failed" if cfg is None else cfg
+
+    return _certified_sample(G, draw, True, seed, max_retries)
+
+
+def sample_laman_lines_exact(G: Graph, seed: int = 0, max_retries: int = 32) -> LineConfig:
+    """The configuration of sample_laman_lines_exact_info's certified sample."""
+    return sample_laman_lines_exact_info(G, seed, max_retries).config
 
 
 # ---------------------------------------------------------------------------

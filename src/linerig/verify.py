@@ -18,10 +18,10 @@ from .errors import DomainError, SampleError
 from .graphs import Graph, generate
 from .lines3d import (Line, Plane, TripleClass, classify_triple, common_planes, common_points,
                       line_through, meet_residual, plane_kernel, point_kernel, transversal)
-from .numeric import (global_rigidity_oracle, line_system_jacobian, pair_system_dimension,
-                      rank_exact, transversal_family_dimension)
+from .numeric import (global_rigidity_oracle, pair_system_dimension, rank_exact,
+                      transversal_family_dimension)
 from .sampler import (knn_jacobian, sample_congruent_pair, sample_knn_params,
-                      sample_laman_lines_exact, sample_laman_lines_info)
+                      sample_laman_lines_exact_info, sample_laman_lines_info)
 from .sparsity import is_hendrickson
 
 
@@ -75,18 +75,19 @@ def theorem_main(seeds: int = 50, n_max: int = 10, seed: int = 0) -> SuiteReport
         n = rng.randint(2, n_max)
         G = generate("laman_random", [n], seed=seed * 1000 + k)
         inst = {"instance": k, "n": n, "seed": seed * 1000 + k}
+        sample = None
         try:
             sample = sample_laman_lines_info(G, seed=seed * 1000 + k)
             attempts += sample.attempts
             certified += 1
             float_ok = sample.report.certified and sample.report.local_dim_estimate == 2 * n + 3
-            exact_cfg = sample_laman_lines_exact(G, seed=seed * 1000 + k)
-            exact_rank = rank_exact(line_system_jacobian(G, exact_cfg))
+            exact_rank = sample_laman_lines_exact_info(G, seed=seed * 1000 + k).report.jacobian_rank
             exact_ok = exact_rank == 2 * n - 3 == sample.report.jacobian_rank
             rep.record(float_ok and exact_ok, **inst,
                        float_rank=sample.report.jacobian_rank, exact_rank=exact_rank)
         except SampleError as exc:
-            attempts += len(exc.log)
+            if sample is None:  # the rate is the float sampler's alone
+                attempts += len(exc.log)
             rep.record(False, **inst, error=str(exc))
         except Exception as exc:  # noqa: BLE001 - suite reports, never crashes
             rep.record(False, **inst, error=str(exc))

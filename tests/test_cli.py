@@ -1,11 +1,16 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linerig
 from linerig.cli import build_parser, main
 from linerig.graphs import generate, parse_graph, serialize_graph
 
@@ -610,3 +615,22 @@ def test_tol_must_be_positive_and_finite_on_every_leaf(tmp_path, capsys, bad):
         assert code == 2 and out == "" and "argument --tol" in err, leaf
     code, out, err = run(capsys, "analyze", str(path), "--tol", bad)
     assert code == 2 and out == "" and "argument --tol" in err
+
+
+def test_module_entry_point_pipes_and_exit_codes():
+    # python -m linerig in a child process: __main__ passes main's code to the exit status
+    src = str(Path(linerig.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    cmd = [sys.executable, "-m", "linerig"]
+    gen = subprocess.Popen(cmd + ["gen", "wheel", "6"], stdout=subprocess.PIPE, env=env)
+    analyze = subprocess.run(cmd + ["analyze", "-"], stdin=gen.stdout, capture_output=True,
+                             text=True, env=env, timeout=60)
+    gen.stdout.close()
+    assert gen.wait(timeout=60) == 0
+    assert analyze.returncode == 0 and analyze.stderr == ""
+    assert json.loads(analyze.stdout)["n"] == 6
+    bad = subprocess.run(cmd + ["analyze", "-"], input='{"n": 3, "edges": [[0, 5]]}',
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr.startswith("error: ") and "out of range" in bad.stderr

@@ -242,6 +242,24 @@ def test_pair_system_exact_mode():
     assert rep.jacobian_rank == 7 and rep.certified
 
 
+def test_exact_certificates_require_exact_zeros():
+    # both points are within the float tolerance of the system, but not on it
+    near = LineConfig.from_rows([[0, 0, 0, 0], [Fraction(1, 10 ** 12), 0, 0, 1]])
+    p, q = [[0, 0], [1, 0]], [[0, 0], [1 + Fraction(1, 10 ** 12), 0]]
+    assert line_system_dimension(K2, near).certified
+    assert pair_system_dimension(K2, p, q).certified
+    with pytest.raises(DomainError, match=r"incidence system: edge \(0, 1\) has nonzero residual"):
+        line_system_dimension(K2, near, exact=True)
+    with pytest.raises(DomainError, match=r"lengths differ: edge \(0, 1\) has nonzero residual"):
+        pair_system_dimension(K2, p, q, exact=True)
+    # points exactly on the systems still certify
+    G = generate("laman_random", [7], seed=4)
+    assert line_system_dimension(G, sample_laman_lines_exact(G, seed=4), exact=True).certified
+    for orientation in (1, -1):
+        p, q = sample_congruent_pair(G, orientation=orientation, seed=6, exact=True)
+        assert pair_system_dimension(G, p, q, exact=True).certified
+
+
 def test_dimension_report_invariants():
     with pytest.raises(DomainError):
         DimensionReport(ambient_dim=8, constraint_count=2, jacobian_rank=3, tol=1e-8,
@@ -433,6 +451,24 @@ def test_hendrickson_oracle_rejects_zero_trials():
     from linerig.verify import hendrickson_oracle
     with pytest.raises(DomainError, match="trials"):
         hendrickson_oracle(n_max=5, trials=0)
+
+
+def test_trial_generators_are_spawned_one_at_a_time(monkeypatch):
+    from linerig.numeric import _trial_rngs
+    for seed, k in ((0, 1), (0, 6), (41, 4)):
+        want = [np.random.Generator(np.random.PCG64(s)).bit_generator.state
+                for s in np.random.SeedSequence(seed).spawn(k)]
+        assert [rng.bit_generator.state for rng in _trial_rngs(seed, k)] == want
+    spawned = []
+
+    class Counting(np.random.SeedSequence):
+        def spawn(self, n_children):
+            spawned.append(n_children)
+            return super().spawn(n_children)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counting)
+    # K4 reaches rank 5 on its first trial; the loop takes at most one more generator
+    assert rigidity_rank(K4, trials=1000) == 5 and sum(spawned) <= 2
 
 
 def _full_rigidity_rank(G, trials=5, seed=0, exact=False):

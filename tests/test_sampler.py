@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linerig.errors import ConvergenceError, DomainError
+from linerig.errors import ConvergenceError, DomainError, SampleError
 from linerig.graphs import generate
 from linerig.lines3d import LineConfig, common_plane, common_point, intersection_graph
 from linerig.numeric import (edge_function, line_residuals, line_system_dimension,
@@ -14,7 +14,7 @@ from linerig.numeric import (edge_function, line_residuals, line_system_dimensio
 from linerig.sampler import (gauss_newton_project, knn_config, knn_jacobian,
                              sample_congruent_pair, sample_knn, sample_knn_params,
                              sample_laman_lines, sample_laman_lines_exact,
-                             sample_laman_lines_info)
+                             sample_laman_lines_exact_info, sample_laman_lines_info)
 
 
 def test_sample_k2():
@@ -371,16 +371,20 @@ def test_fresh_matches_lines_coincident():
         assert _fresh(line, placed, 1e-8) == want
 
 
-def test_exact_sampler_fallback_is_the_concurrent_family(monkeypatch):
-    # with every construction failing, attempt 17 draws the concurrent family;
-    # the lines are pinned, so a change in its draws fails here
+def test_exact_sampler_logs_every_failed_attempt(monkeypatch):
     from linerig import sampler
     monkeypatch.setattr(sampler, "_construct", lambda *args, **kwargs: None)
     G = generate("laman_random", [6], seed=1)
-    cfg = sampler.sample_laman_lines_exact(G, seed=0)
-    assert cfg.to_json() == (
-        '{"lines":[[638.0,271.0,-26.0,-11.0],[546.0,133.0,-22.0,-5.0],'
-        '[385.0,892.0,-15.0,-38.0],[-305.0,-327.0,15.0,15.0],[-374.0,363.0,18.0,-15.0],'
-        '[-696.0,110.0,32.0,-4.0]]}')
-    assert all(type(x) is Fraction for line in cfg.lines for x in line.as_tuple())
-    assert common_point(cfg) is not None
+    with pytest.raises(SampleError) as err:
+        sampler.sample_laman_lines_exact(G, seed=0, max_retries=5)
+    assert err.value.log == [f"attempt {k}: construction failed" for k in range(1, 6)]
+
+
+def test_exact_sampler_certifies_within_three_attempts_up_to_n60():
+    for n in range(2, 61):
+        for seed in range(4):
+            G = generate("laman_random", [n], seed=seed)
+            info = sample_laman_lines_exact_info(G, seed=seed)
+            assert info.attempts <= 3 and len(info.log) == info.attempts, info.log
+            assert info.log[-1] == f"attempt {info.attempts}: certified, rank {2 * n - 3}"
+            assert info.report.certified and info.report.sigma_kept is None

@@ -113,3 +113,22 @@ def test_lemma_3lines_classifies_each_triple_once(monkeypatch, seed):
     assert rep.to_dict() == {"failures": [], "info": {}, "ok": True, "passed": 50,
                              "suite": "lemma-3lines", "total": 50}
     assert len(calls) == 50
+
+
+def test_theorem_main_ranks_each_exact_sample_once(monkeypatch):
+    import linerig.numeric as numeric
+    import linerig.sampler as sampler
+    import linerig.verify as verify
+    calls = []
+    rank_exact = numeric.rank_exact
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rank_exact(*args, **kwargs)
+
+    # every module that holds the name, so that a direct call is counted too
+    for module in (numeric, sampler, verify):
+        if hasattr(module, "rank_exact"):
+            monkeypatch.setattr(module, "rank_exact", counted)
+    rep = theorem_main(seeds=8, n_max=30, seed=1)
+    assert rep.ok and len(calls) == 8
