@@ -26,12 +26,11 @@ from .lines3d import (Concurrency, Line, LineConfig, Plane, TripleClass, classif
                       common_plane, common_point, intersection_graph, line_through,
                       meet_residual, transversal)
 from .numeric import (DimensionReport, edge_function, global_rigidity_oracle,
-                      is_rigid_numeric, line_system_dimension, pair_system_dimension,
-                      rank_exact, rigidity_matrix, rigidity_rank)
+                      line_system_dimension, pair_system_dimension, rank_exact,
+                      rigidity_matrix, rigidity_rank)
 from .sampler import (gauss_newton_project, sample_congruent_pair, sample_knn,
                       sample_laman_lines, sample_laman_lines_exact)
-from .sparsity import (SparsityRankResult, is_hendrickson, is_laman, is_redundant,
-                       spanning_laman_subgraph, sparsity_rank)
+from .sparsity import SparsityRankResult, is_hendrickson, is_laman, is_redundant, sparsity_rank
 
 __version__ = "0.1.0"
 
@@ -42,10 +41,9 @@ __all__ = [
     "common_plane", "common_point", "edge_function", "extract_henneberg", "extract_jj",
     "from_line", "gauss_newton_project", "generate", "global_rigidity_oracle",
     "intersection_graph", "is_hendrickson", "is_k_connected", "is_laman",
-    "is_redundant", "is_rigid_numeric", "line_system_dimension", "line_through",
+    "is_redundant", "line_system_dimension", "line_through",
     "meet_residual", "pair_system_dimension", "parse_graph", "phi", "rank_exact",
     "recover_motion", "reflection_at", "rigidity_matrix", "rigidity_rank",
     "rotation_at", "sample_congruent_pair", "sample_knn", "sample_laman_lines",
-    "sample_laman_lines_exact", "serialize_graph", "spanning_laman_subgraph",
-    "sparsity_rank", "steps_from_json", "steps_to_json", "to_line", "transversal",
+    "sample_laman_lines_exact", "serialize_graph", "sparsity_rank", "steps_from_json", "steps_to_json", "to_line", "transversal",
 ]

@@ -107,7 +107,8 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     suite = SUITES[args.suite]
-    kwargs = {name: getattr(args, name) for name in inspect.signature(suite).parameters}
+    kwargs = {name: getattr(args, name) for name in inspect.signature(suite).parameters
+              if hasattr(args, name)}
     rep = suite(**kwargs)
     if args.format == "json":
         _emit(rep.to_dict(), "json")
@@ -281,6 +282,13 @@ _GROUPS = {
 _ORIENTATION = _arg("--orientation", type=int, choices=(1, -1), default=1)
 _DUMP = _arg("--dump-jacobian", action="store_true")
 
+
+def _given(option: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    """A verify option with no default: it reaches the suite only when given, so
+    each suite keeps its own defaults."""
+    return _arg(f"--{option}", **{**_COMMON.get(option, {}), **kwargs, "default": argparse.SUPPRESS})
+
+
 # One row per leaf subcommand: group (None at the top level), name, help, handler,
 # its own arguments (a bare name is a plain positional), the common options it reads.
 _COMMANDS = (
@@ -288,9 +296,9 @@ _COMMANDS = (
      [_arg("graph", help="graph file (JSON or edge list), '-' for stdin")],
      "seed tol trials exact format"),
     (None, "verify", "run a named verification suite", _cmd_verify,
-     [_arg("suite", choices=sorted(SUITES)), _arg("--n-max", type=int, default=10),
-      _arg("--seeds", type=int, default=50), _arg("--count", type=int, default=20),
-      _arg("--per-class", type=int, default=100)], "seed tol trials format"),
+     [_arg("suite", choices=sorted(SUITES)),
+      *(_given(size, type=int) for size in ("n-max", "seeds", "count", "per-class")),
+      *map(_given, ("seed", "tol", "trials"))], "format"),
     (None, "gen", "emit a named catalog graph as JSON", _cmd_gen,
      ["name", _arg("params", type=int, nargs="*")], "seed"),
     ("lines", "graph", "intersection graph of a configuration", _cmd_lines_graph, ["config"],

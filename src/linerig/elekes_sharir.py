@@ -150,8 +150,8 @@ def recover_motion(A: Sequence[Sequence[Scalar]], B: Sequence[Sequence[Scalar]],
                    orientation: int = 1, tol: float = 1e-8) -> PlanarMotion:
     """Least-squares rigid motion of the requested orientation taking A to B.
 
-    Inputs must be congruent within tolerance; a violating pair of indices is
-    reported otherwise. Orientation-constrained orthogonal fit on centered
+    Inputs must be congruent within tolerance; the first violating pair of
+    indices, in lexicographic order, is reported otherwise. Orientation-constrained orthogonal fit on centered
     coordinates, translations included (a pure translation yields the identity
     matrix part).
     """
@@ -164,13 +164,14 @@ def recover_motion(A: Sequence[Sequence[Scalar]], B: Sequence[Sequence[Scalar]],
     if pa.shape[0] < 2:
         raise DomainError("need at least 2 points")
     scale = 1.0 + max(np.max(np.abs(pa)), np.max(np.abs(pb)))
-    for i in range(pa.shape[0]):
-        for j in range(i + 1, pa.shape[0]):
-            da = np.linalg.norm(pa[i] - pa[j])
-            db = np.linalg.norm(pb[i] - pb[j])
-            if abs(da - db) > tol * scale:
-                raise CongruenceError(
-                    f"points {i} and {j} have distances {da:.6g} vs {db:.6g}", (i, j))
+    i, j = np.triu_indices(pa.shape[0], 1)
+    da = np.linalg.norm(pa[i] - pa[j], axis=1)
+    db = np.linalg.norm(pb[i] - pb[j], axis=1)
+    bad = np.flatnonzero(np.abs(da - db) > tol * scale)
+    if bad.size:
+        k = bad[0]
+        raise CongruenceError(f"points {i[k]} and {j[k]} have distances {da[k]:.6g} vs "
+                              f"{db[k]:.6g}", (int(i[k]), int(j[k])))
     ca = pa.mean(axis=0)
     cb = pb.mean(axis=0)
     H = (pb - cb).T @ (pa - ca)

@@ -2,20 +2,22 @@
 
 A chart point (a, b, c, d) stands for the line t -> (a + t*c, b + t*d, t); every
 non-horizontal line has exactly one such representation. Two lines intersect, are
-parallel, or coincide exactly when the incidence residual
+parallel, or coincide exactly when the incidence residual of their difference D,
 
-    g = (a1 - a2)(d1 - d2) - (b1 - b2)(c1 - c2)
+    g = incidence(D) = D0*D3 - D1*D2,
 
-vanishes. All predicates use the relative tolerance tol * (1 + max |coordinate|),
-scaled further by solution magnitudes where products with solved unknowns appear;
-coordinates may be ints, Fractions, or floats, and the algebra stays exact for the
+vanishes. incidence, the one copy of that formula, takes D coordinates first (a
+4-tuple or a (4, ...) array); meet_residual, incidence_form and the suites read it.
+Coordinates may be ints, Fractions, or floats; the algebra stays exact for the
 exact types.
 
-An incidence residual g is always measured against the scale of its own pair of
-lines, 1 + the largest |coordinate| of the two (pair_scale, and edge_scales over
-arrays of edges): lines_meet, line_system_dimension and the sampler's Gauss-Newton
-projection share this one normalization, so a pair of lines near the origin is held
-to the same relative standard as a pair far from it.
+Every tolerance test on a pair of lines is one kernel, pair_tests: over index
+arrays of pairs of rows of an (n, 4) chart array it gives the masks meet (|g|),
+parallel (D2, D3) and coincide (all of D), each held to tol times the pair's own
+scale, 1 + the largest |coordinate| of its two lines (edge_scales), which
+line_system_dimension and the Gauss-Newton projection divide residuals by. Other
+predicates use tol * (1 + max |coordinate|) over their lines, scaled further by
+solution magnitudes where products with solved unknowns appear.
 
 Common points and planes come from one array kernel, point_kernel and
 plane_kernel, with boolean masks of where one was found. It works batch-last, on
@@ -32,8 +34,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -155,42 +156,57 @@ def is_exact(v: object) -> bool:
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
 
+_FLIP = np.array([1, -1, -1, 1])  # int signs: exact on floats, Python ints on object arrays
+
+
+def incidence(D):
+    """The incidence residual D[0]*D[3] - D[1]*D[2] of chart differences D,
+    coordinates first: a 4-sequence, or a (4, ...) array of them."""
+    return D[0] * D[3] - D[1] * D[2]
+
+
+def incidence_form(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """incidence of each chart-difference row of an (m, 4) array D, and its
+    gradient (D3, -D2, -D1, D0): the form of the incidence system."""
+    return incidence(D.T), D[:, ::-1] * _FLIP
+
+
 def meet_residual(l1: Line, l2: Line) -> Scalar:
     """Zero iff the two lines intersect, are parallel, or coincide."""
-    return (l1.a - l2.a) * (l1.d - l2.d) - (l1.b - l2.b) * (l1.c - l2.c)
-
-
-def _max_coord(*lines: Line) -> float:
-    return max(abs(float(x)) for ln in lines for x in ln.as_tuple())
-
-
-def pair_scale(l1: Line, l2: Line) -> float:
-    """Scale of the incidence residual of two lines: 1 + max |coordinate| of both."""
-    return 1.0 + _max_coord(l1, l2)
+    return incidence((l1.a - l2.a, l1.b - l2.b, l1.c - l2.c, l1.d - l2.d))
 
 
 def edge_scales(X: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """pair_scale of the lines X[i[k]] and X[j[k]] for every k, on an (n, 4) float
-    array of chart coordinates."""
+    """The scale of each pair of lines X[i[k]] and X[j[k]] of an (n, 4) float array
+    of chart coordinates: 1 + the largest |coordinate| of the two."""
     big = np.abs(X).max(axis=1)
     return 1.0 + np.maximum(big[i], big[j])
 
 
-def lines_meet(l1: Line, l2: Line, tol: float = 1e-8) -> bool:
-    return abs(float(meet_residual(l1, l2))) <= tol * pair_scale(l1, l2)
+# masks over pairs of lines: they meet (intersect, are parallel or coincide), their
+# directions agree, all their coordinates agree
+PairTests = NamedTuple("PairTests", [("meet", np.ndarray), ("parallel", np.ndarray),
+                                     ("coincide", np.ndarray)])
 
 
-def lines_coincident(l1: Line, l2: Line, tol: float = 1e-8) -> bool:
-    s = tol * pair_scale(l1, l2)
-    return all(abs(float(x) - float(y)) <= s for x, y in zip(l1.as_tuple(), l2.as_tuple()))
+def pair_tests(X, i, j, tol: float = 1e-8) -> PairTests:
+    """The line-pair predicates of the lines X[i[k]] and X[j[k]] of an (n, 4) chart
+    array, taken as floats: |incidence|, the larger |direction difference| and the
+    largest |coordinate difference|, each held to tol * edge_scales."""
+    X = np.asarray(X, dtype=float)
+    D = (X[i] - X[j]).T
+    A = np.abs(D)
+    s = tol * edge_scales(X, i, j)
+    return PairTests(np.abs(incidence(D)) <= s, np.maximum(A[2], A[3]) <= s, A.max(axis=0) <= s)
 
 
 def intersection_graph(L: LineConfig, tol: float = 1e-8) -> Graph:
     """Graph on line indices with an edge for every meeting (or parallel) pair."""
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    edges = [(i, j) for i, j in combinations(range(L.n), 2) if lines_meet(L[i], L[j], tol)]
-    return Graph(L.n, tuple(edges))
+    i, j = np.triu_indices(L.n, 1)
+    meet = pair_tests(L.as_array(), i, j, tol).meet
+    return Graph(L.n, tuple(zip(i[meet].tolist(), j[meet].tolist())))
 
 
 def batch_last(X: np.ndarray) -> np.ndarray:
@@ -367,13 +383,11 @@ def common_plane(L: LineConfig, tol: float = 1e-8) -> Optional[Plane]:
 
 def pair_intersection(l1: Line, l2: Line, tol: float = 1e-8) -> Optional[Point3]:
     """The single intersection point of two meeting, non-parallel chart lines."""
+    tests = pair_tests(LineConfig((l1, l2)).as_array(), [0], [1], tol)
+    if tests.parallel[0] or not tests.meet[0]:
+        return None  # parallel, coincident or skew
     dc = l1.c - l2.c
     dd = l1.d - l2.d
-    scale = pair_scale(l1, l2)
-    if max(abs(float(dc)), abs(float(dd))) <= tol * scale:
-        return None  # parallel or coincident
-    if not lines_meet(l1, l2, tol):
-        return None
     if abs(float(dc)) >= abs(float(dd)):
         z = -(l1.a - l2.a) / dc
     else:
@@ -395,6 +409,10 @@ def _triple_coplanar(l1: Line, l2: Line, l3: Line, tol: float = 1e-8) -> bool:
     return s[2] <= tol * max(s[0], 1.0)
 
 
+# the pairs (0, 1), (0, 2), (1, 2) of a triple, as index arrays
+_TRIPLE_PAIRS = np.triu_indices(3, 1)
+
+
 def classify_triple(l1: Line, l2: Line, l3: Line, tol: float = 1e-8) -> TripleClass:
     """Lemma-style case analysis of three distinct lines.
 
@@ -404,13 +422,13 @@ def classify_triple(l1: Line, l2: Line, l3: Line, tol: float = 1e-8) -> TripleCl
     exists for them.
     """
     trio = (l1, l2, l3)
-    for x, y in combinations(range(3), 2):
-        if lines_coincident(trio[x], trio[y], tol):
-            raise DomainError(f"lines {x} and {y} coincide")
-    meets = [lines_meet(trio[x], trio[y], tol) for x, y in combinations(range(3), 2)]
-    hits = sum(meets)
+    cfg = LineConfig(trio)
+    tests = pair_tests(cfg.as_array(), *_TRIPLE_PAIRS, tol)
+    if tests.coincide.any():
+        x, y = (int(k[tests.coincide.argmax()]) for k in _TRIPLE_PAIRS)
+        raise DomainError(f"lines {x} and {y} coincide")
+    hits = int(tests.meet.sum())
     if hits == 3:
-        cfg = LineConfig(trio)
         conc = common_point(cfg, tol)
         coplanar = _triple_coplanar(l1, l2, l3, tol)
         point = conc.point if conc is not None else None
@@ -421,9 +439,8 @@ def classify_triple(l1: Line, l2: Line, l3: Line, tol: float = 1e-8) -> TripleCl
             return TripleClass("concurrent_only", 2, point, None)
         return TripleClass("coplanar_only", 2, None, plane)
     if hits >= 1:
-        pairs = list(combinations(range(3), 2))
-        first = pairs[meets.index(True)]
-        point = pair_intersection(trio[first[0]], trio[first[1]], tol)
+        x, y = (int(k[tests.meet.argmax()]) for k in _TRIPLE_PAIRS)
+        point = pair_intersection(trio[x], trio[y], tol)
         return TripleClass("two_concurrent_mixed", 1, point, None)
     return TripleClass("pairwise_skew", 1, None, None)
 
@@ -451,7 +468,7 @@ def transversal_detail(l1: Line, l2: Line, l3: Line, s: Scalar,
     "residual".
     """
     q = l3.point_at(s)
-    base_scale = 1.0 + max(_max_coord(l1, l2, l3), _vec_scale(q))
+    base_scale = 1.0 + max(_vec_scale(v) for v in (l1.as_tuple(), l2.as_tuple(), l3.as_tuple(), q))
     normals = []
     for ln in (l1, l2):
         p = (ln.a, ln.b, 0)
@@ -468,13 +485,12 @@ def transversal_detail(l1: Line, l2: Line, l3: Line, s: Scalar,
     c = w[0] / w[2]
     d = w[1] / w[2]
     line = Line(q[0] - q[2] * c, q[1] - q[2] * d, c, d)
-    exact = all(map(is_exact, line.as_tuple()))
-    for other in (l1, l2, l3):
-        if exact:
-            if meet_residual(line, other) != 0:
-                return None, "residual"
-        elif not lines_meet(line.as_floats(), other.as_floats(), max(tol, 1e-9)):
+    if all(map(is_exact, line.as_tuple())):
+        if any(meet_residual(line, other) != 0 for other in (l1, l2, l3)):
             return None, "residual"
+    elif not pair_tests(LineConfig((line, l1, l2, l3)).as_array(), [0, 0, 0], [1, 2, 3],
+                        max(tol, 1e-9)).meet.all():
+        return None, "residual"
     return line, "ok"
 
 

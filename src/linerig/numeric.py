@@ -6,8 +6,8 @@ endpoints' coordinate rows, and Jacobian row k holds the form's gradient in the
 columns of vertex i and its negation in those of vertex j. Two quadratic forms
 cover the library: length_form (|D|^2, gradient 2D) on (n, 2) points gives the
 edge function, the rigidity matrix R and the pair system [R(p), -R(p')];
-incidence_form (D0*D3 - D1*D2, gradient (D3, -D2, -D1, D0)) on (n, 4) line charts
-gives the incidence system. The kernel runs unchanged on float arrays and on object
+lines3d.incidence_form (D0*D3 - D1*D2, gradient (D3, -D2, -D1, D0)) on (n, 4) line
+charts gives the incidence system. The kernel runs unchanged on float arrays and on object
 arrays of ints and Fractions; coordinates are exact, and so are g and J, when every
 one of them passes lines3d.is_exact.
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .graphs import Graph
-from .lines3d import Line, LineConfig, edge_scales, is_exact
+from .lines3d import Line, LineConfig, edge_scales, incidence_form, is_exact
 
 Scalar = Union[int, float, Fraction]
 Form = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -208,15 +208,6 @@ def length_form(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (D * D).sum(axis=1), 2 * D
 
 
-_FLIP = np.array([1, -1, -1, 1])  # int signs: exact on floats, Python ints on object arrays
-
-
-def incidence_form(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Incidence residual D0*D3 - D1*D2 of each chart-difference row of D, and its
-    gradient (D3, -D2, -D1, D0)."""
-    return D[:, 0] * D[:, 3] - D[:, 1] * D[:, 2], D[:, ::-1] * _FLIP
-
-
 def edge_system(X: np.ndarray, i: np.ndarray, j: np.ndarray, form: Form
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Values g and the m x (w n) Jacobian J of the edge constraints
@@ -303,10 +294,6 @@ def rigidity_rank(G: Graph, trials: int = 5, seed: int = 0, exact: bool = False)
         best = max(best, rank_exact(rigidity_matrix(G, P)) if exact
                    else float_rank(rigidity_matrix(G, P.astype(float))))
     return best
-
-
-def is_rigid_numeric(G: Graph, trials: int = 5, seed: int = 0) -> bool:
-    return rigidity_rank(G, trials, seed) == 2 * G.n - 3
 
 
 # ---------------------------------------------------------------------------

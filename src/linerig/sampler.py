@@ -9,7 +9,7 @@ replayed.
 
 The projection measures each edge's residual against its own pair scale, 1 + the
 largest |coordinate| of its two lines (lines3d.edge_scales, the normalization of
-lines_meet and line_system_dimension). It returns as soon as every edge is within
+lines3d.pair_tests and line_system_dimension). It returns as soon as every edge is within
 the requested tolerance, and gives up as soon as two steps in a row fail to improve
 on the best residual: at that point it sits at the float floor, and more steps only
 cost time.
@@ -40,10 +40,10 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, SampleError
 from .graphs import Graph
 from .henneberg import Ext0, Ext1, extract_henneberg
-from .lines3d import (Line, LineConfig, _triple_coplanar, edge_scales, line_through,
-                      meet_residual, pair_intersection, transversal_detail)
-from .numeric import (DimensionReport, edge_index, edge_system, incidence_form,
-                      line_system_dimension)
+from .lines3d import (Line, LineConfig, _triple_coplanar, edge_scales, incidence_form,
+                      line_through, meet_residual, pair_intersection, pair_tests,
+                      transversal_detail)
+from .numeric import DimensionReport, edge_index, edge_system, line_system_dimension
 from .sparsity import is_laman
 
 _BOX = 40  # coordinate box for integer draws
@@ -68,14 +68,6 @@ def _rand_nonzero(rng: random.Random, box: int = _BOX) -> int:
 
 def _rand_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-_BOX, _BOX))
-
-
-def _fresh(line: Line, placed: np.ndarray, tol: float) -> bool:
-    """lines_coincident(line, other, tol) is false for every row of `placed`, the
-    float coordinates of the lines placed so far, in one array operation."""
-    x = np.array([float(v) for v in line.as_tuple()])
-    s = tol * (1.0 + np.maximum(np.abs(x).max(), np.abs(placed).max(axis=1)))
-    return not np.any(np.all(np.abs(placed - x) <= s[:, None], axis=1))
 
 
 def _join(p, q) -> Optional[Line]:
@@ -139,7 +131,7 @@ def _extend1(lines: list[Line], u: int, v: int, w: int, rng: random.Random,
 def _construct(G: Graph, steps, relabel, rng: random.Random, tol: float,
                step_retries: int = 16) -> Optional[LineConfig]:
     """Replay the extension steps, keeping each step's first candidate that meets
-    its attach lines exactly and coincides with no line placed so far."""
+    its attach lines exactly and coincides (pair_tests) with no line placed so far."""
     lines = _base_pair(rng)
     placed = np.zeros((G.n, 4))
     placed[:2] = [[float(x) for x in ln.as_tuple()] for ln in lines]
@@ -150,14 +142,16 @@ def _construct(G: Graph, steps, relabel, rng: random.Random, tol: float,
             extend, attach = _extend1, (step.u, step.v, step.w)
         else:
             raise DomainError(f"unexpected step {step!r}")
+        new = len(lines)
         for _ in range(step_retries):
             cand = extend(lines, *attach, rng, tol)
-            if cand is not None and all(meet_residual(cand, lines[k]) == 0 for k in attach) \
-                    and _fresh(cand, placed[:len(lines)], tol):
+            if cand is None or any(meet_residual(cand, lines[k]) != 0 for k in attach):
+                continue
+            placed[new] = [float(x) for x in cand.as_tuple()]
+            if not pair_tests(placed, np.full(new, new), np.arange(new), tol).coincide.any():
                 break
         else:
             return None
-        placed[len(lines)] = [float(x) for x in cand.as_tuple()]
         lines.append(cand)
     # undo the extraction relabeling: replay vertex i realizes original vertex relabel[i]
     by_original = [None] * G.n
@@ -235,9 +229,9 @@ def sample_laman_lines_info(G: Graph, seed: int = 0, max_retries: int = 32,
     Each attempt draws integer coordinates in [-40, 40] from a generator seeded by
     (seed, attempt) and projects them onto the incidence system with Gauss-Newton
     to tol, which leaves every edge's residual within tol of its pair scale. The
-    projection is kept when no two lines coincide within 1e-8 of the configuration's
-    scale (1 + max |coordinate|) and the float Jacobian has full rank; any other
-    attempt is retried with a fresh draw.
+    projection is kept when no two lines coincide within 1e-8 of their pair scale
+    (pair_tests) and the float Jacobian has full rank; any other attempt is retried
+    with a fresh draw.
     """
     if not is_laman(G):
         raise DomainError("sample_laman_lines requires a Laman graph")
@@ -251,10 +245,7 @@ def sample_laman_lines_info(G: Graph, seed: int = 0, max_retries: int = 32,
                                              tol=tol, max_iter=80)
         except ConvergenceError as exc:
             return f"no convergence: {exc}"
-        X = projected.as_array()
-        gap = np.abs(X[:, None, :] - X[None, :, :]).max(axis=2)  # per pair of lines
-        np.fill_diagonal(gap, np.inf)
-        if not gap.min() > 1e-8 * (1.0 + np.abs(X).max()):
+        if pair_tests(projected.as_array(), *np.triu_indices(G.n, 1), 1e-8).coincide.any():
             return "two lines coincide"
         return projected
 

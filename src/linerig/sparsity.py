@@ -17,7 +17,6 @@ once it has accepted 2n - 3 edges, since no later edge can be independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .connectivity import is_k_connected
 from .errors import DomainError
@@ -100,16 +99,6 @@ def is_laman(G: Graph) -> bool:
     if G.n < 2:
         raise DomainError("is_laman needs at least 2 vertices")
     return G.m == 2 * G.n - 3 and sparsity_rank(G).rank == G.m
-
-
-def spanning_laman_subgraph(G: Graph) -> Optional[Graph]:
-    """A spanning subgraph with 2n - 3 independent edges, when the rank allows one."""
-    if G.n < 2:
-        raise DomainError("spanning_laman_subgraph needs at least 2 vertices")
-    result = sparsity_rank(G)
-    if result.rank != 2 * G.n - 3:
-        return None
-    return Graph(G.n, result.witness)
 
 
 def is_redundant(G: Graph) -> bool:

@@ -10,14 +10,16 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
 from .elekes_sharir import phi, reflection_at, to_line, to_lines
 from .errors import DomainError, SampleError
 from .graphs import Graph, generate
-from .lines3d import (Line, Plane, TripleClass, classify_triple, common_planes, common_points,
-                      line_through, meet_residual, plane_kernel, point_kernel, transversal)
+from .lines3d import (Line, Plane, TripleClass, _triple_coplanar, classify_triple,
+                      common_planes, common_points, incidence, line_through, meet_residual,
+                      pair_tests, plane_kernel, point_kernel, transversal)
 from .numeric import (global_rigidity_oracle, pair_system_dimension, rank_exact,
                       transversal_family_dimension)
 from .sampler import (knn_jacobian, sample_congruent_pair, sample_knn_params,
@@ -211,43 +213,48 @@ def _mixed_triple(rng: random.Random) -> tuple[tuple[Line, ...], TripleClass]:
             return (l1, l2, l3), tc
 
 
+def _family_member(lines: tuple[Line, ...], tc: TripleClass, tag: str,
+                   rng: random.Random) -> Optional[Line]:
+    """A random line meeting all three; None for a degenerate draw, or one where the
+    two branches of a concurrent-and-coplanar family meet (a singular point of the
+    family, where the rank test sees no manifold dimension)."""
+    if tag in ("concurrent_only", "concurrent_and_coplanar"):
+        P = tc.point
+        offset = [rng.randint(-9, 9) for _ in range(3)]
+        if offset[2] == 0:
+            return None
+        member = line_through(P, (P[0] + offset[0], P[1] + offset[1], P[2] + offset[2]))
+        if member is not None and tag == "concurrent_and_coplanar" and \
+                _triple_coplanar(member.as_floats(), lines[0].as_floats(), lines[1].as_floats()):
+            return None
+        return member
+    if tag == "coplanar_only":
+        p = lines[0].point_at(rng.randint(-9, 9))
+        q = lines[1].point_at(rng.randint(-9, 9))
+        return None if all(float(a) == float(b) for a, b in zip(p, q)) else line_through(p, q)
+    return transversal(lines[0], lines[1], lines[2], Fraction(rng.randint(-15, 15)))
+
+
 def _family_members(lines: tuple[Line, ...], tc: TripleClass, tag: str, rng: random.Random,
                     count: int = 5) -> list[Line]:
-    """Sample smooth members of the family of lines meeting all three.
-
-    Members coinciding with an input line are rejected, as are members on the
-    intersection of the two family branches in the concurrent-and-coplanar case
-    (those are genuine singular points of the family, where the rank test does
-    not see a manifold dimension).
-    """
-    from .lines3d import _triple_coplanar, lines_coincident
-
+    """The first `count` of at most 400 draws of _family_member that are not None
+    and coincide with no input line, as floats. Each round tests the draws still
+    needed in one pair_tests call, so the members are those of testing in turn."""
+    X = np.array([ln.as_tuple() for ln in lines], dtype=float)
     members: list[Line] = []
     guard = 0
     while len(members) < count and guard < 400:
-        guard += 1
-        if tag in ("concurrent_only", "concurrent_and_coplanar"):
-            P = tc.point
-            offset = [rng.randint(-9, 9) for _ in range(3)]
-            if offset[2] == 0:
-                continue
-            q = (P[0] + offset[0], P[1] + offset[1], P[2] + offset[2])
-            member = line_through(P, q)
-            if member is not None and tag == "concurrent_and_coplanar" and \
-                    _triple_coplanar(member.as_floats(), lines[0].as_floats(), lines[1].as_floats()):
-                continue
-        elif tag == "coplanar_only":
-            p = lines[0].point_at(rng.randint(-9, 9))
-            q = lines[1].point_at(rng.randint(-9, 9))
-            member = None if all(float(a) == float(b) for a, b in zip(p, q)) else line_through(p, q)
-        else:
-            member = transversal(lines[0], lines[1], lines[2], Fraction(rng.randint(-15, 15)))
-        if member is None:
-            continue
-        member = member.as_floats()
-        if any(lines_coincident(member, ln.as_floats()) for ln in lines):
-            continue
-        members.append(member)
+        drawn = []
+        while len(members) + len(drawn) < count and guard < 400:
+            guard += 1
+            member = _family_member(lines, tc, tag, rng)
+            if member is not None:
+                drawn.append(member.as_floats())
+        if drawn:
+            Y = np.concatenate([X, [m.as_tuple() for m in drawn]])
+            i, j = np.arange(3, len(Y)).repeat(3), np.tile(np.arange(3), len(drawn))
+            hit = pair_tests(Y, i, j).coincide.reshape(-1, 3).any(axis=1)
+            members += [m for m, h in zip(drawn, hit.tolist()) if not h]
     return members
 
 
@@ -326,8 +333,7 @@ def pairwise_incident(V: np.ndarray) -> np.ndarray:
     int64 arithmetic. Scaling a configuration by q scales each residual by q**2,
     so the answer is that of the configuration divided by q."""
     i, j = np.triu_indices(V.shape[1], 1)
-    D = V[:, i] - V[:, j]
-    return (D[0] * D[3] == D[1] * D[2]).all(axis=0)
+    return (incidence(V[:, i] - V[:, j]) == 0).all(axis=0)
 
 
 def four_lines(trials: int = 10000, seed: int = 0, tol: float = 1e-8) -> SuiteReport:
@@ -366,7 +372,7 @@ def _distance_incidence(rng: np.random.Generator, trials: int, rep: SuiteReport)
     a, b, c, d = pts
     ua, va = a + b, np.array([a[1] - b[1], b[0] - a[0]])
     uc, vc = c + d, np.array([c[1] - d[1], d[0] - c[0]])
-    g4 = (ua[0] - uc[0]) * (va[1] - vc[1]) - (ua[1] - uc[1]) * (va[0] - vc[0])
+    g4 = incidence(np.concatenate([ua - uc, va - vc]))
     dist_gap = ((b - d) ** 2).sum(axis=0) - ((a - c) ** 2).sum(axis=0)
     rep.record(bool(np.all(g4 == dist_gap)), part="distance-incidence", trials=trials)
     agree = all(

@@ -10,6 +10,7 @@ import numpy as np
 
 from linerig.errors import DomainError
 from linerig.graphs import Edge, Graph
+from linerig.lines3d import Line, meet_residual
 from linerig.sparsity import SparsityRankResult
 
 
@@ -259,3 +260,27 @@ def fraction_rank(rows) -> int:
             work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
         rank += 1
     return rank
+
+
+# ---------------------------------------------------------------------------
+# The scalar line-pair predicates as they were before lines3d.pair_tests took
+# their place: one pair of Lines at a time, the residual exact on exact
+# coordinates. Frozen here as the references that pair_tests is held to.
+
+
+def _max_coord(*lines: Line) -> float:
+    return max(abs(float(x)) for ln in lines for x in ln.as_tuple())
+
+
+def pair_scale(l1: Line, l2: Line) -> float:
+    """Scale of the incidence residual of two lines: 1 + max |coordinate| of both."""
+    return 1.0 + _max_coord(l1, l2)
+
+
+def lines_meet(l1: Line, l2: Line, tol: float = 1e-8) -> bool:
+    return abs(float(meet_residual(l1, l2))) <= tol * pair_scale(l1, l2)
+
+
+def lines_coincident(l1: Line, l2: Line, tol: float = 1e-8) -> bool:
+    s = tol * pair_scale(l1, l2)
+    return all(abs(float(x) - float(y)) <= s for x, y in zip(l1.as_tuple(), l2.as_tuple()))

@@ -368,6 +368,16 @@ def test_verify_four_lines_reads_tol(capsys):
     assert code == 0 and json.loads(out)["passed"] == 5
 
 
+@pytest.mark.parametrize("name", ["theorem-main", "theorem-mainnec", "lemma-complete",
+                                  "lemma-3lines", "lemma-cong", "four-lines",
+                                  "hendrickson-oracle"])
+def test_verify_without_options_runs_the_suites_defaults(capsys, name):
+    from linerig.verify import SUITES
+    code, out, _ = run(capsys, "verify", name)
+    want = json.dumps(SUITES[name]().to_dict(), sort_keys=True, separators=(",", ":"))
+    assert code == 0 and out == want + "\n"
+
+
 def test_analyze_takes_one_rigidity_rank_pass(monkeypatch):
     import linerig.cli as cli
     import linerig.numeric as numeric

@@ -168,6 +168,17 @@ def test_recover_motion_rejects_non_congruent():
     assert err.value.pair == (0, 1)
 
 
+def test_recover_motion_reports_the_first_violating_pair():
+    # B is A turned a quarter, but for point 3, turned about point 0 instead: the
+    # pairs (1, 3) and (2, 3) violate, and (1, 3) comes first in order
+    A = [(0, 0), (4, 0), (0, 3), (4, 3)]
+    B = [(0, 0), (0, 4), (-3, 0), (5, 0)]
+    with pytest.raises(CongruenceError) as err:
+        recover_motion(A, B)
+    assert err.value.pair == (1, 3)
+    assert str(err.value) == "points 1 and 3 have distances 3 vs 6.40312"
+
+
 def test_reflection_at_plane():
     # glide along the x-axis: plane z = y
     from linerig.lines3d import Plane

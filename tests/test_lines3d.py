@@ -4,17 +4,18 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from helpers import rowmajor_common_planes, rowmajor_common_points
-from hypothesis import given, settings
+from helpers import (lines_coincident, lines_meet, pair_scale, rowmajor_common_planes,
+                     rowmajor_common_points)
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from linerig.errors import DomainError
 from linerig.lines3d import (Line, LineConfig, Plane, batch_last, classify_triple,
                              common_plane, common_planes, common_point, common_points,
-                             intersection_graph, is_exact, line_through, lines_meet,
-                             meet_residual, pair_intersection, plane_kernel, point_kernel,
-                             transversal, transversal_detail)
+                             incidence, incidence_form, intersection_graph, is_exact,
+                             line_through, meet_residual, pair_intersection, pair_tests,
+                             plane_kernel, point_kernel, transversal, transversal_detail)
 
 
 def test_meet_residual_examples():
@@ -43,7 +44,23 @@ def test_intersection_graph_skew_pair():
 
 
 def test_parallel_lines_meet():
-    assert lines_meet(Line(0, 0, 2, 3), Line(5, 5, 2, 3))
+    l1, l2 = Line(0, 0, 2, 3), Line(5, 5, 2, 3)
+    assert lines_meet(l1, l2)
+    tests = pair_tests(LineConfig((l1, l2)).as_array(), [0], [1])
+    assert tests.meet[0] and tests.parallel[0] and not tests.coincide[0]
+    assert intersection_graph(LineConfig((l1, l2))).edges == ((0, 1),)
+
+
+def test_incidence_on_tuples_and_arrays():
+    """One formula, coordinates first: on a 4-tuple, on a (4, ...) array, and as
+    incidence_form's value on (m, 4) rows."""
+    assert incidence((1, 2, 3, 4)) == 1 * 4 - 2 * 3
+    assert incidence((Fraction(1, 2), 0, 0, Fraction(2, 3))) == Fraction(1, 3)
+    D = np.random.default_rng(0).integers(-9, 10, size=(4, 5, 3))
+    assert np.array_equal(incidence(D), D[0] * D[3] - D[1] * D[2])
+    g, grad = incidence_form(D[:, :, 0].T)
+    assert np.array_equal(g, incidence(D[:, :, 0]))
+    assert np.array_equal(grad, D[::-1, :, 0].T * [1, -1, -1, 1])
 
 
 def test_common_point_examples():
@@ -148,13 +165,89 @@ def test_config_json_round_trip():
 
 
 def test_edge_scales_match_pair_scale():
-    from linerig.lines3d import edge_scales, pair_scale
+    from linerig.lines3d import edge_scales
     rng = random.Random(17)
     cfg = LineConfig.from_rows([[rng.uniform(-10, 10) * 10 ** rng.randint(0, 6) for _ in range(4)]
                                 for _ in range(6)])
     pairs = list(combinations(range(6), 2))
     i, j = (np.array(v) for v in zip(*pairs))
     assert edge_scales(cfg.as_array(), i, j).tolist() == [pair_scale(cfg[a], cfg[b]) for a, b in pairs]
+
+
+TOL = 1e-8
+# multiples of tol * scale by which a line is moved off a threshold
+_STEPS = (0.0, 0.5, 0.9, 1.1, 2.0)
+
+
+@st.composite
+def _line_pairs(draw):
+    """Two lines with Fraction or float coordinates of magnitude 1e-3 to 1e6: any
+    two, or the first moved by multiples of tol * scale (see _STEPS) in every
+    coordinate (coincide), in its direction only (parallel), or in its residual
+    from a line meeting it (meet)."""
+    unit = Fraction(10) ** draw(st.integers(-3, 3))
+    ints = st.integers(-1000, 1000)
+    base = [draw(ints) * unit for _ in range(4)]
+    s = Fraction(TOL) * (1 + max(map(abs, base)))
+
+    def step():
+        return draw(st.sampled_from(_STEPS)) * draw(st.sampled_from((-1, 1))) * s
+
+    mode = draw(st.sampled_from(("any", "coincide", "parallel", "meet")))
+    if mode == "any":
+        other = [draw(ints) * unit for _ in range(4)]
+    elif mode == "coincide":
+        other = [x + step() for x in base]
+    elif mode == "parallel":
+        other = [x * Fraction(draw(st.integers(-4, 4)), 4) for x in base[:2]]
+        other += [x + step() for x in base[2:]]
+    else:
+        # through base's point at height t, then a or b moved so that the
+        # residual is a multiple of tol * s
+        t, c, d = (draw(ints) * unit for _ in range(3))
+        other = [base[0] + (base[2] - c) * t, base[1] + (base[3] - d) * t, c, d]
+        if base[3] != d:
+            other[0] += step() / (d - base[3])
+        elif base[2] != c:
+            other[1] += step() / (base[2] - c)
+    if draw(st.booleans()):
+        return Line(*base), Line(*other)
+    return Line(*map(float, base)), Line(*map(float, other))
+
+
+def _exact_ratios(l1: Line, l2: Line) -> list[Fraction]:
+    """|g|, the larger |direction difference| and the largest |coordinate difference|
+    of two lines, over tol * pair_scale, in exact arithmetic."""
+    D = [Fraction(x) - Fraction(y) for x, y in zip(l1.as_tuple(), l2.as_tuple())]
+    s = Fraction(TOL) * Fraction(pair_scale(l1, l2))
+    return [abs(incidence(D)) / s, max(map(abs, D[2:])) / s, max(map(abs, D)) / s]
+
+
+@settings(max_examples=300)
+@given(_line_pairs())
+def test_pair_tests_agree_with_the_scalar_references(pair):
+    """pair_tests and intersection_graph give lines_meet and lines_coincident, and
+    the parallel test pair_intersection made, on float pairs bit for bit and on
+    Fraction pairs (whose scalar residual is exact) away from the thresholds."""
+    l1, l2 = pair
+    if is_exact(l1.a):
+        assume(all(abs(r - 1) > Fraction(1, 10 ** 6) for r in _exact_ratios(l1, l2)))
+    parallel = max(abs(float(l1.c - l2.c)), abs(float(l1.d - l2.d))) <= TOL * pair_scale(l1, l2)
+    for x, y in (pair, pair[::-1]):
+        cfg = LineConfig((x, y))
+        tests = pair_tests(cfg.as_array(), [0], [1], TOL)
+        assert [bool(t[0]) for t in tests] == [lines_meet(x, y, TOL), parallel,
+                                               lines_coincident(x, y, TOL)]
+        assert intersection_graph(cfg, TOL).edges == (((0, 1),) if lines_meet(x, y, TOL) else ())
+
+
+def test_intersection_graph_matches_lines_meet_on_every_pair():
+    rng = np.random.default_rng(4)
+    X = rng.integers(-5, 6, size=(12, 4)) * 10.0 ** rng.integers(-2, 3, size=(12, 1))
+    X[6:] = X[:6] + rng.choice(_STEPS, size=(6, 4)) * TOL * (1 + np.abs(X[:6]).max(axis=1, keepdims=True))
+    cfg = LineConfig.from_rows(X.tolist())
+    want = tuple((i, j) for i, j in combinations(range(12), 2) if lines_meet(cfg[i], cfg[j], TOL))
+    assert intersection_graph(cfg, TOL).edges == want
 
 
 @pytest.mark.parametrize("text", [

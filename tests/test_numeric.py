@@ -14,7 +14,7 @@ from linerig.errors import DomainError
 from linerig.graphs import Graph, catalog, generate
 from linerig.lines3d import Line, LineConfig, meet_residual
 from linerig.numeric import (DimensionReport, edge_function, edge_system,
-                             global_rigidity_oracle, incidence_form, is_rigid_numeric,
+                             global_rigidity_oracle, incidence_form,
                              line_residuals, line_system_dimension, line_system_jacobian,
                              pair_system_dimension, pair_system_jacobian, rank_exact,
                              rigidity_matrix, rigidity_rank)
@@ -75,9 +75,9 @@ def test_line_jacobian_matches_finite_differences():
 def test_rigidity_rank_examples():
     assert rigidity_rank(K2) == 1
     assert rigidity_rank(C4) == 4
-    assert is_rigid_numeric(generate("complete", [3]))
-    assert not is_rigid_numeric(C4)
-    assert is_rigid_numeric(K4)
+    assert rigidity_rank(generate("complete", [3])) == 2 * 3 - 3
+    assert rigidity_rank(C4) != 2 * 4 - 3
+    assert rigidity_rank(K4) == 2 * 4 - 3
     for n in (4, 7, 10):
         G = generate("laman_random", [n], seed=n)
         assert rigidity_rank(G) == 2 * n - 3
@@ -415,7 +415,7 @@ def test_global_rigidity_oracle_checks_rigidity_with_its_own_trials(monkeypatch)
 
 def test_hendrickson_oracle_takes_one_rigidity_pass_per_graph(monkeypatch):
     import linerig.verify as verify
-    from linerig.numeric import global_rigidity_oracle, is_rigid_numeric
+    from linerig.numeric import global_rigidity_oracle
     from linerig.sparsity import is_hendrickson
     passes, records = [], []
 
@@ -434,11 +434,11 @@ def test_hendrickson_oracle_takes_one_rigidity_pass_per_graph(monkeypatch):
                         lambda self, ok, **detail: records.append((ok, detail)))
     verify.hendrickson_oracle(n_max=7, trials=3, seed=2)
     assert passes == [G for _, G in catalog]
-    # the verdicts of the two-pass suite: is_rigid_numeric first, then the oracle
+    # the verdicts of the two-pass suite: the rigidity rank first, then the oracle
     flexible = []
     for (name, G), (ok, detail) in zip(catalog, records, strict=True):
         assert ok and detail["graph"] == name
-        if not is_rigid_numeric(G, trials=3, seed=2):
+        if rigidity_rank(G, trials=3, seed=2) != 2 * G.n - 3:
             flexible.append(name)
             assert detail == {"graph": name, "note": "flexible"}
         else:

@@ -356,8 +356,11 @@ def test_sample_exact_output_is_pinned():
 
 
 def test_fresh_matches_lines_coincident():
-    from linerig.lines3d import Line, lines_coincident
-    from linerig.sampler import _fresh
+    """The exact construction's duplicate test, pair_tests' coincide mask of a new
+    line against every placed one, is lines_coincident on each pair."""
+    from helpers import lines_coincident
+
+    from linerig.lines3d import Line, pair_tests
     rng = np.random.default_rng(3)
     for _ in range(400):
         k = int(rng.integers(1, 6))
@@ -368,7 +371,25 @@ def test_fresh_matches_lines_coincident():
         step = rng.choice([0.0, 0.5, 0.9, 1.1, 2.0], size=4) * rng.choice([-1, 1], size=4)
         line = Line(*(row + step * 1e-8 * (1.0 + np.abs(row).max())).tolist())
         want = all(not lines_coincident(line, Line(*other), 1e-8) for other in placed.tolist())
-        assert _fresh(line, placed, 1e-8) == want
+        X = np.vstack([placed, line.as_tuple()])
+        assert (not pair_tests(X, np.full(k, k), np.arange(k), 1e-8).coincide.any()) == want
+
+
+def test_coincidence_is_held_to_each_pairs_own_scale(monkeypatch):
+    """Lines 0 and 1, near the origin, are 1e-6 apart: far outside 1e-8 of their own
+    scale, but inside 1e-8 of the configuration's, 1 + 1e3 with line 2. The float
+    sampler keeps them apart and certifies the projection on its first attempt."""
+    from linerig.graphs import Graph
+    from linerig.lines3d import pair_tests
+    rows = [[0.0, 0.0, 0.3, 0.2], [0.0, 0.0, 0.3 + 1e-6, 0.2], [0.0, 0.0, 1e3, 5.0],
+            [0.0, 0.0, -7.0, 40.0]]
+    X = np.array(rows)
+    assert not pair_tests(X, *np.triu_indices(4, 1), 1e-8).coincide.any()
+    assert np.abs(X[0] - X[1]).max() <= 1e-8 * (1.0 + np.abs(X).max())
+    _replace_first_projection(monkeypatch, lambda G, x0, **kwargs: LineConfig.from_rows(rows))
+    # K4 less the edge (0, 1): lines 0 and 1 need not meet, all four pass through the origin
+    info = sample_laman_lines_info(Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
+    assert info.attempts == 1 and info.config.as_array().tolist() == rows
 
 
 def test_exact_sampler_logs_every_failed_attempt(monkeypatch):

@@ -12,8 +12,7 @@ from linerig.errors import DomainError
 from linerig.graphs import Graph, catalog, generate
 from linerig.henneberg import Ext0, Ext1, apply_henneberg, extract_henneberg
 from linerig.numeric import rigidity_rank
-from linerig.sparsity import (is_hendrickson, is_laman, is_redundant,
-                              spanning_laman_subgraph, sparsity_rank)
+from linerig.sparsity import is_hendrickson, is_laman, is_redundant, sparsity_rank
 
 K2 = generate("complete", [2])
 K3 = generate("complete", [3])
@@ -65,10 +64,12 @@ def test_is_laman_examples():
 
 
 def test_spanning_laman_examples():
-    sub = spanning_laman_subgraph(K4)
-    assert sub is not None and sub.m == 5 and is_laman(sub)
-    assert spanning_laman_subgraph(C4) is None
-    assert spanning_laman_subgraph(K2) == K2
+    # a spanning Laman subgraph exists when the sparsity rank is 2n - 3: the witness
+    result = sparsity_rank(K4)
+    sub = Graph(4, result.witness)
+    assert result.rank == 5 and sub.m == 5 and is_laman(sub)
+    assert sparsity_rank(C4).rank < 2 * 4 - 3
+    assert Graph(2, sparsity_rank(K2).witness) == K2
 
 
 def test_redundant_examples():
