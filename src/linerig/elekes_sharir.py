@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import CongruenceError, DomainError
-from .lines3d import Line, LineConfig, Plane, Point3, is_exact, number_rows
+from .lines3d import Line, LineConfig, Plane, Point3, check_squares, is_exact, number_rows
 
 Scalar = Union[int, float, Fraction]
 Point2 = tuple[Scalar, Scalar]
@@ -163,7 +163,8 @@ def recover_motion(A: Sequence[Sequence[Scalar]], B: Sequence[Sequence[Scalar]],
         raise DomainError("point lists must be equal-length sequences of planar points")
     if pa.shape[0] < 2:
         raise DomainError("need at least 2 points")
-    scale = 1.0 + max(np.max(np.abs(pa)), np.max(np.abs(pb)))
+    # H below sums a product of centered coordinates over every point
+    scale = 1.0 + check_squares(np.concatenate([pa, pb]), max(2, len(pa)))
     i, j = np.triu_indices(pa.shape[0], 1)
     da = np.linalg.norm(pa[i] - pa[j], axis=1)
     db = np.linalg.norm(pb[i] - pb[j], axis=1)

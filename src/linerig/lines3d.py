@@ -17,7 +17,8 @@ parallel (D2, D3) and coincide (all of D), each held to tol times the pair's own
 scale, 1 + the largest |coordinate| of its two lines (edge_scales), which
 line_system_dimension and the Gauss-Newton projection divide residuals by. Other
 predicates use tol * (1 + max |coordinate|) over their lines, scaled further by
-solution magnitudes where products with solved unknowns appear.
+solution magnitudes where products with solved unknowns appear. Exact lines
+are compared exactly: meet_residual == 0, and ==.
 
 Common points and planes come from one array kernel, point_kernel and
 plane_kernel, with boolean masks of where one was found. It works batch-last, on
@@ -121,6 +122,16 @@ def number_rows(rows: object, width: int, what: str) -> list[list[float]]:
     if not all(math.isfinite(x) for r in floats for x in r):
         raise DomainError(f"{what} coordinates must be finite")
     return floats
+
+
+def check_squares(X: np.ndarray, terms: int) -> float:
+    """max |X| of the float coordinates X. Raises DomainError, before numpy overflows,
+    when a sum of `terms` products of their differences (each <= 2 max |X|) could."""
+    big = float(np.abs(X).max(initial=0.0))
+    if big > math.sqrt(np.finfo(float).max / terms) / 2:
+        raise DomainError(f"coordinate {big:.3g} is too large: squared distances overflow "
+                          "the float range")
+    return big
 
 
 @dataclass(frozen=True)
@@ -469,6 +480,10 @@ def transversal_detail(l1: Line, l2: Line, l3: Line, s: Scalar,
     """
     q = l3.point_at(s)
     base_scale = 1.0 + max(_vec_scale(v) for v in (l1.as_tuple(), l2.as_tuple(), l3.as_tuple(), q))
+    # normals are quadratic, and their cross product quartic: 32 * 2**1000 fits a float
+    if base_scale > 2.0 ** 250:
+        raise DomainError(f"transversal: coordinate scale {base_scale:.3g} exceeds 2**250, "
+                          "where the scale tests overflow the float range")
     normals = []
     for ln in (l1, l2):
         p = (ln.a, ln.b, 0)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .graphs import Graph
-from .lines3d import Line, LineConfig, edge_scales, incidence_form, is_exact
+from .lines3d import Line, LineConfig, check_squares, edge_scales, incidence_form, is_exact
 
 Scalar = Union[int, float, Fraction]
 Form = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -112,9 +112,9 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _random_prime(rng: random.Random, lo: int = 2 ** 60, hi: int = 2 ** 61) -> int:
+def _random_prime(rng: random.Random) -> int:
     while True:
-        candidate = rng.randrange(lo, hi) | 1
+        candidate = rng.randrange(2 ** 60, 2 ** 61) | 1
         if _is_prime(candidate):
             return candidate
 
@@ -252,7 +252,10 @@ def _coordinates(rows, width: int) -> np.ndarray:
 def _embedding_system(G: Graph, p) -> tuple[np.ndarray, np.ndarray]:
     if len(p) != G.n:
         raise DomainError(f"embedding has {len(p)} points for a graph on {G.n} vertices")
-    return edge_system(_coordinates(p, 2), *edge_index(G), length_form)
+    X = _coordinates(p, 2)
+    if X.dtype == float:
+        check_squares(X, 2)  # a squared length sums two squared differences
+    return edge_system(X, *edge_index(G), length_form)
 
 
 def edge_function(G: Graph, p) -> np.ndarray:
@@ -381,8 +384,7 @@ def _certify(G: Graph, g: np.ndarray, violation: str, J: np.ndarray, tol: float,
 # transversal families (lines meeting three fixed lines)
 
 
-def transversal_family_dimension(l1: Line, l2: Line, l3: Line, member: Line,
-                                 tol: float = DEFAULT_TOL) -> int:
+def transversal_family_dimension(l1: Line, l2: Line, l3: Line, member: Line) -> int:
     """Local dimension at `member` of the family of lines meeting l1, l2, l3.
 
     The family is cut out of the 4-dimensional chart by the three incidence
@@ -392,7 +394,7 @@ def transversal_family_dimension(l1: Line, l2: Line, l3: Line, member: Line,
     incidence_form's gradients at the three differences.
     """
     X = np.array([ln.as_tuple() for ln in (member, l1, l2, l3)], dtype=float)
-    return 4 - float_rank(incidence_form(X[:1] - X[1:])[1], tol)
+    return 4 - float_rank(incidence_form(X[:1] - X[1:])[1], DEFAULT_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ arithmetic, replaying the graph's extension sequence: the base edge becomes two
 lines through a common point, a 0-extension joins random points of (or passes
 through the intersection of) the two attach lines, and a 1-extension takes a
 transversal to the three lines involved. All random draws are integers, so every
-incidence holds exactly.
+incidence holds exactly. pair_tests is the float test, for the float sampler's
+projections; the construction compares exact lines exactly: a candidate is kept
+when its meet_residual with each attach line is 0 and it equals no line placed.
 
 Both samplers run one attempt loop, which certifies each draw with
 line_system_dimension (at tolerance 1e-8, or exactly, which requires every residual
@@ -93,8 +95,7 @@ def _base_pair(rng: random.Random) -> list[Line]:
     return lines
 
 
-def _extend0(lines: list[Line], u: int, v: int, rng: random.Random,
-             tol: float) -> Optional[Line]:
+def _extend0(lines: list[Line], u: int, v: int, rng: random.Random) -> Optional[Line]:
     """Candidate line meeting lines u and v.
 
     When the attach lines intersect, every such line either lies in their common
@@ -104,20 +105,20 @@ def _extend0(lines: list[Line], u: int, v: int, rng: random.Random,
     """
     lu, lv = lines[u], lines[v]
     if meet_residual(lu, lv) == 0 and rng.random() < 0.5:
-        P = pair_intersection(lu, lv, tol)
+        P = pair_intersection(lu, lv)
         if P is not None:
             return _through(P, rng)
         # parallel attach pair: fall through to the two-point join
     return _join(lu.point_at(_rand_fraction(rng)), lv.point_at(_rand_fraction(rng)))
 
 
-def _extend1(lines: list[Line], u: int, v: int, w: int, rng: random.Random,
-             tol: float) -> Optional[Line]:
+def _extend1(lines: list[Line], u: int, v: int, w: int, rng: random.Random) -> Optional[Line]:
     """Candidate line meeting lines u, v, w (u and v meet: their edge was subdivided).
 
     The family of such lines depends on the triple's geometry, so the draw is
     routed: through the common point when the triple is concurrent, an in-plane
     join when it is coplanar, and the plane-intersection transversal otherwise.
+    The routing tests are float ones; a misrouted draw misses a line and is redrawn.
     """
     lu, lv, lw = lines[u], lines[v], lines[w]
     P = pair_intersection(lu, lv, 1e-9)
@@ -125,16 +126,13 @@ def _extend1(lines: list[Line], u: int, v: int, w: int, rng: random.Random,
         return _through(P, rng)
     if _triple_coplanar(lu.as_floats(), lv.as_floats(), lw.as_floats(), 1e-9):
         return _join(lw.point_at(_rand_fraction(rng)), lu.point_at(_rand_fraction(rng)))
-    return transversal_detail(lu, lv, lw, _rand_fraction(rng), tol)[0]
+    return transversal_detail(lu, lv, lw, _rand_fraction(rng))[0]
 
 
-def _construct(G: Graph, steps, relabel, rng: random.Random, tol: float,
-               step_retries: int = 16) -> Optional[LineConfig]:
-    """Replay the extension steps, keeping each step's first candidate that meets
-    its attach lines exactly and coincides (pair_tests) with no line placed so far."""
+def _construct(G: Graph, steps, relabel, rng: random.Random) -> Optional[LineConfig]:
+    """Replay the extension steps, keeping the first of each step's 16 candidates that
+    meets its attach lines exactly and is none of the lines placed; None if none is."""
     lines = _base_pair(rng)
-    placed = np.zeros((G.n, 4))
-    placed[:2] = [[float(x) for x in ln.as_tuple()] for ln in lines]
     for step in steps:
         if isinstance(step, Ext0):
             extend, attach = _extend0, (step.u, step.v)
@@ -142,13 +140,10 @@ def _construct(G: Graph, steps, relabel, rng: random.Random, tol: float,
             extend, attach = _extend1, (step.u, step.v, step.w)
         else:
             raise DomainError(f"unexpected step {step!r}")
-        new = len(lines)
-        for _ in range(step_retries):
-            cand = extend(lines, *attach, rng, tol)
-            if cand is None or any(meet_residual(cand, lines[k]) != 0 for k in attach):
-                continue
-            placed[new] = [float(x) for x in cand.as_tuple()]
-            if not pair_tests(placed, np.full(new, new), np.arange(new), tol).coincide.any():
+        for _ in range(16):
+            cand = extend(lines, *attach, rng)
+            if cand is not None and cand not in lines and \
+                    all(meet_residual(cand, lines[k]) == 0 for k in attach):
                 break
         else:
             return None
@@ -272,7 +267,7 @@ def sample_laman_lines_exact_info(G: Graph, seed: int = 0, max_retries: int = 32
 
     def draw(attempt: int) -> Union[LineConfig, str]:
         rng = random.Random(f"laman-lines-exact:{seed}:{attempt}")
-        cfg = _construct(G, steps, relabel, rng, tol=1e-8)
+        cfg = _construct(G, steps, relabel, rng)
         return "construction failed" if cfg is None else cfg
 
     return _certified_sample(G, draw, True, seed, max_retries)
@@ -387,9 +382,9 @@ def _rational_rotation(rng: random.Random) -> tuple[Fraction, Fraction]:
     return (1 - t * t) / denom, 2 * t / denom
 
 
-def sample_congruent_pair(G: Graph, orientation: int = 1, seed: int = 0,
-                          exact: bool = False, box: int = 100):
-    """Random integer embedding p and its image p' under a random rigid motion.
+def sample_congruent_pair(G: Graph, orientation: int = 1, seed: int = 0, exact: bool = False):
+    """Random integer embedding p and its image p' under a random rigid motion, the
+    points and translation drawn from [-100, 100].
 
     The rotation part is exactly orthogonal (rational cos/sin), so in exact mode
     the two embeddings have exactly equal edge lengths. Returns a pair of
@@ -398,10 +393,10 @@ def sample_congruent_pair(G: Graph, orientation: int = 1, seed: int = 0,
     if orientation not in (1, -1):
         raise DomainError("orientation must be +1 or -1")
     rng = random.Random(f"congruent:{G.n}:{orientation}:{seed}")
-    pts = [(Fraction(rng.randint(-box, box)), Fraction(rng.randint(-box, box)))
+    pts = [(Fraction(rng.randint(-100, 100)), Fraction(rng.randint(-100, 100)))
            for _ in range(G.n)]
     co, si = _rational_rotation(rng)
-    tx, ty = Fraction(rng.randint(-box, box)), Fraction(rng.randint(-box, box))
+    tx, ty = Fraction(rng.randint(-100, 100)), Fraction(rng.randint(-100, 100))
     moved = []
     for x, y in pts:
         if orientation == -1:

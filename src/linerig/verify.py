@@ -10,6 +10,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, islice
 from typing import Optional
 
 import numpy as np
@@ -17,9 +18,8 @@ import numpy as np
 from .elekes_sharir import phi, reflection_at, to_line, to_lines
 from .errors import DomainError, SampleError
 from .graphs import Graph, generate
-from .lines3d import (Line, Plane, TripleClass, _triple_coplanar, classify_triple,
-                      common_planes, common_points, incidence, line_through, meet_residual,
-                      pair_tests, plane_kernel, point_kernel, transversal)
+from .lines3d import (Line, Plane, classify_triple, common_planes, common_points, incidence,
+                      line_through, meet_residual, plane_kernel, point_kernel, transversal)
 from .numeric import (global_rigidity_oracle, pair_system_dimension, rank_exact,
                       transversal_family_dimension)
 from .sampler import (knn_jacobian, sample_congruent_pair, sample_knn_params,
@@ -154,127 +154,113 @@ def lemma_complete(n_max: int = 10, seeds: int = 20, seed: int = 0) -> SuiteRepo
 # lemma-3lines: transversal family dimension matches the triple classification
 
 
-def _concurrent_triple(rng: random.Random, coplanar: bool
-                       ) -> tuple[tuple[Line, ...], TripleClass]:
-    while True:
-        P = tuple(rng.randint(-10, 10) for _ in range(3))
-        if coplanar:
-            mu, nu = rng.randint(-5, 5), rng.randint(-5, 5)
-            # force P onto the plane z = x + mu*y + nu by solving for x
-            x0 = P[2] - mu * P[1] - nu
-            P = (x0, P[1], P[2])
-            ds = rng.sample(range(-8, 9), 3)
-            lines = tuple(Line(P[0] - (1 - mu * d) * P[2], P[1] - d * P[2], 1 - mu * d, d)
-                          for d in ds)
-            return lines, classify_triple(*lines)
-        dirs = set()
-        while len(dirs) < 3:
-            dirs.add((rng.randint(-10, 10), rng.randint(-10, 10)))
-        lines = tuple(Line(P[0] - c * P[2], P[1] - d * P[2], c, d) for c, d in sorted(dirs))
-        tc = classify_triple(*lines)
-        if tc.tag == "concurrent_only":
-            return lines, tc
+def _lines_through(P, dirs) -> tuple[Line, ...]:
+    """The lines through the point P with the directions (c, d, 1) of dirs."""
+    return tuple(Line(P[0] - c * P[2], P[1] - d * P[2], c, d) for c, d in dirs)
 
 
-def _coplanar_triple(rng: random.Random) -> tuple[tuple[Line, ...], TripleClass]:
-    while True:
-        mu, nu = rng.randint(-5, 5), rng.randint(-5, 5)
-        ds = rng.sample(range(-8, 9), 3)
-        bs = [rng.randint(-10, 10) for _ in range(3)]
-        lines = tuple(Line(-nu - mu * b, b, 1 - mu * d, d) for b, d in zip(bs, ds))
-        tc = classify_triple(*lines)
-        if tc.tag == "coplanar_only":
-            return lines, tc
+def _dependent(rows) -> bool:
+    """Whether three integer 3-vectors are linearly dependent."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) == 0
 
 
-def _skew_triple(rng: random.Random) -> tuple[tuple[Line, ...], TripleClass]:
-    while True:
-        lines = tuple(Line(*(rng.randint(-15, 15) for _ in range(4))) for _ in range(3))
-        try:
-            tc = classify_triple(*lines)
-        except Exception:  # noqa: BLE001 - coincident draws simply retry
-            continue
-        if tc.tag == "pairwise_skew":
-            return lines, tc
+def _meets(l1: Line, l2: Line) -> bool:
+    return meet_residual(l1, l2) == 0
 
 
-def _mixed_triple(rng: random.Random) -> tuple[tuple[Line, ...], TripleClass]:
-    while True:
-        P = tuple(rng.randint(-10, 10) for _ in range(3))
-        (c1, d1), (c2, d2) = rng.sample([(c, d) for c in range(-6, 7) for d in range(-6, 7)], 2)
-        l1 = Line(P[0] - c1 * P[2], P[1] - d1 * P[2], c1, d1)
-        l2 = Line(P[0] - c2 * P[2], P[1] - d2 * P[2], c2, d2)
-        l3 = Line(*(rng.randint(-15, 15) for _ in range(4)))
-        try:
-            tc = classify_triple(l1, l2, l3)
-        except Exception:  # noqa: BLE001
-            continue
-        if tc.tag == "two_concurrent_mixed":
-            return (l1, l2, l3), tc
+def _concurrent(rng: random.Random):
+    P = tuple(rng.randint(-10, 10) for _ in range(3))
+    dirs = set()
+    while len(dirs) < 3:
+        dirs.add((rng.randint(-10, 10), rng.randint(-10, 10)))
+    return _lines_through(P, sorted(dirs)), P
 
 
-def _family_member(lines: tuple[Line, ...], tc: TripleClass, tag: str,
-                   rng: random.Random) -> Optional[Line]:
-    """A random line meeting all three; None for a degenerate draw, or one where the
-    two branches of a concurrent-and-coplanar family meet (a singular point of the
-    family, where the rank test sees no manifold dimension)."""
+def _pencil(rng: random.Random):
+    P = tuple(rng.randint(-10, 10) for _ in range(3))
+    mu, nu = rng.randint(-5, 5), rng.randint(-5, 5)
+    # P moved onto the plane z = x + mu*y + nu, which holds the directions (1 - mu*d, d, 1)
+    P = (P[2] - mu * P[1] - nu, P[1], P[2])
+    return _lines_through(P, [(1 - mu * d, d) for d in rng.sample(range(-8, 9), 3)]), P
+
+
+def _coplanar(rng: random.Random):
+    mu, nu = rng.randint(-5, 5), rng.randint(-5, 5)
+    ds = rng.sample(range(-8, 9), 3)
+    bs = [rng.randint(-10, 10) for _ in range(3)]
+    return tuple(Line(-nu - mu * b, b, 1 - mu * d, d) for b, d in zip(bs, ds)), None
+
+
+def _two_concurrent(rng: random.Random):
+    P = tuple(rng.randint(-10, 10) for _ in range(3))
+    grid = [(c, d) for c in range(-6, 7) for d in range(-6, 7)]
+    l1, l2 = _lines_through(P, rng.sample(grid, 2))
+    return (l1, l2, Line(*(rng.randint(-15, 15) for _ in range(4)))), P
+
+
+def _random_lines(rng: random.Random):
+    return tuple(Line(*(rng.randint(-15, 15) for _ in range(4))) for _ in range(3)), None
+
+
+# class -> (draw, in_class, dimension of its transversal family). draw makes
+# integer lines and returns them with their construction point; in_class keeps
+# the draws in the class by an exact integer test:
+# - concurrent lines share a plane too when their direction points (c, d) are collinear;
+# - the coplanar lines, y - d*z = b in their plane named by its (y, z), share a
+#   point when the rows (1, d, b) are dependent;
+# - a third line meeting both lines through P makes the three meet pairwise;
+# - lines with meet_residual 0 are not skew.
+_TRIPLES = {
+    "concurrent_only": (_concurrent, lambda L: not _dependent([(1, l.c, l.d) for l in L]), 2),
+    "concurrent_and_coplanar": (_pencil, lambda L: True, 2),
+    "coplanar_only": (_coplanar, lambda L: not _dependent([(1, l.d, l.b) for l in L]), 2),
+    "two_concurrent_mixed": (_two_concurrent,
+                             lambda L: not (_meets(L[2], L[0]) and _meets(L[2], L[1])), 1),
+    "pairwise_skew": (_random_lines, lambda L: not any(_meets(*p) for p in combinations(L, 2)), 1),
+}
+
+
+def _family_member(lines: tuple[Line, ...], P, tag: str, rng: random.Random) -> Optional[Line]:
+    """A random exact line meeting all three; None for a degenerate draw, or for a
+    member in the plane of a concurrent-and-coplanar triple, where the family's two
+    branches meet (a singular point, where the rank test sees no manifold dimension)."""
     if tag in ("concurrent_only", "concurrent_and_coplanar"):
-        P = tc.point
         offset = [rng.randint(-9, 9) for _ in range(3)]
-        if offset[2] == 0:
+        if offset[2] == 0 or (tag == "concurrent_and_coplanar" and
+                              _dependent([lines[0].direction(), lines[1].direction(), offset])):
             return None
-        member = line_through(P, (P[0] + offset[0], P[1] + offset[1], P[2] + offset[2]))
-        if member is not None and tag == "concurrent_and_coplanar" and \
-                _triple_coplanar(member.as_floats(), lines[0].as_floats(), lines[1].as_floats()):
-            return None
-        return member
+        c, d = (Fraction(x, offset[2]) for x in offset[:2])
+        return _lines_through(P, [(c, d)])[0]
     if tag == "coplanar_only":
-        p = lines[0].point_at(rng.randint(-9, 9))
-        q = lines[1].point_at(rng.randint(-9, 9))
-        return None if all(float(a) == float(b) for a, b in zip(p, q)) else line_through(p, q)
+        p = lines[0].point_at(Fraction(rng.randint(-9, 9)))
+        q = lines[1].point_at(Fraction(rng.randint(-9, 9)))
+        return None if p == q else line_through(p, q)
     return transversal(lines[0], lines[1], lines[2], Fraction(rng.randint(-15, 15)))
 
 
-def _family_members(lines: tuple[Line, ...], tc: TripleClass, tag: str, rng: random.Random,
-                    count: int = 5) -> list[Line]:
-    """The first `count` of at most 400 draws of _family_member that are not None
-    and coincide with no input line, as floats. Each round tests the draws still
-    needed in one pair_tests call, so the members are those of testing in turn."""
-    X = np.array([ln.as_tuple() for ln in lines], dtype=float)
-    members: list[Line] = []
-    guard = 0
-    while len(members) < count and guard < 400:
-        drawn = []
-        while len(members) + len(drawn) < count and guard < 400:
-            guard += 1
-            member = _family_member(lines, tc, tag, rng)
-            if member is not None:
-                drawn.append(member.as_floats())
-        if drawn:
-            Y = np.concatenate([X, [m.as_tuple() for m in drawn]])
-            i, j = np.arange(3, len(Y)).repeat(3), np.tile(np.arange(3), len(drawn))
-            hit = pair_tests(Y, i, j).coincide.reshape(-1, 3).any(axis=1)
-            members += [m for m, h in zip(drawn, hit.tolist()) if not h]
-    return members
-
-
 def lemma_3lines(per_class: int = 100, seed: int = 0) -> SuiteReport:
+    """Each class of triple is built from integers: its table entry redraws until an
+    exact integer test puts the draw in the class. classify_triple then runs once on
+    the triple, and five exact members of its transversal family (the first five
+    of at most 400 draws that are not None and none of the three lines) must each
+    have the class's family dimension. A wrong tag or a DomainError is a failure."""
     _at_least(per_class, 1, "per_class")
     rep = SuiteReport("lemma-3lines")
-    makers = {
-        "concurrent_only": (lambda rng: _concurrent_triple(rng, False), 2),
-        "concurrent_and_coplanar": (lambda rng: _concurrent_triple(rng, True), 2),
-        "coplanar_only": (_coplanar_triple, 2),
-        "two_concurrent_mixed": (_mixed_triple, 1),
-        "pairwise_skew": (_skew_triple, 1),
-    }
-    for tag, (maker, want_dim) in makers.items():
+    for tag, (draw, in_class, want_dim) in _TRIPLES.items():
         for k in range(per_class):
             rng = random.Random(f"3lines:{tag}:{seed}:{k}")
-            lines, tc = maker(rng)
-            members = _family_members(lines, tc, tag, rng)
-            dims = {transversal_family_dimension(lines[0].as_floats(), lines[1].as_floats(),
-                                                 lines[2].as_floats(), m) for m in members}
+            lines, P = draw(rng)
+            while not in_class(lines):
+                lines, P = draw(rng)
+            try:
+                tc = classify_triple(*lines)
+            except DomainError as exc:
+                rep.record(False, cls=tag, instance=k, error=str(exc))
+                continue
+            draws = (_family_member(lines, P, tag, rng) for _ in range(400))
+            members = list(islice((m for m in draws if m is not None and m not in lines), 5))
+            dims = {transversal_family_dimension(*lines, m) for m in members}
             ok = tc.tag == tag and tc.family_dim == want_dim and members and dims == {want_dim}
             rep.record(ok, cls=tag, instance=k, classified=tc.tag,
                        family_dims=sorted(dims), expected=want_dim)

@@ -144,6 +144,37 @@ def test_lines_meet_overflow_is_an_error(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("lines, s", [
+    ([[0, 0, 1, 0], [0, 0, 0, 1], [1, 2, 3, 4]], "1e200"),
+    ([[0, 0, 1, 0], [0, 0, 0, 1], [1, 2, 3, 4]], "1e100"),
+    ([[1e300, 0, 1, 0], [0, 0, 0, 1], [1, 2, 3, 4]], "0"),
+])
+def test_lines_transversal_overflow_is_an_error(tmp_path, capsys, lines, s):
+    # finite input whose scale tests, up to quartic in the coordinates, overflow
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps({"lines": lines}))
+    code, out, err = run(capsys, "lines", "transversal", str(path), s)
+    assert code == 2 and out == "" and err.startswith("error:") and "2**250" in err
+
+
+def test_es_overflow_is_an_error(tmp_path, capsys):
+    # a congruent pair (the two point lists are equal) whose squared distances
+    # overflow the float range
+    ppath = tmp_path / "pairs.json"
+    ppath.write_text('{"p":[[1e300,0],[0,1e300],[1,1]],"p_prime":[[1e300,0],[0,1e300],[1,1]]}')
+    gpath = tmp_path / "g.json"
+    gpath.write_text(serialize_graph(generate("complete", [3])))
+    for argv in (("es", "recover", str(ppath)), ("es", "dim", str(gpath), str(ppath))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:") and "overflow" in err
+    # at 1e150 the squares still fit, and both commands answer
+    ppath.write_text(ppath.read_text().replace("e300", "e150"))
+    code, out, _ = run(capsys, "es", "recover", str(ppath))
+    assert code == 0 and json.loads(out)["orientation"] == 1
+    code, out, _ = run(capsys, "es", "dim", str(gpath), str(ppath))
+    assert code == 0 and json.loads(out)["certified"] is True
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "complete"], ["gen", "complete", "3", "4"], ["gen", "hendrickson_random", "5", "1", "2"],
 ])

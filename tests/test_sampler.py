@@ -356,8 +356,8 @@ def test_sample_exact_output_is_pinned():
 
 
 def test_fresh_matches_lines_coincident():
-    """The exact construction's duplicate test, pair_tests' coincide mask of a new
-    line against every placed one, is lines_coincident on each pair."""
+    """pair_tests' coincide mask of a new float line against every placed one, the
+    float duplicate test, is lines_coincident on each pair."""
     from helpers import lines_coincident
 
     from linerig.lines3d import Line, pair_tests
@@ -399,6 +399,30 @@ def test_exact_sampler_logs_every_failed_attempt(monkeypatch):
     with pytest.raises(SampleError) as err:
         sampler.sample_laman_lines_exact(G, seed=0, max_retries=5)
     assert err.value.log == [f"attempt {k}: construction failed" for k in range(1, 6)]
+
+
+@pytest.mark.parametrize("bad", ["placed line", "skew line"])
+def test_construction_redraws_a_candidate_it_must_not_keep(monkeypatch, bad):
+    """The exact construction keeps a candidate only when it meets its attach lines
+    exactly and equals no placed line: a copy of attach line 0 (which meets both
+    attach lines) and a line skew to it are each redrawn."""
+    import linerig.sampler as sampler
+    from linerig.henneberg import extract_henneberg
+    from linerig.lines3d import Line, meet_residual
+    extend0, calls = sampler._extend0, []
+
+    def bad_first(lines, u, v, rng):
+        calls.append(u)
+        if len(calls) > 1:
+            return extend0(lines, u, v, rng)
+        a, b, c, d = lines[u].as_tuple()
+        return lines[u] if bad == "placed line" else Line(a + 1, b, c, d + 1)
+
+    monkeypatch.setattr(sampler, "_extend0", bad_first)
+    G = generate("complete", [3])
+    cfg = sampler._construct(G, *extract_henneberg(G), random.Random(0))
+    assert len(calls) == 2 and len(set(cfg.lines)) == 3
+    assert all(meet_residual(cfg[i], cfg[j]) == 0 for i, j in G.edges)
 
 
 def test_exact_sampler_certifies_within_three_attempts_up_to_n60():

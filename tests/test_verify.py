@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from linerig.errors import DomainError
-from linerig.lines3d import Line, LineConfig, common_planes, common_points, meet_residual
-from linerig.verify import (SuiteReport, four_line_quadruples, four_lines, lemma_3lines,
-                            lemma_complete, lemma_cong, pairwise_incident, theorem_main,
-                            theorem_mainnec)
+from linerig.lines3d import (Line, LineConfig, classify_triple, common_planes, common_points,
+                             meet_residual)
+from linerig.verify import (_TRIPLES, SuiteReport, four_line_quadruples, four_lines,
+                            lemma_3lines, lemma_complete, lemma_cong, pairwise_incident,
+                            theorem_main, theorem_mainnec)
 
 
 def _fraction_four_lines(trials, seed=0, tol=1e-8):
@@ -113,6 +114,74 @@ def test_lemma_3lines_classifies_each_triple_once(monkeypatch, seed):
     assert rep.to_dict() == {"failures": [], "info": {}, "ok": True, "passed": 50,
                              "suite": "lemma-3lines", "total": 50}
     assert len(calls) == 50
+
+
+@pytest.mark.parametrize("tag", sorted(_TRIPLES))
+def test_lemma_3lines_in_class_tests_agree_with_classify_triple(tag):
+    """Each table entry's exact test keeps a draw iff classify_triple puts it in the
+    class, on 1000 draws. Every pencil draw is in class; a mixed draw seldom leaves
+    it, so each one is also tried with its third line moved through the point P."""
+    draw, in_class, _ = _TRIPLES[tag]
+    rng = random.Random(f"in-class:{tag}")
+    triples = [draw(rng) for _ in range(1000)]
+    if tag == "two_concurrent_mixed":
+        triples += [((l1, l2, Line(P[0] - 5 * P[2], P[1] + 3 * P[2], 5, -3)), P)
+                    for (l1, l2, _), P in triples]
+    kept = []
+    for lines, _ in triples:
+        try:
+            seen = classify_triple(*lines).tag
+        except DomainError:
+            seen = None
+        kept.append(in_class(lines))
+        assert kept[-1] == (seen == tag), lines
+    assert all(kept) == (tag == "concurrent_and_coplanar")
+
+
+def test_lemma_3lines_members_are_none_of_the_three_lines(monkeypatch):
+    """Five members a triple, none of them one of its lines: coplanar draws join a
+    point of line 0 to a point of line 1, which is line 0 when the second point is
+    where the two lines meet."""
+    import linerig.verify as verify
+    seen = []
+    dim = verify.transversal_family_dimension
+    monkeypatch.setattr(verify, "transversal_family_dimension",
+                        lambda *lines: seen.append(lines) or dim(*lines))
+    assert lemma_3lines(per_class=10, seed=0).ok
+    assert len(seen) == 250 and not any(m in lines for *lines, m in seen)
+
+
+@pytest.mark.parametrize("fault", ["wrong tag", "DomainError"])
+def test_lemma_3lines_reports_a_faulty_classifier(monkeypatch, fault):
+    """A classifier that calls every coplanar_only triple concurrent_only, or raises
+    DomainError on it, fails exactly those instances and says how. The call budget
+    turns a suite that redraws until the classifier agrees into a failure, not a
+    hang; pytest.fail raises a BaseException, which no `except Exception` swallows."""
+    import dataclasses
+
+    import linerig.verify as verify
+    calls = []
+    classify = verify.classify_triple
+
+    def faulty(*lines):
+        calls.append(lines)
+        if len(calls) > 50:
+            pytest.fail("classify_triple called more than once per triple")
+        tc = classify(*lines)
+        if tc.tag != "coplanar_only":
+            return tc
+        if fault == "DomainError":
+            raise DomainError("lines 0 and 1 coincide")
+        return dataclasses.replace(tc, tag="concurrent_only")
+
+    monkeypatch.setattr(verify, "classify_triple", faulty)
+    rep = lemma_3lines(per_class=10, seed=0).to_dict()
+    assert rep["ok"] is False and (rep["total"], rep["passed"]) == (50, 40)
+    assert [(f["cls"], f["instance"]) for f in rep["failures"]] == \
+        [("coplanar_only", k) for k in range(10)]
+    want = {"error": "lines 0 and 1 coincide"} if fault == "DomainError" \
+        else {"classified": "concurrent_only"}
+    assert all(want.items() <= f.items() for f in rep["failures"])
 
 
 def test_theorem_main_ranks_each_exact_sample_once(monkeypatch):
