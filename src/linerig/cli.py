@@ -3,6 +3,11 @@
 Subcommands: analyze, verify, gen, lines, sample, henneberg, es. Reports go to
 standard output as JSON (default) or text tables. Exit codes: 0 success,
 1 verification failure, 2 usage or parse error.
+
+The parser comes from one table, _COMMANDS, one row per leaf subcommand. main
+builds only the leaf that argv names; any other command line (no leaf named,
+help, --version, an unknown command) gets the parser of every leaf, so each
+listing and message is the whole tree's.
 """
 
 from __future__ import annotations
@@ -336,13 +341,22 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
+    """The parser of the one leaf that argv names (its first word a top-level leaf,
+    or a group and then one of the group's leaves), else of every leaf."""
+    words = tuple(argv or ())
+    rows = [row for row in _COMMANDS
+            if words[:2 if row[0] else 1] == tuple(filter(None, row[:2]))]
     parser = argparse.ArgumentParser(prog="linerig",
                                      description="Rigidity of graphs and line configurations in 3-space")
     parser.add_argument("--version", action="version", version=f"linerig {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # an unrecognized argument prints the usage line, which lists every command also
+    # when one leaf is built; no other message of a one-leaf parser names the commands
+    commands = "{%s}" % ",".join(dict.fromkeys(row[0] or row[1] for row in _COMMANDS))
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=commands if rows else None)
     groups = {}
-    for group, name, help_, handler, arguments, common in _COMMANDS:
+    for group, name, help_, handler, arguments, common in rows or _COMMANDS:
         if group is not None and group not in groups:
             dest, group_help = _GROUPS[group]
             groups[group] = sub.add_parser(group, help=group_help).add_subparsers(
@@ -359,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

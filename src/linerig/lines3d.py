@@ -9,7 +9,7 @@ parallel, or coincide exactly when the incidence residual of their difference D,
 vanishes. incidence, the one copy of that formula, takes D coordinates first (a
 4-tuple or a (4, ...) array); meet_residual, incidence_form and the suites read it.
 Coordinates may be ints, Fractions, or floats; the algebra stays exact for the
-exact types.
+exact types, whose quotients are Fractions.
 
 Every tolerance test on a pair of lines is one kernel, pair_tests: over index
 arrays of pairs of rows of an (n, 4) chart array it gives the masks meet (|g|),
@@ -203,8 +203,10 @@ PairTests = NamedTuple("PairTests", [("meet", np.ndarray), ("parallel", np.ndarr
 def pair_tests(X, i, j, tol: float = 1e-8) -> PairTests:
     """The line-pair predicates of the lines X[i[k]] and X[j[k]] of an (n, 4) chart
     array, taken as floats: |incidence|, the larger |direction difference| and the
-    largest |coordinate difference|, each held to tol * edge_scales."""
+    largest |coordinate difference|, each held to tol * edge_scales. Coordinates
+    whose incidence could overflow raise DomainError (check_squares)."""
     X = np.asarray(X, dtype=float)
+    check_squares(X, 2)  # the incidence sums two products of differences
     D = (X[i] - X[j]).T
     A = np.abs(D)
     s = tol * edge_scales(X, i, j)
@@ -466,6 +468,11 @@ def _sub(u: Point3, v: Point3) -> Point3:
     return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
 
 
+def _ratio(x: Scalar, y: Scalar) -> Scalar:
+    """x / y, a Fraction when both are exact: ints stay exact through a division."""
+    return Fraction(x, y) if is_exact(x) and is_exact(y) else x / y
+
+
 def _vec_scale(u: Point3) -> float:
     return max(abs(float(x)) for x in u)
 
@@ -476,7 +483,9 @@ def transversal_detail(l1: Line, l2: Line, l3: Line, s: Scalar,
 
     The result is the intersection of the plane spanned by (q, l1) with the plane
     spanned by (q, l2). Codes: "ok", "q-on-line", "planes-coincide", "horizontal",
-    "residual".
+    "residual". When the lines and s are all exact, the planes are intersected in
+    their own arithmetic (ints stay ints) and the line is exact, and so is its
+    residual check; otherwise the check is pair_tests'.
     """
     q = l3.point_at(s)
     base_scale = 1.0 + max(_vec_scale(v) for v in (l1.as_tuple(), l2.as_tuple(), l3.as_tuple(), q))
@@ -497,8 +506,7 @@ def transversal_detail(l1: Line, l2: Line, l3: Line, s: Scalar,
         return None, "planes-coincide"
     if abs(float(w[2])) <= tol * _vec_scale(w):
         return None, "horizontal"
-    c = w[0] / w[2]
-    d = w[1] / w[2]
+    c, d = _ratio(w[0], w[2]), _ratio(w[1], w[2])
     line = Line(q[0] - q[2] * c, q[1] - q[2] * d, c, d)
     if all(map(is_exact, line.as_tuple())):
         if any(meet_residual(line, other) != 0 for other in (l1, l2, l3)):
@@ -521,6 +529,5 @@ def line_through(p: Point3, q: Point3) -> Optional[Line]:
     dz = q[2] - p[2]
     if float(dz) == 0.0:
         return None
-    c = (q[0] - p[0]) / dz
-    d = (q[1] - p[1]) / dz
+    c, d = _ratio(q[0] - p[0], dz), _ratio(q[1] - p[1], dz)
     return Line(p[0] - c * p[2], p[1] - d * p[2], c, d)

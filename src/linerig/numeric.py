@@ -236,13 +236,18 @@ def edge_index(G: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 def _coordinates(rows, width: int) -> np.ndarray:
     """rows as an (n, width) array: of objects (Python ints and Fractions) when every
-    entry is exact (lines3d.is_exact), of floats otherwise."""
+    entry is exact (lines3d.is_exact), of floats otherwise. Float coordinates whose
+    forms could overflow raise DomainError: both forms, a squared length and the
+    incidence, sum two products of coordinate differences (check_squares)."""
     rows = rows.tolist() if isinstance(rows, np.ndarray) else [list(r) for r in rows]
     try:
         exact = all(is_exact(x) for r in rows for x in r)
-        return np.array(rows, dtype=object if exact else float).reshape(len(rows), width)
+        X = np.array(rows, dtype=object if exact else float).reshape(len(rows), width)
     except (TypeError, ValueError):
         raise DomainError(f"coordinates must be rows of {width} numbers") from None
+    if not exact:
+        check_squares(X, 2)
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +257,7 @@ def _coordinates(rows, width: int) -> np.ndarray:
 def _embedding_system(G: Graph, p) -> tuple[np.ndarray, np.ndarray]:
     if len(p) != G.n:
         raise DomainError(f"embedding has {len(p)} points for a graph on {G.n} vertices")
-    X = _coordinates(p, 2)
-    if X.dtype == float:
-        check_squares(X, 2)  # a squared length sums two squared differences
-    return edge_system(X, *edge_index(G), length_form)
+    return edge_system(_coordinates(p, 2), *edge_index(G), length_form)
 
 
 def edge_function(G: Graph, p) -> np.ndarray:

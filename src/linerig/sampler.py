@@ -42,9 +42,9 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, SampleError
 from .graphs import Graph
 from .henneberg import Ext0, Ext1, extract_henneberg
-from .lines3d import (Line, LineConfig, _triple_coplanar, edge_scales, incidence_form,
-                      line_through, meet_residual, pair_intersection, pair_tests,
-                      transversal_detail)
+from .lines3d import (Line, LineConfig, _triple_coplanar, check_squares, edge_scales,
+                      incidence_form, line_through, meet_residual, pair_intersection,
+                      pair_tests, transversal_detail)
 from .numeric import DimensionReport, edge_index, edge_system, line_system_dimension
 from .sparsity import is_laman
 
@@ -178,6 +178,7 @@ def gauss_newton_project(G: Graph, x0: LineConfig, tol: float = 1e-12,
         raise DomainError(f"configuration has {x0.n} lines for a graph on {G.n} vertices")
     i, j = edge_index(G)
     X = x0.as_array()
+    check_squares(X, 2)  # the incidence sums two products of differences
     best, stalls = np.inf, 0
     for step in range(max_iter + 1):
         g, J = edge_system(X, i, j, incidence_form)

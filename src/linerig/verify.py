@@ -233,10 +233,10 @@ def _family_member(lines: tuple[Line, ...], P, tag: str, rng: random.Random) -> 
         c, d = (Fraction(x, offset[2]) for x in offset[:2])
         return _lines_through(P, [(c, d)])[0]
     if tag == "coplanar_only":
-        p = lines[0].point_at(Fraction(rng.randint(-9, 9)))
-        q = lines[1].point_at(Fraction(rng.randint(-9, 9)))
+        p = lines[0].point_at(rng.randint(-9, 9))
+        q = lines[1].point_at(rng.randint(-9, 9))
         return None if p == q else line_through(p, q)
-    return transversal(lines[0], lines[1], lines[2], Fraction(rng.randint(-15, 15)))
+    return transversal(lines[0], lines[1], lines[2], rng.randint(-15, 15))
 
 
 def lemma_3lines(per_class: int = 100, seed: int = 0) -> SuiteReport:

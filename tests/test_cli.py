@@ -499,6 +499,27 @@ def test_lines_common_at_huge_coordinates(tmp_path, capsys):
     assert all(map(math.isfinite, rep["common_plane"]))
 
 
+@pytest.mark.parametrize("cmd", ["lines graph", "lines classify", "lines dim", "sample project"])
+def test_incidence_overflow_is_an_error(tmp_path, capsys, cmd):
+    # the incidence of the first two lines, quadratic in them, overflows the float range
+    cpath = tmp_path / "lines.json"
+    cpath.write_text('{"lines":[[1e200,0,0,1e200],[0,0,0,0],[1,2,3,4]]}')
+    gpath = tmp_path / "triangle.json"
+    gpath.write_text(serialize_graph(generate("complete", [3])))
+    graph = [str(gpath)] if cmd in ("lines dim", "sample project") else []
+    argv = [*cmd.split(), *graph, str(cpath)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:") and "overflow" in err
+    # at 1e150 the products fit: graph and classify answer, dim finds the lines off
+    # the triangle's incidence system, and the projection does not reach it
+    cpath.write_text(cpath.read_text().replace("e200", "e150"))
+    code, out, err = run(capsys, *argv)
+    if graph:
+        assert code == 2 and "residual" in err and "overflow" not in err
+    else:
+        assert code == 0 and err == "" and json.loads(out)
+
+
 # `sample laman` on K4 minus an edge with --seed 1: the projection of the random
 # integer start drawn for (seed 1, attempt 1)
 _SAMPLE_GRAPH = '{"n":4,"edges":[[0,2],[0,3],[1,2],[1,3],[2,3]]}'
@@ -629,6 +650,27 @@ def test_each_leaf_takes_only_the_options_it_reads():
     assert got == _LEAF_OPTIONS and set(_LEAF_ARGV) == set(got)
     common = {"--seed", "--tol", "--trials", "--exact", "--format"}
     assert sum(len(common & set(opts.split())) for opts in got.values()) == 31
+
+
+def test_a_named_leaf_builds_only_its_own_parser():
+    leaves = [name for name, _ in _leaves(build_parser(["sample", "laman", "g.json"]))]
+    assert leaves == ["sample laman"]
+
+
+@pytest.mark.parametrize("argv", [
+    *([*leaf.split(), *tail] for leaf in sorted(_LEAF_ARGV)
+      for tail in (["-h"], [*_LEAF_ARGV[leaf].split(), "--exact"], [])),
+    [], ["--version"], ["sample"], ["sample", "nope"], ["nope"],
+], ids=" ".join)
+def test_main_parses_as_the_whole_tree(capsys, argv):
+    # main builds the named leaf alone; help, usage lines and errors stay the whole tree's
+    try:
+        want = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        want = (0 if exc.code in (0, None) else 2, *capsys.readouterr())
+        assert run(capsys, *argv) == want
+    else:  # `analyze g.json --exact` parses; main would go on to read g.json
+        assert build_parser(argv).parse_args(argv) == want
 
 
 @pytest.mark.parametrize("leaf", sorted(_LEAF_ARGV))

@@ -158,6 +158,20 @@ def test_line_through_examples():
         line_through((1, 2, 3), (1, 2, 3))
 
 
+def test_exact_inputs_divide_exactly():
+    third = Fraction(1, 3)
+    line = line_through((0, 0, 0), (1, 1, 3))
+    assert line == Line(0, 0, third, third) and all(map(is_exact, line.as_tuple()))
+    assert line_through((0.0, 0, 0), (1, 1, 3)).c == 1 / 3
+    trio = (Line(0, 0, 1, 0), Line(1, 0, 0, 1), Line(0, 1, 2, 3))
+    for s in (-2, 5):
+        tv = transversal(*trio, s)
+        assert all(map(is_exact, tv.as_tuple()))
+        assert all(meet_residual(tv, line) == 0 for line in trio)
+        assert tv == transversal(*trio, Fraction(s))
+        assert all(type(x) is float for x in transversal(*trio, float(s)).as_tuple())
+
+
 def test_config_json_round_trip():
     cfg = LineConfig((Line(0.5, -1.25, 3.0, 4.0), Line(1, 2, 3, 4)))
     again = LineConfig.from_json(cfg.to_json())

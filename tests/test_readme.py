@@ -24,4 +24,5 @@ def test_command_line_examples_parse():
         words = shlex.split(line, comments=True)[1:]
         if ">" in words:  # drop the shell's output redirection
             words = words[:words.index(">")]
-        build_parser().parse_args(words)
+        # main parses with the named leaf's parser alone, to the same namespace
+        assert build_parser(words).parse_args(words) == build_parser().parse_args(words)
