@@ -18,7 +18,8 @@ scale, 1 + the largest |coordinate| of its two lines (edge_scales), which
 line_system_dimension and the Gauss-Newton projection divide residuals by. Other
 predicates use tol * (1 + max |coordinate|) over their lines, scaled further by
 solution magnitudes where products with solved unknowns appear. Exact lines
-are compared exactly: meet_residual == 0, and ==.
+are decided exactly: each predicate the constructions use branches once on
+is_exact, and tests exact input with == 0 where float input is held to tol.
 
 Common points and planes come from one array kernel, point_kernel and
 plane_kernel, with boolean masks of where one was found. It works batch-last, on
@@ -35,6 +36,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -61,9 +63,6 @@ class Line:
 
     def as_tuple(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
         return (self.a, self.b, self.c, self.d)
-
-    def as_floats(self) -> "Line":
-        return Line(float(self.a), float(self.b), float(self.c), float(self.d))
 
 
 @dataclass(frozen=True)
@@ -126,11 +125,12 @@ def number_rows(rows: object, width: int, what: str) -> list[list[float]]:
 
 def check_squares(X: np.ndarray, terms: int) -> float:
     """max |X| of the float coordinates X. Raises DomainError, before numpy overflows,
-    when a sum of `terms` products of their differences (each <= 2 max |X|) could."""
+    when a sum of `terms` products of their differences (each <= 2 max |X|) could:
+    squared distances of points (rows of width 2), or incidences of chart lines."""
     big = float(np.abs(X).max(initial=0.0))
     if big > math.sqrt(np.finfo(float).max / terms) / 2:
-        raise DomainError(f"coordinate {big:.3g} is too large: squared distances overflow "
-                          "the float range")
+        what = "squared distances" if X.shape[-1] == 2 else "line incidences"
+        raise DomainError(f"coordinate {big:.3g} is too large: {what} overflow the float range")
     return big
 
 
@@ -394,31 +394,39 @@ def common_plane(L: LineConfig, tol: float = 1e-8) -> Optional[Plane]:
     return Plane(*plane[:, 0].tolist()) if found[0] else None
 
 
+def _exact_lines(*lines: Line) -> bool:
+    return all(is_exact(x) for ln in lines for x in ln.as_tuple())
+
+
 def pair_intersection(l1: Line, l2: Line, tol: float = 1e-8) -> Optional[Point3]:
-    """The single intersection point of two meeting, non-parallel chart lines."""
-    tests = pair_tests(LineConfig((l1, l2)).as_array(), [0], [1], tol)
-    if tests.parallel[0] or not tests.meet[0]:
-        return None  # parallel, coincident or skew
-    dc = l1.c - l2.c
-    dd = l1.d - l2.d
-    if abs(float(dc)) >= abs(float(dd)):
-        z = -(l1.a - l2.a) / dc
+    """The single intersection point of two meeting, non-parallel chart lines: the
+    meet and parallel tests are == 0 on exact lines, pair_tests' on float ones."""
+    dc, dd = l1.c - l2.c, l1.d - l2.d
+    if _exact_lines(l1, l2):
+        apart = meet_residual(l1, l2) != 0 or dc == dd == 0
     else:
-        z = -(l1.b - l2.b) / dd
-    return l1.point_at(z)
+        meet, parallel, _ = pair_tests(LineConfig((l1, l2)).as_array(), [0], [1], tol)
+        apart = parallel[0] or not meet[0]
+    if apart:
+        return None  # skew, parallel or coincident
+    num, den = (l1.a - l2.a, dc) if abs(dc) >= abs(dd) else (l1.b - l2.b, dd)
+    return l1.point_at(_ratio(-num, den))
+
+
+def _dependent(rows) -> bool:
+    """Whether three exact 3-vectors are linearly dependent."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) == 0
 
 
 def _triple_coplanar(l1: Line, l2: Line, l3: Line, tol: float = 1e-8) -> bool:
-    """Chart-free coplanarity: directions and base-point offsets span at most a plane."""
-    p1, p2, p3 = (np.array([float(l.a), float(l.b), 0.0]) for l in (l1, l2, l3))
-    rows = np.array([
-        [float(l1.c), float(l1.d), 1.0],
-        [float(l2.c), float(l2.d), 1.0],
-        [float(l3.c), float(l3.d), 1.0],
-        p2 - p1,
-        p3 - p1,
-    ])
-    s = np.linalg.svd(rows, compute_uv=False)
+    """Chart-free coplanarity: the directions and base-point offsets of the lines
+    span at most a plane. Exact lines: every 3 x 3 minor of those five rows is 0;
+    float lines: their third singular value is within tol of the largest."""
+    rows = [ln.direction() for ln in (l1, l2, l3)] + [(l.a - l1.a, l.b - l1.b, 0) for l in (l2, l3)]
+    if _exact_lines(l1, l2, l3):
+        return all(map(_dependent, combinations(rows, 3)))
+    s = np.linalg.svd(np.array(rows, dtype=float), compute_uv=False)
     return s[2] <= tol * max(s[0], 1.0)
 
 
@@ -484,31 +492,31 @@ def transversal_detail(l1: Line, l2: Line, l3: Line, s: Scalar,
     The result is the intersection of the plane spanned by (q, l1) with the plane
     spanned by (q, l2). Codes: "ok", "q-on-line", "planes-coincide", "horizontal",
     "residual". When the lines and s are all exact, the planes are intersected in
-    their own arithmetic (ints stay ints) and the line is exact, and so is its
-    residual check; otherwise the check is pair_tests'.
+    their own arithmetic (ints stay ints), the line is exact, and each code is
+    decided by a zero: a normal, w = n1 x n2, w[2] or a meet_residual. Otherwise
+    each is held to tol of its scale, the residual by pair_tests.
     """
+    exact = _exact_lines(l1, l2, l3) and is_exact(s)
     q = l3.point_at(s)
-    base_scale = 1.0 + max(_vec_scale(v) for v in (l1.as_tuple(), l2.as_tuple(), l3.as_tuple(), q))
-    # normals are quadratic, and their cross product quartic: 32 * 2**1000 fits a float
-    if base_scale > 2.0 ** 250:
-        raise DomainError(f"transversal: coordinate scale {base_scale:.3g} exceeds 2**250, "
-                          "where the scale tests overflow the float range")
-    normals = []
-    for ln in (l1, l2):
-        p = (ln.a, ln.b, 0)
-        nvec = _cross(_sub(p, q), ln.direction())
-        if _vec_scale(nvec) <= tol * base_scale ** 2:
-            return None, "q-on-line"
-        normals.append(nvec)
-    w = _cross(normals[0], normals[1])
-    wscale = max(_vec_scale(normals[0]), _vec_scale(normals[1]))
-    if _vec_scale(w) <= tol * wscale ** 2:
-        return None, "planes-coincide"
-    if abs(float(w[2])) <= tol * _vec_scale(w):
-        return None, "horizontal"
+    normals = [_cross(_sub((ln.a, ln.b, 0), q), ln.direction()) for ln in (l1, l2)]
+    w = _cross(*normals)
+    if exact:
+        failed = (not all(map(any, normals)), not any(w), w[2] == 0)
+    else:
+        base_scale = 1.0 + max(map(_vec_scale, (l1.as_tuple(), l2.as_tuple(), l3.as_tuple(), q)))
+        # normals are quadratic, and their cross product quartic: 32 * 2**1000 fits a float
+        if base_scale > 2.0 ** 250:
+            raise DomainError(f"transversal: coordinate scale {base_scale:.3g} exceeds 2**250, "
+                              "where the scale tests overflow the float range")
+        scales = [_vec_scale(v) for v in normals]
+        failed = (min(scales) <= tol * base_scale ** 2, _vec_scale(w) <= tol * max(scales) ** 2,
+                  abs(float(w[2])) <= tol * _vec_scale(w))
+    for bad, code in zip(failed, ("q-on-line", "planes-coincide", "horizontal")):
+        if bad:
+            return None, code
     c, d = _ratio(w[0], w[2]), _ratio(w[1], w[2])
     line = Line(q[0] - q[2] * c, q[1] - q[2] * d, c, d)
-    if all(map(is_exact, line.as_tuple())):
+    if exact:
         if any(meet_residual(line, other) != 0 for other in (l1, l2, l3)):
             return None, "residual"
     elif not pair_tests(LineConfig((line, l1, l2, l3)).as_array(), [0, 0, 0], [1, 2, 3],
@@ -518,16 +526,16 @@ def transversal_detail(l1: Line, l2: Line, l3: Line, s: Scalar,
 
 
 def transversal(l1: Line, l2: Line, l3: Line, s: Scalar, tol: float = 1e-8) -> Optional[Line]:
-    line, _ = transversal_detail(l1, l2, l3, s, tol)
-    return line
+    return transversal_detail(l1, l2, l3, s, tol)[0]
 
 
 def line_through(p: Point3, q: Point3) -> Optional[Line]:
-    """Chart representation of the join of two points; None when horizontal."""
-    if all(float(x) == float(y) for x, y in zip(p, q)):
+    """Chart representation of the join of two points; None when horizontal. The
+    points are compared with ==, exactly on exact input."""
+    if tuple(p) == tuple(q):
         raise DomainError("line_through needs two distinct points")
     dz = q[2] - p[2]
-    if float(dz) == 0.0:
+    if dz == 0:
         return None
     c, d = _ratio(q[0] - p[0], dz), _ratio(q[1] - p[1], dz)
     return Line(p[0] - c * p[2], p[1] - d * p[2], c, d)

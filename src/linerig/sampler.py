@@ -14,14 +14,14 @@ the requested tolerance, and gives up as soon as two steps in a row fail to impr
 on the best residual: at that point it sits at the float floor, and more steps only
 cost time.
 
-The exact sampler constructs its configuration line by line in Fraction
-arithmetic, replaying the graph's extension sequence: the base edge becomes two
-lines through a common point, a 0-extension joins random points of (or passes
-through the intersection of) the two attach lines, and a 1-extension takes a
-transversal to the three lines involved. All random draws are integers, so every
-incidence holds exactly. pair_tests is the float test, for the float sampler's
-projections; the construction compares exact lines exactly: a candidate is kept
-when its meet_residual with each attach line is 0 and it equals no line placed.
+The exact sampler constructs its configuration line by line in exact arithmetic
+(int draws, Fraction quotients), replaying the graph's extension sequence: the
+base edge becomes two lines through a common point, a 0-extension joins random
+points of (or passes through the intersection of) the two attach lines, and a
+1-extension takes a transversal to the three lines involved, so every incidence
+holds exactly. The lines3d predicates route each draw by exact tests, and a
+candidate is kept when its meet_residual with each attach line is 0 and it
+equals no line placed.
 
 Both samplers run one attempt loop, which certifies each draw with
 line_system_dimension (at tolerance 1e-8, or exactly, which requires every residual
@@ -68,15 +68,9 @@ def _rand_nonzero(rng: random.Random, box: int = _BOX) -> int:
     return x
 
 
-def _rand_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-_BOX, _BOX))
-
-
 def _join(p, q) -> Optional[Line]:
-    """line_through(p, q), or None when p and q agree as floats."""
-    if all(float(a) == float(b) for a, b in zip(p, q)):
-        return None
-    return line_through(p, q)
+    """line_through(p, q), or None when p and q are equal."""
+    return None if p == q else line_through(p, q)
 
 
 def _through(P, rng: random.Random) -> Optional[Line]:
@@ -85,10 +79,10 @@ def _through(P, rng: random.Random) -> Optional[Line]:
 
 
 def _base_pair(rng: random.Random) -> list[Line]:
-    O = tuple(_rand_fraction(rng) for _ in range(3))
+    O = tuple(rng.randint(-_BOX, _BOX) for _ in range(3))
     lines: list[Line] = []
     while len(lines) < 2:
-        c, d = _rand_fraction(rng), _rand_fraction(rng)
+        c, d = rng.randint(-_BOX, _BOX), rng.randint(-_BOX, _BOX)
         cand = Line(O[0] - c * O[2], O[1] - d * O[2], c, d)
         if cand not in lines:
             lines.append(cand)
@@ -109,7 +103,7 @@ def _extend0(lines: list[Line], u: int, v: int, rng: random.Random) -> Optional[
         if P is not None:
             return _through(P, rng)
         # parallel attach pair: fall through to the two-point join
-    return _join(lu.point_at(_rand_fraction(rng)), lv.point_at(_rand_fraction(rng)))
+    return _join(lu.point_at(rng.randint(-_BOX, _BOX)), lv.point_at(rng.randint(-_BOX, _BOX)))
 
 
 def _extend1(lines: list[Line], u: int, v: int, w: int, rng: random.Random) -> Optional[Line]:
@@ -118,15 +112,15 @@ def _extend1(lines: list[Line], u: int, v: int, w: int, rng: random.Random) -> O
     The family of such lines depends on the triple's geometry, so the draw is
     routed: through the common point when the triple is concurrent, an in-plane
     join when it is coplanar, and the plane-intersection transversal otherwise.
-    The routing tests are float ones; a misrouted draw misses a line and is redrawn.
+    The lines are exact, so every routing test is decided exactly.
     """
     lu, lv, lw = lines[u], lines[v], lines[w]
-    P = pair_intersection(lu, lv, 1e-9)
+    P = pair_intersection(lu, lv)
     if P is not None and lw.point_at(P[2])[:2] == P[:2]:
         return _through(P, rng)
-    if _triple_coplanar(lu.as_floats(), lv.as_floats(), lw.as_floats(), 1e-9):
-        return _join(lw.point_at(_rand_fraction(rng)), lu.point_at(_rand_fraction(rng)))
-    return transversal_detail(lu, lv, lw, _rand_fraction(rng))[0]
+    if _triple_coplanar(lu, lv, lw):
+        return _join(lw.point_at(rng.randint(-_BOX, _BOX)), lu.point_at(rng.randint(-_BOX, _BOX)))
+    return transversal_detail(lu, lv, lw, rng.randint(-_BOX, _BOX))[0]
 
 
 def _construct(G: Graph, steps, relabel, rng: random.Random) -> Optional[LineConfig]:
@@ -257,7 +251,7 @@ def sample_laman_lines_exact_info(G: Graph, seed: int = 0, max_retries: int = 32
     """Certified exact rational configuration realizing a Laman graph.
 
     Each attempt constructs a configuration along the graph's extension sequence in
-    Fraction arithmetic, from a generator seeded by (seed, attempt), and keeps it
+    exact arithmetic, from a generator seeded by (seed, attempt), and keeps it
     when its exact certificate holds: every residual exactly 0 and full Jacobian
     rank (constructed points sit on strata with extra incidences, which in principle
     can underreport rank).

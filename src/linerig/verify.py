@@ -18,8 +18,9 @@ import numpy as np
 from .elekes_sharir import phi, reflection_at, to_line, to_lines
 from .errors import DomainError, SampleError
 from .graphs import Graph, generate
-from .lines3d import (Line, Plane, classify_triple, common_planes, common_points, incidence,
-                      line_through, meet_residual, plane_kernel, point_kernel, transversal)
+from .lines3d import (Line, Plane, _dependent, classify_triple, common_planes, common_points,
+                      incidence, line_through, meet_residual, plane_kernel, point_kernel,
+                      transversal)
 from .numeric import (global_rigidity_oracle, pair_system_dimension, rank_exact,
                       transversal_family_dimension)
 from .sampler import (knn_jacobian, sample_congruent_pair, sample_knn_params,
@@ -157,12 +158,6 @@ def lemma_complete(n_max: int = 10, seeds: int = 20, seed: int = 0) -> SuiteRepo
 def _lines_through(P, dirs) -> tuple[Line, ...]:
     """The lines through the point P with the directions (c, d, 1) of dirs."""
     return tuple(Line(P[0] - c * P[2], P[1] - d * P[2], c, d) for c, d in dirs)
-
-
-def _dependent(rows) -> bool:
-    """Whether three integer 3-vectors are linearly dependent."""
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) == 0
 
 
 def _meets(l1: Line, l2: Line) -> bool:

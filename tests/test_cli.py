@@ -167,6 +167,9 @@ def test_es_overflow_is_an_error(tmp_path, capsys):
     for argv in (("es", "recover", str(ppath)), ("es", "dim", str(gpath), str(ppath))):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:") and "overflow" in err
+        # points: the message names their squared distances, byte for byte
+        assert err == ("error: coordinate 1e+300 is too large: squared distances overflow "
+                       "the float range\n")
     # at 1e150 the squares still fit, and both commands answer
     ppath.write_text(ppath.read_text().replace("e300", "e150"))
     code, out, _ = run(capsys, "es", "recover", str(ppath))
@@ -497,6 +500,16 @@ def test_lines_common_at_huge_coordinates(tmp_path, capsys):
     assert code == 0 and err == ""
     assert rep["common_point"] is None and rep["parallel_family"] is True
     assert all(map(math.isfinite, rep["common_plane"]))
+
+
+def test_line_overflow_names_the_incidences(tmp_path, capsys):
+    # chart lines square no distance: the error names what overflows
+    cpath = tmp_path / "lines.json"
+    cpath.write_text('{"lines":[[1e200,0,0,1e200],[0,0,0,0],[1,2,3,4]]}')
+    code, out, err = run(capsys, "lines", "graph", str(cpath))
+    assert code == 2 and out == ""
+    assert err == ("error: coordinate 1e+200 is too large: line incidences overflow "
+                   "the float range\n")
 
 
 @pytest.mark.parametrize("cmd", ["lines graph", "lines classify", "lines dim", "sample project"])

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from linerig.errors import DomainError
-from linerig.lines3d import (Line, LineConfig, Plane, batch_last, classify_triple,
-                             common_plane, common_planes, common_point, common_points,
-                             incidence, incidence_form, intersection_graph, is_exact,
-                             line_through, meet_residual, pair_intersection, pair_tests,
-                             plane_kernel, point_kernel, transversal, transversal_detail)
+from linerig.lines3d import (Line, LineConfig, Plane, _triple_coplanar, batch_last,
+                             classify_triple, common_plane, common_planes, common_point,
+                             common_points, incidence, incidence_form, intersection_graph,
+                             is_exact, line_through, meet_residual, pair_intersection,
+                             pair_tests, plane_kernel, point_kernel, transversal,
+                             transversal_detail)
 
 
 def test_meet_residual_examples():
@@ -150,12 +151,33 @@ def test_transversal_degenerate_reports_reason():
     assert line is None and code == "q-on-line"
 
 
+_INT_LINES = st.builds(Line, *[st.integers(-15, 15)] * 4)
+
+
+@settings(max_examples=300)
+@given(st.tuples(_INT_LINES, _INT_LINES, _INT_LINES), st.integers(-10, 10))
+def test_exact_predicates_decide_as_their_float_copies(trio, s):
+    """On small integer lines the exact branch (== 0) of each predicate the
+    constructions use decides as its float branch (tol) does on the float copy."""
+    floats = tuple(Line(*map(float, ln.as_tuple())) for ln in trio)
+    point, fpoint = pair_intersection(*trio[:2]), pair_intersection(*floats[:2])
+    assert (point is None) == (fpoint is None)
+    if point is not None:
+        assert list(map(float, point)) == pytest.approx(fpoint, rel=1e-12, abs=1e-12)
+    assert _triple_coplanar(*trio) == _triple_coplanar(*floats)
+    assert transversal_detail(*trio, s)[1] == transversal_detail(*floats, float(s))[1]
+
+
 def test_line_through_examples():
     assert line_through((0, 0, 0), (0, 0, 1)) == Line(0, 0, 0, 0)
     assert line_through((1, 0, 0), (1, 1, 1)) == Line(1, 0, 0, 1)
     assert line_through((0, 0, 1), (1, 0, 1)) is None
     with pytest.raises(DomainError):
         line_through((1, 2, 3), (1, 2, 3))
+    # exact points a tiny distance apart: a steep line, and a horizontal one
+    tiny = Fraction(1, 10 ** 400)
+    assert line_through((1, 0, 0), (2, 0, tiny)) == Line(1, 0, 10 ** 400, 0)
+    assert line_through((0, 0, 0), (tiny, 0, 0)) is None
 
 
 def test_exact_inputs_divide_exactly():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from linerig.errors import ConvergenceError, DomainError, SampleError
 from linerig.graphs import generate
-from linerig.lines3d import LineConfig, common_plane, common_point, intersection_graph
+from linerig.lines3d import (LineConfig, common_plane, common_point, intersection_graph,
+                             is_exact)
 from linerig.numeric import (edge_function, line_residuals, line_system_dimension,
                              line_system_jacobian, rank_exact)
 from linerig.sampler import (gauss_newton_project, knn_config, knn_jacobian,
@@ -51,7 +52,7 @@ def test_sample_exact_is_exactly_on_the_variety():
         n = random.Random(seed).randint(2, 9)
         G = generate("laman_random", [n], seed=seed)
         cfg = sample_laman_lines_exact(G, seed=seed)
-        assert all(isinstance(v, Fraction) for row in cfg.coords() for v in row)
+        assert all(is_exact(v) for row in cfg.coords() for v in row)
         assert all(r == 0 for r in line_residuals(G, cfg))
         assert rank_exact(line_system_jacobian(G, cfg)) == 2 * n - 3
 
@@ -433,3 +434,30 @@ def test_exact_sampler_certifies_within_three_attempts_up_to_n60():
             assert info.attempts <= 3 and len(info.log) == info.attempts, info.log
             assert info.log[-1] == f"attempt {info.attempts}: certified, rank {2 * n - 3}"
             assert info.report.certified and info.report.sigma_kept is None
+
+
+@pytest.mark.parametrize("n, seed", [(300, 0), (400, 1), (400, 2)])
+def test_exact_sampler_certifies_within_three_attempts_at_n300_and_n400(n, seed):
+    G = generate("laman_random", [n], seed=seed)
+    info = sample_laman_lines_exact_info(G, seed=seed)
+    assert info.attempts <= 3 and info.report.certified, info.log
+
+
+def test_exact_sampler_runs_no_float_test(monkeypatch):
+    """Every routing and acceptance test of the exact sampler is exact: with
+    pair_tests, the SVD and Fraction's float conversion all made to raise, it
+    still certifies laman_random(60) on its first attempt."""
+    import linerig.lines3d
+    import linerig.sampler
+
+    G = generate("laman_random", [60])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a float test on the exact path")
+
+    for module in (linerig.lines3d, linerig.sampler):
+        monkeypatch.setattr(module, "pair_tests", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(Fraction, "__float__", refuse)
+    info = sample_laman_lines_exact_info(G)
+    assert info.attempts == 1 and info.report.certified, info.log
