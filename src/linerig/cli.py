@@ -267,9 +267,20 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an int of at least 0, as numpy's generators take no other."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer: {text!r}")
+    return value
+
+
 # The options that several subcommands share; each leaf names the ones it reads.
 _COMMON = {
-    "seed": dict(type=int, default=0),
+    "seed": dict(type=_seed, default=0),
     "tol": dict(type=_tolerance, default=1e-8),
     "trials": dict(type=int, default=5),
     "exact": dict(action="store_true", help="confirm ranks in exact arithmetic"),

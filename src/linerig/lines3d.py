@@ -430,8 +430,9 @@ def _triple_coplanar(l1: Line, l2: Line, l3: Line, tol: float = 1e-8) -> bool:
     return s[2] <= tol * max(s[0], 1.0)
 
 
-# the pairs (0, 1), (0, 2), (1, 2) of a triple, as index arrays
-_TRIPLE_PAIRS = np.triu_indices(3, 1)
+# the pairs (0, 1), (0, 2), (1, 2) of a triple, and their index arrays
+_TRIPLE_PAIRS = list(combinations(range(3), 2))
+_TRIPLE_INDEX = np.array(_TRIPLE_PAIRS).T
 
 
 def classify_triple(l1: Line, l2: Line, l3: Line, tol: float = 1e-8) -> TripleClass:
@@ -440,27 +441,44 @@ def classify_triple(l1: Line, l2: Line, l3: Line, tol: float = 1e-8) -> TripleCl
     Tags concurrent/coplanar combinations (transversal family dimension 2) and the
     mixed or pairwise-skew cases (dimension 1). The coplanarity test is chart-free,
     so triples in a vertical plane classify correctly even though no Plane witness
-    exists for them.
+    exists for them. Exact lines are decided exactly: pairs meet when their
+    meet_residual is 0 and coincide when equal, and three meeting lines are
+    concurrent when the intersection point of a pair lies on all three (its exact
+    coordinates are the point witness), or when no pair has one: all three are
+    parallel. Float lines take pair_tests and common_point.
     """
     trio = (l1, l2, l3)
     cfg = LineConfig(trio)
-    tests = pair_tests(cfg.as_array(), *_TRIPLE_PAIRS, tol)
-    if tests.coincide.any():
-        x, y = (int(k[tests.coincide.argmax()]) for k in _TRIPLE_PAIRS)
-        raise DomainError(f"lines {x} and {y} coincide")
-    hits = int(tests.meet.sum())
+    exact = _exact_lines(*trio)
+    if exact:
+        meet = [meet_residual(trio[x], trio[y]) == 0 for x, y in _TRIPLE_PAIRS]
+        coincide = [trio[x] == trio[y] for x, y in _TRIPLE_PAIRS]
+    else:
+        tests = pair_tests(cfg.as_array(), *_TRIPLE_INDEX, tol)
+        meet, coincide = tests.meet.tolist(), tests.coincide.tolist()
+    if any(coincide):
+        raise DomainError("lines %d and %d coincide" % _TRIPLE_PAIRS[coincide.index(True)])
+    hits = sum(meet)
     if hits == 3:
-        conc = common_point(cfg, tol)
+        if exact:
+            # where the first non-parallel pair meets; no such pair: all three are parallel
+            P = next(filter(None, (pair_intersection(trio[x], trio[y]) for x, y in _TRIPLE_PAIRS)),
+                     None)
+            concurrent = P is None or all(ln.point_at(P[2]) == P for ln in trio)
+            point = P if concurrent else None
+        else:
+            conc = common_point(cfg, tol)
+            concurrent = conc is not None
+            point = conc.point if concurrent else None
         coplanar = _triple_coplanar(l1, l2, l3, tol)
-        point = conc.point if conc is not None else None
         plane = common_plane(cfg, tol) if coplanar else None
-        if conc is not None and coplanar:
+        if concurrent and coplanar:
             return TripleClass("concurrent_and_coplanar", 2, point, plane)
-        if conc is not None:
+        if concurrent:
             return TripleClass("concurrent_only", 2, point, None)
         return TripleClass("coplanar_only", 2, None, plane)
     if hits >= 1:
-        x, y = (int(k[tests.meet.argmax()]) for k in _TRIPLE_PAIRS)
+        x, y = _TRIPLE_PAIRS[meet.index(True)]
         point = pair_intersection(trio[x], trio[y], tol)
         return TripleClass("two_concurrent_mixed", 1, point, None)
     return TripleClass("pairwise_skew", 1, None, None)

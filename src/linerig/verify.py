@@ -266,46 +266,70 @@ def lemma_3lines(per_class: int = 100, seed: int = 0) -> SuiteReport:
 # four-lines: pairwise-intersecting quadruples are concurrent or coplanar
 
 
+def _distinct(rng: np.random.Generator, high: int, shape: tuple[int, int]) -> np.ndarray:
+    """Integers in [0, high) of the given (rows, k) shape, distinct along each row:
+    a row with a repeat is drawn again."""
+    x = rng.integers(0, high, size=shape)
+    redo = np.arange(shape[0])
+    while redo.size:
+        ordered = np.sort(x[redo], axis=1)
+        redo = redo[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)]
+        x[redo] = rng.integers(0, high, size=(redo.size, shape[1]))
+    return x
+
+
+def _concurrent4(rng: np.random.Generator, m: int) -> tuple[list, int]:
+    """m quadruples of lines through a point P, with distinct directions (c, d) in
+    [-20, 20]^2."""
+    P = rng.integers(-20, 21, size=(3, 1, m))
+    c, d = np.divmod(_distinct(rng, 41 * 41, (m, 4)).T, 41)
+    c, d = c - 20, d - 20
+    return [P[0] - c * P[2], P[1] - d * P[2], c, d], 1
+
+
+def _coplanar4(rng: np.random.Generator, m: int) -> tuple[list, np.ndarray]:
+    """m quadruples of lines (-(nu + mu*b)/lam, b, (1 - mu*d)/lam, d) of the plane
+    z = lam*x + mu*y + nu, with distinct d and distinct b in [-12, 12], times
+    q = |lam|, so that a zero numerator divides back to +0.0, as float(Fraction(0)) is."""
+    lam = rng.integers(-6, 6, size=m)
+    lam[lam >= 0] += 1  # nonzero, in [-6, 6]
+    mu, nu = rng.integers(-6, 7, size=(2, m))
+    d = _distinct(rng, 25, (m, 4)).T - 12
+    b = _distinct(rng, 25, (m, 4)).T - 12
+    s, q = np.sign(lam), np.abs(lam)
+    return [s * (-nu - mu * b), q * b, s * (1 - mu * d), q * d], q
+
+
+def _pencil4(rng: np.random.Generator, m: int) -> tuple[list, int]:
+    """m quadruples concurrent and coplanar at once: the lines through (x0, y0, z0)
+    of the plane z = x + mu*y + nu, with distinct d in [-8, 8]."""
+    mu, nu = rng.integers(-5, 6, size=(2, m))
+    y0, z0 = rng.integers(-8, 9, size=(2, m))
+    x0 = z0 - mu * y0 - nu
+    d = _distinct(rng, 17, (m, 4)).T - 8
+    return [x0 - (1 - mu * d) * z0, y0 - d * z0, 1 - mu * d, d], 1
+
+
+# mode -> draw(rng, m): the (4, 4, m) chart rows of m quadruples and their q
+_QUADRUPLES = {"concurrent": _concurrent4, "coplanar": _coplanar4, "pencil": _pencil4}
+
+
 def four_line_quadruples(trials: int, seed: int) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The four-lines suite's trials: each trial's mode, its four lines as a
     (4, 4, trials) int64 batch_last array of chart coordinates times the trial's
-    denominator q, and the (trials,) q (1 unless the mode is coplanar). Trial k
-    draws from its own random.Random."""
-    modes: list[str] = []
-    quads: list[list[tuple[int, int, int, int]]] = []
-    dens: list[int] = []
-    for k in range(trials):
-        rng = random.Random(f"four-lines:{seed}:{k}")
-        mode = "pencil" if k % 10 == 9 else ("concurrent" if k % 2 == 0 else "coplanar")
-        q = 1
-        if mode == "concurrent":
-            P = tuple(rng.randint(-20, 20) for _ in range(3))
-            dirs = set()
-            while len(dirs) < 4:
-                dirs.add((rng.randint(-20, 20), rng.randint(-20, 20)))
-            rows = [(P[0] - c * P[2], P[1] - d * P[2], c, d) for c, d in sorted(dirs)]
-        elif mode == "coplanar":
-            lam = 0
-            while lam == 0:
-                lam = rng.randint(-6, 6)
-            mu, nu = rng.randint(-6, 6), rng.randint(-6, 6)
-            ds = rng.sample(range(-12, 13), 4)
-            bs = rng.sample(range(-12, 13), 4)
-            # the lines (-(nu + mu*b)/lam, b, (1 - mu*d)/lam, d) of the plane
-            # z = lam*x + mu*y + nu, times q = |lam|, so that a zero numerator
-            # divides back to +0.0, as float(Fraction(0)) is
-            q, s = abs(lam), (1 if lam > 0 else -1)
-            rows = [(s * (-nu - mu * b), q * b, s * (1 - mu * d), q * d) for b, d in zip(bs, ds)]
-        else:  # pencil: concurrent and coplanar at once
-            mu, nu = rng.randint(-5, 5), rng.randint(-5, 5)
-            y0, z0 = rng.randint(-8, 8), rng.randint(-8, 8)
-            x0 = z0 - mu * y0 - nu
-            ds = rng.sample(range(-8, 9), 4)
-            rows = [(x0 - (1 - mu * d) * z0, y0 - d * z0, 1 - mu * d, d) for d in ds]
-        modes.append(mode)
-        quads.append(rows)
-        dens.append(q)
-    return modes, np.array(quads, dtype=np.int64).transpose(2, 1, 0), np.array(dens, dtype=np.int64)
+    denominator q, and the (trials,) q (1 unless the mode is coplanar). Trial k is
+    a pencil if k % 10 == 9, else concurrent if k is even, else coplanar; one
+    np.random.default_rng(seed) draws all trials of each mode at once."""
+    modes = ["pencil" if k % 10 == 9 else ("concurrent" if k % 2 == 0 else "coplanar")
+             for k in range(trials)]
+    rng = np.random.default_rng(seed)
+    V = np.empty((4, 4, trials), dtype=np.int64)
+    q = np.ones(trials, dtype=np.int64)
+    kinds = np.array(modes)
+    for mode, draw in _QUADRUPLES.items():
+        at = np.flatnonzero(kinds == mode)
+        V[:, :, at], q[at] = draw(rng, len(at))
+    return modes, V, q
 
 
 def pairwise_incident(V: np.ndarray) -> np.ndarray:
@@ -345,20 +369,46 @@ def _rotate(P: np.ndarray, co: np.ndarray, si: np.ndarray) -> np.ndarray:
     return np.array([co * P[0] - si * P[1], si * P[0] + co * P[1]])
 
 
+# trials a block: a (2, 4, block) float array of 4096 trials takes 256 KiB, so each
+# elementwise step reads from L2 (2-core Xeon, 2 MiB L2 a core: lemma_cong(30000)
+# 100 -> 57 ms against one block of all trials; 8192 tied, 1024 and 2048 slower)
+_BLOCK = 4096
+
+
+def _blocks(total: int) -> list[slice]:
+    """Consecutive slices of at most _BLOCK trials that cover range(total)."""
+    return [slice(s, min(s + _BLOCK, total)) for s in range(0, total, _BLOCK)]
+
+
+def _trials(arrays, s) -> list[np.ndarray]:
+    """The trials s, a slice or an index array, of batch_last arrays."""
+    return [x[..., s] for x in arrays]
+
+
+def _incidence_gap(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """4 * g(to_line(a, b), to_line(c, d)) and |b-d|^2 - |a-c|^2 of the (4, 2, ...)
+    integer points (a, b, c, d)."""
+    a, b, c, d = pts
+    ua, va = a + b, np.array([a[1] - b[1], b[0] - a[0]])
+    uc, vc = c + d, np.array([c[1] - d[1], d[0] - c[0]])
+    g4 = incidence(np.concatenate([ua - uc, va - vc]))
+    return g4, ((b - d) ** 2).sum(axis=0) - ((a - c) ** 2).sum(axis=0)
+
+
 def _distance_incidence(rng: np.random.Generator, trials: int, rep: SuiteReport) -> None:
     """4 * g(to_line(a,b), to_line(c,d)) == |b-d|^2 - |a-c|^2 identically, so the
     incidence residual vanishes exactly iff the distances agree: checked exactly
     on integer inputs, batched, and spot-checked through the module transform."""
     pts = rng.integers(-1000, 1001, size=(4, 2, trials))
-    a, b, c, d = pts
-    ua, va = a + b, np.array([a[1] - b[1], b[0] - a[0]])
-    uc, vc = c + d, np.array([c[1] - d[1], d[0] - c[0]])
-    g4 = incidence(np.concatenate([ua - uc, va - vc]))
-    dist_gap = ((b - d) ** 2).sum(axis=0) - ((a - c) ** 2).sum(axis=0)
-    rep.record(bool(np.all(g4 == dist_gap)), part="distance-incidence", trials=trials)
+    holds = True
+    for s in _blocks(trials):
+        g4, dist_gap = _incidence_gap(pts[..., s])
+        holds &= bool(np.all(g4 == dist_gap))
+    rep.record(holds, part="distance-incidence", trials=trials)
+    ks = rng.integers(0, trials, size=50)
     agree = all(
-        4 * meet_residual(to_line(*pts[:2, :, k].tolist()), to_line(*pts[2:, :, k].tolist())) == g4[k]
-        for k in rng.integers(0, trials, size=50))
+        4 * meet_residual(to_line(*pts[:2, :, k].tolist()), to_line(*pts[2:, :, k].tolist())) == g
+        for k, g in zip(ks, _incidence_gap(pts[..., ks])[0]))
     rep.record(agree, part="distance-incidence-module-agreement", trials=50)
 
 
@@ -367,63 +417,92 @@ def _rotation_recovery(rng: np.random.Generator, A: np.ndarray, rep: SuiteReport
     rotation back to 1e-9."""
     theta = rng.uniform(0.25, 2 * math.pi - 0.25, size=A.shape[2])
     center = rng.uniform(-5, 5, size=(2, 1, A.shape[2]))
-    B = _rotate(A - center, np.cos(theta), np.sin(theta)) + center
-    sol = point_kernel(to_lines(A, B))[0]
-    tsol = sol[2]
-    denom = tsol ** 2 + 1.0
-    Brec = _rotate(A - sol[:2, None], (tsol ** 2 - 1.0) / denom, 2.0 * tsol / denom) + sol[:2, None]
-    worst = float(np.max(np.abs(Brec - B)))
+    worst = []
+    for s in _blocks(A.shape[2]):
+        Ab, th, cb = _trials((A, theta, center), s)
+        B = _rotate(Ab - cb, np.cos(th), np.sin(th)) + cb
+        sol = point_kernel(to_lines(Ab, B))[0]
+        tsol = sol[2]
+        denom = tsol ** 2 + 1.0
+        Brec = _rotate(Ab - sol[:2, None], (tsol ** 2 - 1.0) / denom, 2.0 * tsol / denom) + sol[:2, None]
+        worst.append(np.max(np.abs(Brec - B)))
+    worst = float(np.max(worst))
     rep.record(worst <= 1e-9, part="rotation-recovery", trials=A.shape[2], worst=worst)
 
 
-def _reflection_recovery(rng: np.random.Generator, A: np.ndarray, rep: SuiteReport) -> np.ndarray:
-    """Reflected images: the lines are coplanar, and their common plane gives the
-    reversing motion back to 1e-9. Returns the images."""
-    phi_ang = rng.uniform(0, 2 * math.pi, size=A.shape[2])
+def _reflect(A: np.ndarray, phi_ang: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The (2, n, batch) points A reflected in the line at angle phi_ang / 2
+    through the origin, then moved by t."""
     co, si = np.cos(phi_ang), np.sin(phi_ang)
+    return np.array([co * A[0] + si * A[1], si * A[0] - co * A[1]]) + t
+
+
+def _reflection_recovery(rng: np.random.Generator, A: np.ndarray,
+                         rep: SuiteReport) -> tuple[np.ndarray, np.ndarray]:
+    """Reflected images: the lines are coplanar, and their common plane gives the
+    reversing motion back to 1e-9. Returns the draws that _reflect turns into the
+    images."""
+    phi_ang = rng.uniform(0, 2 * math.pi, size=A.shape[2])
     t = rng.uniform(-5, 5, size=(2, 1, A.shape[2]))
-    B = np.array([co * A[0] + si * A[1], si * A[0] - co * A[1]]) + t
-    sol = plane_kernel(to_lines(A, B))[0]
-    wnorm = np.hypot(sol[0], sol[1])
-    e1 = sol[:2] / wnorm
-    e2 = np.array([-e1[1], e1[0]])
-    proj = (A * e1[:, None]).sum(axis=0) + sol[2] / wnorm
-    Brec = A - 2.0 * proj * e1[:, None] - (2.0 / wnorm) * e2[:, None]
-    worst = float(np.max(np.abs(Brec - B)))
+    worst = []
+    for s in _blocks(A.shape[2]):
+        Ab, ph, tb = _trials((A, phi_ang, t), s)
+        B = _reflect(Ab, ph, tb)
+        sol = plane_kernel(to_lines(Ab, B))[0]
+        wnorm = np.hypot(sol[0], sol[1])
+        e1 = sol[:2] / wnorm
+        e2 = np.array([-e1[1], e1[0]])
+        proj = (Ab * e1[:, None]).sum(axis=0) + sol[2] / wnorm
+        Brec = Ab - 2.0 * proj * e1[:, None] - (2.0 / wnorm) * e2[:, None]
+        worst.append(np.max(np.abs(Brec - B)))
+    worst = float(np.max(worst))
     rep.record(worst <= 1e-9, part="reflection-recovery", trials=A.shape[2], worst=worst)
-    return B
+    return phi_ang, t
+
+
+def _collinear(ts, base, direction, theta, center) -> tuple[np.ndarray, np.ndarray]:
+    """The points base + ts * direction and their images under the rotation by
+    theta about center."""
+    A4 = base + ts * direction
+    return A4, _rotate(A4 - center, np.cos(theta), np.sin(theta)) + center
 
 
 def _collinear_preimages(rng: np.random.Generator, r: int, nb: int,
-                         rep: SuiteReport) -> tuple[np.ndarray, np.ndarray]:
+                         rep: SuiteReport) -> tuple[np.ndarray, ...]:
     """Collinear points and their rotated images: the lines are concurrent and
-    coplanar at once, and the images collinear. Returns the points and images."""
-    ts = rng.uniform(-5, 5, size=(r, nb))
-    base = rng.uniform(-4, 4, size=(2, 1, nb))
-    direction = rng.uniform(-2, 2, size=(2, 1, nb)) + 0.25
-    A4 = base + ts * direction
-    theta = rng.uniform(0.3, 2 * math.pi - 0.3, size=nb)
-    center = rng.uniform(-5, 5, size=(2, 1, nb))
-    B4 = _rotate(A4 - center, np.cos(theta), np.sin(theta)) + center
-    X4 = to_lines(A4, B4)
-    conc_ok = point_kernel(X4)[1]
-    plane_ok = plane_kernel(X4)[1]
-    db = B4 - B4[:, :1]
-    cross = np.abs(db[0] * db[1, 1:2] - db[1] * db[0, 1:2]).max(axis=0)
-    coll_ok = cross <= 1e-8 * (1.0 + np.abs(B4).max(axis=(0, 1))) ** 2
-    bad = int(np.sum(~(conc_ok & plane_ok & coll_ok)))
+    coplanar at once, and the images collinear. Returns the draws that _collinear
+    turns into the points and images."""
+    draws = (rng.uniform(-5, 5, size=(r, nb)),
+             rng.uniform(-4, 4, size=(2, 1, nb)),
+             rng.uniform(-2, 2, size=(2, 1, nb)) + 0.25,
+             rng.uniform(0.3, 2 * math.pi - 0.3, size=nb),
+             rng.uniform(-5, 5, size=(2, 1, nb)))
+    bad = 0
+    for s in _blocks(nb):
+        A4, B4 = _collinear(*_trials(draws, s))
+        X4 = to_lines(A4, B4)
+        conc_ok = point_kernel(X4)[1]
+        plane_ok = plane_kernel(X4)[1]
+        db = B4 - B4[:, :1]
+        cross = np.abs(db[0] * db[1, 1:2] - db[1] * db[0, 1:2]).max(axis=0)
+        coll_ok = cross <= 1e-8 * (1.0 + np.abs(B4).max(axis=(0, 1))) ** 2
+        bad += int(np.sum(~(conc_ok & plane_ok & coll_ok)))
     rep.record(bad == 0, part="collinear-preimages", trials=nb, failures=bad)
-    return A4, B4
+    return draws
 
 
-def _phi_stack(P: np.ndarray, Q: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """The (len(ks), n, 4) charts of phi(P[:, :, k], Q[:, :, k]) for k in ks."""
-    return np.array([phi(P[:, :, k].T.tolist(), Q[:, :, k].T.tolist()).as_array() for k in ks])
+def _phi_stack(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The (batch, n, 4) charts of phi(P[:, :, k], Q[:, :, k]) of (2, n, batch)
+    point arrays."""
+    return np.array([phi(P[:, :, k].T.tolist(), Q[:, :, k].T.tolist()).as_array()
+                     for k in range(P.shape[2])])
 
 
 def lemma_cong(trials: int = 100000, seed: int = 0) -> SuiteReport:
     """Distance <-> incidence, and motion recovery from images. Every array is
-    batch_last: (coordinate, point or line, trial)."""
+    batch_last: (coordinate, point or line, trial). The generator draws each part's
+    values for all trials at once; the checks run over blocks of _BLOCK trials,
+    and a spot check rebuilds the images of its trials from the draws."""
     _at_least(trials, 1, "trials")
     rep = SuiteReport("lemma-cong")
     rng = np.random.default_rng(seed)
@@ -431,20 +510,22 @@ def lemma_cong(trials: int = 100000, seed: int = 0) -> SuiteReport:
     r = 4
     A = rng.uniform(-10, 10, size=(2, r, trials))
     _rotation_recovery(rng, A, rep)
-    B = _reflection_recovery(rng, A, rep)
-    A4, B4 = _collinear_preimages(rng, r, trials, rep)
+    reflection = _reflection_recovery(rng, A, rep)
+    collinear = _collinear_preimages(rng, r, trials, rep)
     # subsample through the module predicates: one stack of collinear preimages,
     # one of reflections, each configuration built by phi
-    X = _phi_stack(A4, B4, rng.integers(0, trials, size=50))
+    X = _phi_stack(*_collinear(*_trials(collinear, rng.integers(0, trials, size=50))))
     module_ok = bool(np.all(common_points(X)[1] & common_planes(X)[1]))
     ks = rng.integers(0, trials, size=20)
-    planes, found = common_planes(_phi_stack(A, B, ks))
-    for k, plane, ok in zip(ks, planes.tolist(), found.tolist()):
+    Ak = A[..., ks]
+    Bk = _reflect(Ak, *_trials(reflection, ks))
+    planes, found = common_planes(_phi_stack(Ak, Bk))
+    for k, (plane, ok) in enumerate(zip(planes.tolist(), found.tolist())):
         if not ok:
             module_ok = False
             continue
         h = reflection_at(Plane(*plane))
-        module_ok &= bool(np.max(np.abs(np.array(h.apply(A[:, :, k].T.tolist())) - B[:, :, k].T)) <= 1e-8)
+        module_ok &= bool(np.max(np.abs(np.array(h.apply(Ak[:, :, k].T.tolist())) - Bk[:, :, k].T)) <= 1e-8)
     rep.record(module_ok, part="module-predicate-agreement", trials=70)
     return rep
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import linerig
 from linerig.cli import build_parser, main
 from linerig.graphs import generate, parse_graph, serialize_graph
+from linerig.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -711,6 +712,23 @@ def test_tol_must_be_positive_and_finite_on_every_leaf(tmp_path, capsys, bad):
         assert code == 2 and out == "" and "argument --tol" in err, leaf
     code, out, err = run(capsys, "analyze", str(path), "--tol", bad)
     assert code == 2 and out == "" and "argument --tol" in err
+
+
+@pytest.mark.parametrize("bad", ["-3", "-1", "x", "1.5"])
+def test_seed_must_be_a_non_negative_integer_on_every_leaf(tmp_path, capsys, bad):
+    """numpy's generators reject a negative seed with a ValueError; the option
+    rejects it first, on every leaf and every verify suite."""
+    path = tmp_path / "k4.json"
+    path.write_text(serialize_graph(generate("complete", [4])))
+    leaves = [leaf for leaf, opts in _LEAF_OPTIONS.items() if "--seed" in opts.split()]
+    assert leaves == ["analyze", "verify", "gen", "sample laman", "sample knn", "sample pair"]
+    argvs = [[*leaf.split(), *_LEAF_ARGV[leaf].split()] for leaf in leaves]
+    argvs += [["verify", suite] for suite in SUITES] + [["analyze", str(path)]]
+    for argv in argvs:
+        # a usage error, raised before any file is read or any suite runs
+        code, out, err = run(capsys, *argv, "--seed", bad)
+        assert code == 2 and out == "" and "argument --seed" in err, argv
+    assert run(capsys, "verify", "lemma-cong", "--trials", "3", "--seed", "0")[0] == 0
 
 
 def test_module_entry_point_pipes_and_exit_codes():

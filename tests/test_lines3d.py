@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from linerig.errors import DomainError
-from linerig.lines3d import (Line, LineConfig, Plane, _triple_coplanar, batch_last,
+from linerig.lines3d import (Line, LineConfig, Plane, TripleClass, _triple_coplanar, batch_last,
                              classify_triple, common_plane, common_planes, common_point,
                              common_points, incidence, incidence_form, intersection_graph,
                              is_exact, line_through, meet_residual, pair_intersection,
@@ -111,8 +111,29 @@ def test_classify_triple_cases():
     mixed = (Line(0, 0, 0, 0), Line(0, 0, 1, 0), Line(9, 4, 3, 1))
     tc = classify_triple(*mixed)
     assert tc.tag == "two_concurrent_mixed" and tc.family_dim == 1
-    with pytest.raises(DomainError, match="coincide"):
-        classify_triple(Line(1, 2, 3, 4), Line(1, 2, 3, 4), Line(0, 0, 0, 0))
+    # three parallel lines, not in one plane: concurrent at infinity, no point
+    parallel = (Line(0, 0, 1, 2), Line(1, 0, 1, 2), Line(0, 1, 1, 2))
+    for trio in (parallel, _float_copy(parallel)):
+        assert classify_triple(*trio) == TripleClass("concurrent_only", 2, None, None)
+    repeated = (Line(1, 2, 3, 4), Line(1, 2, 3, 4), Line(0, 0, 0, 0))
+    for trio in (repeated, _float_copy(repeated)):
+        with pytest.raises(DomainError, match="lines 0 and 1 coincide"):
+            classify_triple(*trio)
+        with pytest.raises(DomainError, match="lines 1 and 2 coincide"):
+            classify_triple(trio[2], *trio[:2])
+
+
+def test_classify_triple_decides_exact_triples_exactly():
+    """200 exact triples through a rational point, with directions from
+    [-1e9, 1e9], so coordinates near 1e13: the float tests called most of them
+    two_concurrent_mixed or pairwise_skew. The point witness is the exact point."""
+    rng = random.Random(0)
+    for _ in range(200):
+        P = tuple(Fraction(rng.randint(-10 ** 4, 10 ** 4), rng.randint(1, 100)) for _ in range(3))
+        trio = [Line(P[0] - c * P[2], P[1] - d * P[2], c, d)
+                for c, d in ((rng.randint(-10 ** 9, 10 ** 9), rng.randint(-10 ** 9, 10 ** 9))
+                             for _ in range(3))]
+        assert classify_triple(*trio) == TripleClass("concurrent_only", 2, P, None)
 
 
 def test_transversal_concurrent_triple():
@@ -166,6 +187,34 @@ def test_exact_predicates_decide_as_their_float_copies(trio, s):
         assert list(map(float, point)) == pytest.approx(fpoint, rel=1e-12, abs=1e-12)
     assert _triple_coplanar(*trio) == _triple_coplanar(*floats)
     assert transversal_detail(*trio, s)[1] == transversal_detail(*floats, float(s))[1]
+    assert _tag(trio) == _tag(floats)
+
+
+def _float_copy(trio):
+    return tuple(Line(*map(float, ln.as_tuple())) for ln in trio)
+
+
+def _tag(trio):
+    try:
+        return classify_triple(*trio).tag
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(st.tuples(*[st.integers(-9, 9)] * 3), st.tuples(_INT_LINES, _INT_LINES, _INT_LINES),
+       st.sampled_from(["through P", "in a plane", "both"]))
+def test_classify_triple_decides_meeting_lines_as_its_float_copy(P, trio, build):
+    """Small integer lines moved through a common point P, into the plane
+    z = x + y + P[2], or both (through P, parallel to z = x + y) classify alike
+    exact and as their float copy."""
+    if build != "through P":  # directions (c, d, 1) with c + d = 1, parallel to z = x + y
+        trio = tuple(Line(ln.a, ln.b, 1 - ln.d, ln.d) for ln in trio)
+    if build == "in a plane":  # offsets with a + b = -P[2]: in the plane z = x + y + P[2]
+        trio = tuple(Line(ln.a, -P[2] - ln.a, ln.c, ln.d) for ln in trio)
+    else:  # (a, b) moved so that the lines pass through P
+        trio = tuple(Line(P[0] - ln.c * P[2], P[1] - ln.d * P[2], ln.c, ln.d) for ln in trio)
+    assert _tag(trio) == _tag(_float_copy(trio))
 
 
 def test_line_through_examples():

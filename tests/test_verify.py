@@ -1,51 +1,34 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from linerig.errors import DomainError
 from linerig.lines3d import (Line, LineConfig, classify_triple, common_planes, common_points,
-                             meet_residual)
+                             meet_residual, pair_intersection)
 from linerig.verify import (_TRIPLES, SuiteReport, four_line_quadruples, four_lines,
                             lemma_3lines, lemma_complete, lemma_cong, pairwise_incident,
                             theorem_main, theorem_mainnec)
 
 
+def _fraction_lines(V, q, k):
+    return [Line(*(Fraction(int(x), int(q[k])) for x in V[:, i, k])) for i in range(V.shape[1])]
+
+
 def _fraction_four_lines(trials, seed=0, tol=1e-8):
-    """four-lines as it was built trial by trial: Fraction coordinates, the six
-    meet_residual tests on each quadruple, float charts through as_array."""
+    """four-lines trial by trial on the suite's draw: each quadruple's integer rows
+    rebuilt in Fractions, the six meet_residual tests on it, float charts by
+    float(Fraction) through common_points and common_planes."""
+    modes, V, q = four_line_quadruples(trials, seed)
     rep = SuiteReport("four-lines")
     cases, charts = [], []
-    for k in range(trials):
-        rng = random.Random(f"four-lines:{seed}:{k}")
-        mode = "pencil" if k % 10 == 9 else ("concurrent" if k % 2 == 0 else "coplanar")
-        if mode == "concurrent":
-            P = tuple(rng.randint(-20, 20) for _ in range(3))
-            dirs = set()
-            while len(dirs) < 4:
-                dirs.add((rng.randint(-20, 20), rng.randint(-20, 20)))
-            rows = [(P[0] - c * P[2], P[1] - d * P[2], c, d) for c, d in sorted(dirs)]
-        elif mode == "coplanar":
-            lam = 0
-            while lam == 0:
-                lam = rng.randint(-6, 6)
-            mu, nu = rng.randint(-6, 6), rng.randint(-6, 6)
-            ds = rng.sample(range(-12, 13), 4)
-            bs = rng.sample(range(-12, 13), 4)
-            rows = [(Fraction(-nu - mu * b, lam), b, Fraction(1 - mu * d, lam), d)
-                    for b, d in zip(bs, ds)]
-        else:
-            mu, nu = rng.randint(-5, 5), rng.randint(-5, 5)
-            y0, z0 = rng.randint(-8, 8), rng.randint(-8, 8)
-            x0 = z0 - mu * y0 - nu
-            ds = rng.sample(range(-8, 9), 4)
-            rows = [(x0 - (1 - mu * d) * z0, y0 - d * z0, 1 - mu * d, d) for d in ds]
-        cfg = LineConfig.from_rows(rows)
-        exact_zero = all(
-            meet_residual(cfg[i], cfg[j]) == 0 for i in range(4) for j in range(i + 1, 4))
+    for k, mode in enumerate(modes):
+        lines = _fraction_lines(V, q, k)
+        exact_zero = all(meet_residual(a, b) == 0 for a, b in combinations(lines, 2))
         cases.append((mode, exact_zero))
-        charts.append([[float(x) for x in row] for row in cfg.coords()])
+        charts.append([[float(x) for x in row] for row in LineConfig(tuple(lines)).coords()])
     X = np.array(charts).reshape(trials, 4, 4)
     _, point_found, parallel = common_points(X, tol)
     _, plane_found = common_planes(X, tol)
@@ -60,7 +43,7 @@ def _fraction_four_lines(trials, seed=0, tol=1e-8):
 @pytest.mark.parametrize("seed", [0, 5, 123456])
 def test_four_lines_equals_the_fraction_path(seed):
     want, charts = _fraction_four_lines(500, seed)
-    assert four_lines(500, seed).to_dict() == want.to_dict()
+    assert want.ok and four_lines(500, seed).to_dict() == want.to_dict()
     # the one division gives the Fraction path's charts, bit for bit
     _, V, q = four_line_quadruples(500, seed)
     assert (V / q).transpose(2, 1, 0).tobytes() == charts.tobytes()
@@ -68,8 +51,55 @@ def test_four_lines_equals_the_fraction_path(seed):
     assert four_lines(500, seed, tol=1e-5).to_dict() == _fraction_four_lines(500, seed, 1e-5)[0].to_dict()
 
 
-def _fraction_lines(V, q, k):
-    return [Line(*(Fraction(int(x), int(q[k])) for x in V[:, i, k])) for i in range(V.shape[1])]
+def _integers(values, low, high):
+    return all(Fraction(v).denominator == 1 and low <= v <= high for v in values)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 123456])
+def test_four_line_quadruples_draw(seed):
+    """Each trial's mode and draw, read back exactly from its lines: concurrent
+    lines through an integer point P in [-20, 20]^3 with distinct directions in
+    [-20, 20]^2; coplanar lines of the plane z = lam*x + mu*y + nu, lam != 0 and
+    q == |lam|, with distinct d and distinct b in [-12, 12]; a pencil through
+    (x0, y0, z0) in the plane z = x + mu*y + nu with distinct d in [-8, 8]. No
+    quadruple holds a line twice."""
+    modes, V, q = four_line_quadruples(1000, seed)
+    assert modes == ["pencil" if k % 10 == 9 else ("concurrent" if k % 2 == 0 else "coplanar")
+                     for k in range(1000)]
+    assert V.shape == (4, 4, 1000) and V.dtype == q.dtype == np.int64 and q.shape == (1000,)
+    for k, mode in enumerate(modes):
+        lines = _fraction_lines(V, q, k)
+        a, b, c, d = zip(*(ln.as_tuple() for ln in lines))
+        assert len(set(lines)) == 4, k
+        if mode == "coplanar":
+            # the plane through lines 0 and 1, whose d differ
+            det = c[0] * d[1] - c[1] * d[0]
+            lam, mu = (d[1] - d[0]) / det, (c[0] - c[1]) / det
+            nu = -(lam * a[0] + mu * b[0])
+            assert _integers((lam, mu, nu), -6, 6) and lam != 0 and q[k] == abs(lam), k
+            assert all(lam * ln.c + mu * ln.d == 1 and lam * ln.a + mu * ln.b + nu == 0
+                       for ln in lines), k
+            assert len(set(d)) == len(set(b)) == 4 and _integers(d + b, -12, 12), k
+            continue
+        assert q[k] == 1
+        P = pair_intersection(lines[0], lines[1])
+        assert all(ln.point_at(P[2]) == P for ln in lines), k
+        if mode == "concurrent":
+            assert _integers(P, -20, 20) and _integers(c + d, -20, 20), k
+            assert len(set(zip(c, d))) == 4, k
+        else:
+            mu = (c[1] - c[0]) / (d[0] - d[1])
+            nu = P[2] - P[0] - mu * P[1]
+            assert _integers((mu, nu), -5, 5) and _integers(P[1:], -8, 8), k
+            assert all(ln.c == 1 - mu * ln.d for ln in lines), k
+            assert len(set(d)) == 4 and _integers(d, -8, 8), k
+
+
+def test_four_line_quadruples_repeat_for_a_seed():
+    first, again, other = (four_line_quadruples(1000, s) for s in (11, 11, 12))
+    assert first[0] == again[0]
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(first[1:], again[1:]))
+    assert first[1].tobytes() != other[1].tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 5, 123456])
@@ -201,3 +231,69 @@ def test_theorem_main_ranks_each_exact_sample_once(monkeypatch):
             monkeypatch.setattr(module, "rank_exact", counted)
     rep = theorem_main(seeds=8, n_max=30, seed=1)
     assert rep.ok and len(calls) == 8
+
+
+def _cong_records(monkeypatch, trials, seed, block=None):
+    """repr of every record call of lemma_cong(trials, seed), worst included, with
+    the block size patched to block."""
+    import linerig.verify as verify
+    calls = []
+    record = SuiteReport.record
+    monkeypatch.setattr(SuiteReport, "record",
+                        lambda self, ok, **detail: calls.append(repr((ok, detail))) or
+                        record(self, ok, **detail))
+    if block is not None:
+        monkeypatch.setattr(verify, "_BLOCK", block)
+    rep = lemma_cong(trials, seed)
+    monkeypatch.undo()
+    assert len(calls) == 6 and rep.ok
+    return calls
+
+
+@pytest.mark.parametrize("trials", [1, 2, 4095, 4096, 4097, 8193])
+def test_lemma_cong_does_not_depend_on_the_block_size(monkeypatch, trials):
+    """The blocks cover every trial once, in order, and every record, worst
+    included, is the same with blocks of 1 and 7 trials and with one block of all
+    trials as with the default; blocks of 1 (slow) at one seed."""
+    import linerig.verify as verify
+    for block in (1, 7, verify._BLOCK, trials):
+        monkeypatch.setattr(verify, "_BLOCK", block)
+        assert [k for s in verify._blocks(trials) for k in range(trials)[s]] == list(range(trials))
+    monkeypatch.undo()
+    for seed in (0, 1, 2):
+        want = _cong_records(monkeypatch, trials, seed, block=trials)
+        blocks = (None, 7, 1) if seed == 0 else (None, 7)
+        assert all(_cong_records(monkeypatch, trials, seed, b) == want for b in blocks), seed
+
+
+def test_lemma_cong_keeps_a_fault_of_its_first_block(monkeypatch):
+    """A wrong first trial fails each part although the later blocks pass: the
+    incidence residual of trial 0 off by one, and the first line of trial 0 moved
+    in the first block of each recovery part."""
+    import linerig.verify as verify
+    calls = []
+    incidence, to_lines = verify.incidence, verify.to_lines
+
+    def off_by_one(D):
+        g = incidence(D)
+        if not calls:
+            g[0] += 1
+        calls.append("incidence")
+        return g
+
+    def moved(A, B):
+        X = to_lines(A, B)
+        calls.append("to_lines")
+        if calls.count("to_lines") in (1, 4, 7):  # three blocks a part
+            X[:, 0, 0] += 0.5
+        return X
+
+    monkeypatch.setattr(verify, "_BLOCK", 7)
+    monkeypatch.setattr(verify, "incidence", off_by_one)
+    monkeypatch.setattr(verify, "to_lines", moved)
+    failures = {f["part"]: f for f in lemma_cong(15, 0).failures}
+    assert calls.count("to_lines") == 9
+    assert set(failures) == {"distance-incidence", "rotation-recovery", "reflection-recovery",
+                             "collinear-preimages"}
+    assert failures["rotation-recovery"]["worst"] > 1e-9 < failures["reflection-recovery"]["worst"]
+    assert failures["collinear-preimages"]["failures"] == 1
