@@ -2,7 +2,8 @@
 
 Subcommands: analyze, verify, gen, lines, sample, henneberg, es. Reports go to
 standard output as JSON (default) or text tables. Exit codes: 0 success,
-1 verification failure, 2 usage or parse error.
+1 verification failure, 2 usage or parse error. main reads every input file as UTF-8
+text (_read) into its _INPUTS reader, so a malformed one is an `error:` line and exit 2.
 
 The parser comes from one table, _COMMANDS, one row per leaf subcommand. main
 builds only the leaf that argv names; any other command line (no leaf named,
@@ -83,10 +84,14 @@ def analyze_graph(G: Graph, seed: int = 0, trials: int = 5, tol: float = 1e-8,
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """An input file's text ('-' is stdin); bytes not UTF-8 raise LinerigError."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise LinerigError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -97,15 +102,17 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"{key}: {payload[key]}")
 
 
-def _load_graph(path: str) -> Graph:
-    text = _read(path)
-    fmt = "json" if text.lstrip().startswith("{") else "edge-list"
-    return parse_graph(text, fmt)
+def _load_graph(text: str) -> Graph:
+    return parse_graph(text, "json" if text.lstrip().startswith("{") else "edge-list")
+
+
+# Each input file's argument and its text's reader; main loads them for the handler.
+_INPUTS = {"graph": _load_graph, "config": LineConfig.from_json, "pairs": parse_pair_file,
+           "steps": steps_from_json}
 
 
 def _cmd_analyze(args: argparse.Namespace) -> None:
-    G = _load_graph(args.graph)
-    report = analyze_graph(G, seed=args.seed, trials=args.trials, tol=args.tol,
+    report = analyze_graph(args.graph, seed=args.seed, trials=args.trials, tol=args.tol,
                            exact=args.exact)
     _emit(report.to_dict(), args.format)
 
@@ -131,8 +138,7 @@ def _cmd_gen(args: argparse.Namespace) -> None:
 
 
 def _cmd_lines_graph(args: argparse.Namespace) -> None:
-    cfg = LineConfig.from_json(_read(args.config))
-    print(serialize_graph(intersection_graph(cfg, args.tol)))
+    print(serialize_graph(intersection_graph(args.config, args.tol)))
 
 
 def _cmd_lines_meet(args: argparse.Namespace) -> None:
@@ -143,9 +149,8 @@ def _cmd_lines_meet(args: argparse.Namespace) -> None:
 
 
 def _cmd_lines_common(args: argparse.Namespace) -> None:
-    cfg = LineConfig.from_json(_read(args.config))
-    point = common_point(cfg, args.tol)
-    plane = common_plane(cfg, args.tol)
+    point = common_point(args.config, args.tol)
+    plane = common_plane(args.config, args.tol)
     _emit({
         "common_point": list(point.point) if point and point.point else None,
         "parallel_family": bool(point.parallel) if point else False,
@@ -154,10 +159,9 @@ def _cmd_lines_common(args: argparse.Namespace) -> None:
 
 
 def _cmd_lines_classify(args: argparse.Namespace) -> None:
-    cfg = LineConfig.from_json(_read(args.config))
-    if cfg.n != 3:
+    if args.config.n != 3:
         raise LinerigError("classify needs exactly 3 lines")
-    tc = classify_triple(cfg[0], cfg[1], cfg[2], args.tol)
+    tc = classify_triple(*args.config.lines, args.tol)
     _emit({
         "class": tc.tag,
         "family_dim": tc.family_dim,
@@ -167,24 +171,21 @@ def _cmd_lines_classify(args: argparse.Namespace) -> None:
 
 
 def _cmd_lines_transversal(args: argparse.Namespace) -> None:
-    cfg = LineConfig.from_json(_read(args.config))
-    if cfg.n != 3:
+    if args.config.n != 3:
         raise LinerigError("transversal needs exactly 3 lines")
-    line = transversal(cfg[0], cfg[1], cfg[2], args.s, args.tol)
+    line = transversal(*args.config.lines, args.s, args.tol)
     _emit({"line": [float(v) for v in line.as_tuple()] if line else None}, args.format)
 
 
 def _cmd_lines_dim(args: argparse.Namespace) -> None:
-    G = _load_graph(args.graph)
-    cfg = LineConfig.from_json(_read(args.config))
-    payload = line_system_dimension(G, cfg, tol=args.tol).to_dict()
+    payload = line_system_dimension(args.graph, args.config, tol=args.tol).to_dict()
     if args.dump_jacobian:
-        payload["jacobian"] = line_system_jacobian(G, cfg).astype(float).tolist()
+        payload["jacobian"] = line_system_jacobian(args.graph, args.config).astype(float).tolist()
     _emit(payload, args.format)
 
 
 def _cmd_sample_laman(args: argparse.Namespace) -> None:
-    print(sample_laman_lines_info(_load_graph(args.graph), seed=args.seed).config.to_json())
+    print(sample_laman_lines_info(args.graph, seed=args.seed).config.to_json())
 
 
 def _cmd_sample_knn(args: argparse.Namespace) -> None:
@@ -192,33 +193,29 @@ def _cmd_sample_knn(args: argparse.Namespace) -> None:
 
 
 def _cmd_sample_pair(args: argparse.Namespace) -> None:
-    G = _load_graph(args.graph)
-    print(serialize_pair_file(*sample_congruent_pair(G, orientation=args.orientation,
+    print(serialize_pair_file(*sample_congruent_pair(args.graph, orientation=args.orientation,
                                                      seed=args.seed)))
 
 
 def _cmd_sample_project(args: argparse.Namespace) -> None:
-    G = _load_graph(args.graph)
-    cfg = LineConfig.from_json(_read(args.config))
-    print(gauss_newton_project(G, cfg, tol=args.tol).to_json())
+    print(gauss_newton_project(args.graph, args.config, tol=args.tol).to_json())
 
 
 def _cmd_extract(extract, args: argparse.Namespace) -> None:
-    steps, relabel = extract(_load_graph(args.graph))
+    steps, relabel = extract(args.graph)
     _emit({"steps": json.loads(steps_to_json(steps)), "relabel": relabel}, args.format)
 
 
 def _cmd_apply(apply, args: argparse.Namespace) -> None:
-    print(serialize_graph(apply(steps_from_json(_read(args.steps)))))
+    print(serialize_graph(apply(args.steps)))
 
 
 def _cmd_es_map(args: argparse.Namespace) -> None:
-    print(phi(*parse_pair_file(_read(args.pairs))).to_json())
+    print(phi(*args.pairs).to_json())
 
 
 def _cmd_es_invert(args: argparse.Namespace) -> None:
-    pairs = [from_line(ln) for ln in LineConfig.from_json(_read(args.config)).lines]
-    print(serialize_pair_file([pr.a for pr in pairs], [pr.b for pr in pairs]))
+    print(serialize_pair_file(*zip(*map(from_line, args.config.lines))))
 
 
 def _cmd_es_rotation(args: argparse.Namespace) -> None:
@@ -228,19 +225,16 @@ def _cmd_es_rotation(args: argparse.Namespace) -> None:
 
 
 def _cmd_es_recover(args: argparse.Namespace) -> None:
-    p, pp = parse_pair_file(_read(args.pairs))
-    motion = recover_motion(p, pp, orientation=args.orientation, tol=args.tol)
+    motion = recover_motion(*args.pairs, orientation=args.orientation, tol=args.tol)
     _emit({"matrix": [list(motion.matrix[0]), list(motion.matrix[1])],
            "translation": list(motion.translation),
            "orientation": motion.orientation}, args.format)
 
 
 def _cmd_es_dim(args: argparse.Namespace) -> None:
-    G = _load_graph(args.graph)
-    p, pp = parse_pair_file(_read(args.pairs))
-    payload = pair_system_dimension(G, p, pp, tol=args.tol).to_dict()
+    payload = pair_system_dimension(args.graph, *args.pairs, tol=args.tol).to_dict()
     if args.dump_jacobian:
-        payload["jacobian"] = pair_system_jacobian(G, p, pp).astype(float).tolist()
+        payload["jacobian"] = pair_system_jacobian(args.graph, *args.pairs).astype(float).tolist()
     _emit(payload, args.format)
 
 
@@ -391,8 +385,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        for name, load in _INPUTS.items():
+            if hasattr(args, name):
+                setattr(args, name, load(_read(getattr(args, name))))
         return args.func(args) or 0  # handlers return None on success, verify's 1 on failure
-    except (LinerigError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (LinerigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import CongruenceError, DomainError
+from .errors import CongruenceError, DomainError, load_json
 from .lines3d import Line, LineConfig, Plane, Point3, check_squares, is_exact, number_rows
 
 Scalar = Union[int, float, Fraction]
@@ -188,9 +188,10 @@ def recover_motion(A: Sequence[Sequence[Scalar]], B: Sequence[Sequence[Scalar]],
 
 
 def parse_pair_file(text: str) -> tuple[list[Point2], list[Point2]]:
-    """Parse {"p": [[x, y], ...], "p_prime": [[x, y], ...]}; the point lists go
-    through lines3d.number_rows, so malformed ones raise DomainError."""
-    data = json.loads(text)
+    """Parse {"p": [[x, y], ...], "p_prime": [[x, y], ...]}: the text is decoded
+    by errors.load_json and the point lists go through lines3d.number_rows, so
+    bad JSON and malformed lists raise DomainError."""
+    data = load_json(text, "pair file", DomainError)
     if not isinstance(data, dict):
         raise DomainError("pair file must be an object holding 'p' and 'p_prime'")
     p, pp = (number_rows(data.get(key), 2, f"pair-file '{key}'") for key in ("p", "p_prime"))

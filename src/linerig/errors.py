@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the one decoder of input JSON that raises them."""
+
+import json
 
 
 class LinerigError(Exception):
@@ -46,3 +48,12 @@ class SampleError(LinerigError, RuntimeError):
     def __init__(self, message: str, log: list[str]):
         super().__init__(message)
         self.log = log
+
+
+def load_json(text: str, what: str, error: type[LinerigError]) -> object:
+    """Decode an input file's JSON. Bad JSON, integers past the digit limit (both
+    ValueError) and too deep nesting (RecursionError) raise `error` naming `what`."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"invalid JSON in {what}: {exc}") from None

@@ -16,11 +16,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, GraphParseError
+from .errors import DomainError, GraphParseError, load_json
 
 Edge = tuple[int, int]
 
@@ -160,7 +160,9 @@ def _canonical_edges(n: int, edges: object) -> tuple[Edge, ...]:
 
 
 def parse_graph(text: str, fmt: str = "json") -> Graph:
-    """Parse graph text in the given format ("json" or "edge-list")."""
+    """Parse graph text in the given format ("json" or "edge-list"). JSON text is
+    decoded by errors.load_json; both formats feed one edge loop, and any fault
+    raises GraphParseError naming its field or line."""
     if fmt == "json":
         return _parse_json(text)
     if fmt in ("edge-list", "edgelist"):
@@ -177,72 +179,57 @@ def serialize_graph(G: Graph, fmt: str = "json") -> str:
     raise GraphParseError(f"unknown graph format '{fmt}'")
 
 
-def _check_edge(n: int, u: object, v: object, where: str) -> Edge:
-    if not isinstance(u, int) or not isinstance(v, int) or isinstance(u, bool) or isinstance(v, bool):
-        raise GraphParseError(f"{where}: endpoints must be integers, got [{u!r}, {v!r}]")
-    if u == v:
-        raise GraphParseError(f"{where}: self-loop at vertex {u}")
-    if not (0 <= u < n and 0 <= v < n):
-        raise GraphParseError(f"{where}: endpoint out of range for n={n}")
-    return (u, v) if u < v else (v, u)
-
-
 def _parse_json(text: str) -> Graph:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphParseError(f"invalid JSON: {exc}") from exc
+    data = load_json(text, "graph", GraphParseError)
     if not isinstance(data, dict):
         raise GraphParseError("top-level JSON value must be an object")
-    if "n" not in data:
-        raise GraphParseError("missing field 'n'")
-    n = data["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    n = data.get("n")
+    if not _is_integer(n) or n < 0:
         raise GraphParseError("field 'n': must be a non-negative integer")
     raw = data.get("edges", [])
     if not isinstance(raw, list):
         raise GraphParseError("field 'edges': must be a list")
-    edges: set[Edge] = set()
-    order: list[Edge] = []
-    for k, item in enumerate(raw):
-        where = f"field 'edges[{k}]'"
-        if not isinstance(item, list) or len(item) != 2:
-            raise GraphParseError(f"{where}: must be a pair [i, j]")
-        e = _check_edge(n, item[0], item[1], where)
-        if e in edges:
-            raise GraphParseError(f"{where}: duplicate edge {list(e)}")
-        edges.add(e)
-        order.append(e)
-    return Graph(n, tuple(sorted(order)))
+    return _parse_edges(n, raw, "field 'edges[{}]'".format)
 
 
 def _parse_edge_list(text: str) -> Graph:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise GraphParseError("line 1: expected header 'n m'")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise GraphParseError("line 1: expected header 'n m'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise GraphParseError(f"line 1: non-integer header: {exc}") from exc
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln] or [""]
+    n, m = _int_pair(1, lines[0], "header 'n m'")
     if n < 0 or m < 0:
         raise GraphParseError("line 1: n and m must be non-negative")
     if len(lines) - 1 != m:
         raise GraphParseError(f"expected {m} edge lines, found {len(lines) - 1}")
+    edges = (_int_pair(k, ln, "edge 'i j'") for k, ln in enumerate(lines[1:], 2))
+    return _parse_edges(n, edges, lambda k: f"line {k + 2}")
+
+
+def _int_pair(k: int, ln: str, what: str) -> list[int]:
+    """Line k of an edge list: the `what`, two integers."""
+    parts = ln.split()
+    if len(parts) != 2:
+        raise GraphParseError(f"line {k}: expected {what}")
+    try:
+        return [int(parts[0]), int(parts[1])]
+    except ValueError as exc:
+        raise GraphParseError(f"line {k}: non-integer {what}: {exc}") from exc
+
+
+def _parse_edges(n: int, items: Iterable[object], where: Callable[[int], str]) -> Graph:
+    """Both formats' edge loop: distinct int pairs below n, none repeated; where(k) names item k."""
     edges: set[Edge] = set()
-    for k, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphParseError(f"line {k}: expected 'i j'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphParseError(f"line {k}: non-integer endpoint: {exc}") from exc
-        e = _check_edge(n, u, v, f"line {k}")
+    for k, item in enumerate(items):
+        if not isinstance(item, list) or len(item) != 2:
+            raise GraphParseError(f"{where(k)}: must be a pair [i, j]")
+        u, v = item
+        if not (_is_integer(u) and _is_integer(v)):
+            raise GraphParseError(f"{where(k)}: endpoints must be integers, got [{u!r}, {v!r}]")
+        if u == v:
+            raise GraphParseError(f"{where(k)}: self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphParseError(f"{where(k)}: endpoint out of range for n={n}")
+        e = (u, v) if u < v else (v, u)
         if e in edges:
-            raise GraphParseError(f"line {k}: duplicate edge {list(e)}")
+            raise GraphParseError(f"{where(k)}: duplicate edge {list(e)}")
         edges.add(e)
     return Graph(n, tuple(sorted(edges)))
 

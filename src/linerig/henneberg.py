@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, Union
 
-from .errors import ConstructionError, DomainError, StepError
-from .graphs import Graph
+from .errors import ConstructionError, DomainError, StepError, load_json
+from .graphs import Graph, _is_integer
 from .sparsity import is_hendrickson, is_laman
 
 
@@ -82,16 +82,15 @@ def _vertex_field(item: dict, key: str, k: int) -> int:
     if key not in item:
         raise StepError(f"step {k}: missing field '{key}'")
     value = item[key]
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_integer(value):
         raise StepError(f"step {k}: field '{key}' must be an integer, got {value!r}")
     return value
 
 
 def steps_from_json(text: str) -> list[Union[HennebergStep, JJStep]]:
-    try:
-        items = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StepError(f"invalid step JSON: {exc}") from exc
+    """Parse [{"kind": "ext0" | "ext1" | "edge", "u": ..., ...}, ...]: the text is
+    decoded by errors.load_json, and any fault raises StepError."""
+    items = load_json(text, "steps", StepError)
     if not isinstance(items, list):
         raise StepError("step JSON must be a list")
     steps: list[Union[HennebergStep, JJStep]] = []

@@ -41,7 +41,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, load_json
 from .graphs import Graph
 
 Scalar = Union[int, float, Fraction]
@@ -99,9 +99,10 @@ class LineConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "LineConfig":
-        """Parse {"lines": [[a, b, c, d], ...]}; any other shape, a non-numeric
-        coordinate or a non-finite one raises DomainError (number_rows)."""
-        data = json.loads(text)
+        """Parse {"lines": [[a, b, c, d], ...]}: the text is decoded by
+        errors.load_json, and bad JSON, any other shape, a non-numeric coordinate
+        or a non-finite one raises DomainError (number_rows)."""
+        data = load_json(text, "line configuration", DomainError)
         return cls.from_rows(number_rows(data.get("lines") if isinstance(data, dict) else None,
                                          4, "line-config 'lines'"))
 

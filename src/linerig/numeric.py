@@ -276,9 +276,14 @@ def random_embedding(n: int, rng: np.random.Generator, box: int = 10 ** 4) -> np
     return rng.integers(-box, box + 1, size=(n, 2)).astype(np.int64)
 
 
-def _trial_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
-    """SeedSequence(seed).spawn(trials)'s generators, each spawned when it is taken."""
-    root = np.random.SeedSequence(seed)
+def _trial_rngs(seed: int, trials: int, offset: int = 0) -> Iterator[np.random.Generator]:
+    """SeedSequence(seed + offset).spawn(trials)'s generators, each spawned when it
+    is taken. A trial count below 1 or a negative seed raises DomainError."""
+    if trials < 1:
+        raise DomainError("trials must be positive")
+    if seed < 0:
+        raise DomainError("seed must be at least 0")
+    root = np.random.SeedSequence(seed + offset)
     return (np.random.Generator(np.random.PCG64(root.spawn(1)[0])) for _ in range(trials))
 
 
@@ -289,8 +294,6 @@ def rigidity_rank(G: Graph, trials: int = 5, seed: int = 0, exact: bool = False)
     draws from its own generator, so the trials run are those of the full loop."""
     if G.n < 2:
         raise DomainError("rigidity rank needs at least 2 vertices")
-    if trials < 1:
-        raise DomainError("trials must be positive")
     cap, best = min(G.m, 2 * G.n - 3), 0
     for rng in _trial_rngs(seed, trials):
         if best == cap:
@@ -419,12 +422,10 @@ def global_rigidity_oracle(G: Graph, trials: int = 5, seed: int = 0,
     """
     if G.n < 4:
         raise DomainError("global rigidity oracle needs at least 4 vertices")
-    if trials < 1:
-        raise DomainError("trials must be positive")
     i, j = edge_index(G)
     rows, cols = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
     rigid, votes = False, 0
-    for left, rng in zip(range(trials - 1, -1, -1), _trial_rngs(seed + 1, trials)):
+    for left, rng in zip(range(trials - 1, -1, -1), _trial_rngs(seed, trials, 1)):
         R = rigidity_matrix(G, random_embedding(G.n, rng).astype(float))
         U, s, _ = np.linalg.svd(R, full_matrices=True)
         rank = _rank_cut(s, R.shape, tol)[0]

@@ -343,6 +343,7 @@ def pairwise_incident(V: np.ndarray) -> np.ndarray:
 
 def four_lines(trials: int = 10000, seed: int = 0, tol: float = 1e-8) -> SuiteReport:
     _at_least(trials, 1, "trials")
+    _at_least(seed, 0, "seed")
     if tol <= 0:
         raise DomainError("tolerance must be positive")
     rep = SuiteReport("four-lines")
@@ -504,6 +505,7 @@ def lemma_cong(trials: int = 100000, seed: int = 0) -> SuiteReport:
     values for all trials at once; the checks run over blocks of _BLOCK trials,
     and a spot check rebuilds the images of its trials from the draws."""
     _at_least(trials, 1, "trials")
+    _at_least(seed, 0, "seed")
     rep = SuiteReport("lemma-cong")
     rng = np.random.default_rng(seed)
     _distance_incidence(rng, trials, rep)
@@ -557,6 +559,7 @@ def hendrickson_catalog(n_max: int = 8) -> list[tuple[str, Graph]]:
 def hendrickson_oracle(n_max: int = 8, trials: int = 5, seed: int = 0) -> SuiteReport:
     _at_least(n_max, 4, "n_max")
     _at_least(trials, 1, "trials")
+    _at_least(seed, 0, "seed")
     rep = SuiteReport("hendrickson-oracle")
     for name, G in hendrickson_catalog(n_max):
         combinatorial = is_hendrickson(G)

@@ -575,14 +575,24 @@ _DOCS = {
         "u": st.integers(-1, 6) | _LEAF, "v": st.integers(-1, 6) | _LEAF,
         "w": st.integers(-1, 6) | _LEAF}) | _ANY, max_size=5),
 }
+# Every leaf that reads a file, and its positionals: a key of _DOCS is a drawn file,
+# anything else is passed as it stands.
 _READERS = [
     (("analyze",), ("graph",)),
+    (("lines", "graph"), ("lines",)),
     (("lines", "common"), ("lines",)),
+    (("lines", "classify"), ("lines",)),
+    (("lines", "transversal"), ("lines", "0")),
     (("lines", "dim"), ("graph", "lines")),
+    (("sample", "laman"), ("graph",)),
+    (("sample", "pair"), ("graph",)),
     (("sample", "project"), ("graph", "lines")),
+    (("henneberg", "extract"), ("graph",)),
     (("henneberg", "apply"), ("steps",)),
+    (("henneberg", "jj-extract"), ("graph",)),
     (("henneberg", "jj-apply"), ("steps",)),
     (("es", "map"), ("pairs",)),
+    (("es", "invert"), ("lines",)),
     (("es", "recover"), ("pairs",)),
     (("es", "dim"), ("graph", "pairs")),
 ]
@@ -598,6 +608,9 @@ def test_readers_exit_0_or_2_on_random_json(reader, data):
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for k, kind in enumerate(kinds):
+            if kind not in _DOCS:
+                paths.append(kind)
+                continue
             doc = data.draw(_DOCS[kind] | _ANY, label=kind)
             path = f"{tmp}/{k}.json"
             with open(path, "w", encoding="utf-8") as fh:
@@ -608,6 +621,64 @@ def test_readers_exit_0_or_2_on_random_json(reader, data):
             code = main([*command, *paths])
     assert code in (0, 2)
     assert (code == 2) == err.getvalue().startswith("error:")
+
+
+# Three kinds of bad file that every reading leaf must end in an `error:` line and
+# exit 2: bytes that are not UTF-8, JSON nested 50000 deep (an object and an array),
+# and a 5000-digit integer, past Python's digit limit. The integer sits where an
+# accepted parse would be rejected anyway (an edge endpoint, a line coordinate, a
+# step vertex, a point coordinate), so a Python without the limit allocates nothing.
+_DIGITS = b"9" * 5000
+_BAD_FILES = {
+    "not-utf8": dict.fromkeys(_DOCS, b"\xff\xfe"),
+    "deep-object": dict.fromkeys(_DOCS, b'{"a":' * 50000 + b"0" + b"}" * 50000),
+    "deep-array": dict.fromkeys(_DOCS, b"[" * 50000 + b"]" * 50000),
+    "digits": {
+        "graph": b'{"n":3,"edges":[[0,%s]]}' % _DIGITS,
+        "lines": b'{"lines":[[%s,0,0,0],[0,0,1,0],[0,1,0,0]]}' % _DIGITS,
+        "steps": b'[{"kind":"ext0","u":%s,"v":1}]' % _DIGITS,
+        "pairs": b'{"p":[[%s,0],[1,0],[0,1]],"p_prime":[[0,0],[1,0],[0,1]]}' % _DIGITS,
+    },
+}
+_GOOD_FILES = {"graph": b'{"n":3,"edges":[[0,1],[1,2],[0,2]]}',
+               "lines": b'{"lines":[[0,0,0,0],[1,0,0,0],[0,1,0,0]]}',
+               "steps": b"[]", "pairs": b'{"p":[[0,0],[1,0]],"p_prime":[[0,0],[1,0]]}'}
+
+
+@pytest.mark.parametrize("reader", _READERS, ids=lambda r: " ".join(r[0]))
+def test_every_reader_rejects_undecodable_files(tmp_path, capsys, reader):
+    command, kinds = reader
+    files = [k for k, kind in enumerate(kinds) if kind in _DOCS]
+    for bad in files:
+        for case, docs in _BAD_FILES.items():
+            argv = list(command)
+            for k, kind in enumerate(kinds):
+                if kind not in _DOCS:
+                    argv.append(kind)
+                    continue
+                path = tmp_path / f"{k}.json"
+                path.write_bytes(docs[kind] if k == bad else _GOOD_FILES[kind])
+                argv.append(str(path))
+            code, out, err = run(capsys, *argv)
+            where = (case, kinds[bad])
+            assert code == 2 and out == "", where
+            assert err.startswith("error:") and "Traceback" not in err, where
+            assert err.count("\n") == 1, where
+
+
+def test_readers_cover_every_leaf_that_reads_a_file():
+    reading = {leaf for leaf, argv in _LEAF_ARGV.items() if ".json" in argv}
+    assert {" ".join(command) for command, _ in _READERS} == reading and len(reading) == 17
+
+
+def test_stdin_that_is_not_utf8_is_an_error():
+    src = str(Path(linerig.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONIOENCODING="utf-8:strict")
+    bad = subprocess.run([sys.executable, "-m", "linerig", "analyze", "-"], input=b"\xff\xfe",
+                         capture_output=True, env=env, timeout=60)
+    assert bad.returncode == 2 and bad.stdout == b""
+    assert bad.stderr.startswith(b"error: -: not UTF-8 text") and b"Traceback" not in bad.stderr
 
 
 # Each leaf's options: its own, then the common ones it reads (31 of those in all).

@@ -1,3 +1,7 @@
+import json
+import re
+import sys
+
 import numpy as np
 import pytest
 
@@ -31,6 +35,40 @@ def test_parse_errors_name_field_or_line():
         parse_graph("3 2\n0 1\n1 5\n", fmt="edge-list")
     with pytest.raises(GraphParseError, match="invalid JSON"):
         parse_graph("{not json")
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([[1, 1]], "self-loop at vertex 1"),
+    ([[0, 3]], "endpoint out of range for n=3"),
+    ([[0, 1], [2, 1], [1, 0]], "duplicate edge [0, 1]"),
+], ids=["self-loop", "out-of-range", "duplicate"])
+def test_both_formats_share_one_edge_loop(edges, message):
+    k = len(edges) - 1
+    with pytest.raises(GraphParseError, match=re.escape(f"field 'edges[{k}]': {message}")):
+        parse_graph(json.dumps({"n": 3, "edges": edges}))
+    listing = "\n".join([f"3 {len(edges)}", *(f"{i} {j}" for i, j in edges)])
+    with pytest.raises(GraphParseError, match=re.escape(f"line {k + 2}: {message}")):
+        parse_graph(listing, fmt="edge-list")
+
+
+@pytest.mark.parametrize("text", [
+    "{not json", "[" * 50000 + "]" * 50000,
+    pytest.param('{"n":3,"edges":[[0,%s]]}' % ("9" * 5000), marks=pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no digit limit")),
+], ids=["bad-json", "deep", "digits"])
+def test_each_reader_raises_its_own_error_on_bad_json(text):
+    """Bad JSON, nesting past the recursion limit and an integer past the digit
+    limit all raise the format's error class, never a bare ValueError."""
+    from linerig.elekes_sharir import parse_pair_file
+    from linerig.errors import StepError
+    from linerig.henneberg import steps_from_json
+    from linerig.lines3d import LineConfig
+    readers = [(parse_graph, GraphParseError, "graph"), (steps_from_json, StepError, "steps"),
+               (LineConfig.from_json, DomainError, "line configuration"),
+               (parse_pair_file, DomainError, "pair file")]
+    for read, error, what in readers:
+        with pytest.raises(error, match=f"invalid JSON in {what}"):
+            read(text)
 
 
 def test_unordered_endpoints_normalize():

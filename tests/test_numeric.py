@@ -453,6 +453,22 @@ def test_hendrickson_oracle_rejects_zero_trials():
         hendrickson_oracle(n_max=5, trials=0)
 
 
+@pytest.mark.parametrize("seed", [-1, -2])
+def test_negative_seeds_are_domain_errors(seed):
+    """numpy's generators take no negative seed; each entry point that seeds one
+    says so as a DomainError, also where the oracle seeds with seed + 1."""
+    from linerig.cli import analyze_graph
+    from linerig.verify import four_lines, hendrickson_oracle, lemma_cong
+    calls = [lambda: rigidity_rank(K4, seed=seed),
+             lambda: global_rigidity_oracle(K4, seed=seed),
+             lambda: lemma_cong(10, seed=seed), lambda: four_lines(10, seed=seed),
+             lambda: analyze_graph(K4, seed=seed), lambda: hendrickson_oracle(seed=seed)]
+    for call in calls:
+        with pytest.raises(DomainError, match="seed must be at least 0"):
+            call()
+    assert rigidity_rank(K4, seed=0) == 5 and global_rigidity_oracle(K4, seed=0)
+
+
 def test_trial_generators_are_spawned_one_at_a_time(monkeypatch):
     from linerig.numeric import _trial_rngs
     for seed, k in ((0, 1), (0, 6), (41, 4)):
