@@ -19,7 +19,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 from . import __version__
@@ -201,13 +200,26 @@ def _cmd_sample_project(args: argparse.Namespace) -> None:
     print(gauss_newton_project(args.graph, args.config, tol=args.tol).to_json())
 
 
-def _cmd_extract(extract, args: argparse.Namespace) -> None:
-    steps, relabel = extract(args.graph)
-    _emit({"steps": json.loads(steps_to_json(steps)), "relabel": relabel}, args.format)
+# The henneberg handlers name their library function in the body, so it is looked
+# up when the command runs and a wrapper put on this module's attribute sees the call.
+def _emit_steps(steps, relabel: list[int], fmt: str) -> None:
+    _emit({"steps": json.loads(steps_to_json(steps)), "relabel": relabel}, fmt)
 
 
-def _cmd_apply(apply, args: argparse.Namespace) -> None:
-    print(serialize_graph(apply(args.steps)))
+def _cmd_extract(args: argparse.Namespace) -> None:
+    _emit_steps(*extract_henneberg(args.graph), args.format)
+
+
+def _cmd_jj_extract(args: argparse.Namespace) -> None:
+    _emit_steps(*extract_jj(args.graph), args.format)
+
+
+def _cmd_apply(args: argparse.Namespace) -> None:
+    print(serialize_graph(apply_henneberg(args.steps)))
+
+
+def _cmd_jj_apply(args: argparse.Namespace) -> None:
+    print(serialize_graph(apply_jj(args.steps)))
 
 
 def _cmd_es_map(args: argparse.Namespace) -> None:
@@ -331,10 +343,10 @@ _COMMANDS = (
      ["graph", _ORIENTATION], "seed"),
     ("sample", "project", "Gauss-Newton projection onto a graph's incidence system",
      _cmd_sample_project, ["graph", "config"], "tol"),
-    ("henneberg", "extract", None, partial(_cmd_extract, extract_henneberg), ["graph"], "format"),
-    ("henneberg", "apply", None, partial(_cmd_apply, apply_henneberg), ["steps"], ""),
-    ("henneberg", "jj-extract", None, partial(_cmd_extract, extract_jj), ["graph"], "format"),
-    ("henneberg", "jj-apply", None, partial(_cmd_apply, apply_jj), ["steps"], ""),
+    ("henneberg", "extract", None, _cmd_extract, ["graph"], "format"),
+    ("henneberg", "apply", None, _cmd_apply, ["steps"], ""),
+    ("henneberg", "jj-extract", None, _cmd_jj_extract, ["graph"], "format"),
+    ("henneberg", "jj-apply", None, _cmd_jj_apply, ["steps"], ""),
     ("es", "map", "pair file -> line configuration", _cmd_es_map, ["pairs"], ""),
     ("es", "invert", "line configuration -> pair file", _cmd_es_invert, ["config"], ""),
     ("es", "rotation", "rotation represented by a 3-space point", _cmd_es_rotation,

@@ -24,6 +24,10 @@ from .errors import DomainError, GraphParseError, load_json
 
 Edge = tuple[int, int]
 
+# The largest vertex count a graph file may declare: every analysis allocates in
+# proportion to n, so a short file must not name a huge one.
+MAX_VERTICES = 10 ** 6
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -215,7 +219,10 @@ def _int_pair(k: int, ln: str, what: str) -> list[int]:
 
 
 def _parse_edges(n: int, items: Iterable[object], where: Callable[[int], str]) -> Graph:
-    """Both formats' edge loop: distinct int pairs below n, none repeated; where(k) names item k."""
+    """Both formats' edge loop: distinct int pairs below n, none repeated; where(k) names
+    item k. n above MAX_VERTICES is refused before any edge is read."""
+    if n > MAX_VERTICES:
+        raise GraphParseError(f"n={n} exceeds the limit of {MAX_VERTICES} vertices")
     edges: set[Edge] = set()
     for k, item in enumerate(items):
         if not isinstance(item, list) or len(item) != 2:

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import linerig
 from linerig.cli import build_parser, main
-from linerig.graphs import generate, parse_graph, serialize_graph
+from linerig.graphs import MAX_VERTICES, generate, parse_graph, serialize_graph
 from linerig.verify import SUITES
 
 
@@ -67,6 +68,16 @@ def test_analyze_parse_error_exit_2(tmp_path, capsys):
     path.write_text('{"n":3,"edges":[[0,0]]}')
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 2 and "self-loop" in err
+
+
+@pytest.mark.parametrize("text", ['{"n":100000000000,"edges":[]}', "100000000000 0\n"],
+                         ids=["json", "edge-list"])
+def test_analyze_refuses_a_vertex_count_above_the_limit(tmp_path, capsys, text):
+    path = tmp_path / "huge"
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: n=100000000000 exceeds the limit of {MAX_VERTICES} vertices\n"
 
 
 def test_analyze_missing_file_exit_2(capsys):
@@ -260,6 +271,21 @@ def test_henneberg_cli_round_trip(tmp_path, capsys):
     assert code == 0
     replay = parse_graph(out)
     assert replay.relabeled(payload["relabel"]) == G
+
+
+def test_henneberg_leaves_look_their_function_up_when_run(monkeypatch, capsys):
+    import linerig.cli as cli
+    calls = []
+
+    def counted(G, _fn=cli.extract_jj):
+        calls.append(G)
+        return _fn(G)
+
+    monkeypatch.setattr(cli, "extract_jj", counted)
+    G = generate("hendrickson_random", [8], seed=1)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_graph(G)))
+    code, out, _ = run(capsys, "henneberg", "jj-extract", "-")
+    assert code == 0 and calls == [G] and json.loads(out)["steps"]
 
 
 def test_es_cli_round_trip(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from linerig.errors import DomainError, GraphParseError
-from linerig.graphs import Graph, catalog, generate, parse_graph, serialize_graph
+from linerig.graphs import MAX_VERTICES, Graph, catalog, generate, parse_graph, serialize_graph
 from linerig.sparsity import is_hendrickson, is_laman
 
 
@@ -49,6 +49,14 @@ def test_both_formats_share_one_edge_loop(edges, message):
     listing = "\n".join([f"3 {len(edges)}", *(f"{i} {j}" for i, j in edges)])
     with pytest.raises(GraphParseError, match=re.escape(f"line {k + 2}: {message}")):
         parse_graph(listing, fmt="edge-list")
+
+
+def test_both_formats_bound_the_vertex_count():
+    for fmt, at_limit, above in (("json", '{"n":%d}', '{"n":%d,"edges":[[0,1]]}'),
+                                 ("edge-list", "%d 0", "%d 1\n0 1")):
+        assert parse_graph(at_limit % MAX_VERTICES, fmt=fmt) == Graph(MAX_VERTICES)
+        with pytest.raises(GraphParseError, match=f"exceeds the limit of {MAX_VERTICES}"):
+            parse_graph(above % (MAX_VERTICES + 1), fmt=fmt)
 
 
 @pytest.mark.parametrize("text", [

@@ -123,24 +123,38 @@ _ENTRIES = (st.integers(-4, 4) | st.integers(-2 ** 80, 2 ** 80)
             | st.fractions(-4, 4, max_denominator=9))
 
 
-def _matrices(rows, cols):
-    return st.lists(st.lists(_ENTRIES, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+# entries past the int64 kernel's own range: at or above 2^31 (a residue's bound)
+# and 2^63 (int64's) in absolute value, and Fractions with large denominators
+_WIDE_ENTRIES = (st.integers(-4, 4)
+                 | st.integers(2 ** 31, 2 ** 33) | st.integers(-2 ** 33, -2 ** 31)
+                 | st.integers(2 ** 63, 2 ** 66) | st.integers(-2 ** 66, -2 ** 63)
+                 | st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.integers(2 ** 31, 2 ** 70)))
+
+
+def _matrices(rows, cols, entries=_ENTRIES):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
 
 
 @st.composite
-def _exact_matrices(draw):
+def _exact_matrices(draw, entries=_ENTRIES):
     rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     if draw(st.booleans()):
-        return draw(_matrices(rows, cols))
+        return draw(_matrices(rows, cols, entries))
     # a product A B of inner size k has rank at most k
     k = draw(st.integers(1, 3))
-    A, B = draw(_matrices(rows, k)), draw(_matrices(k, cols))
+    A, B = draw(_matrices(rows, k, entries)), draw(_matrices(k, cols, entries))
     return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
 
 
 @settings(max_examples=150)
 @given(M=_exact_matrices(), seed=st.integers(0, 3))
 def test_rank_exact_matches_fraction_elimination(M, seed):
+    assert rank_exact(M, seed=seed) == fraction_rank(M)
+
+
+@settings(max_examples=150)
+@given(M=_exact_matrices(_WIDE_ENTRIES), seed=st.integers(0, 3))
+def test_rank_exact_matches_fraction_elimination_on_wide_entries(M, seed):
     assert rank_exact(M, seed=seed) == fraction_rank(M)
 
 
@@ -166,6 +180,15 @@ def test_full_rank_takes_one_prime_and_deficient_rank_two(monkeypatch):
     results.clear()
     outer = [[i * j for j in range(1, 6)] for i in range(1, 5)]
     assert rank_exact(outer) == 1 and len(results) >= 2 and set(results) == {1}
+
+
+def test_rank_exact_survives_a_prime_that_divides_a_pivot(monkeypatch):
+    p = numeric._random_prime(random.Random("rank_exact:0"))
+    results = _count_eliminations(monkeypatch)
+    # column 0's only nonzero entry is p, so the first prime sees rank 1
+    assert rank_exact([[p, 1], [0, 1]]) == 2 and results == [1, 2]
+    results.clear()
+    assert rank_exact([[p, 1, 1], [0, 1, 1], [0, 0, 0]]) == 2 and results == [1, 2, 2]
 
 
 def test_rank_exact_skips_a_prime_that_divides_a_denominator(monkeypatch):
