@@ -31,7 +31,14 @@ MAX_VERTICES = 10 ** 6
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph. ``edges`` is canonically sorted, each pair (i, j) with i < j."""
+    """Immutable simple graph. ``edges`` is canonically sorted, each pair (i, j) with i < j.
+
+    ``Graph(n, edges)`` validates its arguments and sorts the edges. The derived
+    graphs (``with_edge``, ``without_edge``, ``without_vertex``) skip that check:
+    each edits a canonical tuple in a way that keeps it canonical (a deletion, the
+    order-preserving relabel of a vertex deletion, one checked edge inserted at its
+    ``bisect`` position), so they rely on their source being canonical.
+    """
 
     n: int
     edges: tuple[Edge, ...] = ()
@@ -84,27 +91,42 @@ class Graph:
         return frozenset(self.edges)
 
     def with_edge(self, u: int, v: int) -> "Graph":
+        """Add the edge uv: two distinct vertices below n, not already joined."""
+        u, v = _endpoints((u, v))
         if u == v:
             raise DomainError("cannot add a self-loop")
         e = (u, v) if u < v else (v, u)
-        if e in self._edge_set:
+        if not (0 <= e[0] and e[1] < self.n):
+            raise DomainError(f"edge {e} is not an ordered pair of distinct vertices below n={self.n}")
+        k = bisect_left(self.edges, e)
+        if self.edges[k:k + 1] == (e,):
             raise DomainError(f"edge {e} already present")
-        return Graph(self.n, tuple(sorted(self.edges + (e,))))
+        return Graph._derived(self.n, self.edges[:k] + (e,) + self.edges[k:])
 
     def without_edge(self, u: int, v: int) -> "Graph":
         e = (u, v) if u < v else (v, u)
         k = bisect_left(self.edges, e)
         if self.edges[k:k + 1] != (e,):
             raise DomainError(f"edge {e} not present")
-        return Graph(self.n, self.edges[:k] + self.edges[k + 1:])
+        return Graph._derived(self.n, self.edges[:k] + self.edges[k + 1:])
 
     def without_vertex(self, v: int) -> tuple["Graph", list[int]]:
         """Delete vertex v. Returns the compacted graph and the list of surviving old labels."""
-        if not 0 <= v < self.n:
-            raise DomainError(f"no vertex {v}")
+        if not (_is_integer(v) and 0 <= v < self.n):
+            raise DomainError(f"no vertex {v!r}")
+        v = int(v)
         keep = [x for x in range(self.n) if x != v]
         edges = tuple((i - (i > v), j - (j > v)) for i, j in self.edges if i != v != j)
-        return Graph(self.n - 1, edges), keep
+        return Graph._derived(self.n - 1, edges), keep
+
+    @classmethod
+    def _derived(cls, n: int, edges: tuple[Edge, ...]) -> "Graph":
+        """A graph from canonical edges, without ``__post_init__``'s O(m) check: the
+        derivations above build only canonical tuples from a canonical source."""
+        G = object.__new__(cls)
+        object.__setattr__(G, "n", n)
+        object.__setattr__(G, "edges", edges)
+        return G
 
     def relabeled(self, mapping: Sequence[int]) -> "Graph":
         """Apply the vertex relabeling ``old -> mapping[old]`` (a permutation of 0..n-1)."""

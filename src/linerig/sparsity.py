@@ -6,8 +6,10 @@ greedy pass over the canonical edge order with an exact independence test comput
 the rank and a lexicographically least maximum independent witness.
 
 The test is the (2,3)-pebble game (Jacobs-Hendrickson 1997; Lee-Streinu 2008),
-played in one function. Each search for a free pebble marks the vertices it
-reaches with an integer stamp in a list and records its tree in another, both
+played in one function. A vertex has at most two out-heads, kept in two flat
+int lists (-1 for an empty slot), so a search step reads two slots and a path
+reversal overwrites two. Each search for a free pebble marks the vertices it
+reaches with an integer stamp in a list and records its tree in another, all
 allocated once per game. An accepted edge (u, v), u < v, spends v's pebble and
 is directed v -> u, so u keeps its pebbles for its later edges. The game stops
 once it has accepted 2n - 3 edges, since no later edge can be independent.
@@ -32,14 +34,14 @@ class SparsityRankResult:
 def sparsity_rank(G: Graph) -> SparsityRankResult:
     """Matroid rank of the edge set, via the (2,3)-pebble game.
 
-    Every vertex starts with 2 pebbles and keeps ``pebbles[v] + len(out[v]) == 2``,
-    so each ``out[v]`` holds at most two heads. An edge (u, v) is independent iff
-    u and then v can be brought to 2 pebbles by searches along directed accepted
-    edges, each stopping at the first free pebble on a vertex other than the other
-    endpoint, reversing the path and moving that pebble to its root. A search that
-    fails reached k vertices, both endpoints among them, holding 3 free pebbles in
-    all (a sparse set leaves no fewer), so they span 2k - 3 accepted edges and the
-    edge is dependent.
+    Every vertex starts with 2 pebbles and keeps pebbles[v] plus its out-degree
+    equal to 2, so its out-heads fit in two slots, ``head0[v]`` and ``head1[v]``.
+    An edge (u, v) is independent iff u and then v can be brought to 2 pebbles
+    by searches along directed accepted edges, each stopping at the first free
+    pebble on a vertex other than the other endpoint, reversing the path and
+    moving that pebble to its root. A search that fails reached k vertices, both
+    endpoints among them, holding 3 free pebbles in all (a sparse set leaves no
+    fewer), so they span 2k - 3 accepted edges and the edge is dependent.
     Independence does not depend on the searches, so the witness is exactly the
     greedy maximum independent subset in canonical edge order.
     """
@@ -48,10 +50,14 @@ def sparsity_rank(G: Graph) -> SparsityRankResult:
         raise DomainError("sparsity rank needs at least 2 vertices")
     full = 2 * n - 3
     pebbles = [2] * n
-    out: list[list[int]] = [[] for _ in range(n)]
+    # the out-heads of x in the order they were added: head0[x], then head1[x];
+    # -1 marks an empty slot, and head1[x] is empty whenever head0[x] is
+    head0 = [-1] * n
+    head1 = [-1] * n
     # seen[x] == stamp marks the vertices the current search has reached, and
-    # parent[x] the vertex it reached x from
-    seen = [0] * n
+    # parent[x] the vertex it reached x from; each search also stamps seen[-1],
+    # an extra slot, so that an empty head reads as reached
+    seen = [0] * (n + 1)
     parent = [0] * n
     stamp = 0
     accepted: list[Edge] = []
@@ -59,35 +65,47 @@ def sparsity_rank(G: Graph) -> SparsityRankResult:
         for root, other in ((u, v), (v, u)):
             while pebbles[root] < 2:
                 stamp += 1
-                seen[root] = stamp
+                seen[root] = seen[-1] = stamp
                 stack = [root]
                 while stack:
                     x = stack.pop()
-                    for y in out[x]:
-                        if seen[y] != stamp:
-                            seen[y] = stamp
-                            parent[y] = x
-                            if pebbles[y] and y != other:
-                                break
-                            stack.append(y)
-                    else:
-                        continue
-                    # y has a free pebble: reverse the path to it and move the pebble to root
-                    pebbles[y] -= 1
-                    while y != root:
-                        x = parent[y]
-                        out[x].remove(y)
-                        out[y].append(x)
-                        y = x
-                    pebbles[root] += 1
-                    break
+                    y = head0[x]
+                    if seen[y] != stamp:
+                        seen[y] = stamp
+                        parent[y] = x
+                        if pebbles[y] and y != other:
+                            break
+                        stack.append(y)
+                    y = head1[x]
+                    if seen[y] != stamp:
+                        seen[y] = stamp
+                        parent[y] = x
+                        if pebbles[y] and y != other:
+                            break
+                        stack.append(y)
                 else:
                     break
+                # y has a free pebble: reverse the path to it and move the pebble to root
+                pebbles[y] -= 1
+                while y != root:
+                    x = parent[y]
+                    if head0[x] == y:
+                        head0[x] = head1[x]
+                    head1[x] = -1
+                    if head0[y] < 0:
+                        head0[y] = x
+                    else:
+                        head1[y] = x
+                    y = x
+                pebbles[root] += 1
             if pebbles[root] < 2:
                 break
         else:
             pebbles[v] -= 1
-            out[v].append(u)
+            if head0[v] < 0:
+                head0[v] = u
+            else:
+                head1[v] = u
             accepted.append((u, v))
             if len(accepted) == full:
                 break

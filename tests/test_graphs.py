@@ -1,12 +1,16 @@
 import json
 import re
 import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linerig.errors import DomainError, GraphParseError
-from linerig.graphs import MAX_VERTICES, Graph, catalog, generate, parse_graph, serialize_graph
+from linerig.graphs import (MAX_VERTICES, Graph, _is_canonical, catalog, generate, parse_graph,
+                            serialize_graph)
 from linerig.sparsity import is_hendrickson, is_laman
 
 
@@ -202,6 +206,53 @@ def test_without_vertex_relabels():
     H, keep = G.without_vertex(0)
     assert H.n == 4 and keep == [1, 2, 3, 4]
     assert H.m == 4  # the rim cycle
+    for v in (5, -1, 1.0, True):
+        with pytest.raises(DomainError, match="no vertex"):
+            G.without_vertex(v)
+    assert G.without_vertex(np.int64(2)) == G.without_vertex(2)
+    assert type(G.without_vertex(np.int64(2))[0].edges[0][1]) is int
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = list(combinations(range(n), 2))
+    return Graph(n, tuple(sorted(draw(st.sets(st.sampled_from(pairs))) if pairs else ())))
+
+
+def _same(derived, validated):
+    assert derived == validated and hash(derived) == hash(validated)
+    assert _is_canonical(derived.n, derived.edges)
+
+
+@settings(max_examples=80)
+@given(G=_graphs(), data=st.data())
+def test_derived_graphs_equal_validated_graphs(G, data):
+    """with_edge, without_edge and without_vertex skip Graph's validation; each
+    must build exactly the graph that Graph(n, edges) builds through it."""
+    v = data.draw(st.integers(0, G.n - 1))
+    H, keep = G.without_vertex(v)
+    assert keep == [x for x in range(G.n) if x != v]
+    new = {x: k for k, x in enumerate(keep)}
+    _same(H, Graph(G.n - 1, [(new[i], new[j]) for i, j in G.edges if v not in (i, j)]))
+    if G.edges:
+        i, j = data.draw(st.sampled_from(G.edges))
+        _same(G.without_edge(j, i), Graph(G.n, [e for e in G.edges if e != (i, j)]))
+    missing = [e for e in combinations(range(G.n), 2) if not G.has_edge(*e)]
+    if missing:
+        i, j = data.draw(st.sampled_from(missing))
+        _same(G.with_edge(j, i), Graph(G.n, [*G.edges, (i, j)]))
+
+
+def test_with_edge_checks_the_vertices_it_is_given():
+    G = Graph(4, ((0, 1), (1, 2)))
+    for u, v, message in ((0, 4, "below n=4"), (-1, 2, "below n=4"), (True, 3, "not an integer"),
+                          (0, 2.0, "not an integer"), (3, 3, "self-loop"),
+                          (2, 1, r"edge \(1, 2\) already present")):
+        with pytest.raises(DomainError, match=message):
+            G.with_edge(u, v)
+    H = G.with_edge(np.int64(3), np.int32(0))
+    assert H == Graph(4, ((0, 1), (0, 3), (1, 2))) and type(H.edges[1][0]) is int
 
 
 def test_relabeled_permutation():

@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from helpers import (brute_sparsity_rank, random_graph, random_graph_of_degree,
+from helpers import (brute_sparsity_rank, glued_on_edge, random_graph, random_graph_of_degree,
                      reference_sparsity_rank)
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +41,18 @@ def test_game_matches_the_reference_game(n, density, seed):
     pairs = list(combinations(range(n), 2))
     G = Graph(n, tuple(sorted(random.Random(seed).sample(pairs, round(density * len(pairs))))))
     assert sparsity_rank(G) == reference_sparsity_rank(G)
+
+
+def test_game_matches_the_reference_game_on_every_single_edge_deletion():
+    # dense redundant graphs reach the late searches where few pebbles are free,
+    # which the uniform densities above rarely do
+    graphs = [generate("hendrickson_random", [n, n // 4]) for n in (30, 45, 60)]
+    graphs.append(glued_on_edge(generate("hendrickson_random", [24, 6], seed=1),
+                                generate("hendrickson_random", [20, 5], seed=2), seed=0))
+    for G in graphs:
+        for e in G.edges:
+            H = G.without_edge(*e)
+            assert sparsity_rank(H) == reference_sparsity_rank(H), (G.n, e)
 
 
 def test_complete_graph_witness_is_the_edges_at_0_and_1():
