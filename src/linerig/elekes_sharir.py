@@ -150,10 +150,10 @@ def recover_motion(A: Sequence[Sequence[Scalar]], B: Sequence[Sequence[Scalar]],
                    orientation: int = 1, tol: float = 1e-8) -> PlanarMotion:
     """Least-squares rigid motion of the requested orientation taking A to B.
 
-    Inputs must be congruent within tolerance; the first violating pair of
-    indices, in lexicographic order, is reported otherwise. Orientation-constrained orthogonal fit on centered
-    coordinates, translations included (a pure translation yields the identity
-    matrix part).
+    Inputs must be congruent, each distance within tol * max |coordinate|; the
+    first violating pair of indices, in lexicographic order, is reported otherwise.
+    Orientation-constrained orthogonal fit on centered coordinates, translations
+    included (a pure translation yields the identity matrix part).
     """
     if orientation not in (1, -1):
         raise DomainError("orientation must be +1 or -1")
@@ -164,7 +164,7 @@ def recover_motion(A: Sequence[Sequence[Scalar]], B: Sequence[Sequence[Scalar]],
     if pa.shape[0] < 2:
         raise DomainError("need at least 2 points")
     # H below sums a product of centered coordinates over every point
-    scale = 1.0 + check_squares(np.concatenate([pa, pb]), max(2, len(pa)))
+    scale = check_squares(np.concatenate([pa, pb]), max(2, len(pa)))
     i, j = np.triu_indices(pa.shape[0], 1)
     da = np.linalg.norm(pa[i] - pa[j], axis=1)
     db = np.linalg.norm(pb[i] - pb[j], axis=1)

@@ -11,15 +11,16 @@ vanishes. incidence, the one copy of that formula, takes D coordinates first (a
 Coordinates may be ints, Fractions, or floats; the algebra stays exact for the
 exact types, whose quotients are Fractions.
 
-Every tolerance test on a pair of lines is one kernel, pair_tests: over index
-arrays of pairs of rows of an (n, 4) chart array it gives the masks meet (|g|),
-parallel (D2, D3) and coincide (all of D), each held to tol times the pair's own
-scale, 1 + the largest |coordinate| of its two lines (edge_scales), which
-line_system_dimension and the Gauss-Newton projection divide residuals by. Other
-predicates use tol * (1 + max |coordinate|) over their lines, scaled further by
-solution magnitudes where products with solved unknowns appear. Exact lines
-are decided exactly: each predicate the constructions use branches once on
-is_exact, and tests exact input with == 0 where float input is held to tol.
+Both edge systems (lines, and pairs of embeddings) hold float residuals to one
+scale-free rule, residual_measure: an edge between 4-rows X_i and X_j (line charts,
+or points (p, p') side by side), with d = max |X_i - X_j| and big = max |X_i, X_j|,
+passes at tol when |g| <= tol * d**2 + 16 eps * big * d. Both terms are quadratic,
+as g is, so scaling moves no verdict; a translation by T moves only the rounding
+term, which passes skew pairs with |g| / d**2 below about 16 eps T / d. pair_tests
+masks pairs of lines that meet (by the rule), are parallel (D2, D3) or coincide (all
+of D), the last two within tol * big. Other predicates use tol * (1 + max
+|coordinate|), scaled by solution magnitudes where products with solved unknowns
+appear. Exact lines are decided exactly (== 0): each predicate branches on is_exact.
 
 Common points and planes come from one array kernel, point_kernel and
 plane_kernel, with boolean masks of where one was found. It works batch-last, on
@@ -188,11 +189,29 @@ def meet_residual(l1: Line, l2: Line) -> Scalar:
     return incidence((l1.a - l2.a, l1.b - l2.b, l1.c - l2.c, l1.d - l2.d))
 
 
-def edge_scales(X: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The scale of each pair of lines X[i[k]] and X[j[k]] of an (n, 4) float array
-    of chart coordinates: 1 + the largest |coordinate| of the two."""
-    big = np.abs(X).max(axis=1)
-    return 1.0 + np.maximum(big[i], big[j])
+# the least positive float: np.maximum(s, _TINY) is s wherever s > 0, and turns
+# an exact 0 into a divisor that leaves the 0 it divides as 0
+_TINY = np.finfo(float).smallest_subnormal
+_ROUNDING = 16 * np.finfo(float).eps  # the residual rule's rounding allowance
+
+
+def residual_measure(g, d, big):
+    """(|g| - 16 eps * big * d) / d**2 of residuals g: an edge passes the residual
+    rule at tol when this is <= tol (0 where d = 0, and so g = 0)."""
+    return (np.abs(g) - _ROUNDING * big * d) / np.maximum(d * d, _TINY)
+
+
+def _edge_norms(X: np.ndarray, i, j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D = X[i] - X[j] coordinates first, max |D| and max |X[i], X[j]|, of (n, 4) rows."""
+    T = np.ascontiguousarray(X.T)
+    D = T.take(i, axis=1) - T.take(j, axis=1)
+    big = np.abs(T).max(axis=0)
+    return D, np.abs(D).max(axis=0), np.maximum(big.take(i), big.take(j))
+
+
+def edge_residuals(g, X: np.ndarray, i, j) -> np.ndarray:
+    """residual_measure of residuals g of the edges (X[i], X[j]) of an (n, 4) float array."""
+    return residual_measure(g, *_edge_norms(X, i, j)[1:])
 
 
 # masks over pairs of lines: they meet (intersect, are parallel or coincide), their
@@ -203,15 +222,15 @@ PairTests = NamedTuple("PairTests", [("meet", np.ndarray), ("parallel", np.ndarr
 
 def pair_tests(X, i, j, tol: float = 1e-8) -> PairTests:
     """The line-pair predicates of the lines X[i[k]] and X[j[k]] of an (n, 4) chart
-    array, taken as floats: |incidence|, the larger |direction difference| and the
-    largest |coordinate difference|, each held to tol * edge_scales. Coordinates
-    whose incidence could overflow raise DomainError (check_squares)."""
+    array, taken as floats: the residual rule on the incidence, and the larger
+    |direction difference| and the largest |coordinate difference| within tol * big.
+    Coordinates whose incidence could overflow raise DomainError (check_squares)."""
     X = np.asarray(X, dtype=float)
     check_squares(X, 2)  # the incidence sums two products of differences
-    D = (X[i] - X[j]).T
-    A = np.abs(D)
-    s = tol * edge_scales(X, i, j)
-    return PairTests(np.abs(incidence(D)) <= s, np.maximum(A[2], A[3]) <= s, A.max(axis=0) <= s)
+    D, d, big = _edge_norms(X, i, j)
+    s = tol * big
+    return PairTests(residual_measure(incidence(D), d, big) <= tol,
+                     np.maximum(np.abs(D[2]), np.abs(D[3])) <= s, d <= s)
 
 
 def intersection_graph(L: LineConfig, tol: float = 1e-8) -> Graph:
@@ -252,11 +271,6 @@ def _line_sum(A: np.ndarray) -> np.ndarray:
     if A.shape[-1] != 1:
         return A.sum(axis=-2)
     return np.add.accumulate(A, axis=-2)[..., -1, :]
-
-
-# the least positive float: np.maximum(s, _TINY) is s wherever s > 0, and turns
-# an exact 0 into a divisor that leaves the 0 it divides as 0
-_TINY = np.finfo(float).smallest_subnormal
 
 
 def point_kernel(V: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

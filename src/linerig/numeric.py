@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError
 from .graphs import Graph
-from .lines3d import Line, LineConfig, check_squares, edge_scales, incidence_form, is_exact
+from .lines3d import Line, LineConfig, check_squares, edge_residuals, incidence_form, is_exact
 
 Scalar = Union[int, float, Fraction]
 Form = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -240,7 +240,7 @@ def edge_system(X: np.ndarray, i: np.ndarray, j: np.ndarray, form: Form
     negation in those of vertex j[k]. X may be float, or an object array of ints
     and Fractions, in which case g and J are exact.
     """
-    D = X[i] - X[j]
+    D = X.take(i, axis=0) - X.take(j, axis=0)
     g, grad = form(D)
     m, w = D.shape
     J = np.zeros((m, w * X.shape[0]), dtype=X.dtype)
@@ -277,21 +277,22 @@ def _coordinates(rows, width: int) -> np.ndarray:
 # edge function and rigidity matrix
 
 
-def _embedding_system(G: Graph, p) -> tuple[np.ndarray, np.ndarray]:
+def _embedding_system(G: Graph, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if len(p) != G.n:
         raise DomainError(f"embedding has {len(p)} points for a graph on {G.n} vertices")
-    return edge_system(_coordinates(p, 2), *edge_index(G), length_form)
+    P = _coordinates(p, 2)
+    return (P, *edge_system(P, *edge_index(G), length_form))
 
 
 def edge_function(G: Graph, p) -> np.ndarray:
     """Squared edge lengths in canonical edge order."""
-    return _embedding_system(G, p)[0]
+    return _embedding_system(G, p)[1]
 
 
 def rigidity_matrix(G: Graph, p) -> np.ndarray:
     """m x 2n Jacobian of the edge function: row (i,j) holds 2(p_i - p_j) at slot i
     and the negation at slot j."""
-    return _embedding_system(G, p)[1]
+    return _embedding_system(G, p)[2]
 
 
 def random_embedding(n: int, rng: np.random.Generator, box: int = 10 ** 4) -> np.ndarray:
@@ -356,8 +357,7 @@ def line_system_dimension(G: Graph, x: LineConfig, tol: float = DEFAULT_TOL,
     """
     X, i, j = _line_arrays(G, x)
     g, J = edge_system(X, i, j, incidence_form)
-    return _certify(G, g, "configuration violates the incidence system", J, tol, exact,
-                    lambda: edge_scales(X.astype(float), i, j))
+    return _certify(G, g, "configuration violates the incidence system", J, tol, exact, X)
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +365,11 @@ def line_system_dimension(G: Graph, x: LineConfig, tol: float = DEFAULT_TOL,
 
 
 def _pair_system(G: Graph, p, p_prime) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge lengths f(p), f(p') and the m x 4n Jacobian [R(p), -R(p')]; float when
-    either embedding is."""
-    (fp, Jp), (fq, Jq) = _embedding_system(G, p), _embedding_system(G, p_prime)
+    """Rows (p_i, p'_i), f(p) - f(p') and [R(p), -R(p')]; float when either p is."""
+    (P, fp, Jp), (Q, fq, Jq) = _embedding_system(G, p), _embedding_system(G, p_prime)
     if Jp.dtype != Jq.dtype:
         fp, Jp, fq, Jq = (a.astype(float) for a in (fp, Jp, fq, Jq))
-    return fp, fq, np.hstack([Jp, -Jq])
+    return np.hstack([P, Q]), fp - fq, np.hstack([Jp, -Jq])
 
 
 def pair_system_jacobian(G: Graph, p, p_prime) -> np.ndarray:
@@ -381,15 +380,14 @@ def pair_system_jacobian(G: Graph, p, p_prime) -> np.ndarray:
 def pair_system_dimension(G: Graph, p, p_prime, tol: float = DEFAULT_TOL,
                           exact: bool = False) -> DimensionReport:
     """Rank certificate for the equal-edge-lengths system at a pair of embeddings."""
-    fp, fq, J = _pair_system(G, p, p_prime)
-    return _certify(G, fp - fq, "edge lengths differ", J, tol, exact,
-                    lambda: 1.0 + np.abs(np.hstack([fp, fq]).astype(float)).max(initial=0.0))
+    X, g, J = _pair_system(G, p, p_prime)
+    return _certify(G, g, "edge lengths differ", J, tol, exact, X)
 
 
 def _certify(G: Graph, g: np.ndarray, violation: str, J: np.ndarray, tol: float,
-             exact: bool, scale: Callable[[], np.ndarray]) -> DimensionReport:
-    """The dimension reports' shared tail: the residuals g must vanish, exactly in exact
-    mode and within tol of scale() otherwise; then J's rank is compared with m."""
+             exact: bool, X: np.ndarray) -> DimensionReport:
+    """The dimension reports' shared tail: the residuals g of the edges on the rows X
+    vanish exactly, or pass edge_residuals' rule; then J's rank is compared with m."""
     if exact:
         if J.dtype != object:
             raise DomainError("exact mode needs integer or rational coordinates")
@@ -398,7 +396,7 @@ def _certify(G: Graph, g: np.ndarray, violation: str, J: np.ndarray, tol: float,
                 raise DomainError(f"{violation}: edge {edge} has nonzero residual {r}")
         rank, kept, dropped = rank_exact(J), None, None
     else:
-        rel = np.abs(g.astype(float)) / scale()
+        rel = edge_residuals(g.astype(float), X.astype(float), *edge_index(G))
         if G.m:
             k = int(np.argmax(rel))
             if not rel[k] <= tol:

@@ -7,12 +7,9 @@ projected random start lands at a smooth point of a full-dimensional component,
 which is what the paper's *generic* realization asks for; no Henneberg sequence is
 replayed.
 
-The projection measures each edge's residual against its own pair scale, 1 + the
-largest |coordinate| of its two lines (lines3d.edge_scales, the normalization of
-lines3d.pair_tests and line_system_dimension). It returns as soon as every edge is within
-the requested tolerance, and gives up as soon as two steps in a row fail to improve
-on the best residual: at that point it sits at the float floor, and more steps only
-cost time.
+The projection returns as soon as every edge passes the residual rule of
+lines3d.edge_residuals, which pair_tests and line_system_dimension apply too, and
+gives up as soon as two steps in a row fail to lower the largest |g|.
 
 The exact sampler constructs its configuration line by line in exact arithmetic
 (int draws, Fraction quotients), replaying the graph's extension sequence: the
@@ -42,7 +39,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, SampleError
 from .graphs import Graph
 from .henneberg import Ext0, Ext1, extract_henneberg
-from .lines3d import (Line, LineConfig, _triple_coplanar, check_squares, edge_scales,
+from .lines3d import (Line, LineConfig, _triple_coplanar, check_squares, edge_residuals,
                       incidence_form, line_through, meet_residual, pair_intersection,
                       pair_tests, transversal_detail)
 from .numeric import DimensionReport, edge_index, edge_system, line_system_dimension
@@ -162,36 +159,37 @@ def gauss_newton_project(G: Graph, x0: LineConfig, tol: float = 1e-12,
                          max_iter: int = 50) -> LineConfig:
     """Project a nearby configuration onto the incidence system of G.
 
-    Least-norm Gauss-Newton steps through the analytic Jacobian. Each edge's
-    residual is taken relative to its own pair scale (lines3d.edge_scales). Returns
-    as soon as every edge is within tol. Raises ConvergenceError, carrying the best
-    residual reached, when two steps in a row fail to improve on it (a stall at the
-    float floor, which lies above tol) or when max_iter steps did not reach tol.
+    Least-norm Gauss-Newton steps. Returns once every edge passes the residual rule
+    at tol (lines3d.edge_residuals), whose rounding term passes the float floor.
+    Raises ConvergenceError, carrying the largest measure at the step of least
+    max |g|, when two steps in a row fail to lower that max |g| (from a random start
+    the measures swing while lines travel far) or max_iter steps do not reach tol.
     """
     if x0.n != G.n:
         raise DomainError(f"configuration has {x0.n} lines for a graph on {G.n} vertices")
     i, j = edge_index(G)
     X = x0.as_array()
     check_squares(X, 2)  # the incidence sums two products of differences
-    best, stalls = np.inf, 0
+    best, measure, stalls = np.inf, np.inf, 0
     for step in range(max_iter + 1):
         g, J = edge_system(X, i, j, incidence_form)
-        worst = float(np.max(np.abs(g) / edge_scales(X, i, j), initial=0.0))
+        worst = float(np.max(edge_residuals(g, X, i, j), initial=0.0))
         if worst <= tol:
             return LineConfig.from_rows(X.tolist())
-        if worst < best:
-            best, stalls = worst, 0
+        size = float(np.abs(g).max())
+        if size < best:
+            best, measure, stalls = size, worst, 0
         else:
             stalls += 1
             if stalls == 2 or not np.isfinite(worst):
                 raise ConvergenceError(
-                    f"Gauss-Newton stalled at residual {best:.2e} after {step} steps, "
-                    f"above tol {tol:.1e}", best)
+                    f"Gauss-Newton stalled at residual {measure:.2e} after {step} steps, "
+                    f"above tol {tol:.1e}", measure)
         if step < max_iter:
             X = X - _least_norm_step(J, g).reshape(X.shape)
     raise ConvergenceError(
         f"Gauss-Newton did not reach tol {tol:.1e} in {max_iter} steps "
-        f"(residual {best:.2e})", best)
+        f"(residual {measure:.2e})", measure)
 
 
 def _certified_sample(G: Graph, draw: Callable[[int], Union[LineConfig, str]], exact: bool,
@@ -218,10 +216,10 @@ def sample_laman_lines_info(G: Graph, seed: int = 0, max_retries: int = 32,
 
     Each attempt draws integer coordinates in [-40, 40] from a generator seeded by
     (seed, attempt) and projects them onto the incidence system with Gauss-Newton
-    to tol, which leaves every edge's residual within tol of its pair scale. The
-    projection is kept when no two lines coincide within 1e-8 of their pair scale
-    (pair_tests) and the float Jacobian has full rank; any other attempt is retried
-    with a fresh draw.
+    to tol, which holds every edge's residual to the residual rule at tol. The
+    projection is kept when no two lines coincide within 1e-8 of their largest
+    |coordinate| (pair_tests) and the float Jacobian has full rank; any other
+    attempt is retried with a fresh draw.
     """
     if not is_laman(G):
         raise DomainError("sample_laman_lines requires a Laman graph")

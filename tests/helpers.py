@@ -10,7 +10,7 @@ import numpy as np
 
 from linerig.errors import DomainError
 from linerig.graphs import Edge, Graph
-from linerig.lines3d import Line, meet_residual
+from linerig.lines3d import Line
 from linerig.sparsity import SparsityRankResult
 
 
@@ -263,22 +263,38 @@ def fraction_rank(rows) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The scalar line-pair predicates as they were before lines3d.pair_tests took
-# their place: one pair of Lines at a time, the residual exact on exact
-# coordinates. Frozen here as the references that pair_tests is held to.
+# The residual rule of both edge systems and the line-pair predicates, one pair of
+# rows at a time, written out here as the references that lines3d.pair_tests,
+# edge_residuals and the dimension certificates are held to. An edge between rows
+# x and y, with d the max-norm of x - y and big the largest |coordinate| of both,
+# passes at tol when its residual g has |g| <= tol * d**2 + ROUNDING * big * d.
+
+ROUNDING = 16 * np.finfo(float).eps
+_TINY = np.finfo(float).smallest_subnormal
 
 
-def _max_coord(*lines: Line) -> float:
-    return max(abs(float(x)) for ln in lines for x in ln.as_tuple())
+def _largest(*rows) -> float:
+    return max(abs(float(v)) for row in rows for v in row)
 
 
 def pair_scale(l1: Line, l2: Line) -> float:
-    """Scale of the incidence residual of two lines: 1 + max |coordinate| of both."""
-    return 1.0 + _max_coord(l1, l2)
+    """The largest |coordinate| of two lines: tol times it bounds the parallel and
+    coincide tests."""
+    return _largest(l1.as_tuple(), l2.as_tuple())
+
+
+def edge_measure(g, x, y) -> float:
+    """(|g| - ROUNDING * big * d) / d**2 of the residual g of the edge between rows x
+    and y (0 where d = 0, and so g = 0): the edge passes at tol when this is <= tol."""
+    d = max(abs(float(a) - float(b)) for a, b in zip(x, y))
+    return (abs(float(g)) - ROUNDING * _largest(x, y) * d) / max(d * d, _TINY)
 
 
 def lines_meet(l1: Line, l2: Line, tol: float = 1e-8) -> bool:
-    return abs(float(meet_residual(l1, l2))) <= tol * pair_scale(l1, l2)
+    """The residual rule on the incidence of two lines, exact on exact coordinates."""
+    x, y = l1.as_tuple(), l2.as_tuple()
+    D = [a - b for a, b in zip(x, y)]
+    return edge_measure(D[0] * D[3] - D[1] * D[2], x, y) <= tol
 
 
 def lines_coincident(l1: Line, l2: Line, tol: float = 1e-8) -> bool:

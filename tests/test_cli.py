@@ -551,10 +551,17 @@ def test_incidence_overflow_is_an_error(tmp_path, capsys, cmd):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error:") and "overflow" in err
     # at 1e150 the products fit: graph and classify answer, dim finds the lines off
-    # the triangle's incidence system, and the projection does not reach it
+    # the triangle's incidence system, and the projection reaches it, scale-free
+    # like the residual rule, so that dim certifies what it prints
     cpath.write_text(cpath.read_text().replace("e200", "e150"))
     code, out, err = run(capsys, *argv)
-    if graph:
+    if cmd == "sample project":
+        assert code == 0 and err == ""
+        cpath.write_text(out)
+        code, out, err = run(capsys, "lines", "dim", str(gpath), str(cpath))
+        rep = json.loads(out)
+        assert code == 0 and err == "" and rep["certified"] and rep["jacobian_rank"] == 3
+    elif graph:
         assert code == 2 and "residual" in err and "overflow" not in err
     else:
         assert code == 0 and err == "" and json.loads(out)

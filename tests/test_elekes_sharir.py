@@ -8,7 +8,9 @@ from linerig.elekes_sharir import (from_line, parse_pair_file, phi,
                                    recover_motion, reflection_at, rotation_at,
                                    serialize_pair_file, to_line, to_lines)
 from linerig.errors import CongruenceError, DomainError
+from linerig.graphs import generate
 from linerig.lines3d import Line, common_plane, common_point, meet_residual
+from linerig.sampler import sample_congruent_pair
 
 
 def test_to_line_examples():
@@ -166,6 +168,23 @@ def test_recover_motion_rejects_non_congruent():
     with pytest.raises(CongruenceError) as err:
         recover_motion([(0, 0), (1, 0)], [(0, 0), (5, 0)])
     assert err.value.pair == (0, 1)
+
+
+def test_recover_motion_is_scale_free():
+    """Congruence is held to tol * max |coordinate|, with no 1 + in it: triangles
+    with sides (1, 3, sqrt 10) and (5, 1, sqrt 26) are told apart, and
+    sample_congruent_pair's pairs recover, at every scale from 1e-14 to 1e8."""
+    A, B = np.array([(0, 0), (1, 0), (0, 3)]), np.array([(0, 0), (5, 0), (0, 1)])
+    G = generate("cycle", [6])
+    pairs = [(o, *sample_congruent_pair(G, orientation=o, seed=s)) for o in (1, -1) for s in (0, 1)]
+    for scale in (10.0 ** k for k in range(-14, 9)):
+        with pytest.raises(CongruenceError) as err:
+            recover_motion(A * scale, B * scale)
+        assert err.value.pair == (0, 1)
+        for orientation, p, q in pairs:
+            motion = recover_motion(p * scale, q * scale, orientation=orientation)
+            assert motion.orientation == orientation
+            assert np.abs(np.array(motion.apply(p * scale)) - q * scale).max() <= 1e-9 * scale
 
 
 def test_recover_motion_reports_the_first_violating_pair():

@@ -4,8 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from helpers import (lines_coincident, lines_meet, pair_scale, rowmajor_common_planes,
-                     rowmajor_common_points)
+from helpers import (ROUNDING, lines_coincident, lines_meet, pair_scale,
+                     rowmajor_common_planes, rowmajor_common_points)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -42,6 +42,15 @@ def test_intersection_graph_origin_pencil():
 def test_intersection_graph_skew_pair():
     cfg = LineConfig((Line(0, 0, 0, 0), Line(1, 0, 0, 1)))
     assert intersection_graph(cfg).m == 0
+
+
+def test_close_skew_lines_do_not_meet():
+    """Lines 1e-5 * (1, 0, 0, 1) apart have |g| = d**2: skew at any scale, though
+    |g| = 1e-10 lies far below tol."""
+    for base in ((0, 0, 0, 0), (3, -2, 5, 7)):
+        X = np.array([base, np.add(base, np.multiply(1e-5, (1, 0, 0, 1)))], dtype=float)
+        assert [t.tolist() for t in pair_tests(X, [0], [1])] == [[False]] * 3
+        assert intersection_graph(LineConfig.from_rows(X.tolist())).m == 0
 
 
 def test_parallel_lines_meet():
@@ -249,63 +258,76 @@ def test_config_json_round_trip():
     assert again.as_array().tolist() == cfg.as_array().tolist()
 
 
-def test_edge_scales_match_pair_scale():
-    from linerig.lines3d import edge_scales
+def test_edge_residuals_match_the_scalar_reference():
+    """edge_residuals is edge_measure on every pair, bit for bit, over lines whose
+    magnitudes span six decades."""
+    from helpers import edge_measure
+
+    from linerig.lines3d import edge_residuals
     rng = random.Random(17)
     cfg = LineConfig.from_rows([[rng.uniform(-10, 10) * 10 ** rng.randint(0, 6) for _ in range(4)]
                                 for _ in range(6)])
     pairs = list(combinations(range(6), 2))
     i, j = (np.array(v) for v in zip(*pairs))
-    assert edge_scales(cfg.as_array(), i, j).tolist() == [pair_scale(cfg[a], cfg[b]) for a, b in pairs]
+    X = cfg.as_array()
+    g = incidence((X[i] - X[j]).T)
+    assert edge_residuals(g, X, i, j).tolist() == [edge_measure(r, X[a], X[b])
+                                                   for r, (a, b) in zip(g.tolist(), pairs)]
 
 
 TOL = 1e-8
-# multiples of tol * scale by which a line is moved off a threshold
+# multiples of a threshold by which a line is moved off it
 _STEPS = (0.0, 0.5, 0.9, 1.1, 2.0)
 
 
 @st.composite
 def _line_pairs(draw):
     """Two lines with Fraction or float coordinates of magnitude 1e-3 to 1e6: any
-    two, or the first moved by multiples of tol * scale (see _STEPS) in every
-    coordinate (coincide), in its direction only (parallel), or in its residual
-    from a line meeting it (meet)."""
+    two, or the first moved by multiples (see _STEPS) of a threshold: tol * its
+    largest |coordinate| in every coordinate (coincide) or in its direction only
+    (parallel), or tol * d**2 in its residual from a line meeting it (meet), d the
+    largest coordinate difference of the two."""
     unit = Fraction(10) ** draw(st.integers(-3, 3))
     ints = st.integers(-1000, 1000)
     base = [draw(ints) * unit for _ in range(4)]
-    s = Fraction(TOL) * (1 + max(map(abs, base)))
 
-    def step():
-        return draw(st.sampled_from(_STEPS)) * draw(st.sampled_from((-1, 1))) * s
+    def step(threshold):
+        return draw(st.sampled_from(_STEPS)) * draw(st.sampled_from((-1, 1))) * threshold
 
+    s = Fraction(TOL) * max(map(abs, base))
     mode = draw(st.sampled_from(("any", "coincide", "parallel", "meet")))
     if mode == "any":
         other = [draw(ints) * unit for _ in range(4)]
     elif mode == "coincide":
-        other = [x + step() for x in base]
+        other = [x + step(s) for x in base]
     elif mode == "parallel":
         other = [x * Fraction(draw(st.integers(-4, 4)), 4) for x in base[:2]]
-        other += [x + step() for x in base[2:]]
+        other += [x + step(s) for x in base[2:]]
     else:
         # through base's point at height t, then a or b moved so that the
-        # residual is a multiple of tol * s
+        # residual is a multiple of tol * d**2
         t, c, d = (draw(ints) * unit for _ in range(3))
         other = [base[0] + (base[2] - c) * t, base[1] + (base[3] - d) * t, c, d]
+        s = Fraction(TOL) * max(abs(x - y) for x, y in zip(base, other)) ** 2
         if base[3] != d:
-            other[0] += step() / (d - base[3])
+            other[0] += step(s) / (d - base[3])
         elif base[2] != c:
-            other[1] += step() / (base[2] - c)
+            other[1] += step(s) / (base[2] - c)
     if draw(st.booleans()):
         return Line(*base), Line(*other)
     return Line(*map(float, base)), Line(*map(float, other))
 
 
 def _exact_ratios(l1: Line, l2: Line) -> list[Fraction]:
-    """|g|, the larger |direction difference| and the largest |coordinate difference|
-    of two lines, over tol * pair_scale, in exact arithmetic."""
+    """The meet test's measure over tol, and the larger |direction difference| and
+    the largest |coordinate difference| over tol * pair_scale, in exact arithmetic
+    (0 where the lines are equal)."""
     D = [Fraction(x) - Fraction(y) for x, y in zip(l1.as_tuple(), l2.as_tuple())]
-    s = Fraction(TOL) * Fraction(pair_scale(l1, l2))
-    return [abs(incidence(D)) / s, max(map(abs, D[2:])) / s, max(map(abs, D)) / s]
+    d, big = max(map(abs, D)), Fraction(pair_scale(l1, l2))
+    if not d:
+        return [Fraction(0)] * 3
+    return [(abs(incidence(D)) - Fraction(ROUNDING) * big * d) / (Fraction(TOL) * d * d),
+            max(map(abs, D[2:])) / (Fraction(TOL) * big), d / (Fraction(TOL) * big)]
 
 
 @settings(max_examples=300)

@@ -12,7 +12,7 @@ import linerig.numeric as numeric
 
 from linerig.errors import DomainError
 from linerig.graphs import Graph, catalog, generate
-from linerig.lines3d import Line, LineConfig, meet_residual
+from linerig.lines3d import Line, LineConfig, intersection_graph, meet_residual
 from linerig.numeric import (DimensionReport, edge_function, edge_system,
                              global_rigidity_oracle, incidence_form,
                              line_residuals, line_system_dimension, line_system_jacobian,
@@ -281,6 +281,65 @@ def test_exact_certificates_require_exact_zeros():
     for orientation in (1, -1):
         p, q = sample_congruent_pair(G, orientation=orientation, seed=6, exact=True)
         assert pair_system_dimension(G, p, q, exact=True).certified
+
+
+def _verdict(certify) -> object:
+    """A dimension report's (rank, certified), or "violated" where the residuals fail."""
+    try:
+        rep = certify()
+    except DomainError:
+        return "violated"
+    return rep.jacobian_rank, rep.certified
+
+
+_SCALES = [10.0 ** k for k in range(-9, 13)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(3, 12), seed=st.integers(0, 10 ** 6),
+       kind=st.sampled_from(["sample", "random lines", "congruent pair", "random pair"]))
+def test_verdicts_do_not_depend_on_the_coordinate_scale(n, seed, kind):
+    """line_system_dimension, intersection_graph and pair_system_dimension give the
+    same verdict on lam * X as on X, for lam = 1e-9 to 1e12: samples and congruent
+    pairs certify at full rank, random lines and random pairs never do."""
+    G = generate("laman_random", [n], seed=seed)
+    rng = np.random.default_rng(seed)
+    if kind.endswith("pair"):
+        P, Q = (sample_congruent_pair(G, orientation=1 - 2 * (seed % 2), seed=seed)
+                if kind == "congruent pair" else rng.integers(-100, 101, size=(2, n, 2)))
+        verdicts = {_verdict(lambda: pair_system_dimension(G, lam * P, lam * Q))
+                    for lam in _SCALES}
+        assert verdicts == ({(G.m, True)} if kind == "congruent pair" else {"violated"})
+        return
+    X = (sample_laman_lines(G, seed=seed).as_array() if kind == "sample"
+         else rng.integers(-40, 41, size=(n, 4)))
+    verdicts = set()
+    for lam in _SCALES:
+        cfg = LineConfig.from_rows((lam * X).tolist())
+        verdicts.add((_verdict(lambda: line_system_dimension(G, cfg)), intersection_graph(cfg).edges))
+    ((verdict, meets),) = verdicts
+    if kind == "sample":
+        assert verdict == (G.m, True) and set(G.edges) <= set(meets)
+    else:
+        assert verdict == "violated"
+
+
+def test_a_translated_sample_keeps_its_certificate():
+    """Adding T to every chart coordinate leaves each difference D, and so each
+    incidence, as it is: the certified sample of laman_random(12, seed 1) keeps its
+    certificate and its intersection graph, and twelve random lines stay off the
+    system and meet in no pair, for T up to 1e12; only the rounding term grows."""
+    G = generate("laman_random", [12], seed=1)
+    X = sample_laman_lines(G, seed=1).as_array()
+    R = np.random.default_rng(0).integers(-40, 41, size=(12, 4))
+    want = intersection_graph(LineConfig.from_rows(X.tolist())).edges
+    assert set(G.edges) <= set(want)
+    for T in (10.0 ** k for k in range(13)):
+        cfg, rand = (LineConfig.from_rows((Y + T).tolist()) for Y in (X, R))
+        assert _verdict(lambda: line_system_dimension(G, cfg)) == (G.m, True)
+        assert intersection_graph(cfg).edges == want
+        assert _verdict(lambda: line_system_dimension(G, rand)) == "violated"
+        assert intersection_graph(rand).m == 0
 
 
 def test_dimension_report_invariants():
