@@ -30,7 +30,7 @@ from .graphs import Graph, generate, parse_graph, serialize_graph
 from .henneberg import (apply_henneberg, apply_jj, extract_henneberg, extract_jj,
                         steps_from_json, steps_to_json)
 from .lines3d import Line, LineConfig, classify_triple, common_plane, common_point, \
-    intersection_graph, meet_residual, transversal
+    intersection_graph, meet_residual, transversal_detail
 from .numeric import (global_rigidity_oracle, line_system_dimension, line_system_jacobian,
                       pair_system_dimension, pair_system_jacobian, rigidity_rank)
 from .sampler import gauss_newton_project, sample_congruent_pair, sample_knn, \
@@ -172,8 +172,8 @@ def _cmd_lines_classify(args: argparse.Namespace) -> None:
 def _cmd_lines_transversal(args: argparse.Namespace) -> None:
     if args.config.n != 3:
         raise LinerigError("transversal needs exactly 3 lines")
-    line = transversal(*args.config.lines, args.s, args.tol)
-    _emit({"line": [float(v) for v in line.as_tuple()] if line else None}, args.format)
+    line, reason = transversal_detail(*args.config.lines, args.s, args.tol)
+    _emit({"line": line and [float(v) for v in line.as_tuple()], "reason": reason}, args.format)
 
 
 def _cmd_lines_dim(args: argparse.Namespace) -> None:

@@ -18,9 +18,10 @@ passes at tol when |g| <= tol * d**2 + 16 eps * big * d. Both terms are quadrati
 as g is, so scaling moves no verdict; a translation by T moves only the rounding
 term, which passes skew pairs with |g| / d**2 below about 16 eps T / d. pair_tests
 masks pairs of lines that meet (by the rule), are parallel (D2, D3) or coincide (all
-of D), the last two within tol * big. Other predicates use tol * (1 + max
-|coordinate|), scaled by solution magnitudes where products with solved unknowns
-appear. Exact lines are decided exactly (== 0): each predicate branches on is_exact.
+of D), the last two within tol * big. A chart scaled by lam, the map (x, y, z) ->
+(lam x, lam y, z), keeps every incidence: the other float predicates work in the
+chart unit of _scaled and hold each residual to tol times the sizes of its own
+factors. Exact lines are decided exactly (== 0): each predicate branches on is_exact.
 
 Common points and planes come from one array kernel, point_kernel and
 plane_kernel, with boolean masks of where one was found. It works batch-last, on
@@ -254,9 +255,9 @@ def _scaled(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(T, cmax, unit) of a (4, n, batch) chart array: cmax is each configuration's
     max |coordinate|, unit the power of two 2**-e with cmax = f * 2**e and
     0.5 <= f < 1, and T the contiguous (4, n, batch) copy of V times unit. Scaled,
-    every coordinate lies within 1, so the kernels' squares neither overflow nor
-    underflow; the product is exact, and the kernels divide it back out of what
-    they return."""
+    every coordinate lies within 1, so the float predicates' squares neither
+    overflow nor underflow; the product is exact, and they divide it back out of
+    what they return."""
     cmax = np.abs(V).max(axis=(0, 1))
     unit = np.ldexp(1.0, -np.frexp(cmax)[1])
     return np.multiply(V, unit, order="C"), cmax, unit
@@ -281,7 +282,7 @@ def point_kernel(V: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarr
     mean = _line_sum(T) / n
     C = T - mean[:, None]
     D = C[2:]
-    scale = tol * (1.0 + cmax) * unit
+    scale = tol * cmax * unit
     parallel = (T[2:].max(axis=1) - T[2:].min(axis=1)).max(axis=0) <= scale
     # the centered directions D are all 0 only where every direction agrees, and
     # the numerator with them; 0.0 - q rather than -q, so that a zero z is +0.0
@@ -292,7 +293,7 @@ def point_kernel(V: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarr
     miss = D * z
     miss += C[:2]
     resid = np.abs(miss, out=miss).max(axis=(0, 1))
-    found = ~parallel & (resid <= scale * (1.0 + np.abs(z)))
+    found = ~parallel & (resid <= scale * (1 + np.abs(z)))
     return np.concatenate([(mean[:2] + mean[2:] * z) / unit, z[None]]), found, parallel
 
 
@@ -303,9 +304,9 @@ def common_points(X: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndar
     closed form over the centered coordinates.
 
     Returns (points, found, parallel): the (..., 3) points and two (...) masks.
-    `parallel` marks directions (c, d) that all agree within tol * (1 + max |coord|),
-    a common point at infinity; `found` marks the other configurations whose worst
-    residual is within tol * (1 + max |coord|) * (1 + |z|).
+    `parallel` marks directions (c, d) that all agree within tol * max |coord|, a
+    common point at infinity; `found` marks the other configurations whose worst
+    residual, a - x + c*z or b - y + d*z, is within tol * max |coord| * (1 + |z|).
     """
     X = np.asarray(X, dtype=float)
     lead = X.shape[:-2]
@@ -320,7 +321,7 @@ def _plane_system(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return A.reshape(-1, 3), np.tile([1.0, 0.0], len(X))
 
 
-def _plane_solution(T: np.ndarray, V: np.ndarray, cmax: np.ndarray, unit: np.ndarray) -> np.ndarray:
+def _plane_solution(T: np.ndarray, cmax: np.ndarray, unit: np.ndarray) -> np.ndarray:
     """The (3, batch) least-squares (lam, mu, nu) of the scaled lines T = V * unit
     (see _scaled): lam and mu are those of V divided by unit, nu is the same."""
     _, n, batch = T.shape
@@ -333,7 +334,7 @@ def _plane_solution(T: np.ndarray, V: np.ndarray, cmax: np.ndarray, unit: np.nda
     r12 = _line_sum(q1 * w)
     w -= r12 * q1
     r22 = np.sqrt(_line_sum(w * w))
-    ok = np.minimum(r11, r22) > 1e-10 * (1.0 + cmax) * unit
+    ok = np.minimum(r11, r22) > 1e-10 * cmax * unit
     # the right-hand side (1, ..., 1, 0, ..., 0) with its q1 component removed
     y1 = _line_sum(q1[:n])
     rhs = -y1 * q1
@@ -344,8 +345,7 @@ def _plane_solution(T: np.ndarray, V: np.ndarray, cmax: np.ndarray, unit: np.nda
     sol = np.array([lam, mu, 0.0 - (lam * mean[0] + mu * mean[1])])
     if not ok.all():
         for k in np.flatnonzero(~ok):
-            sol[:, k] = np.linalg.lstsq(*_plane_system(V[:, :, k].T), rcond=None)[0]
-            sol[:2, k] /= unit[k]
+            sol[:, k] = np.linalg.lstsq(*_plane_system(T[:, :, k].T), rcond=None)[0]
     return sol
 
 
@@ -353,13 +353,14 @@ def plane_kernel(V: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarr
     """common_planes on a (4, n, batch) chart array (see batch_last): the (3, batch)
     rows lam, mu, nu and the (batch,) mask found."""
     T, cmax, unit = _scaled(V)
-    sol = _plane_solution(T, V, cmax, unit)
+    sol = _plane_solution(T, cmax, unit)
     # rows (lam*a + mu*b, lam*c + mu*d) of every line, less (-nu, 1)
     resid = (T.reshape(2, 2, *T.shape[1:]) * sol[:2, None]).sum(axis=1)
     resid[0] += sol[2]
     resid[1] -= 1.0
     sol[:2] *= unit
-    return sol, np.abs(resid).max(axis=(0, 1)) <= tol * (1.0 + cmax) * (1.0 + np.abs(sol).max(axis=0))
+    bound = tol * (1 + cmax * np.abs(sol[:2]).max(axis=0) + np.abs(sol[2]))
+    return sol, np.abs(resid).max(axis=(0, 1)) <= bound
 
 
 def common_planes(X: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
@@ -369,11 +370,12 @@ def common_planes(X: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndar
 
     The best nu is -(lam mean a + mu mean b), and (lam, mu) come from modified
     Gram-Schmidt on the two centered columns. Where those are dependent to within
-    1e-10 of the coordinate scale (all lines in one vertical plane, or one line
-    repeated), np.linalg.lstsq picks the minimum-norm (lam, mu, nu) instead.
+    1e-10 of max |coord| (all lines in one vertical plane, or one line repeated),
+    np.linalg.lstsq picks the minimum-norm (lam, mu, nu) of the lines in their
+    chart unit (see _scaled) instead.
 
     Returns (planes, found): the (..., 3) rows (lam, mu, nu) and a (...) mask of the
-    worst residual within tol * (1 + max |coord|) * (1 + max |lam, mu, nu|).
+    worst residual within tol * (1 + max |coord| * max |lam, mu| + |nu|).
     """
     X = np.asarray(X, dtype=float)
     lead = X.shape[:-2]
@@ -437,12 +439,14 @@ def _dependent(rows) -> bool:
 def _triple_coplanar(l1: Line, l2: Line, l3: Line, tol: float = 1e-8) -> bool:
     """Chart-free coplanarity: the directions and base-point offsets of the lines
     span at most a plane. Exact lines: every 3 x 3 minor of those five rows is 0;
-    float lines: their third singular value is within tol of the largest."""
+    float lines: with x and y in the chart unit (see _scaled), their third singular
+    value is within tol of the largest."""
     rows = [ln.direction() for ln in (l1, l2, l3)] + [(l.a - l1.a, l.b - l1.b, 0) for l in (l2, l3)]
     if _exact_lines(l1, l2, l3):
         return all(map(_dependent, combinations(rows, 3)))
-    s = np.linalg.svd(np.array(rows, dtype=float), compute_uv=False)
-    return s[2] <= tol * max(s[0], 1.0)
+    unit = _scaled(batch_last(LineConfig((l1, l2, l3)).as_array()))[2][0]
+    s = np.linalg.svd(np.array(rows, dtype=float) * [unit, unit, 1.0], compute_uv=False)
+    return s[2] <= tol * s[0]
 
 
 # the pairs (0, 1), (0, 2), (1, 2) of a triple, and their index arrays
@@ -527,23 +531,28 @@ def transversal_detail(l1: Line, l2: Line, l3: Line, s: Scalar,
     "residual". When the lines and s are all exact, the planes are intersected in
     their own arithmetic (ints stay ints), the line is exact, and each code is
     decided by a zero: a normal, w = n1 x n2, w[2] or a meet_residual. Otherwise
-    each is held to tol of its scale, the residual by pair_tests.
+    they are held in the chart unit (see _scaled): a normal to tol * |offset| *
+    |direction|, w to tol * |n1| * |n2|, w[2] to tol * |w|, and the line, divided
+    back out, to pair_tests at tol; check_squares on q keeps w finite.
     """
     exact = _exact_lines(l1, l2, l3) and is_exact(s)
+    trio = (l1, l2, l3)
+    if not exact:  # the float lines in their chart unit
+        T, _, unit = _scaled(batch_last(LineConfig(trio).as_array()))
+        l1, l2, l3 = (Line(*row) for row in T[..., 0].T.tolist())
     q = l3.point_at(s)
-    normals = [_cross(_sub((ln.a, ln.b, 0), q), ln.direction()) for ln in (l1, l2)]
+    offsets = [_sub((ln.a, ln.b, 0), q) for ln in (l1, l2)]
+    normals = [_cross(o, ln.direction()) for o, ln in zip(offsets, (l1, l2))]
     w = _cross(*normals)
     if exact:
         failed = (not all(map(any, normals)), not any(w), w[2] == 0)
     else:
-        base_scale = 1.0 + max(map(_vec_scale, (l1.as_tuple(), l2.as_tuple(), l3.as_tuple(), q)))
-        # normals are quadratic, and their cross product quartic: 32 * 2**1000 fits a float
-        if base_scale > 2.0 ** 250:
-            raise DomainError(f"transversal: coordinate scale {base_scale:.3g} exceeds 2**250, "
-                              "where the scale tests overflow the float range")
-        scales = [_vec_scale(v) for v in normals]
-        failed = (min(scales) <= tol * base_scale ** 2, _vec_scale(w) <= tol * max(scales) ** 2,
-                  abs(float(w[2])) <= tol * _vec_scale(w))
+        # in the unit a normal is at most 4 m and w 32 m**2, m = max(1, |q|): 8 terms
+        # of check_squares keep w finite. Directions (c, d, 1) have size 1 in the unit.
+        check_squares(np.array(q, dtype=float), 8)
+        sizes = [_vec_scale(v) for v in normals]
+        failed = (any(size <= tol * _vec_scale(o) for size, o in zip(sizes, offsets)),
+                  _vec_scale(w) <= tol * sizes[0] * sizes[1], abs(w[2]) <= tol * _vec_scale(w))
     for bad, code in zip(failed, ("q-on-line", "planes-coincide", "horizontal")):
         if bad:
             return None, code
@@ -552,9 +561,10 @@ def transversal_detail(l1: Line, l2: Line, l3: Line, s: Scalar,
     if exact:
         if any(meet_residual(line, other) != 0 for other in (l1, l2, l3)):
             return None, "residual"
-    elif not pair_tests(LineConfig((line, l1, l2, l3)).as_array(), [0, 0, 0], [1, 2, 3],
-                        max(tol, 1e-9)).meet.all():
-        return None, "residual"
+    else:
+        line = Line(*(x / unit.item() for x in line.as_tuple()))
+        if not pair_tests(LineConfig((line, *trio)).as_array(), [0, 0, 0], [1, 2, 3], tol).meet.all():
+            return None, "residual"
     return line, "ok"
 
 

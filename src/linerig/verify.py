@@ -486,7 +486,7 @@ def _collinear_preimages(rng: np.random.Generator, r: int, nb: int,
         plane_ok = plane_kernel(X4)[1]
         db = B4 - B4[:, :1]
         cross = np.abs(db[0] * db[1, 1:2] - db[1] * db[0, 1:2]).max(axis=0)
-        coll_ok = cross <= 1e-8 * (1.0 + np.abs(B4).max(axis=(0, 1))) ** 2
+        coll_ok = cross <= 1e-8 * np.abs(B4).max(axis=(0, 1)) ** 2
         bad += int(np.sum(~(conc_ok & plane_ok & coll_ok)))
     rep.record(bad == 0, part="collinear-preimages", trials=nb, failures=bad)
     return draws

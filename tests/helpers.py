@@ -154,15 +154,15 @@ def rowmajor_common_points(X: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray
     closed form over the centered coordinates.
 
     Returns (points, found, parallel): the (..., 3) points and two (...) masks.
-    `parallel` marks directions (c, d) that all agree within tol * (1 + max |coord|),
-    a common point at infinity; `found` marks the other configurations whose worst
-    residual is within tol * (1 + max |coord|) * (1 + |z|).
+    `parallel` marks directions (c, d) that all agree within tol * max |coord|, a
+    common point at infinity; `found` marks the other configurations whose worst
+    residual is within tol * max |coord| * (1 + |z|).
     """
     T, cmax, unit = _rowmajor_scaled(np.asarray(X, dtype=float))
     a, b, c, d = T
     mean = T.sum(axis=-1, keepdims=True) / T.shape[-1]
     ac, bc, cc, dc = T - mean
-    scale = tol * (1.0 + cmax) * unit
+    scale = tol * cmax * unit
     parallel = (T[2:].max(axis=-1) - T[2:].min(axis=-1)).max(axis=0) <= scale
     num = (ac * cc + bc * dc).sum(axis=-1, keepdims=True)
     den = (cc * cc + dc * dc).sum(axis=-1, keepdims=True)
@@ -171,7 +171,7 @@ def rowmajor_common_points(X: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray
     z = 0.0 - num / np.where(den > 0, den, 1.0)
     x, y = mean[0] + mean[2] * z, mean[1] + mean[3] * z
     resid = np.maximum(np.abs(x - c * z - a), np.abs(y - d * z - b)).max(axis=-1)
-    found = ~parallel & (resid <= scale * (1.0 + np.abs(z[..., 0])))
+    found = ~parallel & (resid <= scale * (1 + np.abs(z[..., 0])))
     points = np.concatenate([x, y, z], axis=-1)
     points[..., :2] /= unit[..., None]
     return points, found, parallel
@@ -192,10 +192,11 @@ def rowmajor_common_planes(X: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray
     The best nu is -(lam mean a + mu mean b), and (lam, mu) come from modified
     Gram-Schmidt on the two centered columns. Where those are dependent to within
     1e-10 of the coordinate scale (all lines in one vertical plane, or one line
-    repeated), np.linalg.lstsq picks the minimum-norm (lam, mu, nu) instead.
+    repeated), np.linalg.lstsq picks the minimum-norm (lam, mu, nu) of the lines
+    times the chart unit instead.
 
     Returns (planes, found): the (..., 3) rows (lam, mu, nu) and a (...) mask of the
-    worst residual within tol * (1 + max |coord|) * (1 + max |lam, mu, nu|).
+    worst residual within tol * (1 + max |coord| * max |lam, mu| + |nu|).
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[-2]
@@ -209,7 +210,7 @@ def rowmajor_common_planes(X: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray
     r12 = (q1 * w).sum(axis=-1)[..., None]
     w = w - r12 * q1
     r22 = np.sqrt((w * w).sum(axis=-1))[..., None]
-    ok = np.minimum(r11, r22) > 1e-10 * (1.0 + cmax)[..., None] * unit
+    ok = np.minimum(r11, r22) > 1e-10 * cmax[..., None] * unit
     # the right-hand side (1, ..., 1, 0, ..., 0) with its q1 component removed
     y1 = q1[..., :n].sum(axis=-1)[..., None]
     rhs = -y1 * q1
@@ -222,12 +223,11 @@ def rowmajor_common_planes(X: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray
     sol = np.concatenate([lam, mu, 0.0 - (lam * am + mu * bm)], axis=-1)
     if not ok.all():
         for k in map(tuple, np.argwhere(~ok[..., 0])):
-            sol[k] = np.linalg.lstsq(*_rowmajor_plane_system(X[k]), rcond=None)[0]
-            sol[k][:2] /= unit[k]
+            sol[k] = np.linalg.lstsq(*_rowmajor_plane_system(X[k] * unit[k]), rcond=None)[0]
     lam, mu, nu = sol[..., 0:1], sol[..., 1:2], sol[..., 2:3]
     resid = np.maximum(np.abs(lam * c + mu * d - 1.0), np.abs(lam * a + mu * b + nu)).max(axis=-1)
     sol[..., :2] *= unit
-    return sol, resid <= tol * (1.0 + cmax) * (1.0 + np.abs(sol).max(axis=-1))
+    return sol, resid <= tol * (1 + cmax * np.abs(sol[..., :2]).max(axis=-1) + np.abs(sol[..., 2]))
 
 
 def finite_difference_jacobian(func, x0: np.ndarray, step: float = 1e-6) -> np.ndarray:

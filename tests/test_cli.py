@@ -1,7 +1,6 @@
 import argparse
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -162,11 +161,36 @@ def test_lines_meet_overflow_is_an_error(capsys):
     ([[1e300, 0, 1, 0], [0, 0, 0, 1], [1, 2, 3, 4]], "0"),
 ])
 def test_lines_transversal_overflow_is_an_error(tmp_path, capsys, lines, s):
-    # finite input whose scale tests, up to quartic in the coordinates, overflow
+    # on the lines in their chart unit w is quadratic in q = l3(s): q near 1e200
+    # overflows, q near 1e100 fits and gives the line through q and the origin
+    # within rounding of |q|; the 1e300 line gives a line whose incidences overflow
     path = tmp_path / "three.json"
     path.write_text(json.dumps({"lines": lines}))
     code, out, err = run(capsys, "lines", "transversal", str(path), s)
-    assert code == 2 and out == "" and err.startswith("error:") and "2**250" in err
+    if s == "1e100":
+        rep = json.loads(out)
+        a, b, c, d = rep["line"]
+        assert code == 0 and rep["reason"] == "ok"
+        assert max(abs(a), abs(b)) <= 1e-14 * 1e100 and [c, d] == pytest.approx([3, 4], rel=1e-12)
+        return
+    assert code == 2 and out == "" and err.startswith("error: coordinate")
+    assert err.endswith("too large: line incidences overflow the float range\n")
+
+
+@pytest.mark.parametrize("lines, s, reason", [
+    ([[0, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 1]], "0.5", "ok"),
+    ([[0, 0, 0, 0], [5, 5, 1, 0], [0, 0, 1, 1]], "0", "q-on-line"),
+    # a coplanar triple: the planes through q and each line are their plane
+    ([[0, 0, 1, 0], [0, 5, 1, 2], [0, -3, 1, 7]], "4", "planes-coincide"),
+    # l1 and l2 meet at the origin, and q = (1, 2, 0) lies at its height
+    ([[0, 0, 1, 0], [0, 0, 0, 1], [1, 2, 3, 4]], "0", "horizontal"),
+])
+def test_lines_transversal_reports_its_reason(tmp_path, capsys, lines, s, reason):
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps({"lines": lines}))
+    code, out, _ = run(capsys, "lines", "transversal", str(path), s)
+    rep = json.loads(out)
+    assert code == 0 and rep["reason"] == reason and (rep["line"] is None) == (reason != "ok")
 
 
 def test_es_overflow_is_an_error(tmp_path, capsys):
@@ -351,9 +375,10 @@ def test_malformed_line_config_exit_2(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("text, point, parallel, plane", [
-    # one line twice: every plane through it fits; lstsq picks the minimum-norm one
+    # one line twice: every plane through it fits; lstsq picks the one of minimum
+    # norm on the line in its chart unit, (1, 2, 3, 4) / 8
     ('{"lines":[[1,2,3,4],[1,2,3,4]]}', None, True,
-     [0.24137931034482746, 0.06896551724137927, -0.379310344827586]),
+     [0.12219451371571073, 0.15835411471321698, -0.4389027431421448]),
     # two lines through the origin in the vertical plane y = 0
     ('{"lines":[[0,0,1,0],[0,0,2,0]]}', [0.0, 0.0, 0.0], False, None),
     # two parallel lines in the vertical plane y = 0
@@ -519,14 +544,22 @@ def test_malformed_steps_exit_2(tmp_path, capsys, steps):
 
 
 def test_lines_common_at_huge_coordinates(tmp_path, capsys):
-    # the squares of these coordinates overflow the float range
+    # the squares of these coordinates overflow the float range. In the chart unit
+    # 2**-666 the base points are about (0.33, 0), (0, 0.65) and (0, 0), not
+    # collinear, so no plane holds the lines
     cpath = tmp_path / "lines.json"
     cpath.write_text('{"lines":[[1e200,2,3,4],[1,2e200,3,5],[1,2,3e150,4]]}')
     code, out, err = run(capsys, "lines", "common", str(cpath))
     rep = json.loads(out)
     assert code == 0 and err == ""
     assert rep["common_point"] is None and rep["parallel_family"] is True
-    assert all(map(math.isfinite, rep["common_plane"]))
+    assert rep["common_plane"] is None
+    # lines of the plane z = x + 2y + 3 scaled by 1e200 lie in z = (x + 2y) / 1e200 + 3
+    lines = [[-3, 0, 1, 0], [-1, -1, -1, 1], [1, -2, 3, -1]]
+    cpath.write_text(json.dumps({"lines": [[x * 1e200 for x in row] for row in lines]}))
+    code, out, err = run(capsys, "lines", "common", str(cpath))
+    plane = json.loads(out)["common_plane"]
+    assert code == 0 and plane == pytest.approx([1e-200, 2e-200, 3], rel=1e-12)
 
 
 def test_line_overflow_names_the_incidences(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from linerig import verify
 from linerig.errors import DomainError
 from linerig.lines3d import (Line, LineConfig, Plane, TripleClass, _triple_coplanar, batch_last,
                              classify_triple, common_plane, common_planes, common_point,
@@ -199,8 +200,9 @@ def test_exact_predicates_decide_as_their_float_copies(trio, s):
     assert _tag(trio) == _tag(floats)
 
 
-def _float_copy(trio):
-    return tuple(Line(*map(float, ln.as_tuple())) for ln in trio)
+def _float_copy(trio, lam=1.0):
+    """The float lines of trio with every chart coordinate times lam."""
+    return tuple(Line(*(float(x) * lam for x in ln.as_tuple())) for ln in trio)
 
 
 def _tag(trio):
@@ -376,7 +378,7 @@ def _lstsq_point(X, tol=1e-8):
     the 2n x 3 system x - c*z = a, y - d*z = b."""
     cmax = float(np.max(np.abs(X)))
     dirs = X[:, 2:4]
-    if float(np.max(dirs.max(axis=0) - dirs.min(axis=0))) <= tol * (1.0 + cmax):
+    if float(np.max(dirs.max(axis=0) - dirs.min(axis=0))) <= tol * cmax:
         return None, False, True
     n = X.shape[0]
     A = np.zeros((2 * n, 3))
@@ -389,13 +391,17 @@ def _lstsq_point(X, tol=1e-8):
     rhs[1::2] = X[:, 1]
     sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
     resid = float(np.max(np.abs(A @ sol - rhs)))
-    return sol, resid <= tol * (1.0 + cmax) * (1.0 + abs(float(sol[2]))), False
+    return sol, resid <= tol * cmax * (1 + abs(float(sol[2]))), False
 
 
 def _lstsq_plane(X, tol=1e-8):
     """Per-configuration reference: (lam, mu, nu) and found, by minimum-norm lstsq
-    on the 2n x 3 system lam*c + mu*d = 1, lam*a + mu*b + nu = 0."""
+    on the 2n x 3 system lam*c + mu*d = 1, lam*a + mu*b + nu = 0 of the lines
+    times the chart unit, the power of two 2**-e with max |coord| = f * 2**e and
+    0.5 <= f < 1."""
     cmax = float(np.max(np.abs(X)))
+    unit = np.ldexp(1.0, -np.frexp(cmax)[1])
+    X = X * unit
     n = X.shape[0]
     A = np.zeros((2 * n, 3))
     rhs = np.zeros(2 * n)
@@ -407,7 +413,8 @@ def _lstsq_plane(X, tol=1e-8):
     A[1::2, 2] = 1.0
     sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
     resid = float(np.max(np.abs(A @ sol - rhs)))
-    return sol, resid <= tol * (1.0 + cmax) * (1.0 + float(np.max(np.abs(sol))))
+    sol[:2] *= unit
+    return sol, resid <= tol * (1 + cmax * float(np.max(np.abs(sol[:2]))) + abs(float(sol[2])))
 
 
 def _batch(kind, size, n, rng):
@@ -423,18 +430,18 @@ def _batch(kind, size, n, rng):
         lam, mu, nu = rng.uniform(0.5, 3, size=(3, size, 1)) * rng.choice([-1, 1], size=(3, size, 1))
         X[..., 2] = (1 - mu * X[..., 3]) / lam
         X[..., 0] = -(nu + mu * X[..., 1]) / lam
-    elif kind == "near-concurrent":  # residual between tol*(1+cmax) and that times 1+|z|
+    elif kind == "near-concurrent":  # residual between tol*cmax and that times 1+|z|
         P = rng.uniform(50, 100, size=(size, 1, 3)) * rng.choice([-1, 1], size=(size, 1, 3))
         X[..., 0] = P[..., 0] - X[..., 2] * P[..., 2]
         X[..., 1] = P[..., 1] - X[..., 3] * P[..., 2]
-        scale = 1.0 + np.abs(X).max(axis=(1, 2), keepdims=True)
+        scale = np.abs(X).max(axis=(1, 2), keepdims=True)
         X[..., :2] += rng.uniform(-20e-8, 20e-8, size=(size, n, 2)) * scale
-    elif kind == "near-coplanar":  # the same, with 1 + max |lam, mu, nu|
+    elif kind == "near-coplanar":  # the same, with 1 + cmax*max|lam, mu| + |nu|
         lam, mu = rng.uniform(0.5, 3, size=(2, size, 1))
         nu = rng.uniform(20, 40, size=(size, 1))
         X[..., 2] = (1 - mu * X[..., 3]) / lam
         X[..., 0] = -(nu + mu * X[..., 1]) / lam
-        scale = 1.0 + np.abs(X).max(axis=(1, 2), keepdims=True)
+        scale = np.abs(X).max(axis=(1, 2), keepdims=True)
         X[..., 0] += rng.uniform(-20e-8, 20e-8, size=(size, n)) * scale[..., 0]
     elif kind == "duplicate":
         X[:] = X[:, :1]
@@ -571,6 +578,38 @@ def test_common_wrappers_read_the_kernel():
         common_point(LineConfig.from_rows([[0, 0, 0, 0]]))
     with pytest.raises(DomainError):
         common_plane(cfg, tol=0)
+
+
+# the kinds whose verdicts are not on a threshold
+_DECIDED_KINDS = tuple(kind for kind in KINDS if kind not in ("near-concurrent", "near-coplanar"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-12, 12), st.integers(0, 2 ** 32 - 1))
+def test_float_predicates_decide_alike_at_every_chart_scale(k, seed):
+    """Every chart coordinate times lam = 10**k is the affine map (x, y, z) ->
+    (lam x, lam y, z), which moves no incidence: the kernels' masks are those at
+    lam = 1, a float copy of each lemma-3lines draw keeps its class, and a float
+    copy of a skew integer triple gets the exact path's transversal code."""
+    lam = 10.0 ** k
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 10))
+    X = np.concatenate([_batch(kind, 4, n, rng) for kind in _DECIDED_KINDS])
+    for kernel in (common_points, common_planes):
+        for want, got in zip(kernel(X)[1:], kernel(X * lam)[1:]):
+            assert np.array_equal(want, got), kernel.__name__
+    r = random.Random(seed)
+    for tag, (draw, in_class, _) in verify._TRIPLES.items():
+        lines, _ = draw(r)
+        while not in_class(lines):
+            lines, _ = draw(r)
+        assert classify_triple(*_float_copy(lines, lam)).tag == tag
+    for _ in range(5):
+        trio = tuple(Line(*(r.randint(-15, 15) for _ in range(4))) for _ in range(3))
+        if not any(meet_residual(a, b) == 0 for a, b in combinations(trio, 2)):
+            s = r.randint(-10, 10)
+            assert transversal_detail(*_float_copy(trio, lam), float(s))[1] == \
+                transversal_detail(*trio, s)[1]
 
 
 def test_is_exact():
