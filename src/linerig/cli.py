@@ -55,15 +55,13 @@ class AnalysisReport:
     globally_rigid: Optional[bool]
     seed: int
     trials: int
-    tol: float
     rigidity_rank_exact: Optional[int] = None
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
 
-def analyze_graph(G: Graph, seed: int = 0, trials: int = 5, tol: float = 1e-8,
-                  exact: bool = False) -> AnalysisReport:
+def analyze_graph(G: Graph, seed: int = 0, trials: int = 5, exact: bool = False) -> AnalysisReport:
     rank = sparsity_rank(G).rank
     rrank = rigidity_rank(G, trials=trials, seed=seed)
     rigid = rrank == 2 * G.n - 3
@@ -73,13 +71,13 @@ def analyze_graph(G: Graph, seed: int = 0, trials: int = 5, tol: float = 1e-8,
     hend = redundant and three if G.n >= 4 else None
     glob = None
     if G.n >= 4 and rigid:
-        glob = global_rigidity_oracle(G, trials=trials, seed=seed, tol=tol)
+        glob = global_rigidity_oracle(G, trials=trials, seed=seed)
     exact_rank = rigidity_rank(G, trials=trials, seed=seed, exact=True) if exact else None
     return AnalysisReport(
         n=G.n, m=G.m, sparsity_rank=rank, rigidity_rank=rrank,
         laman=G.m == 2 * G.n - 3 and rank == G.m, rigid=rigid, redundant=redundant,
         three_connected=three, hendrickson=hend, globally_rigid=glob,
-        seed=seed, trials=trials, tol=tol, rigidity_rank_exact=exact_rank)
+        seed=seed, trials=trials, rigidity_rank_exact=exact_rank)
 
 
 def _read(path: str) -> str:
@@ -111,8 +109,7 @@ _INPUTS = {"graph": _load_graph, "config": LineConfig.from_json, "pairs": parse_
 
 
 def _cmd_analyze(args: argparse.Namespace) -> None:
-    report = analyze_graph(args.graph, seed=args.seed, trials=args.trials, tol=args.tol,
-                           exact=args.exact)
+    report = analyze_graph(args.graph, seed=args.seed, trials=args.trials, exact=args.exact)
     _emit(report.to_dict(), args.format)
 
 
@@ -316,7 +313,7 @@ def _given(option: str, **kwargs) -> tuple[tuple[str, ...], dict]:
 _COMMANDS = (
     (None, "analyze", "full combinatorial + numeric report for a graph file", _cmd_analyze,
      [_arg("graph", help="graph file (JSON or edge list), '-' for stdin")],
-     "seed tol trials exact format"),
+     "seed trials exact format"),
     (None, "verify", "run a named verification suite", _cmd_verify,
      [_arg("suite", choices=sorted(SUITES)),
       *(_given(size, type=int) for size in ("n-max", "seeds", "count", "per-class")),

@@ -113,7 +113,7 @@ def _apply_ext0(G: Graph, step: Ext0, pos: int) -> Graph:
     z = G.n
     if not (0 <= step.u < z and 0 <= step.v < z) or step.u == step.v:
         raise StepError(f"step {pos}: 0-extension attach pair ({step.u}, {step.v}) invalid for n={z}")
-    return Graph(z + 1, tuple(sorted(G.edges + ((step.u, z), (step.v, z)))))
+    return Graph._derived(z + 1, G.edges).with_edge(step.u, z).with_edge(step.v, z)
 
 
 def _apply_ext1(G: Graph, step: Ext1, pos: int) -> Graph:
@@ -124,8 +124,8 @@ def _apply_ext1(G: Graph, step: Ext1, pos: int) -> Graph:
         raise StepError(f"step {pos}: 1-extension vertices ({step.u}, {step.v}, {step.w}) not distinct")
     if not G.has_edge(step.u, step.v):
         raise StepError(f"step {pos}: 1-extension subdivides missing edge ({step.u}, {step.v})")
-    edges = G.without_edge(step.u, step.v).edges + ((step.u, z), (step.v, z), (step.w, z))
-    return Graph(z + 1, tuple(sorted(edges)))
+    H = Graph._derived(z + 1, G.without_edge(step.u, step.v).edges)
+    return H.with_edge(step.u, z).with_edge(step.v, z).with_edge(step.w, z)
 
 
 def _apply_edge(G: Graph, step: EdgeAdd, pos: int) -> Graph:

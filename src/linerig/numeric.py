@@ -13,11 +13,12 @@ one of them passes lines3d.is_exact.
 
 Floating ranks use singular-value thresholding: values below
 tol * sigma_max * max(rows, cols) count as zero, and float dimension reports carry
-the margin of that cut. rank_exact computes a rank mod random primes below 2^31, by
-int64 row reduction, so certified reports on exact inputs can be reproduced exactly: a
-rank mod p never exceeds the rational rank, so one prime that gives full rank
-min(rows, cols) proves it, and a rank-deficient matrix needs two primes that agree on
-the largest rank seen.
+the margin of that cut. Exact ranks come from _eliminate, one int64 row reduction mod
+a random prime p below 2^31. rank_exact reduces exact matrices, so certified reports
+on exact inputs can be reproduced exactly: a rank mod p never exceeds the rational
+rank, so one prime that gives full rank min(rows, cols) proves it, and a
+rank-deficient matrix needs two primes that agree on the largest rank seen.
+global_rigidity_oracle reduces [R | I] and reads an exact stress off its I block.
 """
 
 from __future__ import annotations
@@ -65,17 +66,14 @@ class DimensionReport:
         return asdict(self)
 
 
-def _rank_cut(s: np.ndarray, shape: tuple[int, ...], tol: float) -> Cut:
-    """The threshold rule on the descending singular values s of a matrix of the
-    given shape: (rank, last value kept, first value dropped)."""
-    rank = int(np.count_nonzero(s > tol * s[0] * max(shape))) if s.size and s[0] > 0 else 0
+def _float_rank(M, tol: float) -> Cut:
+    """The threshold rule on M's descending singular values s: (rank, last value
+    kept, first value dropped)."""
+    M = np.asarray(M, dtype=float)
+    s = np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
+    rank = int(np.count_nonzero(s > tol * s[0] * max(M.shape))) if s.size and s[0] > 0 else 0
     return (rank, float(s[rank - 1]) if rank else None,
             float(s[rank]) if rank < s.size else None)
-
-
-def _float_rank(M, tol: float) -> Cut:
-    M = np.asarray(M, dtype=float)
-    return _rank_cut(np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0), M.shape, tol)
 
 
 def float_rank(M: np.ndarray, tol: float = DEFAULT_TOL) -> int:
@@ -134,25 +132,12 @@ def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> Optional[int]:
-    """Rank over F_p of int and Fraction entries (as _as_exact_rows admits them),
-    by row reduction of their residues in int64; None when a denominator is 0 mod p.
-    Each nonzero entry is reduced once; each pivot clears its column in one update of
-    the rows below it that are nonzero there, over the columns from the pivot's on."""
-    ncols = len(rows[0])
-    ri, ci, vals = [], [], []
-    for r, row in enumerate(rows):
-        cols = list(compress(range(ncols), row))
-        ri += [r] * len(cols)
-        ci += cols
-        vals += map(row.__getitem__, cols)
-    # an int is its own numerator, over denominator 1
-    den = np.array([x.denominator % p for x in vals], dtype=np.int64)
-    if not den.all():
-        return None
-    M = np.zeros((len(rows), ncols), dtype=np.int64)
-    num = np.array([x.numerator % p for x in vals], dtype=np.int64)
-    M[ri, ci] = num * _inverse_mod(den, p) % p
+def _eliminate(M: np.ndarray, p: int, ncols: int) -> int:
+    """Row-reduce the int64 residues mod p in M in place, pivoting in its first ncols
+    columns, and return their rank r. Each pivot clears its column in the rows below
+    it that are nonzero there, over every column from its own on: rows r.. end zero
+    in the first ncols columns, and those of [A | I] hold A's left kernel mod p in
+    their I block. Residues are below p < 2^31, so products, below 2^62, fit in int64."""
     rank = 0
     for c in range(ncols):
         nz = M[rank:, c].nonzero()[0]
@@ -168,9 +153,29 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> Optional[int]:
             block = M[below, c:]
             M[below, c:] = (block - block[:, :1] * prow) % p
         rank += 1
-        if rank == len(rows):
+        if rank == len(M):
             break
     return rank
+
+
+def _rank_mod_p(rows: list[list[int]], p: int) -> Optional[int]:
+    """Rank over F_p of int and Fraction entries (as _as_exact_rows admits them), each
+    nonzero one reduced once, by _eliminate; None when a denominator is 0 mod p."""
+    ncols = len(rows[0])
+    ri, ci, vals = [], [], []
+    for r, row in enumerate(rows):
+        cols = list(compress(range(ncols), row))
+        ri += [r] * len(cols)
+        ci += cols
+        vals += map(row.__getitem__, cols)
+    # an int is its own numerator, over denominator 1
+    den = np.array([x.denominator % p for x in vals], dtype=np.int64)
+    if not den.all():
+        return None
+    M = np.zeros((len(rows), ncols), dtype=np.int64)
+    num = np.array([x.numerator % p for x in vals], dtype=np.int64)
+    M[ri, ci] = num * _inverse_mod(den, p) % p
+    return _eliminate(M, p, ncols)
 
 
 def _as_exact_rows(M) -> list[list[Union[int, Fraction]]]:
@@ -424,41 +429,38 @@ def transversal_family_dimension(l1: Line, l2: Line, l3: Line, member: Line) -> 
 
 
 # ---------------------------------------------------------------------------
-# global rigidity oracle (random stress matrix rank)
+# global rigidity oracle (a stress matrix's rank mod p)
 
 
-def global_rigidity_oracle(G: Graph, trials: int = 5, seed: int = 0,
-                           tol: float = DEFAULT_TOL) -> bool:
-    """Randomized stress test: true iff a generic equilibrium stress matrix has
-    rank n - 3 in a majority of trials.
+def global_rigidity_oracle(G: Graph, trials: int = 5, seed: int = 0) -> bool:
+    """Exact stress test over F_p: true iff a random equilibrium stress of a random
+    integer embedding P has a stress matrix of rank n - 3 mod a random prime p.
 
-    Per trial: random integer embedding, random element of the left null space of
-    the rigidity matrix as the stress, assembled into the n x n stress matrix
-    sum_k stress_k (e_i - e_j)(e_i - e_j)^T. Minimally rigid graphs carry no
-    nonzero stress and report rank 0. Raises DomainError when no trial's rigidity
-    matrix reaches rank 2n - 3, the graph being then not rigid. Returns once a
-    trial has shown rigidity and the remaining trials cannot change the
-    majority; each trial draws from its own generator, so stopping early changes
-    no other trial's draw.
+    Per trial, _eliminate reduces [R(P) | I_m] mod p over R's 2n columns; the first
+    trial where R has rank 2n - 3 decides, with a random combination w of the I
+    block's rows from 2n - 3 on as the stress. Minimally rigid graphs have w = 0.
+    A True answer is always right: R mod p then has its rational rank, so w lifts to
+    a rational stress whose matrix has rank n - 3 too, and an infinitesimally rigid
+    framework with such a stress makes G generically globally rigid (Connelly, DCG 33
+    (2005); Gortler-Healy-Thurston, Amer. J. Math. 132 (2010)). A False answer is
+    wrong only for a special P, p or w. trials is the budget for reaching rank
+    2n - 3; DomainError, the graph taken for flexible, when no trial reaches it.
     """
     if G.n < 4:
         raise DomainError("global rigidity oracle needs at least 4 vertices")
+    n, m = G.n, G.m
     i, j = edge_index(G)
     rows, cols = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
-    rigid, votes = False, 0
-    for left, rng in zip(range(trials - 1, -1, -1), _trial_rngs(seed, trials, 1)):
-        R = rigidity_matrix(G, random_embedding(G.n, rng).astype(float))
-        U, s, _ = np.linalg.svd(R, full_matrices=True)
-        rank = _rank_cut(s, R.shape, tol)[0]
-        rigid = rigid or rank == 2 * G.n - 3
-        null_dim = G.m - rank
-        if null_dim > 0:
-            stress = U[:, rank:] @ rng.normal(size=null_dim)
-            omega = np.zeros((G.n, G.n))
-            np.add.at(omega, (rows, cols), np.concatenate([-stress, -stress, stress, stress]))
-            votes += float_rank(omega, tol) == G.n - 3
-        if rigid and (votes * 2 > trials or (votes + left) * 2 <= trials):
-            break
-    if not rigid:
-        raise DomainError("global rigidity oracle requires a rigid graph")
-    return votes * 2 > trials
+    primes = random.Random(f"global_rigidity_oracle:{seed}")
+    for rng in _trial_rngs(seed, trials, 1):
+        P, p = random_embedding(n, rng), _random_prime(primes)
+        M = np.hstack([edge_system(P % p, i, j, length_form)[1] % p, np.eye(m, dtype=np.int64)])
+        if _eliminate(M, p, 2 * n) < 2 * n - 3:
+            continue
+        kernel = M[2 * n - 3:, 2 * n:]
+        # each product reduced below 2^31 first, so the column sums fit in int64
+        stress = (rng.integers(p, size=(len(kernel), 1)) * kernel % p).sum(axis=0) % p
+        omega = np.zeros((n, n), dtype=np.int64)
+        np.add.at(omega, (rows, cols), np.concatenate([-stress, -stress, stress, stress]))
+        return _eliminate(omega % p, p, n) == n - 3
+    raise DomainError("global rigidity oracle requires a rigid graph")

@@ -127,6 +127,35 @@ def glued_on_edge(G1: Graph, G2: Graph, seed: int) -> Graph:
     return Graph.from_edges(G1.n + G2.n - 2, G1.edges + tuple((label[i], label[j]) for i, j in G2.edges))
 
 
+def float_stress_oracle(G: Graph, trials: int = 5, seed: int = 0, tol: float = 1e-8) -> bool:
+    """The float stress test that numeric.global_rigidity_oracle is held to: a
+    majority vote over every trial, with no early return. Per trial: the rigidity
+    matrix of a random integer embedding in floats, its rank by the SVD cut at tol,
+    a random combination of the left singular vectors past that rank as the stress,
+    and a yes vote when the stress matrix's float rank is n - 3."""
+    from linerig.numeric import (_trial_rngs, edge_index, float_rank, random_embedding,
+                                 rigidity_matrix)
+    if G.n < 4:
+        raise DomainError("global rigidity oracle needs at least 4 vertices")
+    i, j = edge_index(G)
+    rows, cols = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
+    rigid, votes = False, 0
+    for rng in _trial_rngs(seed + 1, trials):
+        R = rigidity_matrix(G, random_embedding(G.n, rng).astype(float))
+        U, s, _ = np.linalg.svd(R, full_matrices=True)
+        rank = int(np.count_nonzero(s > tol * s[0] * max(R.shape))) if s.size and s[0] > 0 else 0
+        rigid = rigid or rank == 2 * G.n - 3
+        if G.m - rank == 0:
+            continue
+        stress = U[:, rank:] @ rng.normal(size=G.m - rank)
+        omega = np.zeros((G.n, G.n))
+        np.add.at(omega, (rows, cols), np.concatenate([-stress, -stress, stress, stress]))
+        votes += float_rank(omega, tol) == G.n - 3
+    if not rigid:
+        raise DomainError("global rigidity oracle requires a rigid graph")
+    return votes * 2 > trials
+
+
 # ---------------------------------------------------------------------------
 # The common-point / common-plane kernels as they were when they worked on a
 # (4, ..., n) copy of the chart array, each configuration's lines contiguous, so

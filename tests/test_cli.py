@@ -747,9 +747,9 @@ def test_stdin_that_is_not_utf8_is_an_error():
     assert bad.stderr.startswith(b"error: -: not UTF-8 text") and b"Traceback" not in bad.stderr
 
 
-# Each leaf's options: its own, then the common ones it reads (31 of those in all).
+# Each leaf's options: its own, then the common ones it reads (30 of those in all).
 _LEAF_OPTIONS = {
-    "analyze": "--seed --tol --trials --exact --format",
+    "analyze": "--seed --trials --exact --format",
     "verify": "--n-max --seeds --count --per-class --seed --tol --trials --format",
     "gen": "--seed",
     "lines graph": "--tol",
@@ -800,7 +800,7 @@ def test_each_leaf_takes_only_the_options_it_reads():
            for name, p in _leaves(build_parser())}
     assert got == _LEAF_OPTIONS and set(_LEAF_ARGV) == set(got)
     common = {"--seed", "--tol", "--trials", "--exact", "--format"}
-    assert sum(len(common & set(opts.split())) for opts in got.values()) == 31
+    assert sum(len(common & set(opts.split())) for opts in got.values()) == 30
 
 
 def test_a_named_leaf_builds_only_its_own_parser():
@@ -840,15 +840,16 @@ def test_exact_is_a_usage_error_except_on_analyze(capsys, leaf):
 def test_tol_must_be_positive_and_finite_on_every_leaf(tmp_path, capsys, bad):
     path = tmp_path / "k4.json"
     path.write_text(serialize_graph(generate("complete", [4])))
-    code, out, _ = run(capsys, "analyze", str(path), "--tol", "1e-8")
-    assert code == 0 and json.loads(out)["globally_rigid"] is True
+    # analyze's stress test is exact: it takes no tolerance, and --tol is a usage error
+    code, out, err = run(capsys, "analyze", str(path), "--tol", "1e-8")
+    assert code == 2 and out == "" and "unrecognized arguments: --tol 1e-8" in err
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0 and json.loads(out)["globally_rigid"] is True and "tol" not in json.loads(out)
     leaves = [leaf for leaf, opts in _LEAF_OPTIONS.items() if "--tol" in opts.split()]
     for leaf in leaves:
         # a usage error, raised before any file is read
         code, out, err = run(capsys, *leaf.split(), *_LEAF_ARGV[leaf].split(), "--tol", bad)
         assert code == 2 and out == "" and "argument --tol" in err, leaf
-    code, out, err = run(capsys, "analyze", str(path), "--tol", bad)
-    assert code == 2 and out == "" and "argument --tol" in err
 
 
 @pytest.mark.parametrize("bad", ["-3", "-1", "x", "1.5"])

@@ -201,6 +201,32 @@ def test_rank_exact_skips_a_prime_that_divides_a_denominator(monkeypatch):
     assert results[0] is None and len(results) >= 3
 
 
+def test_eliminate_ranks_as_rank_exact_and_leaves_the_left_kernel():
+    """_eliminate on [A | I] mod p: the rank of A's columns is rank_exact's, and the
+    rows of the I block from the rank on are m - rank independent vectors that
+    annihilate A mod p."""
+    rng = np.random.default_rng(28)
+    for trial in range(60):
+        p = numeric._random_prime(random.Random(trial))
+        m, k = (int(x) for x in rng.integers(1, 13, size=2))
+        if trial % 3 == 0:
+            # residues anywhere in [0, p), a fifth of them p - 1, the last row a repeat
+            A = rng.integers(p, size=(m, k))
+            A[rng.random((m, k)) < 0.2] = p - 1
+            A[-1] = A[0]
+        else:
+            # a product of rank at most r over Z; its negative entries reduce to p - 1, p - 2
+            r = int(rng.integers(0, min(m, k) + 1))
+            A = rng.integers(-2, 3, size=(m, r)) @ rng.integers(-2, 3, size=(r, k))
+        M = np.hstack([A % p, np.eye(m, dtype=np.int64)])
+        rank = numeric._eliminate(M, p, k)
+        assert rank == rank_exact(A.tolist())
+        K = M[rank:, k:]
+        assert len(K) == m - rank and not M[rank:, :k].any()
+        assert not (K.astype(object) @ (A % p).astype(object) % p).any()
+        assert numeric._eliminate(K.copy(), p, m) == m - rank
+
+
 def test_line_system_dimension_k2():
     cfg = LineConfig((Line(0, 0, 0, 0), Line(0, 0, 1, 0)))
     rep = line_system_dimension(K2, cfg)
@@ -359,6 +385,41 @@ def test_global_rigidity_oracle_examples():
     assert not global_rigidity_oracle(G)
     with pytest.raises(DomainError):
         global_rigidity_oracle(C4)
+
+
+def test_stress_oracle_agrees_with_hendrickson_and_the_float_vote():
+    """On the catalog, graphs glued on an edge, and Hendrickson graphs with one or
+    two edges deleted: the exact oracle equals is_hendrickson and the float majority
+    vote on every rigid graph, so it never says True on a rigid graph that is not
+    Hendrickson. Both oracles refuse every flexible graph: a cycle and Laman graphs
+    with an edge deleted."""
+    from helpers import float_stress_oracle, glued_on_edge
+    from linerig.sparsity import is_hendrickson
+    from linerig.verify import hendrickson_catalog
+    graphs = [G for _, G in hendrickson_catalog(8)]
+    graphs += [glued_on_edge(generate("hendrickson_random", [n, 4], seed=n), generate("complete", [k]), n)
+               for n, k in ((6, 4), (8, 5), (10, 4))]
+    for n in (7, 9, 12):
+        H = generate("hendrickson_random", [n, 3], seed=n)
+        for d in (1, 2):
+            gone = random.Random(n * d).sample(H.edges, d)
+            graphs.append(Graph(H.n, tuple(e for e in H.edges if e not in gone)))
+    graphs += [generate("cycle", [6])] + [Graph(n, generate("laman_random", [n], seed=n).edges[1:])
+                                          for n in (5, 8)]
+    kinds = {"hendrickson": 0, "rigid, not hendrickson": 0, "flexible": 0}
+    for G in graphs:
+        rigid = sparsity_rank(G).rank == 2 * G.n - 3
+        for seed in range(3):
+            if not rigid:
+                for oracle in (global_rigidity_oracle, float_stress_oracle):
+                    with pytest.raises(DomainError, match="rigid graph"):
+                        oracle(G, seed=seed)
+                kinds["flexible"] += 1
+                continue
+            verdict = global_rigidity_oracle(G, seed=seed)
+            assert verdict == is_hendrickson(G) == float_stress_oracle(G, seed=seed), (G, seed)
+            kinds["hendrickson" if verdict else "rigid, not hendrickson"] += 1
+    assert kinds == {"hendrickson": 63, "rigid, not hendrickson": 51, "flexible": 9}
 
 
 def test_pair_jacobian_structure():
@@ -580,35 +641,11 @@ def _full_rigidity_rank(G, trials=5, seed=0, exact=False):
     return max(float_rank(rigidity_matrix(G, P.astype(float))) for P in embeddings)
 
 
-def _full_oracle(G, trials=5, seed=0, tol=1e-8):
-    """global_rigidity_oracle voting over every trial, with no early return."""
-    from linerig.numeric import (_rank_cut, _trial_rngs, edge_index, float_rank,
-                                 random_embedding, rigidity_matrix)
-    if G.n < 4:
-        raise DomainError("global rigidity oracle needs at least 4 vertices")
-    i, j = edge_index(G)
-    rows, cols = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
-    rigid, votes = False, 0
-    for rng in _trial_rngs(seed + 1, trials):
-        R = rigidity_matrix(G, random_embedding(G.n, rng).astype(float))
-        U, s, _ = np.linalg.svd(R, full_matrices=True)
-        rank = _rank_cut(s, R.shape, tol)[0]
-        rigid = rigid or rank == 2 * G.n - 3
-        if G.m - rank == 0:
-            continue
-        stress = U[:, rank:] @ rng.normal(size=G.m - rank)
-        omega = np.zeros((G.n, G.n))
-        np.add.at(omega, (rows, cols), np.concatenate([-stress, -stress, stress, stress]))
-        votes += float_rank(omega, tol) == G.n - 3
-    if not rigid:
-        raise DomainError("global rigidity oracle requires a rigid graph")
-    return votes * 2 > trials
-
-
 def test_early_exits_give_the_full_loops_outputs(monkeypatch):
     """analyze and verify hendrickson-oracle stop their numeric passes once the
-    answer is decided; their outputs equal those of the loops over every trial."""
-    from helpers import glued_on_edge
+    answer is decided; their outputs equal those of the loops over every trial,
+    with the float majority vote in place of the exact stress test."""
+    from helpers import float_stress_oracle, glued_on_edge
     import linerig.cli as cli
     import linerig.verify as verify
     graphs = [G for _, G in verify.hendrickson_catalog(8)]
@@ -627,8 +664,8 @@ def test_early_exits_give_the_full_loops_outputs(monkeypatch):
 
     early = outputs()
     monkeypatch.setattr(cli, "rigidity_rank", _full_rigidity_rank)
-    monkeypatch.setattr(cli, "global_rigidity_oracle", _full_oracle)
-    monkeypatch.setattr(verify, "global_rigidity_oracle", _full_oracle)
+    monkeypatch.setattr(cli, "global_rigidity_oracle", float_stress_oracle)
+    monkeypatch.setattr(verify, "global_rigidity_oracle", float_stress_oracle)
     assert early == outputs()
 
 
@@ -645,8 +682,7 @@ def test_early_exits_skip_the_decided_trials(monkeypatch):
     W = generate("wheel", [6])
     assert rigidity_rank(W) == 2 * W.n - 3 and len(drawn) == 1
     drawn.clear()
-    # three yes votes of five decide a globally rigid graph
-    assert global_rigidity_oracle(W) and len(drawn) == 3
+    # the first trial whose rigidity matrix has rank 2n - 3 decides, either way
+    assert global_rigidity_oracle(W) and len(drawn) == 1
     drawn.clear()
-    # a rigid graph that is not globally rigid: three no votes decide it too
-    assert not global_rigidity_oracle(generate("laman_random", [8], seed=1)) and len(drawn) == 3
+    assert not global_rigidity_oracle(generate("laman_random", [8], seed=1)) and len(drawn) == 1
