@@ -4,6 +4,8 @@ Subcommands: analyze, verify, gen, lines, sample, henneberg, es. Reports go to
 standard output as JSON (default) or text tables. Exit codes: 0 success,
 1 verification failure, 2 usage or parse error. main reads every input file as UTF-8
 text (_read) into its _INPUTS reader, so a malformed one is an `error:` line and exit 2.
+analyze reads the rigidity rank and the global-rigidity verdict off one exact trial
+loop (numeric._rigidity), so it takes neither --tol nor --exact.
 
 The parser comes from one table, _COMMANDS, one row per leaf subcommand. main
 builds only the leaf that argv names; any other command line (no leaf named,
@@ -31,8 +33,8 @@ from .henneberg import (apply_henneberg, apply_jj, extract_henneberg, extract_jj
                         steps_from_json, steps_to_json)
 from .lines3d import Line, LineConfig, classify_triple, common_plane, common_point, \
     intersection_graph, meet_residual, transversal_detail
-from .numeric import (global_rigidity_oracle, line_system_dimension, line_system_jacobian,
-                      pair_system_dimension, pair_system_jacobian, rigidity_rank)
+from .numeric import (_rigidity, line_system_dimension, line_system_jacobian,
+                      pair_system_dimension, pair_system_jacobian)
 from .sampler import gauss_newton_project, sample_congruent_pair, sample_knn, \
     sample_laman_lines_info
 from .sparsity import is_redundant, sparsity_rank
@@ -55,29 +57,24 @@ class AnalysisReport:
     globally_rigid: Optional[bool]
     seed: int
     trials: int
-    rigidity_rank_exact: Optional[int] = None
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
 
-def analyze_graph(G: Graph, seed: int = 0, trials: int = 5, exact: bool = False) -> AnalysisReport:
+def analyze_graph(G: Graph, seed: int = 0, trials: int = 5) -> AnalysisReport:
     rank = sparsity_rank(G).rank
-    rrank = rigidity_rank(G, trials=trials, seed=seed)
+    rrank, glob = _rigidity(G, trials, seed)
     rigid = rrank == 2 * G.n - 3
     redundant = is_redundant(G)
     three = is_k_connected(G, 3) if G.n >= 4 else None
     # is_hendrickson's own definition, from the two checks already made
     hend = redundant and three if G.n >= 4 else None
-    glob = None
-    if G.n >= 4 and rigid:
-        glob = global_rigidity_oracle(G, trials=trials, seed=seed)
-    exact_rank = rigidity_rank(G, trials=trials, seed=seed, exact=True) if exact else None
     return AnalysisReport(
         n=G.n, m=G.m, sparsity_rank=rank, rigidity_rank=rrank,
         laman=G.m == 2 * G.n - 3 and rank == G.m, rigid=rigid, redundant=redundant,
         three_connected=three, hendrickson=hend, globally_rigid=glob,
-        seed=seed, trials=trials, rigidity_rank_exact=exact_rank)
+        seed=seed, trials=trials)
 
 
 def _read(path: str) -> str:
@@ -109,7 +106,7 @@ _INPUTS = {"graph": _load_graph, "config": LineConfig.from_json, "pairs": parse_
 
 
 def _cmd_analyze(args: argparse.Namespace) -> None:
-    report = analyze_graph(args.graph, seed=args.seed, trials=args.trials, exact=args.exact)
+    report = analyze_graph(args.graph, seed=args.seed, trials=args.trials)
     _emit(report.to_dict(), args.format)
 
 
@@ -286,7 +283,6 @@ _COMMON = {
     "seed": dict(type=_seed, default=0),
     "tol": dict(type=_tolerance, default=1e-8),
     "trials": dict(type=int, default=5),
-    "exact": dict(action="store_true", help="confirm ranks in exact arithmetic"),
     "format": dict(choices=("json", "text"), default="json"),
 }
 
@@ -313,7 +309,7 @@ def _given(option: str, **kwargs) -> tuple[tuple[str, ...], dict]:
 _COMMANDS = (
     (None, "analyze", "full combinatorial + numeric report for a graph file", _cmd_analyze,
      [_arg("graph", help="graph file (JSON or edge list), '-' for stdin")],
-     "seed trials exact format"),
+     "seed trials format"),
     (None, "verify", "run a named verification suite", _cmd_verify,
      [_arg("suite", choices=sorted(SUITES)),
       *(_given(size, type=int) for size in ("n-max", "seeds", "count", "per-class")),

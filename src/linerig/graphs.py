@@ -345,7 +345,8 @@ def _hendrickson_random(params: tuple[int, ...], rng: random.Random) -> Graph:
         n += 1
         if rng.random() < 0.3:
             add_random_edge()
-    for _ in range(extra):
+    # each call adds one edge until the graph is complete, and draws nothing after
+    for _ in range(min(extra, k * (k - 1) // 2 - len(edges))):
         add_random_edge()
     return Graph(k, tuple(sorted(edges)))
 

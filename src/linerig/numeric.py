@@ -18,7 +18,7 @@ a random prime p below 2^31. rank_exact reduces exact matrices, so certified rep
 on exact inputs can be reproduced exactly: a rank mod p never exceeds the rational
 rank, so one prime that gives full rank min(rows, cols) proves it, and a
 rank-deficient matrix needs two primes that agree on the largest rank seen.
-global_rigidity_oracle reduces [R | I] and reads an exact stress off its I block.
+rigidity_rank and global_rigidity_oracle read _rigidity, which reduces R^T per trial.
 """
 
 from __future__ import annotations
@@ -132,14 +132,14 @@ def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _eliminate(M: np.ndarray, p: int, ncols: int) -> int:
-    """Row-reduce the int64 residues mod p in M in place, pivoting in its first ncols
-    columns, and return their rank r. Each pivot clears its column in the rows below
-    it that are nonzero there, over every column from its own on: rows r.. end zero
-    in the first ncols columns, and those of [A | I] hold A's left kernel mod p in
-    their I block. Residues are below p < 2^31, so products, below 2^62, fit in int64."""
+def _eliminate(M: np.ndarray, p: int) -> int:
+    """Row-reduce the int64 residues mod p in M in place and return its rank r. Each
+    pivot clears its column in the rows below it that are nonzero there, over every
+    column from its own on, so M ends in echelon form: rows r.. are zero, and each row
+    above has its pivot at its first nonzero entry. Residues are below p < 2^31, so
+    products, below 2^62, fit in int64."""
     rank = 0
-    for c in range(ncols):
+    for c in range(M.shape[1]):
         nz = M[rank:, c].nonzero()[0]
         if not nz.size:
             continue
@@ -175,7 +175,7 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> Optional[int]:
     M = np.zeros((len(rows), ncols), dtype=np.int64)
     num = np.array([x.numerator % p for x in vals], dtype=np.int64)
     M[ri, ci] = num * _inverse_mod(den, p) % p
-    return _eliminate(M, p, ncols)
+    return _eliminate(M, p)
 
 
 def _as_exact_rows(M) -> list[list[Union[int, Fraction]]]:
@@ -305,32 +305,15 @@ def random_embedding(n: int, rng: np.random.Generator, box: int = 10 ** 4) -> np
     return rng.integers(-box, box + 1, size=(n, 2)).astype(np.int64)
 
 
-def _trial_rngs(seed: int, trials: int, offset: int = 0) -> Iterator[np.random.Generator]:
-    """SeedSequence(seed + offset).spawn(trials)'s generators, each spawned when it
-    is taken. A trial count below 1 or a negative seed raises DomainError."""
+def _trial_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
+    """SeedSequence(seed).spawn(trials)'s generators, each spawned when it is taken.
+    A trial count below 1 or a negative seed raises DomainError."""
     if trials < 1:
         raise DomainError("trials must be positive")
     if seed < 0:
         raise DomainError("seed must be at least 0")
-    root = np.random.SeedSequence(seed + offset)
+    root = np.random.SeedSequence(seed)
     return (np.random.Generator(np.random.PCG64(root.spawn(1)[0])) for _ in range(trials))
-
-
-def rigidity_rank(G: Graph, trials: int = 5, seed: int = 0, exact: bool = False) -> int:
-    """Max rigidity-matrix rank over random integer embeddings; with exact=True
-    every rank is rank_exact's, over the same embeddings. Returns at the first
-    trial that reaches min(m, 2n - 3), a rank no embedding exceeds; each trial
-    draws from its own generator, so the trials run are those of the full loop."""
-    if G.n < 2:
-        raise DomainError("rigidity rank needs at least 2 vertices")
-    cap, best = min(G.m, 2 * G.n - 3), 0
-    for rng in _trial_rngs(seed, trials):
-        if best == cap:
-            break
-        P = random_embedding(G.n, rng)
-        best = max(best, rank_exact(rigidity_matrix(G, P)) if exact
-                   else float_rank(rigidity_matrix(G, P.astype(float))))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -429,38 +412,59 @@ def transversal_family_dimension(l1: Line, l2: Line, l3: Line, member: Line) -> 
 
 
 # ---------------------------------------------------------------------------
-# global rigidity oracle (a stress matrix's rank mod p)
+# rigidity rank and global rigidity (one reduction of R^T mod p per trial)
+
+
+def _rigidity(G: Graph, trials: int, seed: int) -> tuple[int, Optional[bool]]:
+    """The rigidity rank mod p and the stress verdict, from one trial loop.
+
+    Each trial reduces R(P)^T mod p (_eliminate) for a random integer embedding P and
+    a prime p in [2^30, 2^31). The loop stops at the first rank min(m, 2n - 3), which
+    no embedding exceeds, or once two trials agree on the largest rank seen
+    (rank_exact's rule). For n >= 4 the trial of rank 2n - 3 decides, and the verdict
+    is None if there is none: it is whether a uniformly random stress w (R^T w = 0 mod
+    p) has a stress matrix of rank n - 3 mod p. True is always right, as w then lifts
+    to a rational stress of the same rank (Connelly, DCG 33 (2005); Gortler-Healy-
+    Thurston, Amer. J. Math. 132 (2010)); False is wrong only for a special P, p or w.
+    """
+    if G.n < 2:
+        raise DomainError("rigidity rank needs at least 2 vertices")
+    n, m = G.n, G.m
+    i, j = edge_index(G)
+    full, ranks = min(m, 2 * n - 3), []
+    primes = random.Random(f"rigidity:{seed}")
+    for rng in _trial_rngs(seed, trials):
+        P, p = random_embedding(n, rng), _random_prime(primes)
+        M = (edge_system(P % p, i, j, length_form)[1] % p).T.copy()
+        ranks.append(_eliminate(M, p))
+        if ranks[-1] == full or ranks.count(max(ranks)) >= 2:
+            break
+    rank = max(ranks)
+    if n < 4 or rank < 2 * n - 3:
+        return rank, None
+    # the loop stopped at the one trial of rank 2n - 3, so M, p and rng are its own;
+    # R^T's echelon form, solved from its last row up, with products reduced below 2^31
+    stress = rng.integers(p, size=m)
+    for row in M[rank - 1::-1]:
+        c = row.nonzero()[0][0]
+        stress[c] = -((row[c + 1:] * stress[c + 1:] % p).sum() % p) * pow(int(row[c]), -1, p) % p
+    rows, cols = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
+    omega = np.zeros((n, n), dtype=np.int64)
+    np.add.at(omega, (rows, cols), np.concatenate([-stress, -stress, stress, stress]))
+    return rank, _eliminate(omega % p, p) == n - 3
+
+
+def rigidity_rank(G: Graph, trials: int = 5, seed: int = 0) -> int:
+    """_rigidity's rank mod p: a lower bound on the generic rank of the rigidity
+    matrix, equal to it unless every trial drew a special embedding or prime."""
+    return _rigidity(G, trials, seed)[0]
 
 
 def global_rigidity_oracle(G: Graph, trials: int = 5, seed: int = 0) -> bool:
-    """Exact stress test over F_p: true iff a random equilibrium stress of a random
-    integer embedding P has a stress matrix of rank n - 3 mod a random prime p.
-
-    Per trial, _eliminate reduces [R(P) | I_m] mod p over R's 2n columns; the first
-    trial where R has rank 2n - 3 decides, with a random combination w of the I
-    block's rows from 2n - 3 on as the stress. Minimally rigid graphs have w = 0.
-    A True answer is always right: R mod p then has its rational rank, so w lifts to
-    a rational stress whose matrix has rank n - 3 too, and an infinitesimally rigid
-    framework with such a stress makes G generically globally rigid (Connelly, DCG 33
-    (2005); Gortler-Healy-Thurston, Amer. J. Math. 132 (2010)). A False answer is
-    wrong only for a special P, p or w. trials is the budget for reaching rank
-    2n - 3; DomainError, the graph taken for flexible, when no trial reaches it.
-    """
+    """_rigidity's exact stress verdict; DomainError where it takes G for flexible."""
     if G.n < 4:
         raise DomainError("global rigidity oracle needs at least 4 vertices")
-    n, m = G.n, G.m
-    i, j = edge_index(G)
-    rows, cols = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
-    primes = random.Random(f"global_rigidity_oracle:{seed}")
-    for rng in _trial_rngs(seed, trials, 1):
-        P, p = random_embedding(n, rng), _random_prime(primes)
-        M = np.hstack([edge_system(P % p, i, j, length_form)[1] % p, np.eye(m, dtype=np.int64)])
-        if _eliminate(M, p, 2 * n) < 2 * n - 3:
-            continue
-        kernel = M[2 * n - 3:, 2 * n:]
-        # each product reduced below 2^31 first, so the column sums fit in int64
-        stress = (rng.integers(p, size=(len(kernel), 1)) * kernel % p).sum(axis=0) % p
-        omega = np.zeros((n, n), dtype=np.int64)
-        np.add.at(omega, (rows, cols), np.concatenate([-stress, -stress, stress, stress]))
-        return _eliminate(omega % p, p, n) == n - 3
-    raise DomainError("global rigidity oracle requires a rigid graph")
+    verdict = _rigidity(G, trials, seed)[1]
+    if verdict is None:
+        raise DomainError("global rigidity oracle requires a rigid graph")
+    return verdict

@@ -219,14 +219,16 @@ def sample_laman_lines_info(G: Graph, seed: int = 0, max_retries: int = 32,
     to tol, which holds every edge's residual to the residual rule at tol. The
     projection is kept when no two lines coincide within 1e-8 of their largest
     |coordinate| (pair_tests) and the float Jacobian has full rank; any other
-    attempt is retried with a fresh draw.
+    attempt is retried with a fresh draw. A negative seed raises DomainError.
     """
+    if seed < 0:
+        raise DomainError("seed must be at least 0")
     if not is_laman(G):
         raise DomainError("sample_laman_lines requires a Laman graph")
 
     def draw(attempt: int) -> Union[LineConfig, str]:
         rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([seed & 0xFFFFFFFF, attempt])))
+            np.random.SeedSequence([seed, attempt])))
         start = rng.integers(-_BOX, _BOX, size=(G.n, 4), endpoint=True)
         try:
             projected = gauss_newton_project(G, LineConfig.from_rows(start.tolist()),

@@ -21,8 +21,7 @@ from .graphs import Graph, generate
 from .lines3d import (Line, Plane, _dependent, classify_triple, common_planes, common_points,
                       incidence, line_through, meet_residual, plane_kernel, point_kernel,
                       transversal)
-from .numeric import (global_rigidity_oracle, pair_system_dimension, rank_exact,
-                      transversal_family_dimension)
+from .numeric import _rigidity, pair_system_dimension, rank_exact, transversal_family_dimension
 from .sampler import (knn_jacobian, sample_congruent_pair, sample_knn_params,
                       sample_laman_lines_exact_info, sample_laman_lines_info)
 from .sparsity import is_hendrickson
@@ -563,12 +562,9 @@ def hendrickson_oracle(n_max: int = 8, trials: int = 5, seed: int = 0) -> SuiteR
     rep = SuiteReport("hendrickson-oracle")
     for name, G in hendrickson_catalog(n_max):
         combinatorial = is_hendrickson(G)
-        try:
-            oracle = global_rigidity_oracle(G, trials=trials, seed=seed)
-        except DomainError:
-            # every catalog graph has n >= 4, so the oracle found it flexible:
-            # outside its domain, and never redundant, so the combinatorial test
-            # must say no
+        oracle = _rigidity(G, trials, seed)[1]
+        if oracle is None:
+            # n >= 4 on the catalog, so G is flexible: never redundant, never Hendrickson
             rep.record(combinatorial is False, graph=name, note="flexible")
             continue
         rep.record(oracle == combinatorial, graph=name,

@@ -127,6 +127,26 @@ def glued_on_edge(G1: Graph, G2: Graph, seed: int) -> Graph:
     return Graph.from_edges(G1.n + G2.n - 2, G1.edges + tuple((label[i], label[j]) for i, j in G2.edges))
 
 
+def glued_at_vertex(G1: Graph, G2: Graph, seed: int) -> Graph:
+    """G1 and G2 sharing one vertex: a random vertex of G2 is laid onto one of G1.
+    Each side moves about the shared vertex, so the rank is at most 2n - 4."""
+    rng = random.Random(seed)
+    a, c = rng.randrange(G1.n), rng.randrange(G2.n)
+    fresh = iter(range(G1.n, G1.n + G2.n - 1))
+    label = [a if x == c else next(fresh) for x in range(G2.n)]
+    return Graph.from_edges(G1.n + G2.n - 1, G1.edges + tuple((label[i], label[j]) for i, j in G2.edges))
+
+
+def full_rigidity_rank(G: Graph, trials: int = 5, seed: int = 0) -> int:
+    """The float rigidity rank that numeric.rigidity_rank is held to: the maximum of
+    the SVD rank over every trial's random integer embedding, with no early return."""
+    from linerig.numeric import _trial_rngs, float_rank, random_embedding, rigidity_matrix
+    if G.m == 0:
+        return 0
+    return max(float_rank(rigidity_matrix(G, random_embedding(G.n, rng).astype(float)))
+               for rng in _trial_rngs(seed, trials))
+
+
 def float_stress_oracle(G: Graph, trials: int = 5, seed: int = 0, tol: float = 1e-8) -> bool:
     """The float stress test that numeric.global_rigidity_oracle is held to: a
     majority vote over every trial, with no early return. Per trial: the rigidity
@@ -140,7 +160,7 @@ def float_stress_oracle(G: Graph, trials: int = 5, seed: int = 0, tol: float = 1
     i, j = edge_index(G)
     rows, cols = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
     rigid, votes = False, 0
-    for rng in _trial_rngs(seed + 1, trials):
+    for rng in _trial_rngs(seed, trials):
         R = rigidity_matrix(G, random_embedding(G.n, rng).astype(float))
         U, s, _ = np.linalg.svd(R, full_matrices=True)
         rank = int(np.count_nonzero(s > tol * s[0] * max(R.shape))) if s.size and s[0] > 0 else 0

@@ -344,11 +344,15 @@ def test_output_is_byte_deterministic(tmp_path, capsys):
 
 
 def test_analyze_exact_flag(tmp_path, capsys):
+    # the rigidity rank is a rank mod p already: analyze takes no --exact, and its
+    # report has no second rank
     gpath = tmp_path / "g.json"
     gpath.write_text(serialize_graph(generate("wheel", [5])))
-    code, out, _ = run(capsys, "analyze", str(gpath), "--exact")
+    code, out, err = run(capsys, "analyze", str(gpath), "--exact")
+    assert code == 2 and out == "" and "unrecognized arguments: --exact" in err
+    code, out, _ = run(capsys, "analyze", str(gpath))
     rep = json.loads(out)
-    assert code == 0 and rep["rigidity_rank_exact"] == rep["rigidity_rank"] == 7
+    assert code == 0 and rep["rigidity_rank"] == 7 and "rigidity_rank_exact" not in rep
 
 
 def test_suite_reports_serialize(capsys):
@@ -465,19 +469,26 @@ def test_verify_without_options_runs_the_suites_defaults(capsys, name):
 
 
 def test_analyze_takes_one_rigidity_rank_pass(monkeypatch):
+    """One mod-p elimination of R^T per trial, plus one of the stress matrix on a
+    rigid graph: wheel(6) decides both answers on its first trial, and cycle(6),
+    independent, reaches its full rank m on its first."""
     import linerig.cli as cli
     import linerig.numeric as numeric
-    calls = {"rigidity_rank": 0, "is_rigid_numeric": 0}
-    for module in (cli, numeric):
-        for name in calls:
-            if hasattr(module, name):
-                def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
-                    calls[_name] += 1
-                    return _fn(*args, **kwargs)
-                monkeypatch.setattr(module, name, counted)
+    calls = []
+
+    def counted(M, p):
+        calls.append(M.shape)
+        return eliminate(M, p)
+
+    eliminate = numeric._eliminate
+    monkeypatch.setattr(numeric, "_eliminate", counted)
     rep = cli.analyze_graph(generate("wheel", [6]))
-    assert calls == {"rigidity_rank": 1, "is_rigid_numeric": 0}
-    assert rep.rigid and rep.globally_rigid is True
+    assert calls == [(12, 10), (6, 6)]
+    assert rep.rigid and rep.globally_rigid is True and rep.rigidity_rank == 9
+    calls.clear()
+    rep = cli.analyze_graph(generate("cycle", [6]))
+    assert calls == [(12, 6)]
+    assert not rep.rigid and rep.globally_rigid is None and rep.rigidity_rank == 6
 
 
 @pytest.mark.parametrize("bad", ["NaN", "1e400", "true", '"1"'])
@@ -747,9 +758,9 @@ def test_stdin_that_is_not_utf8_is_an_error():
     assert bad.stderr.startswith(b"error: -: not UTF-8 text") and b"Traceback" not in bad.stderr
 
 
-# Each leaf's options: its own, then the common ones it reads (30 of those in all).
+# Each leaf's options: its own, then the common ones it reads (29 of those in all).
 _LEAF_OPTIONS = {
-    "analyze": "--seed --trials --exact --format",
+    "analyze": "--seed --trials --format",
     "verify": "--n-max --seeds --count --per-class --seed --tol --trials --format",
     "gen": "--seed",
     "lines graph": "--tol",
@@ -799,8 +810,8 @@ def test_each_leaf_takes_only_the_options_it_reads():
                           if s not in ("-h", "--help"))
            for name, p in _leaves(build_parser())}
     assert got == _LEAF_OPTIONS and set(_LEAF_ARGV) == set(got)
-    common = {"--seed", "--tol", "--trials", "--exact", "--format"}
-    assert sum(len(common & set(opts.split())) for opts in got.values()) == 30
+    common = {"--seed", "--tol", "--trials", "--format"}
+    assert sum(len(common & set(opts.split())) for opts in got.values()) == 29
 
 
 def test_a_named_leaf_builds_only_its_own_parser():
@@ -820,20 +831,20 @@ def test_main_parses_as_the_whole_tree(capsys, argv):
     except SystemExit as exc:
         want = (0 if exc.code in (0, None) else 2, *capsys.readouterr())
         assert run(capsys, *argv) == want
-    else:  # `analyze g.json --exact` parses; main would go on to read g.json
+    else:  # main would go on to read the leaf's input files
         assert build_parser(argv).parse_args(argv) == want
 
 
 @pytest.mark.parametrize("leaf", sorted(_LEAF_ARGV))
 def test_exact_is_a_usage_error_except_on_analyze(capsys, leaf):
+    """--exact is a usage error on every leaf, analyze now included: its rigidity
+    rank is a rank mod p, so there is no float rank left to confirm. (The name dates
+    from when analyze took --exact.)"""
     argv = [*leaf.split(), *_LEAF_ARGV[leaf].split()]
     build_parser().parse_args(argv)
-    if leaf == "analyze":
-        assert build_parser().parse_args([*argv, "--exact"]).exact is True
-    else:
-        # a usage error, raised before any file is read
-        code, out, err = run(capsys, *argv, "--exact")
-        assert code == 2 and out == "" and "unrecognized arguments: --exact" in err
+    # a usage error, raised before any file is read
+    code, out, err = run(capsys, *argv, "--exact")
+    assert code == 2 and out == "" and "unrecognized arguments: --exact" in err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1"])

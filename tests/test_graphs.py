@@ -166,6 +166,15 @@ def test_random_generators_hit_their_class():
         assert is_hendrickson(generate("hendrickson_random", [k], seed=k))
 
 
+def test_hendrickson_random_stops_adding_edges_at_the_complete_graph():
+    """Extra edges past the complete graph draw nothing and add nothing: a count of
+    10**9 returns K6 at once, as a count of 15 does."""
+    K6 = generate("complete", [6])
+    for seed in range(3):
+        G = generate("hendrickson_random", [6, 10 ** 9], seed=seed)
+        assert G == K6 == generate("hendrickson_random", [6, 15], seed=seed)
+
+
 @pytest.mark.parametrize("n", [3.0, True, "3", None])
 def test_vertex_count_must_be_an_integer(n):
     with pytest.raises(DomainError, match="vertex count"):

@@ -202,9 +202,9 @@ def test_rank_exact_skips_a_prime_that_divides_a_denominator(monkeypatch):
 
 
 def test_eliminate_ranks_as_rank_exact_and_leaves_the_left_kernel():
-    """_eliminate on [A | I] mod p: the rank of A's columns is rank_exact's, and the
-    rows of the I block from the rank on are m - rank independent vectors that
-    annihilate A mod p."""
+    """_eliminate on A^T mod p: the rank is rank_exact's, and it leaves an echelon form
+    with A^T's row space, each pivot its row's first nonzero: the form from which
+    _rigidity back-substitutes a vector of A's left kernel."""
     rng = np.random.default_rng(28)
     for trial in range(60):
         p = numeric._random_prime(random.Random(trial))
@@ -218,13 +218,12 @@ def test_eliminate_ranks_as_rank_exact_and_leaves_the_left_kernel():
             # a product of rank at most r over Z; its negative entries reduce to p - 1, p - 2
             r = int(rng.integers(0, min(m, k) + 1))
             A = rng.integers(-2, 3, size=(m, r)) @ rng.integers(-2, 3, size=(r, k))
-        M = np.hstack([A % p, np.eye(m, dtype=np.int64)])
-        rank = numeric._eliminate(M, p, k)
-        assert rank == rank_exact(A.tolist())
-        K = M[rank:, k:]
-        assert len(K) == m - rank and not M[rank:, :k].any()
-        assert not (K.astype(object) @ (A % p).astype(object) % p).any()
-        assert numeric._eliminate(K.copy(), p, m) == m - rank
+        M = (A % p).T.copy()
+        rank = numeric._eliminate(M, p)
+        assert rank == rank_exact(A.tolist()) and not M[rank:].any()
+        pivots = [int(row.nonzero()[0][0]) for row in M[:rank]]
+        assert pivots == sorted(set(pivots))
+        assert numeric._eliminate(np.vstack([M[:rank], (A % p).T]), p) == rank
 
 
 def test_line_system_dimension_k2():
@@ -537,11 +536,24 @@ def test_float_reports_carry_their_margin():
     assert line_system_dimension(G, LineConfig.from_rows([(1, 2, 3, 4)] * 5)).sigma_kept is None
 
 
-def test_rigidity_rank_exact_matches_float_rank():
-    for n, seed in ((6, 0), (9, 4)):
-        G = generate("laman_random", [n], seed=seed)
-        assert rigidity_rank(G, seed=seed, exact=True) == rigidity_rank(G, seed=seed) == 2 * n - 3
-    assert rigidity_rank(C4, exact=True) == 4
+def test_rigidity_rank_exact_matches_float_rank(monkeypatch):
+    """rigidity_rank, a rank mod p, equals rank_exact of the rigidity matrices of the
+    embeddings it drew, and the float SVD rank over every trial."""
+    from helpers import full_rigidity_rank
+    drawn = []
+
+    def recorded(n, rng, *args):
+        drawn.append(random_embedding(n, rng, *args))
+        return drawn[-1]
+
+    random_embedding = numeric.random_embedding
+    monkeypatch.setattr(numeric, "random_embedding", recorded)
+    for G, seed, want in ((generate("laman_random", [6], seed=0), 0, 9),
+                          (generate("laman_random", [9], seed=4), 4, 15), (C4, 0, 4)):
+        drawn.clear()
+        assert rigidity_rank(G, seed=seed) == want and drawn
+        assert max(rank_exact(rigidity_matrix(G, P)) for P in drawn) == want
+        assert full_rigidity_rank(G, seed=seed) == want
 
 
 def test_global_rigidity_oracle_checks_rigidity_with_its_own_trials(monkeypatch):
@@ -558,13 +570,12 @@ def test_global_rigidity_oracle_checks_rigidity_with_its_own_trials(monkeypatch)
 
 def test_hendrickson_oracle_takes_one_rigidity_pass_per_graph(monkeypatch):
     import linerig.verify as verify
-    from linerig.numeric import global_rigidity_oracle
     from linerig.sparsity import is_hendrickson
     passes, records = [], []
 
     def counted(G, *args, **kwargs):
         passes.append(G)
-        return global_rigidity_oracle(G, *args, **kwargs)
+        return numeric._rigidity(G, *args, **kwargs)
 
     # the catalog's graphs are all rigid; two flexible ones exercise the other verdict
     catalog = verify.hendrickson_catalog(7) + [
@@ -572,12 +583,12 @@ def test_hendrickson_oracle_takes_one_rigidity_pass_per_graph(monkeypatch):
         ("K4-minus-edge-plus-pendant",
          Graph.from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]))]
     monkeypatch.setattr(verify, "hendrickson_catalog", lambda n_max: catalog)
-    monkeypatch.setattr(verify, "global_rigidity_oracle", counted)
+    monkeypatch.setattr(verify, "_rigidity", counted)
     monkeypatch.setattr(verify.SuiteReport, "record",
                         lambda self, ok, **detail: records.append((ok, detail)))
     verify.hendrickson_oracle(n_max=7, trials=3, seed=2)
     assert passes == [G for _, G in catalog]
-    # the verdicts of the two-pass suite: the rigidity rank first, then the oracle
+    # the verdicts of the rigidity rank and the oracle, each on its own
     flexible = []
     for (name, G), (ok, detail) in zip(catalog, records, strict=True):
         assert ok and detail["graph"] == name
@@ -599,13 +610,15 @@ def test_hendrickson_oracle_rejects_zero_trials():
 @pytest.mark.parametrize("seed", [-1, -2])
 def test_negative_seeds_are_domain_errors(seed):
     """numpy's generators take no negative seed; each entry point that seeds one
-    says so as a DomainError, also where the oracle seeds with seed + 1."""
+    says so as a DomainError."""
     from linerig.cli import analyze_graph
+    from linerig.sampler import sample_laman_lines_info
     from linerig.verify import four_lines, hendrickson_oracle, lemma_cong
     calls = [lambda: rigidity_rank(K4, seed=seed),
              lambda: global_rigidity_oracle(K4, seed=seed),
              lambda: lemma_cong(10, seed=seed), lambda: four_lines(10, seed=seed),
-             lambda: analyze_graph(K4, seed=seed), lambda: hendrickson_oracle(seed=seed)]
+             lambda: analyze_graph(K4, seed=seed), lambda: hendrickson_oracle(seed=seed),
+             lambda: sample_laman_lines_info(K4.without_edge(0, 1), seed=seed)]
     for call in calls:
         with pytest.raises(DomainError, match="seed must be at least 0"):
             call()
@@ -630,22 +643,11 @@ def test_trial_generators_are_spawned_one_at_a_time(monkeypatch):
     assert rigidity_rank(K4, trials=1000) == 5 and sum(spawned) <= 2
 
 
-def _full_rigidity_rank(G, trials=5, seed=0, exact=False):
-    """rigidity_rank as the maximum over every trial, with no early return."""
-    from linerig.numeric import _trial_rngs, float_rank, random_embedding, rigidity_matrix
-    if G.m == 0:
-        return 0
-    embeddings = (random_embedding(G.n, rng) for rng in _trial_rngs(seed, trials))
-    if exact:
-        return max(rank_exact(rigidity_matrix(G, P)) for P in embeddings)
-    return max(float_rank(rigidity_matrix(G, P.astype(float))) for P in embeddings)
-
-
 def test_early_exits_give_the_full_loops_outputs(monkeypatch):
-    """analyze and verify hendrickson-oracle stop their numeric passes once the
-    answer is decided; their outputs equal those of the loops over every trial,
-    with the float majority vote in place of the exact stress test."""
-    from helpers import float_stress_oracle, glued_on_edge
+    """analyze and verify hendrickson-oracle stop their trial loop once the answer is
+    decided; their outputs equal those of the float references over every trial:
+    the largest SVD rank and, where it is 2n - 3, the majority vote."""
+    from helpers import float_stress_oracle, full_rigidity_rank, glued_on_edge
     import linerig.cli as cli
     import linerig.verify as verify
     graphs = [G for _, G in verify.hendrickson_catalog(8)]
@@ -657,15 +659,19 @@ def test_early_exits_give_the_full_loops_outputs(monkeypatch):
     def outputs():
         analyzed = [cli.analyze_graph(G, seed=seed, trials=trials).to_dict()
                     for G in graphs for seed, trials in ((0, 5), (3, 4), (7, 1))]
-        analyzed += [cli.analyze_graph(G, seed=1, exact=True).to_dict() for G in graphs[:6]]
         suites = [verify.hendrickson_oracle(n_max=8, trials=trials, seed=seed).to_dict()
                   for seed, trials in ((0, 5), (2, 3))]
         return analyzed, suites
 
+    def full_loops(G, trials, seed):
+        rank = full_rigidity_rank(G, trials, seed)
+        if G.n < 4 or rank != 2 * G.n - 3:
+            return rank, None
+        return rank, float_stress_oracle(G, trials, seed)
+
     early = outputs()
-    monkeypatch.setattr(cli, "rigidity_rank", _full_rigidity_rank)
-    monkeypatch.setattr(cli, "global_rigidity_oracle", float_stress_oracle)
-    monkeypatch.setattr(verify, "global_rigidity_oracle", float_stress_oracle)
+    monkeypatch.setattr(cli, "_rigidity", full_loops)
+    monkeypatch.setattr(verify, "_rigidity", full_loops)
     assert early == outputs()
 
 
@@ -686,3 +692,56 @@ def test_early_exits_skip_the_decided_trials(monkeypatch):
     assert global_rigidity_oracle(W) and len(drawn) == 1
     drawn.clear()
     assert not global_rigidity_oracle(generate("laman_random", [8], seed=1)) and len(drawn) == 1
+
+
+def test_the_stress_is_an_equilibrium_stress_of_the_deciding_embedding(monkeypatch):
+    """The stress matrix that _rigidity ranks belongs to an equilibrium stress of the
+    deciding trial's embedding P mod its prime p: symmetric, with zero row sums and
+    Omega P = 0 mod p. It is 0 on minimally rigid graphs and nonzero on redundant ones."""
+    embeddings, reduced = [], []
+
+    def recorded(n, rng, *args):
+        embeddings.append(random_embedding(n, rng, *args))
+        return embeddings[-1]
+
+    def eliminate(M, p):
+        reduced.append((M.copy(), p))
+        return eliminate_(M, p)
+
+    random_embedding, eliminate_ = numeric.random_embedding, numeric._eliminate
+    monkeypatch.setattr(numeric, "random_embedding", recorded)
+    monkeypatch.setattr(numeric, "_eliminate", eliminate)
+    graphs = [K4, generate("wheel", [5]), generate("wheel", [8]), generate("complete", [7]),
+              generate("hendrickson_random", [12, 3], seed=2), generate("laman_random", [9], seed=1)]
+    for G in graphs:
+        for seed in range(3):
+            numeric._rigidity(G, 5, seed)
+            (omega, p), P = reduced[-1], embeddings[-1]
+            assert omega.shape == (G.n, G.n) and (omega == omega.T).all()
+            assert not (omega.sum(axis=1) % p).any()
+            assert not (omega.astype(object) @ P.astype(object) % p).any()
+            assert omega.any() == (G.m > 2 * G.n - 3)
+
+
+def test_flexible_graphs_with_2n_3_edges_stop_after_two_trials(monkeypatch):
+    """Two Hendrickson graphs glued at a vertex have m >= 2n - 3 edges and rank
+    2n - 4: no trial reaches min(m, 2n - 3), so the loop stops after exactly two
+    trials that agree on 2n - 4, with no verdict, and the oracle refuses the graph."""
+    from helpers import glued_at_vertex
+    drawn = []
+
+    def counted(n, rng, *args):
+        drawn.append(n)
+        return random_embedding(n, rng, *args)
+
+    random_embedding = numeric.random_embedding
+    monkeypatch.setattr(numeric, "random_embedding", counted)
+    for a, b in ((4, 4), (5, 7), (9, 12), (20, 30)):
+        G = glued_at_vertex(generate("hendrickson_random", [a, 2], seed=a),
+                            generate("hendrickson_random", [b, 2], seed=b), a + b)
+        assert G.m >= 2 * G.n - 3 and sparsity_rank(G).rank == 2 * G.n - 4
+        for seed in range(3):
+            drawn.clear()
+            assert numeric._rigidity(G, 5, seed) == (2 * G.n - 4, None) and len(drawn) == 2
+            with pytest.raises(DomainError, match="rigid graph"):
+                global_rigidity_oracle(G, seed=seed)

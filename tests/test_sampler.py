@@ -211,6 +211,15 @@ def test_sampler_deterministic_per_seed():
     assert not (a == c).all()
 
 
+def test_seeds_that_agree_below_2_32_draw_apart():
+    """The float sampler seeds each attempt with the whole seed: seeds 0 and 2^32
+    (equal in their low 32 bits) draw different samples, and both certify."""
+    G = generate("laman_random", [8], seed=1)
+    a, b = (sample_laman_lines_info(G, seed=seed) for seed in (0, 2 ** 32))
+    assert a.report.certified and b.report.certified
+    assert not (a.config.as_array() == b.config.as_array()).all()
+
+
 def test_certification_rate_reported():
     from linerig.verify import theorem_main
     rep = theorem_main(seeds=10, n_max=8, seed=123)
