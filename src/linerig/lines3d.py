@@ -21,7 +21,8 @@ masks pairs of lines that meet (by the rule), are parallel (D2, D3) or coincide 
 of D), the last two within tol * big. A chart scaled by lam, the map (x, y, z) ->
 (lam x, lam y, z), keeps every incidence: the other float predicates work in the
 chart unit of _scaled and hold each residual to tol times the sizes of its own
-factors. Exact lines are decided exactly (== 0): each predicate branches on is_exact.
+factors. Exact lines are decided exactly (== 0): each predicate branches on is_exact,
+and intersection_graph takes its candidate pairs mod a prime (modp), then confirms each.
 
 Common points and planes come from one array kernel, point_kernel and
 plane_kernel, with boolean masks of where one was found. It works batch-last, on
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -45,6 +47,7 @@ import numpy as np
 
 from .errors import DomainError, load_json
 from .graphs import Graph
+from .modp import random_prime, residues
 
 Scalar = Union[int, float, Fraction]
 Point3 = tuple[Scalar, Scalar, Scalar]
@@ -235,12 +238,30 @@ def pair_tests(X, i, j, tol: float = 1e-8) -> PairTests:
 
 
 def intersection_graph(L: LineConfig, tol: float = 1e-8) -> Graph:
-    """Graph on line indices with an edge for every meeting (or parallel) pair."""
+    """Graph on line indices with an edge for every meeting (or parallel) pair: by
+    pair_tests at tol on float lines, exactly on exact ones (_exact_meets)."""
     if tol <= 0:
         raise DomainError("tolerance must be positive")
     i, j = np.triu_indices(L.n, 1)
-    meet = pair_tests(L.as_array(), i, j, tol).meet
+    meet = _exact_meets(L, i, j) if _exact_lines(*L) else pair_tests(L.as_array(), i, j, tol).meet
     return Graph(L.n, tuple(zip(i[meet].tolist(), j[meet].tolist())))
+
+
+def _exact_meets(L: LineConfig, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """meet_residual(L[i[k]], L[j[k]]) == 0 of exact lines. Each pair's incidence is
+    taken mod a random prime p that divides no denominator: an exact 0 is 0 mod p, so
+    the pairs at 0 mod p hold every meeting pair, and each one is confirmed exactly."""
+    flat, rng = [x for ln in L for x in ln.as_tuple()], random.Random("intersection_graph")
+    while True:
+        p = random_prime(rng)
+        R = residues(flat, p)
+        if R is not None:
+            break
+    X = R.reshape(L.n, 4)
+    meet = incidence(((X.take(i, axis=0) - X.take(j, axis=0)) % p).T) % p == 0
+    for k in meet.nonzero()[0].tolist():
+        meet[k] = meet_residual(L[i[k]], L[j[k]]) == 0
+    return meet
 
 
 def batch_last(X: np.ndarray) -> np.ndarray:

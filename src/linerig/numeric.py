@@ -14,11 +14,16 @@ one of them passes lines3d.is_exact.
 Floating ranks use singular-value thresholding: values below
 tol * sigma_max * max(rows, cols) count as zero, and float dimension reports carry
 the margin of that cut. Exact ranks come from _eliminate, one int64 row reduction mod
-a random prime p below 2^31. rank_exact reduces exact matrices, so certified reports
-on exact inputs can be reproduced exactly: a rank mod p never exceeds the rational
-rank, so one prime that gives full rank min(rows, cols) proves it, and a
-rank-deficient matrix needs two primes that agree on the largest rank seen.
-rigidity_rank and global_rigidity_oracle read _rigidity, which reduces R^T per trial.
+a random prime p in [2^30, 2^31) (modp draws the primes and reduces exact numbers),
+under one prime loop, _prime_loop: a rank mod p never exceeds the rational rank, so
+one prime that gives full rank proves it, a rank-deficient matrix needs two primes
+that agree on the largest rank seen, and a prime that divides a denominator is
+skipped. rank_exact reduces the entries of an explicit matrix. The exact dimension
+reports never build their Jacobian: each of its entries is an integer polynomial in
+the coordinates, so edge_system on the coordinates' residues, taken mod p, is J mod p
+(_residue_rank). Their residual check stays in rationals, and each exact report names
+the primes its eliminations ran on. rigidity_rank and global_rigidity_oracle read
+_rigidity, which reduces R^T per trial.
 """
 
 from __future__ import annotations
@@ -33,7 +38,9 @@ import numpy as np
 
 from .errors import DomainError
 from .graphs import Graph
-from .lines3d import Line, LineConfig, check_squares, edge_residuals, incidence_form, is_exact
+from .lines3d import (Line, LineConfig, check_squares, edge_residuals, incidence, incidence_form,
+                      is_exact)
+from .modp import random_prime, residues
 
 Scalar = Union[int, float, Fraction]
 Form = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -46,7 +53,8 @@ DEFAULT_TOL = 1e-8
 class DimensionReport:
     """Local dimension certificate at one sampled configuration. A float rank's
     margin is the last singular value kept and the first one dropped (None where
-    there is none, and in exact mode)."""
+    there is none, and in exact mode). An exact rank names the primes whose
+    eliminations ran, in order (None in float mode)."""
 
     ambient_dim: int
     constraint_count: int
@@ -55,6 +63,7 @@ class DimensionReport:
     certified: bool
     sigma_kept: Optional[float] = None
     sigma_dropped: Optional[float] = None
+    primes: Optional[tuple[int, ...]] = None
     local_dim_estimate: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -84,54 +93,6 @@ def float_rank(M: np.ndarray, tol: float = DEFAULT_TOL) -> int:
 # ---------------------------------------------------------------------------
 # exact rank over random prime fields
 
-# Miller-Rabin with these witnesses is exact below 3.2e9, which covers every
-# prime _random_prime draws
-_MR_WITNESSES = (2, 3, 5, 7)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _random_prime(rng: random.Random) -> int:
-    """A prime in [2^30, 2^31): the product of two residues fits in int64."""
-    while True:
-        candidate = rng.randrange(2 ** 30, 2 ** 31) | 1
-        if _is_prime(candidate):
-            return candidate
-
-
-def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """a^-1 mod p of each unit in the int64 array a, as a^(p - 2) by repeated squaring
-    (Fermat); every product of two residues fits in int64 when p < 2^31."""
-    out, e = np.ones_like(a), p - 2
-    while e:
-        if e & 1:
-            out = out * a % p
-        a = a * a % p
-        e >>= 1
-    return out
-
-
 def _eliminate(M: np.ndarray, p: int) -> int:
     """Row-reduce the int64 residues mod p in M in place and return its rank r. Each
     pivot clears its column in the rows below it that are nonzero there, over every
@@ -160,7 +121,8 @@ def _eliminate(M: np.ndarray, p: int) -> int:
 
 def _rank_mod_p(rows: list[list[int]], p: int) -> Optional[int]:
     """Rank over F_p of int and Fraction entries (as _as_exact_rows admits them), each
-    nonzero one reduced once, by _eliminate; None when a denominator is 0 mod p."""
+    nonzero one reduced once (modp.residues), by _eliminate; None when a denominator
+    is 0 mod p."""
     ncols = len(rows[0])
     ri, ci, vals = [], [], []
     for r, row in enumerate(rows):
@@ -168,13 +130,11 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> Optional[int]:
         ri += [r] * len(cols)
         ci += cols
         vals += map(row.__getitem__, cols)
-    # an int is its own numerator, over denominator 1
-    den = np.array([x.denominator % p for x in vals], dtype=np.int64)
-    if not den.all():
+    reduced = residues(vals, p)
+    if reduced is None:
         return None
     M = np.zeros((len(rows), ncols), dtype=np.int64)
-    num = np.array([x.numerator % p for x in vals], dtype=np.int64)
-    M[ri, ci] = num * _inverse_mod(den, p) % p
+    M[ri, ci] = reduced
     return _eliminate(M, p)
 
 
@@ -210,21 +170,45 @@ def rank_exact(M, seed: int = 0) -> int:
     rows = _as_exact_rows(M)
     if not rows or not rows[0]:
         return 0
-    full = min(len(rows), len(rows[0]))
+    return _prime_loop(min(len(rows), len(rows[0])), lambda p: _rank_mod_p(rows, p), seed)[0]
+
+
+def _prime_loop(full: int, rank_mod_p: Callable[[int], Optional[int]], seed: int = 0
+                ) -> tuple[int, tuple[int, ...]]:
+    """rank_exact's rule for a matrix of at most rank full, whose rank mod p is
+    rank_mod_p(p), or None where p divides a denominator: over the primes of the
+    rank_exact:{seed} stream, skipping those, stop at the first full rank or once two
+    ranks agree on the largest seen. Returns that rank and the primes whose
+    eliminations ran, in order."""
     rng = random.Random(f"rank_exact:{seed}")
-    results: list[int] = []
+    ranks: list[int] = []
+    primes: list[int] = []
     for _ in range(64):
-        p = _random_prime(rng)
-        r = _rank_mod_p(rows, p)
+        p = random_prime(rng)
+        r = rank_mod_p(p)
         if r is None:
             continue
-        if r == full:
-            return r
-        results.append(r)
-        best = max(results)
-        if results.count(best) >= 2:
-            return best
+        ranks.append(r)
+        primes.append(p)
+        if r == full or ranks.count(max(ranks)) >= 2:
+            return max(ranks), tuple(primes)
     raise DomainError("exact rank did not stabilize; matrix entries may be malformed")
+
+
+def _residue_rank(X: np.ndarray, jacobian: Callable[[np.ndarray], np.ndarray],
+                  full: int) -> tuple[int, tuple[int, ...]]:
+    """_prime_loop's rank of the exact Jacobian J of an edge system on the exact
+    coordinates X, never built: J mod p is jacobian(X mod p) mod p, with X reduced
+    entry by entry (modp.residues, which skips a prime that divides a denominator).
+    Every entry of J is an integer polynomial in X, so that is the rational J reduced
+    mod p, and rank_exact's proof holds unchanged."""
+    flat = X.ravel().tolist()
+
+    def rank_mod_p(p: int) -> Optional[int]:
+        R = residues(flat, p)
+        return None if R is None else _eliminate(jacobian(R.reshape(X.shape)) % p, p)
+
+    return _prime_loop(full, rank_mod_p)
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +266,14 @@ def _coordinates(rows, width: int) -> np.ndarray:
 # edge function and rigidity matrix
 
 
-def _embedding_system(G: Graph, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _embedding(G: Graph, p) -> np.ndarray:
     if len(p) != G.n:
         raise DomainError(f"embedding has {len(p)} points for a graph on {G.n} vertices")
-    P = _coordinates(p, 2)
+    return _coordinates(p, 2)
+
+
+def _embedding_system(G: Graph, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    P = _embedding(G, p)
     return (P, *edge_system(P, *edge_index(G), length_form))
 
 
@@ -344,8 +332,12 @@ def line_system_dimension(G: Graph, x: LineConfig, tol: float = DEFAULT_TOL,
     the concurrent family through any point gives the matching lower bound).
     """
     X, i, j = _line_arrays(G, x)
+    violation = "configuration violates the incidence system"
+    if exact:
+        return _certify_exact(G, X, lambda D: incidence(D.T),
+                              lambda R: edge_system(R, i, j, incidence_form)[1], violation, tol)
     g, J = edge_system(X, i, j, incidence_form)
-    return _certify(G, g, "configuration violates the incidence system", J, tol, exact, X)
+    return _certify(G, g, violation, J, tol, X)
 
 
 # ---------------------------------------------------------------------------
@@ -368,30 +360,51 @@ def pair_system_jacobian(G: Graph, p, p_prime) -> np.ndarray:
 def pair_system_dimension(G: Graph, p, p_prime, tol: float = DEFAULT_TOL,
                           exact: bool = False) -> DimensionReport:
     """Rank certificate for the equal-edge-lengths system at a pair of embeddings."""
+    violation = "edge lengths differ"
+    if exact:
+        (P, Q), (i, j) = (_embedding(G, p), _embedding(G, p_prime)), edge_index(G)
+        X = np.hstack([P, Q]) if P.dtype == Q.dtype else np.hstack([P, Q]).astype(float)
+
+        def jacobian(R: np.ndarray) -> np.ndarray:
+            return np.hstack([edge_system(R[:, :2], i, j, length_form)[1],
+                              -edge_system(R[:, 2:], i, j, length_form)[1]])
+
+        def residual(D: np.ndarray) -> np.ndarray:
+            return (D[:, :2] ** 2).sum(axis=1) - (D[:, 2:] ** 2).sum(axis=1)
+
+        return _certify_exact(G, X, residual, jacobian, violation, tol)
     X, g, J = _pair_system(G, p, p_prime)
-    return _certify(G, g, "edge lengths differ", J, tol, exact, X)
+    return _certify(G, g, violation, J, tol, X)
 
 
 def _certify(G: Graph, g: np.ndarray, violation: str, J: np.ndarray, tol: float,
-             exact: bool, X: np.ndarray) -> DimensionReport:
-    """The dimension reports' shared tail: the residuals g of the edges on the rows X
-    vanish exactly, or pass edge_residuals' rule; then J's rank is compared with m."""
-    if exact:
-        if J.dtype != object:
-            raise DomainError("exact mode needs integer or rational coordinates")
-        for edge, r in zip(G.edges, g):
-            if r != 0:
-                raise DomainError(f"{violation}: edge {edge} has nonzero residual {r}")
-        rank, kept, dropped = rank_exact(J), None, None
-    else:
-        rel = edge_residuals(g.astype(float), X.astype(float), *edge_index(G))
-        if G.m:
-            k = int(np.argmax(rel))
-            if not rel[k] <= tol:
-                raise DomainError(f"{violation}: edge {G.edges[k]} has relative residual "
-                                  f"{rel[k]:.3e} > tol {tol:.1e}")
-        rank, kept, dropped = _float_rank(J, tol)
+             X: np.ndarray) -> DimensionReport:
+    """The float reports' shared tail: the residuals g of the edges on the rows X pass
+    edge_residuals' rule; then J's rank is compared with m."""
+    rel = edge_residuals(g.astype(float), X.astype(float), *edge_index(G))
+    if G.m:
+        k = int(np.argmax(rel))
+        if not rel[k] <= tol:
+            raise DomainError(f"{violation}: edge {G.edges[k]} has relative residual "
+                              f"{rel[k]:.3e} > tol {tol:.1e}")
+    rank, kept, dropped = _float_rank(J, tol)
     return DimensionReport(J.shape[1], G.m, rank, tol, rank == G.m, kept, dropped)
+
+
+def _certify_exact(G: Graph, X: np.ndarray, residual: Callable[[np.ndarray], np.ndarray],
+                   jacobian: Callable[[np.ndarray], np.ndarray], violation: str,
+                   tol: float) -> DimensionReport:
+    """The exact reports' shared tail: the residuals residual(D) of the edges' row
+    differences D = X[i] - X[j] vanish exactly, in rationals; then the rank of the
+    Jacobian, jacobian(X) over Q, is _residue_rank's, from X's residues."""
+    if X.dtype != object:
+        raise DomainError("exact mode needs integer or rational coordinates")
+    i, j = edge_index(G)
+    for edge, r in zip(G.edges, residual(X.take(i, axis=0) - X.take(j, axis=0))):
+        if r != 0:
+            raise DomainError(f"{violation}: edge {edge} has nonzero residual {r}")
+    rank, primes = _residue_rank(X, jacobian, min(G.m, X.size))
+    return DimensionReport(X.size, G.m, rank, tol, rank == G.m, primes=primes)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +447,7 @@ def _rigidity(G: Graph, trials: int, seed: int) -> tuple[int, Optional[bool]]:
     full, ranks = min(m, 2 * n - 3), []
     primes = random.Random(f"rigidity:{seed}")
     for rng in _trial_rngs(seed, trials):
-        P, p = random_embedding(n, rng), _random_prime(primes)
+        P, p = random_embedding(n, rng), random_prime(primes)
         M = (edge_system(P % p, i, j, length_form)[1] % p).T.copy()
         ranks.append(_eliminate(M, p))
         if ranks[-1] == full or ranks.count(max(ranks)) >= 2:

@@ -504,7 +504,8 @@ def test_malformed_pair_file_exit_2(tmp_path, capsys, bad):
 
 
 # `lines dim` / `es dim --dump-jacobian` on K4 minus an edge, as printed before the
-# one edge-system kernel, less the float reports' two margin keys added since.
+# one edge-system kernel, less the keys the float reports gained since: the two
+# margin keys and a null `primes`.
 _DUMP_GRAPH = '{"n":4,"edges":[[0,1],[0,2],[0,3],[1,2],[2,3]]}'
 _DUMP_LINES = ('{"lines":[[-0.09999999999999998,2.15,0.3,-1.7],[-1.7000000000000002,-2.05,1.1,0.4],'
                '[1.7,-5.65,-0.6,2.2],[-4.5,0.55,2.5,-0.9]]}')
@@ -532,7 +533,7 @@ def test_dump_jacobian_bytes_are_unchanged(tmp_path, capsys):
     import re
     for name, text in (("g", _DUMP_GRAPH), ("l", _DUMP_LINES), ("p", _DUMP_PAIRS)):
         (tmp_path / f"{name}.json").write_text(text)
-    margin = re.compile(r'"sigma_dropped":null,"sigma_kept":[0-9.e+-]+,')
+    margin = re.compile(r'"primes":null,"sigma_dropped":null,"sigma_kept":[0-9.e+-]+,')
     for argv, want in ((("lines", "dim", "g.json", "l.json"), _LINES_DIM),
                        (("es", "dim", "g.json", "p.json"), _ES_DIM)):
         code, out, _ = run(capsys, *argv[:2], *(str(tmp_path / f) for f in argv[2:]),

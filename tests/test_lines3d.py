@@ -359,6 +359,28 @@ def test_intersection_graph_matches_lines_meet_on_every_pair():
     assert intersection_graph(cfg, TOL).edges == want
 
 
+def test_exact_intersection_graphs_equal_the_exact_meets():
+    """On exact lines intersection_graph is the set of pairs with meet_residual == 0,
+    found mod a prime and confirmed exactly: on exact samples (far more pairs meet
+    there than G's edges), on a pair whose incidence is that prime, which is 0 mod it
+    but not 0, and past a prime that divides a denominator."""
+    from linerig.graphs import generate
+    from linerig.modp import random_prime
+    from linerig.sampler import sample_laman_lines_exact
+    for n in (12, 60, 200):
+        G = generate("laman_random", [n], seed=1)
+        cfg = sample_laman_lines_exact(G, seed=1)
+        want = tuple((a, b) for a, b in combinations(range(n), 2)
+                     if meet_residual(cfg[a], cfg[b]) == 0)
+        assert intersection_graph(cfg).edges == want and set(G.edges) <= set(want)
+    p = random_prime(random.Random("intersection_graph"))
+    assert meet_residual(Line(0, 0, 0, 0), Line(p, 0, 0, 1)) == p
+    assert intersection_graph(LineConfig((Line(0, 0, 0, 0), Line(p, 0, 0, 1)))).m == 0
+    lines = (Line(Fraction(1, p), 0, 0, 0), Line(0, 0, 1, 0), Line(Fraction(1, p), 5, 0, 0),
+             Line(1, 0, 0, 1))
+    assert intersection_graph(LineConfig(lines)).edges == ((0, 1), (0, 2))
+
+
 @pytest.mark.parametrize("text", [
     '{"lines": [[0, 1, "x", 2]]}', '{"lines": [[0, 1, true, 2]]}', '[[0, 1, 2, 3]]',
     '{"lines": [[0, 1, 2]]}', '{"lines": [[NaN, 1, 2, 3]]}', '{"lines": [[Infinity, 1, 2, 3]]}',

@@ -13,6 +13,7 @@ import linerig.numeric as numeric
 from linerig.errors import DomainError
 from linerig.graphs import Graph, catalog, generate
 from linerig.lines3d import Line, LineConfig, intersection_graph, meet_residual
+from linerig.modp import random_prime
 from linerig.numeric import (DimensionReport, edge_function, edge_system,
                              global_rigidity_oracle, incidence_form,
                              line_residuals, line_system_dimension, line_system_jacobian,
@@ -183,7 +184,7 @@ def test_full_rank_takes_one_prime_and_deficient_rank_two(monkeypatch):
 
 
 def test_rank_exact_survives_a_prime_that_divides_a_pivot(monkeypatch):
-    p = numeric._random_prime(random.Random("rank_exact:0"))
+    p = random_prime(random.Random("rank_exact:0"))
     results = _count_eliminations(monkeypatch)
     # column 0's only nonzero entry is p, so the first prime sees rank 1
     assert rank_exact([[p, 1], [0, 1]]) == 2 and results == [1, 2]
@@ -192,7 +193,7 @@ def test_rank_exact_survives_a_prime_that_divides_a_pivot(monkeypatch):
 
 
 def test_rank_exact_skips_a_prime_that_divides_a_denominator(monkeypatch):
-    p = numeric._random_prime(random.Random("rank_exact:0"))
+    p = random_prime(random.Random("rank_exact:0"))
     results = _count_eliminations(monkeypatch)
     assert rank_exact([[Fraction(1, p), 1], [1, 2]]) == 2
     assert results[0] is None and results[1:] == [2]
@@ -207,7 +208,7 @@ def test_eliminate_ranks_as_rank_exact_and_leaves_the_left_kernel():
     _rigidity back-substitutes a vector of A's left kernel."""
     rng = np.random.default_rng(28)
     for trial in range(60):
-        p = numeric._random_prime(random.Random(trial))
+        p = random_prime(random.Random(trial))
         m, k = (int(x) for x in rng.integers(1, 13, size=2))
         if trial % 3 == 0:
             # residues anywhere in [0, p), a fifth of them p - 1, the last row a repeat
@@ -306,6 +307,43 @@ def test_exact_certificates_require_exact_zeros():
     for orientation in (1, -1):
         p, q = sample_congruent_pair(G, orientation=orientation, seed=6, exact=True)
         assert pair_system_dimension(G, p, q, exact=True).certified
+
+
+def test_exact_reports_rank_from_coordinate_residues_as_rank_exact_does():
+    """Exact reports rank J mod p from the coordinates' residues, without building J.
+    Each rank equals rank_exact of the built object Jacobian, under rank_exact's rules
+    and prime stream: one prime proves full rank, a deficient rank takes two that
+    agree, and a prime that divides a denominator is skipped. primes names the ones
+    whose eliminations ran."""
+    stream = random.Random("rank_exact:0")
+    first, second = random_prime(stream), random_prime(stream)
+    shift = Fraction(1, first)  # a translation by it moves no incidence and leaves J
+
+    def cases():
+        for n, seed in ((6, 0), (12, 1), (40, 2)):
+            G = generate("laman_random", [n], seed=seed)
+            cfg = sample_laman_lines_exact(G, seed=seed)
+            moved = LineConfig.from_rows([(a + shift, b, c, d) for a, b, c, d in cfg.coords()])
+            yield G, (cfg,), (first,)
+            yield G, (moved,), (second,)
+            for orientation in (1, -1):
+                p, q = sample_congruent_pair(G, orientation=orientation, seed=seed, exact=True)
+                yield G, (p, q), (first,)
+                yield G, ([[x + shift, y] for x, y in p], q), (second,)
+        # K5 on five concurrent lines, through (1, 2, 3): m = 10 and rank 2n - 3 = 7
+        K5 = generate("complete", [5])
+        dirs = [(0, 1), (1, 0), (2, -1), (-3, 5), (4, 4)]
+        yield K5, (LineConfig.from_rows([(1 - 3 * c, 2 - 3 * d, c, d) for c, d in dirs]),), \
+            (first, second)
+
+    for G, args, primes in cases():
+        certify, jacobian = ((line_system_dimension, line_system_jacobian) if len(args) == 1
+                             else (pair_system_dimension, pair_system_jacobian))
+        rep = certify(G, *args, exact=True)
+        assert rep.jacobian_rank == rank_exact(jacobian(G, *args))
+        assert rep.primes == primes and rep.certified == (rep.jacobian_rank == G.m)
+        assert rep.ambient_dim == 4 * G.n and rep.sigma_kept is rep.sigma_dropped is None
+    assert rep.jacobian_rank == 7 and G.m == 10
 
 
 def _verdict(certify) -> object:
@@ -528,7 +566,7 @@ def test_float_reports_carry_their_margin():
     G4 = K4.without_edge(0, 1)
     full = line_system_dimension(G4, sample_laman_lines(G4, seed=5))
     assert full.certified and full.sigma_kept > 0 and full.sigma_dropped is None
-    assert set(full.to_dict()) >= {"sigma_kept", "sigma_dropped"}
+    assert set(full.to_dict()) >= {"sigma_kept", "sigma_dropped"} and full.primes is None
     # exact mode has no singular values
     p, q = sample_congruent_pair(K4, orientation=1, seed=3, exact=True)
     exact = pair_system_dimension(K4, p, q, exact=True)

@@ -215,20 +215,24 @@ def test_lemma_3lines_reports_a_faulty_classifier(monkeypatch, fault):
 
 
 def test_theorem_main_ranks_each_exact_sample_once(monkeypatch):
+    """One exact-certificate rank (numeric._residue_rank, from the coordinates'
+    residues) per sample, and no rank_exact of a built Jacobian."""
     import linerig.numeric as numeric
-    import linerig.sampler as sampler
     import linerig.verify as verify
     calls = []
-    rank_exact = numeric.rank_exact
+    residue_rank = numeric._residue_rank
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return rank_exact(*args, **kwargs)
+        return residue_rank(*args, **kwargs)
 
-    # every module that holds the name, so that a direct call is counted too
-    for module in (numeric, sampler, verify):
-        if hasattr(module, "rank_exact"):
-            monkeypatch.setattr(module, "rank_exact", counted)
+    def built(*args, **kwargs):
+        raise AssertionError("rank_exact called on a certificate's Jacobian")
+
+    monkeypatch.setattr(numeric, "_residue_rank", counted)
+    # every module that holds the name, so that a direct call fails too
+    for module in (numeric, verify):
+        monkeypatch.setattr(module, "rank_exact", built)
     rep = theorem_main(seeds=8, n_max=30, seed=1)
     assert rep.ok and len(calls) == 8
 
