@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import DomainError, load_json
 from .graphs import Graph
-from .modp import random_prime, residues
+from .modp import prime_residues
 
 Scalar = Union[int, float, Fraction]
 Point3 = tuple[Scalar, Scalar, Scalar]
@@ -249,14 +249,11 @@ def intersection_graph(L: LineConfig, tol: float = 1e-8) -> Graph:
 
 def _exact_meets(L: LineConfig, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """meet_residual(L[i[k]], L[j[k]]) == 0 of exact lines. Each pair's incidence is
-    taken mod a random prime p that divides no denominator: an exact 0 is 0 mod p, so
-    the pairs at 0 mod p hold every meeting pair, and each one is confirmed exactly."""
-    flat, rng = [x for ln in L for x in ln.as_tuple()], random.Random("intersection_graph")
-    while True:
-        p = random_prime(rng)
-        R = residues(flat, p)
-        if R is not None:
-            break
+    taken mod the first prime p of prime_residues' intersection_graph stream, which
+    divides no denominator: an exact 0 is 0 mod p, so the pairs at 0 mod p hold every
+    meeting pair, and each one is confirmed exactly."""
+    flat = [x for ln in L for x in ln.as_tuple()]
+    p, R = next(prime_residues(flat, random.Random("intersection_graph")))
     X = R.reshape(L.n, 4)
     meet = incidence(((X.take(i, axis=0) - X.take(j, axis=0)) % p).T) % p == 0
     for k in meet.nonzero()[0].tolist():

@@ -1,16 +1,17 @@
 """Arithmetic modulo random primes in [2^30, 2^31), shared by numeric and lines3d.
 
 A residue is below p < 2^31, so the product of two residues, below 2^62, fits in
-int64, and so does the difference of two such products. residues maps exact
-numbers (ints and Fractions) to their int64 residues: an integer polynomial with
-integer coefficients in the numbers, evaluated on the residues and taken mod p, is
-the residue of its rational value, whenever p divides no denominator.
+int64, and so does the difference of two such products. prime_residues is the one
+place that draws primes for exact numbers (ints and Fractions): it walks
+random_prime's stream, skips a prime that divides a denominator, and yields each
+other prime with the numbers' int64 residues. An integer polynomial in the numbers,
+evaluated on the residues and taken mod p, is then the residue of its rational value.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -62,12 +63,13 @@ def inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def residues(values: Sequence, p: int) -> Optional[np.ndarray]:
-    """The int64 residues mod p of a sequence of ints and Fractions, each its numerator
-    times the inverse of its denominator mod p (an int is its own numerator, over
-    denominator 1); None when p divides a denominator."""
-    den = np.array([x.denominator % p for x in values], dtype=np.int64)
-    if not den.all():
-        return None
-    num = np.array([x.numerator % p for x in values], dtype=np.int64)
-    return num * inverse_mod(den, p) % p
+def prime_residues(values: Sequence, stream: random.Random) -> Iterator[tuple[int, np.ndarray]]:
+    """The primes p of random_prime's stream that divide no denominator of a sequence of
+    ints and Fractions, each with their int64 residues mod p: a numerator times the
+    inverse of its denominator mod p (an int is its own numerator, over denominator 1)."""
+    while True:
+        p = random_prime(stream)
+        den = np.array([x.denominator % p for x in values], dtype=np.int64)
+        if den.all():
+            num = np.array([x.numerator % p for x in values], dtype=np.int64)
+            yield p, num * inverse_mod(den, p) % p

@@ -13,16 +13,16 @@ one of them passes lines3d.is_exact.
 
 Floating ranks use singular-value thresholding: values below
 tol * sigma_max * max(rows, cols) count as zero, and float dimension reports carry
-the margin of that cut. Exact ranks come from _eliminate, one int64 row reduction mod
-a random prime p in [2^30, 2^31) (modp draws the primes and reduces exact numbers),
-under one prime loop, _prime_loop: a rank mod p never exceeds the rational rank, so
-one prime that gives full rank proves it, a rank-deficient matrix needs two primes
-that agree on the largest rank seen, and a prime that divides a denominator is
-skipped. rank_exact reduces the entries of an explicit matrix. The exact dimension
-reports never build their Jacobian: each of its entries is an integer polynomial in
-the coordinates, so edge_system on the coordinates' residues, taken mod p, is J mod p
-(_residue_rank). Their residual check stays in rationals, and each exact report names
-the primes its eliminations ran on. rigidity_rank and global_rigidity_oracle read
+the margin of that cut. Exact ranks take one path, _residue_rank, which also states
+their error bound once. For each prime p in [2^30, 2^31) of modp.prime_residues'
+stream, which skips a prime that divides a denominator, an integer polynomial map
+(edge_system's Jacobian, or the identity) of the exact values' residues, taken mod p,
+is the exact matrix mod p, and _eliminate, one int64 row reduction, ranks it; the loop
+stops at the first full rank or once two primes agree on the largest rank seen. The
+exact dimension reports rank their Jacobian so from the coordinates and never build
+it; rank_exact ranks an explicit matrix as the identity form on its own entries. The
+reports' residual check stays in rationals, and each names the primes its
+eliminations ran on. rigidity_rank and global_rigidity_oracle read
 _rigidity, which reduces R^T per trial.
 """
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import islice
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
@@ -40,7 +40,7 @@ from .errors import DomainError
 from .graphs import Graph
 from .lines3d import (Line, LineConfig, check_squares, edge_residuals, incidence, incidence_form,
                       is_exact)
-from .modp import random_prime, residues
+from .modp import prime_residues, random_prime
 
 Scalar = Union[int, float, Fraction]
 Form = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -119,96 +119,53 @@ def _eliminate(M: np.ndarray, p: int) -> int:
     return rank
 
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> Optional[int]:
-    """Rank over F_p of int and Fraction entries (as _as_exact_rows admits them), each
-    nonzero one reduced once (modp.residues), by _eliminate; None when a denominator
-    is 0 mod p."""
-    ncols = len(rows[0])
-    ri, ci, vals = [], [], []
-    for r, row in enumerate(rows):
-        cols = list(compress(range(ncols), row))
-        ri += [r] * len(cols)
-        ci += cols
-        vals += map(row.__getitem__, cols)
-    reduced = residues(vals, p)
-    if reduced is None:
-        return None
-    M = np.zeros((len(rows), ncols), dtype=np.int64)
-    M[ri, ci] = reduced
-    return _eliminate(M, p)
-
-
-def _as_exact_rows(M) -> list[list[Union[int, Fraction]]]:
-    rows = M.tolist() if isinstance(M, np.ndarray) else M
-    # type, not isinstance, so that a bool is not taken for an int
-    bad = set(map(type, chain.from_iterable(rows))) - {int, Fraction}
-    if bad:
-        names = ", ".join(sorted(t.__name__ for t in bad))
-        raise DomainError(f"exact rank needs integer or rational entries, got {names}")
-    return rows
-
-
 def rank_exact(M, seed: int = 0) -> int:
-    """Exact rank of an integer (or rational) matrix.
-
-    Computes the rank modulo independently drawn random primes below 2^31, by int64
-    row reduction, skipping any prime that divides a denominator. When every
-    denominator is a unit mod p, a minor that vanishes over Q vanishes mod p too, so
-    the rank mod p never exceeds the rational rank. Hence the first prime whose rank
-    is the full min(rows, cols) proves full rank: that answer is always exact. Below
-    that, primes are drawn until two agree on the largest rank seen. The rank mod p
-    drops only when p divides every nonzero minor of the rational rank's size, and
-    once a prime gives the rational rank no smaller rank can be returned, so a
-    deficient answer is wrong only if the first two primes not skipped both divide
-    one fixed such minor. The draws are uniform over the 5.07e7 primes in [2^30, 2^31),
-    and a minor of b bits (Hadamard's bound, each row cleared of denominators) has at
-    most b / 30 of them as factors. For the 797 x 1600 line Jacobian of the exact
-    sample of laman_random(400, seed 1) (coordinates with numerators of up to 345 bits
-    and denominators of up to 312), b is about 1.44e5: at most 4800 such factors, so
-    a wrong deficient answer has probability below (4800 / 5.07e7)^2 < 1e-8.
-    """
-    rows = _as_exact_rows(M)
-    if not rows or not rows[0]:
-        return 0
-    return _prime_loop(min(len(rows), len(rows[0])), lambda p: _rank_mod_p(rows, p), seed)[0]
-
-
-def _prime_loop(full: int, rank_mod_p: Callable[[int], Optional[int]], seed: int = 0
-                ) -> tuple[int, tuple[int, ...]]:
-    """rank_exact's rule for a matrix of at most rank full, whose rank mod p is
-    rank_mod_p(p), or None where p divides a denominator: over the primes of the
-    rank_exact:{seed} stream, skipping those, stop at the first full rank or once two
-    ranks agree on the largest seen. Returns that rank and the primes whose
-    eliminations ran, in order."""
-    rng = random.Random(f"rank_exact:{seed}")
-    ranks: list[int] = []
-    primes: list[int] = []
-    for _ in range(64):
-        p = random_prime(rng)
-        r = rank_mod_p(p)
-        if r is None:
-            continue
-        ranks.append(r)
-        primes.append(p)
-        if r == full or ranks.count(max(ranks)) >= 2:
-            return max(ranks), tuple(primes)
-    raise DomainError("exact rank did not stabilize; matrix entries may be malformed")
+    """Exact rank of a matrix of integer (or rational) entries, by _residue_rank of the
+    identity form on them: the rows must be of equal length, and every entry must pass
+    lines3d.is_exact."""
+    try:
+        X = np.array(M, dtype=object)
+        if X.size and X.ndim != 2:
+            raise ValueError
+    except (TypeError, ValueError):
+        raise DomainError("exact rank needs a matrix: rows of equal length") from None
+    bad = sorted({type(x).__name__ for x in X.flat if not is_exact(x)})
+    if bad:
+        raise DomainError(f"exact rank needs integer or rational entries, got {', '.join(bad)}")
+    return _residue_rank(X, lambda R: R, min(X.shape), seed)[0] if X.size else 0
 
 
 def _residue_rank(X: np.ndarray, jacobian: Callable[[np.ndarray], np.ndarray],
-                  full: int) -> tuple[int, tuple[int, ...]]:
-    """_prime_loop's rank of the exact Jacobian J of an edge system on the exact
-    coordinates X, never built: J mod p is jacobian(X mod p) mod p, with X reduced
-    entry by entry (modp.residues, which skips a prime that divides a denominator).
-    Every entry of J is an integer polynomial in X, so that is the rational J reduced
-    mod p, and rank_exact's proof holds unchanged."""
-    flat = X.ravel().tolist()
+                  full: int, seed: int = 0) -> tuple[int, tuple[int, ...]]:
+    """The rank over Q of J = jacobian(X), at most full, for an object array X of ints
+    and Fractions, and the primes whose eliminations ran, in order. J is never built:
+    every entry of it is an integer polynomial in X, so for each prime p of
+    prime_residues' rank_exact:{seed} stream, jacobian(X mod p) mod p is J mod p, whose
+    rank _eliminate finds. The loop stops at the first full rank, or once two primes
+    agree on the largest rank seen.
 
-    def rank_mod_p(p: int) -> Optional[int]:
-        R = residues(flat, p)
-        return None if R is None else _eliminate(jacobian(R.reshape(X.shape)) % p, p)
-
-    return _prime_loop(full, rank_mod_p)
+    Neither answer can be too large: p divides no denominator, so a minor that vanishes
+    over Q vanishes mod p, and the rank mod p never exceeds the rational rank. A full
+    rank is therefore always exact. The rank mod p drops only when p divides every
+    nonzero minor of the rational rank's size, and once a prime gives the rational rank
+    no smaller rank can be returned, so a deficient answer is wrong only if the first
+    two primes both divide one fixed such minor. The draws are uniform over the 5.07e7
+    primes in [2^30, 2^31), and a minor of b bits (Hadamard's bound, each row cleared of
+    denominators) has at most b / 30 of them as factors. For the 797 x 1600 line
+    Jacobian of the exact sample of laman_random(400, seed 1) (coordinates with
+    numerators of up to 345 bits and denominators of up to 312), b is about 1.44e5: at
+    most 4800 such factors, so a wrong deficient answer has probability below
+    (4800 / 5.07e7)^2 < 1e-8.
+    """
+    ranks: list[int] = []
+    primes: list[int] = []
+    stream = random.Random(f"rank_exact:{seed}")
+    for p, R in islice(prime_residues(X.ravel().tolist(), stream), 64):
+        ranks.append(_eliminate(jacobian(R.reshape(X.shape)) % p, p))
+        primes.append(p)
+        if ranks[-1] == full or ranks.count(max(ranks)) >= 2:
+            return max(ranks), tuple(primes)
+    raise DomainError("exact rank did not stabilize; matrix entries may be malformed")
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +391,7 @@ def _rigidity(G: Graph, trials: int, seed: int) -> tuple[int, Optional[bool]]:
     Each trial reduces R(P)^T mod p (_eliminate) for a random integer embedding P and
     a prime p in [2^30, 2^31). The loop stops at the first rank min(m, 2n - 3), which
     no embedding exceeds, or once two trials agree on the largest rank seen
-    (rank_exact's rule). For n >= 4 the trial of rank 2n - 3 decides, and the verdict
+    (_residue_rank's rule). For n >= 4 the trial of rank 2n - 3 decides, and the verdict
     is None if there is none: it is whether a uniformly random stress w (R^T w = 0 mod
     p) has a stress matrix of rank n - 3 mod p. True is always right, as w then lifts
     to a rational stress of the same rank (Connelly, DCG 33 (2005); Gortler-Healy-

@@ -110,6 +110,12 @@ def test_rank_exact_basics():
         rank_exact(np.eye(2))
     assert rank_exact(np.eye(3, dtype=np.int64)) == 3
     assert rank_exact(np.array([[Fraction(1, 2), 1], [1, 2]], dtype=object)) == 1
+    # ragged rows and a vector are not matrices; an empty matrix has rank 0
+    for bad in ([[1, 2], [3]], [[1], [2, 3]], [1, 2, 3]):
+        with pytest.raises(DomainError, match="matrix"):
+            rank_exact(bad)
+    for empty in ([], [[]], np.zeros((0, 3), int)):
+        assert rank_exact(empty) == 0
 
 
 def test_rank_exact_matches_float_rank_on_random_integer_matrices():
@@ -160,14 +166,14 @@ def test_rank_exact_matches_fraction_elimination_on_wide_entries(M, seed):
 
 
 def _count_eliminations(monkeypatch) -> list:
-    """Patch numeric._rank_mod_p to record each call's result."""
-    results, inner = [], numeric._rank_mod_p
+    """Patch numeric._eliminate to record each call's result."""
+    results, inner = [], numeric._eliminate
 
-    def counted(rows, p):
-        results.append(inner(rows, p))
+    def counted(M, p):
+        results.append(inner(M, p))
         return results[-1]
 
-    monkeypatch.setattr(numeric, "_rank_mod_p", counted)
+    monkeypatch.setattr(numeric, "_eliminate", counted)
     return results
 
 
@@ -193,13 +199,19 @@ def test_rank_exact_survives_a_prime_that_divides_a_pivot(monkeypatch):
 
 
 def test_rank_exact_skips_a_prime_that_divides_a_denominator(monkeypatch):
-    p = random_prime(random.Random("rank_exact:0"))
+    """The stream's first prime p divides a denominator, so no elimination runs mod p
+    and it is missing from _residue_rank's primes."""
+    stream = random.Random("rank_exact:0")
+    p, q, r = (random_prime(stream) for _ in range(3))
     results = _count_eliminations(monkeypatch)
+    returned, inner = [], numeric._residue_rank
+    monkeypatch.setattr(numeric, "_residue_rank",
+                        lambda *args: returned.append(inner(*args)) or returned[-1])
     assert rank_exact([[Fraction(1, p), 1], [1, 2]]) == 2
-    assert results[0] is None and results[1:] == [2]
+    assert results == [2] and returned == [(2, (q,))]
     results.clear()
     assert rank_exact([[Fraction(1, p), Fraction(2, p)], [3, 6]]) == 1
-    assert results[0] is None and len(results) >= 3
+    assert results == [1, 1] and returned[-1] == (1, (q, r))
 
 
 def test_eliminate_ranks_as_rank_exact_and_leaves_the_left_kernel():
