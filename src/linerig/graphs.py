@@ -363,7 +363,8 @@ _GENERATORS = {
 
 
 def generate(name: str, params: Sequence[int], seed: int = 0) -> Graph:
-    """Build a named catalog graph. Deterministic for fixed (name, params, seed)."""
+    """Build a named catalog graph. Deterministic for fixed (name, params, seed). The
+    first parameter, the vertex count, may not exceed MAX_VERTICES."""
     if name not in _GENERATORS:
         raise DomainError(f"unknown generator '{name}' (choose from {sorted(_GENERATORS)})")
     build, counts = _GENERATORS[name]
@@ -374,6 +375,8 @@ def generate(name: str, params: Sequence[int], seed: int = 0) -> Graph:
         if not _is_integer(x):
             raise DomainError(f"generator '{name}' takes integer parameters, got {x!r}")
     ptuple = tuple(int(x) for x in params)
+    if ptuple[0] > MAX_VERTICES:
+        raise DomainError(f"n={ptuple[0]} exceeds the limit of {MAX_VERTICES} vertices")
     rng = random.Random(f"{name}:{ptuple}:{seed}")
     return build(ptuple, rng)
 

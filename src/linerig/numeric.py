@@ -7,23 +7,24 @@ columns of vertex i and its negation in those of vertex j. Two quadratic forms
 cover the library: length_form (|D|^2, gradient 2D) on (n, 2) points gives the
 edge function, the rigidity matrix R and the pair system [R(p), -R(p')];
 lines3d.incidence_form (D0*D3 - D1*D2, gradient (D3, -D2, -D1, D0)) on (n, 4) line
-charts gives the incidence system. The kernel runs unchanged on float arrays and on object
-arrays of ints and Fractions; coordinates are exact, and so are g and J, when every
-one of them passes lines3d.is_exact.
+charts gives the incidence system. The kernel runs unchanged on float arrays and on
+object arrays of ints and Fractions, exact when every coordinate passes
+lines3d.is_exact.
 
-Floating ranks use singular-value thresholding: values below
-tol * sigma_max * max(rows, cols) count as zero, and float dimension reports carry
-the margin of that cut. Exact ranks take one path, _residue_rank, which also states
-their error bound once. For each prime p in [2^30, 2^31) of modp.prime_residues'
-stream, which skips a prime that divides a denominator, an integer polynomial map
-(edge_system's Jacobian, or the identity) of the exact values' residues, taken mod p,
-is the exact matrix mod p, and _eliminate, one int64 row reduction, ranks it; the loop
-stops at the first full rank or once two primes agree on the largest rank seen. The
-exact dimension reports rank their Jacobian so from the coordinates and never build
-it; rank_exact ranks an explicit matrix as the identity form on its own entries. The
-reports' residual check stays in rationals, and each names the primes its
-eliminations ran on. rigidity_rank and global_rigidity_oracle read
-_rigidity, which reduces R^T per trial.
+Each dimension report gives its system once: its rows X, the residual of the row
+differences D (the incidence, or |D_p|^2 - |D_p'|^2 of a pair), and a map from rows
+to the Jacobian. One tail, _certify, checks the residuals and takes the rank, float
+or exact. Float ranks threshold singular values: those below
+tol * sigma_max * max(rows, cols) count as zero, and the report carries the margin
+of that cut. Exact residuals must be zero in rationals, and exact ranks take one
+path, _residue_rank, which states their error bound. For each prime p in
+[2^30, 2^31) of modp.prime_residues' stream, which skips a prime that divides a
+denominator, an integer polynomial map (the Jacobian map, or rank_exact's identity)
+of the exact values' residues is the exact matrix mod p, and _eliminate, one int64
+row reduction, ranks it; the loop stops at the first full rank or once two primes
+agree on the largest rank seen. An exact report so never builds its Jacobian, and
+names the primes its eliminations ran on. rigidity_rank and global_rigidity_oracle
+read _rigidity, which reduces R^T per trial.
 """
 
 from __future__ import annotations
@@ -229,20 +230,15 @@ def _embedding(G: Graph, p) -> np.ndarray:
     return _coordinates(p, 2)
 
 
-def _embedding_system(G: Graph, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    P = _embedding(G, p)
-    return (P, *edge_system(P, *edge_index(G), length_form))
-
-
 def edge_function(G: Graph, p) -> np.ndarray:
     """Squared edge lengths in canonical edge order."""
-    return _embedding_system(G, p)[1]
+    return edge_system(_embedding(G, p), *edge_index(G), length_form)[0]
 
 
 def rigidity_matrix(G: Graph, p) -> np.ndarray:
     """m x 2n Jacobian of the edge function: row (i,j) holds 2(p_i - p_j) at slot i
     and the negation at slot j."""
-    return _embedding_system(G, p)[2]
+    return edge_system(_embedding(G, p), *edge_index(G), length_form)[1]
 
 
 def random_embedding(n: int, rng: np.random.Generator, box: int = 10 ** 4) -> np.ndarray:
@@ -289,79 +285,66 @@ def line_system_dimension(G: Graph, x: LineConfig, tol: float = DEFAULT_TOL,
     the concurrent family through any point gives the matching lower bound).
     """
     X, i, j = _line_arrays(G, x)
-    violation = "configuration violates the incidence system"
-    if exact:
-        return _certify_exact(G, X, lambda D: incidence(D.T),
-                              lambda R: edge_system(R, i, j, incidence_form)[1], violation, tol)
-    g, J = edge_system(X, i, j, incidence_form)
-    return _certify(G, g, violation, J, tol, X)
+    return _certify(G, X, lambda D: incidence(D.T),
+                    lambda R: edge_system(R, i, j, incidence_form)[1],
+                    "configuration violates the incidence system", tol, exact)
 
 
 # ---------------------------------------------------------------------------
 # pair system (two embeddings with equal edge lengths)
 
 
-def _pair_system(G: Graph, p, p_prime) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows (p_i, p'_i), f(p) - f(p') and [R(p), -R(p')]; float when either p is."""
-    (P, fp, Jp), (Q, fq, Jq) = _embedding_system(G, p), _embedding_system(G, p_prime)
-    if Jp.dtype != Jq.dtype:
-        fp, Jp, fq, Jq = (a.astype(float) for a in (fp, Jp, fq, Jq))
-    return np.hstack([P, Q]), fp - fq, np.hstack([Jp, -Jq])
+def _pair_rows(G: Graph, p, p_prime) -> np.ndarray:
+    """Rows (p_i, p'_i) of the pair system; float when either embedding is."""
+    P, Q = _embedding(G, p), _embedding(G, p_prime)
+    X = np.hstack([P, Q])
+    return X if P.dtype == Q.dtype else X.astype(float)
+
+
+def _pair_jacobian(X: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """[R(p), -R(p')] on the pair rows X = (p, p')."""
+    return np.hstack([edge_system(X[:, :2], i, j, length_form)[1],
+                      -edge_system(X[:, 2:], i, j, length_form)[1]])
 
 
 def pair_system_jacobian(G: Graph, p, p_prime) -> np.ndarray:
     """m x 4n Jacobian of (p, p') -> f(p) - f(p')."""
-    return _pair_system(G, p, p_prime)[2]
+    return _pair_jacobian(_pair_rows(G, p, p_prime), *edge_index(G))
 
 
 def pair_system_dimension(G: Graph, p, p_prime, tol: float = DEFAULT_TOL,
                           exact: bool = False) -> DimensionReport:
     """Rank certificate for the equal-edge-lengths system at a pair of embeddings."""
-    violation = "edge lengths differ"
+    X, (i, j) = _pair_rows(G, p, p_prime), edge_index(G)
+    return _certify(G, X, lambda D: (D[:, :2] ** 2).sum(axis=1) - (D[:, 2:] ** 2).sum(axis=1),
+                    lambda R: _pair_jacobian(R, i, j), "edge lengths differ", tol, exact)
+
+
+def _certify(G: Graph, X: np.ndarray, residual: Callable[[np.ndarray], np.ndarray],
+             jacobian: Callable[[np.ndarray], np.ndarray], violation: str, tol: float,
+             exact: bool) -> DimensionReport:
+    """The reports' one tail. The residuals residual(D) of the edges' row differences
+    D = X[i] - X[j] must vanish: in rationals in exact mode, by edge_residuals' rule
+    otherwise. Then the rank of J = jacobian(X) is compared with m: over Q by
+    _residue_rank, from X's residues, in exact mode, and by _float_rank's cut otherwise."""
+    if exact and X.dtype != object:
+        raise DomainError("exact mode needs integer or rational coordinates")
+    i, j = edge_index(G)
+    g = residual(X.take(i, axis=0) - X.take(j, axis=0))
     if exact:
-        (P, Q), (i, j) = (_embedding(G, p), _embedding(G, p_prime)), edge_index(G)
-        X = np.hstack([P, Q]) if P.dtype == Q.dtype else np.hstack([P, Q]).astype(float)
-
-        def jacobian(R: np.ndarray) -> np.ndarray:
-            return np.hstack([edge_system(R[:, :2], i, j, length_form)[1],
-                              -edge_system(R[:, 2:], i, j, length_form)[1]])
-
-        def residual(D: np.ndarray) -> np.ndarray:
-            return (D[:, :2] ** 2).sum(axis=1) - (D[:, 2:] ** 2).sum(axis=1)
-
-        return _certify_exact(G, X, residual, jacobian, violation, tol)
-    X, g, J = _pair_system(G, p, p_prime)
-    return _certify(G, g, violation, J, tol, X)
-
-
-def _certify(G: Graph, g: np.ndarray, violation: str, J: np.ndarray, tol: float,
-             X: np.ndarray) -> DimensionReport:
-    """The float reports' shared tail: the residuals g of the edges on the rows X pass
-    edge_residuals' rule; then J's rank is compared with m."""
-    rel = edge_residuals(g.astype(float), X.astype(float), *edge_index(G))
+        for edge, r in zip(G.edges, g):
+            if r != 0:
+                raise DomainError(f"{violation}: edge {edge} has nonzero residual {r}")
+        rank, primes = _residue_rank(X, jacobian, min(G.m, X.size))
+        return DimensionReport(X.size, G.m, rank, tol, rank == G.m, primes=primes)
+    rel = edge_residuals(g.astype(float), X.astype(float), i, j)
     if G.m:
         k = int(np.argmax(rel))
         if not rel[k] <= tol:
             raise DomainError(f"{violation}: edge {G.edges[k]} has relative residual "
                               f"{rel[k]:.3e} > tol {tol:.1e}")
-    rank, kept, dropped = _float_rank(J, tol)
-    return DimensionReport(J.shape[1], G.m, rank, tol, rank == G.m, kept, dropped)
-
-
-def _certify_exact(G: Graph, X: np.ndarray, residual: Callable[[np.ndarray], np.ndarray],
-                   jacobian: Callable[[np.ndarray], np.ndarray], violation: str,
-                   tol: float) -> DimensionReport:
-    """The exact reports' shared tail: the residuals residual(D) of the edges' row
-    differences D = X[i] - X[j] vanish exactly, in rationals; then the rank of the
-    Jacobian, jacobian(X) over Q, is _residue_rank's, from X's residues."""
-    if X.dtype != object:
-        raise DomainError("exact mode needs integer or rational coordinates")
-    i, j = edge_index(G)
-    for edge, r in zip(G.edges, residual(X.take(i, axis=0) - X.take(j, axis=0))):
-        if r != 0:
-            raise DomainError(f"{violation}: edge {edge} has nonzero residual {r}")
-    rank, primes = _residue_rank(X, jacobian, min(G.m, X.size))
-    return DimensionReport(X.size, G.m, rank, tol, rank == G.m, primes=primes)
+    rank, kept, dropped = _float_rank(jacobian(X), tol)
+    return DimensionReport(X.size, G.m, rank, tol, rank == G.m, kept, dropped)
 
 
 # ---------------------------------------------------------------------------

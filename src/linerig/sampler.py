@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SampleError
-from .graphs import Graph
+from .graphs import MAX_VERTICES, Graph
 from .henneberg import Ext0, Ext1, extract_henneberg
 from .lines3d import (Line, LineConfig, _triple_coplanar, check_squares, edge_residuals,
                       incidence_form, line_through, meet_residual, pair_intersection,
@@ -340,6 +340,8 @@ def sample_knn_params(n: int, kind: str, rng: random.Random) -> list[Fraction]:
     distinct d for coplanar, distinct pairs otherwise."""
     if n < 1:
         raise DomainError("need at least one line")
+    if n > MAX_VERTICES:
+        raise DomainError(f"n={n} exceeds the limit of {MAX_VERTICES} lines")
     if kind == "coplanar":
         box = max(_BOX, n // 2)
         head = [Fraction(1, _rand_nonzero(rng, box)), rng.randint(-box, box),

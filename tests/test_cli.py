@@ -79,6 +79,16 @@ def test_analyze_refuses_a_vertex_count_above_the_limit(tmp_path, capsys, text):
     assert err == f"error: n=100000000000 exceeds the limit of {MAX_VERTICES} vertices\n"
 
 
+@pytest.mark.parametrize("argv", [("gen", "path"), ("sample", "knn", "concurrent")],
+                         ids=["gen", "sample knn"])
+def test_a_vertex_count_argument_above_the_limit_is_an_error(capsys, argv):
+    # refused before anything of that size is allocated
+    code, out, err = run(capsys, *argv, "100000000000")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: n=100000000000 exceeds the limit of {MAX_VERTICES} ")
+    assert err.count("\n") == 1
+
+
 def test_analyze_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent/file.json")
     assert code == 2 and "error" in err

@@ -303,6 +303,19 @@ def test_pair_system_exact_mode():
     assert rep.jacobian_rank == 7 and rep.certified
 
 
+def test_exact_mode_rejects_inexact_coordinates():
+    # one float coordinate makes a configuration float, and one float embedding makes
+    # its pair float; each still certifies in float mode
+    lines = LineConfig.from_rows([[0, 0, 0, 0], [1.0, 0, 1, 0]])
+    exact_p, float_p = [[0, 0], [1, 0]], [[0.0, 0.0], [1.0, 0.0]]
+    for certify, args in ((line_system_dimension, (lines,)),
+                          (pair_system_dimension, (float_p, float_p)),
+                          (pair_system_dimension, (exact_p, float_p))):
+        assert certify(K2, *args).certified
+        with pytest.raises(DomainError, match="exact mode needs integer or rational coordinates"):
+            certify(K2, *args, exact=True)
+
+
 def test_exact_certificates_require_exact_zeros():
     # both points are within the float tolerance of the system, but not on it
     near = LineConfig.from_rows([[0, 0, 0, 0], [Fraction(1, 10 ** 12), 0, 0, 1]])
