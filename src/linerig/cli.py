@@ -4,8 +4,8 @@ Subcommands: analyze, verify, gen, lines, sample, henneberg, es. Reports go to
 standard output as JSON (default) or text tables. Exit codes: 0 success,
 1 verification failure, 2 usage or parse error. main reads every input file as UTF-8
 text (_read) into its _INPUTS reader, so a malformed one is an `error:` line and exit 2.
-analyze reads the rigidity rank and the global-rigidity verdict off one exact trial
-loop (numeric._rigidity), so it takes neither --tol nor --exact.
+analyze reads the rigidity rank and the global-rigidity verdict off one embedding's
+exact rank (numeric._rigidity), so it takes no --tol, --exact or --trials.
 
 The parser comes from one table, _COMMANDS, one row per leaf subcommand. main
 builds only the leaf that argv names; any other command line (no leaf named,
@@ -56,15 +56,14 @@ class AnalysisReport:
     hendrickson: Optional[bool]
     globally_rigid: Optional[bool]
     seed: int
-    trials: int
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
 
-def analyze_graph(G: Graph, seed: int = 0, trials: int = 5) -> AnalysisReport:
+def analyze_graph(G: Graph, seed: int = 0) -> AnalysisReport:
     rank = sparsity_rank(G).rank
-    rrank, glob = _rigidity(G, trials, seed)
+    rrank, glob = _rigidity(G, seed)
     rigid = rrank == 2 * G.n - 3
     redundant = is_redundant(G)
     three = is_k_connected(G, 3) if G.n >= 4 else None
@@ -74,7 +73,7 @@ def analyze_graph(G: Graph, seed: int = 0, trials: int = 5) -> AnalysisReport:
         n=G.n, m=G.m, sparsity_rank=rank, rigidity_rank=rrank,
         laman=G.m == 2 * G.n - 3 and rank == G.m, rigid=rigid, redundant=redundant,
         three_connected=three, hendrickson=hend, globally_rigid=glob,
-        seed=seed, trials=trials)
+        seed=seed)
 
 
 def _read(path: str) -> str:
@@ -106,7 +105,7 @@ _INPUTS = {"graph": _load_graph, "config": LineConfig.from_json, "pairs": parse_
 
 
 def _cmd_analyze(args: argparse.Namespace) -> None:
-    report = analyze_graph(args.graph, seed=args.seed, trials=args.trials)
+    report = analyze_graph(args.graph, seed=args.seed)
     _emit(report.to_dict(), args.format)
 
 
@@ -282,7 +281,6 @@ def _seed(text: str) -> int:
 _COMMON = {
     "seed": dict(type=_seed, default=0),
     "tol": dict(type=_tolerance, default=1e-8),
-    "trials": dict(type=int, default=5),
     "format": dict(choices=("json", "text"), default="json"),
 }
 
@@ -309,11 +307,11 @@ def _given(option: str, **kwargs) -> tuple[tuple[str, ...], dict]:
 _COMMANDS = (
     (None, "analyze", "full combinatorial + numeric report for a graph file", _cmd_analyze,
      [_arg("graph", help="graph file (JSON or edge list), '-' for stdin")],
-     "seed trials format"),
+     "seed format"),
     (None, "verify", "run a named verification suite", _cmd_verify,
      [_arg("suite", choices=sorted(SUITES)),
-      *(_given(size, type=int) for size in ("n-max", "seeds", "count", "per-class")),
-      *map(_given, ("seed", "tol", "trials"))], "format"),
+      *(_given(size, type=int) for size in ("n-max", "seeds", "count", "per-class", "trials")),
+      *map(_given, ("seed", "tol"))], "format"),
     (None, "gen", "emit a named catalog graph as JSON", _cmd_gen,
      ["name", _arg("params", type=int, nargs="*")], "seed"),
     ("lines", "graph", "intersection graph of a configuration", _cmd_lines_graph, ["config"],

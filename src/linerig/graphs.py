@@ -27,6 +27,8 @@ Edge = tuple[int, int]
 # The largest vertex count a graph file may declare: every analysis allocates in
 # proportion to n, so a short file must not name a huge one.
 MAX_VERTICES = 10 ** 6
+# complete(k) has k(k - 1)/2 edges, 5e11 at the vertex limit: more than this is refused
+MAX_COMPLETE_EDGES = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -275,6 +277,9 @@ def _complete(params: tuple[int, ...], rng: random.Random) -> Graph:
     (k,) = params
     if k < 1:
         raise DomainError("complete(k) needs k >= 1")
+    if k * (k - 1) // 2 > MAX_COMPLETE_EDGES:
+        raise DomainError(f"complete({k}) has {k * (k - 1) // 2} edges, above the limit of "
+                          f"{MAX_COMPLETE_EDGES}")
     return Graph(k, tuple(combinations(range(k), 2)))
 
 

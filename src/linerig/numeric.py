@@ -24,7 +24,7 @@ of the exact values' residues is the exact matrix mod p, and _eliminate, one int
 row reduction, ranks it; the loop stops at the first full rank or once two primes
 agree on the largest rank seen. An exact report so never builds its Jacobian, and
 names the primes its eliminations ran on. rigidity_rank and global_rigidity_oracle
-read _rigidity, which reduces R^T per trial.
+read _rigidity, which ranks R(P)^T at one random embedding P through _residue_rank.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .errors import DomainError
 from .graphs import Graph
 from .lines3d import (Line, LineConfig, check_squares, edge_residuals, incidence, incidence_form,
                       is_exact)
-from .modp import prime_residues, random_prime
+from .modp import prime_residues
 
 Scalar = Union[int, float, Fraction]
 Form = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -137,13 +137,14 @@ def rank_exact(M, seed: int = 0) -> int:
 
 
 def _residue_rank(X: np.ndarray, jacobian: Callable[[np.ndarray], np.ndarray],
-                  full: int, seed: int = 0) -> tuple[int, tuple[int, ...]]:
-    """The rank over Q of J = jacobian(X), at most full, for an object array X of ints
-    and Fractions, and the primes whose eliminations ran, in order. J is never built:
-    every entry of it is an integer polynomial in X, so for each prime p of
-    prime_residues' rank_exact:{seed} stream, jacobian(X mod p) mod p is J mod p, whose
-    rank _eliminate finds. The loop stops at the first full rank, or once two primes
-    agree on the largest rank seen.
+                  full: int, seed: int = 0) -> tuple[int, tuple[int, ...], np.ndarray]:
+    """The rank over Q of J = jacobian(X), at most full, for an array X of ints and
+    Fractions, the primes whose eliminations ran, in order, and the last one's echelon
+    form of J mod primes[-1]. J is never built: every entry of it is an integer
+    polynomial in X, so for each prime p of prime_residues' rank_exact:{seed} stream,
+    jacobian(X mod p) mod p is J mod p, whose rank _eliminate finds. The loop stops at
+    the first full rank, or once two primes agree on the largest rank seen, so the last
+    rank is the one returned. Callers: rank_exact, _certify and _rigidity.
 
     Neither answer can be too large: p divides no denominator, so a minor that vanishes
     over Q vanishes mod p, and the rank mod p never exceeds the rational rank. A full
@@ -162,10 +163,11 @@ def _residue_rank(X: np.ndarray, jacobian: Callable[[np.ndarray], np.ndarray],
     primes: list[int] = []
     stream = random.Random(f"rank_exact:{seed}")
     for p, R in islice(prime_residues(X.ravel().tolist(), stream), 64):
-        ranks.append(_eliminate(jacobian(R.reshape(X.shape)) % p, p))
+        M = jacobian(R.reshape(X.shape)) % p
+        ranks.append(_eliminate(M, p))
         primes.append(p)
         if ranks[-1] == full or ranks.count(max(ranks)) >= 2:
-            return max(ranks), tuple(primes)
+            return ranks[-1], tuple(primes), M
     raise DomainError("exact rank did not stabilize; matrix entries may be malformed")
 
 
@@ -246,17 +248,6 @@ def random_embedding(n: int, rng: np.random.Generator, box: int = 10 ** 4) -> np
     return rng.integers(-box, box + 1, size=(n, 2)).astype(np.int64)
 
 
-def _trial_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
-    """SeedSequence(seed).spawn(trials)'s generators, each spawned when it is taken.
-    A trial count below 1 or a negative seed raises DomainError."""
-    if trials < 1:
-        raise DomainError("trials must be positive")
-    if seed < 0:
-        raise DomainError("seed must be at least 0")
-    root = np.random.SeedSequence(seed)
-    return (np.random.Generator(np.random.PCG64(root.spawn(1)[0])) for _ in range(trials))
-
-
 # ---------------------------------------------------------------------------
 # line system (incidence constraints of a graph on a line configuration)
 
@@ -335,7 +326,7 @@ def _certify(G: Graph, X: np.ndarray, residual: Callable[[np.ndarray], np.ndarra
         for edge, r in zip(G.edges, g):
             if r != 0:
                 raise DomainError(f"{violation}: edge {edge} has nonzero residual {r}")
-        rank, primes = _residue_rank(X, jacobian, min(G.m, X.size))
+        rank, primes, _ = _residue_rank(X, jacobian, min(G.m, X.size))
         return DimensionReport(X.size, G.m, rank, tol, rank == G.m, primes=primes)
     rel = edge_residuals(g.astype(float), X.astype(float), i, j)
     if G.m:
@@ -365,38 +356,37 @@ def transversal_family_dimension(l1: Line, l2: Line, l3: Line, member: Line) -> 
 
 
 # ---------------------------------------------------------------------------
-# rigidity rank and global rigidity (one reduction of R^T mod p per trial)
+# rigidity rank and global rigidity (R^T ranked by _residue_rank at one embedding)
 
 
-def _rigidity(G: Graph, trials: int, seed: int) -> tuple[int, Optional[bool]]:
-    """The rigidity rank mod p and the stress verdict, from one trial loop.
+def _rigidity(G: Graph, seed: int) -> tuple[int, Optional[bool]]:
+    """The rigidity rank and the stress verdict at one random integer embedding P.
 
-    Each trial reduces R(P)^T mod p (_eliminate) for a random integer embedding P and
-    a prime p in [2^30, 2^31). The loop stops at the first rank min(m, 2n - 3), which
-    no embedding exceeds, or once two trials agree on the largest rank seen
-    (_residue_rank's rule). For n >= 4 the trial of rank 2n - 3 decides, and the verdict
-    is None if there is none: it is whether a uniformly random stress w (R^T w = 0 mod
-    p) has a stress matrix of rank n - 3 mod p. True is always right, as w then lifts
-    to a rational stress of the same rank (Connelly, DCG 33 (2005); Gortler-Healy-
-    Thurston, Amer. J. Math. 132 (2010)); False is wrong only for a special P, p or w.
+    _residue_rank ranks R(P)^T over Q, up to min(m, 2n - 3), which no embedding exceeds.
+    A rank below the generic one makes P, uniform on [-2^30, 2^30]^2n, a zero of a
+    nonzero minor of degree at most 2n - 3: by the Schwartz-Zippel lemma, probability at
+    most (2n - 3) / (2^31 + 1), about 1.5e-6 at n = 1600. For n >= 4 the verdict is None
+    unless the rank is 2n - 3, and otherwise whether a uniformly random stress w (R^T w
+    = 0 mod p), solved on the deciding echelon form mod p = primes[-1], has a stress
+    matrix of rank n - 3 mod p. True is always right, as w then lifts to a rational
+    stress of the same rank (Connelly, DCG 33 (2005); Gortler-Healy-Thurston, Amer. J.
+    Math. 132 (2010)); False is wrong only for a special P, p or w.
     """
     if G.n < 2:
         raise DomainError("rigidity rank needs at least 2 vertices")
+    if seed < 0:
+        raise DomainError("seed must be at least 0")
     n, m = G.n, G.m
     i, j = edge_index(G)
-    full, ranks = min(m, 2 * n - 3), []
-    primes = random.Random(f"rigidity:{seed}")
-    for rng in _trial_rngs(seed, trials):
-        P, p = random_embedding(n, rng), random_prime(primes)
-        M = (edge_system(P % p, i, j, length_form)[1] % p).T.copy()
-        ranks.append(_eliminate(M, p))
-        if ranks[-1] == full or ranks.count(max(ranks)) >= 2:
-            break
-    rank = max(ranks)
+    rng = np.random.default_rng(seed)
+    rank, primes, M = _residue_rank(
+        random_embedding(n, rng, 2 ** 30),
+        lambda P: np.ascontiguousarray(edge_system(P, i, j, length_form)[1].T),
+        min(m, 2 * n - 3), seed)
     if n < 4 or rank < 2 * n - 3:
         return rank, None
-    # the loop stopped at the one trial of rank 2n - 3, so M, p and rng are its own;
     # R^T's echelon form, solved from its last row up, with products reduced below 2^31
+    p = primes[-1]
     stress = rng.integers(p, size=m)
     for row in M[rank - 1::-1]:
         c = row.nonzero()[0][0]
@@ -407,17 +397,17 @@ def _rigidity(G: Graph, trials: int, seed: int) -> tuple[int, Optional[bool]]:
     return rank, _eliminate(omega % p, p) == n - 3
 
 
-def rigidity_rank(G: Graph, trials: int = 5, seed: int = 0) -> int:
-    """_rigidity's rank mod p: a lower bound on the generic rank of the rigidity
-    matrix, equal to it unless every trial drew a special embedding or prime."""
-    return _rigidity(G, trials, seed)[0]
+def rigidity_rank(G: Graph, seed: int = 0) -> int:
+    """_rigidity's rank: the generic rank of the rigidity matrix unless its embedding
+    is special (a lower bound always)."""
+    return _rigidity(G, seed)[0]
 
 
-def global_rigidity_oracle(G: Graph, trials: int = 5, seed: int = 0) -> bool:
+def global_rigidity_oracle(G: Graph, seed: int = 0) -> bool:
     """_rigidity's exact stress verdict; DomainError where it takes G for flexible."""
     if G.n < 4:
         raise DomainError("global rigidity oracle needs at least 4 vertices")
-    verdict = _rigidity(G, trials, seed)[1]
+    verdict = _rigidity(G, seed)[1]
     if verdict is None:
         raise DomainError("global rigidity oracle requires a rigid graph")
     return verdict

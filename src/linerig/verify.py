@@ -57,10 +57,17 @@ class SuiteReport:
         }
 
 
-def _at_least(value: int, least: int, name: str) -> None:
-    """A suite's size argument must leave it something to check."""
+# four-lines and lemma-cong draw all their trials at once (four-lines peaks at 876 MB
+# at 10^6), so a larger count is refused before any draw, not met by a MemoryError
+MAX_TRIALS = 10 ** 6
+
+
+def _at_least(value: int, least: int, name: str, most: float = math.inf) -> None:
+    """A suite's size argument must leave it something to check, and fit in memory."""
     if value < least:
         raise DomainError(f"{name} must be at least {least}")
+    if value > most:
+        raise DomainError(f"{name}={value} exceeds the limit of {most}")
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +348,7 @@ def pairwise_incident(V: np.ndarray) -> np.ndarray:
 
 
 def four_lines(trials: int = 10000, seed: int = 0, tol: float = 1e-8) -> SuiteReport:
-    _at_least(trials, 1, "trials")
+    _at_least(trials, 1, "trials", MAX_TRIALS)
     _at_least(seed, 0, "seed")
     if tol <= 0:
         raise DomainError("tolerance must be positive")
@@ -503,7 +510,7 @@ def lemma_cong(trials: int = 100000, seed: int = 0) -> SuiteReport:
     batch_last: (coordinate, point or line, trial). The generator draws each part's
     values for all trials at once; the checks run over blocks of _BLOCK trials,
     and a spot check rebuilds the images of its trials from the draws."""
-    _at_least(trials, 1, "trials")
+    _at_least(trials, 1, "trials", MAX_TRIALS)
     _at_least(seed, 0, "seed")
     rep = SuiteReport("lemma-cong")
     rng = np.random.default_rng(seed)
@@ -555,14 +562,12 @@ def hendrickson_catalog(n_max: int = 8) -> list[tuple[str, Graph]]:
     return cases
 
 
-def hendrickson_oracle(n_max: int = 8, trials: int = 5, seed: int = 0) -> SuiteReport:
+def hendrickson_oracle(n_max: int = 8, seed: int = 0) -> SuiteReport:
     _at_least(n_max, 4, "n_max")
-    _at_least(trials, 1, "trials")
-    _at_least(seed, 0, "seed")
     rep = SuiteReport("hendrickson-oracle")
     for name, G in hendrickson_catalog(n_max):
         combinatorial = is_hendrickson(G)
-        oracle = _rigidity(G, trials, seed)[1]
+        oracle = _rigidity(G, seed)[1]
         if oracle is None:
             # n >= 4 on the catalog, so G is flexible: never redundant, never Hendrickson
             rep.record(combinatorial is False, graph=name, note="flexible")

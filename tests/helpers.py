@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 
@@ -137,10 +138,17 @@ def glued_at_vertex(G1: Graph, G2: Graph, seed: int) -> Graph:
     return Graph.from_edges(G1.n + G2.n - 1, G1.edges + tuple((label[i], label[j]) for i, j in G2.edges))
 
 
+def _trial_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
+    """SeedSequence(seed).spawn(trials)'s generators, each spawned when it is taken:
+    one per trial of the multi-embedding references below."""
+    root = np.random.SeedSequence(seed)
+    return (np.random.Generator(np.random.PCG64(root.spawn(1)[0])) for _ in range(trials))
+
+
 def full_rigidity_rank(G: Graph, trials: int = 5, seed: int = 0) -> int:
     """The float rigidity rank that numeric.rigidity_rank is held to: the maximum of
     the SVD rank over every trial's random integer embedding, with no early return."""
-    from linerig.numeric import _trial_rngs, float_rank, random_embedding, rigidity_matrix
+    from linerig.numeric import float_rank, random_embedding, rigidity_matrix
     if G.m == 0:
         return 0
     return max(float_rank(rigidity_matrix(G, random_embedding(G.n, rng).astype(float)))
@@ -153,8 +161,7 @@ def float_stress_oracle(G: Graph, trials: int = 5, seed: int = 0, tol: float = 1
     matrix of a random integer embedding in floats, its rank by the SVD cut at tol,
     a random combination of the left singular vectors past that rank as the stress,
     and a yes vote when the stress matrix's float rank is n - 3."""
-    from linerig.numeric import (_trial_rngs, edge_index, float_rank, random_embedding,
-                                 rigidity_matrix)
+    from linerig.numeric import edge_index, float_rank, random_embedding, rigidity_matrix
     if G.n < 4:
         raise DomainError("global rigidity oracle needs at least 4 vertices")
     i, j = edge_index(G)

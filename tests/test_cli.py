@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import linerig
 from linerig.cli import build_parser, main
-from linerig.graphs import MAX_VERTICES, generate, parse_graph, serialize_graph
-from linerig.verify import SUITES
+from linerig.graphs import MAX_COMPLETE_EDGES, MAX_VERTICES, generate, parse_graph, serialize_graph
+from linerig.verify import MAX_TRIALS, SUITES
 
 
 def run(capsys, *argv):
@@ -89,6 +89,21 @@ def test_a_vertex_count_argument_above_the_limit_is_an_error(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("gen", "complete", "100000"),
+     f"complete(100000) has 4999950000 edges, above the limit of {MAX_COMPLETE_EDGES}"),
+    (("gen", "complete", "1415"), f"complete(1415) has 1000405 edges, above the limit of {MAX_COMPLETE_EDGES}"),
+    (("verify", "lemma-cong", "--trials", "1000000000"),
+     f"trials=1000000000 exceeds the limit of {MAX_TRIALS}"),
+    (("verify", "four-lines", "--trials", "100000000000"),
+     f"trials=100000000000 exceeds the limit of {MAX_TRIALS}"),
+], ids=["gen complete", "gen complete past the cap", "lemma-cong", "four-lines"])
+def test_sizes_that_memory_cannot_hold_are_errors(capsys, argv, message):
+    # refused before anything of that size is allocated, not a MemoryError traceback
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
 def test_analyze_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent/file.json")
     assert code == 2 and "error" in err
@@ -131,7 +146,7 @@ def test_verify_dispatch_covers_every_suite(capsys):
     ["lemma-3lines", "--per-class", "-1"], ["lemma-complete", "--n-max", "-1"],
     ["lemma-complete", "--seeds", "0"], ["theorem-main", "--seeds", "0"],
     ["theorem-main", "--n-max", "1"], ["theorem-mainnec", "--count", "0"],
-    ["hendrickson-oracle", "--n-max", "3"], ["hendrickson-oracle", "--trials", "0"],
+    ["hendrickson-oracle", "--n-max", "3"],
 ], ids=" ".join)
 def test_verify_size_leaving_nothing_to_check_exit_2(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
@@ -445,7 +460,7 @@ def test_verify_passes_each_suite_its_own_flags(monkeypatch, capsys):
         "lemma-3lines": {"seed": 3, "per_class": 7},
         "lemma-cong": {"seed": 3, "trials": 4},
         "four-lines": {"seed": 3, "trials": 4, "tol": 1e-7},
-        "hendrickson-oracle": {"seed": 3, "n_max": 6, "trials": 4},
+        "hendrickson-oracle": {"seed": 3, "n_max": 6},
     }
     assert set(want) == set(SUITES)
     for name, suite in list(SUITES.items()):
@@ -479,8 +494,8 @@ def test_verify_without_options_runs_the_suites_defaults(capsys, name):
 
 
 def test_analyze_takes_one_rigidity_rank_pass(monkeypatch):
-    """One mod-p elimination of R^T per trial, plus one of the stress matrix on a
-    rigid graph: wheel(6) decides both answers on its first trial, and cycle(6),
+    """One mod-p elimination of R^T per prime, plus one of the stress matrix on a
+    rigid graph: wheel(6) decides both answers on its first prime, and cycle(6),
     independent, reaches its full rank m on its first."""
     import linerig.cli as cli
     import linerig.numeric as numeric
@@ -769,10 +784,10 @@ def test_stdin_that_is_not_utf8_is_an_error():
     assert bad.stderr.startswith(b"error: -: not UTF-8 text") and b"Traceback" not in bad.stderr
 
 
-# Each leaf's options: its own, then the common ones it reads (29 of those in all).
+# Each leaf's options: its own, then the common ones it reads (27 of those in all).
 _LEAF_OPTIONS = {
-    "analyze": "--seed --trials --format",
-    "verify": "--n-max --seeds --count --per-class --seed --tol --trials --format",
+    "analyze": "--seed --format",
+    "verify": "--n-max --seeds --count --per-class --trials --seed --tol --format",
     "gen": "--seed",
     "lines graph": "--tol",
     "lines meet": "--format",
@@ -821,8 +836,8 @@ def test_each_leaf_takes_only_the_options_it_reads():
                           if s not in ("-h", "--help"))
            for name, p in _leaves(build_parser())}
     assert got == _LEAF_OPTIONS and set(_LEAF_ARGV) == set(got)
-    common = {"--seed", "--tol", "--trials", "--format"}
-    assert sum(len(common & set(opts.split())) for opts in got.values()) == 29
+    common = {"--seed", "--tol", "--format"}
+    assert sum(len(common & set(opts.split())) for opts in got.values()) == 27
 
 
 def test_a_named_leaf_builds_only_its_own_parser():

@@ -200,7 +200,8 @@ def test_rank_exact_survives_a_prime_that_divides_a_pivot(monkeypatch):
 
 def test_rank_exact_skips_a_prime_that_divides_a_denominator(monkeypatch):
     """The stream's first prime p divides a denominator, so no elimination runs mod p
-    and it is missing from _residue_rank's primes."""
+    and it is missing from _residue_rank's primes. The echelon form it returns is the
+    last elimination's, with as many nonzero rows as the rank."""
     stream = random.Random("rank_exact:0")
     p, q, r = (random_prime(stream) for _ in range(3))
     results = _count_eliminations(monkeypatch)
@@ -208,10 +209,12 @@ def test_rank_exact_skips_a_prime_that_divides_a_denominator(monkeypatch):
     monkeypatch.setattr(numeric, "_residue_rank",
                         lambda *args: returned.append(inner(*args)) or returned[-1])
     assert rank_exact([[Fraction(1, p), 1], [1, 2]]) == 2
-    assert results == [2] and returned == [(2, (q,))]
+    assert results == [2] and [ret[:2] for ret in returned] == [(2, (q,))]
     results.clear()
     assert rank_exact([[Fraction(1, p), Fraction(2, p)], [3, 6]]) == 1
-    assert results == [1, 1] and returned[-1] == (1, (q, r))
+    assert results == [1, 1] and returned[-1][:2] == (1, (q, r))
+    for rank, _, M in returned:
+        assert M.shape == (2, 2) and M[:rank].any(axis=1).all() and not M[rank:].any()
 
 
 def test_eliminate_ranks_as_rank_exact_and_leaves_the_left_kernel():
@@ -623,10 +626,10 @@ def test_global_rigidity_oracle_checks_rigidity_with_its_own_trials(monkeypatch)
     import linerig.numeric as numeric
     calls = []
     monkeypatch.setattr(numeric, "rigidity_rank", lambda *a, **k: calls.append(a))
-    assert global_rigidity_oracle(K4, trials=1)
+    assert global_rigidity_oracle(K4)
     assert calls == []
     with pytest.raises(DomainError, match="rigid graph"):
-        global_rigidity_oracle(generate("cycle", [6]), trials=1)
+        global_rigidity_oracle(generate("cycle", [6]))
     with pytest.raises(DomainError, match="rigid graph"):
         global_rigidity_oracle(Graph(5, ()))
 
@@ -649,25 +652,19 @@ def test_hendrickson_oracle_takes_one_rigidity_pass_per_graph(monkeypatch):
     monkeypatch.setattr(verify, "_rigidity", counted)
     monkeypatch.setattr(verify.SuiteReport, "record",
                         lambda self, ok, **detail: records.append((ok, detail)))
-    verify.hendrickson_oracle(n_max=7, trials=3, seed=2)
+    verify.hendrickson_oracle(n_max=7, seed=2)
     assert passes == [G for _, G in catalog]
     # the verdicts of the rigidity rank and the oracle, each on its own
     flexible = []
     for (name, G), (ok, detail) in zip(catalog, records, strict=True):
         assert ok and detail["graph"] == name
-        if rigidity_rank(G, trials=3, seed=2) != 2 * G.n - 3:
+        if rigidity_rank(G, seed=2) != 2 * G.n - 3:
             flexible.append(name)
             assert detail == {"graph": name, "note": "flexible"}
         else:
             assert detail["combinatorial"] == is_hendrickson(G)
-            assert detail["oracle"] == global_rigidity_oracle(G, trials=3, seed=2)
+            assert detail["oracle"] == global_rigidity_oracle(G, seed=2)
     assert flexible == ["cycle(6)", "K4-minus-edge-plus-pendant"]
-
-
-def test_hendrickson_oracle_rejects_zero_trials():
-    from linerig.verify import hendrickson_oracle
-    with pytest.raises(DomainError, match="trials"):
-        hendrickson_oracle(n_max=5, trials=0)
 
 
 @pytest.mark.parametrize("seed", [-1, -2])
@@ -688,28 +685,11 @@ def test_negative_seeds_are_domain_errors(seed):
     assert rigidity_rank(K4, seed=0) == 5 and global_rigidity_oracle(K4, seed=0)
 
 
-def test_trial_generators_are_spawned_one_at_a_time(monkeypatch):
-    from linerig.numeric import _trial_rngs
-    for seed, k in ((0, 1), (0, 6), (41, 4)):
-        want = [np.random.Generator(np.random.PCG64(s)).bit_generator.state
-                for s in np.random.SeedSequence(seed).spawn(k)]
-        assert [rng.bit_generator.state for rng in _trial_rngs(seed, k)] == want
-    spawned = []
-
-    class Counting(np.random.SeedSequence):
-        def spawn(self, n_children):
-            spawned.append(n_children)
-            return super().spawn(n_children)
-
-    monkeypatch.setattr(np.random, "SeedSequence", Counting)
-    # K4 reaches rank 5 on its first trial; the loop takes at most one more generator
-    assert rigidity_rank(K4, trials=1000) == 5 and sum(spawned) <= 2
-
-
 def test_early_exits_give_the_full_loops_outputs(monkeypatch):
-    """analyze and verify hendrickson-oracle stop their trial loop once the answer is
-    decided; their outputs equal those of the float references over every trial:
-    the largest SVD rank and, where it is 2n - 3, the majority vote."""
+    """analyze and verify hendrickson-oracle read one embedding, ranked mod primes
+    until _residue_rank's rule stops; their outputs equal those of the float
+    references over five embeddings each: the largest SVD rank and, where it is
+    2n - 3, the majority vote."""
     from helpers import float_stress_oracle, full_rigidity_rank, glued_on_edge
     import linerig.cli as cli
     import linerig.verify as verify
@@ -720,17 +700,15 @@ def test_early_exits_give_the_full_loops_outputs(monkeypatch):
     graphs += [generate("cycle", [6]), Graph(5, ()), generate("path", [3])]
 
     def outputs():
-        analyzed = [cli.analyze_graph(G, seed=seed, trials=trials).to_dict()
-                    for G in graphs for seed, trials in ((0, 5), (3, 4), (7, 1))]
-        suites = [verify.hendrickson_oracle(n_max=8, trials=trials, seed=seed).to_dict()
-                  for seed, trials in ((0, 5), (2, 3))]
+        analyzed = [cli.analyze_graph(G, seed=seed).to_dict() for G in graphs for seed in (0, 3, 7)]
+        suites = [verify.hendrickson_oracle(n_max=8, seed=seed).to_dict() for seed in (0, 2)]
         return analyzed, suites
 
-    def full_loops(G, trials, seed):
-        rank = full_rigidity_rank(G, trials, seed)
+    def full_loops(G, seed):
+        rank = full_rigidity_rank(G, 5, seed)
         if G.n < 4 or rank != 2 * G.n - 3:
             return rank, None
-        return rank, float_stress_oracle(G, trials, seed)
+        return rank, float_stress_oracle(G, 5, seed)
 
     early = outputs()
     monkeypatch.setattr(cli, "_rigidity", full_loops)
@@ -751,17 +729,18 @@ def test_early_exits_skip_the_decided_trials(monkeypatch):
     W = generate("wheel", [6])
     assert rigidity_rank(W) == 2 * W.n - 3 and len(drawn) == 1
     drawn.clear()
-    # the first trial whose rigidity matrix has rank 2n - 3 decides, either way
+    # the one embedding decides the stress verdict, either way
     assert global_rigidity_oracle(W) and len(drawn) == 1
     drawn.clear()
     assert not global_rigidity_oracle(generate("laman_random", [8], seed=1)) and len(drawn) == 1
 
 
 def test_the_stress_is_an_equilibrium_stress_of_the_deciding_embedding(monkeypatch):
-    """The stress matrix that _rigidity ranks belongs to an equilibrium stress of the
-    deciding trial's embedding P mod its prime p: symmetric, with zero row sums and
-    Omega P = 0 mod p. It is 0 on minimally rigid graphs and nonzero on redundant ones."""
-    embeddings, reduced = [], []
+    """The stress matrix that _rigidity ranks belongs to an equilibrium stress of its
+    one embedding P mod the deciding prime p = primes[-1], the prime of the elimination
+    before it: symmetric, with zero row sums and Omega P = 0 mod p. It is 0 on
+    minimally rigid graphs and nonzero on redundant ones."""
+    embeddings, reduced, primes = [], [], []
 
     def recorded(n, rng, *args):
         embeddings.append(random_embedding(n, rng, *args))
@@ -771,15 +750,25 @@ def test_the_stress_is_an_equilibrium_stress_of_the_deciding_embedding(monkeypat
         reduced.append((M.copy(), p))
         return eliminate_(M, p)
 
+    def residue_rank(*args):
+        ranked = residue_rank_(*args)
+        primes.append(ranked[1])
+        return ranked
+
     random_embedding, eliminate_ = numeric.random_embedding, numeric._eliminate
+    residue_rank_ = numeric._residue_rank
     monkeypatch.setattr(numeric, "random_embedding", recorded)
     monkeypatch.setattr(numeric, "_eliminate", eliminate)
+    monkeypatch.setattr(numeric, "_residue_rank", residue_rank)
     graphs = [K4, generate("wheel", [5]), generate("wheel", [8]), generate("complete", [7]),
               generate("hendrickson_random", [12, 3], seed=2), generate("laman_random", [9], seed=1)]
     for G in graphs:
         for seed in range(3):
-            numeric._rigidity(G, 5, seed)
+            embeddings.clear()
+            numeric._rigidity(G, seed)
             (omega, p), P = reduced[-1], embeddings[-1]
+            assert len(embeddings) == 1 and p == primes[-1][-1] == reduced[-2][1]
+            assert P.shape == (G.n, 2) and np.abs(P).max() <= 2 ** 30
             assert omega.shape == (G.n, G.n) and (omega == omega.T).all()
             assert not (omega.sum(axis=1) % p).any()
             assert not (omega.astype(object) @ P.astype(object) % p).any()
@@ -788,23 +777,31 @@ def test_the_stress_is_an_equilibrium_stress_of_the_deciding_embedding(monkeypat
 
 def test_flexible_graphs_with_2n_3_edges_stop_after_two_trials(monkeypatch):
     """Two Hendrickson graphs glued at a vertex have m >= 2n - 3 edges and rank
-    2n - 4: no trial reaches min(m, 2n - 3), so the loop stops after exactly two
-    trials that agree on 2n - 4, with no verdict, and the oracle refuses the graph."""
+    2n - 4: no prime reaches min(m, 2n - 3), so _rigidity draws one embedding and
+    stops after exactly two eliminations of R^T, mod two primes that agree on
+    2n - 4, with no verdict, and the oracle refuses the graph."""
     from helpers import glued_at_vertex
-    drawn = []
+    drawn, eliminated = [], []
 
     def counted(n, rng, *args):
         drawn.append(n)
         return random_embedding(n, rng, *args)
 
-    random_embedding = numeric.random_embedding
+    def eliminate(M, p):
+        eliminated.append(M.shape)
+        return eliminate_(M, p)
+
+    random_embedding, eliminate_ = numeric.random_embedding, numeric._eliminate
     monkeypatch.setattr(numeric, "random_embedding", counted)
+    monkeypatch.setattr(numeric, "_eliminate", eliminate)
     for a, b in ((4, 4), (5, 7), (9, 12), (20, 30)):
         G = glued_at_vertex(generate("hendrickson_random", [a, 2], seed=a),
                             generate("hendrickson_random", [b, 2], seed=b), a + b)
         assert G.m >= 2 * G.n - 3 and sparsity_rank(G).rank == 2 * G.n - 4
         for seed in range(3):
             drawn.clear()
-            assert numeric._rigidity(G, 5, seed) == (2 * G.n - 4, None) and len(drawn) == 2
+            eliminated.clear()
+            assert numeric._rigidity(G, seed) == (2 * G.n - 4, None)
+            assert len(drawn) == 1 and eliminated == [(2 * G.n, G.m)] * 2
             with pytest.raises(DomainError, match="rigid graph"):
                 global_rigidity_oracle(G, seed=seed)
