@@ -7,10 +7,11 @@ text (_read) into its _INPUTS reader, so a malformed one is an `error:` line and
 analyze reads the rigidity rank and the global-rigidity verdict off one embedding's
 exact rank (numeric._rigidity), so it takes no --tol, --exact or --trials.
 
-The parser comes from one table, _COMMANDS, one row per leaf subcommand. main
-builds only the leaf that argv names; any other command line (no leaf named,
-help, --version, an unknown command) gets the parser of every leaf, so each
-listing and message is the whole tree's.
+The parser comes from one table, _COMMANDS, one row per leaf subcommand; a verify
+suite's leaf reads its options off the suite's signature (_suite_options). main builds
+only the leaf that argv names; any other command line (no leaf named, help, --version,
+an unknown command) gets the parser of every leaf, so each listing and message is the
+whole tree's.
 """
 
 from __future__ import annotations
@@ -111,9 +112,7 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     suite = SUITES[args.suite]
-    kwargs = {name: getattr(args, name) for name in inspect.signature(suite).parameters
-              if hasattr(args, name)}
-    rep = suite(**kwargs)
+    rep = suite(**{name: getattr(args, name) for name in inspect.signature(suite).parameters})
     if args.format == "json":
         _emit(rep.to_dict(), "json")
     else:
@@ -290,16 +289,19 @@ _GROUPS = {
     "sample": ("sample_cmd", "randomized samplers"),
     "henneberg": ("h_cmd", "construction sequences"),
     "es": ("es_cmd", "point-pair / line transform"),
+    "verify": ("suite", "run a named verification suite"),
 }
 
 _ORIENTATION = _arg("--orientation", type=int, choices=(1, -1), default=1)
 _DUMP = _arg("--dump-jacobian", action="store_true")
 
 
-def _given(option: str, **kwargs) -> tuple[tuple[str, ...], dict]:
-    """A verify option with no default: it reaches the suite only when given, so
-    each suite keeps its own defaults."""
-    return _arg(f"--{option}", **{**_COMMON.get(option, {}), **kwargs, "default": argparse.SUPPRESS})
+def _suite_options(suite) -> list[tuple[tuple[str, ...], dict]]:
+    """A verify leaf's options, one per parameter of its suite (n_max is --n-max) with
+    the suite's default: an int, or _COMMON's checked type for seed and tol."""
+    return [_arg(f"--{name.replace('_', '-')}",
+                 **{**_COMMON.get(name, {"type": int}), "default": param.default})
+            for name, param in inspect.signature(suite).parameters.items()]
 
 
 # One row per leaf subcommand: group (None at the top level), name, help, handler,
@@ -308,10 +310,8 @@ _COMMANDS = (
     (None, "analyze", "full combinatorial + numeric report for a graph file", _cmd_analyze,
      [_arg("graph", help="graph file (JSON or edge list), '-' for stdin")],
      "seed format"),
-    (None, "verify", "run a named verification suite", _cmd_verify,
-     [_arg("suite", choices=sorted(SUITES)),
-      *(_given(size, type=int) for size in ("n-max", "seeds", "count", "per-class", "trials")),
-      *map(_given, ("seed", "tol"))], "format"),
+    *(("verify", name, None, _cmd_verify, _suite_options(suite), "format")
+      for name, suite in SUITES.items()),
     (None, "gen", "emit a named catalog graph as JSON", _cmd_gen,
      ["name", _arg("params", type=int, nargs="*")], "seed"),
     ("lines", "graph", "intersection graph of a configuration", _cmd_lines_graph, ["config"],

@@ -193,7 +193,7 @@ def parse_graph(text: str, fmt: str = "json") -> Graph:
     raises GraphParseError naming its field or line."""
     if fmt == "json":
         return _parse_json(text)
-    if fmt in ("edge-list", "edgelist"):
+    if fmt == "edge-list":
         return _parse_edge_list(text)
     raise GraphParseError(f"unknown graph format '{fmt}'")
 
@@ -201,7 +201,7 @@ def parse_graph(text: str, fmt: str = "json") -> Graph:
 def serialize_graph(G: Graph, fmt: str = "json") -> str:
     if fmt == "json":
         return json.dumps({"n": G.n, "edges": [list(e) for e in G.edges]}, sort_keys=True, separators=(",", ":"))
-    if fmt in ("edge-list", "edgelist"):
+    if fmt == "edge-list":
         lines = [f"{G.n} {G.m}"] + [f"{i} {j}" for i, j in G.edges]
         return "\n".join(lines) + "\n"
     raise GraphParseError(f"unknown graph format '{fmt}'")

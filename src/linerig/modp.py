@@ -66,10 +66,10 @@ def inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
 def prime_residues(values: Sequence, stream: random.Random) -> Iterator[tuple[int, np.ndarray]]:
     """The primes p of random_prime's stream that divide no denominator of a sequence of
     ints and Fractions, each with their int64 residues mod p: a numerator times the
-    inverse of its denominator mod p (an int is its own numerator, over denominator 1)."""
+    inverse of its denominator mod p, or the numerator alone when every denominator is 1."""
     while True:
         p = random_prime(stream)
         den = np.array([x.denominator % p for x in values], dtype=np.int64)
         if den.all():
             num = np.array([x.numerator % p for x in values], dtype=np.int64)
-            yield p, num * inverse_mod(den, p) % p
+            yield p, num if (den == 1).all() else num * inverse_mod(den, p) % p

@@ -46,6 +46,8 @@ from .numeric import DimensionReport, edge_index, edge_system, line_system_dimen
 from .sparsity import is_laman
 
 _BOX = 40  # coordinate box for integer draws
+MAX_RETRIES = 32  # attempts of a Laman sampler before it raises SampleError
+PROJECT_TOL = 1e-10  # the float Laman sampler's projection tolerance
 
 
 @dataclass(frozen=True)
@@ -193,12 +195,12 @@ def gauss_newton_project(G: Graph, x0: LineConfig, tol: float = 1e-12,
 
 
 def _certified_sample(G: Graph, draw: Callable[[int], Union[LineConfig, str]], exact: bool,
-                      seed: int, max_retries: int) -> LineSample:
-    """The Laman samplers' attempt loop. Attempt k's draw(k) is a configuration or the
-    reason none was drawn; line_system_dimension certifies a configuration, exactly
-    or at tolerance 1e-8. Logs one line per attempt."""
+                      seed: int) -> LineSample:
+    """The Laman samplers' attempt loop of MAX_RETRIES attempts. Attempt k's draw(k) is
+    a configuration or the reason none was drawn; line_system_dimension certifies a
+    configuration, exactly or at tolerance 1e-8. Logs one line per attempt."""
     log: list[str] = []
-    for attempt in range(1, max_retries + 1):
+    for attempt in range(1, MAX_RETRIES + 1):
         drawn = draw(attempt)
         if isinstance(drawn, LineConfig):
             report = line_system_dimension(G, drawn, tol=1e-8, exact=exact)
@@ -207,19 +209,18 @@ def _certified_sample(G: Graph, draw: Callable[[int], Union[LineConfig, str]], e
                 return LineSample(drawn, report, attempt, log)
             drawn = f"rank {report.jacobian_rank} < {G.m}"
         log.append(f"attempt {attempt}: {drawn}")
-    raise SampleError(f"no certified sample for seed {seed} in {max_retries} attempts", log)
+    raise SampleError(f"no certified sample for seed {seed} in {MAX_RETRIES} attempts", log)
 
 
-def sample_laman_lines_info(G: Graph, seed: int = 0, max_retries: int = 32,
-                            tol: float = 1e-10) -> LineSample:
+def sample_laman_lines_info(G: Graph, seed: int = 0) -> LineSample:
     """Certified generic configuration realizing a Laman graph.
 
     Each attempt draws integer coordinates in [-40, 40] from a generator seeded by
     (seed, attempt) and projects them onto the incidence system with Gauss-Newton
-    to tol, which holds every edge's residual to the residual rule at tol. The
-    projection is kept when no two lines coincide within 1e-8 of their largest
-    |coordinate| (pair_tests) and the float Jacobian has full rank; any other
-    attempt is retried with a fresh draw. A negative seed raises DomainError.
+    until every edge passes the residual rule at PROJECT_TOL. The projection is
+    kept when no two lines coincide within 1e-8 of their largest |coordinate|
+    (pair_tests) and the float Jacobian has full rank; any other attempt is
+    retried with a fresh draw. A negative seed raises DomainError.
     """
     if seed < 0:
         raise DomainError("seed must be at least 0")
@@ -232,22 +233,21 @@ def sample_laman_lines_info(G: Graph, seed: int = 0, max_retries: int = 32,
         start = rng.integers(-_BOX, _BOX, size=(G.n, 4), endpoint=True)
         try:
             projected = gauss_newton_project(G, LineConfig.from_rows(start.tolist()),
-                                             tol=tol, max_iter=80)
+                                             tol=PROJECT_TOL, max_iter=80)
         except ConvergenceError as exc:
             return f"no convergence: {exc}"
         if pair_tests(projected.as_array(), *np.triu_indices(G.n, 1), 1e-8).coincide.any():
             return "two lines coincide"
         return projected
 
-    return _certified_sample(G, draw, False, seed, max_retries)
+    return _certified_sample(G, draw, False, seed)
 
 
-def sample_laman_lines(G: Graph, seed: int = 0, max_retries: int = 32,
-                       tol: float = 1e-10) -> LineConfig:
-    return sample_laman_lines_info(G, seed, max_retries, tol).config
+def sample_laman_lines(G: Graph, seed: int = 0) -> LineConfig:
+    return sample_laman_lines_info(G, seed).config
 
 
-def sample_laman_lines_exact_info(G: Graph, seed: int = 0, max_retries: int = 32) -> LineSample:
+def sample_laman_lines_exact_info(G: Graph, seed: int = 0) -> LineSample:
     """Certified exact rational configuration realizing a Laman graph.
 
     Each attempt constructs a configuration along the graph's extension sequence in
@@ -265,12 +265,12 @@ def sample_laman_lines_exact_info(G: Graph, seed: int = 0, max_retries: int = 32
         cfg = _construct(G, steps, relabel, rng)
         return "construction failed" if cfg is None else cfg
 
-    return _certified_sample(G, draw, True, seed, max_retries)
+    return _certified_sample(G, draw, True, seed)
 
 
-def sample_laman_lines_exact(G: Graph, seed: int = 0, max_retries: int = 32) -> LineConfig:
+def sample_laman_lines_exact(G: Graph, seed: int = 0) -> LineConfig:
     """The configuration of sample_laman_lines_exact_info's certified sample."""
-    return sample_laman_lines_exact_info(G, seed, max_retries).config
+    return sample_laman_lines_exact_info(G, seed).config
 
 
 # ---------------------------------------------------------------------------

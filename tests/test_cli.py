@@ -449,31 +449,43 @@ def test_analyze_runs_each_check_once(monkeypatch):
 
 
 def test_verify_passes_each_suite_its_own_flags(monkeypatch, capsys):
+    """Each verify leaf takes its own suite's options and passes the suite every
+    parameter: a given option's value, else the suite's default."""
     import functools
-    from linerig.verify import SUITES, SuiteReport
-    flags = ["--seed", "3", "--tol", "1e-7", "--trials", "4", "--n-max", "6", "--seeds", "2",
-             "--count", "5", "--per-class", "7"]
-    want = {
-        "theorem-main": {"seed": 3, "seeds": 2, "n_max": 6},
-        "theorem-mainnec": {"seed": 3, "count": 5},
-        "lemma-complete": {"seed": 3, "n_max": 6, "seeds": 2},
-        "lemma-3lines": {"seed": 3, "per_class": 7},
-        "lemma-cong": {"seed": 3, "trials": 4},
-        "four-lines": {"seed": 3, "trials": 4, "tol": 1e-7},
-        "hendrickson-oracle": {"seed": 3, "n_max": 6},
+    from linerig.verify import SuiteReport
+    cases = {
+        "theorem-main": (["--seed", "3", "--n-max", "6"], {"seeds": 50, "n_max": 6, "seed": 3}),
+        "theorem-mainnec": (["--count", "5"], {"count": 5, "seed": 0}),
+        "lemma-complete": (["--seeds", "2", "--seed", "3"], {"n_max": 10, "seeds": 2, "seed": 3}),
+        "lemma-3lines": (["--per-class", "7", "--seed", "3"], {"per_class": 7, "seed": 3}),
+        "lemma-cong": (["--trials", "4"], {"trials": 4, "seed": 0}),
+        "four-lines": (["--tol", "1e-7", "--seed", "3"], {"trials": 10000, "seed": 3, "tol": 1e-7}),
+        "hendrickson-oracle": (["--n-max", "6"], {"n_max": 6, "seed": 0}),
     }
-    assert set(want) == set(SUITES)
-    for name, suite in list(SUITES.items()):
+    assert set(cases) == set(SUITES)
+    for name, (flags, want) in cases.items():
         got = {}
 
-        @functools.wraps(suite)
+        @functools.wraps(SUITES[name])
         def spy(**kwargs):
             got.update(kwargs)
             return SuiteReport(name)
 
         monkeypatch.setitem(SUITES, name, spy)
         code, _, _ = run(capsys, "verify", name, *flags)
-        assert code == 0 and got == want[name], name
+        assert code == 0 and got == want, name
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_verify_takes_no_option_of_another_suite(capsys, suite):
+    """An option that only other suites read is a usage error, before the suite runs."""
+    own = set(_LEAF_OPTIONS[f"verify {suite}"].split())
+    others = {option for leaf, options in _LEAF_OPTIONS.items() if leaf.startswith("verify ")
+              for option in options.split()} - own
+    assert others
+    for option in sorted(others):
+        code, out, err = run(capsys, "verify", suite, option, "1")
+        assert code == 2 and out == "" and f"unrecognized arguments: {option} 1" in err, option
 
 
 def test_verify_four_lines_reads_tol(capsys):
@@ -784,10 +796,17 @@ def test_stdin_that_is_not_utf8_is_an_error():
     assert bad.stderr.startswith(b"error: -: not UTF-8 text") and b"Traceback" not in bad.stderr
 
 
-# Each leaf's options: its own, then the common ones it reads (27 of those in all).
+# Each leaf's options: its own, then the common ones it reads (39 of those in all).
+# A verify leaf's own options are its suite's parameters, in signature order.
 _LEAF_OPTIONS = {
     "analyze": "--seed --format",
-    "verify": "--n-max --seeds --count --per-class --trials --seed --tol --format",
+    "verify theorem-main": "--seeds --n-max --seed --format",
+    "verify theorem-mainnec": "--count --seed --format",
+    "verify lemma-complete": "--n-max --seeds --seed --format",
+    "verify lemma-3lines": "--per-class --seed --format",
+    "verify lemma-cong": "--trials --seed --format",
+    "verify four-lines": "--trials --seed --tol --format",
+    "verify hendrickson-oracle": "--n-max --seed --format",
     "gen": "--seed",
     "lines graph": "--tol",
     "lines meet": "--format",
@@ -811,7 +830,7 @@ _LEAF_OPTIONS = {
 }
 # A command line per leaf that parses: every positional filled in, no option given.
 _LEAF_ARGV = {
-    "analyze": "g.json", "verify": "four-lines", "gen": "complete 4",
+    "analyze": "g.json", **{f"verify {suite}": "" for suite in SUITES}, "gen": "complete 4",
     "lines graph": "l.json", "lines meet": "0 0 0 0 1 0 0 1", "lines common": "l.json",
     "lines classify": "l.json", "lines transversal": "l.json 0.5", "lines dim": "g.json l.json",
     "sample laman": "g.json", "sample knn": "concurrent 4", "sample pair": "g.json",
@@ -837,7 +856,7 @@ def test_each_leaf_takes_only_the_options_it_reads():
            for name, p in _leaves(build_parser())}
     assert got == _LEAF_OPTIONS and set(_LEAF_ARGV) == set(got)
     common = {"--seed", "--tol", "--format"}
-    assert sum(len(common & set(opts.split())) for opts in got.values()) == 27
+    assert sum(len(common & set(opts.split())) for opts in got.values()) == 39
 
 
 def test_a_named_leaf_builds_only_its_own_parser():
@@ -848,7 +867,7 @@ def test_a_named_leaf_builds_only_its_own_parser():
 @pytest.mark.parametrize("argv", [
     *([*leaf.split(), *tail] for leaf in sorted(_LEAF_ARGV)
       for tail in (["-h"], [*_LEAF_ARGV[leaf].split(), "--exact"], [])),
-    [], ["--version"], ["sample"], ["sample", "nope"], ["nope"],
+    [], ["--version"], ["sample"], ["sample", "nope"], ["nope"], ["verify"], ["verify", "-h"],
 ], ids=" ".join)
 def test_main_parses_as_the_whole_tree(capsys, argv):
     # main builds the named leaf alone; help, usage lines and errors stay the whole tree's
@@ -896,9 +915,10 @@ def test_seed_must_be_a_non_negative_integer_on_every_leaf(tmp_path, capsys, bad
     path = tmp_path / "k4.json"
     path.write_text(serialize_graph(generate("complete", [4])))
     leaves = [leaf for leaf, opts in _LEAF_OPTIONS.items() if "--seed" in opts.split()]
-    assert leaves == ["analyze", "verify", "gen", "sample laman", "sample knn", "sample pair"]
+    assert leaves == ["analyze", *(f"verify {suite}" for suite in SUITES), "gen",
+                      "sample laman", "sample knn", "sample pair"]
     argvs = [[*leaf.split(), *_LEAF_ARGV[leaf].split()] for leaf in leaves]
-    argvs += [["verify", suite] for suite in SUITES] + [["analyze", str(path)]]
+    argvs += [["analyze", str(path)]]
     for argv in argvs:
         # a usage error, raised before any file is read or any suite runs
         code, out, err = run(capsys, *argv, "--seed", bad)

@@ -217,6 +217,19 @@ def test_rank_exact_skips_a_prime_that_divides_a_denominator(monkeypatch):
         assert M.shape == (2, 2) and M[:rank].any(axis=1).all() and not M[rank:].any()
 
 
+def test_prime_residues_invert_only_denominators_other_than_one(monkeypatch):
+    """Each residue is numerator / denominator mod p, and values whose denominators
+    are all 1 (ints, or Fractions over 1) are reduced with no inverse_mod call."""
+    from linerig import modp
+    ints = [3, -7, 2 ** 40 + 1, 0, Fraction(-9)]
+    for values in (ints, ints + [Fraction(-5, 12)]):
+        for (p, res), _ in zip(modp.prime_residues(values, random.Random(1)), range(3)):
+            assert res.tolist() == [x.numerator * pow(x.denominator, -1, p) % p for x in values]
+    monkeypatch.setattr(modp, "inverse_mod", None)
+    p, res = next(modp.prime_residues(ints, random.Random(1)))
+    assert res.tolist() == [int(x) % p for x in ints]
+
+
 def test_eliminate_ranks_as_rank_exact_and_leaves_the_left_kernel():
     """_eliminate on A^T mod p: the rank is rank_exact's, and it leaves an echelon form
     with A^T's row space, each pivot its row's first nonzero: the form from which

@@ -417,9 +417,10 @@ def test_coincidence_is_held_to_each_pairs_own_scale(monkeypatch):
 def test_exact_sampler_logs_every_failed_attempt(monkeypatch):
     from linerig import sampler
     monkeypatch.setattr(sampler, "_construct", lambda *args, **kwargs: None)
+    monkeypatch.setattr(sampler, "MAX_RETRIES", 5)
     G = generate("laman_random", [6], seed=1)
     with pytest.raises(SampleError) as err:
-        sampler.sample_laman_lines_exact(G, seed=0, max_retries=5)
+        sampler.sample_laman_lines_exact(G, seed=0)
     assert err.value.log == [f"attempt {k}: construction failed" for k in range(1, 6)]
 
 
