@@ -4,8 +4,9 @@ Subcommands: analyze, verify, gen, lines, sample, henneberg, es. Reports go to
 standard output as JSON (default) or text tables. Exit codes: 0 success,
 1 verification failure, 2 usage or parse error. main reads every input file as UTF-8
 text (_read) into its _INPUTS reader, so a malformed one is an `error:` line and exit 2.
-analyze reads the rigidity rank and the global-rigidity verdict off one embedding's
-exact rank (numeric._rigidity), so it takes no --tol, --exact or --trials.
+analyze reads the rigidity rank and the global-rigidity and redundancy verdicts off one
+embedding's exact rank and one stress (numeric._rigidity), so it takes no --tol, --exact
+or --trials.
 
 The parser comes from one table, _COMMANDS, one row per leaf subcommand; a verify
 suite's leaf reads its options off the suite's signature (_suite_options). main builds
@@ -38,7 +39,7 @@ from .numeric import (_rigidity, line_system_dimension, line_system_jacobian,
                       pair_system_dimension, pair_system_jacobian)
 from .sampler import gauss_newton_project, sample_congruent_pair, sample_knn, \
     sample_laman_lines_info
-from .sparsity import is_redundant, sparsity_rank
+from .sparsity import sparsity_rank
 from .verify import SUITES
 
 
@@ -64,9 +65,10 @@ class AnalysisReport:
 
 def analyze_graph(G: Graph, seed: int = 0) -> AnalysisReport:
     rank = sparsity_rank(G).rank
-    rrank, glob = _rigidity(G, seed)
+    # redundancy from the stress support, not is_redundant's m deletion games: True
+    # is a proof, False wrong only for a special embedding, prime or stress
+    rrank, glob, redundant = _rigidity(G, seed)
     rigid = rrank == 2 * G.n - 3
-    redundant = is_redundant(G)
     three = is_k_connected(G, 3) if G.n >= 4 else None
     # is_hendrickson's own definition, from the two checks already made
     hend = redundant and three if G.n >= 4 else None

@@ -15,7 +15,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -327,6 +327,20 @@ def _laman_random(params: tuple[int, ...], rng: random.Random) -> Graph:
     return Graph(k, tuple(sorted(edges)))
 
 
+def _nth_non_edge(n: int, edges: set[Edge], index: int) -> Edge:
+    """The pair of range(n) at `index` in canonical order among those not in edges,
+    in O(n + m): the non-edges (a, b), b > a, are counted for each a, and then only
+    row a is scanned."""
+    free = list(range(n - 1, -1, -1))
+    for a, _ in edges:
+        free[a] -= 1
+    a = 0
+    while index >= free[a]:
+        index -= free[a]
+        a += 1
+    return next(islice(((a, b) for b in range(a + 1, n) if (a, b) not in edges), index, None))
+
+
 def _hendrickson_random(params: tuple[int, ...], rng: random.Random) -> Graph:
     k, extra = params if len(params) == 2 else (params[0], 1)
     if k < 4:
@@ -337,9 +351,11 @@ def _hendrickson_random(params: tuple[int, ...], rng: random.Random) -> Graph:
     edges: set[Edge] = set(combinations(range(4), 2))
 
     def add_random_edge() -> None:
-        non_edges = [e for e in combinations(range(n), 2) if e not in edges]
-        if non_edges:
-            edges.add(rng.choice(non_edges))
+        # rng.choice(non_edges) would be non_edges[rng._randbelow(len(non_edges))] on
+        # the canonical list of non-edges: the same draw, without listing C(n, 2) pairs
+        count = n * (n - 1) // 2 - len(edges)
+        if count:
+            edges.add(_nth_non_edge(n, edges, rng.randrange(count)))
 
     while n < k:
         z = n

@@ -24,7 +24,8 @@ of the exact values' residues is the exact matrix mod p, and _eliminate, one int
 row reduction, ranks it; the loop stops at the first full rank or once two primes
 agree on the largest rank seen. An exact report so never builds its Jacobian, and
 names the primes its eliminations ran on. rigidity_rank and global_rigidity_oracle
-read _rigidity, which ranks R(P)^T at one random embedding P through _residue_rank.
+read _rigidity, which ranks R(P)^T at one random embedding P through _residue_rank and
+reads its global-rigidity and redundancy verdicts off one random stress.
 """
 
 from __future__ import annotations
@@ -356,21 +357,40 @@ def transversal_family_dimension(l1: Line, l2: Line, l3: Line, member: Line) -> 
 
 
 # ---------------------------------------------------------------------------
-# rigidity rank and global rigidity (R^T ranked by _residue_rank at one embedding)
+# rigidity rank, global rigidity and redundancy (R^T ranked by _residue_rank at one
+# embedding)
 
 
-def _rigidity(G: Graph, seed: int) -> tuple[int, Optional[bool]]:
-    """The rigidity rank and the stress verdict at one random integer embedding P.
+def _random_stress(M: np.ndarray, rank: int, p: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniformly random w with M w = 0 mod p, for M in echelon form with `rank`
+    nonzero rows: each free coordinate drawn uniformly mod p, each pivot one solved
+    from the last row up, with products reduced below 2^31."""
+    w = rng.integers(p, size=M.shape[1])
+    for row in M[rank - 1::-1]:
+        c = row.nonzero()[0][0]
+        w[c] = -((row[c + 1:] * w[c + 1:] % p).sum() % p) * pow(int(row[c]), -1, p) % p
+    return w
+
+
+def _rigidity(G: Graph, seed: int) -> tuple[int, Optional[bool], bool]:
+    """The rigidity rank and two stress verdicts, global rigidity and redundancy, at
+    one random integer embedding P.
 
     _residue_rank ranks R(P)^T over Q, up to min(m, 2n - 3), which no embedding exceeds.
     A rank below the generic one makes P, uniform on [-2^30, 2^30]^2n, a zero of a
     nonzero minor of degree at most 2n - 3: by the Schwartz-Zippel lemma, probability at
-    most (2n - 3) / (2^31 + 1), about 1.5e-6 at n = 1600. For n >= 4 the verdict is None
-    unless the rank is 2n - 3, and otherwise whether a uniformly random stress w (R^T w
-    = 0 mod p), solved on the deciding echelon form mod p = primes[-1], has a stress
-    matrix of rank n - 3 mod p. True is always right, as w then lifts to a rational
-    stress of the same rank (Connelly, DCG 33 (2005); Gortler-Healy-Thurston, Amer. J.
-    Math. 132 (2010)); False is wrong only for a special P, p or w.
+    most (2n - 3) / (2^31 + 1), about 1.5e-6 at n = 1600. For n >= 4 and rank 2n - 3,
+    both verdicts read one uniformly random stress w (R^T w = 0 mod p), solved on the
+    deciding echelon form mod p = primes[-1]; otherwise the global verdict is None and
+    the redundancy verdict False. Global rigidity: the stress matrix of w has rank
+    n - 3 mod p. True is always right, as w then lifts to a rational stress of the same
+    rank (Connelly, DCG 33 (2005); Gortler-Healy-Thurston, Amer. J. Math. 132 (2010)).
+    Redundancy: w is nonzero on every edge. An edge is a coloop of the rigidity matroid
+    exactly when every stress vanishes on it (Jackson-Jordan, JCTB 94 (2005)), and
+    w_e != 0 puts row e in the mod-p span of the other rows, so the rank of R(G - e)
+    at P over Q is at least 2n - 3: True is always right, and it is False whenever
+    m = 2n - 3, where w = 0. Either False is wrong only for a special P, p or w; for w,
+    with probability at most 1/p per edge.
     """
     if G.n < 2:
         raise DomainError("rigidity rank needs at least 2 vertices")
@@ -384,17 +404,13 @@ def _rigidity(G: Graph, seed: int) -> tuple[int, Optional[bool]]:
         lambda P: np.ascontiguousarray(edge_system(P, i, j, length_form)[1].T),
         min(m, 2 * n - 3), seed)
     if n < 4 or rank < 2 * n - 3:
-        return rank, None
-    # R^T's echelon form, solved from its last row up, with products reduced below 2^31
+        return rank, None, False
     p = primes[-1]
-    stress = rng.integers(p, size=m)
-    for row in M[rank - 1::-1]:
-        c = row.nonzero()[0][0]
-        stress[c] = -((row[c + 1:] * stress[c + 1:] % p).sum() % p) * pow(int(row[c]), -1, p) % p
+    stress = _random_stress(M, rank, p, rng)
     rows, cols = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
     omega = np.zeros((n, n), dtype=np.int64)
     np.add.at(omega, (rows, cols), np.concatenate([-stress, -stress, stress, stress]))
-    return rank, _eliminate(omega % p, p) == n - 3
+    return rank, _eliminate(omega % p, p) == n - 3, bool(stress.all())
 
 
 def rigidity_rank(G: Graph, seed: int = 0) -> int:
@@ -404,7 +420,7 @@ def rigidity_rank(G: Graph, seed: int = 0) -> int:
 
 
 def global_rigidity_oracle(G: Graph, seed: int = 0) -> bool:
-    """_rigidity's exact stress verdict; DomainError where it takes G for flexible."""
+    """_rigidity's global-rigidity verdict; DomainError where it takes G for flexible."""
     if G.n < 4:
         raise DomainError("global rigidity oracle needs at least 4 vertices")
     verdict = _rigidity(G, seed)[1]

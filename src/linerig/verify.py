@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .connectivity import is_k_connected
 from .elekes_sharir import phi, reflection_at, to_line, to_lines
 from .errors import DomainError, SampleError
 from .graphs import Graph, generate
@@ -24,7 +25,7 @@ from .lines3d import (Line, Plane, _dependent, classify_triple, common_planes, c
 from .numeric import _rigidity, pair_system_dimension, rank_exact, transversal_family_dimension
 from .sampler import (knn_jacobian, sample_congruent_pair, sample_knn_params,
                       sample_laman_lines_exact_info, sample_laman_lines_info)
-from .sparsity import is_hendrickson
+from .sparsity import is_redundant
 
 
 @dataclass
@@ -566,14 +567,17 @@ def hendrickson_oracle(n_max: int = 8, seed: int = 0) -> SuiteReport:
     _at_least(n_max, 4, "n_max")
     rep = SuiteReport("hendrickson-oracle")
     for name, G in hendrickson_catalog(n_max):
-        combinatorial = is_hendrickson(G)
-        oracle = _rigidity(G, seed)[1]
+        redundant = is_redundant(G)
+        # is_hendrickson's own definition, on the redundancy already decided
+        combinatorial = redundant and is_k_connected(G, 3)
+        _, oracle, stress_redundant = _rigidity(G, seed)
         if oracle is None:
             # n >= 4 on the catalog, so G is flexible: never redundant, never Hendrickson
             rep.record(combinatorial is False, graph=name, note="flexible")
             continue
-        rep.record(oracle == combinatorial, graph=name,
-                   combinatorial=combinatorial, oracle=oracle)
+        rep.record(oracle == combinatorial and stress_redundant == redundant, graph=name,
+                   combinatorial=combinatorial, oracle=oracle, redundant=redundant,
+                   stress_redundant=stress_redundant)
     return rep
 
 

@@ -119,6 +119,31 @@ def random_flexible_graph(rng: random.Random, n_min: int = 4, n_max: int = 10) -
     return Graph.from_edges(n, edges)
 
 
+def reference_hendrickson_random(params: tuple[int, ...], rng: random.Random) -> Graph:
+    """graphs._hendrickson_random with each extra edge drawn by rng.choice from the
+    listed non-edges, in canonical order: the draw the generator must reproduce."""
+    k, extra = params if len(params) == 2 else (params[0], 1)
+    n = 4
+    edges: set[Edge] = set(combinations(range(4), 2))
+
+    def add_random_edge() -> None:
+        non_edges = [e for e in combinations(range(n), 2) if e not in edges]
+        if non_edges:
+            edges.add(rng.choice(non_edges))
+
+    while n < k:
+        u, v = rng.choice(sorted(edges))
+        w = rng.choice([x for x in range(n) if x not in (u, v)])
+        edges.remove((u, v))
+        edges |= {tuple(sorted(e)) for e in ((u, n), (v, n), (w, n))}
+        n += 1
+        if rng.random() < 0.3:
+            add_random_edge()
+    for _ in range(min(extra, k * (k - 1) // 2 - len(edges))):
+        add_random_edge()
+    return Graph(k, tuple(sorted(edges)))
+
+
 def glued_on_edge(G1: Graph, G2: Graph, seed: int) -> Graph:
     """G1 and G2 sharing one edge: a random edge of G2 is laid onto one of G1."""
     rng = random.Random(seed)

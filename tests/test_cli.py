@@ -432,20 +432,60 @@ def test_analyze_runs_each_check_once(monkeypatch):
     calls = {"is_redundant": 0, "is_k_connected": 0, "sparsity_rank": 0}
     for module in (cli, sparsity):
         for name in calls:
-            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
+            if hasattr(module, name):
+                def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+    # one game for the rank (laman derives from it); redundancy is read off the
+    # stress that _rigidity draws, with no deletion games
     G = generate("wheel", [6])
     rep = cli.analyze_graph(G)
-    # one game for the rank (laman derives from it), one per deletion for redundancy
-    assert calls == {"is_redundant": 1, "is_k_connected": 1, "sparsity_rank": G.m + 1}
+    assert calls == {"is_redundant": 0, "is_k_connected": 1, "sparsity_rank": 1}
     assert rep.hendrickson is True and rep.redundant and rep.three_connected
-    # a Laman graph has too few edges to be redundant: the rank's game is the only one
     calls.update(dict.fromkeys(calls, 0))
     rep = cli.analyze_graph(generate("laman_random", [8], seed=1))
-    assert calls == {"is_redundant": 1, "is_k_connected": 1, "sparsity_rank": 1}
+    assert calls == {"is_redundant": 0, "is_k_connected": 1, "sparsity_rank": 1}
     assert rep.laman is True and rep.redundant is False
+
+
+def test_analyze_redundancy_equals_the_deletion_games():
+    """analyze's redundant, read off the support of one stress, equals is_redundant's
+    m deletion games: on Hendrickson graphs and on them with 1-3 edges deleted, on
+    Laman graphs with 1-3 edges added, on two graphs glued on an edge (redundant, only
+    2-connected) or at a vertex (flexible with m >= 2n - 3), on complete graphs and
+    wheels, and on the hendrickson-oracle catalog."""
+    import random
+    from itertools import combinations
+    from helpers import glued_at_vertex, glued_on_edge
+    from linerig.cli import analyze_graph
+    from linerig.graphs import Graph
+    from linerig.sparsity import is_redundant
+    from linerig.verify import hendrickson_catalog
+    fixed = [G for _, G in hendrickson_catalog(8)]
+    fixed += [generate(name, [k]) for name in ("complete", "wheel") for k in range(4, 10)]
+    kinds = {True: 0, False: 0}
+    for seed in range(3):
+        rng = random.Random(seed)
+        graphs = list(fixed)
+        for n in (6, 11, 17):
+            H = generate("hendrickson_random", [n, n // 3], seed=seed)
+            graphs += [H] + [Graph.from_edges(n, rng.sample(H.edges, H.m - d)) for d in (1, 2, 3)]
+            L = generate("laman_random", [n], seed=seed)
+            non_edges = [e for e in combinations(range(n), 2) if e not in L.edges]
+            graphs += [Graph.from_edges(n, L.edges + tuple(rng.sample(non_edges, a)))
+                       for a in (1, 2, 3)]
+            glued = glued_on_edge(H, generate("complete", [4]), seed)
+            flexible = glued_at_vertex(H, generate("hendrickson_random", [5, 2], seed=seed), seed)
+            assert flexible.m >= 2 * flexible.n - 3
+            graphs += [glued, flexible]
+            rep = analyze_graph(glued, seed)
+            assert rep.redundant and rep.three_connected is False
+        for G in graphs:
+            redundant = is_redundant(G)
+            assert analyze_graph(G, seed).redundant is redundant, (seed, G)
+            kinds[redundant] += 1
+    assert min(kinds.values()) >= 50
 
 
 def test_verify_passes_each_suite_its_own_flags(monkeypatch, capsys):

@@ -175,6 +175,23 @@ def test_hendrickson_random_stops_adding_edges_at_the_complete_graph():
         assert G == K6 == generate("hendrickson_random", [6, 15], seed=seed)
 
 
+def test_hendrickson_random_draws_as_the_listed_non_edges_do():
+    """Each extra edge is located by its index among the non-edges in canonical order,
+    never listing them: the graph and the generator's state after it equal those of
+    rng.choice on the list, over sizes, extra counts up to past the complete graph,
+    and seeds."""
+    import random
+    from helpers import reference_hendrickson_random
+    from linerig.graphs import _hendrickson_random
+    for k in (4, 5, 6, 7, 9, 12, 17, 25, 40):
+        for extra in (None, 0, 1, 2, 5, k, 3 * k, k * k):
+            params = (k,) if extra is None else (k, extra)
+            for seed in range(4):
+                rng, ref = random.Random(seed), random.Random(seed)
+                assert _hendrickson_random(params, rng) == reference_hendrickson_random(params, ref)
+                assert rng.getstate() == ref.getstate()
+
+
 @pytest.mark.parametrize("n", [3.0, True, "3", None])
 def test_vertex_count_must_be_an_integer(n):
     with pytest.raises(DomainError, match="vertex count"):

@@ -649,7 +649,7 @@ def test_global_rigidity_oracle_checks_rigidity_with_its_own_trials(monkeypatch)
 
 def test_hendrickson_oracle_takes_one_rigidity_pass_per_graph(monkeypatch):
     import linerig.verify as verify
-    from linerig.sparsity import is_hendrickson
+    from linerig.sparsity import is_hendrickson, is_redundant
     passes, records = [], []
 
     def counted(G, *args, **kwargs):
@@ -677,7 +677,27 @@ def test_hendrickson_oracle_takes_one_rigidity_pass_per_graph(monkeypatch):
         else:
             assert detail["combinatorial"] == is_hendrickson(G)
             assert detail["oracle"] == global_rigidity_oracle(G, seed=2)
+            assert detail["redundant"] == detail["stress_redundant"] == is_redundant(G)
     assert flexible == ["cycle(6)", "K4-minus-edge-plus-pendant"]
+
+
+def test_hendrickson_oracle_fails_a_stress_redundancy_that_disagrees(monkeypatch):
+    """The suite records the stress-support redundancy beside is_redundant and fails
+    each rigid graph where the two differ."""
+    import linerig.verify as verify
+    from linerig.sparsity import is_redundant
+
+    def flipped(G, seed):
+        rank, oracle, redundant = numeric._rigidity(G, seed)
+        return rank, oracle, not redundant
+
+    monkeypatch.setattr(verify, "_rigidity", flipped)
+    rep = verify.hendrickson_oracle(n_max=6)
+    catalog = verify.hendrickson_catalog(6)
+    assert rep.total == len(catalog) and rep.passed == 0
+    for (name, G), failure in zip(catalog, rep.failures, strict=True):
+        assert failure["graph"] == name
+        assert failure["redundant"] == is_redundant(G) != failure["stress_redundant"]
 
 
 @pytest.mark.parametrize("seed", [-1, -2])
@@ -700,10 +720,11 @@ def test_negative_seeds_are_domain_errors(seed):
 
 def test_early_exits_give_the_full_loops_outputs(monkeypatch):
     """analyze and verify hendrickson-oracle read one embedding, ranked mod primes
-    until _residue_rank's rule stops; their outputs equal those of the float
-    references over five embeddings each: the largest SVD rank and, where it is
-    2n - 3, the majority vote."""
+    until _residue_rank's rule stops, and one stress; their outputs equal those of the
+    float references over five embeddings each, the largest SVD rank and, where it is
+    2n - 3, the majority vote, with redundancy from is_redundant's deletion games."""
     from helpers import float_stress_oracle, full_rigidity_rank, glued_on_edge
+    from linerig.sparsity import is_redundant
     import linerig.cli as cli
     import linerig.verify as verify
     graphs = [G for _, G in verify.hendrickson_catalog(8)]
@@ -719,9 +740,8 @@ def test_early_exits_give_the_full_loops_outputs(monkeypatch):
 
     def full_loops(G, seed):
         rank = full_rigidity_rank(G, 5, seed)
-        if G.n < 4 or rank != 2 * G.n - 3:
-            return rank, None
-        return rank, float_stress_oracle(G, 5, seed)
+        rigid = G.n >= 4 and rank == 2 * G.n - 3
+        return rank, float_stress_oracle(G, 5, seed) if rigid else None, is_redundant(G)
 
     early = outputs()
     monkeypatch.setattr(cli, "_rigidity", full_loops)
@@ -788,11 +808,53 @@ def test_the_stress_is_an_equilibrium_stress_of_the_deciding_embedding(monkeypat
             assert omega.any() == (G.m > 2 * G.n - 3)
 
 
+def test_a_stress_that_vanishes_on_an_edge_never_reads_redundant(monkeypatch):
+    """The redundancy verdict errs one way only. A stress drawn with a free coordinate
+    of 0 is still an equilibrium stress mod p, and zero on that edge: the verdict is
+    then False, on redundant graphs too, and never True."""
+    from linerig.sparsity import is_redundant
+    zeroed = []
+
+    class ZeroAt:
+        """rng, but its stress draw is 0 at coordinate c."""
+
+        def __init__(self, rng, c):
+            self.rng, self.c = rng, c
+
+        def integers(self, *args, **kwargs):
+            w = self.rng.integers(*args, **kwargs)
+            w[self.c] = 0
+            return w
+
+    def zero_free(M, rank, p, rng):
+        pivots = {int(row.nonzero()[0][0]) for row in M[:rank]}
+        free = sorted(set(range(M.shape[1])) - pivots)
+        if not free:
+            return random_stress(M, rank, p, rng)
+        w = random_stress(M, rank, p, ZeroAt(rng, free[0]))
+        assert w[free[0]] == 0 and not (M.astype(object) @ w.astype(object) % p).any()
+        zeroed.append(w)
+        return w
+
+    random_stress = numeric._random_stress
+    graphs = [K4, generate("wheel", [5]), generate("complete", [7]),
+              generate("hendrickson_random", [12, 3], seed=2),
+              generate("laman_random", [9], seed=1)]
+    redundant = [G for G in graphs if is_redundant(G)]
+    assert len(redundant) == 4 and all(numeric._rigidity(G, 0)[2] for G in redundant)
+    monkeypatch.setattr(numeric, "_random_stress", zero_free)
+    for G in graphs:
+        for seed in range(3):
+            assert numeric._rigidity(G, seed)[2] is False
+    assert len(zeroed) == 3 * len(redundant)
+
+
 def test_flexible_graphs_with_2n_3_edges_stop_after_two_trials(monkeypatch):
     """Two Hendrickson graphs glued at a vertex have m >= 2n - 3 edges and rank
     2n - 4: no prime reaches min(m, 2n - 3), so _rigidity draws one embedding and
     stops after exactly two eliminations of R^T, mod two primes that agree on
-    2n - 4, with no verdict, and the oracle refuses the graph."""
+    2n - 4, with no global verdict and redundancy False, and the oracle refuses the
+    graph."""
     from helpers import glued_at_vertex
     drawn, eliminated = [], []
 
@@ -814,7 +876,7 @@ def test_flexible_graphs_with_2n_3_edges_stop_after_two_trials(monkeypatch):
         for seed in range(3):
             drawn.clear()
             eliminated.clear()
-            assert numeric._rigidity(G, seed) == (2 * G.n - 4, None)
+            assert numeric._rigidity(G, seed) == (2 * G.n - 4, None, False)
             assert len(drawn) == 1 and eliminated == [(2 * G.n, G.m)] * 2
             with pytest.raises(DomainError, match="rigid graph"):
                 global_rigidity_oracle(G, seed=seed)
