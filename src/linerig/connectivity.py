@@ -3,7 +3,8 @@
 For k >= 2, G (with n > k) is k-connected iff removing any k - 2 vertices leaves
 a graph that is connected and has no articulation point. Each (k-2)-subset costs
 one iterative lowpoint DFS (Hopcroft-Tarjan), so the test makes C(n, k-2) sweeps
-of O(n + m); k = 1 needs one sweep's reach count.
+of O(n + m); k = 1 needs one sweep's reach count. A vertex of degree below k
+decides the test with no sweep: its neighbours separate it from the rest.
 """
 
 from __future__ import annotations
@@ -68,6 +69,10 @@ def is_k_connected(G: Graph, k: int) -> bool:
     if G.n <= k:
         raise DomainError(f"k-connectivity needs n > k (n={G.n}, k={k})")
     adj = [tuple(G.neighbors(v)) for v in range(G.n)]
+    if min(map(len, adj)) < k:
+        # the neighbours of a vertex of degree below k separate it from the
+        # n - 1 - degree >= 1 other vertices
+        return False
     if k == 1:
         return _sweep(adj, ())[0] == G.n
     return all(_sweep(adj, S) == (G.n - k + 2, False) for S in combinations(range(G.n), k - 2))

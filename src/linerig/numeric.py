@@ -23,9 +23,12 @@ denominator, an integer polynomial map (the Jacobian map, or rank_exact's identi
 of the exact values' residues is the exact matrix mod p, and _eliminate, one int64
 row reduction, ranks it; the loop stops at the first full rank or once two primes
 agree on the largest rank seen. An exact report so never builds its Jacobian, and
-names the primes its eliminations ran on. rigidity_rank and global_rigidity_oracle
-read _rigidity, which ranks R(P)^T at one random embedding P through _residue_rank and
-reads its global-rigidity and redundancy verdicts off one random stress.
+names the primes its eliminations ran on. The rigidity verdicts come in two stages:
+_stress ranks R(P)^T at one random embedding P through _residue_rank and draws one
+random stress, which decides redundancy, and _stress_matrix_full_rank decides global
+rigidity from that stress's matrix. _rigidity composes them (rigidity_rank,
+global_rigidity_oracle, verify's hendrickson_oracle); cli.analyze_graph calls them
+apart, so that Hendrickson's theorem can settle one of its two global-rigidity tests.
 """
 
 from __future__ import annotations
@@ -99,8 +102,17 @@ def _eliminate(M: np.ndarray, p: int) -> int:
     """Row-reduce the int64 residues mod p in M in place and return its rank r. Each
     pivot clears its column in the rows below it that are nonzero there, over every
     column from its own on, so M ends in echelon form: rows r.. are zero, and each row
-    above has its pivot at its first nonzero entry. Residues are below p < 2^31, so
-    products, below 2^62, fit in int64."""
+    above has its pivot at its first nonzero entry.
+
+    The update is fraction-free: a row b below the pivot row a becomes
+    a_c * b - b_c * a mod p, with no inverse. Each row so ends as a unit multiple of the
+    row that the normalized update b - (b_c / a_c) * a leaves, and the rank, the pivots
+    and the kernel are the normalized elimination's: back-substitution (_random_stress)
+    solves the same pivot entries from the same free ones. It is summed as
+    a_c * b + b_c * (p - a), whose two products, of residues below p < 2^31, are each
+    below 2^62: the sum fits in int64, and it is never negative, so the reduction
+    mod p takes no sign fix-up (the difference, of either sign, made eliminations of
+    dense 400 x 400 stress matrices about 1.5x slower)."""
     rank = 0
     for c in range(M.shape[1]):
         nz = M[rank:, c].nonzero()[0]
@@ -110,11 +122,10 @@ def _eliminate(M: np.ndarray, p: int) -> int:
         if piv != rank:
             # the row swapped down to piv is 0 in column c, as nz[0] is its first
             M[[rank, piv]] = M[[piv, rank]]
-        prow = M[rank, c:] * pow(int(M[rank, c]), -1, p) % p
         below = rank + nz[1:]
         if below.size:
             block = M[below, c:]
-            M[below, c:] = (block - block[:, :1] * prow) % p
+            M[below, c:] = (block * M[rank, c] + block[:, :1] * (p - M[rank, c:])) % p
         rank += 1
         if rank == len(M):
             break
@@ -145,7 +156,7 @@ def _residue_rank(X: np.ndarray, jacobian: Callable[[np.ndarray], np.ndarray],
     polynomial in X, so for each prime p of prime_residues' rank_exact:{seed} stream,
     jacobian(X mod p) mod p is J mod p, whose rank _eliminate finds. The loop stops at
     the first full rank, or once two primes agree on the largest rank seen, so the last
-    rank is the one returned. Callers: rank_exact, _certify and _rigidity.
+    rank is the one returned. Callers: rank_exact, _certify and _stress.
 
     Neither answer can be too large: p divides no denominator, so a minor that vanishes
     over Q vanishes mod p, and the rank mod p never exceeds the rational rank. A full
@@ -372,25 +383,22 @@ def _random_stress(M: np.ndarray, rank: int, p: int, rng: np.random.Generator) -
     return w
 
 
-def _rigidity(G: Graph, seed: int) -> tuple[int, Optional[bool], bool]:
-    """The rigidity rank and two stress verdicts, global rigidity and redundancy, at
-    one random integer embedding P.
+def _stress(G: Graph, seed: int) -> tuple[int, Optional[int], Optional[np.ndarray]]:
+    """The rigidity rank at one random integer embedding P, the deciding prime p and
+    one uniformly random stress w mod p; p and w are None for n < 4 or a rank below
+    2n - 3.
 
     _residue_rank ranks R(P)^T over Q, up to min(m, 2n - 3), which no embedding exceeds.
     A rank below the generic one makes P, uniform on [-2^30, 2^30]^2n, a zero of a
     nonzero minor of degree at most 2n - 3: by the Schwartz-Zippel lemma, probability at
-    most (2n - 3) / (2^31 + 1), about 1.5e-6 at n = 1600. For n >= 4 and rank 2n - 3,
-    both verdicts read one uniformly random stress w (R^T w = 0 mod p), solved on the
-    deciding echelon form mod p = primes[-1]; otherwise the global verdict is None and
-    the redundancy verdict False. Global rigidity: the stress matrix of w has rank
-    n - 3 mod p. True is always right, as w then lifts to a rational stress of the same
-    rank (Connelly, DCG 33 (2005); Gortler-Healy-Thurston, Amer. J. Math. 132 (2010)).
-    Redundancy: w is nonzero on every edge. An edge is a coloop of the rigidity matroid
+    most (2n - 3) / (2^31 + 1), about 1.5e-6 at n = 1600. At rank 2n - 3, w solves
+    R^T w = 0 mod p = primes[-1] on the deciding echelon form. w also decides
+    redundancy: w is nonzero on every edge. An edge is a coloop of the rigidity matroid
     exactly when every stress vanishes on it (Jackson-Jordan, JCTB 94 (2005)), and
     w_e != 0 puts row e in the mod-p span of the other rows, so the rank of R(G - e)
     at P over Q is at least 2n - 3: True is always right, and it is False whenever
-    m = 2n - 3, where w = 0. Either False is wrong only for a special P, p or w; for w,
-    with probability at most 1/p per edge.
+    m = 2n - 3, where w = 0. False is wrong only for a special P, p or w; for w, with
+    probability at most 1/p per edge.
     """
     if G.n < 2:
         raise DomainError("rigidity rank needs at least 2 vertices")
@@ -404,13 +412,30 @@ def _rigidity(G: Graph, seed: int) -> tuple[int, Optional[bool], bool]:
         lambda P: np.ascontiguousarray(edge_system(P, i, j, length_form)[1].T),
         min(m, 2 * n - 3), seed)
     if n < 4 or rank < 2 * n - 3:
-        return rank, None, False
-    p = primes[-1]
-    stress = _random_stress(M, rank, p, rng)
+        return rank, None, None
+    return rank, primes[-1], _random_stress(M, rank, primes[-1], rng)
+
+
+def _stress_matrix_full_rank(G: Graph, p: int, w: np.ndarray) -> bool:
+    """Global rigidity from _stress's w: its n x n stress matrix has rank n - 3 mod p.
+    True is always right, as w then lifts to a rational stress of the same rank
+    (Connelly, DCG 33 (2005); Gortler-Healy-Thurston, Amer. J. Math. 132 (2010)). False
+    is wrong only for a special P, p or w."""
+    i, j = edge_index(G)
     rows, cols = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
-    omega = np.zeros((n, n), dtype=np.int64)
-    np.add.at(omega, (rows, cols), np.concatenate([-stress, -stress, stress, stress]))
-    return rank, _eliminate(omega % p, p) == n - 3, bool(stress.all())
+    omega = np.zeros((G.n, G.n), dtype=np.int64)
+    np.add.at(omega, (rows, cols), np.concatenate([-w, -w, w, w]))
+    return _eliminate(omega % p, p) == G.n - 3
+
+
+def _rigidity(G: Graph, seed: int) -> tuple[int, Optional[bool], bool]:
+    """_stress's rank with both of its stress's verdicts: global rigidity
+    (_stress_matrix_full_rank; None where there is no stress) and redundancy (w nonzero
+    on every edge; False where there is no stress)."""
+    rank, p, w = _stress(G, seed)
+    if w is None:
+        return rank, None, False
+    return rank, _stress_matrix_full_rank(G, p, w), bool(w.all())
 
 
 def rigidity_rank(G: Graph, seed: int = 0) -> int:

@@ -144,6 +144,16 @@ def reference_hendrickson_random(params: tuple[int, ...], rng: random.Random) ->
     return Graph(k, tuple(sorted(edges)))
 
 
+def with_pendants(G: Graph, count: int, seed: int) -> Graph:
+    """G plus `count` new vertices, each joined to two vertices already there: rigid
+    if G is, and neither redundant nor 3-connected."""
+    rng = random.Random(seed)
+    edges = list(G.edges)
+    for z in range(G.n, G.n + count):
+        edges += [(x, z) for x in rng.sample(range(z), 2)]
+    return Graph.from_edges(G.n + count, edges)
+
+
 def glued_on_edge(G1: Graph, G2: Graph, seed: int) -> Graph:
     """G1 and G2 sharing one edge: a random edge of G2 is laid onto one of G1."""
     rng = random.Random(seed)
@@ -206,6 +216,46 @@ def float_stress_oracle(G: Graph, trials: int = 5, seed: int = 0, tol: float = 1
     if not rigid:
         raise DomainError("global rigidity oracle requires a rigid graph")
     return votes * 2 > trials
+
+
+def analysis_report(G: Graph, seed: int, rigidity_rank: int, globally_rigid, redundant: bool) -> dict:
+    """analyze's report as both global-rigidity tests give it: the rigidity rank and the
+    stress verdicts as given, sparsity_rank's game, and is_k_connected's sweep on every
+    graph of n >= 4. cli.analyze_graph, which runs one of the two tests where
+    Hendrickson's theorem settles it, is held to this."""
+    from linerig.connectivity import is_k_connected
+    from linerig.sparsity import sparsity_rank
+    rank = sparsity_rank(G).rank
+    three = is_k_connected(G, 3) if G.n >= 4 else None
+    return dict(n=G.n, m=G.m, sparsity_rank=rank, rigidity_rank=rigidity_rank,
+                laman=G.m == 2 * G.n - 3 and rank == G.m, rigid=rigidity_rank == 2 * G.n - 3,
+                redundant=redundant, three_connected=three,
+                hendrickson=redundant and three if G.n >= 4 else None,
+                globally_rigid=globally_rigid, seed=seed)
+
+
+def normalized_eliminate(M: np.ndarray, p: int) -> int:
+    """numeric._eliminate as it was before its update went fraction-free: each pivot
+    row is scaled by the pivot's inverse mod p, and the rows below subtract multiples
+    of it. The echelon form that the fraction-free kernel leaves must have the same
+    rank and kernel, and _random_stress must solve the same stress from it."""
+    rank = 0
+    for c in range(M.shape[1]):
+        nz = M[rank:, c].nonzero()[0]
+        if not nz.size:
+            continue
+        piv = rank + int(nz[0])
+        if piv != rank:
+            M[[rank, piv]] = M[[piv, rank]]
+        prow = M[rank, c:] * pow(int(M[rank, c]), -1, p) % p
+        below = rank + nz[1:]
+        if below.size:
+            block = M[below, c:]
+            M[below, c:] = (block - block[:, :1] * prow) % p
+        rank += 1
+        if rank == len(M):
+            break
+    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -427,9 +427,16 @@ def test_lines_common_degenerate(tmp_path, capsys, text, point, parallel, plane)
 
 
 def test_analyze_runs_each_check_once(monkeypatch):
+    """One game for the rank (laman derives from it), redundancy read off the stress
+    with no deletion games, and at most one run of each global-rigidity test, ordered
+    by Hendrickson's theorem: a globally rigid graph makes no 3-connectivity sweep, and
+    a graph the sweep finds not 3-connected ranks no stress matrix unless its stress
+    was tried first, as a redundant graph's is."""
+    from helpers import glued_on_edge
     import linerig.cli as cli
     import linerig.sparsity as sparsity
-    calls = {"is_redundant": 0, "is_k_connected": 0, "sparsity_rank": 0}
+    calls = {"is_redundant": 0, "is_k_connected": 0, "sparsity_rank": 0,
+             "_stress_matrix_full_rank": 0}
     for module in (cli, sparsity):
         for name in calls:
             if hasattr(module, name):
@@ -437,16 +444,23 @@ def test_analyze_runs_each_check_once(monkeypatch):
                     calls[_name] += 1
                     return _fn(*args, **kwargs)
                 monkeypatch.setattr(module, name, counted)
-    # one game for the rank (laman derives from it); redundancy is read off the
-    # stress that _rigidity draws, with no deletion games
-    G = generate("wheel", [6])
-    rep = cli.analyze_graph(G)
-    assert calls == {"is_redundant": 0, "is_k_connected": 1, "sparsity_rank": 1}
-    assert rep.hendrickson is True and rep.redundant and rep.three_connected
-    calls.update(dict.fromkeys(calls, 0))
-    rep = cli.analyze_graph(generate("laman_random", [8], seed=1))
-    assert calls == {"is_redundant": 0, "is_k_connected": 1, "sparsity_rank": 1}
-    assert rep.laman is True and rep.redundant is False
+    cases = [
+        # globally rigid: the stress matrix's True settles three_connected
+        (generate("wheel", [6]), 0, 1, dict(globally_rigid=True, three_connected=True)),
+        # rigid, not redundant: the sweep's False settles globally_rigid
+        (generate("laman_random", [8], seed=1), 1, 0,
+         dict(globally_rigid=False, three_connected=False, laman=True, redundant=False)),
+        # redundant, only 2-connected: the stress matrix says False, so the sweep runs
+        (glued_on_edge(generate("hendrickson_random", [8, 4], seed=1), generate("complete", [4]), 1),
+         1, 1, dict(globally_rigid=False, three_connected=False, redundant=True)),
+    ]
+    for G, sweeps, stress_matrices, want in cases:
+        calls.update(dict.fromkeys(calls, 0))
+        rep = cli.analyze_graph(G)
+        assert calls == {"is_redundant": 0, "is_k_connected": sweeps, "sparsity_rank": 1,
+                         "_stress_matrix_full_rank": stress_matrices}
+        assert {key: getattr(rep, key) for key in want} == want
+        assert rep.hendrickson is want["globally_rigid"]
 
 
 def test_analyze_redundancy_equals_the_deletion_games():
@@ -486,6 +500,94 @@ def test_analyze_redundancy_equals_the_deletion_games():
             assert analyze_graph(G, seed).redundant is redundant, (seed, G)
             kinds[redundant] += 1
     assert min(kinds.values()) >= 50
+
+
+def _direct_report(G, seed) -> dict:
+    """analyze's report from _rigidity, which always ranks the stress matrix, and the
+    3-connectivity sweep, which helpers.analysis_report always runs."""
+    from helpers import analysis_report
+    from linerig.numeric import _rigidity
+    return analysis_report(G, seed, *_rigidity(G, seed))
+
+
+def test_theorem_ordered_verdicts_equal_the_direct_ones():
+    """analyze runs one global-rigidity test where Hendrickson's theorem settles the
+    other; its report equals the one both tests give, on every kind of graph the order
+    tells apart: globally rigid, redundant and only 2-connected, rigid and not
+    redundant (with vertices of degree 2, with edges added to a Laman graph, or
+    3-connected), flexible, and n < 4."""
+    import random
+    from itertools import combinations
+    from helpers import glued_at_vertex, glued_on_edge, with_pendants
+    from linerig.cli import analyze_graph
+    from linerig.graphs import Graph
+    from linerig.verify import hendrickson_catalog
+    fixed = [G for _, G in hendrickson_catalog(8)]
+    # K_{3,3}: Laman and 3-connected, so rigid, not redundant and not globally rigid
+    k33 = Graph.from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    fixed += [generate("complete", [3]), generate("complete", [4]), generate("path", [5]),
+              Graph(6, ()), k33]
+    kinds = set()
+    for seed in range(3):
+        rng = random.Random(seed)
+        graphs = list(fixed)
+        for n in (6, 11, 17):
+            H = generate("hendrickson_random", [n, n // 3], seed=seed)
+            L = generate("laman_random", [n], seed=seed)
+            non_edges = [e for e in combinations(range(n), 2) if e not in L.edges]
+            graphs += [glued_on_edge(H, generate("complete", [4]), seed),
+                       glued_at_vertex(H, generate("wheel", [5]), seed)]
+            graphs += [with_pendants(base, k, seed) for base in (L, H) for k in (1, 2, 3)]
+            graphs += [Graph.from_edges(n, L.edges + tuple(rng.sample(non_edges, k)))
+                       for k in (1, 2, 3)]
+        for G in graphs:
+            rep = analyze_graph(G, seed).to_dict()
+            assert rep == _direct_report(G, seed), (seed, G)
+            kinds.add((rep["rigid"], rep["redundant"], rep["three_connected"],
+                       rep["globally_rigid"]))
+    # every branch of the order: n < 4, flexible, globally rigid, redundant and not
+    # 3-connected, rigid and not redundant, 3-connected and not redundant
+    assert {(True, False, None, None), (False, False, False, None), (True, True, True, True),
+            (True, True, False, False), (True, False, False, False),
+            (True, False, True, False)} <= kinds
+
+
+@st.composite
+def _small_graphs(draw):
+    from itertools import combinations
+    from linerig.graphs import Graph
+    n = draw(st.integers(2, 12))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.floats(0.0, 1.0))
+    return Graph.from_edges(n, [e for e, u in zip(pairs, draw(st.lists(
+        st.floats(0.0, 1.0), min_size=len(pairs), max_size=len(pairs)))) if u < keep])
+
+
+@settings(max_examples=120, deadline=None)
+@given(G=_small_graphs(), seed=st.integers(0, 2 ** 16))
+def test_theorem_ordered_verdicts_equal_the_direct_ones_on_random_graphs(G, seed):
+    from linerig.cli import analyze_graph
+    assert analyze_graph(G, seed).to_dict() == _direct_report(G, seed)
+
+
+def test_analyze_eliminates_the_stress_matrix_only_where_it_decides(monkeypatch):
+    """_eliminate's calls: R^T, 2n x m, then the n x n stress matrix on a globally rigid
+    graph; on a rigid graph with a vertex of degree 2, R^T alone, as the sweep's False
+    (read off that vertex's degree) settles global rigidity."""
+    from helpers import with_pendants
+    import linerig.numeric as numeric
+    from linerig.cli import analyze_graph
+    shapes, eliminate = [], numeric._eliminate
+    monkeypatch.setattr(numeric, "_eliminate",
+                        lambda M, p: shapes.append(M.shape) or eliminate(M, p))
+    rep = analyze_graph(generate("wheel", [6]))
+    assert shapes == [(12, 10), (6, 6)] and rep.globally_rigid is True
+    H = generate("hendrickson_random", [10, 4], seed=1)
+    for G in (generate("laman_random", [8], seed=1), with_pendants(H, 1, 1)):
+        shapes.clear()
+        rep = analyze_graph(G)
+        assert rep.rigid and min(map(G.degree, range(G.n))) == 2
+        assert shapes == [(2 * G.n, G.m)] and rep.globally_rigid is False
 
 
 def test_verify_passes_each_suite_its_own_flags(monkeypatch, capsys):

@@ -4,8 +4,10 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import glued_on_edge, random_graph, random_graph_of_degree
+from helpers import (glued_at_vertex, glued_on_edge, random_graph, random_graph_of_degree,
+                     with_pendants)
 
+import linerig.connectivity as connectivity
 from linerig.connectivity import is_k_connected
 from linerig.errors import DomainError
 from linerig.graphs import Graph, generate
@@ -50,15 +52,6 @@ def test_agreement_with_networkx():
             assert is_k_connected(G, k) == (conn >= k), (G, k, conn)
 
 
-def _with_pendants(G: Graph, count: int, seed: int) -> Graph:
-    """G plus `count` new vertices, each joined to two vertices already there."""
-    rng = random.Random(seed)
-    edges = list(G.edges)
-    for z in range(G.n, G.n + count):
-        edges += [(x, z) for x in rng.sample(range(z), 2)]
-    return Graph.from_edges(G.n + count, edges)
-
-
 @st.composite
 def _graphs_up_to_60(draw) -> Graph:
     kind = draw(st.sampled_from(["random", "hendrickson", "glued", "pendants"]))
@@ -69,7 +62,7 @@ def _graphs_up_to_60(draw) -> Graph:
     if kind == "hendrickson":
         return first
     if kind == "pendants":
-        return _with_pendants(first, draw(st.integers(1, 60 - first.n)), seed)
+        return with_pendants(first, draw(st.integers(1, 60 - first.n)), seed)
     second = generate("hendrickson_random", [draw(st.integers(4, 32 - first.n // 2)), 2], seed=seed + 1)
     return glued_on_edge(first, second, seed)
 
@@ -85,7 +78,38 @@ def test_agreement_with_networkx_up_to_60(G):
         assert is_k_connected(G, k) == (conn >= k), (G, k, conn)
 
 
+def test_a_vertex_of_degree_below_k_decides_with_no_sweep(monkeypatch):
+    """With n > k and a vertex of degree below k, G is not k-connected (the vertex's
+    neighbours cut it off), as networkx agrees, and no articulation-point sweep runs:
+    on dense random graphs and complete graphs with one vertex's edges thinned, for
+    k = 1 to 4."""
+    sweeps = []
+    sweep = connectivity._sweep
+    monkeypatch.setattr(connectivity, "_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+    rng = random.Random(12)
+    cases = 0
+    for k in range(1, 5):
+        for n in range(k + 1, 13):
+            for base in (generate("complete", [n]), random_graph_of_degree(n, n - 2, n * k)):
+                v = rng.randrange(n)
+                at_v = [e for e in base.edges if v in e]
+                keep = rng.randrange(min(k, len(at_v) + 1))
+                G = Graph.from_edges(n, [e for e in base.edges if v not in e]
+                                     + rng.sample(at_v, keep))
+                assert G.degree(v) < k
+                H = nx.Graph(G.edges)
+                H.add_nodes_from(range(n))
+                assert is_k_connected(G, k) is False and nx.node_connectivity(H) < k
+                cases += 1
+    assert cases == 2 * sum(12 - k for k in range(1, 5)) and not sweeps
+    assert is_k_connected(generate("wheel", [6]), 3) and len(sweeps) == 6
+
+
 def test_long_cycle_and_path_need_no_recursion():
     assert is_k_connected(generate("cycle", [3000]), 2)
     assert not is_k_connected(generate("path", [3000]), 2)
     assert is_k_connected(generate("path", [3000]), 1)
+    # the path's ends have degree 1, so its 2-connectivity takes no sweep; two long
+    # cycles sharing a vertex have degree 2 everywhere, and a sweep finds the cut
+    C = generate("cycle", [1500])
+    assert not is_k_connected(glued_at_vertex(C, C, 0), 2)

@@ -255,6 +255,61 @@ def test_eliminate_ranks_as_rank_exact_and_leaves_the_left_kernel():
         assert numeric._eliminate(np.vstack([M[:rank], (A % p).T]), p) == rank
 
 
+def test_eliminate_stays_exact_where_its_products_reach_2_62():
+    """At p = 2^31 - 1 with most residues p - 1 (entries -1 of a 0/+-1 matrix), the
+    fraction-free update's two products are near (p - 1)^2 and (p - 1) * p, about 2^62
+    each: no int64 sum overflows, so the rank is rank_exact's and the echelon rows
+    still span A^T's rows."""
+    p = 2 ** 31 - 1
+    rng = np.random.default_rng(31)
+    near_p = entries = 0
+    for trial in range(40):
+        m, k = (int(x) for x in rng.integers(1, 15, size=2))
+        if trial % 2:
+            A = rng.choice([-1, -1, -1, 0, 1], size=(m, k))
+        else:
+            # rank at most r, every nonzero entry negative: residues p - 1, p - 2, ...
+            r = int(rng.integers(0, min(m, k) + 1))
+            A = -(rng.integers(0, 2, size=(m, r)) @ rng.integers(0, 2, size=(r, k)))
+        M = (A % p).T.copy()
+        near_p, entries = near_p + int((M >= p - 3).sum()), entries + M.size
+        rank = numeric._eliminate(M, p)
+        assert rank == rank_exact(A.tolist()) and not M[rank:].any()
+        assert numeric._eliminate(np.vstack([M[:rank], (A % p).T]), p) == rank
+    assert near_p > entries / 3
+
+
+def test_fraction_free_elimination_leaves_the_normalized_ones_stress():
+    """Each echelon row of the fraction-free kernel is a unit multiple of the row that
+    the normalized kernel (helpers.normalized_eliminate) leaves, so _random_stress
+    solves the same stress from the same draws: on R(P)^T mod p of rigid graphs and on
+    wide random matrices of deficient rank."""
+    from helpers import normalized_eliminate
+    from linerig.numeric import _random_stress, edge_index, length_form, random_embedding
+    rng = np.random.default_rng(7)
+    matrices = []
+    for G in (K4, generate("wheel", [6]), generate("complete", [7]),
+              generate("hendrickson_random", [12, 3], seed=2)):
+        i, j = edge_index(G)
+        P = random_embedding(G.n, rng, 2 ** 30).astype(object)
+        matrices.append(edge_system(P, i, j, length_form)[1].T)
+    matrices += [rng.integers(-3, 4, size=(6, 2)) @ rng.integers(-3, 4, size=(2, 11)),
+                 rng.integers(-3, 4, size=(5, 12))]
+    for trial, A in enumerate(matrices):
+        p = random_prime(random.Random(trial)) if trial % 2 else 2 ** 31 - 1
+        X = (np.array(A, dtype=object) % p).astype(np.int64)
+        Y = X.copy()
+        rank = numeric._eliminate(X, p)
+        assert rank == normalized_eliminate(Y, p) and rank < X.shape[1]
+        for x, y in zip(X[:rank].astype(object), Y[:rank].astype(object)):
+            c = int(y.nonzero()[0][0])
+            assert x[c] and not ((x * y[c] - y * x[c]) % p).any()
+        for seed in range(3):
+            w = _random_stress(X, rank, p, np.random.default_rng(seed))
+            assert (w == _random_stress(Y, rank, p, np.random.default_rng(seed))).all()
+            assert w.any() and not (np.array(A, dtype=object) @ w.astype(object) % p).any()
+
+
 def test_line_system_dimension_k2():
     cfg = LineConfig((Line(0, 0, 0, 0), Line(0, 0, 1, 0)))
     rep = line_system_dimension(K2, cfg)
@@ -722,8 +777,12 @@ def test_early_exits_give_the_full_loops_outputs(monkeypatch):
     """analyze and verify hendrickson-oracle read one embedding, ranked mod primes
     until _residue_rank's rule stops, and one stress; their outputs equal those of the
     float references over five embeddings each, the largest SVD rank and, where it is
-    2n - 3, the majority vote, with redundancy from is_redundant's deletion games."""
-    from helpers import float_stress_oracle, full_rigidity_rank, glued_on_edge
+    2n - 3, the majority vote, with redundancy from is_redundant's deletion games and
+    3-connectivity from is_k_connected's sweep. analyze, which runs one of its two
+    global-rigidity tests where Hendrickson's theorem settles it, is held to the report
+    assembled from those references (helpers.analysis_report); the suite to its own run
+    on them."""
+    from helpers import analysis_report, float_stress_oracle, full_rigidity_rank, glued_on_edge
     from linerig.sparsity import is_redundant
     import linerig.cli as cli
     import linerig.verify as verify
@@ -732,21 +791,18 @@ def test_early_exits_give_the_full_loops_outputs(monkeypatch):
     graphs += [glued_on_edge(generate("hendrickson_random", [n, 4], seed=n), generate("complete", [4]), n)
                for n in (6, 10)]
     graphs += [generate("cycle", [6]), Graph(5, ()), generate("path", [3])]
-
-    def outputs():
-        analyzed = [cli.analyze_graph(G, seed=seed).to_dict() for G in graphs for seed in (0, 3, 7)]
-        suites = [verify.hendrickson_oracle(n_max=8, seed=seed).to_dict() for seed in (0, 2)]
-        return analyzed, suites
+    seeds = (0, 3, 7)
 
     def full_loops(G, seed):
         rank = full_rigidity_rank(G, 5, seed)
         rigid = G.n >= 4 and rank == 2 * G.n - 3
         return rank, float_stress_oracle(G, 5, seed) if rigid else None, is_redundant(G)
 
-    early = outputs()
-    monkeypatch.setattr(cli, "_rigidity", full_loops)
+    assert ([cli.analyze_graph(G, seed=seed).to_dict() for G in graphs for seed in seeds]
+            == [analysis_report(G, seed, *full_loops(G, seed)) for G in graphs for seed in seeds])
+    suites = [verify.hendrickson_oracle(n_max=8, seed=seed).to_dict() for seed in (0, 2)]
     monkeypatch.setattr(verify, "_rigidity", full_loops)
-    assert early == outputs()
+    assert suites == [verify.hendrickson_oracle(n_max=8, seed=seed).to_dict() for seed in (0, 2)]
 
 
 def test_early_exits_skip_the_decided_trials(monkeypatch):
