@@ -5,10 +5,10 @@ standard output as JSON (default) or text tables. Exit codes: 0 success,
 1 verification failure, 2 usage or parse error. main reads every input file as UTF-8
 text (_read) into its _INPUTS reader, so a malformed one is an `error:` line and exit 2.
 analyze reads the rigidity rank and the global-rigidity and redundancy verdicts off one
-embedding's exact rank and one stress (numeric._stress), so it takes no --tol, --exact
-or --trials. It orders its two global-rigidity tests, the stress matrix's rank and the
-3-connectivity sweep, by Hendrickson's theorem, so a rigid graph runs one of them where
-the other settles it; the report is the one both tests give.
+embedding's exact rank and one stress (numeric.rigidity), so it takes no --tol, --exact
+or --trials. Hendrickson's theorem orders its two global-rigidity tests: a rigid graph
+that is not redundant ranks no stress matrix, and one whose stress matrix proves it
+globally rigid runs no 3-connectivity sweep.
 
 The parser comes from one table, _COMMANDS, one row per leaf subcommand; a verify
 suite's leaf reads its options off the suite's signature (_suite_options). main builds
@@ -37,8 +37,8 @@ from .henneberg import (apply_henneberg, apply_jj, extract_henneberg, extract_jj
                         steps_from_json, steps_to_json)
 from .lines3d import Line, LineConfig, classify_triple, common_plane, common_point, \
     intersection_graph, meet_residual, transversal_detail
-from .numeric import (_stress, _stress_matrix_full_rank, line_system_dimension,
-                      line_system_jacobian, pair_system_dimension, pair_system_jacobian)
+from .numeric import (line_system_dimension, line_system_jacobian, pair_system_dimension,
+                      pair_system_jacobian, rigidity)
 from .sampler import gauss_newton_project, sample_congruent_pair, sample_knn, \
     sample_laman_lines_info
 from .sparsity import sparsity_rank
@@ -67,34 +67,17 @@ class AnalysisReport:
 
 def analyze_graph(G: Graph, seed: int = 0) -> AnalysisReport:
     rank = sparsity_rank(G).rank
-    # redundancy from the stress support, not is_redundant's m deletion games: True
-    # is a proof, False wrong only for a special embedding, prime or stress
-    rrank, p, stress = _stress(G, seed)
-    redundant = stress is not None and bool(stress.all())
-    rigid = rrank == 2 * G.n - 3
-    # A globally rigid graph on n >= 4 vertices is 3-connected (Hendrickson, SIAM J.
-    # Comput. 21 (1992)). The stress matrix's True is a proof of global rigidity, so
-    # the sweep would return True; and where the sweep returns False, the graph is not
-    # globally rigid, so the stress matrix, whose True is never wrong, would return
-    # False. Each rigid graph runs first the test likely to settle the other: the
-    # stress matrix on redundant graphs, the sweep on the others. The report is the
-    # one both tests give, on every input.
-    if G.n < 4:
-        three = glob = None
-    elif stress is None:
-        three, glob = is_k_connected(G, 3), None
-    elif redundant:
-        glob = _stress_matrix_full_rank(G, p, stress)
-        three = glob or is_k_connected(G, 3)
-    else:
-        three = is_k_connected(G, 3)
-        glob = three and _stress_matrix_full_rank(G, p, stress)
-    # is_hendrickson's own definition, from the two checks already made
-    hend = redundant and three if G.n >= 4 else None
+    r = rigidity(G, seed)
+    # A globally rigid graph on n >= 4 vertices is redundant and 3-connected
+    # (Hendrickson, SIAM J. Comput. 21 (1992)): a rigid graph that is not redundant
+    # ranks no stress matrix, and the stress matrix's True, a proof, settles the sweep
+    glob = r.globally_rigid if r.redundant else (None if r.stress is None else False)
+    three = glob or is_k_connected(G, 3) if G.n >= 4 else None
     return AnalysisReport(
-        n=G.n, m=G.m, sparsity_rank=rank, rigidity_rank=rrank,
-        laman=G.m == 2 * G.n - 3 and rank == G.m, rigid=rigid, redundant=redundant,
-        three_connected=three, hendrickson=hend, globally_rigid=glob,
+        n=G.n, m=G.m, sparsity_rank=rank, rigidity_rank=r.rank,
+        laman=G.m == 2 * G.n - 3 and rank == G.m, rigid=r.rank == 2 * G.n - 3,
+        redundant=r.redundant, three_connected=three,
+        hendrickson=r.redundant and three if G.n >= 4 else None, globally_rigid=glob,
         seed=seed)
 
 

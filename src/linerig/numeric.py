@@ -23,12 +23,12 @@ denominator, an integer polynomial map (the Jacobian map, or rank_exact's identi
 of the exact values' residues is the exact matrix mod p, and _eliminate, one int64
 row reduction, ranks it; the loop stops at the first full rank or once two primes
 agree on the largest rank seen. An exact report so never builds its Jacobian, and
-names the primes its eliminations ran on. The rigidity verdicts come in two stages:
-_stress ranks R(P)^T at one random embedding P through _residue_rank and draws one
-random stress, which decides redundancy, and _stress_matrix_full_rank decides global
-rigidity from that stress's matrix. _rigidity composes them (rigidity_rank,
-global_rigidity_oracle, verify's hendrickson_oracle); cli.analyze_graph calls them
-apart, so that Hendrickson's theorem can settle one of its two global-rigidity tests.
+names the primes its eliminations ran on. rigidity(G, seed) ranks R(P)^T at one
+random embedding P through _residue_rank and draws one random stress; its
+RigidityResult carries the rank, the prime and the stress, reads redundancy off the
+stress's support and ranks its stress matrix for global rigidity only when that
+verdict is read, so cli.analyze_graph can let Hendrickson's theorem settle it.
+rigidity_rank, global_rigidity_oracle and verify's hendrickson_oracle read it too.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from typing import Callable, Optional, Union
 
@@ -156,7 +157,7 @@ def _residue_rank(X: np.ndarray, jacobian: Callable[[np.ndarray], np.ndarray],
     polynomial in X, so for each prime p of prime_residues' rank_exact:{seed} stream,
     jacobian(X mod p) mod p is J mod p, whose rank _eliminate finds. The loop stops at
     the first full rank, or once two primes agree on the largest rank seen, so the last
-    rank is the one returned. Callers: rank_exact, _certify and _stress.
+    rank is the one returned. Callers: rank_exact, _certify and rigidity.
 
     Neither answer can be too large: p divides no denominator, so a minor that vanishes
     over Q vanishes mod p, and the rank mod p never exceeds the rational rank. A full
@@ -383,22 +384,57 @@ def _random_stress(M: np.ndarray, rank: int, p: int, rng: np.random.Generator) -
     return w
 
 
-def _stress(G: Graph, seed: int) -> tuple[int, Optional[int], Optional[np.ndarray]]:
-    """The rigidity rank at one random integer embedding P, the deciding prime p and
-    one uniformly random stress w mod p; p and w are None for n < 4 or a rank below
-    2n - 3.
+@dataclass(frozen=True, eq=False)
+class RigidityResult:
+    """What one random equilibrium stress decides about G (rigidity()). rank is the
+    rank of R(P)^T over Q at one random integer embedding P; prime, the deciding prime,
+    and stress, one uniformly random stress w mod prime, are None for n < 4 or a rank
+    below 2n - 3. Each verdict reads w: redundant its support, and globally_rigid its
+    stress matrix, ranked the first time it is read."""
+
+    graph: Graph = field(repr=False)
+    rank: int
+    prime: Optional[int]
+    stress: Optional[np.ndarray]
+
+    @property
+    def redundant(self) -> bool:
+        """w is nonzero on every edge (False where there is no stress). An edge is a
+        coloop of the rigidity matroid exactly when every stress vanishes on it
+        (Jackson-Jordan, JCTB 94 (2005)), and w_e != 0 puts row e in the mod-p span of
+        the other rows, so the rank of R(G - e) at P over Q is at least 2n - 3: True is
+        always right, and it is False whenever m = 2n - 3, where w = 0. False is wrong
+        only for a special P, p or w; for w, with probability at most 1/p per edge."""
+        return self.stress is not None and bool(self.stress.all())
+
+    @cached_property
+    def globally_rigid(self) -> Optional[bool]:
+        """w's n x n stress matrix has rank n - 3 mod prime (None where there is no
+        stress). True is always right, as w then lifts to a rational stress of the same
+        rank (Connelly, DCG 33 (2005); Gortler-Healy-Thurston, Amer. J. Math. 132
+        (2010)). False is wrong only for a special P, p or w. The test does not read
+        redundant, which a globally rigid graph always is (Hendrickson, SIAM J. Comput.
+        21 (1992))."""
+        G, p, w = self.graph, self.prime, self.stress
+        if w is None:
+            return None
+        i, j = edge_index(G)
+        rows, cols = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
+        omega = np.zeros((G.n, G.n), dtype=np.int64)
+        np.add.at(omega, (rows, cols), np.concatenate([-w, -w, w, w]))
+        return _eliminate(omega % p, p) == G.n - 3
+
+
+def rigidity(G: Graph, seed: int = 0) -> RigidityResult:
+    """The rigidity rank at one random integer embedding P, the deciding prime p and one
+    uniformly random stress w mod p; P and then w's free entries come from one
+    default_rng(seed) stream.
 
     _residue_rank ranks R(P)^T over Q, up to min(m, 2n - 3), which no embedding exceeds.
     A rank below the generic one makes P, uniform on [-2^30, 2^30]^2n, a zero of a
     nonzero minor of degree at most 2n - 3: by the Schwartz-Zippel lemma, probability at
     most (2n - 3) / (2^31 + 1), about 1.5e-6 at n = 1600. At rank 2n - 3, w solves
-    R^T w = 0 mod p = primes[-1] on the deciding echelon form. w also decides
-    redundancy: w is nonzero on every edge. An edge is a coloop of the rigidity matroid
-    exactly when every stress vanishes on it (Jackson-Jordan, JCTB 94 (2005)), and
-    w_e != 0 puts row e in the mod-p span of the other rows, so the rank of R(G - e)
-    at P over Q is at least 2n - 3: True is always right, and it is False whenever
-    m = 2n - 3, where w = 0. False is wrong only for a special P, p or w; for w, with
-    probability at most 1/p per edge.
+    R^T w = 0 mod p = primes[-1] on the deciding echelon form.
     """
     if G.n < 2:
         raise DomainError("rigidity rank needs at least 2 vertices")
@@ -412,43 +448,21 @@ def _stress(G: Graph, seed: int) -> tuple[int, Optional[int], Optional[np.ndarra
         lambda P: np.ascontiguousarray(edge_system(P, i, j, length_form)[1].T),
         min(m, 2 * n - 3), seed)
     if n < 4 or rank < 2 * n - 3:
-        return rank, None, None
-    return rank, primes[-1], _random_stress(M, rank, primes[-1], rng)
-
-
-def _stress_matrix_full_rank(G: Graph, p: int, w: np.ndarray) -> bool:
-    """Global rigidity from _stress's w: its n x n stress matrix has rank n - 3 mod p.
-    True is always right, as w then lifts to a rational stress of the same rank
-    (Connelly, DCG 33 (2005); Gortler-Healy-Thurston, Amer. J. Math. 132 (2010)). False
-    is wrong only for a special P, p or w."""
-    i, j = edge_index(G)
-    rows, cols = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
-    omega = np.zeros((G.n, G.n), dtype=np.int64)
-    np.add.at(omega, (rows, cols), np.concatenate([-w, -w, w, w]))
-    return _eliminate(omega % p, p) == G.n - 3
-
-
-def _rigidity(G: Graph, seed: int) -> tuple[int, Optional[bool], bool]:
-    """_stress's rank with both of its stress's verdicts: global rigidity
-    (_stress_matrix_full_rank; None where there is no stress) and redundancy (w nonzero
-    on every edge; False where there is no stress)."""
-    rank, p, w = _stress(G, seed)
-    if w is None:
-        return rank, None, False
-    return rank, _stress_matrix_full_rank(G, p, w), bool(w.all())
+        return RigidityResult(G, rank, None, None)
+    return RigidityResult(G, rank, primes[-1], _random_stress(M, rank, primes[-1], rng))
 
 
 def rigidity_rank(G: Graph, seed: int = 0) -> int:
-    """_rigidity's rank: the generic rank of the rigidity matrix unless its embedding
+    """rigidity()'s rank: the generic rank of the rigidity matrix unless its embedding
     is special (a lower bound always)."""
-    return _rigidity(G, seed)[0]
+    return rigidity(G, seed).rank
 
 
 def global_rigidity_oracle(G: Graph, seed: int = 0) -> bool:
-    """_rigidity's global-rigidity verdict; DomainError where it takes G for flexible."""
+    """rigidity()'s global-rigidity verdict; DomainError where it takes G for flexible."""
     if G.n < 4:
         raise DomainError("global rigidity oracle needs at least 4 vertices")
-    verdict = _rigidity(G, seed)[1]
+    verdict = rigidity(G, seed).globally_rigid
     if verdict is None:
         raise DomainError("global rigidity oracle requires a rigid graph")
     return verdict

@@ -22,7 +22,7 @@ from .graphs import Graph, generate
 from .lines3d import (Line, Plane, _dependent, classify_triple, common_planes, common_points,
                       incidence, line_through, meet_residual, plane_kernel, point_kernel,
                       transversal)
-from .numeric import _rigidity, pair_system_dimension, rank_exact, transversal_family_dimension
+from .numeric import pair_system_dimension, rank_exact, rigidity, transversal_family_dimension
 from .sampler import (knn_jacobian, sample_congruent_pair, sample_knn_params,
                       sample_laman_lines_exact_info, sample_laman_lines_info)
 from .sparsity import is_redundant
@@ -570,14 +570,15 @@ def hendrickson_oracle(n_max: int = 8, seed: int = 0) -> SuiteReport:
         redundant = is_redundant(G)
         # is_hendrickson's own definition, on the redundancy already decided
         combinatorial = redundant and is_k_connected(G, 3)
-        _, oracle, stress_redundant = _rigidity(G, seed)
-        if oracle is None:
+        # the stress matrix's own verdict, read whether or not the stress is redundant
+        r = rigidity(G, seed)
+        if r.globally_rigid is None:
             # n >= 4 on the catalog, so G is flexible: never redundant, never Hendrickson
             rep.record(combinatorial is False, graph=name, note="flexible")
             continue
-        rep.record(oracle == combinatorial and stress_redundant == redundant, graph=name,
-                   combinatorial=combinatorial, oracle=oracle, redundant=redundant,
-                   stress_redundant=stress_redundant)
+        rep.record(r.globally_rigid == combinatorial and r.redundant == redundant,
+                   graph=name, combinatorial=combinatorial, oracle=r.globally_rigid,
+                   redundant=redundant, stress_redundant=r.redundant, prime=r.prime)
     return rep
 
 

@@ -430,13 +430,14 @@ def test_analyze_runs_each_check_once(monkeypatch):
     """One game for the rank (laman derives from it), redundancy read off the stress
     with no deletion games, and at most one run of each global-rigidity test, ordered
     by Hendrickson's theorem: a globally rigid graph makes no 3-connectivity sweep, and
-    a graph the sweep finds not 3-connected ranks no stress matrix unless its stress
-    was tried first, as a redundant graph's is."""
+    a rigid graph that is not redundant ranks no n x n stress matrix, 3-connected or
+    not."""
     from helpers import glued_on_edge
     import linerig.cli as cli
+    import linerig.numeric as numeric
     import linerig.sparsity as sparsity
-    calls = {"is_redundant": 0, "is_k_connected": 0, "sparsity_rank": 0,
-             "_stress_matrix_full_rank": 0}
+    from linerig.graphs import Graph
+    calls = {"is_redundant": 0, "is_k_connected": 0, "sparsity_rank": 0}
     for module in (cli, sparsity):
         for name in calls:
             if hasattr(module, name):
@@ -444,21 +445,28 @@ def test_analyze_runs_each_check_once(monkeypatch):
                     calls[_name] += 1
                     return _fn(*args, **kwargs)
                 monkeypatch.setattr(module, name, counted)
+    shapes, eliminate = [], numeric._eliminate
+    monkeypatch.setattr(numeric, "_eliminate",
+                        lambda M, p: shapes.append(M.shape) or eliminate(M, p))
     cases = [
         # globally rigid: the stress matrix's True settles three_connected
         (generate("wheel", [6]), 0, 1, dict(globally_rigid=True, three_connected=True)),
-        # rigid, not redundant: the sweep's False settles globally_rigid
+        # rigid, not redundant: non-redundancy settles globally_rigid
         (generate("laman_random", [8], seed=1), 1, 0,
          dict(globally_rigid=False, three_connected=False, laman=True, redundant=False)),
+        # K_{3,3}: Laman and 3-connected, so its stress is 0 and the sweep says True
+        (Graph.from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)]), 1, 0,
+         dict(globally_rigid=False, three_connected=True, laman=True, redundant=False)),
         # redundant, only 2-connected: the stress matrix says False, so the sweep runs
         (glued_on_edge(generate("hendrickson_random", [8, 4], seed=1), generate("complete", [4]), 1),
          1, 1, dict(globally_rigid=False, three_connected=False, redundant=True)),
     ]
     for G, sweeps, stress_matrices, want in cases:
         calls.update(dict.fromkeys(calls, 0))
+        shapes.clear()
         rep = cli.analyze_graph(G)
-        assert calls == {"is_redundant": 0, "is_k_connected": sweeps, "sparsity_rank": 1,
-                         "_stress_matrix_full_rank": stress_matrices}
+        assert calls == {"is_redundant": 0, "is_k_connected": sweeps, "sparsity_rank": 1}
+        assert shapes.count((G.n, G.n)) == stress_matrices
         assert {key: getattr(rep, key) for key in want} == want
         assert rep.hendrickson is want["globally_rigid"]
 
@@ -503,11 +511,13 @@ def test_analyze_redundancy_equals_the_deletion_games():
 
 
 def _direct_report(G, seed) -> dict:
-    """analyze's report from _rigidity, which always ranks the stress matrix, and the
-    3-connectivity sweep, which helpers.analysis_report always runs."""
+    """analyze's report from rigidity()'s verdicts, its stress matrix ranked on every
+    rigid graph, and the 3-connectivity sweep, which helpers.analysis_report always
+    runs."""
     from helpers import analysis_report
-    from linerig.numeric import _rigidity
-    return analysis_report(G, seed, *_rigidity(G, seed))
+    from linerig.numeric import rigidity
+    r = rigidity(G, seed)
+    return analysis_report(G, seed, r.rank, r.globally_rigid, r.redundant)
 
 
 def test_theorem_ordered_verdicts_equal_the_direct_ones():
@@ -572,8 +582,8 @@ def test_theorem_ordered_verdicts_equal_the_direct_ones_on_random_graphs(G, seed
 
 def test_analyze_eliminates_the_stress_matrix_only_where_it_decides(monkeypatch):
     """_eliminate's calls: R^T, 2n x m, then the n x n stress matrix on a globally rigid
-    graph; on a rigid graph with a vertex of degree 2, R^T alone, as the sweep's False
-    (read off that vertex's degree) settles global rigidity."""
+    graph; on a rigid graph with a vertex of degree 2, R^T alone, as its
+    non-redundancy settles global rigidity."""
     from helpers import with_pendants
     import linerig.numeric as numeric
     from linerig.cli import analyze_graph

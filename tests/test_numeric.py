@@ -233,7 +233,7 @@ def test_prime_residues_invert_only_denominators_other_than_one(monkeypatch):
 def test_eliminate_ranks_as_rank_exact_and_leaves_the_left_kernel():
     """_eliminate on A^T mod p: the rank is rank_exact's, and it leaves an echelon form
     with A^T's row space, each pivot its row's first nonzero: the form from which
-    _rigidity back-substitutes a vector of A's left kernel."""
+    rigidity() back-substitutes a vector of A's left kernel."""
     rng = np.random.default_rng(28)
     for trial in range(60):
         p = random_prime(random.Random(trial))
@@ -709,7 +709,7 @@ def test_hendrickson_oracle_takes_one_rigidity_pass_per_graph(monkeypatch):
 
     def counted(G, *args, **kwargs):
         passes.append(G)
-        return numeric._rigidity(G, *args, **kwargs)
+        return numeric.rigidity(G, *args, **kwargs)
 
     # the catalog's graphs are all rigid; two flexible ones exercise the other verdict
     catalog = verify.hendrickson_catalog(7) + [
@@ -717,7 +717,7 @@ def test_hendrickson_oracle_takes_one_rigidity_pass_per_graph(monkeypatch):
         ("K4-minus-edge-plus-pendant",
          Graph.from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]))]
     monkeypatch.setattr(verify, "hendrickson_catalog", lambda n_max: catalog)
-    monkeypatch.setattr(verify, "_rigidity", counted)
+    monkeypatch.setattr(verify, "rigidity", counted)
     monkeypatch.setattr(verify.SuiteReport, "record",
                         lambda self, ok, **detail: records.append((ok, detail)))
     verify.hendrickson_oracle(n_max=7, seed=2)
@@ -738,21 +738,24 @@ def test_hendrickson_oracle_takes_one_rigidity_pass_per_graph(monkeypatch):
 
 def test_hendrickson_oracle_fails_a_stress_redundancy_that_disagrees(monkeypatch):
     """The suite records the stress-support redundancy beside is_redundant and fails
-    each rigid graph where the two differ."""
+    each rigid graph where the two differ, naming the prime its stress lives mod."""
+    from types import SimpleNamespace
     import linerig.verify as verify
     from linerig.sparsity import is_redundant
 
     def flipped(G, seed):
-        rank, oracle, redundant = numeric._rigidity(G, seed)
-        return rank, oracle, not redundant
+        r = numeric.rigidity(G, seed)
+        return SimpleNamespace(prime=r.prime, globally_rigid=r.globally_rigid,
+                               redundant=not r.redundant)
 
-    monkeypatch.setattr(verify, "_rigidity", flipped)
+    monkeypatch.setattr(verify, "rigidity", flipped)
     rep = verify.hendrickson_oracle(n_max=6)
     catalog = verify.hendrickson_catalog(6)
     assert rep.total == len(catalog) and rep.passed == 0
     for (name, G), failure in zip(catalog, rep.failures, strict=True):
         assert failure["graph"] == name
         assert failure["redundant"] == is_redundant(G) != failure["stress_redundant"]
+        assert failure["prime"] == numeric.rigidity(G, 0).prime and 2 ** 30 <= failure["prime"] < 2 ** 31
 
 
 @pytest.mark.parametrize("seed", [-1, -2])
@@ -782,6 +785,7 @@ def test_early_exits_give_the_full_loops_outputs(monkeypatch):
     global-rigidity tests where Hendrickson's theorem settles it, is held to the report
     assembled from those references (helpers.analysis_report); the suite to its own run
     on them."""
+    from types import SimpleNamespace
     from helpers import analysis_report, float_stress_oracle, full_rigidity_rank, glued_on_edge
     from linerig.sparsity import is_redundant
     import linerig.cli as cli
@@ -796,12 +800,14 @@ def test_early_exits_give_the_full_loops_outputs(monkeypatch):
     def full_loops(G, seed):
         rank = full_rigidity_rank(G, 5, seed)
         rigid = G.n >= 4 and rank == 2 * G.n - 3
-        return rank, float_stress_oracle(G, 5, seed) if rigid else None, is_redundant(G)
+        return SimpleNamespace(rank=rank, prime=None, redundant=is_redundant(G),
+                               globally_rigid=float_stress_oracle(G, 5, seed) if rigid else None)
 
     assert ([cli.analyze_graph(G, seed=seed).to_dict() for G in graphs for seed in seeds]
-            == [analysis_report(G, seed, *full_loops(G, seed)) for G in graphs for seed in seeds])
+            == [analysis_report(G, seed, r.rank, r.globally_rigid, r.redundant)
+                for G in graphs for seed in seeds for r in [full_loops(G, seed)]])
     suites = [verify.hendrickson_oracle(n_max=8, seed=seed).to_dict() for seed in (0, 2)]
-    monkeypatch.setattr(verify, "_rigidity", full_loops)
+    monkeypatch.setattr(verify, "rigidity", full_loops)
     assert suites == [verify.hendrickson_oracle(n_max=8, seed=seed).to_dict() for seed in (0, 2)]
 
 
@@ -824,8 +830,32 @@ def test_early_exits_skip_the_decided_trials(monkeypatch):
     assert not global_rigidity_oracle(generate("laman_random", [8], seed=1)) and len(drawn) == 1
 
 
+def test_each_reader_ranks_the_stress_matrix_only_where_it_reads_it(monkeypatch):
+    """rigidity() eliminates R^T only; the n x n stress matrix is eliminated the first
+    time globally_rigid is read, and never again. rigidity_rank reads the rank alone,
+    and global_rigidity_oracle ranks exactly one stress matrix."""
+    shapes, eliminate = [], numeric._eliminate
+    monkeypatch.setattr(numeric, "_eliminate",
+                        lambda M, p: shapes.append(M.shape) or eliminate(M, p))
+    for G, verdict in ((generate("wheel", [6]), True), (generate("laman_random", [8], seed=1), False),
+                       (generate("hendrickson_random", [12, 3], seed=2), True)):
+        shapes.clear()
+        assert rigidity_rank(G) == 2 * G.n - 3 and shapes == [(2 * G.n, G.m)]
+        shapes.clear()
+        assert global_rigidity_oracle(G) is verdict and shapes == [(2 * G.n, G.m), (G.n, G.n)]
+        shapes.clear()
+        r = numeric.rigidity(G)
+        assert shapes == [(2 * G.n, G.m)]
+        assert r.globally_rigid is verdict and shapes == [(2 * G.n, G.m), (G.n, G.n)]
+        # the second read is the cached verdict
+        assert r.globally_rigid is verdict and shapes == [(2 * G.n, G.m), (G.n, G.n)]
+    shapes.clear()
+    r = numeric.rigidity(generate("cycle", [6]))
+    assert r.globally_rigid is None and r.stress is None and shapes == [(12, 6)]
+
+
 def test_the_stress_is_an_equilibrium_stress_of_the_deciding_embedding(monkeypatch):
-    """The stress matrix that _rigidity ranks belongs to an equilibrium stress of its
+    """The stress matrix that rigidity() ranks belongs to an equilibrium stress of its
     one embedding P mod the deciding prime p = primes[-1], the prime of the elimination
     before it: symmetric, with zero row sums and Omega P = 0 mod p. It is 0 on
     minimally rigid graphs and nonzero on redundant ones."""
@@ -854,9 +884,10 @@ def test_the_stress_is_an_equilibrium_stress_of_the_deciding_embedding(monkeypat
     for G in graphs:
         for seed in range(3):
             embeddings.clear()
-            numeric._rigidity(G, seed)
+            r = numeric.rigidity(G, seed)
+            assert r.globally_rigid is not None
             (omega, p), P = reduced[-1], embeddings[-1]
-            assert len(embeddings) == 1 and p == primes[-1][-1] == reduced[-2][1]
+            assert len(embeddings) == 1 and p == primes[-1][-1] == reduced[-2][1] == r.prime
             assert P.shape == (G.n, 2) and np.abs(P).max() <= 2 ** 30
             assert omega.shape == (G.n, G.n) and (omega == omega.T).all()
             assert not (omega.sum(axis=1) % p).any()
@@ -897,17 +928,17 @@ def test_a_stress_that_vanishes_on_an_edge_never_reads_redundant(monkeypatch):
               generate("hendrickson_random", [12, 3], seed=2),
               generate("laman_random", [9], seed=1)]
     redundant = [G for G in graphs if is_redundant(G)]
-    assert len(redundant) == 4 and all(numeric._rigidity(G, 0)[2] for G in redundant)
+    assert len(redundant) == 4 and all(numeric.rigidity(G, 0).redundant for G in redundant)
     monkeypatch.setattr(numeric, "_random_stress", zero_free)
     for G in graphs:
         for seed in range(3):
-            assert numeric._rigidity(G, seed)[2] is False
+            assert numeric.rigidity(G, seed).redundant is False
     assert len(zeroed) == 3 * len(redundant)
 
 
 def test_flexible_graphs_with_2n_3_edges_stop_after_two_trials(monkeypatch):
     """Two Hendrickson graphs glued at a vertex have m >= 2n - 3 edges and rank
-    2n - 4: no prime reaches min(m, 2n - 3), so _rigidity draws one embedding and
+    2n - 4: no prime reaches min(m, 2n - 3), so rigidity() draws one embedding and
     stops after exactly two eliminations of R^T, mod two primes that agree on
     2n - 4, with no global verdict and redundancy False, and the oracle refuses the
     graph."""
@@ -932,7 +963,9 @@ def test_flexible_graphs_with_2n_3_edges_stop_after_two_trials(monkeypatch):
         for seed in range(3):
             drawn.clear()
             eliminated.clear()
-            assert numeric._rigidity(G, seed) == (2 * G.n - 4, None, False)
+            r = numeric.rigidity(G, seed)
+            assert (r.rank, r.prime, r.stress, r.globally_rigid, r.redundant) == (
+                2 * G.n - 4, None, None, None, False)
             assert len(drawn) == 1 and eliminated == [(2 * G.n, G.m)] * 2
             with pytest.raises(DomainError, match="rigid graph"):
                 global_rigidity_oracle(G, seed=seed)
