@@ -29,10 +29,16 @@ RigidityResult carries the rank, the prime and the stress, reads redundancy off 
 stress's support and ranks its stress matrix for global rigidity only when that
 verdict is read, so cli.analyze_graph can let Hendrickson's theorem settle it.
 rigidity_rank, global_rigidity_oracle and verify's hendrickson_oracle read it too.
+Both eliminations run in fill-reducing orders, as _eliminate's cost is its fill: R^T
+with its vertex rows in the reverse of a minimum-degree peel (_peel_order) and its
+edge columns by their later, then earlier, endpoint in that order, and the stress
+matrix with its rows and columns in ascending degree. A permutation changes no rank,
+and the stress is written back in G.edges order.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -419,10 +425,36 @@ class RigidityResult:
         if w is None:
             return None
         i, j = edge_index(G)
+        # rows and columns in ascending degree (a stable argsort), a static minimum-degree
+        # order: the sparsest rows pivot first, while they add little fill
+        order = np.argsort([G.degree(v) for v in range(G.n)], kind="stable")
+        pos = np.argsort(order)
+        i, j = pos[i], pos[j]
         rows, cols = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
         omega = np.zeros((G.n, G.n), dtype=np.int64)
         np.add.at(omega, (rows, cols), np.concatenate([-w, -w, w, w]))
         return _eliminate(omega % p, p) == G.n - 3
+
+
+def _peel_order(G: Graph) -> np.ndarray:
+    """G's vertices in the reverse of a minimum-degree peel, which deletes a vertex of
+    least degree in what is left (ties to the smaller label) until none is left."""
+    degree = [G.degree(v) for v in range(G.n)]
+    heap = [(d, v) for v, d in enumerate(degree)]
+    heapq.heapify(heap)
+    peeled = [False] * G.n
+    peel = []
+    while heap:
+        d, v = heapq.heappop(heap)
+        if peeled[v] or d != degree[v]:
+            continue
+        peeled[v] = True
+        peel.append(v)
+        for u in G.neighbors(v):
+            if not peeled[u]:
+                degree[u] -= 1
+                heapq.heappush(heap, (degree[u], u))
+    return np.array(peel[::-1], dtype=np.intp)
 
 
 def rigidity(G: Graph, seed: int = 0) -> RigidityResult:
@@ -434,22 +466,31 @@ def rigidity(G: Graph, seed: int = 0) -> RigidityResult:
     A rank below the generic one makes P, uniform on [-2^30, 2^30]^2n, a zero of a
     nonzero minor of degree at most 2n - 3: by the Schwartz-Zippel lemma, probability at
     most (2n - 3) / (2^31 + 1), about 1.5e-6 at n = 1600. At rank 2n - 3, w solves
-    R^T w = 0 mod p = primes[-1] on the deciding echelon form.
+    R^T w = 0 mod p = primes[-1] on the deciding echelon form, that of R^T with its rows
+    and columns permuted, and is written back in G.edges order.
     """
     if G.n < 2:
         raise DomainError("rigidity rank needs at least 2 vertices")
     if seed < 0:
         raise DomainError("seed must be at least 0")
     n, m = G.n, G.m
-    i, j = edge_index(G)
+    # vertex rows in the reverse of a minimum-degree peel, close to a construction order,
+    # edge columns by later, then earlier, endpoint in it: the order that kept fill least
+    order = _peel_order(G)
+    pos = np.argsort(order)
+    i, j = (pos[e] for e in edge_index(G))
+    cols = np.lexsort((np.minimum(i, j), np.maximum(i, j)))
+    i, j = i[cols], j[cols]
     rng = np.random.default_rng(seed)
     rank, primes, M = _residue_rank(
         random_embedding(n, rng, 2 ** 30),
-        lambda P: np.ascontiguousarray(edge_system(P, i, j, length_form)[1].T),
+        lambda P: np.ascontiguousarray(edge_system(P[order], i, j, length_form)[1].T),
         min(m, 2 * n - 3), seed)
     if n < 4 or rank < 2 * n - 3:
         return RigidityResult(G, rank, None, None)
-    return RigidityResult(G, rank, primes[-1], _random_stress(M, rank, primes[-1], rng))
+    w = np.empty(m, dtype=np.int64)
+    w[cols] = _random_stress(M, rank, primes[-1], rng)
+    return RigidityResult(G, rank, primes[-1], w)
 
 
 def rigidity_rank(G: Graph, seed: int = 0) -> int:

@@ -218,6 +218,38 @@ def float_stress_oracle(G: Graph, trials: int = 5, seed: int = 0, tol: float = 1
     return votes * 2 > trials
 
 
+def natural_order_rigidity(G: Graph, seed: int = 0) -> tuple:
+    """numeric.rigidity as it was before its eliminations were ordered, with R^T and
+    the stress matrix in G's own vertex labels and edge order, as (rank, prime,
+    redundant, globally_rigid). A permutation changes no rank mod p, so the ordered
+    path must give the same rank and prime; its stress is another uniform draw from the
+    same kernel, so the verdicts may differ only with probability at most m / p."""
+    from linerig import numeric
+    n, m = G.n, G.m
+    i, j = numeric.edge_index(G)
+    rng = np.random.default_rng(seed)
+    rank, primes, M = numeric._residue_rank(
+        numeric.random_embedding(n, rng, 2 ** 30),
+        lambda P: np.ascontiguousarray(numeric.edge_system(P, i, j, numeric.length_form)[1].T),
+        min(m, 2 * n - 3), seed)
+    if n < 4 or rank < 2 * n - 3:
+        return rank, None, False, None
+    p = primes[-1]
+    w = numeric._random_stress(M, rank, p, rng)
+    return rank, p, bool(w.all()), numeric._eliminate(stress_matrix(G, w) % p, p) == n - 3
+
+
+def stress_matrix(G: Graph, w: np.ndarray) -> np.ndarray:
+    """The n x n stress matrix of the edge weights w, in G's vertex labels: -w_ij at
+    ij and ji, and each diagonal entry the sum of its vertex's weights."""
+    from linerig.numeric import edge_index
+    i, j = edge_index(G)
+    omega = np.zeros((G.n, G.n), dtype=np.int64)
+    np.add.at(omega, (np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])),
+              np.concatenate([-w, -w, w, w]))
+    return omega
+
+
 def analysis_report(G: Graph, seed: int, rigidity_rank: int, globally_rigid, redundant: bool) -> dict:
     """analyze's report as both global-rigidity tests give it: the rigidity rank and the
     stress verdicts as given, sparsity_rank's game, and is_k_connected's sweep on every

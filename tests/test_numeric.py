@@ -857,8 +857,12 @@ def test_each_reader_ranks_the_stress_matrix_only_where_it_reads_it(monkeypatch)
 def test_the_stress_is_an_equilibrium_stress_of_the_deciding_embedding(monkeypatch):
     """The stress matrix that rigidity() ranks belongs to an equilibrium stress of its
     one embedding P mod the deciding prime p = primes[-1], the prime of the elimination
-    before it: symmetric, with zero row sums and Omega P = 0 mod p. It is 0 on
-    minimally rigid graphs and nonzero on redundant ones."""
+    before it: symmetric, with zero row sums and Omega P = 0 mod p. It is ranked with
+    its rows and columns in ascending degree order (a stable argsort), so the matrix
+    handed to _eliminate is Omega[order][:, order], the stress matrix of r.stress, and
+    Omega[order][:, order] P[order] = 0 mod p. It is 0 on minimally rigid graphs and
+    nonzero on redundant ones."""
+    from helpers import stress_matrix
     embeddings, reduced, primes = [], [], []
 
     def recorded(n, rng, *args):
@@ -891,8 +895,76 @@ def test_the_stress_is_an_equilibrium_stress_of_the_deciding_embedding(monkeypat
             assert P.shape == (G.n, 2) and np.abs(P).max() <= 2 ** 30
             assert omega.shape == (G.n, G.n) and (omega == omega.T).all()
             assert not (omega.sum(axis=1) % p).any()
-            assert not (omega.astype(object) @ P.astype(object) % p).any()
+            order = np.argsort([G.degree(v) for v in range(G.n)], kind="stable")
+            assert (omega == stress_matrix(G, r.stress)[order][:, order] % p).all()
+            assert not (omega.astype(object) @ P[order].astype(object) % p).any()
             assert omega.any() == (G.m > 2 * G.n - 3)
+
+
+def _ordering_cases() -> list[Graph]:
+    """The hendrickson-oracle catalog, graphs glued on an edge or at a vertex, graphs
+    with pendant vertices, K_{3,3}, path(5) and an edgeless graph."""
+    from helpers import glued_at_vertex, glued_on_edge, with_pendants
+    from linerig.verify import hendrickson_catalog
+    graphs = [G for _, G in hendrickson_catalog(8)]
+    graphs += [glued_on_edge(generate("hendrickson_random", [n, 4], seed=n),
+                             generate("complete", [4]), n) for n in (6, 10)]
+    graphs += [glued_at_vertex(generate("hendrickson_random", [a, 2], seed=a),
+                               generate("hendrickson_random", [b, 2], seed=b), a + b)
+               for a, b in ((4, 4), (5, 7))]
+    graphs += [with_pendants(generate("hendrickson_random", [10, 4], seed=1), 2, 1),
+               with_pendants(generate("complete", [5]), 1, 0)]
+    graphs += [Graph.from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)]),
+               generate("path", [5]), Graph(5, ())]
+    return graphs
+
+
+def _ordered_and_natural(G: Graph, seed: int) -> tuple[tuple, tuple]:
+    from helpers import natural_order_rigidity
+    r = numeric.rigidity(G, seed)
+    return (r.rank, r.prime, r.redundant, r.globally_rigid), natural_order_rigidity(G, seed)
+
+
+def test_the_ordered_eliminations_decide_as_the_natural_order():
+    """rigidity() ranks R^T and the stress matrix with rows and columns permuted. The
+    rank and the deciding prime are those of the natural order (helpers'
+    natural_order_rigidity), and so are both verdicts on every case here."""
+    for G in _ordering_cases():
+        for seed in range(3):
+            ordered, natural = _ordered_and_natural(G, seed)
+            assert ordered == natural, (G, seed)
+
+
+@st.composite
+def _graphs_up_to_12(draw) -> Graph:
+    n = draw(st.integers(2, 12))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return Graph(n, tuple(sorted(draw(st.sets(st.sampled_from(pairs))))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(G=_graphs_up_to_12(), seed=st.integers(0, 2))
+def test_the_ordered_eliminations_decide_as_the_natural_order_on_small_graphs(G, seed):
+    ordered, natural = _ordered_and_natural(G, seed)
+    assert ordered == natural
+
+
+def test_the_stress_is_in_edge_order():
+    """rigidity() solves its stress on R^T with permuted edge columns and writes it back
+    in G.edges order: R(P)^T w = 0 mod p with R built in G.edges order, at the one
+    embedding P of default_rng(seed)'s stream."""
+    checked = 0
+    for G in _ordering_cases():
+        for seed in range(3):
+            r = numeric.rigidity(G, seed)
+            if r.stress is None:
+                continue
+            P = numeric.random_embedding(G.n, np.random.default_rng(seed), 2 ** 30)
+            R = rigidity_matrix(G, P)
+            assert r.stress.shape == (G.m,)
+            assert not (R.T @ r.stress.astype(object) % r.prime).any(), (G, seed)
+            checked += r.stress.any()
+    assert checked > 30
 
 
 def test_a_stress_that_vanishes_on_an_edge_never_reads_redundant(monkeypatch):
