@@ -91,7 +91,9 @@ class Rotation:
 
 
 def rotation_at(point: Point3) -> Rotation:
-    """The rotation represented by a point of the transform's 3-space."""
+    """The rotation represented by a point of the transform's 3-space. A
+    coordinates-first (3, ...) array of points gives a Rotation of arrays, whose
+    cos_sin is taken elementwise; Rotation.theta and .apply stay scalar."""
     x, y, z = point
     return Rotation(center=(x, y), t=z)
 
@@ -122,19 +124,20 @@ def reflection_at(plane: Plane) -> PlanarMotion:
 
         p -> p - 2*(p.e1 + nu/|w|) e1 - (2/|w|) e2
 
-    maps each a_i to b_i.
+    maps each a_i to b_i. A Plane of coordinates-first arrays (lam, mu and nu each
+    of one shape) gives a PlanarMotion whose matrix and translation entries are
+    arrays of that shape; PlanarMotion.orientation and .apply stay scalar.
     """
     lam, mu, nu = plane.lam, plane.mu, plane.nu
-    norm = math.hypot(lam, mu)
-    if norm == 0.0:
+    norm = np.hypot(lam, mu)
+    if np.any(norm == 0.0):
         raise DomainError("a horizontal plane carries no planar motion")
-    e1 = (lam / norm, mu / norm)
-    e2 = (-e1[1], e1[0])
-    m = ((1.0 - 2.0 * e1[0] * e1[0], -2.0 * e1[0] * e1[1]),
-         (-2.0 * e1[0] * e1[1], 1.0 - 2.0 * e1[1] * e1[1]))
-    shift = (-2.0 * (nu / norm) * e1[0] - (2.0 / norm) * e2[0],
-             -2.0 * (nu / norm) * e1[1] - (2.0 / norm) * e2[1])
-    return PlanarMotion(m, shift)
+    e1x, e1y = lam / norm, mu / norm
+    off = -2.0 * e1x * e1y
+    # translation -2(nu/|w|) e1 - (2/|w|) e2, e2 = (-e1y, e1x): each product once, for batches
+    glide, step = -2.0 * (nu / norm), 2.0 / norm
+    m = ((1.0 - 2.0 * e1x * e1x, off), (off, 1.0 - 2.0 * e1y * e1y))
+    return PlanarMotion(m, (glide * e1x + step * e1y, glide * e1y - step * e1x))
 
 
 def phi(p: Sequence[Sequence[Scalar]], p_prime: Sequence[Sequence[Scalar]]) -> LineConfig:

@@ -25,12 +25,11 @@ factors. Exact lines are decided exactly (== 0): each predicate branches on is_e
 and intersection_graph takes its candidate pairs mod a prime (modp), then confirms each.
 
 Common points and planes come from one array kernel, point_kernel and
-plane_kernel, with boolean masks of where one was found. It works batch-last, on
-one contiguous (4, n, batch) array (batch_last), so that each sum or max over the
-lines of a configuration adds whole rows of the batch instead of reducing a short
-trailing axis, which numpy does many times slower. common_points and
-common_planes give it (..., n, 4) batches, common_point and common_plane a single
-LineConfig.
+plane_kernel, with boolean masks of where one was found: the batch API. It works
+batch-last, on one contiguous (4, n, batch) array (batch_last), so that each sum
+or max over the lines of a configuration adds whole rows of the batch instead of
+reducing a short trailing axis, which numpy does many times slower. common_point
+and common_plane call it on a single LineConfig.
 """
 
 from __future__ import annotations
@@ -293,8 +292,17 @@ def _line_sum(A: np.ndarray) -> np.ndarray:
 
 
 def point_kernel(V: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """common_points on a (4, n, batch) chart array (see batch_last): the (3, batch)
-    points and the (batch,) masks found and parallel."""
+    """Least-squares common point of every configuration in a (4, n, batch) chart
+    array (see batch_last): a line passes through (x, y, z) iff a = x - c*z and
+    b = y - d*z. For a fixed z the best (x, y) are the means of a + c*z and
+    b + d*z, which leaves z in closed form over the centered coordinates.
+
+    Returns (points, found, parallel): the (3, batch) points and two (batch,)
+    masks. `parallel` marks directions (c, d) that all agree within
+    tol * max |coord|, a common point at infinity; `found` marks the other
+    configurations whose worst residual, a - x + c*z or b - y + d*z, is within
+    tol * max |coord| * (1 + |z|).
+    """
     T, cmax, unit = _scaled(V)
     _, n, batch = T.shape
     mean = _line_sum(T) / n
@@ -313,23 +321,6 @@ def point_kernel(V: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarr
     resid = np.abs(miss, out=miss).max(axis=(0, 1))
     found = ~parallel & (resid <= scale * (1 + np.abs(z)))
     return np.concatenate([(mean[:2] + mean[2:] * z) / unit, z[None]]), found, parallel
-
-
-def common_points(X: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least-squares common point of every configuration in a (..., n, 4) chart
-    array: a line passes through (x, y, z) iff a = x - c*z and b = y - d*z. For a
-    fixed z the best (x, y) are the means of a + c*z and b + d*z, which leaves z in
-    closed form over the centered coordinates.
-
-    Returns (points, found, parallel): the (..., 3) points and two (...) masks.
-    `parallel` marks directions (c, d) that all agree within tol * max |coord|, a
-    common point at infinity; `found` marks the other configurations whose worst
-    residual, a - x + c*z or b - y + d*z, is within tol * max |coord| * (1 + |z|).
-    """
-    X = np.asarray(X, dtype=float)
-    lead = X.shape[:-2]
-    points, found, parallel = point_kernel(batch_last(X), tol)
-    return points.T.reshape(*lead, 3), found.reshape(lead), parallel.reshape(lead)
 
 
 def _plane_system(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -368,8 +359,19 @@ def _plane_solution(T: np.ndarray, cmax: np.ndarray, unit: np.ndarray) -> np.nda
 
 
 def plane_kernel(V: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """common_planes on a (4, n, batch) chart array (see batch_last): the (3, batch)
-    rows lam, mu, nu and the (batch,) mask found."""
+    """Least-squares common plane z = lam*x + mu*y + nu of every configuration in a
+    (4, n, batch) chart array (see batch_last): a line lies in it iff
+    lam*c + mu*d = 1 and lam*a + mu*b + nu = 0.
+
+    The best nu is -(lam mean a + mu mean b), and (lam, mu) come from modified
+    Gram-Schmidt on the two centered columns. Where those are dependent to within
+    1e-10 of max |coord| (all lines in one vertical plane, or one line repeated),
+    np.linalg.lstsq picks the minimum-norm (lam, mu, nu) of the lines in their
+    chart unit (see _scaled) instead.
+
+    Returns (planes, found): the (3, batch) rows lam, mu, nu and a (batch,) mask of
+    the worst residual within tol * (1 + max |coord| * max |lam, mu| + |nu|).
+    """
     T, cmax, unit = _scaled(V)
     sol = _plane_solution(T, cmax, unit)
     # rows (lam*a + mu*b, lam*c + mu*d) of every line, less (-nu, 1)
@@ -379,26 +381,6 @@ def plane_kernel(V: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarr
     sol[:2] *= unit
     bound = tol * (1 + cmax * np.abs(sol[:2]).max(axis=0) + np.abs(sol[2]))
     return sol, np.abs(resid).max(axis=(0, 1)) <= bound
-
-
-def common_planes(X: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares common plane z = lam*x + mu*y + nu of every configuration in a
-    (..., n, 4) chart array: a line lies in it iff lam*c + mu*d = 1 and
-    lam*a + mu*b + nu = 0.
-
-    The best nu is -(lam mean a + mu mean b), and (lam, mu) come from modified
-    Gram-Schmidt on the two centered columns. Where those are dependent to within
-    1e-10 of max |coord| (all lines in one vertical plane, or one line repeated),
-    np.linalg.lstsq picks the minimum-norm (lam, mu, nu) of the lines in their
-    chart unit (see _scaled) instead.
-
-    Returns (planes, found): the (..., 3) rows (lam, mu, nu) and a (...) mask of the
-    worst residual within tol * (1 + max |coord| * max |lam, mu| + |nu|).
-    """
-    X = np.asarray(X, dtype=float)
-    lead = X.shape[:-2]
-    planes, found = plane_kernel(batch_last(X), tol)
-    return planes.T.reshape(*lead, 3), found.reshape(lead)
 
 
 def _checked_array(L: LineConfig, tol: float, name: str) -> np.ndarray:

@@ -16,12 +16,11 @@ from typing import Optional
 import numpy as np
 
 from .connectivity import is_k_connected
-from .elekes_sharir import phi, reflection_at, to_line, to_lines
+from .elekes_sharir import phi, reflection_at, rotation_at, to_line, to_lines
 from .errors import DomainError, SampleError
-from .graphs import Graph, generate
-from .lines3d import (Line, Plane, _dependent, classify_triple, common_planes, common_points,
-                      incidence, line_through, meet_residual, plane_kernel, point_kernel,
-                      transversal)
+from .graphs import Graph, _nth_non_edge, generate
+from .lines3d import (Line, Plane, _dependent, batch_last, classify_triple, incidence,
+                      line_through, meet_residual, plane_kernel, point_kernel, transversal)
 from .numeric import pair_system_dimension, rank_exact, rigidity, transversal_family_dimension
 from .sampler import (knn_jacobian, sample_congruent_pair, sample_knn_params,
                       sample_laman_lines_exact_info, sample_laman_lines_info)
@@ -112,8 +111,8 @@ def theorem_main(seeds: int = 50, n_max: int = 10, seed: int = 0) -> SuiteReport
 
 def _random_tree_plus_edge(n: int, rng: random.Random) -> Graph:
     edges = [(rng.randrange(v), v) for v in range(1, n)]
-    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in set(edges)]
-    edges.append(rng.choice(non_edges))
+    # rng.choice on the canonical list of the C(n - 1, 2) non-edges, unlisted: the same draw
+    edges.append(_nth_non_edge(n, set(edges), rng.randrange((n - 1) * (n - 2) // 2)))
     return Graph.from_edges(n, edges)
 
 
@@ -394,12 +393,11 @@ def _trials(arrays, s) -> list[np.ndarray]:
 
 
 def _incidence_gap(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """4 * g(to_line(a, b), to_line(c, d)) and |b-d|^2 - |a-c|^2 of the (4, 2, ...)
-    integer points (a, b, c, d)."""
+    """4 * g(to_line(a, b), to_line(c, d)) by to_lines, and |b-d|^2 - |a-c|^2, of the
+    (4, 2, ...) integer points (a, b, c, d). Exact in float64 for |coordinate| <= 1000:
+    g is a quarter-integer of magnitude at most 8e6, far below 2**53."""
     a, b, c, d = pts
-    ua, va = a + b, np.array([a[1] - b[1], b[0] - a[0]])
-    uc, vc = c + d, np.array([c[1] - d[1], d[0] - c[0]])
-    g4 = incidence(np.concatenate([ua - uc, va - vc]))
+    g4 = 4 * incidence(to_lines(a, b) - to_lines(c, d))
     return g4, ((b - d) ** 2).sum(axis=0) - ((a - c) ** 2).sum(axis=0)
 
 
@@ -421,8 +419,8 @@ def _distance_incidence(rng: np.random.Generator, trials: int, rep: SuiteReport)
 
 
 def _rotation_recovery(rng: np.random.Generator, A: np.ndarray, rep: SuiteReport) -> None:
-    """Rotated images: the lines are concurrent, and their common point gives the
-    rotation back to 1e-9."""
+    """Rotated images: the lines are concurrent, and rotation_at of their common
+    point gives the rotation back to 1e-9."""
     theta = rng.uniform(0.25, 2 * math.pi - 0.25, size=A.shape[2])
     center = rng.uniform(-5, 5, size=(2, 1, A.shape[2]))
     worst = []
@@ -430,9 +428,7 @@ def _rotation_recovery(rng: np.random.Generator, A: np.ndarray, rep: SuiteReport
         Ab, th, cb = _trials((A, theta, center), s)
         B = _rotate(Ab - cb, np.cos(th), np.sin(th)) + cb
         sol = point_kernel(to_lines(Ab, B))[0]
-        tsol = sol[2]
-        denom = tsol ** 2 + 1.0
-        Brec = _rotate(Ab - sol[:2, None], (tsol ** 2 - 1.0) / denom, 2.0 * tsol / denom) + sol[:2, None]
+        Brec = _rotate(Ab - sol[:2, None], *rotation_at(sol).cos_sin()) + sol[:2, None]
         worst.append(np.max(np.abs(Brec - B)))
     worst = float(np.max(worst))
     rep.record(worst <= 1e-9, part="rotation-recovery", trials=A.shape[2], worst=worst)
@@ -447,21 +443,19 @@ def _reflect(A: np.ndarray, phi_ang: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _reflection_recovery(rng: np.random.Generator, A: np.ndarray,
                          rep: SuiteReport) -> tuple[np.ndarray, np.ndarray]:
-    """Reflected images: the lines are coplanar, and their common plane gives the
-    reversing motion back to 1e-9. Returns the draws that _reflect turns into the
-    images."""
+    """Reflected images: the lines are coplanar, and reflection_at of their common
+    plane gives the reversing motion back to 1e-9. Returns the draws that _reflect
+    turns into the images."""
     phi_ang = rng.uniform(0, 2 * math.pi, size=A.shape[2])
     t = rng.uniform(-5, 5, size=(2, 1, A.shape[2]))
     worst = []
     for s in _blocks(A.shape[2]):
         Ab, ph, tb = _trials((A, phi_ang, t), s)
         B = _reflect(Ab, ph, tb)
-        sol = plane_kernel(to_lines(Ab, B))[0]
-        wnorm = np.hypot(sol[0], sol[1])
-        e1 = sol[:2] / wnorm
-        e2 = np.array([-e1[1], e1[0]])
-        proj = (Ab * e1[:, None]).sum(axis=0) + sol[2] / wnorm
-        Brec = Ab - 2.0 * proj * e1[:, None] - (2.0 / wnorm) * e2[:, None]
+        h = reflection_at(Plane(*plane_kernel(to_lines(Ab, B))[0]))
+        (m00, m01), (m10, m11) = h.matrix
+        tx, ty = h.translation
+        Brec = np.array([m00 * Ab[0] + m01 * Ab[1] + tx, m10 * Ab[0] + m11 * Ab[1] + ty])
         worst.append(np.max(np.abs(Brec - B)))
     worst = float(np.max(worst))
     rep.record(worst <= 1e-9, part="reflection-recovery", trials=A.shape[2], worst=worst)
@@ -523,13 +517,13 @@ def lemma_cong(trials: int = 100000, seed: int = 0) -> SuiteReport:
     collinear = _collinear_preimages(rng, r, trials, rep)
     # subsample through the module predicates: one stack of collinear preimages,
     # one of reflections, each configuration built by phi
-    X = _phi_stack(*_collinear(*_trials(collinear, rng.integers(0, trials, size=50))))
-    module_ok = bool(np.all(common_points(X)[1] & common_planes(X)[1]))
+    V = batch_last(_phi_stack(*_collinear(*_trials(collinear, rng.integers(0, trials, size=50)))))
+    module_ok = bool(np.all(point_kernel(V)[1] & plane_kernel(V)[1]))
     ks = rng.integers(0, trials, size=20)
     Ak = A[..., ks]
     Bk = _reflect(Ak, *_trials(reflection, ks))
-    planes, found = common_planes(_phi_stack(Ak, Bk))
-    for k, (plane, ok) in enumerate(zip(planes.tolist(), found.tolist())):
+    planes, found = plane_kernel(batch_last(_phi_stack(Ak, Bk)))
+    for k, (plane, ok) in enumerate(zip(planes.T.tolist(), found.tolist())):
         if not ok:
             module_ok = False
             continue

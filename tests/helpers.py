@@ -294,7 +294,7 @@ def normalized_eliminate(M: np.ndarray, p: int) -> int:
 # The common-point / common-plane kernels as they were when they worked on a
 # (4, ..., n) copy of the chart array, each configuration's lines contiguous, so
 # that every reduction over lines ran along a short trailing axis. Frozen here as
-# the oracle that lines3d.common_points / common_planes are held to.
+# the oracle that lines3d.point_kernel / plane_kernel are held to.
 
 
 def _rowmajor_scaled(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -13,11 +13,10 @@ from hypothesis.extra import numpy as hnp
 from linerig import verify
 from linerig.errors import DomainError
 from linerig.lines3d import (Line, LineConfig, Plane, TripleClass, _triple_coplanar, batch_last,
-                             classify_triple, common_plane, common_planes, common_point,
-                             common_points, incidence, incidence_form, intersection_graph,
-                             is_exact, line_through, meet_residual, pair_intersection,
-                             pair_tests, plane_kernel, point_kernel, transversal,
-                             transversal_detail)
+                             classify_triple, common_plane, common_point, incidence,
+                             incidence_form, intersection_graph, is_exact, line_through,
+                             meet_residual, pair_intersection, pair_tests, plane_kernel,
+                             point_kernel, transversal, transversal_detail)
 
 
 def test_meet_residual_examples():
@@ -491,20 +490,16 @@ def test_common_kernel_matches_lstsq_reference(n):
     rng = np.random.default_rng(n)
     X = np.concatenate([_batch(kind, 40, n, rng) for kind in KINDS])
     X = X[rng.permutation(len(X))]
-    points, point_found, parallel = common_points(X)
-    planes, plane_found = common_planes(X)
+    points, point_found, parallel = point_kernel(batch_last(X))
+    planes, plane_found = plane_kernel(batch_last(X))
     for k in range(len(X)):
         sol, found, par = _lstsq_point(X[k])
         assert (bool(point_found[k]), bool(parallel[k])) == (found, par), k
         if not par:
-            assert np.abs(points[k] - sol).max() <= 1e-9 * (1.0 + np.abs(sol).max()), k
+            assert np.abs(points[:, k] - sol).max() <= 1e-9 * (1.0 + np.abs(sol).max()), k
         sol, found = _lstsq_plane(X[k])
         assert bool(plane_found[k]) == found, k
-        assert np.abs(planes[k] - sol).max() <= 1e-9 * (1.0 + np.abs(sol).max()), k
-    # any leading batch shape gives the same rows
-    grid = X.reshape(2, -1, n, 4)
-    assert np.array_equal(common_points(grid)[0].reshape(-1, 3), points)
-    assert np.array_equal(common_planes(grid)[1].reshape(-1), plane_found)
+        assert np.abs(planes[:, k] - sol).max() <= 1e-9 * (1.0 + np.abs(sol).max()), k
 
 
 @pytest.mark.parametrize("batch", [1, 7, 50])
@@ -512,20 +507,22 @@ def test_common_kernel_matches_lstsq_reference(n):
 def test_batch_last_kernels_match_the_row_major_oracle(n, batch):
     """The (4, n, batch) kernels give the masks of the row-major kernels they
     replaced, and values within 1e-12 of them (relative to 1 + the largest
-    |value|); points are compared where the lines are not all parallel."""
+    |value|), compared in the kernels' (3, batch) layout; points are compared
+    where the lines are not all parallel."""
     rng = np.random.default_rng(10 * n + batch)
     for kind in KINDS:
         X = _batch(kind, batch, n, rng)
-        points, point_found, parallel = common_points(X)
-        planes, plane_found = common_planes(X)
+        points, point_found, parallel = point_kernel(batch_last(X))
+        planes, plane_found = plane_kernel(batch_last(X))
         want_points, want_point_found, want_parallel = rowmajor_common_points(X)
         want_planes, want_plane_found = rowmajor_common_planes(X)
         assert np.array_equal(point_found, want_point_found), kind
         assert np.array_equal(parallel, want_parallel), kind
         assert np.array_equal(plane_found, want_plane_found), kind
-        for got, want in ((points[~parallel], want_points[~parallel]), (planes, want_planes)):
-            gap = np.abs(got - want).max(axis=-1, initial=0.0)
-            assert np.all(gap <= 1e-12 * (1.0 + np.abs(want).max(axis=-1, initial=0.0))), kind
+        pairs = ((points[:, ~parallel], want_points[~parallel].T), (planes, want_planes.T))
+        for got, want in pairs:
+            gap = np.abs(got - want).max(axis=0, initial=0.0)
+            assert np.all(gap <= 1e-12 * (1.0 + np.abs(want).max(axis=0, initial=0.0))), kind
 
 
 def _bits(*arrays):
@@ -542,31 +539,31 @@ def test_kernel_on_a_batch_equals_the_kernel_on_each_item(data, n, size):
         X = data.draw(hnp.arrays(float, (size, n, 4), elements=st.floats(-1e3, 1e3, width=32)))
     else:
         X = _batch(kind, size, n, np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))))
-    points, planes = common_points(X), common_planes(X)
+    points, planes = point_kernel(batch_last(X)), plane_kernel(batch_last(X))
     for k in range(size):
-        assert _bits(*common_points(X[k])) == _bits(*(a[k] for a in points)), k
-        assert _bits(*common_planes(X[k])) == _bits(*(a[k] for a in planes)), k
+        one = batch_last(X[k])
+        assert _bits(*point_kernel(one)) == _bits(*(a[..., k:k + 1] for a in points)), k
+        assert _bits(*plane_kernel(one)) == _bits(*(a[..., k:k + 1] for a in planes)), k
 
 
 def test_kernels_read_batch_last_arrays():
-    """point_kernel and plane_kernel take the (4, n, batch) layout that
-    common_points and common_planes transpose to; a contiguous copy or a
-    strided view of it gives the same bits."""
+    """point_kernel and plane_kernel take the (4, n, batch) layout of batch_last,
+    a strided view of the (batch, n, 4) rows; a contiguous copy of it gives the
+    same bits as the view."""
     X = _batch("concurrent", 6, 5, np.random.default_rng(8))
     X0 = X.copy()
     V = batch_last(X)
     assert V.shape == (4, 5, 6) and np.shares_memory(V, X)
-    for view in (V, np.ascontiguousarray(V)):
-        points, found, parallel = point_kernel(view)
-        assert _bits(points.T, found, parallel) == _bits(*common_points(X0))
-        planes, found = plane_kernel(view)
-        assert _bits(planes.T, found) == _bits(*common_planes(X0))
+    C = np.ascontiguousarray(V)
+    assert _bits(*point_kernel(V)) == _bits(*point_kernel(C))
+    assert _bits(*plane_kernel(V)) == _bits(*plane_kernel(C))
+    for view in (V, C):
         assert np.array_equal(view, batch_last(X0))  # the kernels do not write to their input
     # an empty batch has empty answers
-    points, found, parallel = common_points(np.zeros((0, 3, 4)))
-    assert points.shape == (0, 3) and found.shape == parallel.shape == (0,)
-    planes, found = common_planes(np.zeros((2, 0, 3, 4)))
-    assert planes.shape == (2, 0, 3) and found.shape == (2, 0)
+    points, found, parallel = point_kernel(batch_last(np.zeros((0, 3, 4))))
+    assert points.shape == (3, 0) and found.shape == parallel.shape == (0,)
+    planes, found = plane_kernel(batch_last(np.zeros((2, 0, 3, 4))))
+    assert planes.shape == (3, 0) and found.shape == (0,)
 
 
 def test_common_point_kernel_near_parallel_matches_exact_least_squares():
@@ -575,7 +572,7 @@ def test_common_point_kernel_near_parallel_matches_exact_least_squares():
     rng = np.random.default_rng(5)
     X = _batch("generic", 50, 4, rng)
     X[..., 2:] = X[:, :1, 2:] + rng.uniform(-1e-6, 1e-6, size=(50, 4, 2))
-    points, _, parallel = common_points(X)
+    points, _, parallel = point_kernel(batch_last(X))
     assert not parallel.any()
     for k in range(len(X)):
         a, b, c, d = ([Fraction(v) for v in X[k, :, col]] for col in range(4))
@@ -585,17 +582,21 @@ def test_common_point_kernel_near_parallel_matches_exact_least_squares():
         den = sum((ci - mean[2]) ** 2 + (di - mean[3]) ** 2 for ci, di in zip(c, d))
         z = -num / den
         exact = np.array([float(mean[0] + mean[2] * z), float(mean[1] + mean[3] * z), float(z)])
-        assert np.abs(points[k] - exact).max() <= 1e-12 * (1.0 + np.abs(exact).max()), k
+        assert np.abs(points[:, k] - exact).max() <= 1e-12 * (1.0 + np.abs(exact).max()), k
 
 
 def test_common_wrappers_read_the_kernel():
+    """common_point and common_plane give, bit for bit, the kernel's answer for
+    their configuration inside a batch."""
+    rng = np.random.default_rng(3)
     X = np.array([[0.0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 2, 5]])
     cfg = LineConfig.from_rows(X.tolist())
-    points, found, _ = common_points(X)
-    assert found and common_point(cfg).point == tuple(points.tolist())
+    points, found, _ = point_kernel(batch_last(np.stack([X, rng.normal(size=X.shape)])))
+    assert found[0] and common_point(cfg).point == tuple(points[:, 0].tolist())
     Y = np.array([[1.0, 2, 1, 1], [1, 2, 2, -1]])
-    planes, found = common_planes(Y)
-    assert found and common_plane(LineConfig.from_rows(Y.tolist())) == Plane(*planes.tolist())
+    planes, found = plane_kernel(batch_last(np.stack([rng.normal(size=Y.shape), Y])))
+    assert found[1]
+    assert common_plane(LineConfig.from_rows(Y.tolist())) == Plane(*planes[:, 1].tolist())
     with pytest.raises(DomainError):
         common_point(LineConfig.from_rows([[0, 0, 0, 0]]))
     with pytest.raises(DomainError):
@@ -617,8 +618,8 @@ def test_float_predicates_decide_alike_at_every_chart_scale(k, seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 10))
     X = np.concatenate([_batch(kind, 4, n, rng) for kind in _DECIDED_KINDS])
-    for kernel in (common_points, common_planes):
-        for want, got in zip(kernel(X)[1:], kernel(X * lam)[1:]):
+    for kernel in (point_kernel, plane_kernel):
+        for want, got in zip(kernel(batch_last(X))[1:], kernel(batch_last(X * lam))[1:]):
             assert np.array_equal(want, got), kernel.__name__
     r = random.Random(seed)
     for tag, (draw, in_class, _) in verify._TRIPLES.items():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -5,12 +6,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from linerig.elekes_sharir import reflection_at, rotation_at, to_lines
 from linerig.errors import DomainError
-from linerig.lines3d import (Line, LineConfig, classify_triple, common_planes, common_points,
-                             meet_residual, pair_intersection)
-from linerig.verify import (_TRIPLES, SuiteReport, four_line_quadruples, four_lines,
-                            lemma_3lines, lemma_complete, lemma_cong, pairwise_incident,
-                            theorem_main, theorem_mainnec)
+from linerig.graphs import Graph
+from linerig.lines3d import (Line, LineConfig, batch_last, classify_triple, meet_residual,
+                             pair_intersection, plane_kernel, point_kernel)
+from linerig.verify import (_TRIPLES, SuiteReport, _random_tree_plus_edge, four_line_quadruples,
+                            four_lines, lemma_3lines, lemma_complete, lemma_cong,
+                            pairwise_incident, theorem_main, theorem_mainnec)
 
 
 def _fraction_lines(V, q, k):
@@ -20,7 +23,7 @@ def _fraction_lines(V, q, k):
 def _fraction_four_lines(trials, seed=0, tol=1e-8):
     """four-lines trial by trial on the suite's draw: each quadruple's integer rows
     rebuilt in Fractions, the six meet_residual tests on it, float charts by
-    float(Fraction) through common_points and common_planes."""
+    float(Fraction) through point_kernel and plane_kernel."""
     modes, V, q = four_line_quadruples(trials, seed)
     rep = SuiteReport("four-lines")
     cases, charts = [], []
@@ -30,8 +33,8 @@ def _fraction_four_lines(trials, seed=0, tol=1e-8):
         cases.append((mode, exact_zero))
         charts.append([[float(x) for x in row] for row in LineConfig(tuple(lines)).coords()])
     X = np.array(charts).reshape(trials, 4, 4)
-    _, point_found, parallel = common_points(X, tol)
-    _, plane_found = common_planes(X, tol)
+    _, point_found, parallel = point_kernel(batch_last(X), tol)
+    _, plane_found = plane_kernel(batch_last(X), tol)
     for k, (mode, exact_zero) in enumerate(cases):
         point_ok = bool(point_found[k] or parallel[k])
         plane_ok = bool(plane_found[k])
@@ -187,8 +190,6 @@ def test_lemma_3lines_reports_a_faulty_classifier(monkeypatch, fault):
     DomainError on it, fails exactly those instances and says how. The call budget
     turns a suite that redraws until the classifier agrees into a failure, not a
     hang; pytest.fail raises a BaseException, which no `except Exception` swallows."""
-    import dataclasses
-
     import linerig.verify as verify
     calls = []
     classify = verify.classify_triple
@@ -235,6 +236,54 @@ def test_theorem_main_ranks_each_exact_sample_once(monkeypatch):
         monkeypatch.setattr(module, "rank_exact", built)
     rep = theorem_main(seeds=8, n_max=30, seed=1)
     assert rep.ok and len(calls) == 8
+
+
+def test_random_tree_plus_edge_draws_rng_choice_of_the_non_edges():
+    """The extra edge is rng.choice on the listed non-edges, the same _randbelow
+    draw: the same graph, and the rng left in the same state, for n = 4-10."""
+    def listed(n, rng):
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        edges.append(rng.choice([(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if (u, v) not in edges]))
+        return Graph.from_edges(n, edges)
+
+    for n in range(4, 11):
+        for seed in range(50):
+            got, want = random.Random(seed), random.Random(seed)
+            assert _random_tree_plus_edge(n, got) == listed(n, want), (n, seed)
+            assert got.getstate() == want.getstate(), (n, seed)
+
+
+def _rotation_t_off(point):
+    rot = rotation_at(point)
+    return dataclasses.replace(rot, t=rot.t * (1 + 1e-6))
+
+
+def _reflection_translation_negated(plane):
+    h = reflection_at(plane)
+    return dataclasses.replace(h, translation=tuple(-x for x in h.translation))
+
+
+def _to_lines_cd_swapped(A, B):
+    return to_lines(A, B)[[0, 1, 3, 2]]
+
+
+@pytest.mark.parametrize("name, perturbed, parts", [
+    ("rotation_at", _rotation_t_off, {"rotation-recovery"}),
+    ("reflection_at", _reflection_translation_negated,
+     {"reflection-recovery", "module-predicate-agreement"}),
+    ("to_lines", _to_lines_cd_swapped,
+     {"distance-incidence", "distance-incidence-module-agreement", "rotation-recovery",
+      "reflection-recovery", "collinear-preimages"}),
+])
+def test_lemma_cong_checks_the_library_formulas(monkeypatch, name, perturbed, parts):
+    """lemma-cong recovers motions through elekes_sharir's own rotation_at and
+    reflection_at, and takes its incidences through to_lines: a perturbed copy of
+    either fails the parts that read it."""
+    import linerig.verify as verify
+    monkeypatch.setattr(verify, name, perturbed)
+    rep = lemma_cong(5000, 0)
+    assert not rep.ok and {f["part"] for f in rep.failures} == parts
 
 
 def _cong_records(monkeypatch, trials, seed, block=None):
@@ -287,9 +336,10 @@ def test_lemma_cong_keeps_a_fault_of_its_first_block(monkeypatch):
 
     def moved(A, B):
         X = to_lines(A, B)
-        calls.append("to_lines")
-        if calls.count("to_lines") in (1, 4, 7):  # three blocks a part
-            X[:, 0, 0] += 0.5
+        if X.ndim == 3:  # a recovery part's (4, n, block) lines, not _incidence_gap's
+            calls.append("to_lines")
+            if calls.count("to_lines") in (1, 4, 7):  # three blocks a part
+                X[:, 0, 0] += 0.5
         return X
 
     monkeypatch.setattr(verify, "_BLOCK", 7)
