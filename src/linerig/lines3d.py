@@ -128,13 +128,14 @@ def number_rows(rows: object, width: int, what: str) -> list[list[float]]:
     return floats
 
 
-def check_squares(X: np.ndarray, terms: int) -> float:
+def check_squares(X: np.ndarray, terms: int, what: Optional[str] = None) -> float:
     """max |X| of the float coordinates X. Raises DomainError, before numpy overflows,
-    when a sum of `terms` products of their differences (each <= 2 max |X|) could:
-    squared distances of points (rows of width 2), or incidences of chart lines."""
+    when a sum of `terms` products of their differences (each <= 2 max |X|) could.
+    The message names `what` overflows: by default squared distances of points (rows
+    of width 2), or incidences of chart lines."""
     big = float(np.abs(X).max(initial=0.0))
     if big > math.sqrt(np.finfo(float).max / terms) / 2:
-        what = "squared distances" if X.shape[-1] == 2 else "line incidences"
+        what = what or ("squared distances" if X.shape[-1] == 2 else "line incidences")
         raise DomainError(f"coordinate {big:.3g} is too large: {what} overflow the float range")
     return big
 

@@ -9,7 +9,15 @@ edge function, the rigidity matrix R and the pair system [R(p), -R(p')];
 lines3d.incidence_form (D0*D3 - D1*D2, gradient (D3, -D2, -D1, D0)) on (n, 4) line
 charts gives the incidence system. The kernel runs unchanged on float arrays and on
 object arrays of ints and Fractions, exact when every coordinate passes
-lines3d.is_exact.
+lines3d.is_exact. Row k of J is the face-splitting (row-wise Kronecker) product
+s_k (x) grad_k of row k of the signed incidence matrix S (1 in column i, -1 in column
+j) and the form's gradient, so for every edge system
+
+    J J^T = (S S^T) o (grad grad^T)  and  J^T y = S^T (y o grad),
+
+with o the entrywise product, and S = signed_incidence(i, j, n) depends on the graph
+only. Neither product forms J: the float sampler's Gauss-Newton steps take both this
+way, with S S^T built once per projection.
 
 Each dimension report gives its system once: its rows X, the residual of the row
 differences D (the incidence, or |D_p|^2 - |D_p'|^2 of a pair), and a map from rows
@@ -217,6 +225,17 @@ def edge_system(X: np.ndarray, i: np.ndarray, j: np.ndarray, form: Form
     J[rows, w * i[:, None] + slots] = grad
     J[rows, w * j[:, None] + slots] = -grad
     return g, J
+
+
+def signed_incidence(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """The m x n signed incidence matrix S of the edges (i[k], j[k]) on n vertices:
+    row k holds 1 in column i[k] and -1 in column j[k]. S S^T has 2 on its diagonal
+    and +1 or -1 where two edges share an endpoint."""
+    S = np.zeros((len(i), n))
+    rows = np.arange(len(i))
+    S[rows, i] = 1.0
+    S[rows, j] = -1.0
+    return S
 
 
 def edge_index(G: Graph) -> tuple[np.ndarray, np.ndarray]:

@@ -7,9 +7,14 @@ projected random start lands at a smooth point of a full-dimensional component,
 which is what the paper's *generic* realization asks for; no Henneberg sequence is
 replayed.
 
-The projection returns as soon as every edge passes the residual rule of
-lines3d.edge_residuals, which pair_tests and line_system_dimension apply too, and
-gives up as soon as two steps in a row fail to lower the largest |g|.
+The projection takes least-norm steps delta = J^T (J J^T)^-1 g without forming the
+m x 4n Jacobian J: by numeric's edge-system identity J J^T is (S S^T) o (grad grad^T)
+and J^T y is S^T (y o grad), for the m x 4 incidence gradients grad of D = X[i] - X[j]
+and the graph's signed incidence matrix S, whose S S^T is built once per projection.
+Only a singular J J^T makes it build J, for lstsq. It returns as soon as every edge
+passes the residual rule (lines3d.residual_measure), which pair_tests and
+line_system_dimension apply too, and gives up as soon as two steps in a row fail to
+lower the largest |g|.
 
 The exact sampler constructs its configuration line by line in exact arithmetic
 (int draws, Fraction quotients), replaying the graph's extension sequence: the
@@ -39,10 +44,11 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, SampleError
 from .graphs import MAX_VERTICES, Graph
 from .henneberg import Ext0, Ext1, extract_henneberg
-from .lines3d import (Line, LineConfig, _triple_coplanar, check_squares, edge_residuals,
+from .lines3d import (Line, LineConfig, _edge_norms, _triple_coplanar, check_squares,
                       incidence_form, line_through, meet_residual, pair_intersection,
-                      pair_tests, transversal_detail)
-from .numeric import DimensionReport, edge_index, edge_system, line_system_dimension
+                      pair_tests, residual_measure, transversal_detail)
+from .numeric import (DimensionReport, edge_index, edge_system, line_system_dimension,
+                      signed_incidence)
 from .sparsity import is_laman
 
 _BOX = 40  # coordinate box for integer draws
@@ -148,13 +154,17 @@ def _construct(G: Graph, steps, relabel, rng: random.Random) -> Optional[LineCon
     return LineConfig(tuple(by_original))
 
 
-def _least_norm_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """delta = J^T (J J^T)^-1 r, the shortest step that zeroes the linearized residual."""
+def _least_norm_step(X: np.ndarray, i: np.ndarray, j: np.ndarray, S: np.ndarray,
+                     SS: np.ndarray, g: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """delta = J^T (J J^T)^-1 g, the shortest step that zeroes the linearized residual,
+    as an (n, 4) array, from the signed incidence matrix S of the edges (i, j) and
+    SS = S S^T (the module docstring); lstsq on J, built then, when J J^T is singular."""
     try:
-        return J.T @ np.linalg.solve(J @ J.T, r)
+        y = np.linalg.solve(SS * (grad @ grad.T), g)
     except np.linalg.LinAlgError:
-        delta, *_ = np.linalg.lstsq(J, r, rcond=None)
-        return delta
+        delta, *_ = np.linalg.lstsq(edge_system(X, i, j, incidence_form)[1], g, rcond=None)
+        return delta.reshape(X.shape)
+    return S.T @ (y[:, None] * grad)
 
 
 def gauss_newton_project(G: Graph, x0: LineConfig, tol: float = 1e-12,
@@ -162,20 +172,25 @@ def gauss_newton_project(G: Graph, x0: LineConfig, tol: float = 1e-12,
     """Project a nearby configuration onto the incidence system of G.
 
     Least-norm Gauss-Newton steps. Returns once every edge passes the residual rule
-    at tol (lines3d.edge_residuals), whose rounding term passes the float floor.
+    at tol (lines3d.residual_measure), whose rounding term passes the float floor.
     Raises ConvergenceError, carrying the largest measure at the step of least
     max |g|, when two steps in a row fail to lower that max |g| (from a random start
     the measures swing while lines travel far) or max_iter steps do not reach tol.
+    Raises DomainError when the start's J J^T could overflow.
     """
     if x0.n != G.n:
         raise DomainError(f"configuration has {x0.n} lines for a graph on {G.n} vertices")
     i, j = edge_index(G)
     X = x0.as_array()
-    check_squares(X, 2)  # the incidence sums two products of differences
+    # a diagonal entry of J J^T sums eight products of coordinate differences
+    check_squares(X, 8, "normal-matrix entries")
+    S = signed_incidence(i, j, G.n)
+    SS = S @ S.T
     best, measure, stalls = np.inf, np.inf, 0
     for step in range(max_iter + 1):
-        g, J = edge_system(X, i, j, incidence_form)
-        worst = float(np.max(edge_residuals(g, X, i, j), initial=0.0))
+        D, d, big = _edge_norms(X, i, j)
+        g, grad = incidence_form(D.T)
+        worst = float(np.max(residual_measure(g, d, big), initial=0.0))
         if worst <= tol:
             return LineConfig.from_rows(X.tolist())
         size = float(np.abs(g).max())
@@ -188,7 +203,7 @@ def gauss_newton_project(G: Graph, x0: LineConfig, tol: float = 1e-12,
                     f"Gauss-Newton stalled at residual {measure:.2e} after {step} steps, "
                     f"above tol {tol:.1e}", measure)
         if step < max_iter:
-            X = X - _least_norm_step(J, g).reshape(X.shape)
+            X = X - _least_norm_step(X, i, j, S, SS, g, grad)
     raise ConvergenceError(
         f"Gauss-Newton did not reach tol {tol:.1e} in {max_iter} steps "
         f"(residual {measure:.2e})", measure)

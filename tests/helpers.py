@@ -408,6 +408,17 @@ def finite_difference_jacobian(func, x0: np.ndarray, step: float = 1e-6) -> np.n
     return J
 
 
+def dense_least_norm_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """delta = J^T (J J^T)^-1 r from the dense m x 4n Jacobian J, or lstsq's least-norm
+    solution of J delta = r when J J^T is singular: the reference that the sampler's
+    steps from the m x 4 incidence gradients are held to."""
+    try:
+        return J.T @ np.linalg.solve(J @ J.T, r)
+    except np.linalg.LinAlgError:
+        delta, *_ = np.linalg.lstsq(J, r, rcond=None)
+        return delta
+
+
 def fraction_rank(rows) -> int:
     """Rank over Q by Gauss-Jordan elimination in Fractions: the oracle that
     numeric.rank_exact's prime-field ranks must equal."""

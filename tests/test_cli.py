@@ -801,10 +801,33 @@ def test_incidence_overflow_is_an_error(tmp_path, capsys, cmd):
         assert code == 0 and err == "" and json.loads(out)
 
 
+def test_projection_overflow_names_the_normal_matrix(tmp_path, capsys):
+    # at +-4.6e153 the incidences fit the float range, but the diagonal of the
+    # projection's J J^T, eight products of differences, does not
+    row_signs = [[1, 1, -1, 1], [1, 1, 1, 1], [1, -1, -1, 1], [-1, -1, 1, -1]]
+    cpath = tmp_path / "lines.json"
+    cpath.write_text(json.dumps({"lines": [[s * 4.6e153 for s in r] for r in row_signs]}))
+    gpath = tmp_path / "g.json"
+    gpath.write_text(_SAMPLE_GRAPH)
+    code, out, err = run(capsys, "lines", "graph", str(cpath))
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, "sample", "project", str(gpath), str(cpath))
+    assert code == 2 and out == ""
+    assert err == ("error: coordinate 4.6e+153 is too large: normal-matrix entries overflow "
+                   "the float range\n")
+
+
 # `sample laman` on K4 minus an edge with --seed 1: the projection of the random
 # integer start drawn for (seed 1, attempt 1)
 _SAMPLE_GRAPH = '{"n":4,"edges":[[0,2],[0,3],[1,2],[1,3],[2,3]]}'
 _SAMPLE_LINES = (
+    '{"lines":[[19.87086865002665,-14.938015115197686,4.925605556138427,-1.2066443848776534],'
+    '[14.157875269501389,-4.964426872371278,4.910790913868758,-25.27531795802036],'
+    '[23.797778842985334,11.251413715175534,0.10437978881899268,-33.36046071986353],'
+    '[9.173477237486626,-13.348971727606564,18.059223741173824,-3.157576937238459]]}\n')
+# the same sample when each step formed the dense Jacobian J and J J^T: the steps
+# from the m x 4 incidence gradients round differently in the last digits only
+_SAMPLE_LINES_DENSE = (
     '{"lines":[[19.870868650026647,-14.938015115197688,4.925605556138426,-1.2066443848776531],'
     '[14.15787526950139,-4.964426872371278,4.910790913868759,-25.275317958020356],'
     '[23.79777884298533,11.251413715175534,0.10437978881899473,-33.36046071986353],'
@@ -816,6 +839,9 @@ def test_sample_laman_bytes_are_pinned(tmp_path, capsys):
     gpath.write_text(_SAMPLE_GRAPH)
     code, out, _ = run(capsys, "sample", "laman", str(gpath), "--seed", "1")
     assert code == 0 and out == _SAMPLE_LINES
+    new, dense = (json.loads(text)["lines"] for text in (_SAMPLE_LINES, _SAMPLE_LINES_DENSE))
+    assert all(abs(a - b) <= 1e-13 * abs(b)
+               for row, ref in zip(new, dense) for a, b in zip(row, ref))
 
 
 # Reader robustness: every subcommand that reads input, fed random JSON documents,

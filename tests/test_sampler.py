@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import dense_least_norm_step
 from linerig.errors import ConvergenceError, DomainError, SampleError
-from linerig.graphs import generate
-from linerig.lines3d import (LineConfig, common_plane, common_point, intersection_graph,
-                             is_exact)
-from linerig.numeric import (edge_function, line_residuals, line_system_dimension,
-                             line_system_jacobian, rank_exact)
+from linerig.graphs import Graph, generate
+from linerig.lines3d import (LineConfig, common_plane, common_point, incidence_form,
+                             intersection_graph, is_exact)
+from linerig.numeric import (edge_function, edge_index, edge_system, line_residuals,
+                             line_system_dimension, line_system_jacobian, rank_exact,
+                             signed_incidence)
 from linerig.sampler import (gauss_newton_project, knn_config, knn_jacobian,
                              sample_congruent_pair, sample_knn, sample_knn_params,
                              sample_laman_lines, sample_laman_lines_exact,
@@ -256,12 +258,104 @@ def test_gauss_newton_stalls_at_float_floor_quickly(monkeypatch):
     out = gauss_newton_project(G, noisy, tol=1e-20, max_iter=500)
     assert _per_edge_residual(G, out) <= 1e-20
     assert 0 < len(solves) <= 20
-    monkeypatch.setattr(sampler, "_least_norm_step", lambda J, r: np.zeros(J.shape[1]))
+    monkeypatch.setattr(sampler, "_least_norm_step", lambda X, *rest: np.zeros_like(X))
     with pytest.raises(ConvergenceError) as err:
         gauss_newton_project(G, noisy, tol=1e-20, max_iter=500)
     assert "stalled" in str(err.value) and "after 2 steps" in str(err.value)
     assert f"{err.value.residual:.2e}" in str(err.value)
     assert err.value.residual == _per_edge_residual(G, noisy) > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the least-norm step from the m x 4 incidence gradients, against the dense Jacobian
+
+
+def _dense_step(X, i, j, S, SS, g, grad):
+    """The projection's step taken by the reference: J built by edge_system, then
+    J^T (J J^T)^-1 g, or lstsq when J J^T is singular."""
+    return dense_least_norm_step(edge_system(X, i, j, incidence_form)[1], g).reshape(X.shape)
+
+
+_COORD = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+
+
+@settings(max_examples=80)
+@given(st.integers(2, 30), st.data())
+def test_normal_matrix_and_adjoint_equal_the_dense_jacobians(n, data):
+    """(S S^T) o (grad grad^T) is J J^T and S^T (y o grad) is J^T y for the dense
+    edge_system Jacobian J and the signed incidence matrix S, on graphs with isolated
+    vertices and with no edges, each entry within 1e-12 of the sum of its products'
+    sizes (|J| |J|^T, |J|^T |y|)."""
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = sorted(data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=40)))
+    i, j = edge_index(Graph(n, tuple(edges)))
+    X = np.array(data.draw(st.lists(st.lists(_COORD, min_size=4, max_size=4),
+                                    min_size=n, max_size=n)))
+    y = np.array(data.draw(st.lists(_COORD, min_size=len(edges), max_size=len(edges))))
+    g, J = edge_system(X, i, j, incidence_form)
+    g_rows, grad = incidence_form(X[i] - X[j])
+    assert g_rows.tolist() == g.tolist()
+    A = np.abs(J)
+    S = signed_incidence(i, j, n)
+    assert S.shape == (len(edges), n) and np.all(np.abs(S @ S.T).diagonal() == 2)
+    assert np.all(np.abs((S @ S.T) * (grad @ grad.T) - J @ J.T) <= 1e-12 * (A @ A.T))
+    adjoint = S.T @ (y[:, None] * grad)
+    assert np.all(np.abs(adjoint.ravel() - J.T @ y) <= 1e-12 * (A.T @ np.abs(y)))
+
+
+def test_singular_normal_matrix_falls_back_to_lstsq(monkeypatch):
+    """Lines 0 and 1 of the path 0-1-2 are equal, so edge (0, 1) has a zero gradient
+    and J J^T a zero row: the first step is lstsq's, on the J that edge_system builds
+    then, and the projection ends where the dense reference's does."""
+    import linerig.sampler as sampler
+    G = Graph(3, ((0, 1), (1, 2)))
+    start = LineConfig.from_rows([[1, 2, 3, 4], [1, 2, 3, 4], [5, -2, 7, 1]])
+    lstsq, calls = np.linalg.lstsq, []
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *a, **k: calls.append(a[0].shape) or lstsq(*a, **k))
+    out = gauss_newton_project(G, start, tol=1e-12).as_array()
+    assert calls == [(2, 12)]
+    monkeypatch.setattr(sampler, "_least_norm_step", _dense_step)
+    ref = gauss_newton_project(G, start, tol=1e-12).as_array()
+    assert len(calls) == 2
+    assert np.abs(out - ref).max() <= 1e-12 * (1 + np.abs(ref).max())
+
+
+def test_projection_overflow_guard_bounds_the_normal_matrix(monkeypatch):
+    """A start at +-4.6e153 (incidences fit, J J^T's diagonal does not) raises
+    DomainError, with no overflow warning; a certified sample scaled to just below
+    the bound of sqrt(max float / 8) / 2 returns at step 0, with no solve."""
+    G = generate("complete", [4]).without_edge(0, 1)
+    signs = np.array([[1, 1, -1, 1], [1, 1, 1, 1], [1, -1, -1, 1], [-1, -1, 1, -1]])
+    with pytest.raises(DomainError, match="normal-matrix entries overflow"):
+        gauss_newton_project(G, LineConfig.from_rows((signs * 4.6e153).tolist()))
+    X = sample_laman_lines(G, seed=10).as_array()
+    bound = np.sqrt(np.finfo(float).max / 8) / 2
+    scaled = LineConfig.from_rows((X * (0.999 * bound / np.abs(X).max())).tolist())
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: pytest.fail("a step was taken"))
+    assert gauss_newton_project(G, scaled, tol=1e-10) == scaled
+
+
+def test_projection_takes_the_reference_steps_on_the_benchmark_pool(monkeypatch):
+    """On the laman-sample benchmark's 40 graphs (n = 24-60), samples projected with
+    the dense reference steps take as many attempts, and agree within 1e-13 of their
+    largest |coordinate|."""
+    import importlib.util
+    from pathlib import Path
+    import linerig.sampler as sampler
+    path = Path(__file__).resolve().parents[1] / "bench" / "graphgen.py"
+    spec = importlib.util.spec_from_file_location("graphgen", path)
+    gg = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gg)
+    pool = random.Random("laman-sample:pool")  # bench/workloads.laman_sample's pool
+    graphs = [Graph(n, tuple(gg.laman(n, pool))) for n in range(24, 61, 4) for _ in range(4)]
+    new = [sample_laman_lines_info(G, k) for k, G in enumerate(graphs)]
+    monkeypatch.setattr(sampler, "_least_norm_step", _dense_step)
+    for k, (G, info) in enumerate(zip(graphs, new)):
+        ref = sample_laman_lines_info(G, k)
+        X, R = info.config.as_array(), ref.config.as_array()
+        assert info.attempts == ref.attempts, k
+        assert np.abs(X - R).max() <= 1e-13 * np.abs(R).max(), k
 
 
 def test_gauss_newton_max_iter_reason_names_residual():
