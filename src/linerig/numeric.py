@@ -16,15 +16,21 @@ j) and the form's gradient, so for every edge system
     J J^T = (S S^T) o (grad grad^T)  and  J^T y = S^T (y o grad),
 
 with o the entrywise product, and S = signed_incidence(i, j, n) depends on the graph
-only. Neither product forms J: the float sampler's Gauss-Newton steps take both this
-way, with S S^T built once per projection.
+only. Neither product forms J: normal_matrix takes J J^T this way, with
+S S^T = signed_gram(i, j) built from the endpoint arrays, for the float sampler's
+Gauss-Newton steps (once per projection) and for the float certificate.
 
 Each dimension report gives its system once: its rows X, the residual of the row
-differences D (the incidence, or |D_p|^2 - |D_p'|^2 of a pair), and a map from rows
-to the Jacobian. One tail, _certify, checks the residuals and takes the rank, float
-or exact. Float ranks threshold singular values: those below
-tol * sigma_max * max(rows, cols) count as zero, and the report carries the margin
-of that cut. Exact residuals must be zero in rationals, and exact ranks take one
+differences D (the incidence, or |D_p|^2 - |D_p'|^2 of a pair), the form's gradient
+rows at D, and a map from rows to the Jacobian. One tail, _certify, checks the
+residuals and takes the rank, float or exact. A float report is certified by a proof:
+_proved_sigma's one Cholesky factorization of J J^T - (c + alpha) I, with
+sqrt(alpha) = tol * max(rows, cols) * sqrt(||J J^T||_inf) and c a bound on every
+rounding error, shows sigma_min(J) >= sqrt(alpha), and the report's sigma_kept is
+that proved lower bound. Only where the factorization fails does _float_rank's SVD
+cut run (singular values at or below tol * sigma_max * max(rows, cols) count as
+zero); its rank and margin fill the report, which is then not certified. Exact
+residuals must be zero in rationals, and exact ranks take one
 path, _residue_rank, which states their error bound. For each prime p in
 [2^30, 2^31) of modp.prime_residues' stream, which skips a prime that divides a
 denominator, an integer polynomial map (the Jacobian map, or rank_exact's identity)
@@ -47,6 +53,7 @@ and the stress is written back in G.edges order.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -71,10 +78,13 @@ DEFAULT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class DimensionReport:
-    """Local dimension certificate at one sampled configuration. A float rank's
-    margin is the last singular value kept and the first one dropped (None where
-    there is none, and in exact mode). An exact rank names the primes whose
-    eliminations ran, in order (None in float mode)."""
+    """Local dimension certificate at one sampled configuration. certified means full
+    row rank, proved. A certified float report's sigma_kept is the Cholesky test's
+    proved lower bound on sigma_min(J), not sigma_min itself, and sigma_dropped is
+    None. An uncertified float report carries the SVD cut's margin: the last singular
+    value kept and the first one dropped (None where there is none). Both are None in
+    exact mode, where primes names the primes whose eliminations ran, in order (None
+    in float mode)."""
 
     ambient_dim: int
     constraint_count: int
@@ -229,13 +239,28 @@ def edge_system(X: np.ndarray, i: np.ndarray, j: np.ndarray, form: Form
 
 def signed_incidence(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     """The m x n signed incidence matrix S of the edges (i[k], j[k]) on n vertices:
-    row k holds 1 in column i[k] and -1 in column j[k]. S S^T has 2 on its diagonal
-    and +1 or -1 where two edges share an endpoint."""
+    row k holds 1 in column i[k] and -1 in column j[k]."""
     S = np.zeros((len(i), n))
     rows = np.arange(len(i))
     S[rows, i] = 1.0
     S[rows, j] = -1.0
     return S
+
+
+def signed_gram(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """S S^T for the signed incidence matrix S of the edges (i[k], j[k]), as int8, from
+    the endpoint arrays in O(m^2): entry (k, l) is [i_k = i_l] - [i_k = j_l] -
+    [j_k = i_l] + [j_k = j_l], so 2 on the diagonal and +1 or -1 where two edges
+    share an endpoint."""
+    I, J = i[:, None], j[:, None]
+    return (I == i).astype(np.int8) - (I == j) - (J == i) + (J == j)
+
+
+def normal_matrix(SS: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """J J^T = (S S^T) o (grad grad^T) of the edge system whose edges have the signed
+    gram SS = signed_gram(i, j) and the m x w gradient rows grad (the module
+    docstring). Each entry is SS's 0, +-1 or 2 times a rounded w-term dot product."""
+    return SS * (grad @ grad.T)
 
 
 def edge_index(G: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +339,7 @@ def line_system_dimension(G: Graph, x: LineConfig, tol: float = DEFAULT_TOL,
     the concurrent family through any point gives the matching lower bound).
     """
     X, i, j = _line_arrays(G, x)
-    return _certify(G, X, lambda D: incidence(D.T),
+    return _certify(G, X, lambda D: incidence(D.T), lambda D: incidence_form(D)[1],
                     lambda R: edge_system(R, i, j, incidence_form)[1],
                     "configuration violates the incidence system", tol, exact)
 
@@ -346,20 +371,119 @@ def pair_system_dimension(G: Graph, p, p_prime, tol: float = DEFAULT_TOL,
     """Rank certificate for the equal-edge-lengths system at a pair of embeddings."""
     X, (i, j) = _pair_rows(G, p, p_prime), edge_index(G)
     return _certify(G, X, lambda D: (D[:, :2] ** 2).sum(axis=1) - (D[:, 2:] ** 2).sum(axis=1),
+                    lambda D: np.hstack([2 * D[:, :2], -2 * D[:, 2:]]),
                     lambda R: _pair_jacobian(R, i, j), "edge lengths differ", tol, exact)
 
 
+_U = 2.0 ** -53  # the unit roundoff of round to nearest
+_ETA = float(np.finfo(float).smallest_subnormal)  # 2^-1074, the underflow unit
+
+
+def _proved_sigma(grad: np.ndarray, i: np.ndarray, j: np.ndarray, n: int,
+                  tol: float) -> Optional[float]:
+    """A proved lower bound sqrt(alpha) on sigma_min(J) for the m x (w n) Jacobian J
+    of the edge system with edges (i, j) and float gradient rows grad, or None where
+    the test below does not pass. J has full row rank m wherever it returns.
+
+    The test factors A - (c + alpha) I, for A = J J^T scaled by 2^(2e), once with
+    np.linalg.cholesky. grad is first scaled by 2^e, e = -frexp(max |grad|)[1], which
+    is exact but where it underflows; then max |grad| lies in [1/2, 1), and no entry
+    of A exceeds 8 in magnitude, so none can overflow. A is
+    normal_matrix(signed_gram(i, j), grad), the identity
+    J J^T = (S S^T) o (grad grad^T); J @ J.T is never formed.
+    sqrt(alpha) = tol * max(m, w n) * sqrt(||A||_inf), where ||A||_inf >= sigma_max^2
+    (A is symmetric), so the cut is tol * sigma_max * max(m, w n) up to that bound.
+
+    Theorem (Rump, "Verification of positive definiteness", BIT 46 (2006); Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3). If the
+    floating-point Cholesky factorization of a symmetric float N x N matrix B runs to
+    completion with factor R, then R^T R = B + dB with
+    |dB| <= gamma |R^T| |R| + tau 11^T entrywise, for gamma = gamma_{N+2} =
+    (N + 2) u / (1 - (N + 2) u) and tau = 6 (N + max_i B_ii) eta. The bound holds for
+    any order of the inner products, blocked LAPACK and FMA included; N + 2 rather
+    than N + 1 covers a division done as a multiplication by a rounded reciprocal,
+    and tau the underflows: at most N products of eta / 2 each in an entry, and one
+    quotient's eta / 2 times a diagonal entry of R. As ||R||_F^2 = trace(B + dB),
+    ||dB||_2 <= gamma / (1 - gamma) (trace B + N tau) + N tau. B + dB is positive
+    semidefinite, so lambda_min(B) >= -||dB||_2.
+
+    The rounding model: IEEE double, round to nearest, u = 2^-53, eta = 2^-1074; a
+    sum or difference is (a o b)(1 + d), a product or quotient
+    (a o b)(1 + d) + f, with |d| <= u and |f| <= eta / 2. grad is a signed
+    permutation of D = X[i] - X[j] times 1 or 2, and D is the rounded difference of
+    float coordinates or the rounded exact difference of exact ones: each entry of
+    the scaled grad is off the exact scaled gradient's by at most u |exact entry| +
+    eps, with eps = 2^max(e, 0) eta. The test's own rounding splits into three terms,
+    each
+    bounding a symmetric error's 2-norm by its infinity-norm:
+    - forming A: an entry (k, l) is SS_kl times a 4-term dot product, so it is off
+      the exact entry by at most |SS_kl| (8 u a_k . a_l + 32 eps), a = |grad|
+      (gamma_4 for the dot product and 2u for its inputs, each times 1 + O(u), sum
+      to below 7 u). Summed over a row, with sum_l |SS_kl| a_l <= W[i_k] + W[j_k]
+      for the vertex sums W = |S|^T a, and sum_l |SS_kl| = deg i_k + deg j_k <= 2m:
+      8 u rho + 64 m eps, with rho = max_k a_k . (W[i_k] + W[j_k]);
+    - the shift of the diagonal, rounded once per entry: u max_k A_kk;
+    - the factorization: the theorem with N = m, trace B <= (1 + u) trace A and
+      max B_ii <= max A_kk, so tau = 6 (m + max_k A_kk) eta, and
+      gamma / (1 - gamma) = (m + 2) u / (1 - 2 (m + 2) u).
+    c is their sum; the lower triangle, which is all the factorization reads, is
+    the matrix it bounds. The shift is (c + alpha)(1 + 2^-40), whose last factor
+    covers the rounding of c's and the shift's own evaluation (the constants above
+    carry slack for the rounded degree sums in rho), and alpha is the square of the
+    float sqrt(alpha). So a completed factorization gives
+    lambda_min(J J^T) >= 2^(-2e) alpha, and sigma_min(J) >= 2^-e sqrt(alpha),
+    which is exact unless it is subnormal, where None is returned instead.
+    """
+    m = len(grad)
+    big = float(np.abs(grad).max(initial=0.0))
+    if not big > 0:
+        return None
+    e = -math.frexp(big)[1]
+    grad = np.ldexp(grad, e)
+    A = normal_matrix(signed_gram(i, j), grad)
+    diag = A.diagonal()
+    a_max, trace = float(diag.max()), math.fsum(diag)
+    root = tol * max(m, grad.shape[1] * n) * math.sqrt(float(np.abs(A).sum(axis=1).max()))
+    if not (root > 0 and root * root >= np.finfo(float).tiny):
+        return None
+    a = np.abs(grad)
+    W = np.zeros((n, a.shape[1]))
+    np.add.at(W, i, a)
+    np.add.at(W, j, a)
+    rho = float(((W[i] + W[j]) * a).sum(axis=1).max())
+    eps = math.ldexp(_ETA, max(e, 0))
+    gamma = (m + 2) * _U / (1 - 2 * (m + 2) * _U)  # gamma_{m+2} / (1 - gamma_{m+2})
+    tau = 6 * (m + a_max) * _ETA
+    c = _U * a_max + gamma * ((1 + _U) * trace + m * tau) + m * tau + 8 * _U * rho + 64 * m * eps
+    shift = (c + root * root) * (1 + 2.0 ** -40)
+    if not math.isfinite(shift):
+        return None
+    A.flat[::m + 1] -= shift
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return None
+    sigma = math.ldexp(root, -e)
+    return sigma if sigma >= np.finfo(float).tiny else None
+
+
 def _certify(G: Graph, X: np.ndarray, residual: Callable[[np.ndarray], np.ndarray],
+             gradient: Callable[[np.ndarray], np.ndarray],
              jacobian: Callable[[np.ndarray], np.ndarray], violation: str, tol: float,
              exact: bool) -> DimensionReport:
     """The reports' one tail. The residuals residual(D) of the edges' row differences
     D = X[i] - X[j] must vanish: in rationals in exact mode, by edge_residuals' rule
     otherwise. Then the rank of J = jacobian(X) is compared with m: over Q by
-    _residue_rank, from X's residues, in exact mode, and by _float_rank's cut otherwise."""
+    _residue_rank, from X's residues, in exact mode. In float mode _proved_sigma's
+    Cholesky test on the m x w gradient rows gradient(D) proves full row rank, and
+    the report carries its bound as sigma_kept; where the test does not pass,
+    _float_rank's cut on J gives the rank and its margin, and the report is not
+    certified."""
     if exact and X.dtype != object:
         raise DomainError("exact mode needs integer or rational coordinates")
     i, j = edge_index(G)
-    g = residual(X.take(i, axis=0) - X.take(j, axis=0))
+    D = X.take(i, axis=0) - X.take(j, axis=0)
+    g = residual(D)
     if exact:
         for edge, r in zip(G.edges, g):
             if r != 0:
@@ -367,13 +491,17 @@ def _certify(G: Graph, X: np.ndarray, residual: Callable[[np.ndarray], np.ndarra
         rank, primes, _ = _residue_rank(X, jacobian, min(G.m, X.size))
         return DimensionReport(X.size, G.m, rank, tol, rank == G.m, primes=primes)
     rel = edge_residuals(g.astype(float), X.astype(float), i, j)
-    if G.m:
-        k = int(np.argmax(rel))
-        if not rel[k] <= tol:
-            raise DomainError(f"{violation}: edge {G.edges[k]} has relative residual "
-                              f"{rel[k]:.3e} > tol {tol:.1e}")
+    if not G.m:
+        return DimensionReport(X.size, 0, 0, tol, True)
+    k = int(np.argmax(rel))
+    if not rel[k] <= tol:
+        raise DomainError(f"{violation}: edge {G.edges[k]} has relative residual "
+                          f"{rel[k]:.3e} > tol {tol:.1e}")
+    sigma = _proved_sigma(gradient(D).astype(float), i, j, G.n, tol)
+    if sigma is not None:
+        return DimensionReport(X.size, G.m, G.m, tol, True, sigma)
     rank, kept, dropped = _float_rank(jacobian(X), tol)
-    return DimensionReport(X.size, G.m, rank, tol, rank == G.m, kept, dropped)
+    return DimensionReport(X.size, G.m, rank, tol, False, kept, dropped)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,18 @@
 verification suites.
 
 The float sampler draws a random integer start and projects it onto a Laman
-graph's incidence system with Gauss-Newton, then certifies full Jacobian rank. A
+graph's incidence system with Gauss-Newton, then proves full Jacobian row rank with
+line_system_dimension's Cholesky test on J J^T (an attempt that the test does not
+pass is retried, and its log line says whether the SVD found rank m or less). A
 projected random start lands at a smooth point of a full-dimensional component,
 which is what the paper's *generic* realization asks for; no Henneberg sequence is
 replayed.
 
 The projection takes least-norm steps delta = J^T (J J^T)^-1 g without forming the
 m x 4n Jacobian J: by numeric's edge-system identity J J^T is (S S^T) o (grad grad^T)
-and J^T y is S^T (y o grad), for the m x 4 incidence gradients grad of D = X[i] - X[j]
-and the graph's signed incidence matrix S, whose S S^T is built once per projection.
+(numeric.normal_matrix) and J^T y is S^T (y o grad), for the m x 4 incidence gradients
+grad of D = X[i] - X[j] and the graph's signed incidence matrix S, whose S S^T
+(numeric.signed_gram) is built once per projection.
 Only a singular J J^T makes it build J, for lstsq. It returns as soon as every edge
 passes the residual rule (lines3d.residual_measure), which pair_tests and
 line_system_dimension apply too, and gives up as soon as two steps in a row fail to
@@ -48,7 +51,7 @@ from .lines3d import (Line, LineConfig, _edge_norms, _triple_coplanar, check_squ
                       incidence_form, line_through, meet_residual, pair_intersection,
                       pair_tests, residual_measure, transversal_detail)
 from .numeric import (DimensionReport, edge_index, edge_system, line_system_dimension,
-                      signed_incidence)
+                      normal_matrix, signed_gram, signed_incidence)
 from .sparsity import is_laman
 
 _BOX = 40  # coordinate box for integer draws
@@ -160,7 +163,7 @@ def _least_norm_step(X: np.ndarray, i: np.ndarray, j: np.ndarray, S: np.ndarray,
     as an (n, 4) array, from the signed incidence matrix S of the edges (i, j) and
     SS = S S^T (the module docstring); lstsq on J, built then, when J J^T is singular."""
     try:
-        y = np.linalg.solve(SS * (grad @ grad.T), g)
+        y = np.linalg.solve(normal_matrix(SS, grad), g)
     except np.linalg.LinAlgError:
         delta, *_ = np.linalg.lstsq(edge_system(X, i, j, incidence_form)[1], g, rcond=None)
         return delta.reshape(X.shape)
@@ -184,8 +187,7 @@ def gauss_newton_project(G: Graph, x0: LineConfig, tol: float = 1e-12,
     X = x0.as_array()
     # a diagonal entry of J J^T sums eight products of coordinate differences
     check_squares(X, 8, "normal-matrix entries")
-    S = signed_incidence(i, j, G.n)
-    SS = S @ S.T
+    S, SS = signed_incidence(i, j, G.n), signed_gram(i, j)
     best, measure, stalls = np.inf, np.inf, 0
     for step in range(max_iter + 1):
         D, d, big = _edge_norms(X, i, j)
@@ -213,7 +215,8 @@ def _certified_sample(G: Graph, draw: Callable[[int], Union[LineConfig, str]], e
                       seed: int) -> LineSample:
     """The Laman samplers' attempt loop of MAX_RETRIES attempts. Attempt k's draw(k) is
     a configuration or the reason none was drawn; line_system_dimension certifies a
-    configuration, exactly or at tolerance 1e-8. Logs one line per attempt."""
+    configuration, exactly or at tolerance 1e-8. Logs one line per attempt, with the
+    reason an attempt failed: its rank, or that rank m was not proved."""
     log: list[str] = []
     for attempt in range(1, MAX_RETRIES + 1):
         drawn = draw(attempt)
@@ -222,7 +225,8 @@ def _certified_sample(G: Graph, draw: Callable[[int], Union[LineConfig, str]], e
             if report.certified:
                 log.append(f"attempt {attempt}: certified, rank {report.jacobian_rank}")
                 return LineSample(drawn, report, attempt, log)
-            drawn = f"rank {report.jacobian_rank} < {G.m}"
+            drawn = (f"rank {G.m} not proved (Cholesky at the cut failed)"
+                     if report.jacobian_rank == G.m else f"rank {report.jacobian_rank} < {G.m}")
         log.append(f"attempt {attempt}: {drawn}")
     raise SampleError(f"no certified sample for seed {seed} in {MAX_RETRIES} attempts", log)
 
@@ -234,7 +238,7 @@ def sample_laman_lines_info(G: Graph, seed: int = 0) -> LineSample:
     (seed, attempt) and projects them onto the incidence system with Gauss-Newton
     until every edge passes the residual rule at PROJECT_TOL. The projection is
     kept when no two lines coincide within 1e-8 of their largest |coordinate|
-    (pair_tests) and the float Jacobian has full rank; any other attempt is
+    (pair_tests) and the float Jacobian has proved full row rank; any other attempt is
     retried with a fresh draw. A negative seed raises DomainError.
     """
     if seed < 0:

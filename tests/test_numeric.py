@@ -660,14 +660,111 @@ def test_float_reports_carry_their_margin():
     assert rep.sigma_kept == s[r - 1] > cut >= rep.sigma_dropped == s[r]
     # full row rank: nothing is dropped
     G4 = K4.without_edge(0, 1)
-    full = line_system_dimension(G4, sample_laman_lines(G4, seed=5))
+    sample = sample_laman_lines(G4, seed=5)
+    full = line_system_dimension(G4, sample)
     assert full.certified and full.sigma_kept > 0 and full.sigma_dropped is None
+    # a certified margin is the Cholesky test's proved lower bound on sigma_min
+    s = np.linalg.svd(line_system_jacobian(G4, sample).astype(float), compute_uv=False)
+    assert full.sigma_kept <= s[-1]
     assert set(full.to_dict()) >= {"sigma_kept", "sigma_dropped"} and full.primes is None
     # exact mode has no singular values
     p, q = sample_congruent_pair(K4, orientation=1, seed=3, exact=True)
     exact = pair_system_dimension(K4, p, q, exact=True)
     assert exact.sigma_kept is None and exact.sigma_dropped is None
     assert line_system_dimension(G, LineConfig.from_rows([(1, 2, 3, 4)] * 5)).sigma_kept is None
+
+
+def _svd_sigma_min(G, args) -> float:
+    jacobian = line_system_jacobian if len(args) == 1 else pair_system_jacobian
+    return np.linalg.svd(jacobian(G, *args).astype(float), compute_uv=False)[-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 10), seed=st.integers(0, 10 ** 6), k=st.integers(-60, 60),
+       kind=st.sampled_from(["float sample", "exact sample", "congruent pair",
+                             "exact congruent pair", "translated sample"]))
+def test_certified_margins_are_lower_bounds_on_sigma_min(n, seed, k, kind):
+    """Every certified float report, of a line or a pair system, has sigma_kept <=
+    sigma_min(J) from an SVD: on float and exact (Fraction) samples and congruent pairs,
+    scaled by 2^k, and on float samples translated by 10^(k / 6)."""
+    G = generate("laman_random", [n], seed=seed)
+    if kind.endswith("pair"):
+        p, q = sample_congruent_pair(G, orientation=1 - 2 * (seed % 2), seed=seed,
+                                     exact=kind.startswith("exact"))
+        if kind.startswith("exact"):
+            args = tuple([[x * Fraction(2) ** k for x in r] for r in e] for e in (p, q))
+        else:
+            args = (np.ldexp(p, k), np.ldexp(q, k))
+        rep = pair_system_dimension(G, *args)
+    else:
+        if kind == "exact sample":
+            rows = [[x * Fraction(2) ** k for x in r]
+                    for r in sample_laman_lines_exact(G, seed=seed).coords()]
+        else:
+            X = sample_laman_lines(G, seed=seed).as_array()
+            rows = (X + 10.0 ** (k / 6) if kind == "translated sample" else np.ldexp(X, k)).tolist()
+        args = (LineConfig.from_rows(rows),)
+        rep = line_system_dimension(G, *args)
+    if rep.certified:
+        assert rep.jacobian_rank == G.m and rep.sigma_dropped is None
+        assert 0 < rep.sigma_kept <= _svd_sigma_min(G, args)
+    else:
+        assert kind in ("exact sample", "translated sample")
+
+
+def test_a_perturbed_pencil_is_not_certified():
+    """The pencil of test_float_reports_carry_their_margin has rank 4 of 7. Moved by
+    delta along a fixed direction E with J E = 0, its incidences move by delta^2 only,
+    and sigma_min(J) grows like 3.4 delta, below the cut at delta = 1e-12 and at
+    delta = 1e-6. Neither is certified, and each report is the SVD's. At 1e-6,
+    sigma_min^2 lies above the test's rounding shift c (sigma_min is 0.37 of the cut),
+    so a test whose shift dropped alpha would certify it."""
+    G = generate("laman_random", [5], seed=3)
+    P = np.array([(-2 - 3 * (1 - 2 * d), 2 - 3 * d, 1 - 2 * d, d) for d in range(5)], float)
+    J0 = line_system_jacobian(G, LineConfig.from_rows(P.tolist())).astype(float)
+    v = (np.arange(20) * 3 % 7 - 3).astype(float)
+    E = (v - np.linalg.pinv(J0) @ (J0 @ v)).reshape(5, 4)
+    for delta in (1e-12, 1e-6):
+        cfg = LineConfig.from_rows((P + delta * E).tolist())
+        rep = line_system_dimension(G, cfg)
+        s = np.linalg.svd(line_system_jacobian(G, cfg).astype(float), compute_uv=False)
+        r = rep.jacobian_rank
+        assert 2 * delta < s[-1] < 0.5 * rep.tol * s[0] * 4 * G.n
+        assert not rep.certified and r < G.m
+        assert rep.sigma_kept == s[r - 1] and rep.sigma_dropped == s[r]
+
+
+def test_equal_lines_are_not_certified():
+    """Lines 0 and 1 of the path 0-1-2 are equal, as at the start of the projection's
+    lstsq fallback test, and line 2 meets them: edge (0, 1) has a zero gradient, so
+    J J^T has a zero row and no shift leaves it positive definite. The report is the
+    SVD's: rank 1 of 2."""
+    G = Graph(3, ((0, 1), (1, 2)))
+    cfg = LineConfig.from_rows([[1, 2, 3, 4], [1, 2, 3, 4], [1, 2, 7, 1]])
+    rep = line_system_dimension(G, cfg)
+    assert not rep.certified and rep.jacobian_rank == 1
+    assert rep.sigma_kept == math.sqrt(50) and rep.sigma_dropped == 0
+
+
+def test_certificates_survive_extreme_scales():
+    """A certified line sample and a certified congruent pair, scaled by 2^500, 2^-500
+    and to a largest coordinate of 1e153 (where J J^T's unscaled row sums would
+    overflow), still certify: the test scales the gradients by a power of two, so
+    sigma_kept scales exactly by 2^k, and by the factor to within rounding."""
+    G = generate("laman_random", [12], seed=1)
+    X = sample_laman_lines(G, seed=1).as_array()
+    p, q = sample_congruent_pair(G, orientation=-1, seed=1)
+    cases = ((lambda t: line_system_dimension(G, LineConfig.from_rows(t(X).tolist())), X),
+             (lambda t: pair_system_dimension(G, t(p), t(q)), np.hstack([p, q])))
+    for certify, rows in cases:
+        base = certify(lambda Y: Y)
+        assert base.certified
+        for k in (500, -500):
+            rep = certify(lambda Y: np.ldexp(Y, k))
+            assert rep.certified and rep.sigma_kept == math.ldexp(base.sigma_kept, k)
+        lam = 1e153 / np.abs(rows).max()
+        rep = certify(lambda Y: Y * lam)
+        assert rep.certified and rep.sigma_kept == pytest.approx(base.sigma_kept * lam, rel=1e-9)
 
 
 def test_rigidity_rank_exact_matches_float_rank(monkeypatch):

@@ -12,8 +12,8 @@ from linerig.graphs import Graph, generate
 from linerig.lines3d import (LineConfig, common_plane, common_point, incidence_form,
                              intersection_graph, is_exact)
 from linerig.numeric import (edge_function, edge_index, edge_system, line_residuals,
-                             line_system_dimension, line_system_jacobian, rank_exact,
-                             signed_incidence)
+                             line_system_dimension, line_system_jacobian, normal_matrix,
+                             rank_exact, signed_gram, signed_incidence)
 from linerig.sampler import (gauss_newton_project, knn_config, knn_jacobian,
                              sample_congruent_pair, sample_knn, sample_knn_params,
                              sample_laman_lines, sample_laman_lines_exact,
@@ -282,10 +282,10 @@ _COORD = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
 @settings(max_examples=80)
 @given(st.integers(2, 30), st.data())
 def test_normal_matrix_and_adjoint_equal_the_dense_jacobians(n, data):
-    """(S S^T) o (grad grad^T) is J J^T and S^T (y o grad) is J^T y for the dense
-    edge_system Jacobian J and the signed incidence matrix S, on graphs with isolated
-    vertices and with no edges, each entry within 1e-12 of the sum of its products'
-    sizes (|J| |J|^T, |J|^T |y|)."""
+    """signed_gram(i, j) is S S^T, normal_matrix's (S S^T) o (grad grad^T) is J J^T
+    and S^T (y o grad) is J^T y for the dense edge_system Jacobian J and the signed
+    incidence matrix S, on graphs with isolated vertices and with no edges, each
+    entry within 1e-12 of the sum of its products' sizes (|J| |J|^T, |J|^T |y|)."""
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     edges = sorted(data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=40)))
     i, j = edge_index(Graph(n, tuple(edges)))
@@ -298,7 +298,8 @@ def test_normal_matrix_and_adjoint_equal_the_dense_jacobians(n, data):
     A = np.abs(J)
     S = signed_incidence(i, j, n)
     assert S.shape == (len(edges), n) and np.all(np.abs(S @ S.T).diagonal() == 2)
-    assert np.all(np.abs((S @ S.T) * (grad @ grad.T) - J @ J.T) <= 1e-12 * (A @ A.T))
+    assert np.array_equal(signed_gram(i, j), S @ S.T)
+    assert np.all(np.abs(normal_matrix(signed_gram(i, j), grad) - J @ J.T) <= 1e-12 * (A @ A.T))
     adjoint = S.T @ (y[:, None] * grad)
     assert np.all(np.abs(adjoint.ravel() - J.T @ y) <= 1e-12 * (A.T @ np.abs(y)))
 
@@ -449,6 +450,31 @@ def test_coincident_projection_is_retried(monkeypatch):
         monkeypatch, lambda G, x0, **kwargs: LineConfig.from_rows([x0.coords()[0]] * G.n))
     info = sample_laman_lines_info(generate("complete", [2]), seed=0)
     assert info.log[0] == "attempt 1: two lines coincide" and info.attempts == 2
+
+
+def test_retries_log_why_the_rank_was_not_certified(monkeypatch):
+    """A draw that the Cholesky test does not pass, at the SVD's full rank, logs that
+    rank m was not proved; a draw of lower rank (a pencil of lines in one plane, rank
+    4 of 7) logs its rank. Each sampler then retries and certifies."""
+    G = generate("laman_random", [5], seed=3)
+    cholesky, calls = np.linalg.cholesky, []
+
+    def fail_first(A):
+        calls.append(len(A))
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("forced")
+        return cholesky(A)
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail_first)
+    info = sample_laman_lines_info(G, seed=3)
+    assert info.log[0] == "attempt 1: rank 7 not proved (Cholesky at the cut failed)"
+    assert info.attempts == 2 and info.report.certified and calls == [7, 7]
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    pencil = LineConfig.from_rows([(-2 - 3 * (1 - 2 * d), 2 - 3 * d, 1 - 2 * d, d)
+                                   for d in range(5)])
+    _replace_first_projection(monkeypatch, lambda G, x0, **kwargs: pencil)
+    info = sample_laman_lines_info(G, seed=3)
+    assert info.log[0] == "attempt 1: rank 4 < 7" and info.report.certified
 
 
 # sample_laman_lines_exact(laman_random(6, seed 2), seed=2), as constructed before
