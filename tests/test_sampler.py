@@ -497,6 +497,28 @@ def test_sample_exact_output_is_pinned():
     assert digest == "8ce4f1b99102d8473a64f5ae715946c23bdfc21fb3be627138eb60517a3901e5"
 
 
+# sha256 of the Fraction rows p + p' of sample_congruent_pair(laman_random(12, seed 1))
+_CONGRUENT_PIN = {
+    (1, 0): "0ba3646a17450d684de5f4538fbd6864002272379b7daec1670dfee70e37d3ae",
+    (1, 1): "aa9f4b46cf39cc6996ee8052f8b35d1b4ba7120b2807caabc92c72071e2f3e34",
+    (-1, 0): "4b90787c62a997cc713e27743839dc4cffd6d74fbf7e57fd5ed70c9ca94422a6",
+    (-1, 1): "c9cb0bff3086dd95432dad8fcac0ddd973ca45f5e70786da11f2087e5da128d0",
+}
+
+
+def test_congruent_pair_output_is_pinned():
+    import hashlib
+    G = generate("laman_random", [12], seed=1)
+    for (orientation, seed), want in _CONGRUENT_PIN.items():
+        p, q = sample_congruent_pair(G, orientation=orientation, seed=seed, exact=True)
+        assert all(type(x) is Fraction for row in p + q for x in row)
+        rows = [[str(x) for x in row] for row in p + q]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == want, (orientation, seed)
+        pf, qf = sample_congruent_pair(G, orientation=orientation, seed=seed)
+        assert pf.tolist() == [[float(x) for x in row] for row in p]
+        assert qf.tolist() == [[float(x) for x in row] for row in q]
+
+
 def test_fresh_matches_lines_coincident():
     """pair_tests' coincide mask of a new float line against every placed one, the
     float duplicate test, is lines_coincident on each pair."""
