@@ -34,26 +34,15 @@ class PointPair(NamedTuple):
 
 
 def to_line(a: Sequence[Scalar], b: Sequence[Scalar]) -> Line:
-    """Line of all rotations mapping a to b (a vertical line when a == b)."""
+    """Line of all rotations mapping a to b (a vertical line when a == b).
+    Coordinates-first (2, ...) point arrays a and b give a Line of (...) float
+    arrays, the lines of the pairs (a[:, k], b[:, k]); on (2, n, batch) point arrays
+    np.array(line.as_tuple()) is the (4, n, batch) layout of lines3d.point_kernel
+    and plane_kernel."""
     ax, ay = a
     bx, by = b
     half = Fraction(1, 2) if is_exact(ax + ay + bx + by) else 0.5
     return Line((ax + bx) * half, (ay + by) * half, (ay - by) * half, (bx - ax) * half)
-
-
-def to_lines(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """to_line over arrays, coordinates first: the (4, ...) chart coordinates of the
-    pairs (A[:, k], B[:, k]) of two (2, ...) float point arrays. On (2, n, batch)
-    point arrays this is the (4, n, batch) layout of lines3d.point_kernel and
-    plane_kernel."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    X = np.empty((4, *A.shape[1:]))
-    np.add(A, B, out=X[:2])
-    np.subtract(A[1], B[1], out=X[2])
-    np.subtract(B[0], A[0], out=X[3])
-    X *= 0.5
-    return X
 
 
 def from_line(line: Line) -> PointPair:
@@ -80,20 +69,19 @@ class Rotation:
         denom = t * t + 1
         return (t * t - 1) / denom, 2 * t / denom
 
-    def apply(self, points: Sequence[Sequence[Scalar]]) -> list[Point2]:
+    def apply(self, p: Point2) -> Point2:
+        """The image of the point p = (x, y), or of a coordinates-first (2, ...)
+        array of points, as the pair (x', y') in the same layout."""
         co, si = self.cos_sin()
         cx, cy = self.center
-        out = []
-        for p in points:
-            dx, dy = p[0] - cx, p[1] - cy
-            out.append((cx + co * dx - si * dy, cy + si * dx + co * dy))
-        return out
+        dx, dy = p[0] - cx, p[1] - cy
+        return cx + co * dx - si * dy, cy + si * dx + co * dy
 
 
 def rotation_at(point: Point3) -> Rotation:
     """The rotation represented by a point of the transform's 3-space. A
     coordinates-first (3, ...) array of points gives a Rotation of arrays, whose
-    cos_sin is taken elementwise; Rotation.theta and .apply stay scalar."""
+    cos_sin and apply are taken elementwise; Rotation.theta stays scalar."""
     x, y, z = point
     return Rotation(center=(x, y), t=z)
 
@@ -110,10 +98,12 @@ class PlanarMotion:
         (m00, m01), (m10, m11) = self.matrix
         return 1 if m00 * m11 - m01 * m10 > 0 else -1
 
-    def apply(self, points: Sequence[Sequence[Scalar]]) -> list[Point2]:
+    def apply(self, p: Point2) -> Point2:
+        """The image of the point p = (x, y), or of a coordinates-first (2, ...)
+        array of points, as the pair (x', y') in the same layout."""
         (m00, m01), (m10, m11) = self.matrix
         tx, ty = self.translation
-        return [(m00 * p[0] + m01 * p[1] + tx, m10 * p[0] + m11 * p[1] + ty) for p in points]
+        return m00 * p[0] + m01 * p[1] + tx, m10 * p[0] + m11 * p[1] + ty
 
 
 def reflection_at(plane: Plane) -> PlanarMotion:
@@ -126,7 +116,8 @@ def reflection_at(plane: Plane) -> PlanarMotion:
 
     maps each a_i to b_i. A Plane of coordinates-first arrays (lam, mu and nu each
     of one shape) gives a PlanarMotion whose matrix and translation entries are
-    arrays of that shape; PlanarMotion.orientation and .apply stay scalar.
+    arrays of that shape, whose apply is taken elementwise; PlanarMotion.orientation
+    stays scalar.
     """
     lam, mu, nu = plane.lam, plane.mu, plane.nu
     norm = np.hypot(lam, mu)

@@ -403,7 +403,9 @@ def generate(name: str, params: Sequence[int], seed: int = 0) -> Graph:
 
 
 def catalog(n_max: int = 8) -> list[tuple[str, Graph]]:
-    """Named small graphs used across the verification suites."""
+    """Named small graphs up to n_max vertices: complete graphs, cycles, paths, wheels,
+    and random Laman and Hendrickson graphs. The tests sweep it; the hendrickson-oracle
+    suite takes its own list, verify.hendrickson_catalog."""
     out: list[tuple[str, Graph]] = []
     for k in range(2, n_max + 1):
         out.append((f"complete({k})", generate("complete", [k])))

@@ -44,6 +44,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
+from .elekes_sharir import PlanarMotion
 from .errors import ConvergenceError, DomainError, SampleError
 from .graphs import MAX_VERTICES, Graph
 from .henneberg import Ext0, Ext1, extract_henneberg
@@ -297,20 +298,12 @@ def sample_laman_lines_exact(G: Graph, seed: int = 0) -> LineConfig:
 
 
 # A family: `head` shared parameters, then two per line; `row` maps (*head, s, t) to
-# the line's chart row (a, b, c, d), `grad` to that row's 4 x (head + 2) gradient.
-_Family = NamedTuple("_Family", [("head", int), ("row", Callable), ("grad", Callable)])
+# the line's chart row (a, b, c, d), affine in each parameter separately.
+_Family = NamedTuple("_Family", [("head", int), ("row", Callable)])
 _FAMILIES = {
-    "concurrent": _Family(
-        3, lambda x, y, z, c, d: (x - c * z, y - d * z, c, d),
-        lambda x, y, z, c, d: ((1, 0, -c, -z, 0), (0, 1, -d, 0, -z),
-                               (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))),
-    "parallel": _Family(
-        2, lambda c0, d0, a, b: (a, b, c0, d0),
-        lambda c0, d0, a, b: ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))),
-    "coplanar": _Family(
-        3, lambda k, mu, nu, b, d: (k * (-nu - mu * b), b, k * (1 - mu * d), d),
-        lambda k, mu, nu, b, d: ((-nu - mu * b, -k * b, -k, -k * mu, 0), (0, 0, 0, 1, 0),
-                                 (1 - mu * d, -k * d, 0, 0, -k * mu), (0, 0, 0, 0, 1))),
+    "concurrent": _Family(3, lambda x, y, z, c, d: (x - c * z, y - d * z, c, d)),
+    "parallel": _Family(2, lambda c0, d0, a, b: (a, b, c0, d0)),
+    "coplanar": _Family(3, lambda k, mu, nu, b, d: (k * (-nu - mu * b), b, k * (1 - mu * d), d)),
 }
 
 
@@ -332,8 +325,7 @@ def _chart(n: int, kind: str, params) -> tuple[_Family, list, list]:
 def knn_config(n: int, kind: str, params) -> LineConfig:
     """Map family parameters to a configuration realizing the complete graph.
 
-    One table, _FAMILIES, holds the three charts and their hand-written gradients
-    (knn_jacobian), which are tested against unit differences of the charts:
+    One table, _FAMILIES, holds the three charts, which knn_jacobian differentiates:
     concurrent: (x, y, z, c_1, d_1, ..., c_n, d_n)      -> lines through (x, y, z)
     parallel:   (c0, d0, a_1, b_1, ..., a_n, b_n)        -> common direction (c0, d0, 1)
     coplanar:   (kappa, mu, nu, b_1, d_1, ..., b_n, d_n) -> lines in z = lam x + mu y + nu
@@ -345,12 +337,19 @@ def knn_config(n: int, kind: str, params) -> LineConfig:
 
 def knn_jacobian(n: int, kind: str, params) -> np.ndarray:
     """4n x p Jacobian of the family parametrization at `params`, an object array
-    that is exact on int and Fraction parameters."""
+    that is exact on int and Fraction parameters. A chart row is affine in each
+    parameter separately, so its gradient column q is the unit difference
+    row(params + e_q) - row(params), exactly."""
     fam, head, blocks = _chart(n, kind, params)
     h = fam.head
-    rows = [[*g[:h], *[0] * (2 * k), *g[h:], *[0] * (2 * (n - k - 1))]
-            for k, (s, t) in enumerate(blocks) for g in fam.grad(*head, s, t)]
-    return np.array(rows, dtype=object).reshape(4 * n, h + 2 * n)
+    J = np.zeros((4 * n, h + 2 * n), dtype=object)
+    for k, (s, t) in enumerate(blocks):
+        args = [*head, s, t]
+        base = fam.row(*args)
+        for q, col in enumerate([*range(h), h + 2 * k, h + 2 * k + 1]):
+            moved = fam.row(*args[:q], args[q] + 1, *args[q + 1:])
+            J[4 * k:4 * k + 4, col] = [x - y for x, y in zip(moved, base)]
+    return J
 
 
 def sample_knn_params(n: int, kind: str, rng: random.Random) -> list[Fraction]:
@@ -413,11 +412,8 @@ def sample_congruent_pair(G: Graph, orientation: int = 1, seed: int = 0, exact: 
            for _ in range(G.n)]
     co, si = _rational_rotation(rng)
     tx, ty = Fraction(rng.randint(-100, 100)), Fraction(rng.randint(-100, 100))
-    moved = []
-    for x, y in pts:
-        if orientation == -1:
-            y = -y
-        moved.append((co * x - si * y + tx, si * x + co * y + ty))
+    motion = PlanarMotion(((co, -orientation * si), (si, orientation * co)), (tx, ty))
+    moved = [motion.apply(p) for p in pts]
     if exact:
         return [list(p) for p in pts], [list(q) for q in moved]
     return (np.array(pts, dtype=float), np.array(moved, dtype=float))

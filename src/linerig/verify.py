@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .connectivity import is_k_connected
-from .elekes_sharir import phi, reflection_at, rotation_at, to_line, to_lines
+from .elekes_sharir import phi, reflection_at, rotation_at, to_line
 from .errors import DomainError, SampleError
 from .graphs import Graph, _nth_non_edge, generate
 from .lines3d import (Line, Plane, _dependent, batch_last, classify_triple, incidence,
@@ -393,18 +393,21 @@ def _trials(arrays, s) -> list[np.ndarray]:
 
 
 def _incidence_gap(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """4 * g(to_line(a, b), to_line(c, d)) by to_lines, and |b-d|^2 - |a-c|^2, of the
-    (4, 2, ...) integer points (a, b, c, d). Exact in float64 for |coordinate| <= 1000:
-    g is a quarter-integer of magnitude at most 8e6, far below 2**53."""
+    """4 * g(to_line(a, b), to_line(c, d)), each to_line taken on the arrays, and
+    |b-d|^2 - |a-c|^2, of the (4, 2, ...) integer points (a, b, c, d). Exact in
+    float64 for |coordinate| <= 1000: g is a quarter-integer of magnitude at most
+    8e6, far below 2**53."""
     a, b, c, d = pts
-    g4 = 4 * incidence(to_lines(a, b) - to_lines(c, d))
+    D = [x - y for x, y in zip(to_line(a, b).as_tuple(), to_line(c, d).as_tuple())]
+    g4 = 4 * incidence(D)
     return g4, ((b - d) ** 2).sum(axis=0) - ((a - c) ** 2).sum(axis=0)
 
 
 def _distance_incidence(rng: np.random.Generator, trials: int, rep: SuiteReport) -> None:
     """4 * g(to_line(a,b), to_line(c,d)) == |b-d|^2 - |a-c|^2 identically, so the
     incidence residual vanishes exactly iff the distances agree: checked exactly
-    on integer inputs, batched, and spot-checked through the module transform."""
+    on integer inputs, batched, and spot-checked through the module transform phi
+    of the embeddings (a, c) and (b, d)."""
     pts = rng.integers(-1000, 1001, size=(4, 2, trials))
     holds = True
     for s in _blocks(trials):
@@ -413,23 +416,22 @@ def _distance_incidence(rng: np.random.Generator, trials: int, rep: SuiteReport)
     rep.record(holds, part="distance-incidence", trials=trials)
     ks = rng.integers(0, trials, size=50)
     agree = all(
-        4 * meet_residual(to_line(*pts[:2, :, k].tolist()), to_line(*pts[2:, :, k].tolist())) == g
+        4 * meet_residual(*phi(pts[0::2, :, k].tolist(), pts[1::2, :, k].tolist()).lines) == g
         for k, g in zip(ks, _incidence_gap(pts[..., ks])[0]))
     rep.record(agree, part="distance-incidence-module-agreement", trials=50)
 
 
 def _rotation_recovery(rng: np.random.Generator, A: np.ndarray, rep: SuiteReport) -> None:
-    """Rotated images: the lines are concurrent, and rotation_at of their common
-    point gives the rotation back to 1e-9."""
+    """Rotated images: the lines are concurrent, and the rotation_at of their common
+    point takes A to the images to 1e-9."""
     theta = rng.uniform(0.25, 2 * math.pi - 0.25, size=A.shape[2])
     center = rng.uniform(-5, 5, size=(2, 1, A.shape[2]))
     worst = []
     for s in _blocks(A.shape[2]):
         Ab, th, cb = _trials((A, theta, center), s)
         B = _rotate(Ab - cb, np.cos(th), np.sin(th)) + cb
-        sol = point_kernel(to_lines(Ab, B))[0]
-        Brec = _rotate(Ab - sol[:2, None], *rotation_at(sol).cos_sin()) + sol[:2, None]
-        worst.append(np.max(np.abs(Brec - B)))
+        sol = point_kernel(np.array(to_line(Ab, B).as_tuple()))[0]
+        worst.append(np.max(np.abs(np.array(rotation_at(sol).apply(Ab)) - B)))
     worst = float(np.max(worst))
     rep.record(worst <= 1e-9, part="rotation-recovery", trials=A.shape[2], worst=worst)
 
@@ -443,8 +445,8 @@ def _reflect(A: np.ndarray, phi_ang: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _reflection_recovery(rng: np.random.Generator, A: np.ndarray,
                          rep: SuiteReport) -> tuple[np.ndarray, np.ndarray]:
-    """Reflected images: the lines are coplanar, and reflection_at of their common
-    plane gives the reversing motion back to 1e-9. Returns the draws that _reflect
+    """Reflected images: the lines are coplanar, and the reflection_at of their
+    common plane takes A to the images to 1e-9. Returns the draws that _reflect
     turns into the images."""
     phi_ang = rng.uniform(0, 2 * math.pi, size=A.shape[2])
     t = rng.uniform(-5, 5, size=(2, 1, A.shape[2]))
@@ -452,11 +454,8 @@ def _reflection_recovery(rng: np.random.Generator, A: np.ndarray,
     for s in _blocks(A.shape[2]):
         Ab, ph, tb = _trials((A, phi_ang, t), s)
         B = _reflect(Ab, ph, tb)
-        h = reflection_at(Plane(*plane_kernel(to_lines(Ab, B))[0]))
-        (m00, m01), (m10, m11) = h.matrix
-        tx, ty = h.translation
-        Brec = np.array([m00 * Ab[0] + m01 * Ab[1] + tx, m10 * Ab[0] + m11 * Ab[1] + ty])
-        worst.append(np.max(np.abs(Brec - B)))
+        h = reflection_at(Plane(*plane_kernel(np.array(to_line(Ab, B).as_tuple()))[0]))
+        worst.append(np.max(np.abs(np.array(h.apply(Ab)) - B)))
     worst = float(np.max(worst))
     rep.record(worst <= 1e-9, part="reflection-recovery", trials=A.shape[2], worst=worst)
     return phi_ang, t
@@ -482,7 +481,7 @@ def _collinear_preimages(rng: np.random.Generator, r: int, nb: int,
     bad = 0
     for s in _blocks(nb):
         A4, B4 = _collinear(*_trials(draws, s))
-        X4 = to_lines(A4, B4)
+        X4 = np.array(to_line(A4, B4).as_tuple())
         conc_ok = point_kernel(X4)[1]
         plane_ok = plane_kernel(X4)[1]
         db = B4 - B4[:, :1]
@@ -528,7 +527,7 @@ def lemma_cong(trials: int = 100000, seed: int = 0) -> SuiteReport:
             module_ok = False
             continue
         h = reflection_at(Plane(*plane))
-        module_ok &= bool(np.max(np.abs(np.array(h.apply(Ak[:, :, k].T.tolist())) - Bk[:, :, k].T)) <= 1e-8)
+        module_ok &= bool(np.max(np.abs(np.array(h.apply(Ak[:, :, k])) - Bk[:, :, k])) <= 1e-8)
     rep.record(module_ok, part="module-predicate-agreement", trials=70)
     return rep
 

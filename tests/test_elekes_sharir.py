@@ -1,12 +1,13 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from linerig.elekes_sharir import (from_line, parse_pair_file, phi,
+from linerig.elekes_sharir import (PlanarMotion, Rotation, from_line, parse_pair_file, phi,
                                    recover_motion, reflection_at, rotation_at,
-                                   serialize_pair_file, to_line, to_lines)
+                                   serialize_pair_file, to_line)
 from linerig.errors import CongruenceError, DomainError
 from linerig.graphs import generate
 from linerig.lines3d import Line, common_plane, common_point, meet_residual
@@ -26,19 +27,51 @@ def test_to_line_rotation_point_convention():
     assert (x, y, z) == (1.0, 1.0, 1.0)
     rot = rotation_at((x, y, z))
     assert abs(rot.theta - math.pi / 2) < 1e-12
-    (image,) = rot.apply([(0, 0)])
+    image = rot.apply((0, 0))
     assert abs(image[0] - 2) < 1e-12 and abs(image[1]) < 1e-12
 
 
-def test_to_lines_matches_to_line():
+def test_to_line_on_arrays_matches_to_line_per_pair():
+    """to_line on (2, n, batch) float and int point arrays is to_line on each pair,
+    bit for bit: the float pairs give its floats, the int pairs the floats of its
+    exact Fractions."""
     rng = np.random.default_rng(4)
-    A = rng.uniform(-10, 10, size=(2, 3, 5))
-    B = rng.uniform(-10, 10, size=(2, 3, 5))
-    X = to_lines(A, B)
-    assert X.shape == (4, 3, 5)
-    for k in np.ndindex(3, 5):
-        assert tuple(X[(slice(None), *k)]) == \
-            to_line(A[(slice(None), *k)].tolist(), B[(slice(None), *k)].tolist()).as_tuple()
+    for A, B in (rng.uniform(-10, 10, size=(2, 2, 3, 5)),
+                 rng.integers(-1000, 1001, size=(2, 2, 3, 5))):
+        X = np.array(to_line(A, B).as_tuple())
+        assert X.shape == (4, 3, 5) and X.dtype == float
+        for k in np.ndindex(3, 5):
+            line = to_line(A[(slice(None), *k)].tolist(), B[(slice(None), *k)].tolist())
+            assert tuple(X[(slice(None), *k)]) == tuple(map(float, line.as_tuple()))
+
+
+def test_motions_apply_to_arrays_as_to_each_point():
+    """Rotation.apply and PlanarMotion.apply on a (2, n, batch) point array are their
+    images of each point, bit for bit, and Fraction points have Fraction images."""
+    rng = np.random.default_rng(9)
+    P = rng.uniform(-10, 10, size=(2, 4, 6))
+    c, s = math.cos(0.7), math.sin(0.7)
+    motions = (rotation_at((1.5, -2.0, 0.3)), PlanarMotion(((c, s), (s, -c)), (2.0, -1.0)))
+    for motion in motions:
+        image = np.array(motion.apply(P))
+        assert image.shape == P.shape
+        for k in np.ndindex(4, 6):
+            assert tuple(image[(slice(None), *k)]) == motion.apply(tuple(P[(slice(None), *k)]))
+    # a batch of rotations, as rotation_at gives for a (3, batch) array of points
+    rots = rotation_at(rng.uniform(-3, 3, size=(3, 6)))
+    image = np.array(rots.apply(P))
+    for i, j in np.ndindex(4, 6):
+        one = rotation_at((rots.center[0][j], rots.center[1][j], rots.t[j]))
+        assert tuple(image[:, i, j]) == one.apply(tuple(P[:, i, j]))
+    F = Fraction
+    exact = (Rotation((F(1, 2), F(-3)), F(2, 7)),
+             PlanarMotion(((F(3, 5), F(4, 5)), (F(4, 5), F(-3, 5))), (F(1), F(-2, 3))))
+    for motion in exact:
+        image = motion.apply((F(7, 3), F(-1, 4)))
+        assert all(type(x) is F for x in image)
+    # a quarter turn about (1, 1), and the reflection in y = 0 moved by (2, 0)
+    assert Rotation((F(1), F(1)), F(1)).apply((F(0), F(0))) == (2, 0)
+    assert PlanarMotion(((1, 0), (0, -1)), (F(2), F(0))).apply((F(1), F(3))) == (3, -3)
 
 
 def test_from_line_examples():
@@ -60,7 +93,7 @@ def test_round_trip_random():
 def test_rotation_at_examples():
     rot = rotation_at((0, 0, 0))
     assert abs(rot.theta - math.pi) < 1e-12
-    (img,) = rot.apply([(2, 1)])
+    img = rot.apply((2, 1))
     assert abs(img[0] + 2) < 1e-12 and abs(img[1] + 1) < 1e-12
     rot = rotation_at((1, 1, 1))
     assert abs(rot.theta - math.pi / 2) < 1e-12
@@ -73,7 +106,7 @@ def test_rotation_consistency_on_random_pairs():
         b = rng.uniform(-10, 10, 2)
         t = rng.uniform(-8, 8)
         point = to_line(a, b).point_at(t)
-        (img,) = rotation_at(point).apply([a])
+        img = rotation_at(point).apply(a)
         assert max(abs(img[0] - b[0]), abs(img[1] - b[1])) <= 1e-9
 
 
@@ -127,10 +160,10 @@ def test_recover_motion_rotation_matches_rotation_at():
     B = (A - center) @ np.array([[c, s], [-s, c]]) + center
     motion = recover_motion(A, B, orientation=1)
     assert motion.orientation == 1
-    assert np.max(np.abs(np.array(motion.apply(A)) - B)) <= 1e-9
+    assert np.max(np.abs(np.array(motion.apply(A.T)).T - B)) <= 1e-9
     point = common_point(phi(A.tolist(), B.tolist())).point
     rot = rotation_at(point)
-    assert np.max(np.abs(np.array(rot.apply(A)) - B)) <= 1e-9
+    assert np.max(np.abs(np.array(rot.apply(A.T)).T - B)) <= 1e-9
     assert abs(rot.theta - theta) < 1e-9
 
 
@@ -140,7 +173,7 @@ def test_recover_motion_reflection():
     B = np.column_stack([A[:, 0] + 2, -A[:, 1]])
     motion = recover_motion(A, B, orientation=-1)
     assert motion.orientation == -1
-    assert np.max(np.abs(np.array(motion.apply(A)) - B)) <= 1e-9
+    assert np.max(np.abs(np.array(motion.apply(A.T)).T - B)) <= 1e-9
 
 
 def test_recover_motion_translation_limit():
@@ -161,7 +194,7 @@ def test_recover_motion_collinear_both_orientations():
     B = [(c * x - s * y + 1, s * x + c * y - 2) for x, y in A]
     for orientation in (1, -1):
         motion = recover_motion(A, B, orientation=orientation)
-        assert np.max(np.abs(np.array(motion.apply(A)) - np.array(B))) <= 1e-9
+        assert np.max(np.abs(np.array(motion.apply(np.transpose(A))).T - np.array(B))) <= 1e-9
 
 
 def test_recover_motion_rejects_non_congruent():
@@ -184,7 +217,7 @@ def test_recover_motion_is_scale_free():
         for orientation, p, q in pairs:
             motion = recover_motion(p * scale, q * scale, orientation=orientation)
             assert motion.orientation == orientation
-            assert np.abs(np.array(motion.apply(p * scale)) - q * scale).max() <= 1e-9 * scale
+            assert np.abs(np.array(motion.apply(p.T * scale)).T - q * scale).max() <= 1e-9 * scale
 
 
 def test_recover_motion_reports_the_first_violating_pair():
@@ -203,8 +236,10 @@ def test_reflection_at_plane():
     from linerig.lines3d import Plane
     motion = reflection_at(Plane(0.0, 1.0, 0.0))
     assert motion.orientation == -1
-    assert np.allclose(motion.apply([(0, 0), (1, 1)]), [(2, 0), (3, -1)])
-    lines = phi([(0, 0), (1, 1)], motion.apply([(0, 0), (1, 1)]))
+    P = np.array([(0, 1), (0, 1)])  # the points (0, 0) and (1, 1), coordinates first
+    image = np.array(motion.apply(P))
+    assert np.allclose(image, [(2, 3), (0, -1)])
+    lines = phi(P.T.tolist(), image.T.tolist())
     pl = common_plane(lines)
     assert pl is not None and abs(pl.mu - 1) < 1e-9 and abs(pl.lam) < 1e-9
 

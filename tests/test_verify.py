@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from linerig.elekes_sharir import reflection_at, rotation_at, to_lines
+from linerig.elekes_sharir import PlanarMotion, Rotation, reflection_at, rotation_at, to_line
 from linerig.errors import DomainError
 from linerig.graphs import Graph
 from linerig.lines3d import (Line, LineConfig, batch_last, classify_triple, meet_residual,
@@ -264,24 +264,45 @@ def _reflection_translation_negated(plane):
     return dataclasses.replace(h, translation=tuple(-x for x in h.translation))
 
 
-def _to_lines_cd_swapped(A, B):
-    return to_lines(A, B)[[0, 1, 3, 2]]
+def _to_line_cd_swapped(a, b):
+    line = to_line(a, b)
+    return Line(line.a, line.b, line.d, line.c)
 
 
 @pytest.mark.parametrize("name, perturbed, parts", [
     ("rotation_at", _rotation_t_off, {"rotation-recovery"}),
     ("reflection_at", _reflection_translation_negated,
      {"reflection-recovery", "module-predicate-agreement"}),
-    ("to_lines", _to_lines_cd_swapped,
+    ("to_line", _to_line_cd_swapped,
      {"distance-incidence", "distance-incidence-module-agreement", "rotation-recovery",
       "reflection-recovery", "collinear-preimages"}),
 ])
 def test_lemma_cong_checks_the_library_formulas(monkeypatch, name, perturbed, parts):
     """lemma-cong recovers motions through elekes_sharir's own rotation_at and
-    reflection_at, and takes its incidences through to_lines: a perturbed copy of
+    reflection_at, and takes its incidences through to_line: a perturbed copy of
     either fails the parts that read it."""
     import linerig.verify as verify
     monkeypatch.setattr(verify, name, perturbed)
+    rep = lemma_cong(5000, 0)
+    assert not rep.ok and {f["part"] for f in rep.failures} == parts
+
+
+def _first_coordinate_off(apply):
+    def perturbed(self, p):
+        x, y = apply(self, p)
+        return x * (1 + 1e-6), y
+    return perturbed
+
+
+@pytest.mark.parametrize("motion, parts", [
+    (Rotation, {"rotation-recovery"}),
+    (PlanarMotion, {"reflection-recovery", "module-predicate-agreement"}),
+])
+def test_lemma_cong_applies_the_library_motions(monkeypatch, motion, parts):
+    """lemma-cong takes the images of the motions it recovers from their own apply:
+    a perturbed Rotation.apply or PlanarMotion.apply fails exactly the parts that
+    recover that kind of motion."""
+    monkeypatch.setattr(motion, "apply", _first_coordinate_off(motion.apply))
     rep = lemma_cong(5000, 0)
     assert not rep.ok and {f["part"] for f in rep.failures} == parts
 
@@ -325,7 +346,7 @@ def test_lemma_cong_keeps_a_fault_of_its_first_block(monkeypatch):
     in the first block of each recovery part."""
     import linerig.verify as verify
     calls = []
-    incidence, to_lines = verify.incidence, verify.to_lines
+    incidence, to_line = verify.incidence, verify.to_line
 
     def off_by_one(D):
         g = incidence(D)
@@ -334,19 +355,20 @@ def test_lemma_cong_keeps_a_fault_of_its_first_block(monkeypatch):
         calls.append("incidence")
         return g
 
-    def moved(A, B):
-        X = to_lines(A, B)
-        if X.ndim == 3:  # a recovery part's (4, n, block) lines, not _incidence_gap's
-            calls.append("to_lines")
-            if calls.count("to_lines") in (1, 4, 7):  # three blocks a part
-                X[:, 0, 0] += 0.5
-        return X
+    def moved(a, b):
+        line = to_line(a, b)
+        if np.ndim(line.a) == 2:  # a recovery part's (n, block) lines, not _incidence_gap's
+            calls.append("to_line")
+            if calls.count("to_line") in (1, 4, 7):  # three blocks a part
+                for x in line.as_tuple():
+                    x[0, 0] += 0.5
+        return line
 
     monkeypatch.setattr(verify, "_BLOCK", 7)
     monkeypatch.setattr(verify, "incidence", off_by_one)
-    monkeypatch.setattr(verify, "to_lines", moved)
+    monkeypatch.setattr(verify, "to_line", moved)
     failures = {f["part"]: f for f in lemma_cong(15, 0).failures}
-    assert calls.count("to_lines") == 9
+    assert calls.count("to_line") == 9
     assert set(failures) == {"distance-incidence", "rotation-recovery", "reflection-recovery",
                              "collinear-preimages"}
     assert failures["rotation-recovery"]["worst"] > 1e-9 < failures["reflection-recovery"]["worst"]
