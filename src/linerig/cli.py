@@ -11,10 +11,10 @@ that is not redundant ranks no stress matrix, and one whose stress matrix proves
 globally rigid runs no 3-connectivity sweep.
 
 The parser comes from one table, _COMMANDS, one row per leaf subcommand; a verify
-suite's leaf reads its options off the suite's signature (_suite_options). main builds
-only the leaf that argv names; any other command line (no leaf named, help, --version,
-an unknown command) gets the parser of every leaf, so each listing and message is the
-whole tree's.
+suite's leaf reads its options off the suite's signature (_suite_options). main parses
+a command line that names a leaf with that leaf's parser alone (parse_args), and builds
+the tree of every leaf only for any other command line (no leaf named, help, --version,
+an unknown command) or to report arguments the leaf does not take.
 """
 
 from __future__ import annotations
@@ -353,42 +353,55 @@ _COMMANDS = (
 )
 
 
-def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
-    """The parser of the one leaf that argv names (its first word a top-level leaf,
-    or a group and then one of the group's leaves), else of every leaf."""
-    words = tuple(argv or ())
-    rows = [row for row in _COMMANDS
-            if words[:2 if row[0] else 1] == tuple(filter(None, row[:2]))]
+def _add_leaf(p: argparse.ArgumentParser, handler, arguments, common: str) -> None:
+    """A leaf's own arguments, the common options it reads and its handler, on p."""
+    for spec in arguments:
+        names, kwargs = ((spec,), {}) if isinstance(spec, str) else spec
+        p.add_argument(*names, **kwargs)
+    for option in common.split():
+        p.add_argument(f"--{option}", **_COMMON[option])
+    p.set_defaults(func=handler)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every leaf."""
     parser = argparse.ArgumentParser(prog="linerig",
                                      description="Rigidity of graphs and line configurations in 3-space")
     parser.add_argument("--version", action="version", version=f"linerig {__version__}")
-    # an unrecognized argument prints the usage line, which lists every command also
-    # when one leaf is built; no other message of a one-leaf parser names the commands
-    commands = "{%s}" % ",".join(dict.fromkeys(row[0] or row[1] for row in _COMMANDS))
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=commands if rows else None)
+    sub = parser.add_subparsers(dest="command", required=True)
     groups = {}
-    for group, name, help_, handler, arguments, common in rows or _COMMANDS:
+    for group, name, help_, handler, arguments, common in _COMMANDS:
         if group is not None and group not in groups:
             dest, group_help = _GROUPS[group]
             groups[group] = sub.add_parser(group, help=group_help).add_subparsers(
                 dest=dest, required=True)
         # a leaf given no help stays out of its group's listing
-        p = groups.get(group, sub).add_parser(name, **({"help": help_} if help_ else {}))
-        for spec in arguments:
-            names, kwargs = ((spec,), {}) if isinstance(spec, str) else spec
-            p.add_argument(*names, **kwargs)
-        for option in common.split():
-            p.add_argument(f"--{option}", **_COMMON[option])
-        p.set_defaults(func=handler)
+        _add_leaf(groups.get(group, sub).add_parser(name, **({"help": help_} if help_ else {})),
+                  handler, arguments, common)
     return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), byte for byte. A leaf that argv names (a top-level
+    leaf, or a group and one of its leaves) parses the rest alone; the tree is built
+    only when none is named or arguments are left, for the top-level usage line."""
+    for group, name, _, handler, arguments, common in _COMMANDS:
+        words = (group, name) if group else (name,)
+        if tuple(argv[:len(words)]) == words:
+            leaf = argparse.ArgumentParser(prog=" ".join(("linerig", *words)))
+            _add_leaf(leaf, handler, arguments, common)
+            leaf.set_defaults(command=words[0], **({_GROUPS[group][0]: name} if group else {}))
+            args, rest = leaf.parse_known_args(argv[len(words):])
+            if not rest:
+                return args
+            break
+    return build_parser().parse_args(argv)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -41,7 +41,7 @@ def to_line(a: Sequence[Scalar], b: Sequence[Scalar]) -> Line:
     and plane_kernel."""
     ax, ay = a
     bx, by = b
-    half = Fraction(1, 2) if is_exact(ax + ay + bx + by) else 0.5
+    half = Fraction(1, 2) if all(map(is_exact, (ax, ay, bx, by))) else 0.5
     return Line((ax + bx) * half, (ay + by) * half, (ay - by) * half, (bx - ax) * half)
 
 
@@ -65,7 +65,8 @@ class Rotation:
         return 2.0 * math.atan2(1.0, float(self.t))
 
     def cos_sin(self) -> tuple[Scalar, Scalar]:
-        t = self.t
+        """(cos theta, sin theta), exact for an exact t (lines3d.is_exact)."""
+        t = Fraction(self.t) if is_exact(self.t) else self.t
         denom = t * t + 1
         return (t * t - 1) / denom, 2 * t / denom
 

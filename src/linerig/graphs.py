@@ -124,7 +124,8 @@ class Graph:
     @classmethod
     def _derived(cls, n: int, edges: tuple[Edge, ...]) -> "Graph":
         """A graph from canonical edges, without ``__post_init__``'s O(m) check: the
-        derivations above build only canonical tuples from a canonical source."""
+        derivations above build only canonical tuples from a canonical source, and
+        _parse_edges sorts the int pairs it has checked."""
         G = object.__new__(cls)
         object.__setattr__(G, "n", n)
         object.__setattr__(G, "edges", edges)
@@ -252,7 +253,7 @@ def _parse_edges(n: int, items: Iterable[object], where: Callable[[int], str]) -
         if not isinstance(item, list) or len(item) != 2:
             raise GraphParseError(f"{where(k)}: must be a pair [i, j]")
         u, v = item
-        if not (_is_integer(u) and _is_integer(v)):
+        if not (type(u) is type(v) is int or _is_integer(u) and _is_integer(v)):
             raise GraphParseError(f"{where(k)}: endpoints must be integers, got [{u!r}, {v!r}]")
         if u == v:
             raise GraphParseError(f"{where(k)}: self-loop at vertex {u}")
@@ -262,7 +263,7 @@ def _parse_edges(n: int, items: Iterable[object], where: Callable[[int], str]) -
         if e in edges:
             raise GraphParseError(f"{where(k)}: duplicate edge {list(e)}")
         edges.add(e)
-    return Graph(n, tuple(sorted(edges)))
+    return Graph._derived(n, tuple(sorted(edges)))
 
 
 # ---------------------------------------------------------------------------

@@ -270,10 +270,14 @@ def edge_index(G: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _coordinates(rows, width: int) -> np.ndarray:
-    """rows as an (n, width) array: of objects (Python ints and Fractions) when every
-    entry is exact (lines3d.is_exact), of floats otherwise. Float coordinates whose
-    forms could overflow raise DomainError: both forms, a squared length and the
-    incidence, sum two products of coordinate differences (check_squares)."""
+    """rows as an (n, width) array: an (n, width) float array as it is, else of objects
+    (Python ints and Fractions) when every entry is exact (lines3d.is_exact), of floats
+    otherwise. Float coordinates whose forms could overflow raise DomainError: both
+    forms, a squared length and the incidence, sum two products of coordinate
+    differences (check_squares)."""
+    if isinstance(rows, np.ndarray) and rows.dtype == float and rows.shape[1:] == (width,):
+        check_squares(rows, 2)
+        return rows
     rows = rows.tolist() if isinstance(rows, np.ndarray) else [list(r) for r in rows]
     try:
         exact = all(is_exact(x) for r in rows for x in r)
@@ -315,24 +319,26 @@ def random_embedding(n: int, rng: np.random.Generator, box: int = 10 ** 4) -> np
 # line system (incidence constraints of a graph on a line configuration)
 
 
-def _line_arrays(G: Graph, x: LineConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if x.n != G.n:
-        raise DomainError(f"configuration has {x.n} lines for a graph on {G.n} vertices")
-    return (_coordinates(x.coords(), 4), *edge_index(G))
+def _line_arrays(G: Graph, x: Union[LineConfig, np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if len(x) != G.n:
+        raise DomainError(f"configuration has {len(x)} lines for a graph on {G.n} vertices")
+    return (_coordinates(x if isinstance(x, np.ndarray) else x.coords(), 4), *edge_index(G))
 
 
-def line_residuals(G: Graph, x: LineConfig) -> list[Scalar]:
+def line_residuals(G: Graph, x: Union[LineConfig, np.ndarray]) -> list[Scalar]:
     return edge_system(*_line_arrays(G, x), incidence_form)[0].tolist()
 
 
-def line_system_jacobian(G: Graph, x: LineConfig) -> np.ndarray:
+def line_system_jacobian(G: Graph, x: Union[LineConfig, np.ndarray]) -> np.ndarray:
     """m x 4n Jacobian of the incidence residuals in the chart coordinates."""
     return edge_system(*_line_arrays(G, x), incidence_form)[1]
 
 
-def line_system_dimension(G: Graph, x: LineConfig, tol: float = DEFAULT_TOL,
-                          exact: bool = False) -> DimensionReport:
-    """Rank certificate for the incidence system at x (which must satisfy it).
+def line_system_dimension(G: Graph, x: Union[LineConfig, np.ndarray],
+                          tol: float = DEFAULT_TOL, exact: bool = False) -> DimensionReport:
+    """Rank certificate for the incidence system at x, a LineConfig or an (n, 4) array
+    of chart rows (which must satisfy it); a float array is taken as it is.
 
     certified means full row rank m; when m = 2n - 3 that pins the local dimension
     of the realization space at exactly 2n + 3 (the rank gives the upper bound, and

@@ -7,7 +7,8 @@ line_system_dimension's Cholesky test on J J^T (an attempt that the test does no
 pass is retried, and its log line says whether the SVD found rank m or less). A
 projected random start lands at a smooth point of a full-dimensional component,
 which is what the paper's *generic* realization asks for; no Henneberg sequence is
-replayed.
+replayed. One (n, 4) float array goes from the draw through the projection, the
+coincidence test and the certificate; only a certified draw becomes a LineConfig.
 
 The projection takes least-norm steps delta = J^T (J J^T)^-1 g without forming the
 m x 4n Jacobian J: by numeric's edge-system identity J J^T is (S S^T) o (grad grad^T)
@@ -171,9 +172,10 @@ def _least_norm_step(X: np.ndarray, i: np.ndarray, j: np.ndarray, S: np.ndarray,
     return S.T @ (y[:, None] * grad)
 
 
-def gauss_newton_project(G: Graph, x0: LineConfig, tol: float = 1e-12,
-                         max_iter: int = 50) -> LineConfig:
-    """Project a nearby configuration onto the incidence system of G.
+def gauss_newton_project(G: Graph, x0: Union[LineConfig, np.ndarray], tol: float = 1e-12,
+                         max_iter: int = 50) -> Union[LineConfig, np.ndarray]:
+    """Project a nearby configuration, a LineConfig or an (n, 4) float array, onto the
+    incidence system of G; the projection is returned as the same kind.
 
     Least-norm Gauss-Newton steps. Returns once every edge passes the residual rule
     at tol (lines3d.residual_measure), whose rounding term passes the float floor.
@@ -182,10 +184,13 @@ def gauss_newton_project(G: Graph, x0: LineConfig, tol: float = 1e-12,
     the measures swing while lines travel far) or max_iter steps do not reach tol.
     Raises DomainError when the start's J J^T could overflow.
     """
-    if x0.n != G.n:
-        raise DomainError(f"configuration has {x0.n} lines for a graph on {G.n} vertices")
+    config = isinstance(x0, LineConfig)
+    X = x0.as_array() if config else np.array(x0, dtype=float)
+    if X.shape[1:] != (4,):
+        raise DomainError("coordinates must be rows of 4 numbers")
+    if len(X) != G.n:
+        raise DomainError(f"configuration has {len(X)} lines for a graph on {G.n} vertices")
     i, j = edge_index(G)
-    X = x0.as_array()
     # a diagonal entry of J J^T sums eight products of coordinate differences
     check_squares(X, 8, "normal-matrix entries")
     S, SS = signed_incidence(i, j, G.n), signed_gram(i, j)
@@ -195,7 +200,7 @@ def gauss_newton_project(G: Graph, x0: LineConfig, tol: float = 1e-12,
         g, grad = incidence_form(D.T)
         worst = float(np.max(residual_measure(g, d, big), initial=0.0))
         if worst <= tol:
-            return LineConfig.from_rows(X.tolist())
+            return LineConfig.from_rows(X.tolist()) if config else X
         size = float(np.abs(g).max())
         if size < best:
             best, measure, stalls = size, worst, 0
@@ -212,19 +217,22 @@ def gauss_newton_project(G: Graph, x0: LineConfig, tol: float = 1e-12,
         f"(residual {measure:.2e})", measure)
 
 
-def _certified_sample(G: Graph, draw: Callable[[int], Union[LineConfig, str]], exact: bool,
-                      seed: int) -> LineSample:
+def _certified_sample(G: Graph, draw: Callable[[int], Union[LineConfig, np.ndarray, str]],
+                      exact: bool, seed: int) -> LineSample:
     """The Laman samplers' attempt loop of MAX_RETRIES attempts. Attempt k's draw(k) is
-    a configuration or the reason none was drawn; line_system_dimension certifies a
-    configuration, exactly or at tolerance 1e-8. Logs one line per attempt, with the
-    reason an attempt failed: its rank, or that rank m was not proved."""
+    a configuration, a LineConfig or an (n, 4) float array, or the reason none was
+    drawn; line_system_dimension certifies a configuration, exactly or at tolerance
+    1e-8, and only a certified array becomes a LineConfig. Logs one line per attempt,
+    with the reason an attempt failed: its rank, or that rank m was not proved."""
     log: list[str] = []
     for attempt in range(1, MAX_RETRIES + 1):
         drawn = draw(attempt)
-        if isinstance(drawn, LineConfig):
+        if not isinstance(drawn, str):
             report = line_system_dimension(G, drawn, tol=1e-8, exact=exact)
             if report.certified:
                 log.append(f"attempt {attempt}: certified, rank {report.jacobian_rank}")
+                if isinstance(drawn, np.ndarray):
+                    drawn = LineConfig.from_rows(drawn.tolist())
                 return LineSample(drawn, report, attempt, log)
             drawn = (f"rank {G.m} not proved (Cholesky at the cut failed)"
                      if report.jacobian_rank == G.m else f"rank {report.jacobian_rank} < {G.m}")
@@ -247,16 +255,15 @@ def sample_laman_lines_info(G: Graph, seed: int = 0) -> LineSample:
     if not is_laman(G):
         raise DomainError("sample_laman_lines requires a Laman graph")
 
-    def draw(attempt: int) -> Union[LineConfig, str]:
+    def draw(attempt: int) -> Union[np.ndarray, str]:
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([seed, attempt])))
-        start = rng.integers(-_BOX, _BOX, size=(G.n, 4), endpoint=True)
+        start = rng.integers(-_BOX, _BOX, size=(G.n, 4), endpoint=True).astype(float)
         try:
-            projected = gauss_newton_project(G, LineConfig.from_rows(start.tolist()),
-                                             tol=PROJECT_TOL, max_iter=80)
+            projected = gauss_newton_project(G, start, tol=PROJECT_TOL, max_iter=80)
         except ConvergenceError as exc:
             return f"no convergence: {exc}"
-        if pair_tests(projected.as_array(), *np.triu_indices(G.n, 1), 1e-8).coincide.any():
+        if pair_tests(projected, *np.triu_indices(G.n, 1), 1e-8).coincide.any():
             return "two lines coincide"
         return projected
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linerig
-from linerig.cli import build_parser, main
+from linerig.cli import build_parser, main, parse_args
 from linerig.graphs import MAX_COMPLETE_EDGES, MAX_VERTICES, generate, parse_graph, serialize_graph
 from linerig.verify import MAX_TRIALS, SUITES
 
@@ -1037,9 +1037,10 @@ def test_each_leaf_takes_only_the_options_it_reads():
     assert sum(len(common & set(opts.split())) for opts in got.values()) == 39
 
 
-def test_a_named_leaf_builds_only_its_own_parser():
-    leaves = [name for name, _ in _leaves(build_parser(["sample", "laman", "g.json"]))]
-    assert leaves == ["sample laman"]
+def test_a_named_leaf_is_parsed_without_the_tree(monkeypatch):
+    want = build_parser().parse_args(["sample", "laman", "g.json"])
+    monkeypatch.setattr(linerig.cli, "build_parser", None)
+    assert parse_args(["sample", "laman", "g.json"]) == want
 
 
 @pytest.mark.parametrize("argv", [
@@ -1055,7 +1056,33 @@ def test_main_parses_as_the_whole_tree(capsys, argv):
         want = (0 if exc.code in (0, None) else 2, *capsys.readouterr())
         assert run(capsys, *argv) == want
     else:  # main would go on to read the leaf's input files
-        assert build_parser(argv).parse_args(argv) == want
+        assert parse_args(argv) == want
+
+
+def _parsed(capsys, parse, argv):
+    try:
+        got = vars(parse(argv))
+    except SystemExit as exc:
+        got = exc.code
+    return got, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("row", linerig.cli._COMMANDS, ids=lambda row: " ".join(filter(None, row[:2])))
+def test_each_leaf_alone_parses_as_the_whole_tree(monkeypatch, capsys, row):
+    """The leaf's parser alone gives the tree's namespace, help, and the error and exit
+    code of a bad option value, a missing positional and an unknown trailing argument;
+    only the last one builds the tree, whose top-level parser reports it."""
+    words = [w for w in row[:2] if w]
+    leaf = " ".join(words)
+    argv = [*words, *_LEAF_ARGV[leaf].split()]
+    valued = [o for o in _LEAF_OPTIONS[leaf].split() if o != "--dump-jacobian"]
+    cases = [argv, [*words, "-h"], words, *([[*argv, valued[0], "x"]] if valued else [])]
+    tree = build_parser
+    for case in [*cases, [*argv, "--bogus"]]:
+        want = _parsed(capsys, tree().parse_args, case)
+        monkeypatch.setattr(linerig.cli, "build_parser", None if case in cases else tree)
+        assert _parsed(capsys, parse_args, case) == want, case
+    assert want[0] == 2 and "unrecognized arguments: --bogus" in want[2]
 
 
 @pytest.mark.parametrize("leaf", sorted(_LEAF_ARGV))

@@ -99,6 +99,26 @@ def test_rotation_at_examples():
     assert abs(rot.theta - math.pi / 2) < 1e-12
 
 
+def test_rotation_of_int_and_fraction_points_is_exact():
+    """An int t is exact as a Fraction t is: int and Fraction points have equal
+    Fraction images."""
+    assert rotation_at((0, 0, 1)).apply((1, 0)) == (0, 1)
+    for point, p in (((0, 0, 1), (1, 0)), ((3, -2, 5), (7, 4)), ((1, 1, 0), (-3, 2))):
+        image = rotation_at(point).apply(p)
+        assert image == rotation_at(tuple(map(Fraction, point))).apply(tuple(map(Fraction, p)))
+        assert all(type(x) is Fraction for x in (*image, *rotation_at(point).cos_sin()))
+
+
+def test_to_line_is_exact_exactly_when_every_coordinate_is():
+    exact = (Fraction(2), Fraction(7, 2), Fraction(-3, 2), Fraction(1))
+    for a, b in (((1, 2), (3, 5)), ((Fraction(1), 2), (3, Fraction(5)))):
+        assert to_line(a, b).as_tuple() == exact
+        assert all(type(x) is Fraction for x in to_line(a, b).as_tuple())
+    for a, b in (((1.0, 2), (3, 5)), ((1, 2), (3, np.float64(5)))):
+        assert to_line(a, b).as_tuple() == (2.0, 3.5, -1.5, 1.0)
+        assert all(type(x) is not Fraction for x in to_line(a, b).as_tuple())
+
+
 def test_rotation_consistency_on_random_pairs():
     rng = np.random.default_rng(1)
     for _ in range(500):

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import sys
 from itertools import combinations
@@ -85,6 +86,20 @@ def test_each_reader_raises_its_own_error_on_bad_json(text):
 
 def test_unordered_endpoints_normalize():
     assert parse_graph('{"n":3,"edges":[[2,0]]}').edges == ((0, 2),)
+
+
+def test_parsed_graphs_equal_graph_of_their_edges():
+    """Both readers build their graph without Graph's check; it equals Graph(n, edges),
+    its edges the canonical tuple of int pairs."""
+    rng = random.Random(3)
+    for G in (Graph(0), Graph(5), generate("laman_random", [12], seed=1), generate("complete", [6])):
+        edges = [list(e) if rng.random() < 0.5 else list(e[::-1]) for e in G.edges]
+        rng.shuffle(edges)
+        listing = "\n".join([f"{G.n} {G.m}", *(f"{u} {v}" for u, v in edges)])
+        for H in (parse_graph(json.dumps({"n": G.n, "edges": edges})),
+                  parse_graph(listing, fmt="edge-list")):
+            assert H == Graph(G.n, [tuple(sorted(e)) for e in edges]) == G
+            assert _is_canonical(H.n, H.edges)
 
 
 @pytest.mark.parametrize("fmt", ["json", "edge-list"])

@@ -4,7 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
-from linerig.cli import build_parser
+from linerig.cli import build_parser, parse_args
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,4 +25,4 @@ def test_command_line_examples_parse():
         if ">" in words:  # drop the shell's output redirection
             words = words[:words.index(">")]
         # main parses with the named leaf's parser alone, to the same namespace
-        assert build_parser(words).parse_args(words) == build_parser().parse_args(words)
+        assert parse_args(words) == build_parser().parse_args(words)

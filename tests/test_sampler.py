@@ -186,6 +186,29 @@ def test_gauss_newton_fixed_point():
         1 + np.max(np.abs(cfg.as_array())))
 
 
+def test_projection_and_certificate_take_a_float_array_bit_for_bit():
+    """gauss_newton_project of an (n, 4) float array is an array with the bits of its
+    projection of the same LineConfig, and line_system_dimension reports the same on
+    either kind, the array taken as it is."""
+    import linerig.numeric as numeric
+    G = generate("laman_random", [30], seed=1)
+    start = np.random.default_rng(1).integers(-40, 41, size=(30, 4)).astype(float)
+    kept = start.copy()
+    out = gauss_newton_project(G, start, tol=1e-10, max_iter=80)
+    ref = gauss_newton_project(G, LineConfig.from_rows(start.tolist()), tol=1e-10, max_iter=80)
+    assert isinstance(out, np.ndarray) and out.tobytes() == ref.as_array().tobytes()
+    assert start.tobytes() == kept.tobytes()
+    report = line_system_dimension(G, out)
+    assert report.certified and report.to_dict() == line_system_dimension(G, ref).to_dict()
+    assert numeric._line_arrays(G, out)[0] is out
+    for bad, message in ((out[:, :3], "rows of 4 numbers"), (out[:-1], "29 lines"),
+                         (out * 1e160, "too large")):
+        with pytest.raises(DomainError, match=message):
+            line_system_dimension(G, bad)
+        with pytest.raises(DomainError, match=message if bad.shape[1] < 4 else "."):
+            gauss_newton_project(G, bad)
+
+
 def test_gauss_newton_converges_from_small_perturbation():
     G = generate("laman_random", [7], seed=11)
     cfg = sample_laman_lines(G, seed=11)
@@ -447,7 +470,7 @@ def test_sample_is_certified_within_tolerance_and_distinct(n, graph_seed, seed):
 def test_coincident_projection_is_retried(monkeypatch):
     # every line on the first one: K2's one incidence holds
     _replace_first_projection(
-        monkeypatch, lambda G, x0, **kwargs: LineConfig.from_rows([x0.coords()[0]] * G.n))
+        monkeypatch, lambda G, x0, **kwargs: np.repeat(x0[:1], G.n, axis=0))
     info = sample_laman_lines_info(generate("complete", [2]), seed=0)
     assert info.log[0] == "attempt 1: two lines coincide" and info.attempts == 2
 
@@ -472,7 +495,7 @@ def test_retries_log_why_the_rank_was_not_certified(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", cholesky)
     pencil = LineConfig.from_rows([(-2 - 3 * (1 - 2 * d), 2 - 3 * d, 1 - 2 * d, d)
                                    for d in range(5)])
-    _replace_first_projection(monkeypatch, lambda G, x0, **kwargs: pencil)
+    _replace_first_projection(monkeypatch, lambda G, x0, **kwargs: pencil.as_array())
     info = sample_laman_lines_info(G, seed=3)
     assert info.log[0] == "attempt 1: rank 4 < 7" and info.report.certified
 
@@ -550,7 +573,7 @@ def test_coincidence_is_held_to_each_pairs_own_scale(monkeypatch):
     X = np.array(rows)
     assert not pair_tests(X, *np.triu_indices(4, 1), 1e-8).coincide.any()
     assert np.abs(X[0] - X[1]).max() <= 1e-8 * (1.0 + np.abs(X).max())
-    _replace_first_projection(monkeypatch, lambda G, x0, **kwargs: LineConfig.from_rows(rows))
+    _replace_first_projection(monkeypatch, lambda G, x0, **kwargs: np.array(rows))
     # K4 less the edge (0, 1): lines 0 and 1 need not meet, all four pass through the origin
     info = sample_laman_lines_info(Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
     assert info.attempts == 1 and info.config.as_array().tolist() == rows
