@@ -244,8 +244,9 @@ def _int_pair(k: int, ln: str, what: str) -> list[int]:
 
 
 def _parse_edges(n: int, items: Iterable[object], where: Callable[[int], str]) -> Graph:
-    """Both formats' edge loop: distinct int pairs below n, none repeated; where(k) names
-    item k. n above MAX_VERTICES is refused before any edge is read."""
+    """Both formats' edge loop: distinct pairs of Python ints below n, none repeated (both
+    decoders give no other integer type); where(k) names item k. n above MAX_VERTICES is
+    refused before any edge is read."""
     if n > MAX_VERTICES:
         raise GraphParseError(f"n={n} exceeds the limit of {MAX_VERTICES} vertices")
     edges: set[Edge] = set()
@@ -253,7 +254,7 @@ def _parse_edges(n: int, items: Iterable[object], where: Callable[[int], str]) -
         if not isinstance(item, list) or len(item) != 2:
             raise GraphParseError(f"{where(k)}: must be a pair [i, j]")
         u, v = item
-        if not (type(u) is type(v) is int or _is_integer(u) and _is_integer(v)):
+        if not type(u) is type(v) is int:
             raise GraphParseError(f"{where(k)}: endpoints must be integers, got [{u!r}, {v!r}]")
         if u == v:
             raise GraphParseError(f"{where(k)}: self-loop at vertex {u}")
