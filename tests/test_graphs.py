@@ -56,6 +56,15 @@ def test_both_formats_share_one_edge_loop(edges, message):
         parse_graph(listing, fmt="edge-list")
 
 
+@pytest.mark.parametrize("pair, shown", [
+    ("[0, true]", "[0, True]"), ("[1.0, 2]", "[1.0, 2]"), ('["0", 1]', "['0', 1]"),
+], ids=["bool", "float", "string"])
+def test_json_endpoints_must_be_ints(pair, shown):
+    with pytest.raises(GraphParseError,
+                       match=re.escape(f"field 'edges[0]': endpoints must be integers, got {shown}")):
+        parse_graph('{"n": 3, "edges": [%s]}' % pair)
+
+
 def test_both_formats_bound_the_vertex_count():
     for fmt, at_limit, above in (("json", '{"n":%d}', '{"n":%d,"edges":[[0,1]]}'),
                                  ("edge-list", "%d 0", "%d 1\n0 1")):
