@@ -12,14 +12,16 @@ globally rigid runs no 3-connectivity sweep.
 
 The parser comes from one table, _COMMANDS, one row per leaf subcommand; a verify
 suite's leaf reads its options off the suite's signature (_suite_options). main parses
-a command line that names a leaf with that leaf's parser alone (parse_args), and builds
-the tree of every leaf only for any other command line (no leaf named, help, --version,
-an unknown command) or to report arguments the leaf does not take.
+a command line that names a leaf with that leaf's parser alone (parse_args), built once
+per interpreter (_leaf_parser), and builds the tree of every leaf only for any other
+command line (no leaf named, help, --version, an unknown command) or to report
+arguments the leaf does not take.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -381,17 +383,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _words(row: tuple) -> tuple[str, ...]:
+    """The command words that name a _COMMANDS row's leaf: its group, if any, and name."""
+    return tuple(filter(None, row[:2]))
+
+
+@functools.cache
+def _leaf_parser(k: int) -> argparse.ArgumentParser:
+    """The parser of _COMMANDS[k]'s leaf alone, built once per interpreter: prog
+    `linerig <words>`, and the defaults the tree gives command and the group's dest.
+    A parse keeps nothing on it; each call returns a fresh namespace."""
+    group, name, _, handler, arguments, common = _COMMANDS[k]
+    words = _words(_COMMANDS[k])
+    leaf = argparse.ArgumentParser(prog=" ".join(("linerig", *words)))
+    _add_leaf(leaf, handler, arguments, common)
+    leaf.set_defaults(command=words[0], **({_GROUPS[group][0]: name} if group else {}))
+    return leaf
+
+
 def parse_args(argv: list[str]) -> argparse.Namespace:
     """build_parser().parse_args(argv), byte for byte. A leaf that argv names (a top-level
     leaf, or a group and one of its leaves) parses the rest alone; the tree is built
     only when none is named or arguments are left, for the top-level usage line."""
-    for group, name, _, handler, arguments, common in _COMMANDS:
-        words = (group, name) if group else (name,)
+    for k, row in enumerate(_COMMANDS):
+        words = _words(row)
         if tuple(argv[:len(words)]) == words:
-            leaf = argparse.ArgumentParser(prog=" ".join(("linerig", *words)))
-            _add_leaf(leaf, handler, arguments, common)
-            leaf.set_defaults(command=words[0], **({_GROUPS[group][0]: name} if group else {}))
-            args, rest = leaf.parse_known_args(argv[len(words):])
+            args, rest = _leaf_parser(k).parse_known_args(argv[len(words):])
             if not rest:
                 return args
             break

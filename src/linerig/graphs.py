@@ -40,6 +40,13 @@ class Graph:
     each edits a canonical tuple in a way that keeps it canonical (a deletion, the
     order-preserving relabel of a vertex deletion, one checked edge inserted at its
     ``bisect`` position), so they rely on their source being canonical.
+
+    What depends on the graph alone is a cached property, built on first read and
+    immutable: the adjacency sets, the edge set, the read-only endpoint arrays
+    ``edge_index`` and the read-only int8 ``signed_gram``, S S^T of the signed
+    incidence matrix S, which the float sampler's projection and certificate share.
+    None is a field, so equality and hashing ignore them, and every derived graph
+    builds its own.
     """
 
     n: int
@@ -91,6 +98,25 @@ class Graph:
     @cached_property
     def _edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
+
+    @cached_property
+    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only endpoint arrays (i, j) of the edges, in canonical edge order."""
+        e = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        e.flags.writeable = False
+        return e[:, 0], e[:, 1]
+
+    @cached_property
+    def signed_gram(self) -> np.ndarray:
+        """S S^T, read-only int8, for the m x n signed incidence matrix S of the edges
+        (row k holds 1 in column i_k and -1 in column j_k), in O(m^2) from edge_index:
+        entry (k, l) is [i_k = i_l] - [i_k = j_l] - [j_k = i_l] + [j_k = j_l], so 2 on
+        the diagonal and +1 or -1 where two edges share an endpoint."""
+        i, j = self.edge_index
+        I, J = i[:, None], j[:, None]
+        SS = (I == i).astype(np.int8) - (I == j) - (J == i) + (J == j)
+        SS.flags.writeable = False
+        return SS
 
     def with_edge(self, u: int, v: int) -> "Graph":
         """Add the edge uv: two distinct vertices below n, not already joined."""

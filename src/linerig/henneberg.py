@@ -236,6 +236,12 @@ def extract_henneberg(G: Graph) -> tuple[list[HennebergStep], list[int]]:
     """
     if not is_laman(G):
         raise DomainError("extract_henneberg requires a Laman graph")
+    return _peel_laman(G)
+
+
+def _peel_laman(G: Graph) -> tuple[list[HennebergStep], list[int]]:
+    """extract_henneberg of a graph its caller has tested Laman, with no second test:
+    the exact sampler's one pebble game on its input."""
     return _extract(G, _K2, _henneberg_moves, apply_henneberg, "Laman")
 
 

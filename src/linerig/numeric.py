@@ -17,8 +17,9 @@ j) and the form's gradient, so for every edge system
 
 with o the entrywise product, and S = signed_incidence(i, j, n) depends on the graph
 only. Neither product forms J: normal_matrix takes J J^T this way, with
-S S^T = signed_gram(i, j) built from the endpoint arrays, for the float sampler's
-Gauss-Newton steps (once per projection) and for the float certificate.
+S S^T = G.signed_gram, cached on the graph with its endpoint arrays G.edge_index, so
+the float sampler's Gauss-Newton steps and the float certificate share one array per
+graph.
 
 Each dimension report gives its system once: its rows X, the residual of the row
 differences D (the incidence, or |D_p|^2 - |D_p'|^2 of a pair), the form's gradient
@@ -247,26 +248,11 @@ def signed_incidence(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     return S
 
 
-def signed_gram(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """S S^T for the signed incidence matrix S of the edges (i[k], j[k]), as int8, from
-    the endpoint arrays in O(m^2): entry (k, l) is [i_k = i_l] - [i_k = j_l] -
-    [j_k = i_l] + [j_k = j_l], so 2 on the diagonal and +1 or -1 where two edges
-    share an endpoint."""
-    I, J = i[:, None], j[:, None]
-    return (I == i).astype(np.int8) - (I == j) - (J == i) + (J == j)
-
-
 def normal_matrix(SS: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """J J^T = (S S^T) o (grad grad^T) of the edge system whose edges have the signed
-    gram SS = signed_gram(i, j) and the m x w gradient rows grad (the module
+    """J J^T = (S S^T) o (grad grad^T) of the edge system whose graph has the signed
+    gram SS = G.signed_gram and the m x w gradient rows grad (the module
     docstring). Each entry is SS's 0, +-1 or 2 times a rounded w-term dot product."""
     return SS * (grad @ grad.T)
-
-
-def edge_index(G: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays (i, j) of G's edges, in canonical edge order."""
-    e = np.array(G.edges, dtype=np.intp).reshape(-1, 2)
-    return e[:, 0], e[:, 1]
 
 
 def _coordinates(rows, width: int) -> np.ndarray:
@@ -301,13 +287,13 @@ def _embedding(G: Graph, p) -> np.ndarray:
 
 def edge_function(G: Graph, p) -> np.ndarray:
     """Squared edge lengths in canonical edge order."""
-    return edge_system(_embedding(G, p), *edge_index(G), length_form)[0]
+    return edge_system(_embedding(G, p), *G.edge_index, length_form)[0]
 
 
 def rigidity_matrix(G: Graph, p) -> np.ndarray:
     """m x 2n Jacobian of the edge function: row (i,j) holds 2(p_i - p_j) at slot i
     and the negation at slot j."""
-    return edge_system(_embedding(G, p), *edge_index(G), length_form)[1]
+    return edge_system(_embedding(G, p), *G.edge_index, length_form)[1]
 
 
 def random_embedding(n: int, rng: np.random.Generator, box: int = 10 ** 4) -> np.ndarray:
@@ -323,7 +309,7 @@ def _line_arrays(G: Graph, x: Union[LineConfig, np.ndarray]
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if len(x) != G.n:
         raise DomainError(f"configuration has {len(x)} lines for a graph on {G.n} vertices")
-    return (_coordinates(x if isinstance(x, np.ndarray) else x.coords(), 4), *edge_index(G))
+    return (_coordinates(x if isinstance(x, np.ndarray) else x.coords(), 4), *G.edge_index)
 
 
 def line_residuals(G: Graph, x: Union[LineConfig, np.ndarray]) -> list[Scalar]:
@@ -369,13 +355,13 @@ def _pair_jacobian(X: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 def pair_system_jacobian(G: Graph, p, p_prime) -> np.ndarray:
     """m x 4n Jacobian of (p, p') -> f(p) - f(p')."""
-    return _pair_jacobian(_pair_rows(G, p, p_prime), *edge_index(G))
+    return _pair_jacobian(_pair_rows(G, p, p_prime), *G.edge_index)
 
 
 def pair_system_dimension(G: Graph, p, p_prime, tol: float = DEFAULT_TOL,
                           exact: bool = False) -> DimensionReport:
     """Rank certificate for the equal-edge-lengths system at a pair of embeddings."""
-    X, (i, j) = _pair_rows(G, p, p_prime), edge_index(G)
+    X, (i, j) = _pair_rows(G, p, p_prime), G.edge_index
     return _certify(G, X, lambda D: (D[:, :2] ** 2).sum(axis=1) - (D[:, 2:] ** 2).sum(axis=1),
                     lambda D: np.hstack([2 * D[:, :2], -2 * D[:, 2:]]),
                     lambda R: _pair_jacobian(R, i, j), "edge lengths differ", tol, exact)
@@ -385,18 +371,18 @@ _U = 2.0 ** -53  # the unit roundoff of round to nearest
 _ETA = float(np.finfo(float).smallest_subnormal)  # 2^-1074, the underflow unit
 
 
-def _proved_sigma(grad: np.ndarray, i: np.ndarray, j: np.ndarray, n: int,
-                  tol: float) -> Optional[float]:
+def _proved_sigma(grad: np.ndarray, G: Graph, tol: float) -> Optional[float]:
     """A proved lower bound sqrt(alpha) on sigma_min(J) for the m x (w n) Jacobian J
-    of the edge system with edges (i, j) and float gradient rows grad, or None where
+    of the edge system of G's edges (i, j) and float gradient rows grad, or None where
     the test below does not pass. J has full row rank m wherever it returns.
 
     The test factors A - (c + alpha) I, for A = J J^T scaled by 2^(2e), once with
     np.linalg.cholesky. grad is first scaled by 2^e, e = -frexp(max |grad|)[1], which
     is exact but where it underflows; then max |grad| lies in [1/2, 1), and no entry
     of A exceeds 8 in magnitude, so none can overflow. A is
-    normal_matrix(signed_gram(i, j), grad), the identity
-    J J^T = (S S^T) o (grad grad^T); J @ J.T is never formed.
+    normal_matrix(G.signed_gram, grad), the identity
+    J J^T = (S S^T) o (grad grad^T); J @ J.T is never formed, and S S^T is the
+    graph's cached array, the one the sampler's projection read.
     sqrt(alpha) = tol * max(m, w n) * sqrt(||A||_inf), where ||A||_inf >= sigma_max^2
     (A is symmetric), so the cut is tol * sigma_max * max(m, w n) up to that bound.
 
@@ -440,13 +426,13 @@ def _proved_sigma(grad: np.ndarray, i: np.ndarray, j: np.ndarray, n: int,
     lambda_min(J J^T) >= 2^(-2e) alpha, and sigma_min(J) >= 2^-e sqrt(alpha),
     which is exact unless it is subnormal, where None is returned instead.
     """
-    m = len(grad)
+    m, n, (i, j) = len(grad), G.n, G.edge_index
     big = float(np.abs(grad).max(initial=0.0))
     if not big > 0:
         return None
     e = -math.frexp(big)[1]
     grad = np.ldexp(grad, e)
-    A = normal_matrix(signed_gram(i, j), grad)
+    A = normal_matrix(G.signed_gram, grad)
     diag = A.diagonal()
     a_max, trace = float(diag.max()), math.fsum(diag)
     root = tol * max(m, grad.shape[1] * n) * math.sqrt(float(np.abs(A).sum(axis=1).max()))
@@ -487,7 +473,7 @@ def _certify(G: Graph, X: np.ndarray, residual: Callable[[np.ndarray], np.ndarra
     certified."""
     if exact and X.dtype != object:
         raise DomainError("exact mode needs integer or rational coordinates")
-    i, j = edge_index(G)
+    i, j = G.edge_index
     D = X.take(i, axis=0) - X.take(j, axis=0)
     g = residual(D)
     if exact:
@@ -496,14 +482,14 @@ def _certify(G: Graph, X: np.ndarray, residual: Callable[[np.ndarray], np.ndarra
                 raise DomainError(f"{violation}: edge {edge} has nonzero residual {r}")
         rank, primes, _ = _residue_rank(X, jacobian, min(G.m, X.size))
         return DimensionReport(X.size, G.m, rank, tol, rank == G.m, primes=primes)
-    rel = edge_residuals(g.astype(float), X.astype(float), i, j)
+    rel = edge_residuals(g.astype(float, copy=False), X.astype(float, copy=False), i, j)
     if not G.m:
         return DimensionReport(X.size, 0, 0, tol, True)
     k = int(np.argmax(rel))
     if not rel[k] <= tol:
         raise DomainError(f"{violation}: edge {G.edges[k]} has relative residual "
                           f"{rel[k]:.3e} > tol {tol:.1e}")
-    sigma = _proved_sigma(gradient(D).astype(float), i, j, G.n, tol)
+    sigma = _proved_sigma(gradient(D).astype(float, copy=False), G, tol)
     if sigma is not None:
         return DimensionReport(X.size, G.m, G.m, tol, True, sigma)
     rank, kept, dropped = _float_rank(jacobian(X), tol)
@@ -577,7 +563,7 @@ class RigidityResult:
         G, p, w = self.graph, self.prime, self.stress
         if w is None:
             return None
-        i, j = edge_index(G)
+        i, j = G.edge_index
         # rows and columns in ascending degree (a stable argsort), a static minimum-degree
         # order: the sparsest rows pivot first, while they add little fill
         order = np.argsort([G.degree(v) for v in range(G.n)], kind="stable")
@@ -631,7 +617,7 @@ def rigidity(G: Graph, seed: int = 0) -> RigidityResult:
     # edge columns by later, then earlier, endpoint in it: the order that kept fill least
     order = _peel_order(G)
     pos = np.argsort(order)
-    i, j = (pos[e] for e in edge_index(G))
+    i, j = (pos[e] for e in G.edge_index)
     cols = np.lexsort((np.minimum(i, j), np.maximum(i, j)))
     i, j = i[cols], j[cols]
     rng = np.random.default_rng(seed)

@@ -13,8 +13,9 @@ coincidence test and the certificate; only a certified draw becomes a LineConfig
 The projection takes least-norm steps delta = J^T (J J^T)^-1 g without forming the
 m x 4n Jacobian J: by numeric's edge-system identity J J^T is (S S^T) o (grad grad^T)
 (numeric.normal_matrix) and J^T y is S^T (y o grad), for the m x 4 incidence gradients
-grad of D = X[i] - X[j] and the graph's signed incidence matrix S, whose S S^T
-(numeric.signed_gram) is built once per projection.
+grad of D = X[i] - X[j] and the graph's signed incidence matrix S. S is built once per
+projection; S S^T (Graph.signed_gram) is built once per graph, and the certificate reads
+the same array.
 Only a singular J J^T makes it build J, for lstsq. It returns as soon as every edge
 passes the residual rule (lines3d.residual_measure), which pair_tests and
 line_system_dimension apply too, and gives up as soon as two steps in a row fail to
@@ -48,12 +49,12 @@ import numpy as np
 from .elekes_sharir import PlanarMotion
 from .errors import ConvergenceError, DomainError, SampleError
 from .graphs import MAX_VERTICES, Graph
-from .henneberg import Ext0, Ext1, extract_henneberg
+from .henneberg import Ext0, Ext1, _peel_laman
 from .lines3d import (Line, LineConfig, _edge_norms, _triple_coplanar, check_squares,
                       incidence_form, line_through, meet_residual, pair_intersection,
                       pair_tests, residual_measure, transversal_detail)
-from .numeric import (DimensionReport, edge_index, edge_system, line_system_dimension,
-                      normal_matrix, signed_gram, signed_incidence)
+from .numeric import (DimensionReport, edge_system, line_system_dimension, normal_matrix,
+                      signed_incidence)
 from .sparsity import is_laman
 
 _BOX = 40  # coordinate box for integer draws
@@ -190,10 +191,10 @@ def gauss_newton_project(G: Graph, x0: Union[LineConfig, np.ndarray], tol: float
         raise DomainError("coordinates must be rows of 4 numbers")
     if len(X) != G.n:
         raise DomainError(f"configuration has {len(X)} lines for a graph on {G.n} vertices")
-    i, j = edge_index(G)
+    i, j = G.edge_index
     # a diagonal entry of J J^T sums eight products of coordinate differences
     check_squares(X, 8, "normal-matrix entries")
-    S, SS = signed_incidence(i, j, G.n), signed_gram(i, j)
+    S, SS = signed_incidence(i, j, G.n), G.signed_gram
     best, measure, stalls = np.inf, np.inf, 0
     for step in range(max_iter + 1):
         D, d, big = _edge_norms(X, i, j)
@@ -281,11 +282,12 @@ def sample_laman_lines_exact_info(G: Graph, seed: int = 0) -> LineSample:
     exact arithmetic, from a generator seeded by (seed, attempt), and keeps it
     when its exact certificate holds: every residual exactly 0 and full Jacobian
     rank (constructed points sit on strata with extra incidences, which in principle
-    can underreport rank).
+    can underreport rank). One pebble game tests that G is Laman, and the extension
+    sequence is peeled without a second one.
     """
     if not is_laman(G):
         raise DomainError("sample_laman_lines_exact requires a Laman graph")
-    steps, relabel = extract_henneberg(G)
+    steps, relabel = _peel_laman(G)
 
     def draw(attempt: int) -> Union[LineConfig, str]:
         rng = random.Random(f"laman-lines-exact:{seed}:{attempt}")

@@ -196,10 +196,10 @@ def float_stress_oracle(G: Graph, trials: int = 5, seed: int = 0, tol: float = 1
     matrix of a random integer embedding in floats, its rank by the SVD cut at tol,
     a random combination of the left singular vectors past that rank as the stress,
     and a yes vote when the stress matrix's float rank is n - 3."""
-    from linerig.numeric import edge_index, float_rank, random_embedding, rigidity_matrix
+    from linerig.numeric import float_rank, random_embedding, rigidity_matrix
     if G.n < 4:
         raise DomainError("global rigidity oracle needs at least 4 vertices")
-    i, j = edge_index(G)
+    i, j = G.edge_index
     rows, cols = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
     rigid, votes = False, 0
     for rng in _trial_rngs(seed, trials):
@@ -226,7 +226,7 @@ def natural_order_rigidity(G: Graph, seed: int = 0) -> tuple:
     same kernel, so the verdicts may differ only with probability at most m / p."""
     from linerig import numeric
     n, m = G.n, G.m
-    i, j = numeric.edge_index(G)
+    i, j = G.edge_index
     rng = np.random.default_rng(seed)
     rank, primes, M = numeric._residue_rank(
         numeric.random_embedding(n, rng, 2 ** 30),
@@ -242,8 +242,7 @@ def natural_order_rigidity(G: Graph, seed: int = 0) -> tuple:
 def stress_matrix(G: Graph, w: np.ndarray) -> np.ndarray:
     """The n x n stress matrix of the edge weights w, in G's vertex labels: -w_ij at
     ij and ji, and each diagonal entry the sum of its vertex's weights."""
-    from linerig.numeric import edge_index
-    i, j = edge_index(G)
+    i, j = G.edge_index
     omega = np.zeros((G.n, G.n), dtype=np.int64)
     np.add.at(omega, (np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])),
               np.concatenate([-w, -w, w, w]))

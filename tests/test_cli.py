@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import linerig
 from linerig.cli import build_parser, main, parse_args
 from linerig.graphs import MAX_COMPLETE_EDGES, MAX_VERTICES, generate, parse_graph, serialize_graph
+from linerig.sampler import sample_laman_lines
 from linerig.verify import MAX_TRIALS, SUITES
 
 
@@ -1071,18 +1072,41 @@ def _parsed(capsys, parse, argv):
 def test_each_leaf_alone_parses_as_the_whole_tree(monkeypatch, capsys, row):
     """The leaf's parser alone gives the tree's namespace, help, and the error and exit
     code of a bad option value, a missing positional and an unknown trailing argument;
-    only the last one builds the tree, whose top-level parser reports it."""
+    only the last one builds the tree, whose top-level parser reports it. The leaf's
+    parser is built once and kept, so the first case, parsed again after the errors,
+    must still give the tree's namespace."""
     words = [w for w in row[:2] if w]
     leaf = " ".join(words)
     argv = [*words, *_LEAF_ARGV[leaf].split()]
     valued = [o for o in _LEAF_OPTIONS[leaf].split() if o != "--dump-jacobian"]
     cases = [argv, [*words, "-h"], words, *([[*argv, valued[0], "x"]] if valued else [])]
+    bogus = [*argv, "--bogus"]
     tree = build_parser
-    for case in [*cases, [*argv, "--bogus"]]:
+    for case in [*cases, bogus, argv]:
         want = _parsed(capsys, tree().parse_args, case)
         monkeypatch.setattr(linerig.cli, "build_parser", None if case in cases else tree)
         assert _parsed(capsys, parse_args, case) == want, case
-    assert want[0] == 2 and "unrecognized arguments: --bogus" in want[2]
+        if case is bogus:
+            assert want[0] == 2 and "unrecognized arguments: --bogus" in want[2]
+    assert isinstance(want[0], dict)
+
+
+def test_cached_leaf_parser_carries_nothing_between_calls(tmp_path, capsys):
+    """One interpreter runs one leaf four times through its one cached parser: a seed,
+    then none (back to the default 0), then a bad seed, then help. Each parse and each
+    output is what a fresh build_parser() gives."""
+    G = generate("laman_random", [10], seed=1)
+    path = tmp_path / "g.json"
+    path.write_text(serialize_graph(G))
+    leaf = ["sample", "laman", str(path)]
+    for argv, seed in ((leaf + ["--seed", "5"], 5), (leaf, 0)):
+        assert parse_args(argv) == build_parser().parse_args(argv)
+        assert run(capsys, *argv) == (0, sample_laman_lines(G, seed).to_json() + "\n", "")
+    for argv in (leaf + ["--seed", "-1"], ["sample", "laman", "-h"]):
+        want = _parsed(capsys, build_parser().parse_args, argv)
+        assert run(capsys, *argv) == want
+    assert want[0] == 0 and want[1].startswith("usage: linerig sample laman")
+    assert linerig.cli._leaf_parser.cache_info().currsize >= 1
 
 
 @pytest.mark.parametrize("leaf", sorted(_LEAF_ARGV))

@@ -309,3 +309,50 @@ def test_relabeled_permutation():
     G = Graph(3, ((0, 1), (1, 2)))
     assert G.relabeled([2, 1, 0]).edges == ((0, 1), (1, 2))
     assert G.relabeled([1, 2, 0]).edges == ((0, 2), (1, 2))
+
+
+def _fresh_arrays(G):
+    """G's endpoint arrays and S S^T built apart from its cache."""
+    e = np.array(G.edges, dtype=np.intp).reshape(-1, 2)
+    S = np.zeros((G.m, G.n), dtype=int)
+    S[np.arange(G.m), e[:, 0]] = 1
+    S[np.arange(G.m), e[:, 1]] = -1
+    return e[:, 0], e[:, 1], S @ S.T
+
+
+def _check_cache(G):
+    i, j, SS = _fresh_arrays(G)
+    assert G.edge_index is G.edge_index and G.signed_gram is G.signed_gram
+    assert np.array_equal(G.edge_index[0], i) and np.array_equal(G.edge_index[1], j)
+    assert G.signed_gram.dtype == np.int8 and np.array_equal(G.signed_gram, SS)
+
+
+def test_graph_arrays_are_cached_read_only_and_exact():
+    G = generate("laman_random", [12], seed=1)
+    _check_cache(G)
+    for array in (*G.edge_index, G.signed_gram):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        np.negative(G.signed_gram, out=G.signed_gram)
+    empty = Graph(3)
+    _check_cache(empty)
+    assert G.signed_gram.shape == (G.m, G.m) and empty.signed_gram.shape == (0, 0)
+
+
+def test_derived_graphs_build_their_own_arrays():
+    G = generate("wheel", [6])
+    _check_cache(G)  # fill G's cache before deriving from it
+    derived = [G.with_edge(1, 3), G.without_edge(0, 1), G.without_vertex(2)[0],
+               G.relabeled([5, 4, 3, 2, 1, 0])]
+    for H in derived:
+        _check_cache(H)
+        assert H.edge_index[0] is not G.edge_index[0] and H.signed_gram is not G.signed_gram
+
+
+def test_equality_and_hash_ignore_a_filled_cache():
+    G, H = generate("laman_random", [10], seed=2), generate("laman_random", [10], seed=2)
+    G.signed_gram
+    assert "signed_gram" in vars(G) and "signed_gram" not in vars(H)
+    assert G == H and hash(G) == hash(H) and len({G, H}) == 1
+    assert repr(G) == repr(H)

@@ -285,12 +285,12 @@ def test_fraction_free_elimination_leaves_the_normalized_ones_stress():
     solves the same stress from the same draws: on R(P)^T mod p of rigid graphs and on
     wide random matrices of deficient rank."""
     from helpers import normalized_eliminate
-    from linerig.numeric import _random_stress, edge_index, length_form, random_embedding
+    from linerig.numeric import _random_stress, length_form, random_embedding
     rng = np.random.default_rng(7)
     matrices = []
     for G in (K4, generate("wheel", [6]), generate("complete", [7]),
               generate("hendrickson_random", [12, 3], seed=2)):
-        i, j = edge_index(G)
+        i, j = G.edge_index
         P = random_embedding(G.n, rng, 2 ** 30).astype(object)
         matrices.append(edge_system(P, i, j, length_form)[1].T)
     matrices += [rng.integers(-3, 4, size=(6, 2)) @ rng.integers(-3, 4, size=(2, 11)),

@@ -11,9 +11,8 @@ from linerig.errors import ConvergenceError, DomainError, SampleError
 from linerig.graphs import Graph, generate
 from linerig.lines3d import (LineConfig, common_plane, common_point, incidence_form,
                              intersection_graph, is_exact)
-from linerig.numeric import (edge_function, edge_index, edge_system, line_residuals,
-                             line_system_dimension, line_system_jacobian, normal_matrix,
-                             rank_exact, signed_gram, signed_incidence)
+from linerig.numeric import (edge_function, edge_system, line_residuals, line_system_dimension,
+                             line_system_jacobian, normal_matrix, rank_exact, signed_incidence)
 from linerig.sampler import (gauss_newton_project, knn_config, knn_jacobian,
                              sample_congruent_pair, sample_knn, sample_knn_params,
                              sample_laman_lines, sample_laman_lines_exact,
@@ -305,13 +304,14 @@ _COORD = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
 @settings(max_examples=80)
 @given(st.integers(2, 30), st.data())
 def test_normal_matrix_and_adjoint_equal_the_dense_jacobians(n, data):
-    """signed_gram(i, j) is S S^T, normal_matrix's (S S^T) o (grad grad^T) is J J^T
+    """G.signed_gram is S S^T, normal_matrix's (S S^T) o (grad grad^T) is J J^T
     and S^T (y o grad) is J^T y for the dense edge_system Jacobian J and the signed
     incidence matrix S, on graphs with isolated vertices and with no edges, each
     entry within 1e-12 of the sum of its products' sizes (|J| |J|^T, |J|^T |y|)."""
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     edges = sorted(data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=40)))
-    i, j = edge_index(Graph(n, tuple(edges)))
+    G = Graph(n, tuple(edges))
+    i, j = G.edge_index
     X = np.array(data.draw(st.lists(st.lists(_COORD, min_size=4, max_size=4),
                                     min_size=n, max_size=n)))
     y = np.array(data.draw(st.lists(_COORD, min_size=len(edges), max_size=len(edges))))
@@ -321,8 +321,8 @@ def test_normal_matrix_and_adjoint_equal_the_dense_jacobians(n, data):
     A = np.abs(J)
     S = signed_incidence(i, j, n)
     assert S.shape == (len(edges), n) and np.all(np.abs(S @ S.T).diagonal() == 2)
-    assert np.array_equal(signed_gram(i, j), S @ S.T)
-    assert np.all(np.abs(normal_matrix(signed_gram(i, j), grad) - J @ J.T) <= 1e-12 * (A @ A.T))
+    assert np.array_equal(G.signed_gram, S @ S.T)
+    assert np.all(np.abs(normal_matrix(G.signed_gram, grad) - J @ J.T) <= 1e-12 * (A @ A.T))
     adjoint = S.T @ (y[:, None] * grad)
     assert np.all(np.abs(adjoint.ravel() - J.T @ y) <= 1e-12 * (A.T @ np.abs(y)))
 
@@ -648,3 +648,23 @@ def test_exact_sampler_runs_no_float_test(monkeypatch):
     monkeypatch.setattr(Fraction, "__float__", refuse)
     info = sample_laman_lines_exact_info(G)
     assert info.attempts == 1 and info.report.certified, info.log
+
+
+def test_exact_sampler_plays_one_pebble_game_on_its_input(monkeypatch):
+    """is_laman's game on the input is the only one: the extension sequence is peeled
+    without a second test of G (the peel's own games run on smaller candidates). A
+    graph that is not Laman still gets the sampler's message, and extract_henneberg
+    keeps its own."""
+    import linerig.sparsity
+    from linerig.henneberg import extract_henneberg
+
+    game, games = linerig.sparsity.sparsity_rank, []
+    monkeypatch.setattr(linerig.sparsity, "sparsity_rank", lambda H: games.append(H) or game(H))
+    G = generate("laman_random", [30], seed=3)
+    assert sample_laman_lines_exact_info(G, seed=1).report.certified
+    assert sum(H is G for H in games) == 1 and all(H.n < G.n for H in games if H is not G)
+    K4 = generate("complete", [4])
+    with pytest.raises(DomainError, match="^sample_laman_lines_exact requires a Laman graph$"):
+        sample_laman_lines_exact_info(K4)
+    with pytest.raises(DomainError, match="^extract_henneberg requires a Laman graph$"):
+        extract_henneberg(K4)
